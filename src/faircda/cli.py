@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .engine import EngineConfig, run_simulation
-from .metrics import SimulationReport, emit
+from .metrics import SimulationReport, _csv_cell, emit
 from .model import (
     ConsumerBid,
     ExtendedConsumerBid,
@@ -33,7 +33,6 @@ from .model import (
     MarketShape,
     ProviderBid,
     as_money,
-    budget,
 )
 from .scenario import ScenarioConfig
 from .wdp_solver import (
@@ -256,22 +255,12 @@ def comparison_rows(fairness: SimulationReport, baseline: SimulationReport) -> l
     return rows
 
 
-def _comparison_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Fraction):
-        return repr(float(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_comparison_csv(rows: Sequence[dict], path: Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(COMPARISON_FIELDS)
         for row in rows:
-            writer.writerow([_comparison_cell(row[f]) for f in COMPARISON_FIELDS])
+            writer.writerow([_csv_cell(row[f]) for f in COMPARISON_FIELDS])
 
 
 def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> int:
@@ -352,10 +341,7 @@ def random_micro_instance(
         prices = [Fraction(int(p)) for p in rng.integers(plo, phi, size=L, endpoint=True)]
         providers.append(ProviderBid(m, tuple(prices), tuple(quantities)))
     return WdpInstance(
-        shape=MarketShape(N, M, L),
-        consumer_bids=tuple(consumers),
-        provider_bids=tuple(providers),
-        budgets=tuple(budget(c.bid) for c in consumers),
+        shape=MarketShape(N, M, L), consumer_bids=tuple(consumers), provider_bids=tuple(providers)
     )
 
 

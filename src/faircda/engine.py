@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -73,12 +73,6 @@ class Repository:
             return self.records[consumer_id]
         except KeyError:
             raise ValueError(f"no participation record for consumer {consumer_id}") from None
-
-    def active_ids(self) -> list[int]:
-        return sorted(cid for cid, rec in self.records.items() if not rec.dropped)
-
-    def dropped_ids(self) -> list[int]:
-        return sorted(cid for cid, rec in self.records.items() if rec.dropped)
 
     @classmethod
     def fresh(cls, consumer_ids: Sequence[int]) -> "Repository":
@@ -347,11 +341,6 @@ def run_simulation(
         config_echo=config_echo(scenario, config),
         final_repositories=tuple(repositories),
     )
-
-
-def baseline_config(config: EngineConfig) -> EngineConfig:
-    """The same engine with the fairness mechanism switched off."""
-    return replace(config, fairness_enabled=False)
 
 
 def repository_to_dict(repo: Repository) -> dict:

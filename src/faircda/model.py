@@ -185,6 +185,12 @@ class ParticipantRecord:
     prices this consumer offered in each past round, most recent last; it
     feeds the bid-quality evaluation.  ``dropped_at_round``, once set, never
     changes.
+
+    History is validated on entry: the constructor checks every entry it is
+    given, while :meth:`after_win` and :meth:`after_loss` check only the
+    entry they append, because the entries already held passed that check
+    when they entered.  A run therefore validates each entry once, not once
+    per later round.
     """
 
     wins: int = 0
@@ -219,24 +225,30 @@ class ParticipantRecord:
         """Most recent price vector this consumer offered, or None."""
         return self.price_history[-1] if self.price_history else None
 
+    def _appended(
+        self, wins: int, losses: int, consecutive_losses: int, offered_prices: Sequence
+    ) -> "ParticipantRecord":
+        # Counts derived from a valid record stay valid, and held history
+        # was validated on entry; only the new entry needs checking.
+        entry = _money_tuple(offered_prices, "price history entry")
+        successor = object.__new__(ParticipantRecord)
+        successor.__dict__.update(
+            wins=wins,
+            losses=losses,
+            consecutive_losses=consecutive_losses,
+            dropped_at_round=self.dropped_at_round,
+            price_history=self.price_history + (entry,),
+        )
+        return successor
+
     def after_win(self, offered_prices: Sequence) -> "ParticipantRecord":
         """Successor record after winning a round: streak resets to zero."""
-        return ParticipantRecord(
-            wins=self.wins + 1,
-            losses=self.losses,
-            consecutive_losses=0,
-            dropped_at_round=self.dropped_at_round,
-            price_history=self.price_history + (tuple(offered_prices),),
-        )
+        return self._appended(self.wins + 1, self.losses, 0, offered_prices)
 
     def after_loss(self, offered_prices: Sequence) -> "ParticipantRecord":
         """Successor record after losing a round: the streak grows by one."""
-        return ParticipantRecord(
-            wins=self.wins,
-            losses=self.losses + 1,
-            consecutive_losses=self.consecutive_losses + 1,
-            dropped_at_round=self.dropped_at_round,
-            price_history=self.price_history + (tuple(offered_prices),),
+        return self._appended(
+            self.wins, self.losses + 1, self.consecutive_losses + 1, offered_prices
         )
 
     def marked_dropped(self, round_index: int) -> "ParticipantRecord":

@@ -43,6 +43,10 @@ class ScenarioConfig:
     4 resource types, 10 independent runs, supply of 30-100 units per
     provider and type, demand of 1-3 units per consumer and type, asks in
     [50, 200], offers in [100, 250], and a 10% per-round price drift.
+
+    Every provider offers at least one unit of each type and every offer is
+    priced above zero, so each round's utilization and the fairness
+    factors' market mean prices are defined.
     """
 
     shape: MarketShape = field(default_factory=lambda: MarketShape(300, 5, 4))
@@ -68,6 +72,11 @@ class ScenarioConfig:
                 raise ValueError(f"{name} bounds must be integers")
             if lo < 0 or hi < lo:
                 raise ValueError(f"{name} must be a non-empty non-negative interval, got [{lo}, {hi}]")
+        if self.provider_quantity_range[0] < 1:
+            raise ValueError(
+                "provider_quantity_range must start at 1 or more, got "
+                f"{list(self.provider_quantity_range)}"
+            )
         for name in ("provider_price_range", "consumer_price_range"):
             lo, hi = getattr(self, name)
             lo, hi = as_money(lo), as_money(hi)
@@ -77,6 +86,11 @@ class ScenarioConfig:
             lo_c, hi_c = _grid_bounds((lo, hi))
             if lo_c > hi_c:
                 raise ValueError(f"{name} contains no representable price (grid is 1/{_CENTS})")
+        if self.consumer_price_range[0] <= 0:
+            raise ValueError(
+                "consumer_price_range must start above 0, got "
+                f"[{self.consumer_price_range[0]}, {self.consumer_price_range[1]}]"
+            )
         object.__setattr__(self, "price_drift", as_money(self.price_drift))
         if self.price_drift < 0:
             raise ValueError(f"price_drift must be non-negative, got {self.price_drift}")

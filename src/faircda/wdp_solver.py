@@ -51,7 +51,6 @@ __all__ = [
     "WdpSolution",
     "SolverLimits",
     "compatible",
-    "budget_of",
     "objective_value",
     "min_cost_allocation",
     "solve_exact",
@@ -74,22 +73,27 @@ def compatible(consumer_price: Money, provider_price: Money) -> bool:
 class WdpInstance:
     """One round's winner-determination problem.
 
-    ``budgets[n]`` must equal the dot product of consumer ``n``'s prices and
+    ``budgets[n]`` is the dot product of consumer ``n``'s prices and
     quantities (it is stored precomputed because the objective reuses it
-    constantly).  Bid order is significant: objective ties are broken toward
-    the lexicographically smallest winner vector over this order, so callers
-    should pass consumer bids sorted by ascending consumer id.
+    constantly).  Left out, budgets are computed here; passed in, each must
+    match its bid.  Bid order is significant: objective ties are broken
+    toward the lexicographically smallest winner vector over this order, so
+    callers should pass consumer bids sorted by ascending consumer id.
     """
 
     shape: MarketShape
     consumer_bids: tuple[ExtendedConsumerBid, ...]
     provider_bids: tuple[ProviderBid, ...]
-    budgets: tuple[Money, ...]
+    budgets: Optional[tuple[Money, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "consumer_bids", tuple(self.consumer_bids))
         object.__setattr__(self, "provider_bids", tuple(self.provider_bids))
-        object.__setattr__(self, "budgets", tuple(as_money(b) for b in self.budgets))
+        derived = tuple(budget(ext.bid) for ext in self.consumer_bids)
+        if self.budgets is None:
+            object.__setattr__(self, "budgets", derived)
+        else:
+            object.__setattr__(self, "budgets", tuple(as_money(b) for b in self.budgets))
         if len(self.consumer_bids) != self.shape.num_consumers:
             raise ValueError(
                 f"expected {self.shape.num_consumers} consumer bids, "
@@ -104,7 +108,7 @@ class WdpInstance:
             raise ValueError("one budget per consumer bid is required")
         L = self.shape.num_resource_types
         seen_consumers = set()
-        for ext, v in zip(self.consumer_bids, self.budgets):
+        for ext, v, expected in zip(self.consumer_bids, self.budgets, derived):
             if ext.bid.num_types != L:
                 raise ValueError(
                     f"consumer {ext.consumer_id}: bid covers {ext.bid.num_types} "
@@ -113,10 +117,10 @@ class WdpInstance:
             if ext.consumer_id in seen_consumers:
                 raise ValueError(f"duplicate consumer id {ext.consumer_id}")
             seen_consumers.add(ext.consumer_id)
-            if v != budget(ext.bid):
+            if v != expected:
                 raise ValueError(
                     f"consumer {ext.consumer_id}: stored budget {v} does not match "
-                    f"the bid's price-quantity product {budget(ext.bid)}"
+                    f"the bid's price-quantity product {expected}"
                 )
         seen_providers = set()
         for pb in self.provider_bids:
@@ -154,14 +158,7 @@ class WdpInstance:
             num_providers=len(providers),
             num_resource_types=num_resource_types,
         )
-        budgets = tuple(budget(b.bid) for b in ext_bids)
-        return cls(shape=shape, consumer_bids=ext_bids, provider_bids=providers, budgets=budgets)
-
-    def consumer_position(self, consumer_id: int) -> int:
-        for pos, ext in enumerate(self.consumer_bids):
-            if ext.consumer_id == consumer_id:
-                return pos
-        raise ValueError(f"consumer id {consumer_id} is not part of this instance")
+        return cls(shape=shape, consumer_bids=ext_bids, provider_bids=providers)
 
 
 @dataclass(frozen=True)
@@ -212,6 +209,15 @@ class SolverLimits:
             raise ValueError(f"time_budget_s must be positive, got {self.time_budget_s}")
 
 
+def _provider_orders(instance: WdpInstance) -> list[list[int]]:
+    """Per type, provider positions sorted by (ask price, position)."""
+    bids = instance.provider_bids
+    return [
+        sorted(range(len(bids)), key=lambda m: (bids[m].unit_prices[l], m))
+        for l in range(instance.shape.num_resource_types)
+    ]
+
+
 class _InstanceView:
     """Precomputed per-instance arrays shared by the solvers.
 
@@ -238,10 +244,7 @@ class _InstanceView:
         self.sorted_positions: list[list[int]] = []
         self.cumsup: list[list[int]] = []
         self.cumcost: list[list[Money]] = []
-        for l in range(self.L):
-            order = sorted(
-                range(self.M), key=lambda m: (instance.provider_bids[m].unit_prices[l], m)
-            )
+        for l, order in enumerate(_provider_orders(instance)):
             prices = [instance.provider_bids[m].unit_prices[l] for m in order]
             supply = [instance.provider_bids[m].quantities[l] for m in order]
             self.sorted_prices.append(prices)
@@ -355,13 +358,18 @@ def min_cost_allocation(
             ids.discard(ext.consumer_id)
     if ids:
         raise ValueError(f"winner ids {sorted(ids)} are not part of this instance")
+    return _route(instance, positions, _provider_orders(instance))
 
+
+def _route(
+    instance: WdpInstance, positions: Sequence[int], orders: Sequence[Sequence[int]]
+) -> Optional[np.ndarray]:
+    """:func:`min_cost_allocation` for consumer positions and given provider orders."""
     N = instance.shape.num_consumers
     M = instance.shape.num_providers
     L = instance.shape.num_resource_types
     y = np.zeros((N, L, M), dtype=np.int64)
-    for l in range(L):
-        order = sorted(range(M), key=lambda m: (instance.provider_bids[m].unit_prices[l], m))
+    for l, order in enumerate(orders):
         prices = [instance.provider_bids[m].unit_prices[l] for m in order]
         remaining = [instance.provider_bids[m].quantities[l] for m in order]
         queue = sorted(
@@ -478,6 +486,12 @@ def objective_value(
         raise ValueError(
             "allocation violates the instance constraints:\n  " + "\n  ".join(violations)
         )
+    utility, satisfaction = _objective_parts(instance, allocation)
+    return utility + satisfaction, utility, satisfaction
+
+
+def _objective_parts(instance: WdpInstance, allocation: Allocation) -> tuple[Money, Money]:
+    """(total_utility, total_satisfaction) of an allocation known to be feasible."""
     total_utility = Fraction(0)
     total_satisfaction = Fraction(0)
     for n, ext in enumerate(instance.consumer_bids):
@@ -487,26 +501,37 @@ def objective_value(
     y = allocation.transfers
     for n, l, m in np.argwhere(y > 0):
         total_utility -= int(y[n, l, m]) * instance.provider_bids[m].unit_prices[l]
-    return total_utility + total_satisfaction, total_utility, total_satisfaction
+    return total_utility, total_satisfaction
 
 
-def _build_solution(
-    instance: WdpInstance,
-    winner_positions: Sequence[int],
-    optimality: str,
-    gap_bound: Money = Fraction(0),
-) -> WdpSolution:
-    ids = [instance.consumer_bids[n].consumer_id for n in winner_positions]
-    y = min_cost_allocation(instance, ids)
+def _allocate(
+    instance: WdpInstance, winner_positions: Sequence[int], orders: Sequence[Sequence[int]]
+) -> tuple[Allocation, Money, Money]:
+    """A solver's winner set routed at minimum cost, with its utility and satisfaction.
+
+    The routing is feasible by construction, so it is not validated here;
+    the engine validates each round's allocation once, when it settles it.
+    """
+    y = _route(instance, winner_positions, orders)
     if y is None:
         raise RuntimeError("internal error: solver produced an infeasible winner set")
     chosen = set(winner_positions)
     winners = tuple(n in chosen for n in range(instance.shape.num_consumers))
     allocation = Allocation(winners=winners, transfers=y)
-    objective, utility, satisfaction = objective_value(instance, allocation)
+    return (allocation, *_objective_parts(instance, allocation))
+
+
+def _build_solution(
+    instance: WdpInstance,
+    winner_positions: Sequence[int],
+    orders: Sequence[Sequence[int]],
+    optimality: str,
+    gap_bound: Money = Fraction(0),
+) -> WdpSolution:
+    allocation, utility, satisfaction = _allocate(instance, winner_positions, orders)
     return WdpSolution(
         allocation=allocation,
-        objective=objective,
+        objective=utility + satisfaction,
         total_utility=utility,
         total_satisfaction=satisfaction,
         optimality=optimality,
@@ -540,7 +565,9 @@ def solve_oracle(instance: WdpInstance) -> WdpSolution:
         if best_objective is None or objective > best_objective:
             best_objective = objective
             best_positions = positions
-    return _build_solution(instance, best_positions, optimality="oracle")
+    return _build_solution(
+        instance, best_positions, _provider_orders(instance), optimality="oracle"
+    )
 
 
 def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) -> WdpSolution:
@@ -613,8 +640,97 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
                 open_bound = bound
         gap = open_bound - incumbent_obj
         if gap > 0:
-            return _build_solution(instance, incumbent, optimality="heuristic", gap_bound=gap)
-    return _build_solution(instance, incumbent, optimality="proved_optimal")
+            return _build_solution(
+                instance, incumbent, view.sorted_positions, optimality="heuristic", gap_bound=gap
+            )
+    return _build_solution(instance, incumbent, view.sorted_positions, optimality="proved_optimal")
+
+
+def _float_cost_table(view: _InstanceView, l: int, max_demand: int) -> list[float]:
+    """Float cheapest-first cost of ``d`` units of type ``l``, for ``d`` up to ``max_demand``.
+
+    Each entry is the float expression the heuristic has always scored
+    with, so every score, and every tie between scores, is unchanged.  The
+    table stops at the candidates' total demand (or the total supply, if
+    smaller), which bounds every demand a scan can reach.
+    """
+    cs = view.cumsup[l]
+    prices_f = [float(p) for p in view.sorted_prices[l]]
+    cumcost_f = [float(c) for c in view.cumcost[l]]
+    table = [0.0]
+    for j in range(1, len(cs)):
+        if len(table) > max_demand:
+            break
+        base, price, start = cumcost_f[j - 1], prices_f[j - 1], cs[j - 1]
+        table.extend(base + (d - start) * price for d in range(start + 1, cs[j] + 1))
+    return table
+
+
+class _HeuristicState:
+    """The heuristic's winner demand, and which candidates it has room and value for.
+
+    ``cumdem`` is the per-type cumulative demand of :meth:`_InstanceView.new_state`.
+    ``room[l, k]`` is the smallest slack ``cumsup[l][j + 1] - cumdem[l, j]``
+    over ``j >= k``, so a consumer fits iff every quantity it demands is at
+    most the room at its reach: the prefix check of
+    :meth:`_InstanceView.can_add` in O(L) instead of O(L·M), exact because it
+    is integer arithmetic.  ``cost[l][d]`` is the float cost of ``d`` units of
+    type ``l`` from :func:`_float_cost_table`, and ``demand[l]`` the winners'
+    total demand of type ``l``.
+    """
+
+    def __init__(self, view: _InstanceView, candidates: Sequence[int]):
+        N, M, L = view.N, view.M, view.L
+        self.q = np.array(view.q, dtype=np.int64).reshape(N, L)
+        self.reach_index = np.array(view.reach, dtype=np.int64).reshape(N, L) - 1
+        self.types = np.arange(L)
+        self.supply = np.array([cs[1:] for cs in view.cumsup], dtype=np.int64).reshape(L, M)
+        # What admitting consumer n adds to cumdem: q[n][l] at every k >= reach - 1.
+        self.contribution = np.where(
+            np.arange(M) >= self.reach_index[:, :, None], self.q[:, :, None], 0
+        )
+        self.w = np.array([float(v) for v in view.w])
+        self.cost = [
+            _float_cost_table(view, l, sum(view.q[n][l] for n in candidates)) for l in range(L)
+        ]
+        self.cost_array = [np.array(table) for table in self.cost]
+        self.cumdem = np.zeros((L, M), dtype=np.int64)
+        self._refresh()
+
+    def _refresh(self) -> None:
+        slack = self.supply - self.cumdem
+        self.room = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1]
+        self.demand = self.cumdem[:, -1].tolist() if self.cumdem.shape[1] else [0] * len(slack)
+
+    def admissible(self, pool: np.ndarray) -> np.ndarray:
+        """Which consumers of ``pool`` would each, on their own, fit and pay their way.
+
+        The float marginal cost is summed type by type in the same order as a
+        scalar loop would (a type with no demand adds an exact 0.0), and
+        compared with the same ``-1e-9`` tolerance.
+        """
+        q = self.q[pool]
+        fits = ((q == 0) | (q <= self.room[self.types, self.reach_index[pool]])).all(axis=1)
+        marginal = np.zeros(len(pool))
+        for l, (table, d) in enumerate(zip(self.cost_array, self.demand)):
+            # Clipping only touches consumers that do not fit.
+            marginal += table[np.minimum(d + q[:, l], len(table) - 1)] - table[d]
+        return fits & (self.w[pool] - marginal >= -1e-9)
+
+    def add(self, n: int) -> None:
+        self.cumdem += self.contribution[n]
+        self._refresh()
+
+    def remove(self, n: int) -> None:
+        self.cumdem -= self.contribution[n]
+        self._refresh()
+
+    def save(self) -> np.ndarray:
+        return self.cumdem.copy()
+
+    def restore(self, saved: np.ndarray) -> None:
+        self.cumdem[...] = saved
+        self._refresh()
 
 
 def solve_heuristic(instance: WdpInstance) -> WdpSolution:
@@ -626,50 +742,46 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     One repair pass then tries dropping each admitted consumer in ascending
     rank and greedily readmitting the rejected, keeping strict improvements.
     Scoring runs in floats for speed; the reported objective is exact.
+
+    Every scan walks its candidates in rank order and only admits, so winner
+    demand only grows within a scan, and until the next admission the state
+    every candidate is tested against is the same.  A scan therefore tests
+    all its remaining candidates at once, as arrays, admits the first that
+    passes, and tests only the candidates after it again.  The tests are
+    exact integer feasibility and the same float marginal-cost comparison a
+    candidate-by-candidate loop makes (see :class:`_HeuristicState`), so
+    the admissions, and the result, are those of that loop.
     """
     view = _InstanceView(instance)
-    N, M, L = view.N, view.M, view.L
-
-    candidates = [n for n in range(N) if view.feasible_alone[n]]
+    candidates = [n for n in range(view.N) if view.feasible_alone[n]]
     score = {n: float(view.w[n] - view.cheapest_bound[n]) for n in candidates}
-    w_f = [float(v) for v in view.w]
-    prices_f = [[float(p) for p in view.sorted_prices[l]] for l in range(L)]
-    cumcost_f = [[float(c) for c in view.cumcost[l]] for l in range(L)]
-    cumsup = view.cumsup
+    state = _HeuristicState(view, candidates)
+    w_f = state.w.tolist()
 
-    def cost_f(l: int, demand: int) -> float:
-        if demand == 0:
-            return 0.0
-        cs = cumsup[l]
-        idx = bisect_left(cs, demand)
-        return cumcost_f[l][idx - 1] + (demand - cs[idx - 1]) * prices_f[l][idx - 1]
-
-    def marginal_cost_f(cumdem: list[list[int]], n: int) -> float:
-        delta = 0.0
-        for l in range(L):
-            qn = view.q[n][l]
-            if qn == 0:
-                continue
-            d = cumdem[l][M - 1] if M else 0
-            delta += cost_f(l, d + qn) - cost_f(l, d)
-        return delta
+    def admit_in_order(pool: list[int]) -> list[int]:
+        """Admit each consumer of ``pool``, in order, that fits and pays its way."""
+        gained: list[int] = []
+        rest = np.array(pool, dtype=np.intp)
+        while len(rest):
+            passing = np.flatnonzero(state.admissible(rest))
+            if not len(passing):
+                break
+            n = int(rest[passing[0]])
+            state.add(n)
+            gained.append(n)
+            rest = rest[passing[0] + 1 :]
+        return gained
 
     order = sorted(candidates, key=lambda n: (-score[n], n))
-    cumdem = view.new_state()
-    admitted: list[int] = []
-    admitted_set: set[int] = set()
-    for n in order:
-        if score[n] < 0.0:
-            break
-        if view.can_add(cumdem, n) and w_f[n] - marginal_cost_f(cumdem, n) >= -1e-9:
-            view.add(cumdem, n)
-            admitted.append(n)
-            admitted_set.add(n)
+    admitted = admit_in_order([n for n in order if score[n] >= 0.0])
+    # The float objective sums over this set in its iteration order, which
+    # depends on the exact sequence of insertions and removals below.
+    admitted_set: set[int] = set(admitted)
 
     def objective_f() -> float:
         total = sum(w_f[n] for n in admitted_set)
-        for l in range(L):
-            total -= cost_f(l, cumdem[l][M - 1] if M else 0)
+        for table, d in zip(state.cost, state.demand):
+            total -= table[d]
         return total
 
     rejected = [n for n in order if n not in admitted_set and score[n] >= 0.0]
@@ -677,39 +789,32 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     for a in sorted(admitted, key=lambda n: (score[n], n)):
         if a not in admitted_set:
             continue
-        snapshot = [row[:] for row in cumdem]
-        view.remove(cumdem, a)
+        snapshot = state.save()
+        state.remove(a)
         admitted_set.discard(a)
-        gained: list[int] = []
-        for r in rejected:
-            if r in admitted_set:
-                continue
-            if view.can_add(cumdem, r) and w_f[r] - marginal_cost_f(cumdem, r) >= -1e-9:
-                view.add(cumdem, r)
-                admitted_set.add(r)
-                gained.append(r)
+        gained = admit_in_order([r for r in rejected if r not in admitted_set])
+        admitted_set.update(gained)
         new_obj = objective_f()
         if new_obj > current_obj + 1e-9:
             current_obj = new_obj
             rejected = sorted(rejected + [a], key=lambda n: (-score[n], n))
         else:
-            for row, saved in zip(cumdem, snapshot):
-                row[:] = saved
+            state.restore(snapshot)
             admitted_set.add(a)
-            for g in gained:
-                admitted_set.discard(g)
+            admitted_set.difference_update(gained)
 
-    winner_positions = sorted(admitted_set)
+    allocation, utility, satisfaction = _allocate(
+        instance, sorted(admitted_set), view.sorted_positions
+    )
+    objective = utility + satisfaction
     root_bound = sum(view.optimistic, Fraction(0))
-    solution = _build_solution(instance, winner_positions, optimality="heuristic")
-    gap = max(Fraction(0), root_bound - solution.objective)
     return WdpSolution(
-        allocation=solution.allocation,
-        objective=solution.objective,
-        total_utility=solution.total_utility,
-        total_satisfaction=solution.total_satisfaction,
+        allocation=allocation,
+        objective=objective,
+        total_utility=utility,
+        total_satisfaction=satisfaction,
         optimality="heuristic",
-        gap_bound=gap,
+        gap_bound=max(Fraction(0), root_bound - objective),
     )
 
 
@@ -774,13 +879,5 @@ def load_instance(text: str) -> WdpInstance:
     if shape is None:
         raise ValueError("instance text is missing the leading 'market N M L' record")
     return WdpInstance(
-        shape=shape,
-        consumer_bids=tuple(consumers),
-        provider_bids=tuple(providers),
-        budgets=tuple(budget(c.bid) for c in consumers),
+        shape=shape, consumer_bids=tuple(consumers), provider_bids=tuple(providers)
     )
-
-
-def budget_of(bid: ConsumerBid) -> Money:
-    """Alias for :func:`faircda.model.budget`, re-exported for solver callers."""
-    return budget(bid)

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's solver machinery: routing cost is
-found by enumerating every integer transfer matrix, type by type.  Keep
-them slow and obvious.
+found by enumerating every integer transfer matrix, type by type, and the
+heuristic's reference is a candidate-by-candidate loop.  Keep them slow and
+obvious.
 """
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -69,3 +71,131 @@ def _brute_force_type(inst, winner_positions, l):
 
     recurse(0, supply, Fraction(0))
     return best[0]
+
+
+def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
+    """Winner positions of the greedy-plus-repair heuristic, one candidate at a time.
+
+    This is the heuristic as a plain loop: feasibility by walking every
+    supply prefix, marginal cost by bisecting cumulative supply.  The
+    library's solver tests candidates as arrays and reads float costs from
+    a table; it must admit exactly the consumers this loop admits, which
+    includes reproducing every float score and the iteration order of the
+    admitted set behind the float objective.
+    """
+    N = inst.shape.num_consumers
+    M = inst.shape.num_providers
+    L = inst.shape.num_resource_types
+    q = [list(ext.bid.quantities) for ext in inst.consumer_bids]
+    w = [v + ext.fairness_factor for v, ext in zip(inst.budgets, inst.consumer_bids)]
+    sorted_prices, cumsup, cumcost = [], [], []
+    for l in range(L):
+        order = sorted(range(M), key=lambda m: (inst.provider_bids[m].unit_prices[l], m))
+        prices = [inst.provider_bids[m].unit_prices[l] for m in order]
+        cs, cc = [0], [Fraction(0)]
+        for m, p in zip(order, prices):
+            cs.append(cs[-1] + inst.provider_bids[m].quantities[l])
+            cc.append(cc[-1] + p * inst.provider_bids[m].quantities[l])
+        sorted_prices.append(prices)
+        cumsup.append(cs)
+        cumcost.append(cc)
+    reach = [
+        [bisect_right(sorted_prices[l], ext.bid.unit_prices[l]) for l in range(L)]
+        for ext in inst.consumer_bids
+    ]
+    cheapest_bound, feasible_alone = [], []
+    for n in range(N):
+        bound, ok = Fraction(0), True
+        for l in range(L):
+            if q[n][l] == 0:
+                continue
+            if reach[n][l] == 0 or q[n][l] > cumsup[l][reach[n][l]]:
+                ok = False
+                break
+            bound += q[n][l] * sorted_prices[l][0]
+        cheapest_bound.append(bound if ok else Fraction(0))
+        feasible_alone.append(ok)
+
+    def can_add(cumdem, n):
+        if not feasible_alone[n]:
+            return False
+        for l in range(L):
+            if q[n][l] == 0:
+                continue
+            for k in range(reach[n][l] - 1, M):
+                if cumdem[l][k] + q[n][l] > cumsup[l][k + 1]:
+                    return False
+        return True
+
+    def shift(cumdem, n, sign):
+        for l in range(L):
+            if q[n][l] == 0:
+                continue
+            for k in range(reach[n][l] - 1, M):
+                cumdem[l][k] += sign * q[n][l]
+
+    candidates = [n for n in range(N) if feasible_alone[n]]
+    score = {n: float(w[n] - cheapest_bound[n]) for n in candidates}
+    w_f = [float(v) for v in w]
+    prices_f = [[float(p) for p in row] for row in sorted_prices]
+    cumcost_f = [[float(c) for c in row] for row in cumcost]
+
+    def cost_f(l, demand):
+        if demand == 0:
+            return 0.0
+        idx = bisect_left(cumsup[l], demand)
+        return cumcost_f[l][idx - 1] + (demand - cumsup[l][idx - 1]) * prices_f[l][idx - 1]
+
+    def marginal_cost_f(cumdem, n):
+        delta = 0.0
+        for l in range(L):
+            if q[n][l] == 0:
+                continue
+            d = cumdem[l][M - 1] if M else 0
+            delta += cost_f(l, d + q[n][l]) - cost_f(l, d)
+        return delta
+
+    order = sorted(candidates, key=lambda n: (-score[n], n))
+    cumdem = [[0] * M for _ in range(L)]
+    admitted, admitted_set = [], set()
+    for n in order:
+        if score[n] < 0.0:
+            break
+        if can_add(cumdem, n) and w_f[n] - marginal_cost_f(cumdem, n) >= -1e-9:
+            shift(cumdem, n, 1)
+            admitted.append(n)
+            admitted_set.add(n)
+
+    def objective_f():
+        total = sum(w_f[n] for n in admitted_set)
+        for l in range(L):
+            total -= cost_f(l, cumdem[l][M - 1] if M else 0)
+        return total
+
+    rejected = [n for n in order if n not in admitted_set and score[n] >= 0.0]
+    current_obj = objective_f()
+    for a in sorted(admitted, key=lambda n: (score[n], n)):
+        if a not in admitted_set:
+            continue
+        snapshot = [row[:] for row in cumdem]
+        shift(cumdem, a, -1)
+        admitted_set.discard(a)
+        gained = []
+        for r in rejected:
+            if r in admitted_set:
+                continue
+            if can_add(cumdem, r) and w_f[r] - marginal_cost_f(cumdem, r) >= -1e-9:
+                shift(cumdem, r, 1)
+                admitted_set.add(r)
+                gained.append(r)
+        new_obj = objective_f()
+        if new_obj > current_obj + 1e-9:
+            current_obj = new_obj
+            rejected = sorted(rejected + [a], key=lambda n: (-score[n], n))
+        else:
+            for row, saved in zip(cumdem, snapshot):
+                row[:] = saved
+            admitted_set.add(a)
+            for g in gained:
+                admitted_set.discard(g)
+    return sorted(admitted_set)

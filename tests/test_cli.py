@@ -59,6 +59,24 @@ class TestCmdRun:
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            # Would fail mid-run: a round with no units offered has no utilization.
+            {"consumers": 5, "providers": 1, "resource_types": 1, "runs": 1,
+             "provider_quantity_range": [0, 5]},
+            # Would fail in round 2: fairness factors divide by the mean offer.
+            {"consumers": 5, "runs": 1, "consumer_price_range": [0, 0]},
+        ],
+    )
+    def test_config_that_cannot_finish_exits_one_without_files(self, tmp_path, capsys, scenario):
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps({"scenario": scenario}))
+        out = tmp_path / "results"
+        assert run_main(["run", "--config", config_path, "--rounds", "40", "--out", out]) == 1
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
+
     def test_single_round_single_run_smoke(self, tmp_path):
         out = tmp_path / "one"
         code = run_main(

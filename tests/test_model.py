@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faircda import model
 from faircda.model import (
     Allocation,
     ConsumerBid,
@@ -87,6 +88,38 @@ class TestParticipantRecord:
         rec = ParticipantRecord(losses=7, consecutive_losses=7).marked_dropped(7)
         assert rec.dropped_at_round == 7
         assert rec.marked_dropped(9).dropped_at_round == 7
+
+    def test_constructor_validates_every_history_entry(self):
+        with pytest.raises(ValueError, match="price history entry"):
+            ParticipantRecord(price_history=((Fraction(1),), (Fraction(-1),)))
+
+    def test_appends_reject_a_negative_entry(self):
+        rec = ParticipantRecord()
+        for append in (rec.after_win, rec.after_loss):
+            with pytest.raises(ValueError, match="price history entry"):
+                append((Fraction(3), Fraction(-1)))
+
+    def test_append_validates_only_the_new_entry(self, monkeypatch):
+        history = tuple((Fraction(k), Fraction(k, 2)) for k in range(200))
+        rec = ParticipantRecord(wins=120, losses=80, price_history=history)
+        checked = []
+        real = model._money_tuple
+
+        def counting(values, what):
+            checked.append(tuple(values))
+            return real(values, what)
+
+        monkeypatch.setattr(model, "_money_tuple", counting)
+        after = rec.after_win((3, "1/2")).after_loss((Fraction(4), 0.25))
+        assert checked == [(3, "1/2"), (Fraction(4), 0.25)]
+        monkeypatch.undo()
+        assert after == ParticipantRecord(
+            wins=121,
+            losses=81,
+            consecutive_losses=1,
+            price_history=history + ((3, Fraction(1, 2)), (4, Fraction(1, 4))),
+        )
+        assert all(isinstance(p, Fraction) for p in after.price_history[-1])
 
 
 class TestFairnessParams:

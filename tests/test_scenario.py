@@ -38,6 +38,14 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="at least one"):
             ScenarioConfig(shape=MarketShape(0, 3, 2))
 
+    def test_providers_must_offer_at_least_one_unit(self):
+        with pytest.raises(ValueError, match="provider_quantity_range"):
+            small_config(provider_quantity_range=(0, 5))
+
+    def test_consumer_prices_must_be_positive(self):
+        with pytest.raises(ValueError, match="consumer_price_range"):
+            small_config(consumer_price_range=(0, 10))
+
     def test_negative_drift_rejected(self):
         with pytest.raises(ValueError, match="price_drift"):
             small_config(price_drift=-1)

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import brute_force_min_cost, transfer_cost
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_min_cost, reference_heuristic_winners, transfer_cost
 
 from faircda.cli import random_micro_instance, run_validation_corpus
 from faircda.model import (
@@ -19,6 +21,7 @@ from faircda.model import (
     MarketShape,
     ProviderBid,
 )
+from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from faircda.wdp_solver import (
     SolverLimits,
     WdpInstance,
@@ -262,6 +265,95 @@ class TestSolveHeuristic:
             assert heur.objective <= exact.objective
             assert validate_solution(inst, heur.allocation) == []
             assert heur.gap_bound >= exact.objective - heur.objective
+
+
+# Few distinct values make score ties common; 7/3 and 1/3 have no exact float.
+PRICES = [Fraction(p) for p in ("1", "3/2", "2", "7/3", "3", "4", "9/2")]
+FACTORS = [Fraction(f) for f in ("-3", "-1/3", "0", "0", "1", "5/2")]
+
+
+@st.composite
+def heuristic_instances(draw):
+    """Small markets with ties, zero-quantity types and consumers infeasible alone."""
+    N = draw(st.integers(0, 12))
+    M = draw(st.integers(1, 3))
+    L = draw(st.integers(1, 3))
+    consumers = []
+    for n in range(N):
+        quantities = draw(st.lists(st.integers(0, 3), min_size=L, max_size=L))
+        if not any(quantities):
+            quantities[draw(st.integers(0, L - 1))] = 1
+        prices = draw(st.lists(st.sampled_from(PRICES), min_size=L, max_size=L))
+        consumers.append(consumer(n, prices, quantities, draw(st.sampled_from(FACTORS))))
+    providers = [
+        provider(
+            m,
+            draw(st.lists(st.sampled_from(PRICES), min_size=L, max_size=L)),
+            draw(st.lists(st.integers(0, 5), min_size=L, max_size=L)),
+        )
+        for m in range(M)
+    ]
+    return WdpInstance(shape=MarketShape(N, M, L), consumer_bids=consumers, provider_bids=providers)
+
+
+def assert_matches_reference(inst):
+    sol = solve_heuristic(inst)
+    expected = reference_heuristic_winners(inst)
+    assert sol.winner_positions == tuple(expected)
+    ids = [inst.consumer_bids[n].consumer_id for n in expected]
+    allocation = Allocation(
+        winners=tuple(n in expected for n in range(inst.shape.num_consumers)),
+        transfers=min_cost_allocation(inst, ids),
+    )
+    assert sol.objective == objective_value(inst, allocation)[0]
+
+
+class TestHeuristicMatchesScalarReference:
+    """The array scan admits exactly what a candidate-by-candidate loop admits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(heuristic_instances())
+    def test_small_markets(self, inst):
+        assert_matches_reference(inst)
+
+    def test_identical_consumers_tie_toward_lower_position(self):
+        inst = instance(
+            [consumer(n, [3, 2], [1, 0]) for n in range(4)],
+            [provider(0, [1, 1], [2, 0]), provider(1, [2, 1], [1, 3])],
+        )
+        assert_matches_reference(inst)
+        assert solve_heuristic(inst).winner_positions == (0, 1, 2)
+
+    def test_consumers_infeasible_alone_never_win(self):
+        inst = instance(
+            [
+                consumer(0, [1], [1]),  # offers below every ask
+                consumer(1, [9], [7]),  # wants more than all supply
+                consumer(2, [9], [2]),
+            ],
+            [provider(0, [2], [3]), provider(1, [4], [0])],
+        )
+        assert_matches_reference(inst)
+        assert solve_heuristic(inst).winner_positions == (2,)
+
+    def test_contested_generated_markets(self):
+        """Scenario-sized markets where the repair pass swaps winners."""
+        rng = np.random.default_rng(11)
+        for shape in ((60, 3, 2), (80, 5, 4), (40, 2, 3)):
+            config = ScenarioConfig(
+                shape=MarketShape(*shape), runs=1, provider_quantity_range=(5, 30)
+            )
+            for _ in range(3):
+                bids = generate_consumer_bids(config, rng, 1)
+                factors = rng.integers(-4000, 4000, size=len(bids))
+                inst = WdpInstance.from_bids(
+                    [
+                        ExtendedConsumerBid(bid=b, fairness_factor=Fraction(int(f), 100))
+                        for b, f in zip(bids, factors)
+                    ],
+                    generate_provider_bids(config, rng),
+                )
+                assert_matches_reference(inst)
 
 
 class TestValidateSolution:
