@@ -34,6 +34,7 @@ from .model import (
     ParticipantRecord,
     ProviderBid,
     RoundResult,
+    over_common_denominator,
 )
 from .pricing import settle
 from .scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
@@ -123,12 +124,12 @@ def previous_outcomes(repo: Repository, participants: Sequence[int]) -> dict[int
 
 
 def _market_mean_prices(consumer_bids: Sequence[ConsumerBid]) -> list[Money]:
+    """Per type, the mean offered unit price, summed as integers over one denominator."""
     num_types = consumer_bids[0].num_types
-    means = []
-    for l in range(num_types):
-        total = sum((bid.unit_prices[l] for bid in consumer_bids), Fraction(0))
-        means.append(total / len(consumer_bids))
-    return means
+    S, scaled = over_common_denominator([p for bid in consumer_bids for p in bid.unit_prices])
+    return [
+        Fraction(sum(scaled[l::num_types]), S * len(consumer_bids)) for l in range(num_types)
+    ]
 
 
 _SOLVERS = {

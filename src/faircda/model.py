@@ -1,9 +1,11 @@
 """Core domain types for the combinatorial double auction.
 
-Monetary values are exact rationals (`fractions.Fraction`) throughout, so
+Monetary values are exact rationals (`fractions.Fraction`) at the API, so
 midpoint trade prices and budget-balance checks are exact equalities rather
-than floating-point approximations.  Quantities are integers: resources are
-discrete units.
+than floating-point approximations.  Inside winner determination and
+settlement, a round's prices are carried as integers over their common
+denominator and turned back into rationals only for the results.
+Quantities are integers: resources are discrete units.
 
 All types are immutable value objects; constructing one with an invalid
 field combination raises ``ValueError``.
@@ -11,6 +13,7 @@ field combination raises ``ValueError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -53,10 +56,26 @@ def as_money(value) -> Money:
     raise ValueError(f"cannot interpret {value!r} as a monetary value")
 
 
+def over_common_denominator(
+    values: Sequence[Money], denominator: int = 1
+) -> tuple[int, list[int]]:
+    """``S``, the least common multiple of ``denominator`` and the values'
+    denominators, and each value times ``S``.
+
+    Sums and comparisons of the returned integers are exact and need no
+    rational arithmetic; divide a result by ``S`` to get a rational back.
+    """
+    denominators = {v.denominator for v in values}
+    denominators.add(denominator)
+    S = math.lcm(*denominators)
+    scale = {d: S // d for d in denominators}
+    return S, [v.numerator * scale[v.denominator] for v in values]
+
+
 def _money_tuple(values: Sequence, what: str) -> tuple[Money, ...]:
     out = tuple(as_money(v) for v in values)
     for v in out:
-        if v < 0:
+        if v.numerator < 0:
             raise ValueError(f"{what} must be non-negative, got {v}")
     return out
 

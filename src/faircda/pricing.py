@@ -3,7 +3,8 @@
 Every traded unit settles at the arithmetic mean of the consumer's offered
 unit price and the provider's ask.  Both sides therefore capture the same
 per-unit surplus, nobody trades at a loss, and total payments equal total
-receipts exactly (all arithmetic is over rationals).
+receipts exactly (all arithmetic is exact, over integers scaled by the
+prices' common denominator).
 """
 
 from __future__ import annotations
@@ -68,38 +69,40 @@ def settle(instance: WdpInstance, allocation: Allocation) -> Settlement:
     midpoint price for each unit received; utility is what they saved
     against their own offer, and symmetrically for providers.  Losers and
     providers who sold nothing settle at zero.
+
+    Sums run over the instance's integer prices: a midpoint is
+    ``(cp + pp) / 2D`` for prices scaled by ``D``, and each participant's
+    totals become rationals once, at the end.
     """
     violations = validate_solution(instance, allocation)
     if violations:
         raise ValueError(
             "cannot settle an infeasible allocation:\n  " + "\n  ".join(violations)
         )
+    sc = instance._scaled
+    twice_d = 2 * sc.denominator
     consumer_ids = [ext.consumer_id for ext in instance.consumer_bids]
     provider_ids = [pb.provider_id for pb in instance.provider_bids]
-    payments = {cid: Fraction(0) for cid in consumer_ids}
-    receipts = {pid: Fraction(0) for pid in provider_ids}
-    consumer_utils = {cid: Fraction(0) for cid in consumer_ids}
-    provider_utils = {pid: Fraction(0) for pid in provider_ids}
-    unit_prices: dict[tuple[int, int, int], Money] = {}
-
     y = allocation.transfers
-    for n, l, m in np.argwhere(y > 0):
-        units = int(y[n, l, m])
-        cid = consumer_ids[n]
-        pid = provider_ids[m]
-        cp = instance.consumer_bids[n].bid.unit_prices[l]
-        pp = instance.provider_bids[m].unit_prices[l]
-        price = trade_price_unit(cp, pp)
-        unit_prices[(cid, int(l), pid)] = price
-        payments[cid] += units * price
-        receipts[pid] += units * price
-        consumer_utils[cid] += units * (cp - price)
-        provider_utils[pid] += units * (price - pp)
+    cp = sc.consumer_prices[:, :, None]
+    pp = sc.provider_prices.T[None, :, :]
+    # Over 2D: a unit's price is cp + pp, and the surplus each side keeps cp - pp.
+    price = cp + pp
+    paid = y * price
+    kept = y * (cp - pp)
 
+    def rationals(ids: list[int], totals: np.ndarray) -> dict[int, Money]:
+        return {key: Fraction(t, twice_d) for key, t in zip(ids, totals.tolist())}
+
+    traded = y > 0
+    unit_prices = {
+        (consumer_ids[n], l, provider_ids[m]): Fraction(p, twice_d)
+        for (n, l, m), p in zip(np.argwhere(traded).tolist(), price[traded].tolist())
+    }
     return Settlement(
         unit_trade_prices=unit_prices,
-        consumer_payments=payments,
-        provider_receipts=receipts,
-        consumer_utilities=consumer_utils,
-        provider_utilities=provider_utils,
+        consumer_payments=rationals(consumer_ids, paid.sum(axis=(1, 2))),
+        provider_receipts=rationals(provider_ids, paid.sum(axis=(0, 1))),
+        consumer_utilities=rationals(consumer_ids, kept.sum(axis=(1, 2))),
+        provider_utilities=rationals(provider_ids, kept.sum(axis=(0, 1))),
     )

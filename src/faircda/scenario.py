@@ -157,7 +157,9 @@ def generate_consumer_bids(
     else:
         lo_bounds = np.empty((N, L), dtype=np.int64)
         hi_bounds = np.empty((N, L), dtype=np.int64)
-        drift = config.price_drift
+        # The window [(1 - drift) * p, (1 + drift) * p] in cents, for p = a / b
+        # and drift = u / v, is [(v - u) * 100a / vb, (v + u) * 100a / vb].
+        u, v = config.price_drift.numerator, config.price_drift.denominator
         for n in range(N):
             try:
                 prev = previous_personal_prices[n]
@@ -169,8 +171,9 @@ def generate_consumer_bids(
                 )
             for l in range(L):
                 p = as_money(prev[l])
-                wlo = max(plo_c, math.ceil((1 - drift) * p * _CENTS))
-                whi = min(phi_c, math.floor((1 + drift) * p * _CENTS))
+                cents, scale = p.numerator * _CENTS, p.denominator * v
+                wlo = max(plo_c, -((u - v) * cents // scale))
+                whi = min(phi_c, (v + u) * cents // scale)
                 if wlo > whi:
                     # Previous price sits outside the range; snap to the nearest edge.
                     wlo = whi = min(phi_c, max(plo_c, round(p * _CENTS)))

@@ -23,12 +23,20 @@ solver here:
 ``solve_oracle`` enumerates all winner subsets, and ``solve_heuristic``
 greedily admits consumers by optimistic margin with one drop-and-readd
 repair pass.  All three return allocations that validate clean.
+
+Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` carries
+its prices as integers over ``D``, the least common multiple of their
+denominators; the solvers add the fairness factors over ``S``, a common
+multiple of ``D`` and the factors' denominators.  Rationals are built only
+for the results.  The integers are int64 arrays when every sum formed from
+them provably fits, and ``object`` arrays of Python ints otherwise, so the
+same code stays exact on any rational input.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -43,7 +51,7 @@ from .model import (
     Money,
     ProviderBid,
     as_money,
-    budget,
+    over_common_denominator,
 )
 
 __all__ = [
@@ -69,6 +77,67 @@ def compatible(consumer_price: Money, provider_price: Money) -> bool:
     return as_money(consumer_price) >= as_money(provider_price)
 
 
+# Scaled prices are int64 when (max price + 1) * (total units + 1) stays below
+# this: every budget, cumulative supply or cost and doubled midpoint sum fits.
+_INT64_SAFE = 2**62
+
+
+class _ScaledValues:
+    """An instance's money as integers over common denominators.
+
+    ``consumer_prices[n, l]`` and ``provider_prices[m, l]`` are unit prices
+    times ``denominator`` (``D``, the least common multiple of the prices'
+    denominators); ``budgets`` are Python ints over ``D``.  ``factors`` are
+    the fairness factors as Python ints over ``factor_denominator`` (``S``,
+    the least common multiple of ``D`` and the factors' denominators).  Per
+    type, ``order[l]`` lists provider positions by (ask, position), and
+    ``sorted_prices``, ``sorted_supply`` and ``cumsup`` (cumulative supply,
+    with a leading 0) follow that order.  Price arrays and ``cumsup`` are
+    int64 when every sum formed from them fits, ``object`` otherwise;
+    quantity arrays are int64.
+    """
+
+    def __init__(
+        self,
+        consumer_bids: Sequence[ExtendedConsumerBid],
+        provider_bids: Sequence[ProviderBid],
+        num_types: int,
+    ):
+        prices = [p for ext in consumer_bids for p in ext.bid.unit_prices]
+        prices += [p for pb in provider_bids for p in pb.unit_prices]
+        D, scaled = over_common_denominator(prices)
+        units = sum(q for ext in consumer_bids for q in ext.bid.quantities)
+        units += sum(q for pb in provider_bids for q in pb.quantities)
+        dtype = np.int64 if (max(scaled, default=0) + 1) * (units + 1) < _INT64_SAFE else object
+        flat = np.array(scaled, dtype=dtype)
+        N, M, L = len(consumer_bids), len(provider_bids), num_types
+
+        self.denominator = D
+        self.consumer_prices = flat[: N * L].reshape(N, L)
+        self.provider_prices = flat[N * L :].reshape(M, L)
+        self.consumer_quantities = np.array(
+            [ext.bid.quantities for ext in consumer_bids], dtype=np.int64
+        ).reshape(N, L)
+        self.provider_quantities = np.array(
+            [pb.quantities for pb in provider_bids], dtype=np.int64
+        ).reshape(M, L)
+        self.budgets: list[int] = (
+            (self.consumer_prices * self.consumer_quantities).sum(axis=1).tolist()
+        )
+        by_ask = np.argsort(self.provider_prices, axis=0, kind="stable")
+        self.order = by_ask.T
+        self.sorted_prices = self.provider_prices[by_ask, np.arange(L)].T
+        self.sorted_supply = self.provider_quantities[by_ask, np.arange(L)].T
+        self.cumsup = np.zeros((L, M + 1), dtype=dtype)
+        self.cumsup[:, 1:] = np.cumsum(self.sorted_supply, axis=1, dtype=dtype)
+        self.factor_denominator, self.factors = over_common_denominator(
+            [ext.fairness_factor for ext in consumer_bids], D
+        )
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class WdpInstance:
     """One round's winner-determination problem.
@@ -79,6 +148,8 @@ class WdpInstance:
     match its bid.  Bid order is significant: objective ties are broken
     toward the lexicographically smallest winner vector over this order, so
     callers should pass consumer bids sorted by ascending consumer id.
+    Construction also derives the integer form of the prices and fairness
+    factors (:class:`_ScaledValues`) that the solvers and settlement use.
     """
 
     shape: MarketShape
@@ -89,10 +160,7 @@ class WdpInstance:
     def __post_init__(self):
         object.__setattr__(self, "consumer_bids", tuple(self.consumer_bids))
         object.__setattr__(self, "provider_bids", tuple(self.provider_bids))
-        derived = tuple(budget(ext.bid) for ext in self.consumer_bids)
-        if self.budgets is None:
-            object.__setattr__(self, "budgets", derived)
-        else:
+        if self.budgets is not None:
             object.__setattr__(self, "budgets", tuple(as_money(b) for b in self.budgets))
         if len(self.consumer_bids) != self.shape.num_consumers:
             raise ValueError(
@@ -104,11 +172,11 @@ class WdpInstance:
                 f"expected {self.shape.num_providers} provider bids, "
                 f"got {len(self.provider_bids)}"
             )
-        if len(self.budgets) != len(self.consumer_bids):
+        if self.budgets is not None and len(self.budgets) != len(self.consumer_bids):
             raise ValueError("one budget per consumer bid is required")
         L = self.shape.num_resource_types
         seen_consumers = set()
-        for ext, v, expected in zip(self.consumer_bids, self.budgets, derived):
+        for ext in self.consumer_bids:
             if ext.bid.num_types != L:
                 raise ValueError(
                     f"consumer {ext.consumer_id}: bid covers {ext.bid.num_types} "
@@ -117,11 +185,6 @@ class WdpInstance:
             if ext.consumer_id in seen_consumers:
                 raise ValueError(f"duplicate consumer id {ext.consumer_id}")
             seen_consumers.add(ext.consumer_id)
-            if v != expected:
-                raise ValueError(
-                    f"consumer {ext.consumer_id}: stored budget {v} does not match "
-                    f"the bid's price-quantity product {expected}"
-                )
         seen_providers = set()
         for pb in self.provider_bids:
             if pb.num_types != L:
@@ -132,6 +195,19 @@ class WdpInstance:
             if pb.provider_id in seen_providers:
                 raise ValueError(f"duplicate provider id {pb.provider_id}")
             seen_providers.add(pb.provider_id)
+
+        scaled = _ScaledValues(self.consumer_bids, self.provider_bids, L)
+        object.__setattr__(self, "_scaled", scaled)
+        derived = tuple(Fraction(b, scaled.denominator) for b in scaled.budgets)
+        if self.budgets is None:
+            object.__setattr__(self, "budgets", derived)
+            return
+        for ext, v, expected in zip(self.consumer_bids, self.budgets, derived):
+            if v != expected:
+                raise ValueError(
+                    f"consumer {ext.consumer_id}: stored budget {v} does not match "
+                    f"the bid's price-quantity product {expected}"
+                )
 
     @classmethod
     def from_bids(
@@ -209,80 +285,49 @@ class SolverLimits:
             raise ValueError(f"time_budget_s must be positive, got {self.time_budget_s}")
 
 
-def _provider_orders(instance: WdpInstance) -> list[list[int]]:
-    """Per type, provider positions sorted by (ask price, position)."""
-    bids = instance.provider_bids
-    return [
-        sorted(range(len(bids)), key=lambda m: (bids[m].unit_prices[l], m))
-        for l in range(instance.shape.num_resource_types)
-    ]
-
-
 class _InstanceView:
-    """Precomputed per-instance arrays shared by the solvers.
+    """Per-instance integers shared by the solvers.
 
-    Providers are sorted per type by (ask price, position).  ``reach[n][l]``
-    is how many of those sorted providers consumer ``n`` can afford for type
-    ``l``; the feasibility and cost logic works entirely on reach counts,
-    cumulative supply, and cumulative cost.
+    Money is the instance's integers (see :class:`_ScaledValues`, whose
+    provider order per type this view shares): prices, budgets, cumulative
+    costs and ``cheapest_bound`` over ``D``, fairness factors over ``S``.
+    ``reach[n][l]`` is how many of the sorted providers consumer ``n`` can
+    afford for type ``l``; the feasibility and cost logic works entirely on
+    reach counts, cumulative supply, and cumulative cost.
     """
 
     def __init__(self, instance: WdpInstance):
-        self.instance = instance
+        sc = instance._scaled
+        self.scaled = sc
         self.N = instance.shape.num_consumers
         self.M = instance.shape.num_providers
         self.L = instance.shape.num_resource_types
-        self.q = [list(ext.bid.quantities) for ext in instance.consumer_bids]
-        self.thresholds = [list(ext.bid.unit_prices) for ext in instance.consumer_bids]
-        self.w = [
-            v + ext.fairness_factor
-            for v, ext in zip(instance.budgets, instance.consumer_bids)
-        ]
+        self.D = sc.denominator
+        q = sc.consumer_quantities
+        reach = np.empty((self.N, self.L), dtype=np.intp)
+        for l in range(self.L):
+            reach[:, l] = np.searchsorted(
+                sc.sorted_prices[l], sc.consumer_prices[:, l], side="right"
+            )
+        cumcost = np.zeros_like(sc.cumsup)
+        cumcost[:, 1:] = np.cumsum(sc.sorted_prices * sc.sorted_supply, axis=1)
+        fits = (q == 0) | ((reach > 0) & (q <= sc.cumsup[np.arange(self.L), reach]))
+        feasible = fits.all(axis=1)
+        bound = (q * sc.sorted_prices[:, 0]).sum(axis=1) if self.M else np.zeros(self.N, int)
 
-        self.sorted_prices: list[list[Money]] = []
-        self.sorted_supply: list[list[int]] = []
-        self.sorted_positions: list[list[int]] = []
-        self.cumsup: list[list[int]] = []
-        self.cumcost: list[list[Money]] = []
-        for l, order in enumerate(_provider_orders(instance)):
-            prices = [instance.provider_bids[m].unit_prices[l] for m in order]
-            supply = [instance.provider_bids[m].quantities[l] for m in order]
-            self.sorted_prices.append(prices)
-            self.sorted_supply.append(supply)
-            self.sorted_positions.append(order)
-            cs = [0]
-            cc = [Fraction(0)]
-            for p, s in zip(prices, supply):
-                cs.append(cs[-1] + s)
-                cc.append(cc[-1] + p * s)
-            self.cumsup.append(cs)
-            self.cumcost.append(cc)
-
-        self.reach = [
-            [bisect_right(self.sorted_prices[l], self.thresholds[n][l]) for l in range(self.L)]
-            for n in range(self.N)
+        self.reach_index = reach - 1
+        self.q = q.tolist()
+        self.reach = reach.tolist()
+        self.sorted_prices = sc.sorted_prices.tolist()
+        self.cumsup = sc.cumsup.tolist()
+        self.cumcost = cumcost.tolist()
+        self.feasible_alone: list[bool] = feasible.tolist()
+        self.budgets = sc.budgets
+        self.cheapest_bound = [
+            b if ok else 0 for b, ok in zip(bound.tolist(), self.feasible_alone)
         ]
-
-        self.cheapest_bound: list[Money] = []
-        self.feasible_alone: list[bool] = []
-        for n in range(self.N):
-            bound = Fraction(0)
-            ok = True
-            for l in range(self.L):
-                qn = self.q[n][l]
-                if qn == 0:
-                    continue
-                r = self.reach[n][l]
-                if r == 0 or qn > self.cumsup[l][r]:
-                    ok = False
-                    break
-                bound += qn * self.sorted_prices[l][0]
-            self.cheapest_bound.append(bound if ok else Fraction(0))
-            self.feasible_alone.append(ok)
-        self.optimistic = [
-            max(Fraction(0), self.w[n] - self.cheapest_bound[n]) if self.feasible_alone[n] else Fraction(0)
-            for n in range(self.N)
-        ]
+        self.S = sc.factor_denominator
+        self.factors = sc.factors
 
     def new_state(self) -> list[list[int]]:
         """Per-type cumulative demand by reach prefix; index k covers reaches <= k+1."""
@@ -322,18 +367,18 @@ class _InstanceView:
             for k in range(self.reach[n][l] - 1, self.M):
                 row[k] -= qn
 
-    def cost_of_demand(self, l: int, demand: int) -> Money:
-        """Cheapest-first cost of buying ``demand`` units of type ``l``."""
+    def cost_of_demand(self, l: int, demand: int) -> int:
+        """Cheapest-first cost of buying ``demand`` units of type ``l``, over ``D``."""
         if demand == 0:
-            return Fraction(0)
+            return 0
         cs = self.cumsup[l]
         idx = bisect_left(cs, demand)
         if idx >= len(cs):
             raise ValueError(f"demand {demand} exceeds total supply of type {l}")
         return self.cumcost[l][idx - 1] + (demand - cs[idx - 1]) * self.sorted_prices[l][idx - 1]
 
-    def total_cost(self, cumdem: list[list[int]]) -> Money:
-        total = Fraction(0)
+    def total_cost(self, cumdem: list[list[int]]) -> int:
+        total = 0
         for l in range(self.L):
             total += self.cost_of_demand(l, cumdem[l][self.M - 1] if self.M else 0)
         return total
@@ -358,39 +403,44 @@ def min_cost_allocation(
             ids.discard(ext.consumer_id)
     if ids:
         raise ValueError(f"winner ids {sorted(ids)} are not part of this instance")
-    return _route(instance, positions, _provider_orders(instance))
+    return _route(instance, positions)
 
 
-def _route(
-    instance: WdpInstance, positions: Sequence[int], orders: Sequence[Sequence[int]]
-) -> Optional[np.ndarray]:
-    """:func:`min_cost_allocation` for consumer positions and given provider orders."""
+def _route(instance: WdpInstance, positions: Sequence[int]) -> Optional[np.ndarray]:
+    """:func:`min_cost_allocation` for consumer positions.
+
+    Per type, lay the winners' demands end to end in ascending (threshold,
+    position) order, and the providers' supplies end to end in ascending
+    (ask, position) order: each winner takes from each provider the overlap
+    of their two intervals.  That is the cheapest-first fill, and it is
+    feasible iff the supply covers the demand and no winner overlaps a
+    provider asking more than the winner's price.
+    """
     N = instance.shape.num_consumers
     M = instance.shape.num_providers
     L = instance.shape.num_resource_types
+    sc = instance._scaled
     y = np.zeros((N, L, M), dtype=np.int64)
-    for l, order in enumerate(orders):
-        prices = [instance.provider_bids[m].unit_prices[l] for m in order]
-        remaining = [instance.provider_bids[m].quantities[l] for m in order]
-        queue = sorted(
-            (
-                (instance.consumer_bids[n].bid.unit_prices[l], n)
-                for n in positions
-                if instance.consumer_bids[n].bid.quantities[l] > 0
-            ),
+    positions = np.sort(np.asarray(positions, dtype=np.intp))
+    for l in range(L):
+        wanting = positions[sc.consumer_quantities[positions, l] > 0]
+        if not len(wanting):
+            continue
+        thresholds = sc.consumer_prices[wanting, l]
+        rank = np.argsort(thresholds, kind="stable")
+        wanting, thresholds = wanting[rank], thresholds[rank]
+        need = sc.consumer_quantities[wanting, l]
+        end = np.cumsum(need)
+        cs = sc.cumsup[l]
+        if end[-1] > cs[-1]:
+            return None
+        overlap = np.minimum(end[:, None], cs[None, 1:]) - np.maximum(
+            (end - need)[:, None], cs[None, :-1]
         )
-        k = 0
-        for threshold, n in queue:
-            need = instance.consumer_bids[n].bid.quantities[l]
-            while need > 0:
-                while k < M and remaining[k] == 0:
-                    k += 1
-                if k == M or prices[k] > threshold:
-                    return None
-                take = min(need, remaining[k])
-                y[n, l, order[k]] = take
-                remaining[k] -= take
-                need -= take
+        overlap = np.maximum(overlap, 0)
+        if ((overlap > 0) & (sc.sorted_prices[l][None, :] > thresholds[:, None])).any():
+            return None
+        y[wanting[:, None], l, sc.order[l][None, :]] = overlap
     return y
 
 
@@ -410,14 +460,12 @@ def validate_solution(instance: WdpInstance, allocation: Allocation) -> list[str
             f"allocation shape {y.shape} with {len(allocation.winners)} winners "
             f"does not match the instance shape ({N}, {L}, {M})"
         )
+    sc = instance._scaled
     violations: list[str] = []
     x = np.array(allocation.winners, dtype=np.int64)
     # Lower bound of the transfer domain (y >= 0) is enforced by the
     # Allocation constructor; everything instance-dependent is checked here.
-    caps = np.array(
-        [[pb.quantities[l] for pb in instance.provider_bids] for l in range(L)],
-        dtype=np.int64,
-    ).reshape(L, M)
+    caps = sc.provider_quantities.T
 
     for n, l, m in np.argwhere(y > caps[None, :, :]):
         violations.append(
@@ -427,10 +475,8 @@ def validate_solution(instance: WdpInstance, allocation: Allocation) -> list[str
         )
 
     per_consumer_total = y.sum(axis=(1, 2))
-    requested = np.array(
-        [sum(ext.bid.quantities) for ext in instance.consumer_bids], dtype=np.int64
-    ).reshape(N)
-    for (n,) in np.argwhere(x * requested < per_consumer_total):
+    demand = sc.consumer_quantities
+    for (n,) in np.argwhere(x * demand.sum(axis=1) < per_consumer_total):
         violations.append(
             f"consumer {instance.consumer_bids[n].consumer_id}: receives "
             f"{per_consumer_total[n]} units but is not marked a winner covering "
@@ -450,9 +496,6 @@ def validate_solution(instance: WdpInstance, allocation: Allocation) -> list[str
         )
 
     received = y.sum(axis=2)
-    demand = np.array(
-        [list(ext.bid.quantities) for ext in instance.consumer_bids], dtype=np.int64
-    ).reshape(N, L)
     for n, l in np.argwhere(received != demand * x[:, None]):
         expected = demand[n, l] if x[n] else 0
         violations.append(
@@ -460,15 +503,14 @@ def validate_solution(instance: WdpInstance, allocation: Allocation) -> list[str
             f"{received[n, l]} units of type {l}, demand exactness requires {expected}"
         )
 
-    for n, l, m in np.argwhere(y > 0):
-        cp = instance.consumer_bids[n].bid.unit_prices[l]
-        pp = instance.provider_bids[m].unit_prices[l]
-        if not compatible(cp, pp):
-            violations.append(
-                f"consumer {instance.consumer_bids[n].consumer_id} pays {cp} per unit "
-                f"of type {l} but provider {instance.provider_bids[m].provider_id} "
-                f"asks {pp} (price compatibility)"
-            )
+    underpriced = sc.consumer_prices[:, :, None] < sc.provider_prices.T[None, :, :]
+    for n, l, m in np.argwhere((y > 0) & underpriced):
+        violations.append(
+            f"consumer {instance.consumer_bids[n].consumer_id} pays "
+            f"{instance.consumer_bids[n].bid.unit_prices[l]} per unit of type {l} but "
+            f"provider {instance.provider_bids[m].provider_id} asks "
+            f"{instance.provider_bids[m].unit_prices[l]} (price compatibility)"
+        )
     return violations
 
 
@@ -492,27 +534,26 @@ def objective_value(
 
 def _objective_parts(instance: WdpInstance, allocation: Allocation) -> tuple[Money, Money]:
     """(total_utility, total_satisfaction) of an allocation known to be feasible."""
-    total_utility = Fraction(0)
-    total_satisfaction = Fraction(0)
-    for n, ext in enumerate(instance.consumer_bids):
-        if allocation.winners[n]:
-            total_utility += instance.budgets[n]
-            total_satisfaction += ext.fairness_factor
-    y = allocation.transfers
-    for n, l, m in np.argwhere(y > 0):
-        total_utility -= int(y[n, l, m]) * instance.provider_bids[m].unit_prices[l]
-    return total_utility, total_satisfaction
+    sc = instance._scaled
+    won = allocation.winners
+    value = sum(b for b, w in zip(sc.budgets, won) if w)
+    satisfaction = sum(f for f, w in zip(sc.factors, won) if w)
+    cost = int((allocation.transfers.sum(axis=0) * sc.provider_prices.T).sum())
+    return (
+        Fraction(value - cost, sc.denominator),
+        Fraction(satisfaction, sc.factor_denominator),
+    )
 
 
 def _allocate(
-    instance: WdpInstance, winner_positions: Sequence[int], orders: Sequence[Sequence[int]]
+    instance: WdpInstance, winner_positions: Sequence[int]
 ) -> tuple[Allocation, Money, Money]:
     """A solver's winner set routed at minimum cost, with its utility and satisfaction.
 
     The routing is feasible by construction, so it is not validated here;
     the engine validates each round's allocation once, when it settles it.
     """
-    y = _route(instance, winner_positions, orders)
+    y = _route(instance, winner_positions)
     if y is None:
         raise RuntimeError("internal error: solver produced an infeasible winner set")
     chosen = set(winner_positions)
@@ -524,11 +565,10 @@ def _allocate(
 def _build_solution(
     instance: WdpInstance,
     winner_positions: Sequence[int],
-    orders: Sequence[Sequence[int]],
     optimality: str,
     gap_bound: Money = Fraction(0),
 ) -> WdpSolution:
-    allocation, utility, satisfaction = _allocate(instance, winner_positions, orders)
+    allocation, utility, satisfaction = _allocate(instance, winner_positions)
     return WdpSolution(
         allocation=allocation,
         objective=utility + satisfaction,
@@ -565,9 +605,7 @@ def solve_oracle(instance: WdpInstance) -> WdpSolution:
         if best_objective is None or objective > best_objective:
             best_objective = objective
             best_positions = positions
-    return _build_solution(
-        instance, best_positions, _provider_orders(instance), optimality="oracle"
-    )
+    return _build_solution(instance, best_positions, optimality="oracle")
 
 
 def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) -> WdpSolution:
@@ -579,28 +617,30 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     undecided consumer's optimistic margin (budget plus fairness factor
     minus their demand priced at the cheapest compatible ask, supply
     ignored).  If a budget runs out first, the incumbent is returned with a
-    gap bound from the open nodes.
+    gap bound from the open nodes.  Objectives and bounds are integers over
+    the view's common denominator ``S``.
     """
     if limits is None:
         limits = SolverLimits()
     view = _InstanceView(instance)
     N = view.N
-
-    suffix_opt = [Fraction(0)] * (N + 1)
+    up = view.S // view.D
+    # Winner values and optimistic margins, over S.
+    w = [b * up + f for b, f in zip(view.budgets, view.factors)]
+    suffix_opt = [0] * (N + 1)
     for n in range(N - 1, -1, -1):
-        suffix_opt[n] = suffix_opt[n + 1] + view.optimistic[n]
+        margin = w[n] - view.cheapest_bound[n] * up if view.feasible_alone[n] else 0
+        suffix_opt[n] = suffix_opt[n + 1] + max(0, margin)
 
     # The empty set is always feasible: start from it, objective 0.  Because
     # subtrees are visited in lexicographic winner-vector order and the
     # incumbent is replaced only on strict improvement, the returned
     # optimum is the lexicographically smallest among ties.
     incumbent: list[int] = []
-    incumbent_obj = Fraction(0)
+    incumbent_obj = 0
 
     # Stack entries: (next consumer index, winner positions, demand state, winner-value sum).
-    stack: list[tuple[int, list[int], list[list[int]], Money]] = [
-        (0, [], view.new_state(), Fraction(0))
-    ]
+    stack: list[tuple[int, list[int], list[list[int]], int]] = [(0, [], view.new_state(), 0)]
     nodes = 0
     truncated = False
     started = time.monotonic()
@@ -617,7 +657,7 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
             break
         i, chosen, cumdem, wsum = stack.pop()
         nodes += 1
-        node_obj = wsum - view.total_cost(cumdem)
+        node_obj = wsum - up * view.total_cost(cumdem)
         if i == N:
             if node_obj > incumbent_obj:
                 incumbent = chosen
@@ -629,34 +669,35 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
         if view.can_add(cumdem, i):
             child = [row[:] for row in cumdem]
             view.add(child, i)
-            stack.append((i + 1, chosen + [i], child, wsum + view.w[i]))
+            stack.append((i + 1, chosen + [i], child, wsum + w[i]))
         stack.append((i + 1, chosen, cumdem, wsum))
 
     if truncated:
         open_bound = incumbent_obj
         for i, _chosen, cumdem, wsum in stack:
-            bound = wsum - view.total_cost(cumdem) + suffix_opt[i]
+            bound = wsum - up * view.total_cost(cumdem) + suffix_opt[i]
             if bound > open_bound:
                 open_bound = bound
         gap = open_bound - incumbent_obj
         if gap > 0:
             return _build_solution(
-                instance, incumbent, view.sorted_positions, optimality="heuristic", gap_bound=gap
+                instance, incumbent, optimality="heuristic", gap_bound=Fraction(gap, view.S)
             )
-    return _build_solution(instance, incumbent, view.sorted_positions, optimality="proved_optimal")
+    return _build_solution(instance, incumbent, optimality="proved_optimal")
 
 
 def _float_cost_table(view: _InstanceView, l: int, max_demand: int) -> list[float]:
     """Float cheapest-first cost of ``d`` units of type ``l``, for ``d`` up to ``max_demand``.
 
     Each entry is the float expression the heuristic has always scored
-    with, so every score, and every tie between scores, is unchanged.  The
+    with, from correctly rounded floats of the exact prices and cumulative
+    costs, so every score, and every tie between scores, is unchanged.  The
     table stops at the candidates' total demand (or the total supply, if
     smaller), which bounds every demand a scan can reach.
     """
     cs = view.cumsup[l]
-    prices_f = [float(p) for p in view.sorted_prices[l]]
-    cumcost_f = [float(c) for c in view.cumcost[l]]
+    prices_f = [p / view.D for p in view.sorted_prices[l]]
+    cumcost_f = [c / view.D for c in view.cumcost[l]]
     table = [0.0]
     for j in range(1, len(cs)):
         if len(table) > max_demand:
@@ -679,17 +720,17 @@ class _HeuristicState:
     total demand of type ``l``.
     """
 
-    def __init__(self, view: _InstanceView, candidates: Sequence[int]):
-        N, M, L = view.N, view.M, view.L
-        self.q = np.array(view.q, dtype=np.int64).reshape(N, L)
-        self.reach_index = np.array(view.reach, dtype=np.int64).reshape(N, L) - 1
+    def __init__(self, view: _InstanceView, candidates: Sequence[int], w: Sequence[float]):
+        M, L = view.M, view.L
+        self.q = view.scaled.consumer_quantities
+        self.reach_index = view.reach_index
         self.types = np.arange(L)
-        self.supply = np.array([cs[1:] for cs in view.cumsup], dtype=np.int64).reshape(L, M)
+        self.supply = view.scaled.cumsup[:, 1:]
         # What admitting consumer n adds to cumdem: q[n][l] at every k >= reach - 1.
         self.contribution = np.where(
             np.arange(M) >= self.reach_index[:, :, None], self.q[:, :, None], 0
         )
-        self.w = np.array([float(v) for v in view.w])
+        self.w = np.array(w, dtype=float)
         self.cost = [
             _float_cost_table(view, l, sum(view.q[n][l] for n in candidates)) for l in range(L)
         ]
@@ -741,7 +782,9 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     stays feasible and the exact marginal cost does not exceed their value.
     One repair pass then tries dropping each admitted consumer in ascending
     rank and greedily readmitting the rejected, keeping strict improvements.
-    Scoring runs in floats for speed; the reported objective is exact.
+    Scoring runs in floats for speed; the reported objective is exact.  A
+    score is an exact rational turned into a float by one integer true
+    division, which Python rounds correctly, exactly as ``float(Fraction)``.
 
     Every scan walks its candidates in rank order and only admits, so winner
     demand only grows within a scan, and until the next admission the state
@@ -753,10 +796,22 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     the admissions, and the result, are those of that loop.
     """
     view = _InstanceView(instance)
+    D = view.D
+    rational_factors = [ext.fairness_factor for ext in instance.consumer_bids]
+
+    def numerator(over_D: int, factor: Money) -> int:
+        """``over_D / D + factor`` is this over ``D * factor.denominator``."""
+        return over_D * factor.denominator + factor.numerator * D
+
+    def to_float(over_D: int, factor: Money) -> float:
+        return numerator(over_D, factor) / (D * factor.denominator)
+
     candidates = [n for n in range(view.N) if view.feasible_alone[n]]
-    score = {n: float(view.w[n] - view.cheapest_bound[n]) for n in candidates}
-    state = _HeuristicState(view, candidates)
-    w_f = state.w.tolist()
+    # Budget minus cheapest cost, over D; plus the factor, the optimistic margin.
+    margin = {n: view.budgets[n] - view.cheapest_bound[n] for n in candidates}
+    score = {n: to_float(margin[n], rational_factors[n]) for n in candidates}
+    w_f = [to_float(b, f) for b, f in zip(view.budgets, rational_factors)]
+    state = _HeuristicState(view, candidates, w_f)
 
     def admit_in_order(pool: list[int]) -> list[int]:
         """Admit each consumer of ``pool``, in order, that fits and pays its way."""
@@ -803,11 +858,18 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
             admitted_set.add(a)
             admitted_set.difference_update(gained)
 
-    allocation, utility, satisfaction = _allocate(
-        instance, sorted(admitted_set), view.sorted_positions
-    )
+    allocation, utility, satisfaction = _allocate(instance, sorted(admitted_set))
     objective = utility + satisfaction
-    root_bound = sum(view.optimistic, Fraction(0))
+    # Every positive optimistic margin, summed over S.
+    up = view.S // D
+    root_bound = Fraction(
+        sum(
+            margin[n] * up + view.factors[n]
+            for n in candidates
+            if numerator(margin[n], rational_factors[n]) > 0
+        ),
+        view.S,
+    )
     return WdpSolution(
         allocation=allocation,
         objective=objective,

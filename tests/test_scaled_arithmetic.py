@@ -1,0 +1,336 @@
+"""Solvers and settlement on prices scaled to integers over a common denominator.
+
+An instance's prices are carried as integers over the least common multiple
+of their denominators.  When that product could overflow 64-bit arithmetic
+the same code runs on Python integers; the first test pins that path to
+results recorded before the integer representation existed.  The property
+tests then check, over generated configurations and instances, that every
+round the engine runs is feasible, budget-balanced and scored exactly, and
+that the exact solver agrees with subset enumeration.
+"""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import reference_heuristic_winners
+
+from faircda import engine
+from faircda.engine import EngineConfig, run_simulation
+from faircda.model import (
+    ConsumerBid,
+    ExtendedConsumerBid,
+    FairnessParams,
+    MarketShape,
+    ProviderBid,
+)
+from faircda.pricing import settle
+from faircda.scenario import ScenarioConfig
+from faircda.wdp_solver import (
+    WdpInstance,
+    min_cost_allocation,
+    objective_value,
+    solve_exact,
+    solve_heuristic,
+    solve_oracle,
+    validate_solution,
+)
+
+# Consecutive primes above 10**6: any four of them multiply past 2**63.
+P = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121, 1000133, 1000151)
+
+
+def consumer(cid, prices, quantities, ff=Fraction(0)):
+    return ExtendedConsumerBid(
+        bid=ConsumerBid(cid, tuple(prices), tuple(quantities)), fairness_factor=ff
+    )
+
+
+def coprime_instance():
+    """Six consumers, three providers, two types; every price on its own prime grid."""
+    F = Fraction
+    return WdpInstance.from_bids(
+        [
+            consumer(0, [F(12 * P[0] + 1, P[0]), F(9 * P[1] + 7, P[1])], [2, 1], F(-3, P[6])),
+            consumer(1, [F(11 * P[1] + 5, P[1]), F(10 * P[2] + 3, P[2])], [1, 2]),
+            consumer(
+                2, [F(13 * P[2] + 2, P[2]), F(8 * P[3] + 1, P[3])], [1, 1], F(5 * P[7] + 1, P[7])
+            ),
+            consumer(3, [F(9 * P[3] + 4, P[3]), F(12 * P[4] + 9, P[4])], [3, 0]),
+            consumer(4, [F(10 * P[4] + 8, P[4]), F(11 * P[5] + 6, P[5])], [0, 2], F(2, P[8])),
+            consumer(5, [F(14 * P[5] + 1, P[5]), F(7 * P[0] + 2, P[0])], [1, 3]),
+        ],
+        [
+            ProviderBid(0, (F(9 * P[6] + 5, P[6]), F(8 * P[7] + 3, P[7])), (3, 2)),
+            ProviderBid(1, (F(10 * P[8] + 1, P[8]), F(7 * P[9] + 4, P[9])), (2, 3)),
+            ProviderBid(2, (F(8 * P[9] + 2, P[9]), F(9 * P[6] + 1, P[6])), (1, 2)),
+        ],
+    )
+
+
+# Recorded with the all-Fraction implementation, before prices were scaled.
+RECORDED_WINNERS = (True, True, True, False, True, False)
+RECORDED_TRANSFERS = [
+    [[2, 0, 0], [0, 1, 0]],
+    [[0, 0, 1], [1, 1, 0]],
+    [[1, 0, 0], [0, 1, 0]],
+    [[0, 0, 0], [0, 0, 0]],
+    [[0, 0, 0], [1, 0, 1]],
+    [[0, 0, 0], [0, 0, 0]],
+]
+RECORDED_OBJECTIVE = Fraction(
+    "31022729050761957525990074631561861863468780339571783624"
+    "/1000733227378794904338730120912081757583097498286973133"
+)
+RECORDED_UTILITY = Fraction(
+    "26015602838726449825764326291861230063145156669807"
+    "/1000600147559169534790602970716976399721934481001"
+)
+RECORDED_SATISFACTION = Fraction("5001855229028410001/1000371045812882881")
+RECORDED_HEURISTIC_GAP = Fraction("7002727352356107461/1000389050097137707")
+RECORDED_PAYMENTS = {
+    0: "58017656595031682568176765/2000608054829325091498066",
+    1: "27009245042999699158558733/1000342038533611104308891",
+    2: "37012741463576179095055291/2000688078959458882986962",
+    3: "0",
+    4: "39013160474819876789/2000674075440803086",
+    5: "0",
+}
+RECORDED_RECEIPTS = {
+    0: "101038116192160596930318759523775/2000754102625895540497369142546",
+    1: "48012503983498109021006573/2000520040821288454380938",
+    2: "39015616200637539346506497/2000800112626415315436178",
+}
+RECORDED_CONSUMER_UTILITIES = {
+    0: "8002427219334410092333471/2000608054829325091498066",
+    1: "4001369154917550239014681/1000342038533611104308891",
+    2: "5001714196410625093734321/2000688078959458882986962",
+    3: "0",
+    4: "5001693190590130871/2000674075440803086",
+    5: "0",
+}
+RECORDED_PROVIDER_UTILITIES = {
+    0: "15005647768374217959976879075671/2000754102625895540497369142546",
+    1: "6001559123634956653864019/2000520040821288454380938",
+    2: "5002008284426357739575881/2000800112626415315436178",
+}
+RECORDED_TRADE_PRICES = {
+    (0, 0, 0): "21002526007503/2000240000702",
+    (0, 1, 1): "16002955080917/2000368009966",
+    (1, 0, 2): "9501751547749/1000184004983",
+    (1, 1, 0): "9001425040530/1000158004477",
+    (1, 1, 1): "8501601547790/1000188005587",
+    (2, 0, 0): "22003395095657/2000308008658",
+    (2, 1, 1): "7501427544321/1000190005889",
+    (4, 1, 0): "9502094614312/1000220011979",
+    (4, 1, 2): "20004327232461/2000432023166",
+}
+
+
+def as_fractions(recorded):
+    return {key: Fraction(value) for key, value in recorded.items()}
+
+
+class TestBeyondInt64:
+    def test_common_denominator_exceeds_int64(self):
+        inst = coprime_instance()
+        prices = [p for ext in inst.consumer_bids for p in ext.bid.unit_prices]
+        prices += [p for pb in inst.provider_bids for p in pb.unit_prices]
+        assert math.lcm(*(p.denominator for p in prices)) > 2**63
+
+    def test_solvers_return_the_recorded_results(self):
+        inst = coprime_instance()
+        for solve, optimality in (
+            (solve_exact, "proved_optimal"),
+            (solve_oracle, "oracle"),
+            (solve_heuristic, "heuristic"),
+        ):
+            sol = solve(inst)
+            assert sol.optimality == optimality
+            assert sol.allocation.winners == RECORDED_WINNERS
+            assert sol.allocation.transfers.tolist() == RECORDED_TRANSFERS
+            assert sol.objective == RECORDED_OBJECTIVE
+            assert sol.total_utility == RECORDED_UTILITY
+            assert sol.total_satisfaction == RECORDED_SATISFACTION
+        assert solve_heuristic(inst).gap_bound == RECORDED_HEURISTIC_GAP
+        assert objective_value(inst, solve_exact(inst).allocation) == (
+            RECORDED_OBJECTIVE,
+            RECORDED_UTILITY,
+            RECORDED_SATISFACTION,
+        )
+
+    def test_settlement_returns_the_recorded_flows(self):
+        inst = coprime_instance()
+        s = settle(inst, solve_exact(inst).allocation)
+        assert s.consumer_payments == as_fractions(RECORDED_PAYMENTS)
+        assert s.provider_receipts == as_fractions(RECORDED_RECEIPTS)
+        assert s.consumer_utilities == as_fractions(RECORDED_CONSUMER_UTILITIES)
+        assert s.provider_utilities == as_fractions(RECORDED_PROVIDER_UTILITIES)
+        assert s.unit_trade_prices == as_fractions(RECORDED_TRADE_PRICES)
+        assert s.total_payments() == s.total_receipts()
+
+    def test_large_magnitudes_on_a_small_grid(self):
+        """Prices near 2**62 with denominator 1 take the same path as wide grids."""
+        big = 2**62
+        inst = WdpInstance.from_bids(
+            [consumer(0, [Fraction(big + 7)], [3]), consumer(1, [Fraction(big + 1)], [2])],
+            [ProviderBid(0, (Fraction(big),), (4,)), ProviderBid(1, (Fraction(big + 2),), (1,))],
+        )
+        sol = solve_exact(inst)
+        assert sol.allocation.winners == (True, False)
+        assert sol.objective == solve_oracle(inst).objective == 3 * (big + 7) - 3 * big
+        s = settle(inst, sol.allocation)
+        assert s.consumer_payments[0] == Fraction(3 * (2 * big + 7), 2)
+        assert s.total_payments() == s.total_receipts()
+
+
+class TestRoutingOrder:
+    """Per type, winners are served by ascending (price, position), cheapest units first."""
+
+    def test_lower_price_is_served_first(self):
+        inst = WdpInstance.from_bids(
+            [consumer(0, [Fraction(10)], [1]), consumer(1, [Fraction(6)], [1])],
+            [ProviderBid(0, (Fraction(5),), (1,)), ProviderBid(1, (Fraction(3),), (1,))],
+        )
+        y = min_cost_allocation(inst, {0, 1})
+        assert y[:, 0, :].tolist() == [[1, 0], [0, 1]]
+
+    def test_equal_prices_are_served_in_position_order(self):
+        inst = WdpInstance.from_bids(
+            [consumer(n, [Fraction(10, 3)], [1]) for n in range(3)],
+            [ProviderBid(0, (Fraction(3),), (2,)), ProviderBid(1, (Fraction(1),), (1,))],
+        )
+        y = min_cost_allocation(inst, {0, 1, 2})
+        assert y[:, 0, :].tolist() == [[0, 1], [1, 0], [1, 0]]
+
+
+# --- generated configurations run every round feasibly and exactly ----------
+
+GRID_FRACTIONS = st.fractions(min_value=0, max_value=300, max_denominator=400)
+
+
+@st.composite
+def scenario_configs(draw):
+    """ScenarioConfig arguments, valid or not; invalid ones are discarded."""
+    shape = MarketShape(draw(st.integers(1, 7)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    plo = draw(st.integers(0, 6))
+    clo = draw(st.integers(0, 3))
+    kwargs = dict(
+        shape=shape,
+        runs=1,
+        provider_quantity_range=(plo, plo + draw(st.integers(0, 8))),
+        consumer_quantity_range=(clo, clo + draw(st.integers(0, 3))),
+        provider_price_range=tuple(sorted((draw(GRID_FRACTIONS), draw(GRID_FRACTIONS)))),
+        consumer_price_range=tuple(sorted((draw(GRID_FRACTIONS), draw(GRID_FRACTIONS)))),
+        price_drift=draw(st.fractions(min_value=0, max_value=Fraction(3, 2), max_denominator=50)),
+    )
+    try:
+        return ScenarioConfig(**kwargs)
+    except ValueError:
+        assume(False)
+
+
+class TestConfigsThatValidateRunClean:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=scenario_configs(),
+        solver=st.sampled_from(["heuristic", "exact"]),
+        fairness=st.booleans(),
+        max_losses=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_round_is_feasible_balanced_and_exact(
+        self, config, solver, fairness, max_losses, seed
+    ):
+        rounds = []
+        solve = getattr(engine, f"solve_{solver}")
+
+        def checked_solve(instance, *args):
+            sol = solve(instance, *args)
+            assert validate_solution(instance, sol.allocation) == []
+            assert sol.objective == objective_value(instance, sol.allocation)[0]
+            rounds.append(instance)
+            return sol
+
+        def checked_settle(instance, allocation):
+            s = settle(instance, allocation)
+            assert s.total_payments() == s.total_receipts()
+            return s
+
+        engine_config = EngineConfig(
+            fairness_enabled=fairness,
+            fairness_params=FairnessParams(max_losses=max_losses),
+            solver_mode=solver,
+            rounds=5,
+            master_seed=seed,
+        )
+        with mock.patch.object(engine, f"solve_{solver}", checked_solve), mock.patch.object(
+            engine, "settle", checked_settle
+        ):
+            report = run_simulation(config, engine_config)
+        assert len(report.per_round) == len(rounds) == 5
+
+
+# --- generated instances: exact against enumeration, heuristic against its loop
+
+NON_DECIMAL = st.builds(Fraction, st.integers(0, 90), st.sampled_from([1, 3, 7, 11, 13]))
+FACTORS = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 3, 9, 17]))
+WIDE_GRID = st.builds(Fraction, st.integers(0, 30 * P[0]), st.sampled_from(P))
+
+
+@st.composite
+def instances(draw, prices, max_consumers):
+    N = draw(st.integers(0, max_consumers))
+    M = draw(st.integers(1, 3))
+    L = draw(st.integers(1, 3))
+    consumers = []
+    for n in range(N):
+        quantities = draw(st.lists(st.integers(0, 3), min_size=L, max_size=L))
+        if not any(quantities):
+            quantities[draw(st.integers(0, L - 1))] = 1
+        consumers.append(
+            consumer(
+                n,
+                draw(st.lists(prices, min_size=L, max_size=L)),
+                quantities,
+                draw(FACTORS),
+            )
+        )
+    providers = [
+        ProviderBid(
+            m,
+            tuple(draw(st.lists(prices, min_size=L, max_size=L))),
+            tuple(draw(st.lists(st.integers(0, 6), min_size=L, max_size=L))),
+        )
+        for m in range(M)
+    ]
+    return WdpInstance(
+        shape=MarketShape(N, M, L), consumer_bids=consumers, provider_bids=providers
+    )
+
+
+class TestGeneratedInstances:
+    @settings(max_examples=80, deadline=None)
+    @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=9))
+    def test_exact_matches_enumeration(self, inst):
+        exact = solve_exact(inst)
+        oracle = solve_oracle(inst)
+        assert exact.optimality == "proved_optimal"
+        assert exact.allocation == oracle.allocation
+        assert exact.objective == oracle.objective
+        assert exact.total_satisfaction == oracle.total_satisfaction
+
+    @settings(max_examples=120, deadline=None)
+    @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=12))
+    def test_heuristic_matches_the_scalar_loop(self, inst):
+        sol = solve_heuristic(inst)
+        expected = reference_heuristic_winners(inst)
+        assert sol.winner_positions == tuple(expected)
+        ids = [inst.consumer_bids[n].consumer_id for n in expected]
+        y = min_cost_allocation(inst, ids)
+        assert y is not None and np.array_equal(sol.allocation.transfers, y)
+        s = settle(inst, sol.allocation)
+        assert s.total_payments() == s.total_receipts()
