@@ -281,8 +281,12 @@ def _simulate_star(args: tuple) -> tuple[list[RoundResult], Repository]:
 
 
 def config_echo(scenario: ScenarioConfig, config: EngineConfig) -> dict:
-    """JSON-friendly echo of the full configuration (rationals as strings)."""
-    return {
+    """JSON-friendly echo of the full configuration (rationals as strings).
+
+    A wall-clock solver budget makes results depend on the machine, so
+    ``engine.machine_dependent`` is set exactly when ``time_budget_s`` is.
+    """
+    echo = {
         "scenario": {
             "consumers": scenario.shape.num_consumers,
             "providers": scenario.shape.num_providers,
@@ -310,6 +314,9 @@ def config_echo(scenario: ScenarioConfig, config: EngineConfig) -> dict:
             },
         },
     }
+    if config.solver_limits.time_budget_s is not None:
+        echo["engine"]["machine_dependent"] = True
+    return echo
 
 
 def run_simulation(

@@ -11,10 +11,20 @@ The reward/penalty magnitudes use the market's loss/win counts and a bid
 quality score; the intervention probabilities use the losing-streak length.
 The quality score and both probability shapes are policy choices documented
 on :func:`eval_fun`, :func:`prob_w` and :func:`prob_l`.
+
+Arithmetic is exact integer arithmetic.  The market means are validated
+and scaled to integer coefficients once per round; a quality score is an
+integer numerator over an integer denominator, clamped by integer
+comparisons, and each reward or penalty is built as a single ``Fraction``
+from integers.  A uniform draw ``u`` is compared with a probability
+``num / den`` as ``u``'s exact integer ratio, so no rational is built for
+it.  The public formulas and :func:`compute_fairness_factors` share these
+integer helpers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
@@ -36,8 +46,7 @@ __all__ = [
 Branch = Literal["reward", "penalty", "none"]
 Outcome = Literal["won", "lost", "absent"]
 
-_EVAL_FLOOR = Fraction(1, 10)
-_EVAL_CEIL = Fraction(10)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,7 @@ class FairnessOutcome:
 
     def __post_init__(self):
         for cid, branch in self.applied_branch.items():
-            factor = self.factors.get(cid, Fraction(0))
+            factor = self.factors.get(cid, _ZERO)
             if branch == "reward" and factor < 0:
                 raise ValueError(f"consumer {cid}: reward branch with negative factor {factor}")
             if branch == "penalty" and factor >= 0:
@@ -58,7 +67,69 @@ class FairnessOutcome:
                 raise ValueError(f"consumer {cid}: no branch applied but factor is {factor}")
 
     def factor(self, consumer_id: int) -> Money:
-        return self.factors.get(consumer_id, Fraction(0))
+        return self.factors.get(consumer_id, _ZERO)
+
+
+def _market_scale(market_mean_prices: Sequence[Money]) -> tuple[list[int], int]:
+    """The market means as integers: per-type coefficients and a scale.
+
+    With each mean written ``A_l / B_l`` and ``T = lcm(A_l)``, a price
+    ``a_l / b`` divided by mean ``l`` is ``a_l * c_l / (b * T)`` for
+    ``c_l = B_l * (T // A_l)``.  Returns the ``c_l`` and ``T * L``, the
+    quality score's denominator apart from the prices' own ``b``.
+    """
+    means = [as_money(p) for p in market_mean_prices]
+    for l, mean in enumerate(means):
+        if mean <= 0:
+            raise ValueError(f"market mean price for resource type {l} must be positive, got {mean}")
+    T = math.lcm(*(mean.numerator for mean in means))
+    return [mean.denominator * (T // mean.numerator) for mean in means], T * len(means)
+
+
+def _quality(record: ParticipantRecord, coefficients: list[int], scale: int) -> tuple[int, int]:
+    """The clamped bid-quality score of :func:`eval_fun` as ``(numerator, denominator)``."""
+    last = record.last_offered_prices()
+    if last is None:
+        return 1, 1
+    if len(last) != len(coefficients):
+        raise ValueError(
+            f"price history entry has {len(last)} types but market means have {len(coefficients)}"
+        )
+    ratios = [p.as_integer_ratio() for p in last]
+    b = math.lcm(*[d for _, d in ratios])
+    num = 0
+    for (a, d), c in zip(ratios, coefficients):
+        num += a * (b // d) * c
+    den = b * scale
+    if 10 * num < den:
+        return 1, 10
+    if num > 10 * den:
+        return 10, 1
+    return num, den
+
+
+def _reward(losses: int, qn: int, qd: int, cl: int, params: FairnessParams) -> Money:
+    """:func:`fun_w` for the quality score ``qn / qd``, as one fraction of integers."""
+    a1, a2 = params.alpha1, params.alpha2
+    num = a1.numerator * losses * a2.denominator * qd + a2.numerator * qn * a1.denominator
+    return Fraction((cl + 1) * num, a1.denominator * a2.denominator * qd)
+
+
+def _penalty(wins: int, qn: int, qd: int, cl: int, params: FairnessParams) -> Money:
+    """:func:`fun_l` for the non-zero quality score ``qn / qd``, as one fraction of integers."""
+    b1, b2 = params.beta1, params.beta2
+    num = b1.numerator * wins * b2.denominator * qn + b2.numerator * qd * b1.denominator
+    return Fraction(-num, b1.denominator * b2.denominator * qn * (cl + 1))
+
+
+def _reward_odds(cl: int, params: FairnessParams) -> tuple[int, int]:
+    """:func:`prob_w` as ``(numerator, denominator)``."""
+    return min(cl + 1, params.max_losses + 1), params.max_losses + 1
+
+
+def _penalty_odds(cl: int) -> tuple[int, int]:
+    """:func:`prob_l` as ``(numerator, denominator)``."""
+    return 1, cl + 1
 
 
 def eval_fun(record: ParticipantRecord, market_mean_prices: Sequence[Money]) -> Money:
@@ -70,19 +141,7 @@ def eval_fun(record: ParticipantRecord, market_mean_prices: Sequence[Money]) -> 
     higher, so quality rewards aggressive bidders and the score is free of
     the market's price scale.
     """
-    means = [as_money(p) for p in market_mean_prices]
-    for l, mean in enumerate(means):
-        if mean <= 0:
-            raise ValueError(f"market mean price for resource type {l} must be positive, got {mean}")
-    last = record.last_offered_prices()
-    if last is None:
-        return Fraction(1)
-    if len(last) != len(means):
-        raise ValueError(
-            f"price history entry has {len(last)} types but market means have {len(means)}"
-        )
-    ratio = sum((p / mean for p, mean in zip(last, means)), Fraction(0)) / len(means)
-    return min(max(ratio, _EVAL_FLOOR), _EVAL_CEIL)
+    return Fraction(*_quality(record, *_market_scale(market_mean_prices)))
 
 
 def fun_w(losses: int, eval: Money, cl: int, params: FairnessParams) -> Money:
@@ -92,7 +151,8 @@ def fun_w(losses: int, eval: Money, cl: int, params: FairnessParams) -> Money:
     loss count, the bid quality, and — through the leading factor — the
     current losing streak.  Always non-negative.
     """
-    return (cl + 1) * (params.alpha1 * losses + params.alpha2 * as_money(eval))
+    eval = as_money(eval)
+    return _reward(losses, eval.numerator, eval.denominator, cl, params)
 
 
 def fun_l(wins: int, eval: Money, cl: int, params: FairnessParams) -> Money:
@@ -105,7 +165,7 @@ def fun_l(wins: int, eval: Money, cl: int, params: FairnessParams) -> Money:
     eval = as_money(eval)
     if eval == 0:
         raise ValueError("bid quality score must be non-zero (beta2 is divided by it)")
-    return -Fraction(1, cl + 1) * (params.beta1 * wins + params.beta2 / eval)
+    return _penalty(wins, eval.numerator, eval.denominator, cl, params)
 
 
 def prob_w(cl: int, params: FairnessParams) -> Fraction:
@@ -115,7 +175,7 @@ def prob_w(cl: int, params: FairnessParams) -> Fraction:
     certain once the streak reaches the drop threshold, so a consumer on
     the verge of dropping is always boosted.
     """
-    return min(Fraction(1), Fraction(cl + 1, params.max_losses + 1))
+    return Fraction(*_reward_odds(cl, params))
 
 
 def prob_l(cl: int, params: FairnessParams) -> Fraction:
@@ -127,7 +187,7 @@ def prob_l(cl: int, params: FairnessParams) -> Fraction:
     shapes can be keyed off it without changing call sites.
     """
     del params
-    return Fraction(1, cl + 1)
+    return Fraction(*_penalty_odds(cl))
 
 
 def compute_fairness_factors(
@@ -153,24 +213,32 @@ def compute_fairness_factors(
     records = getattr(repository, "records", repository)
     factors: dict[int, Money] = {}
     branches: dict[int, Branch] = {}
+    # The means are validated and scaled at the first evaluation, so a call
+    # that evaluates nobody accepts any means, as a per-consumer check would.
+    market_scale = None
     for cid in sorted(participants):
         record = records.get(cid)
         if record is None:
             raise ValueError(f"no participation record for consumer {cid}")
         u = float(rng.random())
         outcome = previous_round_outcomes.get(cid, "absent")
-        factor: Money = Fraction(0)
+        factor: Money = _ZERO
         branch: Branch = "none"
-        if outcome == "lost":
-            if u < prob_w(record.consecutive_losses, params):
-                quality = eval_fun(record, market_mean_prices)
-                factor = fun_w(record.losses, quality, record.consecutive_losses, params)
-                branch = "reward"
-        elif outcome == "won":
-            if u < prob_l(record.consecutive_losses, params):
-                quality = eval_fun(record, market_mean_prices)
-                factor = fun_l(record.wins, quality, record.consecutive_losses, params)
-                branch = "penalty"
+        if outcome == "lost" or outcome == "won":
+            cl = record.consecutive_losses
+            odds, odds_den = _reward_odds(cl, params) if outcome == "lost" else _penalty_odds(cl)
+            # u < odds / odds_den, exactly: a float is a ratio of integers.
+            un, ud = u.as_integer_ratio()
+            if un * odds_den < odds * ud:
+                if market_scale is None:
+                    market_scale = _market_scale(market_mean_prices)
+                qn, qd = _quality(record, *market_scale)
+                if outcome == "lost":
+                    factor = _reward(record.losses, qn, qd, cl, params)
+                    branch = "reward"
+                else:
+                    factor = _penalty(record.wins, qn, qd, cl, params)
+                    branch = "penalty"
         elif outcome != "absent":
             raise ValueError(f"consumer {cid}: unknown previous-round outcome {outcome!r}")
         factors[cid] = factor

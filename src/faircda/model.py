@@ -72,6 +72,16 @@ def over_common_denominator(
     return S, [v.numerator * scale[v.denominator] for v in values]
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without ``__post_init__``.
+
+    Only for values that are valid by construction; each caller says why.
+    """
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 def _money_tuple(values: Sequence, what: str) -> tuple[Money, ...]:
     out = tuple(as_money(v) for v in values)
     for v in out:
@@ -250,15 +260,14 @@ class ParticipantRecord:
         # Counts derived from a valid record stay valid, and held history
         # was validated on entry; only the new entry needs checking.
         entry = _money_tuple(offered_prices, "price history entry")
-        successor = object.__new__(ParticipantRecord)
-        successor.__dict__.update(
+        return _unchecked(
+            ParticipantRecord,
             wins=wins,
             losses=losses,
             consecutive_losses=consecutive_losses,
             dropped_at_round=self.dropped_at_round,
             price_history=self.price_history + (entry,),
         )
-        return successor
 
     def after_win(self, offered_prices: Sequence) -> "ParticipantRecord":
         """Successor record after winning a round: streak resets to zero."""

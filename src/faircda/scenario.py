@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import ConsumerBid, MarketShape, Money, ProviderBid, as_money
+from .model import ConsumerBid, MarketShape, Money, ProviderBid, _unchecked, as_money
 
 __all__ = ["ScenarioConfig", "generate_provider_bids", "generate_consumer_bids"]
 
@@ -96,8 +96,8 @@ class ScenarioConfig:
             raise ValueError(f"price_drift must be non-negative, got {self.price_drift}")
 
 
-def _cents_to_money(cents: np.ndarray) -> list[list[Money]]:
-    return [[Fraction(int(c), _CENTS) for c in row] for row in cents]
+def _cents_to_money(cents: np.ndarray) -> list[tuple[Money, ...]]:
+    return [tuple(Fraction(c, _CENTS) for c in row) for row in cents.tolist()]
 
 
 def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> list[ProviderBid]:
@@ -108,15 +108,67 @@ def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> 
     plo_c, phi_c = _grid_bounds(config.provider_price_range)
     quantities = rng.integers(qlo, qhi, size=(M, L), endpoint=True)
     price_cents = rng.integers(plo_c, phi_c, size=(M, L), endpoint=True)
-    prices = _cents_to_money(price_cents)
+    # Integer draws from the validated ranges, as ints and cent-grid
+    # fractions: valid by construction, so the constructor's checks are skipped.
     return [
-        ProviderBid(
-            provider_id=m,
-            unit_prices=tuple(prices[m]),
-            quantities=tuple(int(q) for q in quantities[m]),
-        )
-        for m in range(M)
+        _unchecked(ProviderBid, provider_id=m, unit_prices=prices, quantities=tuple(q))
+        for m, (prices, q) in enumerate(zip(_cents_to_money(price_cents), quantities.tolist()))
     ]
+
+
+def _drift_windows(
+    config: ScenarioConfig,
+    previous_personal_prices: Mapping[int, Sequence[Money]],
+    grid: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per consumer and type, the lowest and highest cents a drifted price may take.
+
+    The window ``[(1 - drift) * p, (1 + drift) * p]`` in cents, for
+    ``p = a / b`` and ``drift = u / v``, is ``[(v - u) * 100a / vb,
+    (v + u) * 100a / vb]``, rounded inward and clamped into the grid.  The
+    arithmetic is int64 when every product provably fits, and ``object``
+    arrays of Python ints otherwise.
+    """
+    N = config.shape.num_consumers
+    L = config.shape.num_resource_types
+    rows = []
+    for n in range(N):
+        try:
+            prev = previous_personal_prices[n]
+        except KeyError:
+            raise ValueError(f"no previous prices for consumer {n}") from None
+        if len(prev) != L:
+            raise ValueError(
+                f"consumer {n}: previous prices cover {len(prev)} types, expected {L}"
+            )
+        rows.append(prev)
+    flat = [as_money(p) for row in rows for p in row]
+    numerators = [p.numerator for p in flat]
+    denominators = [p.denominator for p in flat]
+    plo_c, phi_c = grid
+    u, v = config.price_drift.numerator, config.price_drift.denominator
+    largest = max(
+        max(map(abs, numerators)) * _CENTS * (u + v),
+        max(denominators) * v * 2,
+        abs(plo_c),
+        abs(phi_c),
+    )
+    dtype = np.int64 if largest < 2**63 else object
+    cents = np.array(numerators, dtype=dtype).reshape(N, L) * _CENTS
+    b = np.array(denominators, dtype=dtype).reshape(N, L)
+    lo = np.maximum(plo_c, -((u - v) * cents // (b * v)))
+    hi = np.minimum(phi_c, (v + u) * cents // (b * v))
+    outside = lo > hi
+    if outside.any():
+        # The previous price sits outside the range: snap to the nearest
+        # edge, rounding 100p half to even as round(Fraction) does.
+        q = cents // b
+        r = cents - q * b
+        nearest = q + ((2 * r > b) | ((2 * r == b) & (q % 2 == 1)))
+        snapped = np.minimum(phi_c, np.maximum(plo_c, nearest))
+        lo = np.where(outside, snapped, lo)
+        hi = np.where(outside, snapped, hi)
+    return lo.astype(np.int64), hi.astype(np.int64)
 
 
 def generate_consumer_bids(
@@ -144,7 +196,7 @@ def generate_consumer_bids(
     N = config.shape.num_consumers
     L = config.shape.num_resource_types
     qlo, qhi = config.consumer_quantity_range
-    plo_c, phi_c = _grid_bounds(config.consumer_price_range)
+    grid = _grid_bounds(config.consumer_price_range)
     quantities = rng.integers(qlo, qhi, size=(N, L), endpoint=True)
     if qlo < 1:
         # Every bid must request something; bump one uniformly chosen type.
@@ -153,40 +205,15 @@ def generate_consumer_bids(
                 quantities[n][int(rng.integers(0, L))] = 1
 
     if round_index == 1:
-        price_cents = rng.integers(plo_c, phi_c, size=(N, L), endpoint=True)
+        price_cents = rng.integers(*grid, size=(N, L), endpoint=True)
     else:
-        lo_bounds = np.empty((N, L), dtype=np.int64)
-        hi_bounds = np.empty((N, L), dtype=np.int64)
-        # The window [(1 - drift) * p, (1 + drift) * p] in cents, for p = a / b
-        # and drift = u / v, is [(v - u) * 100a / vb, (v + u) * 100a / vb].
-        u, v = config.price_drift.numerator, config.price_drift.denominator
-        for n in range(N):
-            try:
-                prev = previous_personal_prices[n]
-            except KeyError:
-                raise ValueError(f"no previous prices for consumer {n}") from None
-            if len(prev) != L:
-                raise ValueError(
-                    f"consumer {n}: previous prices cover {len(prev)} types, expected {L}"
-                )
-            for l in range(L):
-                p = as_money(prev[l])
-                cents, scale = p.numerator * _CENTS, p.denominator * v
-                wlo = max(plo_c, -((u - v) * cents // scale))
-                whi = min(phi_c, (v + u) * cents // scale)
-                if wlo > whi:
-                    # Previous price sits outside the range; snap to the nearest edge.
-                    wlo = whi = min(phi_c, max(plo_c, round(p * _CENTS)))
-                lo_bounds[n, l] = wlo
-                hi_bounds[n, l] = whi
-        price_cents = rng.integers(lo_bounds, hi_bounds, size=(N, L), endpoint=True)
+        lo, hi = _drift_windows(config, previous_personal_prices, grid)
+        price_cents = rng.integers(lo, hi, size=(N, L), endpoint=True)
 
-    prices = _cents_to_money(price_cents)
+    # Integer draws from the validated ranges, as ints and cent-grid
+    # fractions, and every bid requests a unit: valid by construction, so
+    # the constructor's checks are skipped.
     return [
-        ConsumerBid(
-            consumer_id=n,
-            unit_prices=tuple(prices[n]),
-            quantities=tuple(int(q) for q in quantities[n]),
-        )
-        for n in range(N)
+        _unchecked(ConsumerBid, consumer_id=n, unit_prices=prices, quantities=tuple(q))
+        for n, (prices, q) in enumerate(zip(_cents_to_money(price_cents), quantities.tolist()))
     ]

@@ -766,12 +766,13 @@ class _HeuristicState:
         self.cumdem -= self.contribution[n]
         self._refresh()
 
-    def save(self) -> np.ndarray:
-        return self.cumdem.copy()
+    def save(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        # _refresh rebinds room and demand rather than writing into them,
+        # so the current objects stay valid snapshots without a copy.
+        return self.cumdem.copy(), self.room, self.demand
 
-    def restore(self, saved: np.ndarray) -> None:
-        self.cumdem[...] = saved
-        self._refresh()
+    def restore(self, saved: tuple[np.ndarray, np.ndarray, list[int]]) -> None:
+        self.cumdem[...], self.room, self.demand = saved
 
 
 def solve_heuristic(instance: WdpInstance) -> WdpSolution:

@@ -1,17 +1,20 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's solver machinery: routing cost is
-found by enumerating every integer transfer matrix, type by type, and the
-heuristic's reference is a candidate-by-candidate loop.  Keep them slow and
-obvious.
+found by enumerating every integer transfer matrix, type by type, the
+heuristic's reference is a candidate-by-candidate loop, and the fairness
+factors and the bid generator's drift windows are written directly in
+``Fraction`` arithmetic.  Keep them slow and obvious.
 """
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
 
+from faircda.model import ConsumerBid, ProviderBid, as_money
 from faircda.wdp_solver import WdpInstance
 
 
@@ -199,3 +202,127 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
             for g in gained:
                 admitted_set.discard(g)
     return sorted(admitted_set)
+
+
+def reference_eval_fun(record, market_mean_prices) -> Fraction:
+    """Mean of last price / market mean over types, clamped to [1/10, 10]."""
+    means = [as_money(p) for p in market_mean_prices]
+    for l, mean in enumerate(means):
+        if mean <= 0:
+            raise ValueError(f"market mean price for resource type {l} must be positive, got {mean}")
+    last = record.last_offered_prices()
+    if last is None:
+        return Fraction(1)
+    if len(last) != len(means):
+        raise ValueError(
+            f"price history entry has {len(last)} types but market means have {len(means)}"
+        )
+    ratio = sum((p / mean for p, mean in zip(last, means)), Fraction(0)) / len(means)
+    return min(max(ratio, Fraction(1, 10)), Fraction(10))
+
+
+def reference_fun_w(losses, eval, cl, params) -> Fraction:
+    return (cl + 1) * (params.alpha1 * losses + params.alpha2 * as_money(eval))
+
+
+def reference_fun_l(wins, eval, cl, params) -> Fraction:
+    return -Fraction(1, cl + 1) * (params.beta1 * wins + params.beta2 / as_money(eval))
+
+
+def reference_prob_w(cl, params) -> Fraction:
+    return min(Fraction(1), Fraction(cl + 1, params.max_losses + 1))
+
+
+def reference_prob_l(cl, params) -> Fraction:
+    return Fraction(1, cl + 1)
+
+
+def reference_fairness_factors(records, participants, outcomes, means, params, rng):
+    """``(factors, branches)``: one draw per participant in id order, compared as a float."""
+    factors, branches = {}, {}
+    for cid in sorted(participants):
+        record = records[cid]
+        u = float(rng.random())
+        outcome = outcomes.get(cid, "absent")
+        factor, branch = Fraction(0), "none"
+        if outcome == "lost" and u < reference_prob_w(record.consecutive_losses, params):
+            quality = reference_eval_fun(record, means)
+            factor = reference_fun_w(record.losses, quality, record.consecutive_losses, params)
+            branch = "reward"
+        elif outcome == "won" and u < reference_prob_l(record.consecutive_losses, params):
+            quality = reference_eval_fun(record, means)
+            factor = reference_fun_l(record.wins, quality, record.consecutive_losses, params)
+            branch = "penalty"
+        factors[cid] = factor
+        branches[cid] = branch
+    return factors, branches
+
+
+def reference_drift_window(previous_price, price_range, drift) -> tuple[int, int]:
+    """The cents a drifted price is drawn from, one cell at a time.
+
+    ``[(1 - drift) * p, (1 + drift) * p]`` in cents, rounded inward and
+    clamped into the range's cent grid; a previous price so far outside the
+    range that the clamped window is empty snaps to the nearest grid point,
+    rounding half to even, clamped into the grid.
+    """
+    p = as_money(previous_price)
+    lo_c = math.ceil(price_range[0] * 100)
+    hi_c = math.floor(price_range[1] * 100)
+    wlo = max(lo_c, math.ceil((1 - drift) * p * 100))
+    whi = min(hi_c, math.floor((1 + drift) * p * 100))
+    if wlo > whi:
+        wlo = whi = min(hi_c, max(lo_c, round(p * 100)))
+    return wlo, whi
+
+
+def reference_consumer_bids(config, rng, round_index, previous=None) -> list[ConsumerBid]:
+    """The consumer bid generator as a per-cell loop over validating constructors."""
+    N = config.shape.num_consumers
+    L = config.shape.num_resource_types
+    qlo, qhi = config.consumer_quantity_range
+    lo_c = math.ceil(config.consumer_price_range[0] * 100)
+    hi_c = math.floor(config.consumer_price_range[1] * 100)
+    quantities = rng.integers(qlo, qhi, size=(N, L), endpoint=True)
+    if qlo < 1:
+        for n in range(N):
+            if not quantities[n].any():
+                quantities[n][int(rng.integers(0, L))] = 1
+    if round_index == 1:
+        cents = rng.integers(lo_c, hi_c, size=(N, L), endpoint=True)
+    else:
+        windows = [
+            [reference_drift_window(previous[n][l], config.consumer_price_range, config.price_drift)
+             for l in range(L)]
+            for n in range(N)
+        ]
+        lo = np.array([[w[0] for w in row] for row in windows], dtype=np.int64)
+        hi = np.array([[w[1] for w in row] for row in windows], dtype=np.int64)
+        cents = rng.integers(lo, hi, size=(N, L), endpoint=True)
+    return [
+        ConsumerBid(
+            consumer_id=n,
+            unit_prices=tuple(Fraction(int(c), 100) for c in cents[n]),
+            quantities=tuple(int(q) for q in quantities[n]),
+        )
+        for n in range(N)
+    ]
+
+
+def reference_provider_bids(config, rng) -> list[ProviderBid]:
+    """The provider bid generator over validating constructors."""
+    M = config.shape.num_providers
+    L = config.shape.num_resource_types
+    qlo, qhi = config.provider_quantity_range
+    lo_c = math.ceil(config.provider_price_range[0] * 100)
+    hi_c = math.floor(config.provider_price_range[1] * 100)
+    quantities = rng.integers(qlo, qhi, size=(M, L), endpoint=True)
+    cents = rng.integers(lo_c, hi_c, size=(M, L), endpoint=True)
+    return [
+        ProviderBid(
+            provider_id=m,
+            unit_prices=tuple(Fraction(int(c), 100) for c in cents[m]),
+            quantities=tuple(int(q) for q in quantities[m]),
+        )
+        for m in range(M)
+    ]

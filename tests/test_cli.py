@@ -11,7 +11,7 @@ from faircda.cli import (
     main,
     run_validation_corpus,
 )
-from faircda.metrics import parse_report
+from faircda.metrics import parse_report, report_to_json
 from faircda.model import Allocation
 from faircda.wdp_solver import WdpSolution
 
@@ -86,6 +86,18 @@ class TestCmdRun:
         assert code == 0
         lines = (out / "per_round.csv").read_text().splitlines()
         assert len(lines) == 2  # header + one row
+
+    def test_time_budget_marks_the_report_machine_dependent(self, tmp_path):
+        timed, untimed = tmp_path / "timed", tmp_path / "untimed"
+        assert run_main(["run", *MICRO, "--time-limit-ms", "60000", "--out", timed]) == 0
+        assert run_main(["run", *MICRO, "--out", untimed]) == 0
+        text = (timed / "report.json").read_text()
+        report = parse_report(text)
+        assert report.config_echo["engine"]["machine_dependent"] is True
+        assert report.config_echo["engine"]["time_budget_s"] == 60.0
+        assert report_to_json(report) == text
+        plain = parse_report((untimed / "report.json").read_text())
+        assert "machine_dependent" not in plain.config_echo["engine"]
 
     def test_usage_error_exits_one(self, capsys):
         assert run_main(["run", "--solver", "magic"]) == 1

@@ -4,8 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    reference_eval_fun,
+    reference_fairness_factors,
+    reference_fun_l,
+    reference_fun_w,
+    reference_prob_l,
+    reference_prob_w,
+)
 
 from faircda.fairness import (
     FairnessOutcome,
@@ -229,3 +237,141 @@ class TestFairnessOutcome:
     def test_missing_factor_defaults_to_zero(self):
         out = FairnessOutcome(factors={}, applied_branch={0: "none"})
         assert out.factor(0) == 0 and out.factor(99) == 0
+
+
+class _SequenceRng:
+    """Stand-in random stream yielding given uniform values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.draws = 0
+
+    def random(self):
+        value = self.values[self.draws]
+        self.draws += 1
+        return value
+
+
+# Means and prices with denominators that are not powers of 2 and 5, and
+# coefficients that are not integers.
+means_st = st.fractions(min_value=Fraction(1, 50), max_value=300, max_denominator=60)
+coefficient_st = st.fractions(min_value=0, max_value=40, max_denominator=12)
+params_st = st.builds(
+    FairnessParams,
+    alpha1=coefficient_st,
+    alpha2=coefficient_st,
+    beta1=coefficient_st,
+    beta2=st.fractions(min_value=Fraction(1, 12), max_value=40, max_denominator=12),
+    max_losses=st.integers(1, 8),
+)
+# Ratios of a price to its type's mean: clamp edges exactly and just past them.
+EDGE_RATIOS = (
+    Fraction(1, 10), Fraction(1, 10) - Fraction(1, 997), Fraction(1, 10) + Fraction(1, 997),
+    Fraction(10), Fraction(10) - Fraction(1, 997), Fraction(10) + Fraction(1, 997), Fraction(1),
+)
+# Draws exactly on probability thresholds (0.5 is prob_w(2) at max_losses 5,
+# and prob_l(1)), floats just off them, and arbitrary floats.
+draw_st = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.25, 0.75, 1 / 3, 2 / 3, 1 / 7, 0.2, 0.125]),
+    st.floats(min_value=0, max_value=1, exclude_max=True),
+)
+
+
+@st.composite
+def fairness_round(draw):
+    L = draw(st.integers(1, 4))
+    means = draw(st.lists(means_st, min_size=L, max_size=L))
+    params = draw(params_st)
+    n = draw(st.integers(1, 8))
+    records, outcomes = {}, {}
+    for cid in range(n):
+        losses = draw(st.integers(0, 12))
+        history = ()
+        if draw(st.booleans()) or losses:
+            if draw(st.booleans()):
+                ratio = draw(st.sampled_from(EDGE_RATIOS))
+                last = tuple(m * ratio for m in means)
+            else:
+                last = tuple(
+                    draw(st.lists(
+                        st.fractions(min_value=0, max_value=4000, max_denominator=70),
+                        min_size=L, max_size=L,
+                    ))
+                )
+            history = (last,)
+        records[cid] = ParticipantRecord(
+            wins=draw(st.integers(0, 12)),
+            losses=losses,
+            consecutive_losses=draw(st.integers(0, losses)),
+            price_history=history,
+        )
+        outcomes[cid] = draw(st.sampled_from(["lost", "won", "absent"]))
+    draws = draw(st.lists(draw_st, min_size=n, max_size=n))
+    return records, outcomes, means, params, draws
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=fairness_round())
+    def test_factors_and_branches_equal_the_fraction_reference(self, case):
+        records, outcomes, means, params, draws = case
+        participants = list(records)[::-1]
+        rng, reference_rng = _SequenceRng(draws), _SequenceRng(draws)
+        out = compute_fairness_factors(records, participants, outcomes, means, params, rng)
+        factors, branches = reference_fairness_factors(
+            records, participants, outcomes, means, params, reference_rng
+        )
+        assert out.factors == factors
+        assert out.applied_branch == branches
+        assert rng.draws == reference_rng.draws == len(records)
+        for cid, record in records.items():
+            assert eval_fun(record, means) == reference_eval_fun(record, means)
+
+    @given(
+        count=counts,
+        eval=st.fractions(min_value=Fraction(-5), max_value=50, max_denominator=97),
+        cl=counts,
+        params=params_st,
+    )
+    def test_public_formulas_equal_the_fraction_reference(self, count, eval, cl, params):
+        assert fun_w(count, eval, cl, params) == reference_fun_w(count, eval, cl, params)
+        if eval != 0:
+            assert fun_l(count, eval, cl, params) == reference_fun_l(count, eval, cl, params)
+        assert prob_w(cl, params) == reference_prob_w(cl, params)
+        assert prob_l(cl, params) == reference_prob_l(cl, params)
+
+    def test_draw_exactly_on_the_threshold_fails(self):
+        params = FairnessParams(max_losses=5)
+        records = {
+            0: ParticipantRecord(losses=2, consecutive_losses=2, price_history=((Fraction(1),),)),
+            1: ParticipantRecord(wins=1, losses=1, consecutive_losses=1, price_history=((Fraction(1),),)),
+        }
+        outcomes = {0: "lost", 1: "won"}
+        # prob_w(2) = 3/6 and prob_l(1) = 1/2: a draw of 0.5 is not below either.
+        out = compute_fairness_factors(records, [0, 1], outcomes, (1,), params, _ConstantRng(0.5))
+        assert out.applied_branch == {0: "none", 1: "none"}
+        below = compute_fairness_factors(
+            records, [0, 1], outcomes, (1,), params, _ConstantRng(0.49999999999999994)
+        )
+        assert below.applied_branch == {0: "reward", 1: "penalty"}
+
+
+class TestMarketMeanValidation:
+    LOSER = {0: ParticipantRecord(losses=1, consecutive_losses=1, price_history=((Fraction(3),),))}
+
+    def test_non_positive_mean_accepted_when_nobody_is_evaluated(self):
+        # prob_w(1) = 2/7 < 0.9: the loser's draw fails, so nobody is evaluated.
+        for outcomes in ({0: "lost"}, {0: "absent"}, {}):
+            out = compute_fairness_factors(
+                self.LOSER, [0], outcomes, (Fraction(0),), PARAMS, _ConstantRng(0.9)
+            )
+            assert out.factors == {0: 0} and out.applied_branch == {0: "none"}
+
+    def test_first_evaluation_rejects_a_non_positive_mean(self):
+        with pytest.raises(
+            ValueError, match=r"market mean price for resource type 1 must be positive, got -1/2"
+        ):
+            compute_fairness_factors(
+                self.LOSER, [0], {0: "lost"}, (Fraction(1), Fraction(-1, 2)), PARAMS,
+                _ConstantRng(0.0),
+            )

@@ -1,12 +1,26 @@
 """Bid generation: ranges, determinism, and the price drift rule."""
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    reference_consumer_bids,
+    reference_drift_window,
+    reference_provider_bids,
+)
 
 from faircda.model import MarketShape
-from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
+from faircda.scenario import (
+    ScenarioConfig,
+    _drift_windows,
+    _grid_bounds,
+    generate_consumer_bids,
+    generate_provider_bids,
+)
 
 
 def small_config(**overrides):
@@ -110,6 +124,13 @@ class TestConsumerBids:
         with pytest.raises(ValueError, match="consumer 11"):
             generate_consumer_bids(config, rng(), 2, previous)
 
+    def test_wrong_length_previous_prices(self):
+        config = small_config()
+        previous = {n: (Fraction(150), Fraction(150)) for n in range(12)}
+        previous[5] = (Fraction(150),)
+        with pytest.raises(ValueError, match="consumer 5: previous prices cover 1 types, expected 2"):
+            generate_consumer_bids(config, rng(), 2, previous)
+
     def test_fixed_seed_reproduces_bids(self):
         config = small_config()
         assert generate_consumer_bids(config, rng(9), 1) == generate_consumer_bids(
@@ -144,3 +165,89 @@ def test_default_round_one_markets_are_non_degenerate():
             for p in providers
             for l in range(config.shape.num_resource_types)
         )
+
+
+def _assert_same_as_validated(bids):
+    """Generator-built bids hold exactly what the validating constructor would."""
+    for bid in bids:
+        assert bid == type(bid)(*astuple(bid))
+        assert all(type(p) is Fraction for p in bid.unit_prices)
+        assert all(type(q) is int for q in bid.quantities)
+
+
+# Previous prices: the cent grid, thirds and sevenths, exact half cents (the
+# snap branch's ties), values outside the range, and numerators too large
+# for int64 arithmetic.
+previous_price_st = st.one_of(
+    st.integers(0, 40_000).map(lambda c: Fraction(c, 100)),
+    st.integers(0, 900).map(lambda k: Fraction(k, 3)),
+    st.integers(0, 2_100).map(lambda k: Fraction(k, 7)),
+    st.integers(0, 40_000).map(lambda c: Fraction(2 * c + 1, 200)),
+    st.integers(0, 10**4).map(lambda k: Fraction(10**18 + k, 10**16)),
+    st.integers(0, 10**4).map(lambda k: Fraction(10**21 + 2 * k + 1, 2 * 10**18)),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
+)
+drift_st = st.sampled_from(
+    [Fraction(0), Fraction(1, 10), Fraction(1, 7), Fraction(1, 3), Fraction(1), Fraction(3, 2)]
+)
+range_st = st.tuples(
+    st.fractions(min_value=Fraction(1, 100), max_value=200, max_denominator=400),
+    st.fractions(min_value=0, max_value=200, max_denominator=400),
+).map(lambda lo_extra: (lo_extra[0], lo_extra[0] + lo_extra[1] + Fraction(1, 100)))
+
+
+@st.composite
+def drift_case(draw):
+    N, L = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    config = ScenarioConfig(
+        shape=MarketShape(N, 2, L),
+        runs=1,
+        consumer_quantity_range=draw(st.sampled_from([(1, 3), (0, 1), (0, 0)])),
+        consumer_price_range=draw(range_st),
+        price_drift=draw(drift_st),
+    )
+    previous = {
+        n: tuple(draw(st.lists(previous_price_st, min_size=L, max_size=L))) for n in range(N)
+    }
+    return config, previous, draw(st.integers(0, 2**32 - 1))
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=drift_case())
+    def test_drift_windows_and_bids_equal_the_per_cell_loop(self, case):
+        config, previous, seed = case
+        lo, hi = _drift_windows(config, previous, _grid_bounds(config.consumer_price_range))
+        expected = [
+            [
+                reference_drift_window(p, config.consumer_price_range, config.price_drift)
+                for p in previous[n]
+            ]
+            for n in range(config.shape.num_consumers)
+        ]
+        assert lo.dtype == hi.dtype == np.int64
+        assert [list(zip(a, b)) for a, b in zip(lo.tolist(), hi.tolist())] == expected
+        bids = generate_consumer_bids(config, rng(seed), 2, previous)
+        assert bids == reference_consumer_bids(config, rng(seed), 2, previous)
+        _assert_same_as_validated(bids)
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=drift_case())
+    def test_round_one_and_providers_equal_the_reference(self, case):
+        config, _, seed = case
+        generator, reference = rng(seed), rng(seed)
+        providers = generate_provider_bids(config, generator)
+        assert providers == reference_provider_bids(config, reference)
+        _assert_same_as_validated(providers)
+        bids = generate_consumer_bids(config, generator, 1)
+        assert bids == reference_consumer_bids(config, reference, 1)
+        _assert_same_as_validated(bids)
+
+    def test_half_cent_previous_prices_snap_half_to_even(self):
+        # With no drift the window of an off-grid price is empty: it snaps to
+        # the nearest cent, ties to even, clamped into the range's grid.
+        config = small_config(shape=MarketShape(4, 3, 1), price_drift=0)
+        previous = {0: (Fraction(20025, 200),), 1: (Fraction(20027, 200),),
+                    2: (Fraction(601, 200),), 3: (Fraction(60001, 200),)}
+        lo, hi = _drift_windows(config, previous, _grid_bounds(config.consumer_price_range))
+        assert lo.tolist() == hi.tolist() == [[10_012], [10_014], [10_000], [25_000]]
