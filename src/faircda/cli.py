@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import EngineConfig, run_simulation
+from .engine import SOLVER_MODES, EngineConfig, run_simulation
 from .metrics import SimulationReport, _csv_cell, emit
 from .model import (
     ConsumerBid,
@@ -415,7 +415,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-fairness", action="store_true", help="disable the fairness mechanism"
     )
     parser.add_argument(
-        "--solver", choices=("exact", "heuristic", "oracle"), default=None,
+        "--solver", choices=SOLVER_MODES, default=None,
         help="winner determination mode",
     )
     parser.add_argument(

@@ -239,7 +239,9 @@ def update_repository(
     winner_ids = set(result.winner_ids)
     records = dict(repo.records)
     for cid in sorted(set(participants)):
-        rec = records.get(cid, ParticipantRecord())
+        rec = records.get(cid)
+        if rec is None:
+            rec = ParticipantRecord()
         offered = result.offered_prices.get(cid)
         if offered is None:
             raise ValueError(f"round result has no offered prices for participant {cid}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
-from .model import FairnessParams, Money, ParticipantRecord, as_money
+from .model import FairnessParams, Money, ParticipantRecord, _unchecked, as_money
 
 __all__ = [
     "Branch",
@@ -243,4 +243,6 @@ def compute_fairness_factors(
             raise ValueError(f"consumer {cid}: unknown previous-round outcome {outcome!r}")
         factors[cid] = factor
         branches[cid] = branch
-    return FairnessOutcome(factors=factors, applied_branch=branches)
+    # Valid by construction: rewards are >= 0 since alpha >= 0, and penalties
+    # < 0 since beta2 > 0; the public constructor keeps its check.
+    return _unchecked(FairnessOutcome, factors=factors, applied_branch=branches)

@@ -24,13 +24,16 @@ solver here:
 greedily admits consumers by optimistic margin with one drop-and-readd
 repair pass.  All three return allocations that validate clean.
 
-Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` carries
-its prices as integers over ``D``, the least common multiple of their
-denominators; the solvers add the fairness factors over ``S``, a common
-multiple of ``D`` and the factors' denominators.  Rationals are built only
-for the results.  The integers are int64 arrays when every sum formed from
-them provably fits, and ``object`` arrays of Python ints otherwise, so the
-same code stays exact on any rational input.
+Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` derives
+its market as integers once, when it is built (:class:`_ScaledValues`):
+prices and budgets over ``D``, the least common multiple of the prices'
+denominators, and the reach, cumulative cost and stand-alone feasibility
+facts every solver reads.  Budgets are derived, never passed in.  The
+solvers add the fairness factors over ``S``, a common multiple of ``D`` and
+the factors' denominators.  Rationals are built only for the results.  The
+integers are int64 arrays when every sum formed from them provably fits,
+and ``object`` arrays of Python ints otherwise, so the same code stays
+exact on any rational input.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ _INT64_SAFE = 2**62
 
 
 class _ScaledValues:
-    """An instance's money as integers over common denominators.
+    """An instance's market as integers, derived once when the instance is built.
 
     ``consumer_prices[n, l]`` and ``provider_prices[m, l]`` are unit prices
     times ``denominator`` (``D``, the least common multiple of the prices'
@@ -91,10 +94,15 @@ class _ScaledValues:
     the fairness factors as Python ints over ``factor_denominator`` (``S``,
     the least common multiple of ``D`` and the factors' denominators).  Per
     type, ``order[l]`` lists provider positions by (ask, position), and
-    ``sorted_prices``, ``sorted_supply`` and ``cumsup`` (cumulative supply,
-    with a leading 0) follow that order.  Price arrays and ``cumsup`` are
-    int64 when every sum formed from them fits, ``object`` otherwise;
-    quantity arrays are int64.
+    ``sorted_prices``, ``cumsup`` and ``cumcost`` (cumulative supply and
+    cost, each with a leading 0) follow that order.
+    ``reach[n, l]`` is how many of those providers consumer ``n`` can afford
+    for type ``l``; ``feasible_alone[n]`` whether that supply alone covers
+    their bundle; ``cheapest_bound[n]`` their bundle priced at each type's
+    cheapest ask, over ``D`` (0 when not feasible alone).  Price arrays,
+    ``cumsup`` and ``cumcost`` are int64 when every sum formed from them
+    fits, ``object`` otherwise; quantity arrays are int64.  Every array is
+    read-only.
     """
 
     def __init__(
@@ -111,28 +119,38 @@ class _ScaledValues:
         dtype = np.int64 if (max(scaled, default=0) + 1) * (units + 1) < _INT64_SAFE else object
         flat = np.array(scaled, dtype=dtype)
         N, M, L = len(consumer_bids), len(provider_bids), num_types
+        types = np.arange(L)
 
         self.denominator = D
         self.consumer_prices = flat[: N * L].reshape(N, L)
         self.provider_prices = flat[N * L :].reshape(M, L)
-        self.consumer_quantities = np.array(
-            [ext.bid.quantities for ext in consumer_bids], dtype=np.int64
-        ).reshape(N, L)
+        q = np.array([ext.bid.quantities for ext in consumer_bids], dtype=np.int64).reshape(N, L)
+        self.consumer_quantities = q
         self.provider_quantities = np.array(
             [pb.quantities for pb in provider_bids], dtype=np.int64
         ).reshape(M, L)
-        self.budgets: list[int] = (
-            (self.consumer_prices * self.consumer_quantities).sum(axis=1).tolist()
-        )
+        self.budgets = tuple((self.consumer_prices * q).sum(axis=1).tolist())
         by_ask = np.argsort(self.provider_prices, axis=0, kind="stable")
         self.order = by_ask.T
-        self.sorted_prices = self.provider_prices[by_ask, np.arange(L)].T
-        self.sorted_supply = self.provider_quantities[by_ask, np.arange(L)].T
+        self.sorted_prices = self.provider_prices[by_ask, types].T
+        supply = self.provider_quantities[by_ask, types].T
         self.cumsup = np.zeros((L, M + 1), dtype=dtype)
-        self.cumsup[:, 1:] = np.cumsum(self.sorted_supply, axis=1, dtype=dtype)
-        self.factor_denominator, self.factors = over_common_denominator(
+        self.cumsup[:, 1:] = np.cumsum(supply, axis=1, dtype=dtype)
+        self.cumcost = np.zeros_like(self.cumsup)
+        self.cumcost[:, 1:] = np.cumsum(self.sorted_prices * supply, axis=1)
+        self.reach = np.empty((N, L), dtype=np.intp)
+        for l in range(L):
+            self.reach[:, l] = np.searchsorted(
+                self.sorted_prices[l], self.consumer_prices[:, l], side="right"
+            )
+        fits = (q == 0) | ((self.reach > 0) & (q <= self.cumsup[types, self.reach]))
+        self.feasible_alone = fits.all(axis=1)
+        bound = (q * self.sorted_prices[:, 0]).sum(axis=1) if M else np.zeros(N, int)
+        self.cheapest_bound = tuple(np.where(self.feasible_alone, bound, 0).tolist())
+        self.factor_denominator, factors = over_common_denominator(
             [ext.fairness_factor for ext in consumer_bids], D
         )
+        self.factors = tuple(factors)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -142,26 +160,21 @@ class _ScaledValues:
 class WdpInstance:
     """One round's winner-determination problem.
 
-    ``budgets[n]`` is the dot product of consumer ``n``'s prices and
-    quantities (it is stored precomputed because the objective reuses it
-    constantly).  Left out, budgets are computed here; passed in, each must
-    match its bid.  Bid order is significant: objective ties are broken
-    toward the lexicographically smallest winner vector over this order, so
-    callers should pass consumer bids sorted by ascending consumer id.
-    Construction also derives the integer form of the prices and fairness
-    factors (:class:`_ScaledValues`) that the solvers and settlement use.
+    Bid order is significant: objective ties are broken toward the
+    lexicographically smallest winner vector over this order, so callers
+    should pass consumer bids sorted by ascending consumer id.  Construction
+    also derives the market as integers once (:class:`_ScaledValues`): the
+    prices, budgets, fairness factors, reach and cost tables that the
+    solvers and settlement use.
     """
 
     shape: MarketShape
     consumer_bids: tuple[ExtendedConsumerBid, ...]
     provider_bids: tuple[ProviderBid, ...]
-    budgets: Optional[tuple[Money, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "consumer_bids", tuple(self.consumer_bids))
         object.__setattr__(self, "provider_bids", tuple(self.provider_bids))
-        if self.budgets is not None:
-            object.__setattr__(self, "budgets", tuple(as_money(b) for b in self.budgets))
         if len(self.consumer_bids) != self.shape.num_consumers:
             raise ValueError(
                 f"expected {self.shape.num_consumers} consumer bids, "
@@ -172,8 +185,6 @@ class WdpInstance:
                 f"expected {self.shape.num_providers} provider bids, "
                 f"got {len(self.provider_bids)}"
             )
-        if self.budgets is not None and len(self.budgets) != len(self.consumer_bids):
-            raise ValueError("one budget per consumer bid is required")
         L = self.shape.num_resource_types
         seen_consumers = set()
         for ext in self.consumer_bids:
@@ -196,18 +207,15 @@ class WdpInstance:
                 raise ValueError(f"duplicate provider id {pb.provider_id}")
             seen_providers.add(pb.provider_id)
 
-        scaled = _ScaledValues(self.consumer_bids, self.provider_bids, L)
-        object.__setattr__(self, "_scaled", scaled)
-        derived = tuple(Fraction(b, scaled.denominator) for b in scaled.budgets)
-        if self.budgets is None:
-            object.__setattr__(self, "budgets", derived)
-            return
-        for ext, v, expected in zip(self.consumer_bids, self.budgets, derived):
-            if v != expected:
-                raise ValueError(
-                    f"consumer {ext.consumer_id}: stored budget {v} does not match "
-                    f"the bid's price-quantity product {expected}"
-                )
+        object.__setattr__(
+            self, "_scaled", _ScaledValues(self.consumer_bids, self.provider_bids, L)
+        )
+
+    @property
+    def budgets(self) -> tuple[Money, ...]:
+        """Each consumer's price-quantity product, :func:`faircda.model.budget` of their bid."""
+        sc = self._scaled
+        return tuple(Fraction(b, sc.denominator) for b in sc.budgets)
 
     @classmethod
     def from_bids(
@@ -216,7 +224,7 @@ class WdpInstance:
         provider_bids: Iterable[ProviderBid],
         num_resource_types: Optional[int] = None,
     ) -> "WdpInstance":
-        """Build an instance, extending plain bids with factor 0 and computing budgets."""
+        """Build an instance, extending plain bids with fairness factor 0."""
         ext_bids = tuple(
             b if isinstance(b, ExtendedConsumerBid) else ExtendedConsumerBid(bid=b)
             for b in consumer_bids
@@ -283,105 +291,6 @@ class SolverLimits:
             raise ValueError(f"node_budget must be positive, got {self.node_budget}")
         if self.time_budget_s is not None and self.time_budget_s <= 0:
             raise ValueError(f"time_budget_s must be positive, got {self.time_budget_s}")
-
-
-class _InstanceView:
-    """Per-instance integers shared by the solvers.
-
-    Money is the instance's integers (see :class:`_ScaledValues`, whose
-    provider order per type this view shares): prices, budgets, cumulative
-    costs and ``cheapest_bound`` over ``D``, fairness factors over ``S``.
-    ``reach[n][l]`` is how many of the sorted providers consumer ``n`` can
-    afford for type ``l``; the feasibility and cost logic works entirely on
-    reach counts, cumulative supply, and cumulative cost.
-    """
-
-    def __init__(self, instance: WdpInstance):
-        sc = instance._scaled
-        self.scaled = sc
-        self.N = instance.shape.num_consumers
-        self.M = instance.shape.num_providers
-        self.L = instance.shape.num_resource_types
-        self.D = sc.denominator
-        q = sc.consumer_quantities
-        reach = np.empty((self.N, self.L), dtype=np.intp)
-        for l in range(self.L):
-            reach[:, l] = np.searchsorted(
-                sc.sorted_prices[l], sc.consumer_prices[:, l], side="right"
-            )
-        cumcost = np.zeros_like(sc.cumsup)
-        cumcost[:, 1:] = np.cumsum(sc.sorted_prices * sc.sorted_supply, axis=1)
-        fits = (q == 0) | ((reach > 0) & (q <= sc.cumsup[np.arange(self.L), reach]))
-        feasible = fits.all(axis=1)
-        bound = (q * sc.sorted_prices[:, 0]).sum(axis=1) if self.M else np.zeros(self.N, int)
-
-        self.reach_index = reach - 1
-        self.q = q.tolist()
-        self.reach = reach.tolist()
-        self.sorted_prices = sc.sorted_prices.tolist()
-        self.cumsup = sc.cumsup.tolist()
-        self.cumcost = cumcost.tolist()
-        self.feasible_alone: list[bool] = feasible.tolist()
-        self.budgets = sc.budgets
-        self.cheapest_bound = [
-            b if ok else 0 for b, ok in zip(bound.tolist(), self.feasible_alone)
-        ]
-        self.S = sc.factor_denominator
-        self.factors = sc.factors
-
-    def new_state(self) -> list[list[int]]:
-        """Per-type cumulative demand by reach prefix; index k covers reaches <= k+1."""
-        return [[0] * self.M for _ in range(self.L)]
-
-    def can_add(self, cumdem: list[list[int]], n: int) -> bool:
-        if not self.feasible_alone[n]:
-            return False
-        for l in range(self.L):
-            qn = self.q[n][l]
-            if qn == 0:
-                continue
-            r = self.reach[n][l]
-            row = cumdem[l]
-            csl = self.cumsup[l]
-            for k in range(r - 1, self.M):
-                if row[k] + qn > csl[k + 1]:
-                    return False
-        return True
-
-    def add(self, cumdem: list[list[int]], n: int) -> None:
-        for l in range(self.L):
-            qn = self.q[n][l]
-            if qn == 0:
-                continue
-            row = cumdem[l]
-            for k in range(self.reach[n][l] - 1, self.M):
-                row[k] += qn
-        return None
-
-    def remove(self, cumdem: list[list[int]], n: int) -> None:
-        for l in range(self.L):
-            qn = self.q[n][l]
-            if qn == 0:
-                continue
-            row = cumdem[l]
-            for k in range(self.reach[n][l] - 1, self.M):
-                row[k] -= qn
-
-    def cost_of_demand(self, l: int, demand: int) -> int:
-        """Cheapest-first cost of buying ``demand`` units of type ``l``, over ``D``."""
-        if demand == 0:
-            return 0
-        cs = self.cumsup[l]
-        idx = bisect_left(cs, demand)
-        if idx >= len(cs):
-            raise ValueError(f"demand {demand} exceeds total supply of type {l}")
-        return self.cumcost[l][idx - 1] + (demand - cs[idx - 1]) * self.sorted_prices[l][idx - 1]
-
-    def total_cost(self, cumdem: list[list[int]]) -> int:
-        total = 0
-        for l in range(self.L):
-            total += self.cost_of_demand(l, cumdem[l][self.M - 1] if self.M else 0)
-        return total
 
 
 def min_cost_allocation(
@@ -545,37 +454,31 @@ def _objective_parts(instance: WdpInstance, allocation: Allocation) -> tuple[Mon
     )
 
 
-def _allocate(
-    instance: WdpInstance, winner_positions: Sequence[int]
-) -> tuple[Allocation, Money, Money]:
-    """A solver's winner set routed at minimum cost, with its utility and satisfaction.
+def _build_solution(
+    instance: WdpInstance, positions: Sequence[int], optimality: str, bound: Optional[Money] = None
+) -> WdpSolution:
+    """A solver's winner set routed at minimum cost, as a solution.
 
     The routing is feasible by construction, so it is not validated here;
     the engine validates each round's allocation once, when it settles it.
+    ``bound``, an upper bound on the optimum where the solver has one, sets
+    the gap to ``max(0, bound - objective)``; without it the gap is 0.
     """
-    y = _route(instance, winner_positions)
+    y = _route(instance, positions)
     if y is None:
         raise RuntimeError("internal error: solver produced an infeasible winner set")
-    chosen = set(winner_positions)
+    chosen = set(positions)
     winners = tuple(n in chosen for n in range(instance.shape.num_consumers))
     allocation = Allocation(winners=winners, transfers=y)
-    return (allocation, *_objective_parts(instance, allocation))
-
-
-def _build_solution(
-    instance: WdpInstance,
-    winner_positions: Sequence[int],
-    optimality: str,
-    gap_bound: Money = Fraction(0),
-) -> WdpSolution:
-    allocation, utility, satisfaction = _allocate(instance, winner_positions)
+    utility, satisfaction = _objective_parts(instance, allocation)
+    objective = utility + satisfaction
     return WdpSolution(
         allocation=allocation,
-        objective=utility + satisfaction,
+        objective=objective,
         total_utility=utility,
         total_satisfaction=satisfaction,
         optimality=optimality,
-        gap_bound=gap_bound,
+        gap_bound=Fraction(0) if bound is None else max(Fraction(0), bound - objective),
     )
 
 
@@ -618,18 +521,63 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     minus their demand priced at the cheapest compatible ask, supply
     ignored).  If a budget runs out first, the incumbent is returned with a
     gap bound from the open nodes.  Objectives and bounds are integers over
-    the view's common denominator ``S``.
+    the instance's common denominator ``S``.  A node's ``cumdem[l][k]`` sums
+    the type-``l`` demand of winners reaching at most ``k + 1`` sorted
+    providers.  Nodes are cheap, so they run on Python lists, not arrays.
     """
     if limits is None:
         limits = SolverLimits()
-    view = _InstanceView(instance)
-    N = view.N
-    up = view.S // view.D
+    sc = instance._scaled
+    shape = instance.shape
+    N, M, L = shape.num_consumers, shape.num_providers, shape.num_resource_types
+    S = sc.factor_denominator
+    up = S // sc.denominator
+    q = sc.consumer_quantities.tolist()
+    reach = sc.reach.tolist()
+    cumsup = sc.cumsup.tolist()
+    cumcost = sc.cumcost.tolist()
+    sorted_prices = sc.sorted_prices.tolist()
+    feasible_alone = sc.feasible_alone.tolist()
+
+    def can_add(cumdem: list[list[int]], n: int) -> bool:
+        if not feasible_alone[n]:
+            return False
+        for l in range(L):
+            qn = q[n][l]
+            if qn == 0:
+                continue
+            row = cumdem[l]
+            csl = cumsup[l]
+            for k in range(reach[n][l] - 1, M):
+                if row[k] + qn > csl[k + 1]:
+                    return False
+        return True
+
+    def add(cumdem: list[list[int]], n: int) -> None:
+        for l in range(L):
+            qn = q[n][l]
+            if qn == 0:
+                continue
+            row = cumdem[l]
+            for k in range(reach[n][l] - 1, M):
+                row[k] += qn
+
+    def total_cost(cumdem: list[list[int]]) -> int:
+        """Cheapest-first cost of the winners' demand, over ``D``."""
+        total = 0
+        for l in range(L):
+            demand = cumdem[l][M - 1] if M else 0
+            if demand:
+                cs = cumsup[l]
+                idx = bisect_left(cs, demand)
+                total += cumcost[l][idx - 1] + (demand - cs[idx - 1]) * sorted_prices[l][idx - 1]
+        return total
+
     # Winner values and optimistic margins, over S.
-    w = [b * up + f for b, f in zip(view.budgets, view.factors)]
+    w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
     suffix_opt = [0] * (N + 1)
     for n in range(N - 1, -1, -1):
-        margin = w[n] - view.cheapest_bound[n] * up if view.feasible_alone[n] else 0
+        margin = w[n] - sc.cheapest_bound[n] * up if feasible_alone[n] else 0
         suffix_opt[n] = suffix_opt[n + 1] + max(0, margin)
 
     # The empty set is always feasible: start from it, objective 0.  Because
@@ -640,7 +588,7 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     incumbent_obj = 0
 
     # Stack entries: (next consumer index, winner positions, demand state, winner-value sum).
-    stack: list[tuple[int, list[int], list[list[int]], int]] = [(0, [], view.new_state(), 0)]
+    stack = [(0, [], [[0] * M for _ in range(L)], 0)]
     nodes = 0
     truncated = False
     started = time.monotonic()
@@ -657,7 +605,7 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
             break
         i, chosen, cumdem, wsum = stack.pop()
         nodes += 1
-        node_obj = wsum - up * view.total_cost(cumdem)
+        node_obj = wsum - up * total_cost(cumdem)
         if i == N:
             if node_obj > incumbent_obj:
                 incumbent = chosen
@@ -666,27 +614,25 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
         if node_obj + suffix_opt[i] <= incumbent_obj:
             continue
         # Push include first so the exclude branch pops (and is explored) first.
-        if view.can_add(cumdem, i):
+        if can_add(cumdem, i):
             child = [row[:] for row in cumdem]
-            view.add(child, i)
+            add(child, i)
             stack.append((i + 1, chosen + [i], child, wsum + w[i]))
         stack.append((i + 1, chosen, cumdem, wsum))
 
     if truncated:
-        open_bound = incumbent_obj
-        for i, _chosen, cumdem, wsum in stack:
-            bound = wsum - up * view.total_cost(cumdem) + suffix_opt[i]
-            if bound > open_bound:
-                open_bound = bound
-        gap = open_bound - incumbent_obj
-        if gap > 0:
+        open_bound = max(
+            [incumbent_obj]
+            + [wsum - up * total_cost(cumdem) + suffix_opt[i] for i, _, cumdem, wsum in stack]
+        )
+        if open_bound > incumbent_obj:
             return _build_solution(
-                instance, incumbent, optimality="heuristic", gap_bound=Fraction(gap, view.S)
+                instance, incumbent, optimality="heuristic", bound=Fraction(open_bound, S)
             )
     return _build_solution(instance, incumbent, optimality="proved_optimal")
 
 
-def _float_cost_table(view: _InstanceView, l: int, max_demand: int) -> list[float]:
+def _float_cost_table(sc: _ScaledValues, l: int, max_demand: int) -> np.ndarray:
     """Float cheapest-first cost of ``d`` units of type ``l``, for ``d`` up to ``max_demand``.
 
     Each entry is the float expression the heuristic has always scored
@@ -695,46 +641,43 @@ def _float_cost_table(view: _InstanceView, l: int, max_demand: int) -> list[floa
     table stops at the candidates' total demand (or the total supply, if
     smaller), which bounds every demand a scan can reach.
     """
-    cs = view.cumsup[l]
-    prices_f = [p / view.D for p in view.sorted_prices[l]]
-    cumcost_f = [c / view.D for c in view.cumcost[l]]
-    table = [0.0]
-    for j in range(1, len(cs)):
-        if len(table) > max_demand:
+    D = sc.denominator
+    cs = sc.cumsup[l].tolist()
+    parts = [np.zeros(1)]
+    for j, (base, price) in enumerate(zip(sc.cumcost[l].tolist(), sc.sorted_prices[l].tolist())):
+        if cs[j] >= max_demand:
             break
-        base, price, start = cumcost_f[j - 1], prices_f[j - 1], cs[j - 1]
-        table.extend(base + (d - start) * price for d in range(start + 1, cs[j] + 1))
-    return table
+        # Entry cs[j] + k is base + k * price, k = 1 .. this provider's supply.
+        parts.append(base / D + np.arange(1, cs[j + 1] - cs[j] + 1) * (price / D))
+    return np.concatenate(parts)
 
 
 class _HeuristicState:
     """The heuristic's winner demand, and which candidates it has room and value for.
 
-    ``cumdem`` is the per-type cumulative demand of :meth:`_InstanceView.new_state`.
-    ``room[l, k]`` is the smallest slack ``cumsup[l][j + 1] - cumdem[l, j]``
-    over ``j >= k``, so a consumer fits iff every quantity it demands is at
-    most the room at its reach: the prefix check of
-    :meth:`_InstanceView.can_add` in O(L) instead of O(L·M), exact because it
-    is integer arithmetic.  ``cost[l][d]`` is the float cost of ``d`` units of
-    type ``l`` from :func:`_float_cost_table`, and ``demand[l]`` the winners'
-    total demand of type ``l``.
+    ``cumdem[l, k]`` is the winners' demand of type ``l`` summed over those
+    who reach at most ``k + 1`` sorted providers.  ``room[l, k]`` is the
+    smallest slack ``cumsup[l][j + 1] - cumdem[l, j]`` over ``j >= k``, so a
+    consumer fits iff every quantity it demands is at most the room at its
+    reach: the whole prefix check in O(L) instead of O(L·M), exact because
+    it is integer arithmetic.  ``cost[l][d]`` is the float cost of ``d``
+    units of type ``l`` from :func:`_float_cost_table`, and ``demand[l]``
+    the winners' total demand of type ``l``.
     """
 
-    def __init__(self, view: _InstanceView, candidates: Sequence[int], w: Sequence[float]):
-        M, L = view.M, view.L
-        self.q = view.scaled.consumer_quantities
-        self.reach_index = view.reach_index
+    def __init__(self, sc: _ScaledValues, candidates: Sequence[int], w: Sequence[float]):
+        L, M = sc.sorted_prices.shape
+        self.q = sc.consumer_quantities
+        self.reach_index = sc.reach - 1
         self.types = np.arange(L)
-        self.supply = view.scaled.cumsup[:, 1:]
+        self.supply = sc.cumsup[:, 1:]
         # What admitting consumer n adds to cumdem: q[n][l] at every k >= reach - 1.
         self.contribution = np.where(
             np.arange(M) >= self.reach_index[:, :, None], self.q[:, :, None], 0
         )
         self.w = np.array(w, dtype=float)
-        self.cost = [
-            _float_cost_table(view, l, sum(view.q[n][l] for n in candidates)) for l in range(L)
-        ]
-        self.cost_array = [np.array(table) for table in self.cost]
+        max_demand = self.q[np.asarray(candidates, dtype=np.intp)].sum(axis=0).tolist()
+        self.cost = [_float_cost_table(sc, l, d) for l, d in enumerate(max_demand)]
         self.cumdem = np.zeros((L, M), dtype=np.int64)
         self._refresh()
 
@@ -753,7 +696,7 @@ class _HeuristicState:
         q = self.q[pool]
         fits = ((q == 0) | (q <= self.room[self.types, self.reach_index[pool]])).all(axis=1)
         marginal = np.zeros(len(pool))
-        for l, (table, d) in enumerate(zip(self.cost_array, self.demand)):
+        for l, (table, d) in enumerate(zip(self.cost, self.demand)):
             # Clipping only touches consumers that do not fit.
             marginal += table[np.minimum(d + q[:, l], len(table) - 1)] - table[d]
         return fits & (self.w[pool] - marginal >= -1e-9)
@@ -796,8 +739,8 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     candidate-by-candidate loop makes (see :class:`_HeuristicState`), so
     the admissions, and the result, are those of that loop.
     """
-    view = _InstanceView(instance)
-    D = view.D
+    sc = instance._scaled
+    D = sc.denominator
     rational_factors = [ext.fairness_factor for ext in instance.consumer_bids]
 
     def numerator(over_D: int, factor: Money) -> int:
@@ -807,12 +750,12 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     def to_float(over_D: int, factor: Money) -> float:
         return numerator(over_D, factor) / (D * factor.denominator)
 
-    candidates = [n for n in range(view.N) if view.feasible_alone[n]]
+    candidates = np.flatnonzero(sc.feasible_alone).tolist()
     # Budget minus cheapest cost, over D; plus the factor, the optimistic margin.
-    margin = {n: view.budgets[n] - view.cheapest_bound[n] for n in candidates}
+    margin = {n: sc.budgets[n] - sc.cheapest_bound[n] for n in candidates}
     score = {n: to_float(margin[n], rational_factors[n]) for n in candidates}
-    w_f = [to_float(b, f) for b, f in zip(view.budgets, rational_factors)]
-    state = _HeuristicState(view, candidates, w_f)
+    w_f = [to_float(b, f) for b, f in zip(sc.budgets, rational_factors)]
+    state = _HeuristicState(sc, candidates, w_f)
 
     def admit_in_order(pool: list[int]) -> list[int]:
         """Admit each consumer of ``pool``, in order, that fits and pays its way."""
@@ -859,25 +802,19 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
             admitted_set.add(a)
             admitted_set.difference_update(gained)
 
-    allocation, utility, satisfaction = _allocate(instance, sorted(admitted_set))
-    objective = utility + satisfaction
     # Every positive optimistic margin, summed over S.
-    up = view.S // D
+    S = sc.factor_denominator
+    up = S // D
     root_bound = Fraction(
         sum(
-            margin[n] * up + view.factors[n]
+            margin[n] * up + sc.factors[n]
             for n in candidates
             if numerator(margin[n], rational_factors[n]) > 0
         ),
-        view.S,
+        S,
     )
-    return WdpSolution(
-        allocation=allocation,
-        objective=objective,
-        total_utility=utility,
-        total_satisfaction=satisfaction,
-        optimality="heuristic",
-        gap_bound=max(Fraction(0), root_bound - objective),
+    return _build_solution(
+        instance, sorted(admitted_set), optimality="heuristic", bound=root_bound
     )
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from faircda.model import ConsumerBid, ProviderBid, as_money
+from faircda.model import ConsumerBid, ProviderBid, as_money, budget
 from faircda.wdp_solver import WdpInstance
 
 
@@ -90,7 +90,7 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
     M = inst.shape.num_providers
     L = inst.shape.num_resource_types
     q = [list(ext.bid.quantities) for ext in inst.consumer_bids]
-    w = [v + ext.fairness_factor for v, ext in zip(inst.budgets, inst.consumer_bids)]
+    w = [budget(ext.bid) + ext.fairness_factor for ext in inst.consumer_bids]
     sorted_prices, cumsup, cumcost = [], [], []
     for l in range(L):
         order = sorted(range(M), key=lambda m: (inst.provider_bids[m].unit_prices[l], m))
@@ -202,6 +202,22 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
             for g in gained:
                 admitted_set.discard(g)
     return sorted(admitted_set)
+
+
+def reference_float_costs(inst: WdpInstance, l: int) -> list[float]:
+    """The scalar loop's float cost of ``d`` units of type ``l``, for every ``d`` up to supply.
+
+    The expression of ``cost_f`` in :func:`reference_heuristic_winners`:
+    floats of the exact cumulative cost and price of the cheapest providers.
+    """
+    order = sorted(inst.provider_bids, key=lambda pb: pb.unit_prices[l])
+    costs, base, start = [0.0], Fraction(0), 0
+    for pb in order:
+        price, supply = pb.unit_prices[l], pb.quantities[l]
+        units = range(start + 1, start + supply + 1)
+        costs += [float(base) + (d - start) * float(price) for d in units]
+        base, start = base + price * supply, start + supply
+    return costs
 
 
 def reference_eval_fun(record, market_mean_prices) -> Fraction:

@@ -128,6 +128,27 @@ class TestUpdateRepository:
         assert repo.records[1].price_history == ((Fraction(2),),)
         assert repo.round_counter == 1
 
+    def test_builds_a_record_only_for_a_new_participant(self, monkeypatch):
+        bids = [cbid(0, 10), cbid(1, 2), cbid(2, 7)]
+        config = EngineConfig(fairness_enabled=False, rounds=100)
+        result = run_round(
+            Repository.fresh([0, 1, 2]), bids, [pbid(0, 5, 5)], config, fairness_rng()
+        )
+        known = Repository.fresh([0, 1])
+        built = []
+        real = ParticipantRecord.__post_init__
+
+        def counting(record):
+            built.append(record)
+            real(record)
+
+        monkeypatch.setattr(ParticipantRecord, "__post_init__", counting)
+        repo = update_repository(known, result, [0, 1, 2])
+        monkeypatch.undo()
+        assert built == [ParticipantRecord()]
+        assert repo.records[2].price_history == ((Fraction(7),),)
+        assert [repo.records[cid].wins for cid in (0, 1, 2)] == [1, 0, 1]
+
     def test_round_index_must_follow(self):
         repo = Repository.fresh([0])
         config = EngineConfig(fairness_enabled=False, rounds=100)

@@ -323,6 +323,7 @@ class TestAgainstReference:
         )
         assert out.factors == factors
         assert out.applied_branch == branches
+        FairnessOutcome(factors=out.factors, applied_branch=out.applied_branch)
         assert rng.draws == reference_rng.draws == len(records)
         for cid, record in records.items():
             assert eval_fun(record, means) == reference_eval_fun(record, means)

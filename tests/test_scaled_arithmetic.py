@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_heuristic_winners
+from oracles import reference_float_costs, reference_heuristic_winners
 
 from faircda import engine
 from faircda.engine import EngineConfig, run_simulation
@@ -26,11 +26,13 @@ from faircda.model import (
     FairnessParams,
     MarketShape,
     ProviderBid,
+    budget,
 )
 from faircda.pricing import settle
 from faircda.scenario import ScenarioConfig
 from faircda.wdp_solver import (
     WdpInstance,
+    _float_cost_table,
     min_cost_allocation,
     objective_value,
     solve_exact,
@@ -140,6 +142,12 @@ class TestBeyondInt64:
         prices = [p for ext in inst.consumer_bids for p in ext.bid.unit_prices]
         prices += [p for pb in inst.provider_bids for p in pb.unit_prices]
         assert math.lcm(*(p.denominator for p in prices)) > 2**63
+
+    def test_budgets_are_each_bids_price_quantity_product(self):
+        inst = coprime_instance()
+        assert inst._scaled.consumer_prices.dtype == object
+        assert inst.budgets == tuple(budget(ext.bid) for ext in inst.consumer_bids)
+        assert all(type(b) is Fraction for b in inst.budgets)
 
     def test_solvers_return_the_recorded_results(self):
         inst = coprime_instance()
@@ -322,6 +330,25 @@ class TestGeneratedInstances:
         assert exact.allocation == oracle.allocation
         assert exact.objective == oracle.objective
         assert exact.total_satisfaction == oracle.total_satisfaction
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=12))
+    def test_budgets_are_each_bids_price_quantity_product(self, inst):
+        budgets = inst.budgets
+        assert len(budgets) == inst.shape.num_consumers
+        for n, ext in enumerate(inst.consumer_bids):
+            assert budgets[n] == budget(ext.bid)
+            assert type(budgets[n]) is Fraction
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=3), st.integers(0, 20))
+    def test_float_cost_tables_match_the_scalar_expression(self, inst, max_demand):
+        sc = inst._scaled
+        for l in range(inst.shape.num_resource_types):
+            table = _float_cost_table(sc, l, max_demand).tolist()
+            reference = reference_float_costs(inst, l)
+            assert len(table) > min(max_demand, len(reference) - 1)
+            assert table == reference[: len(table)]
 
     @settings(max_examples=120, deadline=None)
     @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=12))

@@ -20,6 +20,7 @@ from faircda.model import (
     ExtendedConsumerBid,
     MarketShape,
     ProviderBid,
+    budget,
 )
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from faircda.wdp_solver import (
@@ -64,15 +65,16 @@ class TestCompatible:
 
 
 class TestWdpInstance:
-    def test_budget_mismatch_rejected(self):
-        c = consumer(0, [10], [1])
-        with pytest.raises(ValueError, match="budget"):
-            WdpInstance(
-                shape=MarketShape(1, 1, 1),
-                consumer_bids=(c,),
-                provider_bids=(provider(0, [5], [1]),),
-                budgets=(Fraction(99),),
+    def test_budgets_are_each_bids_price_quantity_product(self):
+        rng = np.random.default_rng(5)
+        config = ScenarioConfig(shape=MarketShape(40, 3, 2), runs=1)
+        for _ in range(3):
+            inst = WdpInstance.from_bids(
+                generate_consumer_bids(config, rng, 1),
+                generate_provider_bids(config, rng),
             )
+            assert inst._scaled.consumer_prices.dtype == np.int64
+            assert inst.budgets == tuple(budget(ext.bid) for ext in inst.consumer_bids)
 
     def test_duplicate_consumer_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -220,7 +222,6 @@ class TestSolveOracle:
             shape=MarketShape(0, 1, 1),
             consumer_bids=(),
             provider_bids=(provider(0, [5], [1]),),
-            budgets=(),
         )
         sol = solve_oracle(inst)
         assert sol.objective == 0 and sol.allocation.winners == ()
@@ -251,7 +252,6 @@ class TestSolveHeuristic:
             shape=MarketShape(0, 1, 1),
             consumer_bids=(),
             provider_bids=(provider(0, [5], [1]),),
-            budgets=(),
         )
         sol = solve_heuristic(inst)
         assert sol.objective == 0 and sol.allocation.winners == ()
