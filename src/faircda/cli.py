@@ -90,35 +90,45 @@ class ExperimentConfig:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a config file's numbers are never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _scenario_from_payload(payload: dict) -> ScenarioConfig:
     defaults = ScenarioConfig()
+
+    def integer(key, fallback):
+        return _json_int(payload.get(key, fallback), f"scenario.{key}")
+
     shape = MarketShape(
-        num_consumers=int(payload.get("consumers", defaults.shape.num_consumers)),
-        num_providers=int(payload.get("providers", defaults.shape.num_providers)),
-        num_resource_types=int(payload.get("resource_types", defaults.shape.num_resource_types)),
+        num_consumers=integer("consumers", defaults.shape.num_consumers),
+        num_providers=integer("providers", defaults.shape.num_providers),
+        num_resource_types=integer("resource_types", defaults.shape.num_resource_types),
     )
 
     def interval(key, fallback, cast):
         raw = payload.get(key, fallback)
-        if len(raw) != 2:
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise ValueError(f"scenario.{key} must be a [low, high] pair, got {raw!r}")
-        return (cast(raw[0]), cast(raw[1]))
+        return (cast(raw[0], f"scenario.{key}"), cast(raw[1], f"scenario.{key}"))
+
+    def money(value, name):
+        return as_money(value)
 
     return ScenarioConfig(
         shape=shape,
-        runs=int(payload.get("runs", defaults.runs)),
+        runs=integer("runs", defaults.runs),
         provider_quantity_range=interval(
-            "provider_quantity_range", defaults.provider_quantity_range, int
+            "provider_quantity_range", defaults.provider_quantity_range, _json_int
         ),
         consumer_quantity_range=interval(
-            "consumer_quantity_range", defaults.consumer_quantity_range, int
+            "consumer_quantity_range", defaults.consumer_quantity_range, _json_int
         ),
-        provider_price_range=interval(
-            "provider_price_range", defaults.provider_price_range, as_money
-        ),
-        consumer_price_range=interval(
-            "consumer_price_range", defaults.consumer_price_range, as_money
-        ),
+        provider_price_range=interval("provider_price_range", defaults.provider_price_range, money),
+        consumer_price_range=interval("consumer_price_range", defaults.consumer_price_range, money),
         price_drift=as_money(payload.get("price_drift", defaults.price_drift)),
     )
 
@@ -132,20 +142,30 @@ def _engine_from_payload(payload: dict) -> EngineConfig:
         alpha2=as_money(params_payload.get("alpha2", params_defaults.alpha2)),
         beta1=as_money(params_payload.get("beta1", params_defaults.beta1)),
         beta2=as_money(params_payload.get("beta2", params_defaults.beta2)),
-        max_losses=int(params_payload.get("max_losses", params_defaults.max_losses)),
+        max_losses=_json_int(
+            params_payload.get("max_losses", params_defaults.max_losses),
+            "engine.fairness_params.max_losses",
+        ),
     )
     time_budget = payload.get("time_budget_s", defaults.solver_limits.time_budget_s)
     limits = SolverLimits(
-        node_budget=int(payload.get("node_budget", defaults.solver_limits.node_budget)),
+        node_budget=_json_int(
+            payload.get("node_budget", defaults.solver_limits.node_budget), "engine.node_budget"
+        ),
         time_budget_s=None if time_budget is None else float(time_budget),
     )
+    fairness = payload.get("fairness_enabled", defaults.fairness_enabled)
+    if not isinstance(fairness, bool):
+        raise ValueError(f"engine.fairness_enabled must be true or false, got {fairness!r}")
     return EngineConfig(
-        fairness_enabled=bool(payload.get("fairness_enabled", defaults.fairness_enabled)),
+        fairness_enabled=fairness,
         fairness_params=params,
         solver_mode=payload.get("solver", defaults.solver_mode),
         solver_limits=limits,
-        rounds=int(payload.get("rounds", defaults.rounds)),
-        master_seed=int(payload.get("master_seed", defaults.master_seed)),
+        rounds=_json_int(payload.get("rounds", defaults.rounds), "engine.rounds"),
+        master_seed=_json_int(
+            payload.get("master_seed", defaults.master_seed), "engine.master_seed"
+        ),
     )
 
 
@@ -303,28 +323,29 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> int:
     return 0
 
 
-def random_micro_instance(
-    rng: np.random.Generator,
-    max_consumers: int = 4,
-    max_providers: int = 2,
-    max_types: int = 2,
-    max_quantity: int = 2,
-    price_range: tuple[int, int] = (1, 20),
-    factor_range: tuple[int, int] = (-10, 10),
-) -> WdpInstance:
+# Shape and value ranges of the validation corpus's micro instances (inclusive).
+MICRO_MAX_CONSUMERS = 4
+MICRO_MAX_PROVIDERS = 2
+MICRO_MAX_TYPES = 2
+MICRO_MAX_QUANTITY = 2
+MICRO_PRICE_RANGE = (1, 20)
+MICRO_FACTOR_RANGE = (-10, 10)
+
+
+def random_micro_instance(rng: np.random.Generator) -> WdpInstance:
     """A small random instance for solver cross-checking.
 
     Integer prices and fairness factors keep every objective a small exact
     rational, so solver agreement can be asserted with zero tolerance.
     """
-    N = int(rng.integers(1, max_consumers, endpoint=True))
-    M = int(rng.integers(1, max_providers, endpoint=True))
-    L = int(rng.integers(1, max_types, endpoint=True))
-    plo, phi = price_range
-    flo, fhi = factor_range
+    N = int(rng.integers(1, MICRO_MAX_CONSUMERS, endpoint=True))
+    M = int(rng.integers(1, MICRO_MAX_PROVIDERS, endpoint=True))
+    L = int(rng.integers(1, MICRO_MAX_TYPES, endpoint=True))
+    plo, phi = MICRO_PRICE_RANGE
+    flo, fhi = MICRO_FACTOR_RANGE
     consumers = []
     for n in range(N):
-        quantities = [int(q) for q in rng.integers(0, max_quantity, size=L, endpoint=True)]
+        quantities = [int(q) for q in rng.integers(0, MICRO_MAX_QUANTITY, size=L, endpoint=True)]
         if not any(quantities):
             quantities[int(rng.integers(0, L))] = 1
         prices = [Fraction(int(p)) for p in rng.integers(plo, phi, size=L, endpoint=True)]
@@ -337,7 +358,7 @@ def random_micro_instance(
         )
     providers = []
     for m in range(M):
-        quantities = [int(q) for q in rng.integers(0, max_quantity, size=L, endpoint=True)]
+        quantities = [int(q) for q in rng.integers(0, MICRO_MAX_QUANTITY, size=L, endpoint=True)]
         prices = [Fraction(int(p)) for p in rng.integers(plo, phi, size=L, endpoint=True)]
         providers.append(ProviderBid(m, tuple(prices), tuple(quantities)))
     return WdpInstance(
@@ -349,26 +370,23 @@ def run_validation_corpus(
     count: int = DEFAULT_CORPUS_SIZE,
     seed: int = DEFAULT_CORPUS_SEED,
     solver: Optional[Callable[[WdpInstance], WdpSolution]] = None,
-    reference: Optional[Callable[[WdpInstance], WdpSolution]] = None,
 ) -> tuple[int, list[str]]:
-    """Cross-check ``solver`` against ``reference`` on random micro instances.
+    """Cross-check ``solver`` against exhaustive enumeration on random micro instances.
 
     Returns (pass count, failure descriptions).  ``solver`` defaults to the
-    branch-and-bound solver and ``reference`` to exhaustive enumeration; the
-    parameters exist so tests can inject a broken solver and watch the
-    corpus catch it.
+    branch-and-bound solver; the parameter exists so tests can inject a
+    broken solver and watch the corpus catch it.
     """
     if count < 1:
         raise ValueError(f"corpus size must be positive, got {count}")
     check = solver if solver is not None else solve_exact
-    oracle = reference if reference is not None else solve_oracle
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     passes = 0
     failures: list[str] = []
     for index in range(count):
         instance = random_micro_instance(rng)
         got = check(instance)
-        expected = oracle(instance)
+        expected = solve_oracle(instance)
         if got.objective == expected.objective:
             passes += 1
         else:

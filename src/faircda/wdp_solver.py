@@ -99,7 +99,9 @@ class _ScaledValues:
     ``reach[n, l]`` is how many of those providers consumer ``n`` can afford
     for type ``l``; ``feasible_alone[n]`` whether that supply alone covers
     their bundle; ``cheapest_bound[n]`` their bundle priced at each type's
-    cheapest ask, over ``D`` (0 when not feasible alone).  Price arrays,
+    cheapest ask, over ``D``, and ``margin[n]`` their budget plus fairness
+    factor minus that, over ``S``: what they can add to any objective at most
+    (both 0 when not feasible alone).  Price arrays,
     ``cumsup`` and ``cumcost`` are int64 when every sum formed from them
     fits, ``object`` otherwise; quantity arrays are int64.  Every array is
     read-only.
@@ -151,6 +153,11 @@ class _ScaledValues:
             [ext.fairness_factor for ext in consumer_bids], D
         )
         self.factors = tuple(factors)
+        up = self.factor_denominator // D
+        self.margin = tuple(
+            (b - c) * up + f if ok else 0
+            for b, c, f, ok in zip(self.budgets, self.cheapest_bound, factors, self.feasible_alone)
+        )
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -573,12 +580,11 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
                 total += cumcost[l][idx - 1] + (demand - cs[idx - 1]) * sorted_prices[l][idx - 1]
         return total
 
-    # Winner values and optimistic margins, over S.
+    # Winner values and the sums of the remaining positive optimistic margins, over S.
     w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
     suffix_opt = [0] * (N + 1)
     for n in range(N - 1, -1, -1):
-        margin = w[n] - sc.cheapest_bound[n] * up if feasible_alone[n] else 0
-        suffix_opt[n] = suffix_opt[n + 1] + max(0, margin)
+        suffix_opt[n] = suffix_opt[n + 1] + max(0, sc.margin[n])
 
     # The empty set is always feasible: start from it, objective 0.  Because
     # subtrees are visited in lexicographic winner-vector order and the
@@ -632,26 +638,6 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     return _build_solution(instance, incumbent, optimality="proved_optimal")
 
 
-def _float_cost_table(sc: _ScaledValues, l: int, max_demand: int) -> np.ndarray:
-    """Float cheapest-first cost of ``d`` units of type ``l``, for ``d`` up to ``max_demand``.
-
-    Each entry is the float expression the heuristic has always scored
-    with, from correctly rounded floats of the exact prices and cumulative
-    costs, so every score, and every tie between scores, is unchanged.  The
-    table stops at the candidates' total demand (or the total supply, if
-    smaller), which bounds every demand a scan can reach.
-    """
-    D = sc.denominator
-    cs = sc.cumsup[l].tolist()
-    parts = [np.zeros(1)]
-    for j, (base, price) in enumerate(zip(sc.cumcost[l].tolist(), sc.sorted_prices[l].tolist())):
-        if cs[j] >= max_demand:
-            break
-        # Entry cs[j] + k is base + k * price, k = 1 .. this provider's supply.
-        parts.append(base / D + np.arange(1, cs[j + 1] - cs[j] + 1) * (price / D))
-    return np.concatenate(parts)
-
-
 class _HeuristicState:
     """The heuristic's winner demand, and which candidates it has room and value for.
 
@@ -660,31 +646,57 @@ class _HeuristicState:
     smallest slack ``cumsup[l][j + 1] - cumdem[l, j]`` over ``j >= k``, so a
     consumer fits iff every quantity it demands is at most the room at its
     reach: the whole prefix check in O(L) instead of O(L·M), exact because
-    it is integer arithmetic.  ``cost[l][d]`` is the float cost of ``d``
-    units of type ``l`` from :func:`_float_cost_table`, and ``demand[l]``
-    the winners' total demand of type ``l``.
+    it is integer arithmetic.
+
+    Costs come from the breakpoints: in floats, ``x`` units of type ``l``
+    cost ``cumcost[l][j] / D + (x - cumsup[l][j]) * (price[l][j] / D)``, with
+    ``cumsup[l][j] < x <= cumsup[l][j + 1]`` and each quotient a correctly
+    rounded integer division.  ``distinct[l]`` holds the quantities of type
+    ``l`` consumers demand, 0 first, and ``slot[l, n]`` consumer ``n``'s among
+    them, flattened.  Each change of demand ``d`` sets ``cost[l]``, the cost
+    of ``d[l]`` units, and ``delta``, that of ``d[l] + distinct[l, s]`` minus it.
     """
 
-    def __init__(self, sc: _ScaledValues, candidates: Sequence[int], w: Sequence[float]):
+    def __init__(self, sc: _ScaledValues, w: Sequence[float]):
         L, M = sc.sorted_prices.shape
         self.q = sc.consumer_quantities
         self.reach_index = sc.reach - 1
         self.types = np.arange(L)
-        self.supply = sc.cumsup[:, 1:]
+        self.cumsup = sc.cumsup
         # What admitting consumer n adds to cumdem: q[n][l] at every k >= reach - 1.
         self.contribution = np.where(
             np.arange(M) >= self.reach_index[:, :, None], self.q[:, :, None], 0
         )
         self.w = np.array(w, dtype=float)
-        max_demand = self.q[np.asarray(candidates, dtype=np.intp)].sum(axis=0).tolist()
-        self.cost = [_float_cost_table(sc, l, d) for l, d in enumerate(max_demand)]
+        columns = [np.unique(np.append(q, 0), return_inverse=True) for q in self.q.T]
+        K = max((len(values) for values, _ in columns), default=1)
+        self.distinct = np.zeros((L, K), dtype=np.int64)
+        self.slot = np.empty(self.q.T.shape, dtype=np.intp)
+        for l, (values, index) in enumerate(columns):
+            self.distinct[l, : len(values)] = values
+            self.slot[l] = l * K + index[:-1]
+        D = sc.denominator
+        # A last breakpoint past any demand, at price 0: such demand never fits.
+        self.breaks = np.concatenate(
+            [sc.cumsup[:, 1:], np.full((L, 1), np.iinfo(np.int64).max)], axis=1
+        )[:, None, :]
+        self.base = np.array([[c / D for c in row] for row in sc.cumcost.tolist()])
+        self.price = np.array([[p / D for p in row] + [0.0] for row in sc.sorted_prices.tolist()])
+        self.row_start = self.types[:, None] * (M + 1)
         self.cumdem = np.zeros((L, M), dtype=np.int64)
+        # A view: it follows every in-place update of cumdem.
+        self.demand = self.cumdem[:, -1:] if M else np.zeros((L, 1), dtype=np.int64)
         self._refresh()
 
     def _refresh(self) -> None:
-        slack = self.supply - self.cumdem
+        slack = self.cumsup[:, 1:] - self.cumdem
         self.room = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1]
-        self.demand = self.cumdem[:, -1].tolist() if self.cumdem.shape[1] else [0] * len(slack)
+        x = self.demand + self.distinct
+        j = (self.breaks >= x[:, :, None]).argmax(axis=2) + self.row_start
+        units = (x - self.cumsup.take(j)).astype(float)
+        cost = self.base.take(j) + units * self.price.take(j)
+        self.cost = cost[:, 0]
+        self.delta = (cost - cost[:, :1]).ravel()
 
     def admissible(self, pool: np.ndarray) -> np.ndarray:
         """Which consumers of ``pool`` would each, on their own, fit and pay their way.
@@ -693,12 +705,10 @@ class _HeuristicState:
         scalar loop would (a type with no demand adds an exact 0.0), and
         compared with the same ``-1e-9`` tolerance.
         """
-        q = self.q[pool]
-        fits = ((q == 0) | (q <= self.room[self.types, self.reach_index[pool]])).all(axis=1)
-        marginal = np.zeros(len(pool))
-        for l, (table, d) in enumerate(zip(self.cost, self.demand)):
-            # Clipping only touches consumers that do not fit.
-            marginal += table[np.minimum(d + q[:, l], len(table) - 1)] - table[d]
+        # room is never negative, so a type a consumer does not demand never
+        # stops them, whatever their reach in it.
+        fits = (self.q[pool] <= self.room[self.types, self.reach_index[pool]]).all(axis=1)
+        marginal = np.add.accumulate(self.delta.take(self.slot[:, pool]))[-1]
         return fits & (self.w[pool] - marginal >= -1e-9)
 
     def add(self, n: int) -> None:
@@ -709,13 +719,13 @@ class _HeuristicState:
         self.cumdem -= self.contribution[n]
         self._refresh()
 
-    def save(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        # _refresh rebinds room and demand rather than writing into them,
-        # so the current objects stay valid snapshots without a copy.
-        return self.cumdem.copy(), self.room, self.demand
+    def save(self) -> tuple[np.ndarray, ...]:
+        # _refresh rebinds room, cost and delta rather than writing into
+        # them, so the current objects stay valid snapshots without a copy.
+        return self.cumdem.copy(), self.room, self.cost, self.delta
 
-    def restore(self, saved: tuple[np.ndarray, np.ndarray, list[int]]) -> None:
-        self.cumdem[...], self.room, self.demand = saved
+    def restore(self, saved: tuple[np.ndarray, ...]) -> None:
+        self.cumdem[...], self.room, self.cost, self.delta = saved
 
 
 def solve_heuristic(instance: WdpInstance) -> WdpSolution:
@@ -729,6 +739,7 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     Scoring runs in floats for speed; the reported objective is exact.  A
     score is an exact rational turned into a float by one integer true
     division, which Python rounds correctly, exactly as ``float(Fraction)``.
+    Costs are read at price breakpoints, so memory does not grow with units.
 
     Every scan walks its candidates in rank order and only admits, so winner
     demand only grows within a scan, and until the next admission the state
@@ -743,19 +754,17 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     D = sc.denominator
     rational_factors = [ext.fairness_factor for ext in instance.consumer_bids]
 
-    def numerator(over_D: int, factor: Money) -> int:
-        """``over_D / D + factor`` is this over ``D * factor.denominator``."""
-        return over_D * factor.denominator + factor.numerator * D
-
     def to_float(over_D: int, factor: Money) -> float:
-        return numerator(over_D, factor) / (D * factor.denominator)
+        """``over_D / D + factor``, over ``D * factor.denominator`` rather than ``S``."""
+        return (over_D * factor.denominator + factor.numerator * D) / (D * factor.denominator)
 
     candidates = np.flatnonzero(sc.feasible_alone).tolist()
-    # Budget minus cheapest cost, over D; plus the factor, the optimistic margin.
-    margin = {n: sc.budgets[n] - sc.cheapest_bound[n] for n in candidates}
-    score = {n: to_float(margin[n], rational_factors[n]) for n in candidates}
+    # The optimistic margin, sc.margin[n] / S, as a float.
+    score = {
+        n: to_float(sc.budgets[n] - sc.cheapest_bound[n], rational_factors[n]) for n in candidates
+    }
     w_f = [to_float(b, f) for b, f in zip(sc.budgets, rational_factors)]
-    state = _HeuristicState(sc, candidates, w_f)
+    state = _HeuristicState(sc, w_f)
 
     def admit_in_order(pool: list[int]) -> list[int]:
         """Admit each consumer of ``pool``, in order, that fits and pays its way."""
@@ -779,8 +788,8 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
 
     def objective_f() -> float:
         total = sum(w_f[n] for n in admitted_set)
-        for table, d in zip(state.cost, state.demand):
-            total -= table[d]
+        for cost in state.cost.tolist():
+            total -= cost
         return total
 
     rejected = [n for n in order if n not in admitted_set and score[n] >= 0.0]
@@ -802,17 +811,7 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
             admitted_set.add(a)
             admitted_set.difference_update(gained)
 
-    # Every positive optimistic margin, summed over S.
-    S = sc.factor_denominator
-    up = S // D
-    root_bound = Fraction(
-        sum(
-            margin[n] * up + sc.factors[n]
-            for n in candidates
-            if numerator(margin[n], rational_factors[n]) > 0
-        ),
-        S,
-    )
+    root_bound = Fraction(sum(m for m in sc.margin if m > 0), sc.factor_denominator)
     return _build_solution(
         instance, sorted(admitted_set), optimality="heuristic", bound=root_bound
     )

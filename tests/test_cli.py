@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, and solver validation."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,52 @@ class TestCmdRun:
         assert run_main(["run", "--config", config_path, "--rounds", "40", "--out", out]) == 1
         assert not out.exists()
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("scenario", "consumers", 5.9),
+            ("scenario", "runs", True),
+            ("scenario", "consumer_quantity_range", [1, 2.5]),
+            ("scenario", "provider_quantity_range", 30),
+            ("engine", "rounds", 2.7),
+            ("engine", "master_seed", "3"),
+            ("engine", "node_budget", 1e5),
+            ("engine", "fairness_params", {"max_losses": 2.0}),
+            ("engine", "fairness_enabled", "false"),
+            ("engine", "fairness_enabled", 0),
+        ],
+    )
+    def test_mistyped_config_value_exits_one_without_files(
+        self, tmp_path, capsys, section, key, value
+    ):
+        config = {"scenario": {"consumers": 5, "runs": 1}, "engine": {"rounds": 2}}
+        config[section][key] = value
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "results"
+        assert run_main(["run", "--config", config_path, "--out", out]) == 1
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    def test_hundred_million_units_run_in_bounded_memory(self, tmp_path):
+        # Heuristic memory must not grow with unit counts.
+        config_path = tmp_path / "experiment.json"
+        units = [5 * 10**7, 10**8]
+        config_path.write_text(json.dumps({
+            "scenario": {"consumers": 4, "providers": 2, "resource_types": 1, "runs": 1,
+                         "provider_quantity_range": units, "consumer_quantity_range": units},
+            "engine": {"rounds": 2, "solver": "heuristic"},
+        }))
+        out = tmp_path / "results"
+        tracemalloc.start()
+        try:
+            assert run_main(["run", "--config", config_path, "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert len(parse_report((out / "report.json").read_text()).per_round) == 2
 
     def test_single_round_single_run_smoke(self, tmp_path):
         out = tmp_path / "one"

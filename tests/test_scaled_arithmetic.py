@@ -32,7 +32,7 @@ from faircda.pricing import settle
 from faircda.scenario import ScenarioConfig
 from faircda.wdp_solver import (
     WdpInstance,
-    _float_cost_table,
+    _HeuristicState,
     min_cost_allocation,
     objective_value,
     solve_exact,
@@ -341,14 +341,32 @@ class TestGeneratedInstances:
             assert type(budgets[n]) is Fraction
 
     @settings(max_examples=60, deadline=None)
-    @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=3), st.integers(0, 20))
-    def test_float_cost_tables_match_the_scalar_expression(self, inst, max_demand):
+    @given(
+        instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=3),
+        st.one_of(NON_DECIMAL, WIDE_GRID),
+        st.data(),
+    )
+    def test_heuristic_costs_match_reference_floats(self, inst, price, data):
+        # One more provider, with no supply of any type, between the others.
+        L = inst.shape.num_resource_types
+        providers = list(inst.provider_bids)
+        at = data.draw(st.integers(0, len(providers)))
+        providers.insert(at, ProviderBid(len(providers), (price,) * L, (0,) * L))
+        inst = WdpInstance.from_bids(inst.consumer_bids, providers, L)
         sc = inst._scaled
-        for l in range(inst.shape.num_resource_types):
-            table = _float_cost_table(sc, l, max_demand).tolist()
-            reference = reference_float_costs(inst, l)
-            assert len(table) > min(max_demand, len(reference) - 1)
-            assert table == reference[: len(table)]
+        state = _HeuristicState(sc, [0.0] * inst.shape.num_consumers)
+        references = [reference_float_costs(inst, l) for l in range(L)]
+        for x in range(max(len(r) for r in references)):
+            state.cumdem[:, -1] = x
+            state._refresh()
+            delta = state.delta.reshape(state.distinct.shape)
+            for l, reference in enumerate(references):
+                if x >= len(reference):
+                    continue
+                assert state.cost[l].hex() == reference[x].hex()
+                for q, d in zip(state.distinct[l].tolist(), delta[l].tolist()):
+                    if x + q < len(reference):
+                        assert d.hex() == (reference[x + q] - reference[x]).hex()
 
     @settings(max_examples=120, deadline=None)
     @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=12))
