@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import SOLVER_MODES, EngineConfig, run_simulation
+from .engine import SOLVER_MODES, EngineConfig, config_echo, run_simulation
 from .metrics import SimulationReport, _csv_cell, emit
 from .model import (
     ConsumerBid,
@@ -32,7 +33,6 @@ from .model import (
     FairnessParams,
     MarketShape,
     ProviderBid,
-    as_money,
 )
 from .scenario import ScenarioConfig
 from .wdp_solver import (
@@ -87,95 +87,66 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
 
     def __post_init__(self):
+        if not isinstance(self.output_dir, (str, Path)):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
-def _json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer; a config file's numbers are never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+# argparse dest -> the dotted config key its flag overrides.
+_FLAG_KEYS = {
+    "consumers": "scenario.consumers",
+    "providers": "scenario.providers",
+    "types": "scenario.resource_types",
+    "runs": "scenario.runs",
+    "rounds": "engine.rounds",
+    "seed": "engine.master_seed",
+    "solver": "engine.solver",
+    "time_limit_ms": "engine.time_budget_s",
+    "node_budget": "engine.node_budget",
+    "fairness_enabled": "engine.fairness_enabled",
+    "out": "output_dir",
+}
 
 
-def _scenario_from_payload(payload: dict) -> ScenarioConfig:
-    defaults = ScenarioConfig()
+def _merge(template: dict, payload, path: str) -> dict:
+    """``template`` overridden by ``payload``, which may use only the template's keys.
 
-    def integer(key, fallback):
-        return _json_int(payload.get(key, fallback), f"scenario.{key}")
-
-    shape = MarketShape(
-        num_consumers=integer("consumers", defaults.shape.num_consumers),
-        num_providers=integer("providers", defaults.shape.num_providers),
-        num_resource_types=integer("resource_types", defaults.shape.num_resource_types),
-    )
-
-    def interval(key, fallback, cast):
-        raw = payload.get(key, fallback)
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ValueError(f"scenario.{key} must be a [low, high] pair, got {raw!r}")
-        return (cast(raw[0], f"scenario.{key}"), cast(raw[1], f"scenario.{key}"))
-
-    def money(value, name):
-        return as_money(value)
-
-    return ScenarioConfig(
-        shape=shape,
-        runs=integer("runs", defaults.runs),
-        provider_quantity_range=interval(
-            "provider_quantity_range", defaults.provider_quantity_range, _json_int
-        ),
-        consumer_quantity_range=interval(
-            "consumer_quantity_range", defaults.consumer_quantity_range, _json_int
-        ),
-        provider_price_range=interval("provider_price_range", defaults.provider_price_range, money),
-        consumer_price_range=interval("consumer_price_range", defaults.consumer_price_range, money),
-        price_drift=as_money(payload.get("price_drift", defaults.price_drift)),
-    )
+    Where the template holds an object, the payload must hold one too, and
+    the two are merged recursively; any other value is replaced as given.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path or 'config'} must be a JSON object, got {payload!r}")
+    merged = dict(template)
+    for key, value in payload.items():
+        dotted = f"{path}.{key}" if path else key
+        if key not in template:
+            raise ValueError(f"unknown config key {dotted}")
+        if isinstance(template[key], dict):
+            value = _merge(template[key], value, dotted)
+        merged[key] = value
+    return merged
 
 
-def _engine_from_payload(payload: dict) -> EngineConfig:
-    defaults = EngineConfig()
-    params_payload = payload.get("fairness_params", {})
-    params_defaults = FairnessParams()
-    params = FairnessParams(
-        alpha1=as_money(params_payload.get("alpha1", params_defaults.alpha1)),
-        alpha2=as_money(params_payload.get("alpha2", params_defaults.alpha2)),
-        beta1=as_money(params_payload.get("beta1", params_defaults.beta1)),
-        beta2=as_money(params_payload.get("beta2", params_defaults.beta2)),
-        max_losses=_json_int(
-            params_payload.get("max_losses", params_defaults.max_losses),
-            "engine.fairness_params.max_losses",
-        ),
-    )
-    time_budget = payload.get("time_budget_s", defaults.solver_limits.time_budget_s)
-    limits = SolverLimits(
-        node_budget=_json_int(
-            payload.get("node_budget", defaults.solver_limits.node_budget), "engine.node_budget"
-        ),
-        time_budget_s=None if time_budget is None else float(time_budget),
-    )
-    fairness = payload.get("fairness_enabled", defaults.fairness_enabled)
-    if not isinstance(fairness, bool):
-        raise ValueError(f"engine.fairness_enabled must be true or false, got {fairness!r}")
-    return EngineConfig(
-        fairness_enabled=fairness,
-        fairness_params=params,
-        solver_mode=payload.get("solver", defaults.solver_mode),
-        solver_limits=limits,
-        rounds=_json_int(payload.get("rounds", defaults.rounds), "engine.rounds"),
-        master_seed=_json_int(
-            payload.get("master_seed", defaults.master_seed), "engine.master_seed"
-        ),
-    )
+@contextmanager
+def _section(path: str):
+    """Prefix a ``ValueError`` raised while building one config section with its path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespace] = None) -> ExperimentConfig:
     """Merge (defaults <- config file <- command-line flags) into one config.
 
-    The file is JSON with the same layout emitted as the report's config
-    echo: ``{"scenario": {...}, "engine": {...}, "output_dir": ...}``.
+    The defaults are the report's config echo of the default configuration,
+    plus ``output_dir``, so every report's ``config`` object is a valid
+    config file and any key the echo does not write is rejected.  The echo's
+    ``engine.machine_dependent`` is accepted and ignored: it is recomputed
+    from ``time_budget_s``.
     """
-    payload: dict = {}
+    merged = {**config_echo(ScenarioConfig(), EngineConfig()), "output_dir": "out"}
+    merged["engine"]["machine_dependent"] = None
     if path is not None:
         try:
             payload = json.loads(Path(path).read_text())
@@ -183,38 +154,30 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
             raise ValueError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-    scenario_payload = dict(payload.get("scenario", {}))
-    engine_payload = dict(payload.get("engine", {}))
-    output_dir = payload.get("output_dir", "out")
+        merged = _merge(merged, payload, "")
+    for dest, dotted in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            section, _, key = dotted.rpartition(".")
+            if dest == "time_limit_ms":
+                value = value / 1000
+            (merged[section] if section else merged)[key] = value
 
-    if args is not None:
-        if getattr(args, "consumers", None) is not None:
-            scenario_payload["consumers"] = args.consumers
-        if getattr(args, "providers", None) is not None:
-            scenario_payload["providers"] = args.providers
-        if getattr(args, "types", None) is not None:
-            scenario_payload["resource_types"] = args.types
-        if getattr(args, "runs", None) is not None:
-            scenario_payload["runs"] = args.runs
-        if getattr(args, "rounds", None) is not None:
-            engine_payload["rounds"] = args.rounds
-        if getattr(args, "seed", None) is not None:
-            engine_payload["master_seed"] = args.seed
-        if getattr(args, "solver", None) is not None:
-            engine_payload["solver"] = args.solver
-        if getattr(args, "time_limit_ms", None) is not None:
-            engine_payload["time_budget_s"] = args.time_limit_ms / 1000.0
-        if getattr(args, "node_budget", None) is not None:
-            engine_payload["node_budget"] = args.node_budget
-        if getattr(args, "no_fairness", False):
-            engine_payload["fairness_enabled"] = False
-        if getattr(args, "out", None) is not None:
-            output_dir = args.out
-    return ExperimentConfig(
-        scenario=_scenario_from_payload(scenario_payload),
-        engine=_engine_from_payload(engine_payload),
-        output_dir=Path(output_dir),
-    )
+    scenario, engine = merged["scenario"], merged["engine"]
+    del engine["machine_dependent"]
+    with _section("scenario"):
+        shape = MarketShape(
+            scenario.pop("consumers"), scenario.pop("providers"), scenario.pop("resource_types")
+        )
+        scenario_config = ScenarioConfig(shape=shape, **scenario)
+    with _section("engine.fairness_params"):
+        params = FairnessParams(**engine.pop("fairness_params"))
+    with _section("engine"):
+        limits = SolverLimits(engine.pop("node_budget"), engine.pop("time_budget_s"))
+        engine_config = EngineConfig(
+            fairness_params=params, solver_mode=engine.pop("solver"), solver_limits=limits, **engine
+        )
+    return ExperimentConfig(scenario_config, engine_config, merged["output_dir"])
 
 
 def cmd_run(config: ExperimentConfig, jobs: int = 1) -> int:
@@ -430,7 +393,8 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--providers", type=int, default=None, help="number of providers")
     parser.add_argument("--types", type=int, default=None, help="number of resource types")
     parser.add_argument(
-        "--no-fairness", action="store_true", help="disable the fairness mechanism"
+        "--no-fairness", dest="fairness_enabled", action="store_const", const=False,
+        help="disable the fairness mechanism",
     )
     parser.add_argument(
         "--solver", choices=SOLVER_MODES, default=None,

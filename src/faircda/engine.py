@@ -34,6 +34,7 @@ from .model import (
     ParticipantRecord,
     ProviderBid,
     RoundResult,
+    _check_count,
     over_common_denominator,
 )
 from .pricing import settle
@@ -59,7 +60,12 @@ __all__ = [
     "repository_from_json",
 ]
 
-SOLVER_MODES = ("exact", "heuristic", "oracle")
+_SOLVERS = {
+    "exact": lambda instance, limits: solve_exact(instance, limits),
+    "heuristic": lambda instance, limits: solve_heuristic(instance),
+    "oracle": lambda instance, limits: solve_oracle(instance),
+}
+SOLVER_MODES = tuple(_SOLVERS)
 
 
 @dataclass(frozen=True)
@@ -96,12 +102,12 @@ class EngineConfig:
             raise ValueError(
                 f"solver_mode must be one of {SOLVER_MODES}, got {self.solver_mode!r}"
             )
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if not isinstance(self.fairness_enabled, bool):
             raise ValueError(
-                f"master_seed must be a non-negative integer, got {self.master_seed!r}"
+                f"fairness_enabled must be true or false, got {self.fairness_enabled!r}"
             )
+        _check_count(self.rounds, "rounds", positive=True)
+        _check_count(self.master_seed, "master_seed")
 
 
 def previous_outcomes(repo: Repository, participants: Sequence[int]) -> dict[int, Outcome]:
@@ -130,13 +136,6 @@ def _market_mean_prices(consumer_bids: Sequence[ConsumerBid]) -> list[Money]:
     return [
         Fraction(sum(scaled[l::num_types]), S * len(consumer_bids)) for l in range(num_types)
     ]
-
-
-_SOLVERS = {
-    "heuristic": lambda instance, limits: solve_heuristic(instance),
-    "oracle": lambda instance, limits: solve_oracle(instance),
-    "exact": lambda instance, limits: solve_exact(instance, limits),
-}
 
 
 def run_round(
@@ -261,7 +260,8 @@ def _fairness_rng(master_seed: int, run_index: int) -> np.random.Generator:
 
 def _simulate_one_run(
     scenario: ScenarioConfig, config: EngineConfig, run_index: int
-) -> tuple[list[RoundResult], Repository]:
+) -> tuple[list[metrics.PerRoundRow], metrics.RunMetrics, dict]:
+    """One run's report rows, metrics and final repository: small to return from a worker."""
     rng_bids = _bid_rng(config.master_seed, run_index)
     rng_fair = _fairness_rng(config.master_seed, run_index)
     repo = Repository.fresh(range(scenario.shape.num_consumers))
@@ -275,11 +275,11 @@ def _simulate_one_run(
         result = run_round(repo, active, provider_bids, config, rng_fair)
         repo = update_repository(repo, result, [b.consumer_id for b in active])
         results.append(result)
-    return results, repo
-
-
-def _simulate_star(args: tuple) -> tuple[list[RoundResult], Repository]:
-    return _simulate_one_run(*args)
+    return (
+        metrics.per_round_rows(run_index, results),
+        metrics.aggregate(results, repo, run=run_index),
+        repository_to_dict(repo),
+    )
 
 
 def config_echo(scenario: ScenarioConfig, config: EngineConfig) -> dict:
@@ -332,24 +332,20 @@ def run_simulation(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(scenario, config, run) for run in range(scenario.runs)]
+    runs = range(scenario.runs)
     if jobs == 1 or scenario.runs == 1:
-        outcomes = [_simulate_one_run(*task) for task in tasks]
+        outcomes = [_simulate_one_run(scenario, config, run) for run in runs]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, scenario.runs)) as pool:
-            outcomes = list(pool.map(_simulate_star, tasks))
-    per_round: list[metrics.PerRoundRow] = []
-    per_run: list[metrics.RunMetrics] = []
-    repositories: list[dict] = []
-    for run_index, (results, repo) in enumerate(outcomes):
-        per_round.extend(metrics.per_round_rows(run_index, results))
-        per_run.append(metrics.aggregate(results, repo, run=run_index))
-        repositories.append(repository_to_dict(repo))
+            outcomes = list(
+                pool.map(_simulate_one_run, [scenario] * len(runs), [config] * len(runs), runs)
+            )
+    rows, per_run, repositories = zip(*outcomes)
     return metrics.SimulationReport(
-        per_round=tuple(per_round),
-        per_run=tuple(per_run),
+        per_round=tuple(row for run_rows in rows for row in run_rows),
+        per_run=per_run,
         config_echo=config_echo(scenario, config),
-        final_repositories=tuple(repositories),
+        final_repositories=repositories,
     )
 
 

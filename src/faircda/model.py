@@ -72,6 +72,18 @@ def over_common_denominator(
     return S, [v.numerator * scale[v.denominator] for v in values]
 
 
+def _check_count(value, name: str, positive: bool = False) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) that is at least 0, or 1 if ``positive``.
+
+    The one count check of every config and record type: counts arrive from
+    JSON, where ``true`` and ``2.0`` must not pass for integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < int(positive):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
+
+
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` built without ``__post_init__``.
 
@@ -117,9 +129,7 @@ class MarketShape:
 
     def __post_init__(self):
         for name in ("num_consumers", "num_providers", "num_resource_types"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            _check_count(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -230,16 +240,14 @@ class ParticipantRecord:
 
     def __post_init__(self):
         for name in ("wins", "losses", "consecutive_losses"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            _check_count(getattr(self, name), name)
         if self.consecutive_losses > self.losses:
             raise ValueError(
                 f"consecutive_losses ({self.consecutive_losses}) cannot exceed "
                 f"losses ({self.losses})"
             )
-        if self.dropped_at_round is not None and self.dropped_at_round < 1:
-            raise ValueError("dropped_at_round must be a round index >= 1")
+        if self.dropped_at_round is not None:
+            _check_count(self.dropped_at_round, "dropped_at_round", positive=True)
         object.__setattr__(
             self,
             "price_history",
@@ -316,8 +324,7 @@ class FairnessParams:
                 raise ValueError(f"{name} must be non-negative")
         if self.beta2 <= 0:
             raise ValueError("beta2 must be strictly positive (it is divided by the bid quality)")
-        if not isinstance(self.max_losses, int) or self.max_losses < 1:
-            raise ValueError(f"max_losses must be a positive integer, got {self.max_losses!r}")
+        _check_count(self.max_losses, "max_losses", positive=True)
 
 
 @dataclass(frozen=True, eq=False)

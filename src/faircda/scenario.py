@@ -21,11 +21,17 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import ConsumerBid, MarketShape, Money, ProviderBid, _unchecked, as_money
+from .model import ConsumerBid, MarketShape, Money, ProviderBid, _check_count, _unchecked, as_money
 
 __all__ = ["ScenarioConfig", "generate_provider_bids", "generate_consumer_bids"]
 
 _CENTS = 100
+_RANGES = (
+    "provider_quantity_range",
+    "consumer_quantity_range",
+    "provider_price_range",
+    "consumer_price_range",
+)
 
 
 def _grid_bounds(price_range: tuple[Money, Money]) -> tuple[int, int]:
@@ -64,28 +70,27 @@ class ScenarioConfig:
             or self.shape.num_resource_types < 1
         ):
             raise ValueError("scenario generation needs at least one of each participant kind")
-        if not isinstance(self.runs, int) or self.runs < 1:
-            raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
-        for name in ("provider_quantity_range", "consumer_quantity_range"):
-            lo, hi = getattr(self, name)
-            if not (isinstance(lo, int) and isinstance(hi, int)):
-                raise ValueError(f"{name} bounds must be integers")
+        _check_count(self.runs, "runs", positive=True)
+        for name in _RANGES:
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise ValueError(f"{name} must be a [low, high] pair, got {value!r}")
+            if name.endswith("quantity_range"):
+                lo, hi = (_check_count(v, f"{name} bounds") for v in value)
+            else:
+                lo, hi = (as_money(v) for v in value)
             if lo < 0 or hi < lo:
                 raise ValueError(f"{name} must be a non-empty non-negative interval, got [{lo}, {hi}]")
+            object.__setattr__(self, name, (lo, hi))
+        for name in ("provider_price_range", "consumer_price_range"):
+            lo_c, hi_c = _grid_bounds(getattr(self, name))
+            if lo_c > hi_c:
+                raise ValueError(f"{name} contains no representable price (grid is 1/{_CENTS})")
         if self.provider_quantity_range[0] < 1:
             raise ValueError(
                 "provider_quantity_range must start at 1 or more, got "
                 f"{list(self.provider_quantity_range)}"
             )
-        for name in ("provider_price_range", "consumer_price_range"):
-            lo, hi = getattr(self, name)
-            lo, hi = as_money(lo), as_money(hi)
-            object.__setattr__(self, name, (lo, hi))
-            if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must be a non-empty non-negative interval, got [{lo}, {hi}]")
-            lo_c, hi_c = _grid_bounds((lo, hi))
-            if lo_c > hi_c:
-                raise ValueError(f"{name} contains no representable price (grid is 1/{_CENTS})")
         if self.consumer_price_range[0] <= 0:
             raise ValueError(
                 "consumer_price_range must start above 0, got "

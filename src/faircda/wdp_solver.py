@@ -53,6 +53,7 @@ from .model import (
     MarketShape,
     Money,
     ProviderBid,
+    _check_count,
     as_money,
     over_common_denominator,
 )
@@ -294,10 +295,13 @@ class SolverLimits:
     time_budget_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.node_budget <= 0:
-            raise ValueError(f"node_budget must be positive, got {self.node_budget}")
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
-            raise ValueError(f"time_budget_s must be positive, got {self.time_budget_s}")
+        _check_count(self.node_budget, "node_budget", positive=True)
+        budget = self.time_budget_s
+        if budget is None:
+            return
+        if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget > 0:
+            raise ValueError(f"time_budget_s must be None or a positive number, got {budget!r}")
+        object.__setattr__(self, "time_budget_s", float(budget))
 
 
 def min_cost_allocation(

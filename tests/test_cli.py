@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,43 @@ class TestCmdRun:
         assert run_main(["run", "--config", config_path, "--out", out]) == 1
         assert not out.exists()
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"bogus": 1}, "bogus"),
+            ({"scenario": {"consumers": 5, "colour": "red"}}, "scenario.colour"),
+            ({"engine": {"fairnes_enabled": False}}, "engine.fairnes_enabled"),
+            ({"engine": {"fairness_params": {"gamma": 1}}}, "engine.fairness_params.gamma"),
+            ({"scenario": {"rounds": 50}}, "scenario.rounds"),
+            ({"scenario": 7}, "scenario"),
+            ({"engine": {"fairness_params": 5}}, "engine.fairness_params"),
+            ([{"scenario": {}}], "config"),
+            ({"engine": {"time_budget_s": True}}, "time_budget_s"),
+            ({"engine": {"time_budget_s": "abc"}}, "time_budget_s"),
+            ({"output_dir": 5}, "output_dir"),
+        ],
+    )
+    def test_config_outside_the_schema_exits_one_without_files(
+        self, tmp_path, monkeypatch, capsys, config, named
+    ):
+        # No --out: a run would write to the config's output_dir, or "out", under tmp_path.
+        monkeypatch.chdir(tmp_path)
+        Path("experiment.json").write_text(json.dumps(config))
+        assert run_main(["run", "--config", "experiment.json", "--rounds", "2", "--runs", "1"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["experiment.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [[], ["--solver", "exact", "--time-limit-ms", "60000"]])
+    def test_report_config_fed_back_gives_the_same_report(self, tmp_path, extra):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_main(["run", *MICRO, *extra, "--out", first]) == 0
+        config_path = tmp_path / "echo.json"
+        config_path.write_text(json.dumps(json.loads((first / "report.json").read_text())["config"]))
+        assert run_main(["run", "--config", config_path, "--out", second]) == 0
+        assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
 
     def test_hundred_million_units_run_in_bounded_memory(self, tmp_path):
         # Heuristic memory must not grow with unit counts.

@@ -274,6 +274,15 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="rounds"):
             EngineConfig(rounds=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"rounds": True}, {"rounds": 2.0}, {"master_seed": "3"}, {"fairness_enabled": "false"},
+         {"fairness_enabled": 0}],
+    )
+    def test_mistyped_fields_rejected(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            EngineConfig(**fields)
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="solver_mode"):
             EngineConfig(solver_mode="simplex")

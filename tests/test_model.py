@@ -31,6 +31,11 @@ class TestMarketShape:
         with pytest.raises(ValueError):
             MarketShape(*bad)
 
+    @pytest.mark.parametrize("bad", [(True, 1, 1), (1, 2.0, 1)])
+    def test_non_integer_counts_rejected(self, bad):
+        with pytest.raises(ValueError):
+            MarketShape(*bad)
+
     def test_degenerate_empty_market_allowed(self):
         # Edge markets (all consumers dropped) stay representable.
         assert MarketShape(0, 1, 1).num_consumers == 0
@@ -72,6 +77,14 @@ class TestParticipantRecord:
     def test_streak_cannot_exceed_losses(self):
         with pytest.raises(ValueError, match="consecutive_losses"):
             ParticipantRecord(wins=0, losses=1, consecutive_losses=2)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"wins": True}, {"losses": 1.0}, {"dropped_at_round": 0}, {"dropped_at_round": True}],
+    )
+    def test_counts_from_json_must_be_integers(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            ParticipantRecord(**fields)
 
     def test_win_resets_streak(self):
         rec = ParticipantRecord(wins=1, losses=5, consecutive_losses=5)
@@ -134,6 +147,11 @@ class TestFairnessParams:
     def test_max_losses_zero_rejected(self):
         with pytest.raises(ValueError, match="max_losses"):
             FairnessParams(max_losses=0)
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_max_losses_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="max_losses"):
+            FairnessParams(max_losses=bad)
 
 
 class TestAllocation:

@@ -60,6 +60,27 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="consumer_price_range"):
             small_config(consumer_price_range=(0, 10))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"runs": True},
+            {"provider_quantity_range": 30},
+            {"provider_quantity_range": (3, 9, 12)},
+            {"consumer_quantity_range": (1, 2.5)},
+            {"consumer_quantity_range": (True, 2)},
+            {"consumer_price_range": "100"},
+        ],
+    )
+    def test_mistyped_fields_rejected(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            small_config(**fields)
+
+    def test_list_ranges_are_stored_as_tuples(self):
+        config = small_config(provider_quantity_range=[3, 9], consumer_price_range=[100, 250])
+        assert config.provider_quantity_range == (3, 9)
+        assert config.consumer_price_range == (Fraction(100), Fraction(250))
+        assert hash(config) == hash(small_config(provider_quantity_range=(3, 9)))
+
     def test_negative_drift_rejected(self):
         with pytest.raises(ValueError, match="price_drift"):
             small_config(price_drift=-1)

@@ -196,6 +196,19 @@ class TestSolveExact:
         with pytest.raises(ValueError, match="time_budget_s"):
             SolverLimits(time_budget_s=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"node_budget": 1e5}, {"node_budget": True}, {"time_budget_s": True},
+         {"time_budget_s": "abc"}],
+    )
+    def test_mistyped_limits_rejected(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            SolverLimits(**fields)
+
+    def test_time_budget_is_stored_as_float(self):
+        assert SolverLimits(time_budget_s=5).time_budget_s == 5.0
+        assert isinstance(SolverLimits(time_budget_s=5).time_budget_s, float)
+
     def test_truncated_search_reports_valid_gap(self):
         inst = instance(
             [consumer(0, [10], [1]), consumer(1, [9], [1])],
