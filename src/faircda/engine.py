@@ -106,6 +106,9 @@ class EngineConfig:
             raise ValueError(
                 f"fairness_enabled must be true or false, got {self.fairness_enabled!r}"
             )
+        for name, kind in (("fairness_params", FairnessParams), ("solver_limits", SolverLimits)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         _check_count(self.rounds, "rounds", positive=True)
         _check_count(self.master_seed, "master_seed")
 

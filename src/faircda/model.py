@@ -84,6 +84,21 @@ def _check_count(value, name: str, positive: bool = False) -> int:
     return value
 
 
+def _check_money(value, name: str) -> Money:
+    """``value`` as exact money if :func:`as_money` reads it and it is at least 0.
+
+    The one money check of every config type: like counts, money arrives
+    from JSON, and a bad value must be reported under its field's name.
+    """
+    try:
+        money = as_money(value)
+    except (ValueError, ZeroDivisionError):
+        money = None
+    if money is None or money < 0:
+        raise ValueError(f"{name} must be a non-negative number, got {value!r}")
+    return money
+
+
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` built without ``__post_init__``.
 
@@ -319,9 +334,7 @@ class FairnessParams:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            object.__setattr__(self, name, as_money(getattr(self, name)))
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            object.__setattr__(self, name, _check_money(getattr(self, name), name))
         if self.beta2 <= 0:
             raise ValueError("beta2 must be strictly positive (it is divided by the bid quality)")
         _check_count(self.max_losses, "max_losses", positive=True)

@@ -21,7 +21,16 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import ConsumerBid, MarketShape, Money, ProviderBid, _check_count, _unchecked, as_money
+from .model import (
+    ConsumerBid,
+    MarketShape,
+    Money,
+    ProviderBid,
+    _check_count,
+    _check_money,
+    _unchecked,
+    as_money,
+)
 
 __all__ = ["ScenarioConfig", "generate_provider_bids", "generate_consumer_bids"]
 
@@ -64,6 +73,8 @@ class ScenarioConfig:
     price_drift: Money = Fraction(1, 10)
 
     def __post_init__(self):
+        if not isinstance(self.shape, MarketShape):
+            raise ValueError(f"shape must be a MarketShape, got {self.shape!r}")
         if (
             self.shape.num_consumers < 1
             or self.shape.num_providers < 1
@@ -75,12 +86,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or len(value) != 2:
                 raise ValueError(f"{name} must be a [low, high] pair, got {value!r}")
-            if name.endswith("quantity_range"):
-                lo, hi = (_check_count(v, f"{name} bounds") for v in value)
-            else:
-                lo, hi = (as_money(v) for v in value)
-            if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must be a non-empty non-negative interval, got [{lo}, {hi}]")
+            check = _check_count if name.endswith("quantity_range") else _check_money
+            lo, hi = (check(v, f"{name} bounds") for v in value)
+            if hi < lo:
+                raise ValueError(f"{name} must be a non-empty interval, got [{lo}, {hi}]")
             object.__setattr__(self, name, (lo, hi))
         for name in ("provider_price_range", "consumer_price_range"):
             lo_c, hi_c = _grid_bounds(getattr(self, name))
@@ -96,9 +105,7 @@ class ScenarioConfig:
                 "consumer_price_range must start above 0, got "
                 f"[{self.consumer_price_range[0]}, {self.consumer_price_range[1]}]"
             )
-        object.__setattr__(self, "price_drift", as_money(self.price_drift))
-        if self.price_drift < 0:
-            raise ValueError(f"price_drift must be non-negative, got {self.price_drift}")
+        object.__setattr__(self, "price_drift", _check_money(self.price_drift, "price_drift"))
 
 
 def _cents_to_money(cents: np.ndarray) -> list[tuple[Money, ...]]:

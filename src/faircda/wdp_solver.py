@@ -649,29 +649,36 @@ class _HeuristicState:
     who reach at most ``k + 1`` sorted providers.  ``room[l, k]`` is the
     smallest slack ``cumsup[l][j + 1] - cumdem[l, j]`` over ``j >= k``, so a
     consumer fits iff every quantity it demands is at most the room at its
-    reach: the whole prefix check in O(L) instead of O(L·M), exact because
-    it is integer arithmetic.
+    reach: the whole prefix check in O(L) instead of O(L·M).
 
-    Costs come from the breakpoints: in floats, ``x`` units of type ``l``
-    cost ``cumcost[l][j] / D + (x - cumsup[l][j]) * (price[l][j] / D)``, with
-    ``cumsup[l][j] < x <= cumsup[l][j + 1]`` and each quotient a correctly
-    rounded integer division.  ``distinct[l]`` holds the quantities of type
-    ``l`` consumers demand, 0 first, and ``slot[l, n]`` consumer ``n``'s among
-    them, flattened.  Each change of demand ``d`` sets ``cost[l]``, the cost
-    of ``d[l]`` units, and ``delta``, that of ``d[l] + distinct[l, s]`` minus it.
+    Costs are integers over ``D``, read at the breakpoints: ``x`` units of
+    type ``l`` cost ``cumcost[l][j] + (x - cumsup[l][j]) * price[l][j]``,
+    with ``cumsup[l][j] < x <= cumsup[l][j + 1]``.  ``distinct[l]`` holds the
+    quantities of type ``l`` consumers demand, 0 first, and ``slot[l, n]``
+    consumer ``n``'s among them, flattened.  Each change of demand ``d`` sets
+    ``cost[l]``, the cost of ``d[l]`` units, and ``delta``, that of
+    ``d[l] + distinct[l, s]`` minus it.  ``value[n]`` is the most a
+    consumer's marginal cost over ``D`` may be: their budget plus the floor
+    of their fairness factor over ``D``, exact because costs over ``D`` are
+    integers.  Cost arrays are int64 or ``object`` as the market is, and
+    ``value`` is int64 when every entry fits.
     """
 
-    def __init__(self, sc: _ScaledValues, w: Sequence[float]):
+    def __init__(self, sc: _ScaledValues):
         L, M = sc.sorted_prices.shape
         self.q = sc.consumer_quantities
         self.reach_index = sc.reach - 1
         self.types = np.arange(L)
         self.cumsup = sc.cumsup
+        self.cumcost = sc.cumcost
         # What admitting consumer n adds to cumdem: q[n][l] at every k >= reach - 1.
         self.contribution = np.where(
             np.arange(M) >= self.reach_index[:, :, None], self.q[:, :, None], 0
         )
-        self.w = np.array(w, dtype=float)
+        up = sc.factor_denominator // sc.denominator
+        value = [b + f // up for b, f in zip(sc.budgets, sc.factors)]
+        fits = max(map(abs, value), default=0) < _INT64_SAFE
+        self.value = np.array(value, dtype=np.int64 if fits else object)
         columns = [np.unique(np.append(q, 0), return_inverse=True) for q in self.q.T]
         K = max((len(values) for values, _ in columns), default=1)
         self.distinct = np.zeros((L, K), dtype=np.int64)
@@ -679,13 +686,13 @@ class _HeuristicState:
         for l, (values, index) in enumerate(columns):
             self.distinct[l, : len(values)] = values
             self.slot[l] = l * K + index[:-1]
-        D = sc.denominator
         # A last breakpoint past any demand, at price 0: such demand never fits.
         self.breaks = np.concatenate(
             [sc.cumsup[:, 1:], np.full((L, 1), np.iinfo(np.int64).max)], axis=1
         )[:, None, :]
-        self.base = np.array([[c / D for c in row] for row in sc.cumcost.tolist()])
-        self.price = np.array([[p / D for p in row] + [0.0] for row in sc.sorted_prices.tolist()])
+        self.price = np.concatenate(
+            [sc.sorted_prices, np.zeros((L, 1), dtype=sc.sorted_prices.dtype)], axis=1
+        )
         self.row_start = self.types[:, None] * (M + 1)
         self.cumdem = np.zeros((L, M), dtype=np.int64)
         # A view: it follows every in-place update of cumdem.
@@ -697,23 +704,17 @@ class _HeuristicState:
         self.room = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1]
         x = self.demand + self.distinct
         j = (self.breaks >= x[:, :, None]).argmax(axis=2) + self.row_start
-        units = (x - self.cumsup.take(j)).astype(float)
-        cost = self.base.take(j) + units * self.price.take(j)
+        cost = self.cumcost.take(j) + (x - self.cumsup.take(j)) * self.price.take(j)
         self.cost = cost[:, 0]
         self.delta = (cost - cost[:, :1]).ravel()
 
     def admissible(self, pool: np.ndarray) -> np.ndarray:
-        """Which consumers of ``pool`` would each, on their own, fit and pay their way.
-
-        The float marginal cost is summed type by type in the same order as a
-        scalar loop would (a type with no demand adds an exact 0.0), and
-        compared with the same ``-1e-9`` tolerance.
-        """
+        """Which consumers of ``pool`` would each, on their own, fit and pay their way."""
         # room is never negative, so a type a consumer does not demand never
         # stops them, whatever their reach in it.
         fits = (self.q[pool] <= self.room[self.types, self.reach_index[pool]]).all(axis=1)
-        marginal = np.add.accumulate(self.delta.take(self.slot[:, pool]))[-1]
-        return fits & (self.w[pool] - marginal >= -1e-9)
+        marginal = self.delta.take(self.slot[:, pool]).sum(axis=0)
+        return fits & (marginal <= self.value[pool])
 
     def add(self, n: int) -> None:
         self.cumdem += self.contribution[n]
@@ -736,39 +737,26 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     """Greedy admission by optimistic margin with one drop-and-readd pass.
 
     Consumers are ranked by budget plus fairness factor minus their
-    cheapest-compatible cost bound; each is admitted when the winner set
-    stays feasible and the exact marginal cost does not exceed their value.
-    One repair pass then tries dropping each admitted consumer in ascending
-    rank and greedily readmitting the rejected, keeping strict improvements.
-    Scoring runs in floats for speed; the reported objective is exact.  A
-    score is an exact rational turned into a float by one integer true
-    division, which Python rounds correctly, exactly as ``float(Fraction)``.
-    Costs are read at price breakpoints, so memory does not grow with units.
+    cheapest-compatible cost bound (``margin``); each with a non-negative
+    margin is admitted when the winner set stays feasible and the exact
+    marginal cost does not exceed their value.  One repair pass then tries
+    dropping each admitted consumer in ascending rank and greedily
+    readmitting the other ranked candidates not admitted, keeping strict
+    improvements of the objective.  Every comparison is exact integer
+    arithmetic over the instance's denominators (see
+    :class:`_HeuristicState`); costs are read at price breakpoints, so
+    memory does not grow with units.
 
     Every scan walks its candidates in rank order and only admits, so winner
     demand only grows within a scan, and until the next admission the state
     every candidate is tested against is the same.  A scan therefore tests
     all its remaining candidates at once, as arrays, admits the first that
-    passes, and tests only the candidates after it again.  The tests are
-    exact integer feasibility and the same float marginal-cost comparison a
-    candidate-by-candidate loop makes (see :class:`_HeuristicState`), so
-    the admissions, and the result, are those of that loop.
+    passes, and tests only the candidates after it again: the admissions
+    are those of a candidate-by-candidate loop.
     """
     sc = instance._scaled
-    D = sc.denominator
-    rational_factors = [ext.fairness_factor for ext in instance.consumer_bids]
-
-    def to_float(over_D: int, factor: Money) -> float:
-        """``over_D / D + factor``, over ``D * factor.denominator`` rather than ``S``."""
-        return (over_D * factor.denominator + factor.numerator * D) / (D * factor.denominator)
-
-    candidates = np.flatnonzero(sc.feasible_alone).tolist()
-    # The optimistic margin, sc.margin[n] / S, as a float.
-    score = {
-        n: to_float(sc.budgets[n] - sc.cheapest_bound[n], rational_factors[n]) for n in candidates
-    }
-    w_f = [to_float(b, f) for b, f in zip(sc.budgets, rational_factors)]
-    state = _HeuristicState(sc, w_f)
+    up = sc.factor_denominator // sc.denominator
+    state = _HeuristicState(sc)
 
     def admit_in_order(pool: list[int]) -> list[int]:
         """Admit each consumer of ``pool``, in order, that fits and pays its way."""
@@ -784,36 +772,33 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
             rest = rest[passing[0] + 1 :]
         return gained
 
-    order = sorted(candidates, key=lambda n: (-score[n], n))
-    admitted = admit_in_order([n for n in order if score[n] >= 0.0])
-    # The float objective sums over this set in its iteration order, which
-    # depends on the exact sequence of insertions and removals below.
-    admitted_set: set[int] = set(admitted)
+    def objective(value_sum: int) -> int:
+        """The winners' objective over ``S``, given their value sum over ``S``."""
+        return value_sum - up * sum(state.cost.tolist())
 
-    def objective_f() -> float:
-        total = sum(w_f[n] for n in admitted_set)
-        for cost in state.cost.tolist():
-            total -= cost
-        return total
-
-    rejected = [n for n in order if n not in admitted_set and score[n] >= 0.0]
-    current_obj = objective_f()
-    for a in sorted(admitted, key=lambda n: (score[n], n)):
-        if a not in admitted_set:
-            continue
+    # Winner values over S.
+    w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
+    ranked = sorted(
+        (n for n in np.flatnonzero(sc.feasible_alone).tolist() if sc.margin[n] >= 0),
+        key=lambda n: (-sc.margin[n], n),
+    )
+    admitted = admit_in_order(ranked)
+    admitted_set = set(admitted)
+    value_sum = sum(w[n] for n in admitted)
+    current = objective(value_sum)
+    for a in sorted(admitted, key=lambda n: (sc.margin[n], n)):
+        pool = [r for r in ranked if r not in admitted_set]
         snapshot = state.save()
         state.remove(a)
-        admitted_set.discard(a)
-        gained = admit_in_order([r for r in rejected if r not in admitted_set])
-        admitted_set.update(gained)
-        new_obj = objective_f()
-        if new_obj > current_obj + 1e-9:
-            current_obj = new_obj
-            rejected = sorted(rejected + [a], key=lambda n: (-score[n], n))
+        gained = admit_in_order(pool)
+        new_sum = value_sum - w[a] + sum(w[n] for n in gained)
+        new = objective(new_sum)
+        if new > current:
+            current, value_sum = new, new_sum
+            admitted_set.discard(a)
+            admitted_set.update(gained)
         else:
             state.restore(snapshot)
-            admitted_set.add(a)
-            admitted_set.difference_update(gained)
 
     root_bound = Fraction(sum(m for m in sc.margin if m > 0), sc.factor_denominator)
     return _build_solution(

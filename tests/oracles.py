@@ -1,10 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's solver machinery: routing cost is
-found by enumerating every integer transfer matrix, type by type, the
-heuristic's reference is a candidate-by-candidate loop, and the fairness
-factors and the bid generator's drift windows are written directly in
-``Fraction`` arithmetic.  Keep them slow and obvious.
+found by enumerating every integer transfer matrix, type by type, and the
+heuristic (as a candidate-by-candidate loop), the fairness factors and the
+bid generator's drift windows are written directly in ``Fraction``
+arithmetic.  Keep them slow and obvious.
 """
 
 import itertools
@@ -79,12 +79,11 @@ def _brute_force_type(inst, winner_positions, l):
 def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
     """Winner positions of the greedy-plus-repair heuristic, one candidate at a time.
 
-    This is the heuristic as a plain loop: feasibility by walking every
-    supply prefix, marginal cost by bisecting cumulative supply.  The
-    library's solver tests candidates as arrays and reads float costs from
-    a table; it must admit exactly the consumers this loop admits, which
-    includes reproducing every float score and the iteration order of the
-    admitted set behind the float objective.
+    This is the heuristic as a plain loop in ``Fraction`` arithmetic, read
+    straight from the bids: feasibility by walking every supply prefix,
+    marginal cost by bisecting cumulative supply.  The library's solver
+    tests candidates as arrays, on integers over common denominators; it
+    must admit exactly the consumers this loop admits.
     """
     N = inst.shape.num_consumers
     M = inst.shape.num_providers
@@ -116,12 +115,10 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
                 ok = False
                 break
             bound += q[n][l] * sorted_prices[l][0]
-        cheapest_bound.append(bound if ok else Fraction(0))
+        cheapest_bound.append(bound)
         feasible_alone.append(ok)
 
     def can_add(cumdem, n):
-        if not feasible_alone[n]:
-            return False
         for l in range(L):
             if q[n][l] == 0:
                 continue
@@ -137,86 +134,57 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
             for k in range(reach[n][l] - 1, M):
                 cumdem[l][k] += sign * q[n][l]
 
-    candidates = [n for n in range(N) if feasible_alone[n]]
-    score = {n: float(w[n] - cheapest_bound[n]) for n in candidates}
-    w_f = [float(v) for v in w]
-    prices_f = [[float(p) for p in row] for row in sorted_prices]
-    cumcost_f = [[float(c) for c in row] for row in cumcost]
-
-    def cost_f(l, demand):
+    def cost(l, demand):
         if demand == 0:
-            return 0.0
+            return Fraction(0)
         idx = bisect_left(cumsup[l], demand)
-        return cumcost_f[l][idx - 1] + (demand - cumsup[l][idx - 1]) * prices_f[l][idx - 1]
+        return cumcost[l][idx - 1] + (demand - cumsup[l][idx - 1]) * sorted_prices[l][idx - 1]
 
-    def marginal_cost_f(cumdem, n):
-        delta = 0.0
+    def marginal_cost(cumdem, n):
+        delta = Fraction(0)
         for l in range(L):
             if q[n][l] == 0:
                 continue
             d = cumdem[l][M - 1] if M else 0
-            delta += cost_f(l, d + q[n][l]) - cost_f(l, d)
+            delta += cost(l, d + q[n][l]) - cost(l, d)
         return delta
 
-    order = sorted(candidates, key=lambda n: (-score[n], n))
-    cumdem = [[0] * M for _ in range(L)]
-    admitted, admitted_set = [], set()
-    for n in order:
-        if score[n] < 0.0:
-            break
-        if can_add(cumdem, n) and w_f[n] - marginal_cost_f(cumdem, n) >= -1e-9:
-            shift(cumdem, n, 1)
-            admitted.append(n)
-            admitted_set.add(n)
+    def admit_in_order(cumdem, admitted, pool):
+        for n in pool:
+            if can_add(cumdem, n) and w[n] - marginal_cost(cumdem, n) >= 0:
+                shift(cumdem, n, 1)
+                admitted.append(n)
 
-    def objective_f():
-        total = sum(w_f[n] for n in admitted_set)
+    def objective(cumdem, admitted):
+        total = sum((w[n] for n in admitted), Fraction(0))
         for l in range(L):
-            total -= cost_f(l, cumdem[l][M - 1] if M else 0)
+            total -= cost(l, cumdem[l][M - 1] if M else 0)
         return total
 
-    rejected = [n for n in order if n not in admitted_set and score[n] >= 0.0]
-    current_obj = objective_f()
-    for a in sorted(admitted, key=lambda n: (score[n], n)):
-        if a not in admitted_set:
-            continue
-        snapshot = [row[:] for row in cumdem]
-        shift(cumdem, a, -1)
-        admitted_set.discard(a)
-        gained = []
-        for r in rejected:
-            if r in admitted_set:
-                continue
-            if can_add(cumdem, r) and w_f[r] - marginal_cost_f(cumdem, r) >= -1e-9:
-                shift(cumdem, r, 1)
-                admitted_set.add(r)
-                gained.append(r)
-        new_obj = objective_f()
-        if new_obj > current_obj + 1e-9:
-            current_obj = new_obj
-            rejected = sorted(rejected + [a], key=lambda n: (-score[n], n))
-        else:
-            for row, saved in zip(cumdem, snapshot):
-                row[:] = saved
-            admitted_set.add(a)
-            for g in gained:
-                admitted_set.discard(g)
-    return sorted(admitted_set)
+    margin = {n: w[n] - cheapest_bound[n] for n in range(N) if feasible_alone[n]}
+    ranked = sorted((n for n in margin if margin[n] >= 0), key=lambda n: (-margin[n], n))
+    cumdem = [[0] * M for _ in range(L)]
+    admitted = []
+    admit_in_order(cumdem, admitted, ranked)
+    current = objective(cumdem, admitted)
+    for a in sorted(admitted, key=lambda n: (margin[n], n)):
+        trial_cumdem = [row[:] for row in cumdem]
+        trial = [n for n in admitted if n != a]
+        shift(trial_cumdem, a, -1)
+        admit_in_order(trial_cumdem, trial, [r for r in ranked if r not in admitted])
+        new = objective(trial_cumdem, trial)
+        if new > current:
+            cumdem, admitted, current = trial_cumdem, trial, new
+    return sorted(admitted)
 
 
-def reference_float_costs(inst: WdpInstance, l: int) -> list[float]:
-    """The scalar loop's float cost of ``d`` units of type ``l``, for every ``d`` up to supply.
-
-    The expression of ``cost_f`` in :func:`reference_heuristic_winners`:
-    floats of the exact cumulative cost and price of the cheapest providers.
-    """
+def reference_costs(inst: WdpInstance, l: int) -> list[Fraction]:
+    """The exact cost of the ``d`` cheapest units of type ``l``, for every ``d`` up to supply."""
     order = sorted(inst.provider_bids, key=lambda pb: pb.unit_prices[l])
-    costs, base, start = [0.0], Fraction(0), 0
+    costs = [Fraction(0)]
     for pb in order:
-        price, supply = pb.unit_prices[l], pb.quantities[l]
-        units = range(start + 1, start + supply + 1)
-        costs += [float(base) + (d - start) * float(price) for d in units]
-        base, start = base + price * supply, start + supply
+        base = costs[-1]
+        costs += [base + k * pb.unit_prices[l] for k in range(1, pb.quantities[l] + 1)]
     return costs
 
 

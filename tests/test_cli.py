@@ -120,6 +120,11 @@ class TestCmdRun:
             ({"engine": {"time_budget_s": True}}, "time_budget_s"),
             ({"engine": {"time_budget_s": "abc"}}, "time_budget_s"),
             ({"output_dir": 5}, "output_dir"),
+            ({"scenario": {"price_drift": "x"}}, "price_drift"),
+            ({"scenario": {"consumer_price_range": ["abc", 250]}}, "consumer_price_range"),
+            ({"scenario": {"provider_price_range": [50, "1/0"]}}, "provider_price_range"),
+            ({"engine": {"fairness_params": {"alpha1": "x"}}}, "alpha1"),
+            ({"engine": {"fairness_params": {"beta1": None}}}, "beta1"),
         ],
     )
     def test_config_outside_the_schema_exits_one_without_files(

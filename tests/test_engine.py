@@ -287,6 +287,11 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="solver_mode"):
             EngineConfig(solver_mode="simplex")
 
+    @pytest.mark.parametrize("name", ["fairness_params", "solver_limits"])
+    def test_nested_config_must_have_its_type(self, name):
+        with pytest.raises(ValueError, match=name):
+            EngineConfig(rounds=2, **{name: 5})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="master_seed"):
             EngineConfig(master_seed=-1)

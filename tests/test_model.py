@@ -148,6 +148,13 @@ class TestFairnessParams:
         with pytest.raises(ValueError, match="max_losses"):
             FairnessParams(max_losses=0)
 
+    @pytest.mark.parametrize(
+        "fields", [{"alpha1": "x"}, {"alpha2": -1}, {"beta1": None}, {"beta2": [28]}]
+    )
+    def test_coefficients_must_be_non_negative_numbers(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            FairnessParams(**fields)
+
     @pytest.mark.parametrize("bad", [True, 2.0])
     def test_max_losses_must_be_an_integer(self, bad):
         with pytest.raises(ValueError, match="max_losses"):

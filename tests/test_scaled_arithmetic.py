@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_float_costs, reference_heuristic_winners
+from oracles import reference_costs, reference_heuristic_winners
 
 from faircda import engine
 from faircda.engine import EngineConfig, run_simulation
@@ -346,16 +346,16 @@ class TestGeneratedInstances:
         st.one_of(NON_DECIMAL, WIDE_GRID),
         st.data(),
     )
-    def test_heuristic_costs_match_reference_floats(self, inst, price, data):
+    def test_heuristic_costs_are_exact_over_the_denominator(self, inst, price, data):
         # One more provider, with no supply of any type, between the others.
         L = inst.shape.num_resource_types
         providers = list(inst.provider_bids)
         at = data.draw(st.integers(0, len(providers)))
         providers.insert(at, ProviderBid(len(providers), (price,) * L, (0,) * L))
         inst = WdpInstance.from_bids(inst.consumer_bids, providers, L)
-        sc = inst._scaled
-        state = _HeuristicState(sc, [0.0] * inst.shape.num_consumers)
-        references = [reference_float_costs(inst, l) for l in range(L)]
+        D = inst._scaled.denominator
+        state = _HeuristicState(inst._scaled)
+        references = [[c * D for c in reference_costs(inst, l)] for l in range(L)]
         for x in range(max(len(r) for r in references)):
             state.cumdem[:, -1] = x
             state._refresh()
@@ -363,10 +363,25 @@ class TestGeneratedInstances:
             for l, reference in enumerate(references):
                 if x >= len(reference):
                     continue
-                assert state.cost[l].hex() == reference[x].hex()
+                assert state.cost[l] == reference[x]
                 for q, d in zip(state.distinct[l].tolist(), delta[l].tolist()):
                     if x + q < len(reference):
-                        assert d.hex() == (reference[x + q] - reference[x]).hex()
+                        assert d == reference[x + q] - reference[x]
+
+    def test_near_tie_is_not_admitted_at_a_loss(self):
+        # B's value, 10 - 1/10**10, falls short of the 10 its unit costs
+        # once A has taken the cheaper one.
+        inst = WdpInstance.from_bids(
+            [
+                consumer(0, [Fraction(20)], [1]),
+                consumer(1, [Fraction(10)], [1], Fraction(-1, 10**10)),
+            ],
+            [ProviderBid(0, (Fraction(5),), (1,)), ProviderBid(1, (Fraction(10),), (1,))],
+        )
+        sol = solve_heuristic(inst)
+        assert sol.winner_positions == (0,)
+        assert sol.objective == solve_exact(inst).objective == 15
+        assert reference_heuristic_winners(inst) == [0]
 
     @settings(max_examples=120, deadline=None)
     @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=12))

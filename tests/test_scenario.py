@@ -52,6 +52,10 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="at least one"):
             ScenarioConfig(shape=MarketShape(0, 3, 2))
 
+    def test_shape_must_be_a_market_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            ScenarioConfig(shape=5)
+
     def test_providers_must_offer_at_least_one_unit(self):
         with pytest.raises(ValueError, match="provider_quantity_range"):
             small_config(provider_quantity_range=(0, 5))
@@ -69,6 +73,10 @@ class TestScenarioConfig:
             {"consumer_quantity_range": (1, 2.5)},
             {"consumer_quantity_range": (True, 2)},
             {"consumer_price_range": "100"},
+            {"consumer_price_range": ("x", 250)},
+            {"provider_price_range": (50, "1/0")},
+            {"price_drift": "x"},
+            {"price_drift": True},
         ],
     )
     def test_mistyped_fields_rejected(self, fields):

@@ -280,7 +280,7 @@ class TestSolveHeuristic:
             assert heur.gap_bound >= exact.objective - heur.objective
 
 
-# Few distinct values make score ties common; 7/3 and 1/3 have no exact float.
+# Few distinct values make margin ties common.
 PRICES = [Fraction(p) for p in ("1", "3/2", "2", "7/3", "3", "4", "9/2")]
 FACTORS = [Fraction(f) for f in ("-3", "-1/3", "0", "0", "1", "5/2")]
 
