@@ -110,7 +110,10 @@ def _unchecked(cls, **fields):
 
 
 def _money_tuple(values: Sequence, what: str) -> tuple[Money, ...]:
-    out = tuple(as_money(v) for v in values)
+    try:
+        out = tuple(as_money(v) for v in values)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{what} must be numbers, got {values!r}") from exc
     for v in out:
         if v.numerator < 0:
             raise ValueError(f"{what} must be non-negative, got {v}")
@@ -120,7 +123,10 @@ def _money_tuple(values: Sequence, what: str) -> tuple[Money, ...]:
 def _quantity_tuple(values: Sequence, what: str) -> tuple[int, ...]:
     out = []
     for v in values:
-        iv = int(v)
+        try:
+            iv = int(v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{what} must be integers, got {v!r}") from exc
         if iv != v:
             raise ValueError(f"{what} must be integers, got {v!r}")
         if iv < 0:

@@ -662,6 +662,11 @@ class _HeuristicState:
     of their fairness factor over ``D``, exact because costs over ``D`` are
     integers.  Cost arrays are int64 or ``object`` as the market is, and
     ``value`` is int64 when every entry fits.
+
+    While the state only admits, a rejection is final.  Room never grows,
+    and because asks are sorted ascending, cost is convex in demand, so a
+    consumer's marginal cost never falls while the demand stays within
+    supply; demand beyond supply already fails the room test.
     """
 
     def __init__(self, sc: _ScaledValues):
@@ -699,12 +704,15 @@ class _HeuristicState:
         self.demand = self.cumdem[:, -1:] if M else np.zeros((L, 1), dtype=np.int64)
         self._refresh()
 
+    def _costs(self, x: np.ndarray) -> np.ndarray:
+        """The cost over ``D`` of ``x[l, i]`` units of type ``l``, for every ``l`` and ``i``."""
+        j = (self.breaks >= x[:, :, None]).argmax(axis=2) + self.row_start
+        return self.cumcost.take(j) + (x - self.cumsup.take(j)) * self.price.take(j)
+
     def _refresh(self) -> None:
         slack = self.cumsup[:, 1:] - self.cumdem
         self.room = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1]
-        x = self.demand + self.distinct
-        j = (self.breaks >= x[:, :, None]).argmax(axis=2) + self.row_start
-        cost = self.cumcost.take(j) + (x - self.cumsup.take(j)) * self.price.take(j)
+        cost = self._costs(self.demand + self.distinct)
         self.cost = cost[:, 0]
         self.delta = (cost - cost[:, :1]).ravel()
 
@@ -715,6 +723,34 @@ class _HeuristicState:
         fits = (self.q[pool] <= self.room[self.types, self.reach_index[pool]]).all(axis=1)
         marginal = self.delta.take(self.slot[:, pool]).sum(axis=0)
         return fits & (marginal <= self.value[pool])
+
+    def admit_leading_run(self, pool: np.ndarray) -> int:
+        """Admit the longest prefix of ``pool`` that would be admitted one by one.
+
+        Candidate ``i`` is tested against the state with ``pool[:i]``
+        admitted, all at once: that state plus the candidate is the
+        cumulative sum of the contributions through ``i``.  The current
+        state is feasible, and so is every state before the first failure,
+        so the candidate fits iff the whole sum fits the supply prefixes,
+        and its marginal cost is the difference of two consecutive total
+        costs.  Returns the prefix length ``f``; ``pool[f]``, if it exists,
+        fails against the state now held.
+        """
+        # Reading demand as after[:, :, -1] needs a provider.  With none, no
+        # consumer fits alone, so no pool the solver passes has members.
+        if not len(pool):
+            return 0
+        added = np.cumsum(self.contribution[pool], axis=0, dtype=self.cumsup.dtype)
+        after = self.cumdem + added
+        fits = (after <= self.cumsup[:, 1:]).reshape(len(pool), -1).all(axis=1)
+        totals = self._costs(after[:, :, -1].T).sum(axis=0)
+        marginal = np.diff(totals, prepend=sum(self.cost.tolist()))
+        passed = fits & (marginal <= self.value[pool])
+        f = len(pool) if passed.all() else int(passed.argmin())
+        if f:
+            self.cumdem[...] = after[f - 1]
+            self._refresh()
+        return f
 
     def add(self, n: int) -> None:
         self.cumdem += self.contribution[n]
@@ -748,20 +784,23 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     memory does not grow with units.
 
     Every scan walks its candidates in rank order and only admits, so winner
-    demand only grows within a scan, and until the next admission the state
-    every candidate is tested against is the same.  A scan therefore tests
-    all its remaining candidates at once, as arrays, admits the first that
-    passes, and tests only the candidates after it again: the admissions
-    are those of a candidate-by-candidate loop.
+    demand only grows within a scan, and a candidate rejected once stays
+    rejected for the rest of it (room only shrinks, cost is convex).  The
+    greedy pass starts with its leading run: from the empty state, the
+    top-ranked candidates are admitted back to back, so one array pass
+    tests each against the state with all before it admitted and admits
+    the run up to the first failure at once.  After that, and in every
+    repair scan, a scan tests all its remaining candidates at once, admits
+    the first that passes, and tests again only the later ones that passed:
+    the admissions are those of a candidate-by-candidate loop.
     """
     sc = instance._scaled
     up = sc.factor_denominator // sc.denominator
     state = _HeuristicState(sc)
 
-    def admit_in_order(pool: list[int]) -> list[int]:
-        """Admit each consumer of ``pool``, in order, that fits and pays its way."""
+    def admit_in_order(rest: np.ndarray) -> list[int]:
+        """Admit each consumer of ``rest``, in order, that fits and pays its way."""
         gained: list[int] = []
-        rest = np.array(pool, dtype=np.intp)
         while len(rest):
             passing = np.flatnonzero(state.admissible(rest))
             if not len(passing):
@@ -769,7 +808,7 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
             n = int(rest[passing[0]])
             state.add(n)
             gained.append(n)
-            rest = rest[passing[0] + 1 :]
+            rest = rest[passing[1:]]
         return gained
 
     def objective(value_sum: int) -> int:
@@ -778,16 +817,21 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
 
     # Winner values over S.
     w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
-    ranked = sorted(
-        (n for n in np.flatnonzero(sc.feasible_alone).tolist() if sc.margin[n] >= 0),
-        key=lambda n: (-sc.margin[n], n),
+    ranked = np.array(
+        sorted(
+            (n for n in np.flatnonzero(sc.feasible_alone).tolist() if sc.margin[n] >= 0),
+            key=lambda n: (-sc.margin[n], n),
+        ),
+        dtype=np.intp,
     )
-    admitted = admit_in_order(ranked)
-    admitted_set = set(admitted)
+    run = state.admit_leading_run(ranked)
+    admitted = ranked[:run].tolist() + admit_in_order(ranked[run + 1 :])
+    won = np.zeros(instance.shape.num_consumers, dtype=bool)
+    won[admitted] = True
+    pool = ranked[~won[ranked]]
     value_sum = sum(w[n] for n in admitted)
     current = objective(value_sum)
     for a in sorted(admitted, key=lambda n: (sc.margin[n], n)):
-        pool = [r for r in ranked if r not in admitted_set]
         snapshot = state.save()
         state.remove(a)
         gained = admit_in_order(pool)
@@ -795,14 +839,15 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
         new = objective(new_sum)
         if new > current:
             current, value_sum = new, new_sum
-            admitted_set.discard(a)
-            admitted_set.update(gained)
+            won[a] = False
+            won[gained] = True
+            pool = ranked[~won[ranked]]
         else:
             state.restore(snapshot)
 
     root_bound = Fraction(sum(m for m in sc.margin if m > 0), sc.factor_denominator)
     return _build_solution(
-        instance, sorted(admitted_set), optimality="heuristic", bound=root_bound
+        instance, np.flatnonzero(won).tolist(), optimality="heuristic", bound=root_bound
     )
 
 
@@ -862,8 +907,11 @@ def load_instance(text: str) -> WdpInstance:
                     providers.append(ProviderBid(entry_id, tuple(prices), tuple(quantities)))
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
-        except (IndexError, KeyError) as exc:
-            raise ValueError(f"malformed instance record on line {lineno}: {raw!r}") from exc
+        except (IndexError, KeyError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"malformed instance record on line {lineno}: {raw!r} "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
     if shape is None:
         raise ValueError("instance text is missing the leading 'market N M L' record")
     return WdpInstance(

@@ -62,6 +62,16 @@ class TestConsumerBid:
         bid = ConsumerBid(0, (10, "1/2"), (1, 1))
         assert bid.unit_prices == (Fraction(10), Fraction(1, 2))
 
+    @pytest.mark.parametrize("bad", ["x", "1/0"])
+    def test_unreadable_price_names_the_prices(self, bad):
+        with pytest.raises(ValueError, match="consumer unit prices must be numbers"):
+            ConsumerBid(0, (bad,), (1,))
+
+    @pytest.mark.parametrize("bad", ["a", None, float("inf")])
+    def test_unreadable_quantity_names_the_quantities(self, bad):
+        with pytest.raises(ValueError, match="consumer quantities must be integers"):
+            ConsumerBid(0, (1,), (bad,))
+
 
 class TestProviderBid:
     def test_all_zero_supply_allowed(self):
@@ -71,6 +81,12 @@ class TestProviderBid:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             ProviderBid(0, (Fraction(5),), (1, 2))
+
+    def test_unreadable_values_name_their_field(self):
+        with pytest.raises(ValueError, match="provider unit prices must be numbers"):
+            ProviderBid(0, ("1/0",), (1,))
+        with pytest.raises(ValueError, match="provider quantities must be integers"):
+            ProviderBid(0, (1,), ("a",))
 
 
 class TestParticipantRecord:
@@ -105,6 +121,10 @@ class TestParticipantRecord:
     def test_constructor_validates_every_history_entry(self):
         with pytest.raises(ValueError, match="price history entry"):
             ParticipantRecord(price_history=((Fraction(1),), (Fraction(-1),)))
+
+    def test_unreadable_history_entry_names_itself(self):
+        with pytest.raises(ValueError, match="price history entry must be numbers"):
+            ParticipantRecord().after_loss(("x",))
 
     def test_appends_reject_a_negative_entry(self):
         rec = ParticipantRecord()

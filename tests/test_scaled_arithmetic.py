@@ -368,6 +368,46 @@ class TestGeneratedInstances:
                     if x + q < len(reference):
                         assert d == reference[x + q] - reference[x]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=10),
+        st.one_of(NON_DECIMAL, WIDE_GRID),
+        st.data(),
+    )
+    def test_a_rejection_is_final_while_the_state_only_admits(self, inst, price, data):
+        # Both scan shortcuts rest on this: the leading run stops at the
+        # first rejection, and a scan re-tests only the candidates that passed.
+        L = inst.shape.num_resource_types
+        providers = list(inst.provider_bids)
+        at = data.draw(st.integers(0, len(providers)))
+        providers.insert(at, ProviderBid(len(providers), (price,) * L, (0,) * L))
+        inst = WdpInstance.from_bids(inst.consumer_bids, providers, L)
+        state = _HeuristicState(inst._scaled)
+        pool = np.flatnonzero(inst._scaled.feasible_alone)
+
+        def marginal_costs():
+            return state.delta.take(state.slot[:, pool]).sum(axis=0)
+
+        room, marginal = state.room, marginal_costs()
+        rejected = set()
+        while len(pool):
+            passed = state.admissible(pool)
+            assert not rejected & set(pool[passed].tolist())
+            rejected |= set(pool[~passed].tolist())
+            if not passed.any():
+                break
+            n = data.draw(st.sampled_from(pool[passed].tolist()))
+            state.add(n)
+            marginal = marginal[pool != n]
+            pool = pool[pool != n]
+            # The cause, checked directly: room never grows, and the
+            # marginal cost of a candidate that still fits never falls.
+            assert (state.room <= room).all()
+            fits = (state.q[pool] <= state.room[state.types, state.reach_index[pool]]).all(axis=1)
+            now = marginal_costs()
+            assert (now[fits] >= marginal[fits]).all()
+            room, marginal = state.room, now
+
     def test_near_tie_is_not_admitted_at_a_loss(self):
         # B's value, 10 - 1/10**10, falls short of the 10 its unit costs
         # once A has taken the cheaper one.

@@ -6,6 +6,7 @@ greedy); the branch-and-bound solver is checked against subset enumeration.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_min_cost, reference_heuristic_winners, transfer_cost
 
+from faircda import engine
 from faircda.cli import random_micro_instance, run_validation_corpus
 from faircda.model import (
     Allocation,
@@ -25,6 +27,7 @@ from faircda.model import (
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from faircda.wdp_solver import (
     SolverLimits,
+    _HeuristicState,
     WdpInstance,
     compatible,
     dump_instance,
@@ -369,6 +372,86 @@ class TestHeuristicMatchesScalarReference:
                 assert_matches_reference(inst)
 
 
+def leading_run(inst):
+    """(admitted, ranked): the greedy's leading run, checked against the scalar loop."""
+    runs = []
+    real = _HeuristicState.admit_leading_run
+
+    def spy(state, pool):
+        runs.append((real(state, pool), len(pool)))
+        return runs[-1][0]
+
+    with mock.patch.object(_HeuristicState, "admit_leading_run", spy):
+        assert_matches_reference(inst)
+    (run,) = runs
+    return run
+
+
+class TestGreedyLeadingRun:
+    """The greedy pass admits its leading run at once; every boundary of it."""
+
+    def test_first_ranked_candidate_rejected(self):
+        # Consumer 0 ranks first: its margin over the cheapest-ask bound,
+        # 15 - 5 - 3 = 7, beats consumer 1's 4.  But its three units cost
+        # 1 + 5 + 5 = 11, more than its value 15 - 5.
+        inst = instance(
+            [consumer(0, [5], [3], ff=-5), consumer(1, [5], [1])],
+            [provider(0, [1], [1]), provider(1, [5], [5])],
+        )
+        assert leading_run(inst) == (0, 2)
+        assert solve_heuristic(inst).winner_positions == (1,)
+
+    def test_every_ranked_candidate_admitted(self):
+        inst = instance(
+            [consumer(n, [9, 8], [1 + n % 2, n % 3]) for n in range(6)],
+            [provider(0, [1, 2], [20, 20]), provider(1, [3, 1], [20, 20])],
+        )
+        assert leading_run(inst) == (6, 6)
+        assert solve_heuristic(inst).winner_positions == tuple(range(6))
+
+    def test_failure_inside_the_run_then_later_admissions(self):
+        # Ranked 0, 1, 2: consumer 1's two units do not fit beside
+        # consumer 0's three; consumer 2's one unit does.
+        inst = instance(
+            [consumer(0, [10], [3]), consumer(1, [10], [2]), consumer(2, [10], [1])],
+            [provider(0, [1], [4])],
+        )
+        assert leading_run(inst) == (1, 3)
+        assert solve_heuristic(inst).winner_positions == (0, 2)
+
+    def test_no_providers(self):
+        inst = WdpInstance.from_bids([consumer(0, [5, 1], [1, 0])], [], 2)
+        assert leading_run(inst) == (0, 0)
+        assert solve_heuristic(inst).winner_positions == ()
+
+    def test_no_ranked_candidates(self):
+        inst = instance(
+            [consumer(0, [1], [1]), consumer(1, [9], [9]), consumer(2, [5], [1], ff=-9)],
+            [provider(0, [2], [3])],
+        )
+        assert leading_run(inst) == (0, 0)
+        assert solve_heuristic(inst).winner_positions == ()
+
+    def test_reference_rounds_with_fairness_factors(self):
+        """Reference-sized rounds after the first, whose factors have large denominators."""
+        caught = []
+        real = engine._SOLVERS["heuristic"]
+
+        def spy(inst, limits):
+            caught.append(inst)
+            return real(inst, limits)
+
+        with mock.patch.dict(engine._SOLVERS, heuristic=spy):
+            engine.run_simulation(
+                ScenarioConfig(shape=MarketShape(300, 5, 4), runs=1),
+                engine.EngineConfig(rounds=4, master_seed=5),
+            )
+        for inst in caught[1:]:
+            assert inst._scaled.factor_denominator.bit_length() > 64
+            run, ranked = leading_run(inst)
+            assert 0 < run < ranked
+
+
 class TestValidateSolution:
     def test_solver_outputs_are_clean(self):
         rng = np.random.default_rng(21)
@@ -464,3 +547,18 @@ class TestDumpLoad:
     def test_malformed_record_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
             load_instance("market 1 1 1\nconsumer 0 prices=1\n")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "consumer 0 ff=0 prices=1/0 quantities=1",
+            "consumer 0 ff=x prices=1 quantities=1",
+            "provider 0 prices=x quantities=1",
+            "provider 0 prices=1 quantities=a",
+            "consumer x ff=0 prices=1 quantities=1",
+            "bidder 0 prices=1 quantities=1",
+        ],
+    )
+    def test_unreadable_value_reports_line(self, record):
+        with pytest.raises(ValueError, match="malformed instance record on line 3"):
+            load_instance(f"market 1 1 1\n# comment\n{record}\n")
