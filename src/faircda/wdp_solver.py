@@ -38,11 +38,13 @@ exact on any rational input.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from operator import add, sub
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -287,7 +289,8 @@ class SolverLimits:
     """Search budgets for the exact solver.
 
     ``node_budget`` is the deterministic limit; ``time_budget_s`` (None for
-    unlimited) additionally caps wall-clock time but makes truncated results
+    unlimited, else a positive finite number of seconds, stored as a float)
+    additionally caps wall-clock time but makes truncated results
     machine-dependent.
     """
 
@@ -299,9 +302,17 @@ class SolverLimits:
         budget = self.time_budget_s
         if budget is None:
             return
-        if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget > 0:
-            raise ValueError(f"time_budget_s must be None or a positive number, got {budget!r}")
-        object.__setattr__(self, "time_budget_s", float(budget))
+        if isinstance(budget, (int, float)) and not isinstance(budget, bool):
+            try:
+                budget = float(budget)
+            except OverflowError:  # an int past the float range
+                budget = math.inf
+        if not (isinstance(budget, float) and 0 < budget < math.inf):
+            raise ValueError(
+                "time_budget_s must be None or a positive finite number, "
+                f"got {self.time_budget_s!r}"
+            )
+        object.__setattr__(self, "time_budget_s", budget)
 
 
 def min_cost_allocation(
@@ -449,31 +460,32 @@ def objective_value(
             "allocation violates the instance constraints:\n  " + "\n  ".join(violations)
         )
     utility, satisfaction = _objective_parts(instance, allocation)
+    sc = instance._scaled
+    utility = Fraction(utility, sc.denominator)
+    satisfaction = Fraction(satisfaction, sc.factor_denominator)
     return utility + satisfaction, utility, satisfaction
 
 
-def _objective_parts(instance: WdpInstance, allocation: Allocation) -> tuple[Money, Money]:
-    """(total_utility, total_satisfaction) of an allocation known to be feasible."""
+def _objective_parts(instance: WdpInstance, allocation: Allocation) -> tuple[int, int]:
+    """(total_utility over ``D``, total_satisfaction over ``S``) of a feasible allocation."""
     sc = instance._scaled
     won = allocation.winners
     value = sum(b for b, w in zip(sc.budgets, won) if w)
     satisfaction = sum(f for f, w in zip(sc.factors, won) if w)
     cost = int((allocation.transfers.sum(axis=0) * sc.provider_prices.T).sum())
-    return (
-        Fraction(value - cost, sc.denominator),
-        Fraction(satisfaction, sc.factor_denominator),
-    )
+    return value - cost, satisfaction
 
 
 def _build_solution(
-    instance: WdpInstance, positions: Sequence[int], optimality: str, bound: Optional[Money] = None
+    instance: WdpInstance, positions: Sequence[int], optimality: str, bound: Optional[int] = None
 ) -> WdpSolution:
     """A solver's winner set routed at minimum cost, as a solution.
 
     The routing is feasible by construction, so it is not validated here;
     the engine validates each round's allocation once, when it settles it.
-    ``bound``, an upper bound on the optimum where the solver has one, sets
-    the gap to ``max(0, bound - objective)``; without it the gap is 0.
+    ``bound``, an upper bound on the optimum over ``S`` where the solver has
+    one, sets the gap to ``max(0, bound - objective) / S``; without it the
+    gap is 0.
     """
     y = _route(instance, positions)
     if y is None:
@@ -481,15 +493,21 @@ def _build_solution(
     chosen = set(positions)
     winners = tuple(n in chosen for n in range(instance.shape.num_consumers))
     allocation = Allocation(winners=winners, transfers=y)
+    sc = instance._scaled
     utility, satisfaction = _objective_parts(instance, allocation)
-    objective = utility + satisfaction
+    gap = 0
+    if bound is not None:
+        S = sc.factor_denominator
+        gap = max(0, bound - utility * (S // sc.denominator) - satisfaction)
+    utility = Fraction(utility, sc.denominator)
+    satisfaction = Fraction(satisfaction, sc.factor_denominator)
     return WdpSolution(
         allocation=allocation,
-        objective=objective,
+        objective=utility + satisfaction,
         total_utility=utility,
         total_satisfaction=satisfaction,
         optimality=optimality,
-        gap_bound=Fraction(0) if bound is None else max(Fraction(0), bound - objective),
+        gap_bound=Fraction(gap, sc.factor_denominator),
     )
 
 
@@ -636,31 +654,77 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
             + [wsum - up * total_cost(cumdem) + suffix_opt[i] for i, _, cumdem, wsum in stack]
         )
         if open_bound > incumbent_obj:
-            return _build_solution(
-                instance, incumbent, optimality="heuristic", bound=Fraction(open_bound, S)
-            )
+            return _build_solution(instance, incumbent, optimality="heuristic", bound=open_bound)
     return _build_solution(instance, incumbent, optimality="proved_optimal")
+
+
+def _breakpoint_cost(
+    cumsup: list[int], cumcost: list[int], price: list[int], x: int
+) -> tuple[int, int]:
+    """``(j, cost)``: the price segment of the ``x``-th cheapest unit of one
+    type, and the cost over ``D`` of the ``x`` cheapest units.
+
+    ``j`` is the first segment with ``x <= cumsup[j + 1]``, and the cost is
+    ``cumcost[j] + (x - cumsup[j]) * price[j]``.  Past the supply, ``j`` is
+    the last segment, whose ``price`` is 0: such demand never fits.
+    """
+    j = bisect_left(cumsup, x, 1, len(cumcost)) - 1
+    return j, cumcost[j] + (x - cumsup[j]) * price[j]
+
+
+def _breakpoint_costs(
+    cumsup: np.ndarray, cumcost: np.ndarray, price: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """:func:`_breakpoint_cost`'s cost for every entry of ``x``, the same
+    formula over arrays: ``searchsorted`` is ``bisect_left``."""
+    j = np.searchsorted(cumsup[1 : len(cumcost)], x)
+    return cumcost[j] + (x - cumsup[j]) * price[j]
+
+
+class _Pool(NamedTuple):
+    """The candidates of a scan, gathered once, in scan order.
+
+    Per type ``l`` and candidate ``i``: ``quantities[l, i]``; where in the
+    state's ``reads`` their room is, ``index[l, i]``, and their marginal
+    cost, ``index[L + l, i]``; and ``value[i]``.
+    """
+
+    ids: np.ndarray
+    quantities: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
 
 
 class _HeuristicState:
     """The heuristic's winner demand, and which candidates it has room and value for.
 
-    ``cumdem[l, k]`` is the winners' demand of type ``l`` summed over those
-    who reach at most ``k + 1`` sorted providers.  ``room[l, k]`` is the
-    smallest slack ``cumsup[l][j + 1] - cumdem[l, j]`` over ``j >= k``, so a
-    consumer fits iff every quantity it demands is at most the room at its
-    reach: the whole prefix check in O(L) instead of O(L·M).
+    The cumulative demand of type ``l`` at ``k`` sums the winners' demand
+    of that type over those who reach at most ``k + 1`` sorted providers;
+    at ``k = M - 1`` it is the type's whole demand.  Its slack is
+    ``cumsup[l][k + 1]`` minus it, and the room at ``k`` is the smallest
+    slack at ``k`` or later, so a consumer fits iff every quantity it
+    demands is at most the room at its reach: the whole prefix check in
+    O(L) instead of O(L·M).  ``cumdem`` and the room are flat by type, each
+    type's providers last first: entry ``l·M + t`` is provider ``k = M - 1
+    - t``, so ``l·M`` holds the type's demand and the room is a running
+    minimum restarted at each type.
 
-    Costs are integers over ``D``, read at the breakpoints: ``x`` units of
-    type ``l`` cost ``cumcost[l][j] + (x - cumsup[l][j]) * price[l][j]``,
-    with ``cumsup[l][j] < x <= cumsup[l][j + 1]``.  ``distinct[l]`` holds the
-    quantities of type ``l`` consumers demand, 0 first, and ``slot[l, n]``
-    consumer ``n``'s among them, flattened.  Each change of demand ``d`` sets
-    ``cost[l]``, the cost of ``d[l]`` units, and ``delta``, that of
-    ``d[l] + distinct[l, s]`` minus it.  ``value[n]`` is the most a
-    consumer's marginal cost over ``D`` may be: their budget plus the floor
-    of their fairness factor over ``D``, exact because costs over ``D`` are
-    integers.  Cost arrays are int64 or ``object`` as the market is, and
+    Costs are integers over ``D`` read at the price breakpoints
+    (:func:`_breakpoint_cost`).  ``distinct[l]`` holds the quantities type
+    ``l`` consumers demand, 0 first.  Each change of demand ``d`` sets
+    ``cost[l]``, the cost of ``d[l]`` units, and the marginal cost at
+    ``slot_start[l] + s``, the cost of ``d[l] + distinct[l][s]`` minus it;
+    a quantity that stays on the price segment of ``d[l]`` costs ``x ·
+    price`` with no search.  ``value[n]`` is the most a consumer's marginal
+    cost over ``D`` may be: their budget plus the floor of their fairness
+    factor over ``D``, exact because costs over ``D`` are integers.
+
+    The state is plain Python ints: on a market the size of the reference
+    one an update touches a few dozen of them, where numpy's fixed cost per
+    call would dominate.  Only what a scan reads is an array: ``reads``,
+    the L·M room entries followed by the marginal costs, in the market's
+    dtype (int64 or ``object``).  A :class:`_Pool` gathers the candidates'
+    side once per pool, and a test reads ``reads`` with one gather.
     ``value`` is int64 when every entry fits.
 
     While the state only admits, a rejection is final.  Room never grows,
@@ -669,104 +733,133 @@ class _HeuristicState:
     supply; demand beyond supply already fails the room test.
     """
 
-    def __init__(self, sc: _ScaledValues):
+    def __init__(self, instance: WdpInstance):
+        sc = instance._scaled
         L, M = sc.sorted_prices.shape
-        self.q = sc.consumer_quantities
-        self.reach_index = sc.reach - 1
-        self.types = np.arange(L)
-        self.cumsup = sc.cumsup
-        self.cumcost = sc.cumcost
-        # What admitting consumer n adds to cumdem: q[n][l] at every k >= reach - 1.
+        D = sc.denominator
+        self.num_types, self.dtype = L, sc.cumsup.dtype
+        # cumsup[l][k + 1] in the flat layout of cumdem.
+        self.supply = sc.cumsup[:, :0:-1].reshape(-1)
+        self.supply_list = self.supply.tolist()
+        self.type_start = [t == 0 for _ in range(L) for t in range(M)]
+        self.demand_at = [l * M for l in range(L)]
+        # What admitting consumer n adds to cumdem: q[n][l] at every provider
+        # of type l it reaches.
         self.contribution = np.where(
-            np.arange(M) >= self.reach_index[:, :, None], self.q[:, :, None], 0
-        )
-        up = sc.factor_denominator // sc.denominator
-        value = [b + f // up for b, f in zip(sc.budgets, sc.factors)]
+            np.arange(M - 1, -1, -1) >= sc.reach[:, :, None] - 1,
+            sc.consumer_quantities[:, :, None],
+            0,
+        ).reshape(len(sc.budgets), L * M)
+        self.contribution_rows = self.contribution.tolist()
+        value = [
+            b + ext.fairness_factor.numerator * D // ext.fairness_factor.denominator
+            for b, ext in zip(sc.budgets, instance.consumer_bids)
+        ]
         fits = max(map(abs, value), default=0) < _INT64_SAFE
         self.value = np.array(value, dtype=np.int64 if fits else object)
-        columns = [np.unique(np.append(q, 0), return_inverse=True) for q in self.q.T]
-        K = max((len(values) for values, _ in columns), default=1)
-        self.distinct = np.zeros((L, K), dtype=np.int64)
-        self.slot = np.empty(self.q.T.shape, dtype=np.intp)
-        for l, (values, index) in enumerate(columns):
-            self.distinct[l, : len(values)] = values
-            self.slot[l] = l * K + index[:-1]
-        # A last breakpoint past any demand, at price 0: such demand never fits.
-        self.breaks = np.concatenate(
-            [sc.cumsup[:, 1:], np.full((L, 1), np.iinfo(np.int64).max)], axis=1
-        )[:, None, :]
-        self.price = np.concatenate(
-            [sc.sorted_prices, np.zeros((L, 1), dtype=sc.sorted_prices.dtype)], axis=1
-        )
-        self.row_start = self.types[:, None] * (M + 1)
-        self.cumdem = np.zeros((L, M), dtype=np.int64)
-        # A view: it follows every in-place update of cumdem.
-        self.demand = self.cumdem[:, -1:] if M else np.zeros((L, 1), dtype=np.int64)
+        self.distinct, self.slot_start, self.tables = [], [], []
+        slot = np.empty((L, len(value)), dtype=np.intp)
+        start = L * M
+        for l, column in enumerate(sc.consumer_quantities.T):
+            values, index = np.unique(np.append(column, 0), return_inverse=True)
+            self.distinct.append(values.tolist())
+            self.slot_start.append(start)
+            slot[l] = start + index[:-1]
+            start += len(values)
+            # One breakpoint past the supply, so that every segment has an end.
+            cumsup = sc.cumsup[l].tolist()
+            cumsup.append(cumsup[-1] + 1)
+            price = sc.sorted_prices[l].tolist() + [0]
+            self.tables.append((cumsup, sc.cumcost[l].tolist(), price))
+        self.table_arrays = [[np.array(t, dtype=self.dtype) for t in tab] for tab in self.tables]
+        # Reach r reads type l's room at l·M + M - r.  Room is never negative,
+        # so a type a consumer does not demand (reach 0 included) never stops them.
+        room_index = np.minimum(M - sc.reach.T, M - 1) + M * np.arange(L)[:, None]
+        # A pool's per-type arrays, stacked so that one gather takes them all.
+        self.candidate_side = np.concatenate([sc.consumer_quantities.T, room_index, slot])
+        self.cumdem = [0] * (L * M)
         self._refresh()
 
-    def _costs(self, x: np.ndarray) -> np.ndarray:
-        """The cost over ``D`` of ``x[l, i]`` units of type ``l``, for every ``l`` and ``i``."""
-        j = (self.breaks >= x[:, :, None]).argmax(axis=2) + self.row_start
-        return self.cumcost.take(j) + (x - self.cumsup.take(j)) * self.price.take(j)
-
     def _refresh(self) -> None:
-        slack = self.cumsup[:, 1:] - self.cumdem
-        self.room = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1]
-        cost = self._costs(self.demand + self.distinct)
-        self.cost = cost[:, 0]
-        self.delta = (cost - cost[:, :1]).ravel()
+        cumdem = self.cumdem
+        # The suffix minimum of each type's slack, from its last provider on.
+        low = 0
+        room = [
+            low := s if first or s < low else low
+            for s, first in zip(map(sub, self.supply_list, cumdem), self.type_start)
+        ]
+        cost, marginal = [], []
+        for (cumsup, cumcost, price), distinct, at in zip(
+            self.tables, self.distinct, self.demand_at
+        ):
+            d = cumdem[at] if cumdem else 0
+            j, c = _breakpoint_cost(cumsup, cumcost, price, d)
+            cost.append(c)
+            p, end = price[j], cumsup[j + 1] - d
+            marginal += [
+                x * p if x <= end else _breakpoint_cost(cumsup, cumcost, price, d + x)[1] - c
+                for x in distinct
+            ]
+        self.cost, self.reads = cost, np.fromiter(room + marginal, self.dtype)
 
-    def admissible(self, pool: np.ndarray) -> np.ndarray:
-        """Which consumers of ``pool`` would each, on their own, fit and pay their way."""
-        # room is never negative, so a type a consumer does not demand never
-        # stops them, whatever their reach in it.
-        fits = (self.q[pool] <= self.room[self.types, self.reach_index[pool]]).all(axis=1)
-        marginal = self.delta.take(self.slot[:, pool]).sum(axis=0)
-        return fits & (marginal <= self.value[pool])
+    def pool(self, ids: np.ndarray) -> _Pool:
+        """The consumers ``ids``, in scan order, gathered for :meth:`admissible`."""
+        side = self.candidate_side[:, ids]
+        return _Pool(ids, side[: self.num_types], side[self.num_types :], self.value[ids])
 
-    def admit_leading_run(self, pool: np.ndarray) -> int:
-        """Admit the longest prefix of ``pool`` that would be admitted one by one.
+    def admissible(self, pool: _Pool) -> np.ndarray:
+        """Which candidates of ``pool`` would each, on their own, fit and pay their way."""
+        L = self.num_types
+        read = self.reads.take(pool.index)
+        fits = np.logical_and.reduce(pool.quantities <= read[:L], axis=0)
+        return fits & (np.add.reduce(read[L:], axis=0) <= pool.value)
 
-        Candidate ``i`` is tested against the state with ``pool[:i]``
-        admitted, all at once: that state plus the candidate is the
-        cumulative sum of the contributions through ``i``.  The current
-        state is feasible, and so is every state before the first failure,
-        so the candidate fits iff the whole sum fits the supply prefixes,
-        and its marginal cost is the difference of two consecutive total
-        costs.  Returns the prefix length ``f``; ``pool[f]``, if it exists,
-        fails against the state now held.
+    def admit_leading_run(self, ids: np.ndarray) -> int:
+        """Admit the longest prefix of ``ids`` that would be admitted one by one.
+
+        Candidate ``i`` is tested against the state with ``ids[:i]``
+        admitted.  That state plus the candidate is the cumulative sum of
+        the contributions through ``i``, so one array pass tests them all
+        for room: the current state is feasible, and so is every state
+        before the first failure, so a candidate fits iff the whole sum fits
+        the supply prefixes.  The candidates that fit are then priced at
+        once (:func:`_breakpoint_costs`): each one's marginal cost is the
+        difference of two consecutive total costs.  Returns the prefix
+        length ``f``; ``ids[f]``, if it exists, fails against the state now
+        held.
         """
-        # Reading demand as after[:, :, -1] needs a provider.  With none, no
-        # consumer fits alone, so no pool the solver passes has members.
-        if not len(pool):
+        # Reading demand needs a provider.  With none, no consumer fits
+        # alone, so no pool the solver passes has members.
+        if not len(ids):
             return 0
-        added = np.cumsum(self.contribution[pool], axis=0, dtype=self.cumsup.dtype)
-        after = self.cumdem + added
-        fits = (after <= self.cumsup[:, 1:]).reshape(len(pool), -1).all(axis=1)
-        totals = self._costs(after[:, :, -1].T).sum(axis=0)
-        marginal = np.diff(totals, prepend=sum(self.cost.tolist()))
-        passed = fits & (marginal <= self.value[pool])
-        f = len(pool) if passed.all() else int(passed.argmin())
+        after = np.cumsum(self.contribution[ids], axis=0, dtype=self.dtype) + self.cumdem
+        fits = (after <= self.supply).all(axis=1)
+        fitting = len(ids) if fits.all() else int(fits.argmin())
+        demand = after[:fitting, self.demand_at]
+        totals = sum(_breakpoint_costs(*t, demand[:, l]) for l, t in enumerate(self.table_arrays))
+        marginal = np.diff(totals, prepend=sum(self.cost))
+        passed = marginal <= self.value[ids[:fitting]]
+        f = fitting if passed.all() else int(passed.argmin())
         if f:
-            self.cumdem[...] = after[f - 1]
+            self.cumdem = after[f - 1].tolist()
             self._refresh()
         return f
 
     def add(self, n: int) -> None:
-        self.cumdem += self.contribution[n]
+        self.cumdem = list(map(add, self.cumdem, self.contribution_rows[n]))
         self._refresh()
 
     def remove(self, n: int) -> None:
-        self.cumdem -= self.contribution[n]
+        self.cumdem = list(map(sub, self.cumdem, self.contribution_rows[n]))
         self._refresh()
 
-    def save(self) -> tuple[np.ndarray, ...]:
-        # _refresh rebinds room, cost and delta rather than writing into
-        # them, so the current objects stay valid snapshots without a copy.
-        return self.cumdem.copy(), self.room, self.cost, self.delta
+    def save(self) -> tuple:
+        # Every update rebinds cumdem, cost and reads rather than
+        # writing into them, so the current objects are a snapshot.
+        return self.cumdem, self.cost, self.reads
 
-    def restore(self, saved: tuple[np.ndarray, ...]) -> None:
-        self.cumdem[...], self.room, self.cost, self.delta = saved
+    def restore(self, saved: tuple) -> None:
+        self.cumdem, self.cost, self.reads = saved
 
 
 def solve_heuristic(instance: WdpInstance) -> WdpSolution:
@@ -788,35 +881,40 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     rejected for the rest of it (room only shrinks, cost is convex).  The
     greedy pass starts with its leading run: from the empty state, the
     top-ranked candidates are admitted back to back, so one array pass
-    tests each against the state with all before it admitted and admits
-    the run up to the first failure at once.  After that, and in every
-    repair scan, a scan tests all its remaining candidates at once, admits
+    tests each for room against the state with all before it admitted, and
+    the run up to the first failure is admitted at once.  After that, and
+    in every repair scan, a scan tests all its candidates at once, admits
     the first that passes, and tests again only the later ones that passed:
-    the admissions are those of a candidate-by-candidate loop.
+    the admissions are those of a candidate-by-candidate loop.  A scan's
+    candidates are gathered once as a :class:`_Pool` and narrowed with a
+    mask; the repair pool is gathered again only when a swap is kept.
     """
     sc = instance._scaled
     up = sc.factor_denominator // sc.denominator
-    state = _HeuristicState(sc)
+    state = _HeuristicState(instance)
 
-    def admit_in_order(rest: np.ndarray) -> list[int]:
-        """Admit each consumer of ``rest``, in order, that fits and pays its way."""
+    def admit_in_order(pool: _Pool) -> list[int]:
+        """Admit each candidate of ``pool``, in order, that fits and pays its way."""
         gained: list[int] = []
-        while len(rest):
-            passing = np.flatnonzero(state.admissible(rest))
-            if not len(passing):
-                break
-            n = int(rest[passing[0]])
+        if not len(pool.ids):
+            return gained
+        alive = state.admissible(pool)
+        while len(passing := np.flatnonzero(alive)):
+            i = passing[0]
+            n = int(pool.ids[i])
             state.add(n)
             gained.append(n)
-            rest = rest[passing[1:]]
+            if len(passing) == 1:
+                break
+            alive[i] = False
+            alive &= state.admissible(pool)
         return gained
 
-    def objective(value_sum: int) -> int:
-        """The winners' objective over ``S``, given their value sum over ``S``."""
-        return value_sum - up * sum(state.cost.tolist())
+    def objective(budgets: int, factors: int) -> int:
+        """The winners' objective over ``S``, from their budget sum over ``D``
+        and their fairness factor sum over ``S``."""
+        return up * (budgets - sum(state.cost)) + factors
 
-    # Winner values over S.
-    w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
     ranked = np.array(
         sorted(
             (n for n in np.flatnonzero(sc.feasible_alone).tolist() if sc.margin[n] >= 0),
@@ -825,27 +923,29 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
         dtype=np.intp,
     )
     run = state.admit_leading_run(ranked)
-    admitted = ranked[:run].tolist() + admit_in_order(ranked[run + 1 :])
+    admitted = ranked[:run].tolist() + admit_in_order(state.pool(ranked[run + 1 :]))
     won = np.zeros(instance.shape.num_consumers, dtype=bool)
     won[admitted] = True
-    pool = ranked[~won[ranked]]
-    value_sum = sum(w[n] for n in admitted)
-    current = objective(value_sum)
+    pool = state.pool(ranked[~won[ranked]])
+    budgets = sum(sc.budgets[n] for n in admitted)
+    factors = sum(sc.factors[n] for n in admitted)
+    current = objective(budgets, factors)
     for a in sorted(admitted, key=lambda n: (sc.margin[n], n)):
         snapshot = state.save()
         state.remove(a)
         gained = admit_in_order(pool)
-        new_sum = value_sum - w[a] + sum(w[n] for n in gained)
-        new = objective(new_sum)
+        new_budgets = budgets - sc.budgets[a] + sum(sc.budgets[n] for n in gained)
+        new_factors = factors - sc.factors[a] + sum(sc.factors[n] for n in gained)
+        new = objective(new_budgets, new_factors)
         if new > current:
-            current, value_sum = new, new_sum
+            current, budgets, factors = new, new_budgets, new_factors
             won[a] = False
             won[gained] = True
-            pool = ranked[~won[ranked]]
+            pool = state.pool(ranked[~won[ranked]])
         else:
             state.restore(snapshot)
 
-    root_bound = Fraction(sum(m for m in sc.margin if m > 0), sc.factor_denominator)
+    root_bound = sum(m for m in sc.margin if m > 0)
     return _build_solution(
         instance, np.flatnonzero(won).tolist(), optimality="heuristic", bound=root_bound
     )

@@ -125,6 +125,8 @@ class TestCmdRun:
             ({"scenario": {"provider_price_range": [50, "1/0"]}}, "provider_price_range"),
             ({"engine": {"fairness_params": {"alpha1": "x"}}}, "alpha1"),
             ({"engine": {"fairness_params": {"beta1": None}}}, "beta1"),
+            ({"engine": {"time_budget_s": 1e400}}, "time_budget_s"),
+            ({"engine": {"time_budget_s": 10**400}}, "time_budget_s"),
         ],
     )
     def test_config_outside_the_schema_exits_one_without_files(

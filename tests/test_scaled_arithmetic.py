@@ -32,6 +32,8 @@ from faircda.pricing import settle
 from faircda.scenario import ScenarioConfig
 from faircda.wdp_solver import (
     WdpInstance,
+    _breakpoint_cost,
+    _breakpoint_costs,
     _HeuristicState,
     min_cost_allocation,
     objective_value,
@@ -320,6 +322,15 @@ def instances(draw, prices, max_consumers):
     )
 
 
+def with_empty_provider(inst, price, data):
+    """``inst`` with one more provider, with no supply of any type, between the others."""
+    L = inst.shape.num_resource_types
+    providers = list(inst.provider_bids)
+    at = data.draw(st.integers(0, len(providers)))
+    providers.insert(at, ProviderBid(len(providers), (price,) * L, (0,) * L))
+    return WdpInstance.from_bids(inst.consumer_bids, providers, L)
+
+
 class TestGeneratedInstances:
     @settings(max_examples=80, deadline=None)
     @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=9))
@@ -347,26 +358,26 @@ class TestGeneratedInstances:
         st.data(),
     )
     def test_heuristic_costs_are_exact_over_the_denominator(self, inst, price, data):
-        # One more provider, with no supply of any type, between the others.
+        inst = with_empty_provider(inst, price, data)
         L = inst.shape.num_resource_types
-        providers = list(inst.provider_bids)
-        at = data.draw(st.integers(0, len(providers)))
-        providers.insert(at, ProviderBid(len(providers), (price,) * L, (0,) * L))
-        inst = WdpInstance.from_bids(inst.consumer_bids, providers, L)
         D = inst._scaled.denominator
-        state = _HeuristicState(inst._scaled)
+        state = _HeuristicState(inst)
         references = [[c * D for c in reference_costs(inst, l)] for l in range(L)]
         for x in range(max(len(r) for r in references)):
-            state.cumdem[:, -1] = x
+            state.cumdem = [x if at in state.demand_at else v for at, v in enumerate(state.cumdem)]
             state._refresh()
-            delta = state.delta.reshape(state.distinct.shape)
             for l, reference in enumerate(references):
                 if x >= len(reference):
                     continue
+                # Both evaluators, and the costs the refresh derives from them.
+                assert _breakpoint_cost(*state.tables[l], x)[1] == reference[x]
+                (cost,) = _breakpoint_costs(*state.table_arrays[l], np.array([x]))
+                assert cost == reference[x]
                 assert state.cost[l] == reference[x]
-                for q, d in zip(state.distinct[l].tolist(), delta[l].tolist()):
+                for s, q in enumerate(state.distinct[l]):
                     if x + q < len(reference):
-                        assert d == reference[x + q] - reference[x]
+                        marginal = state.reads[state.slot_start[l] + s]
+                        assert marginal == reference[x + q] - reference[x]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -377,36 +388,124 @@ class TestGeneratedInstances:
     def test_a_rejection_is_final_while_the_state_only_admits(self, inst, price, data):
         # Both scan shortcuts rest on this: the leading run stops at the
         # first rejection, and a scan re-tests only the candidates that passed.
-        L = inst.shape.num_resource_types
-        providers = list(inst.provider_bids)
-        at = data.draw(st.integers(0, len(providers)))
-        providers.insert(at, ProviderBid(len(providers), (price,) * L, (0,) * L))
-        inst = WdpInstance.from_bids(inst.consumer_bids, providers, L)
-        state = _HeuristicState(inst._scaled)
-        pool = np.flatnonzero(inst._scaled.feasible_alone)
+        inst = with_empty_provider(inst, price, data)
+        L, M = inst.shape.num_resource_types, inst.shape.num_providers
+        state = _HeuristicState(inst)
+        pool = state.pool(np.flatnonzero(inst._scaled.feasible_alone))
 
-        def marginal_costs():
-            return state.delta.take(state.slot[:, pool]).sum(axis=0)
+        def room_fits_and_marginal_costs():
+            fits = (pool.quantities <= state.reads.take(pool.index[:L])).all(axis=0)
+            return state.reads[: L * M], fits, state.reads.take(pool.index[L:]).sum(axis=0)
 
-        room, marginal = state.room, marginal_costs()
+        room, _, marginal = room_fits_and_marginal_costs()
         rejected = set()
-        while len(pool):
+        while len(pool.ids):
             passed = state.admissible(pool)
-            assert not rejected & set(pool[passed].tolist())
-            rejected |= set(pool[~passed].tolist())
+            assert not rejected & set(pool.ids[passed].tolist())
+            rejected |= set(pool.ids[~passed].tolist())
             if not passed.any():
                 break
-            n = data.draw(st.sampled_from(pool[passed].tolist()))
+            n = data.draw(st.sampled_from(pool.ids[passed].tolist()))
             state.add(n)
-            marginal = marginal[pool != n]
-            pool = pool[pool != n]
+            marginal = marginal[pool.ids != n]
+            pool = state.pool(pool.ids[pool.ids != n])
             # The cause, checked directly: room never grows, and the
             # marginal cost of a candidate that still fits never falls.
-            assert (state.room <= room).all()
-            fits = (state.q[pool] <= state.room[state.types, state.reach_index[pool]]).all(axis=1)
-            now = marginal_costs()
+            now_room, fits, now = room_fits_and_marginal_costs()
+            assert (now_room <= room).all()
             assert (now[fits] >= marginal[fits]).all()
-            room, marginal = state.room, now
+            room, marginal = now_room, now
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=8),
+        st.one_of(NON_DECIMAL, WIDE_GRID),
+        st.data(),
+    )
+    def test_state_equals_a_recomputation_after_any_updates(self, inst, price, data):
+        """Room, costs and the pool test after adds, removes, saves and restores."""
+        inst = with_empty_provider(inst, price, data)
+        M, L = inst.shape.num_providers, inst.shape.num_resource_types
+        D = inst._scaled.denominator
+        bids = [ext.bid for ext in inst.consumer_bids]
+        costs = [reference_costs(inst, l) for l in range(L)]
+        references = [[c * D for c in costs[l]] for l in range(L)]
+        cumsup, reach = [], []
+        for l in range(L):
+            order = sorted(inst.provider_bids, key=lambda pb: pb.unit_prices[l])
+            cumsup.append([sum(pb.quantities[l] for pb in order[:k]) for k in range(M + 1)])
+            reach.append(
+                [sum(pb.unit_prices[l] <= bid.unit_prices[l] for pb in order) for bid in bids]
+            )
+
+        def room_from_scratch(winners):
+            """``room[l][k]``: the least slack of the supply prefixes from ``k + 1`` on."""
+            room = []
+            for l in range(L):
+                demand = [
+                    sum(bids[n].quantities[l] for n in winners if reach[l][n] <= k + 1)
+                    for k in range(M)
+                ]
+                slack = [cumsup[l][k + 1] - demand[k] for k in range(M)]
+                room.append([min(slack[k:]) for k in range(M)])
+            return room
+
+        def admissible_one_by_one(room, demand, n):
+            for l in range(L):
+                q = bids[n].quantities[l]
+                if q and q > room[l][reach[l][n] - 1]:
+                    return False
+            marginal = sum(
+                costs[l][demand[l] + bids[n].quantities[l]] - costs[l][demand[l]]
+                for l in range(L)
+            )
+            ext = inst.consumer_bids[n]
+            return marginal <= budget(ext.bid) + ext.fairness_factor
+
+        state = _HeuristicState(inst)
+        winners, saved = set(), []
+        candidates = np.flatnonzero(inst._scaled.feasible_alone)
+        for _ in range(data.draw(st.integers(0, 12))):
+            room = room_from_scratch(winners)
+            addable = [
+                n for n in candidates.tolist()
+                if n not in winners
+                and all(
+                    bids[n].quantities[l] <= room[l][reach[l][n] - 1]
+                    for l in range(L)
+                    if bids[n].quantities[l]
+                )
+            ]
+            ops = ["save"] + ["add"] * bool(addable) + ["remove"] * bool(winners)
+            op = data.draw(st.sampled_from(ops + ["restore"] * bool(saved)))
+            if op == "add":
+                n = data.draw(st.sampled_from(addable))
+                state.add(n)
+                winners = winners | {n}
+            elif op == "remove":
+                n = data.draw(st.sampled_from(sorted(winners)))
+                state.remove(n)
+                winners = winners - {n}
+            elif op == "save":
+                saved.append((state.save(), winners))
+            else:
+                snapshot, winners = data.draw(st.sampled_from(saved))
+                state.restore(snapshot)
+
+            room = room_from_scratch(winners)
+            demand = [sum(bids[n].quantities[l] for n in winners) for l in range(L)]
+            assert state.reads[: L * M].reshape(L, M)[:, ::-1].tolist() == room
+            assert state.cost == [references[l][demand[l]] for l in range(L)]
+            for l in range(L):
+                for s, q in enumerate(state.distinct[l]):
+                    if demand[l] + q < len(references[l]):
+                        assert (
+                            state.reads[state.slot_start[l] + s]
+                            == references[l][demand[l] + q] - references[l][demand[l]]
+                        )
+            pool = state.pool(np.array([n for n in candidates if n not in winners], dtype=np.intp))
+            expected = [admissible_one_by_one(room, demand, n) for n in pool.ids.tolist()]
+            assert state.admissible(pool).tolist() == expected
 
     def test_near_tie_is_not_admitted_at_a_loss(self):
         # B's value, 10 - 1/10**10, falls short of the 10 its unit costs

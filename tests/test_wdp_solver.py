@@ -202,7 +202,8 @@ class TestSolveExact:
     @pytest.mark.parametrize(
         "fields",
         [{"node_budget": 1e5}, {"node_budget": True}, {"time_budget_s": True},
-         {"time_budget_s": "abc"}],
+         {"time_budget_s": "abc"}, {"time_budget_s": float("inf")},
+         {"time_budget_s": float("nan")}, {"time_budget_s": 10**400}],
     )
     def test_mistyped_limits_rejected(self, fields):
         with pytest.raises(ValueError, match=next(iter(fields))):
