@@ -34,8 +34,6 @@ from .metrics import (
     emit,
     parse_report,
     report_to_json,
-    utilization_percent,
-    win_percent,
 )
 from .model import (
     Allocation,
@@ -120,7 +118,5 @@ __all__ = [
     "solve_oracle",
     "trade_price_unit",
     "update_repository",
-    "utilization_percent",
     "validate_solution",
-    "win_percent",
 ]

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import SOLVER_MODES, EngineConfig, config_echo, run_simulation
+from .engine import SOLVER_MODES, EngineConfig, check_solver_fits, config_echo, run_simulation
 from .metrics import SimulationReport, _csv_cell, emit
 from .model import (
     ConsumerBid,
@@ -143,7 +143,8 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
     plus ``output_dir``, so every report's ``config`` object is a valid
     config file and any key the echo does not write is rejected.  The echo's
     ``engine.machine_dependent`` is accepted and ignored: it is recomputed
-    from ``time_budget_s``.
+    from ``time_budget_s``.  A solver whose limits the scenario exceeds is
+    rejected here, so such a config exits 1 before any round.
     """
     merged = {**config_echo(ScenarioConfig(), EngineConfig()), "output_dir": "out"}
     merged["engine"]["machine_dependent"] = None
@@ -177,6 +178,7 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
         engine_config = EngineConfig(
             fairness_params=params, solver_mode=engine.pop("solver"), solver_limits=limits, **engine
         )
+    check_solver_fits(scenario_config, engine_config)
     return ExperimentConfig(scenario_config, engine_config, merged["output_dir"])
 
 

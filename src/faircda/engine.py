@@ -4,7 +4,10 @@ Each round: collect bids, extend consumer bids with fairness factors (zero
 in the baseline model or in round one), determine winners, settle at
 midpoint prices, and record who won, who lost, and who dropped out.  The
 repository of participation records evolves as a pure fold over round
-results, so a run is replayable from its round log.
+results alone: each result names its participants and their offered
+prices.  A run keeps no round log; each round is folded into the
+repository and into its report row as soon as it clears, and the per-run
+metrics are computed from those rows.
 
 Randomness is split into two independent streams per run — one for bid
 generation, one for fairness draws — both derived deterministically from
@@ -40,6 +43,7 @@ from .model import (
 from .pricing import settle
 from .scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from .wdp_solver import (
+    ORACLE_MAX_CONSUMERS,
     SolverLimits,
     WdpInstance,
     solve_exact,
@@ -53,6 +57,7 @@ __all__ = [
     "run_round",
     "update_repository",
     "run_simulation",
+    "check_solver_fits",
     "previous_outcomes",
     "repository_to_dict",
     "repository_from_dict",
@@ -225,14 +230,14 @@ def run_round(
     )
 
 
-def update_repository(
-    repo: Repository, result: RoundResult, participants: Sequence[int]
-) -> Repository:
+def update_repository(repo: Repository, result: RoundResult) -> Repository:
     """Fold one round result into the repository, returning the successor.
 
-    Winners gain a win and reset their streak; losers gain a loss and extend
-    it; everyone's offered prices are appended to their history; consumers
-    listed in ``result.drops_this_round`` are marked dropped at this round.
+    The result alone drives the fold: its participants are the consumers
+    in ``result.offered_prices``.  Winners gain a win and reset their
+    streak; losers gain a loss and extend it; everyone's offered prices are
+    appended to their history; consumers listed in
+    ``result.drops_this_round`` are marked dropped at this round.
     """
     if result.round_index != repo.round_counter + 1:
         raise ValueError(
@@ -240,13 +245,11 @@ def update_repository(
         )
     winner_ids = set(result.winner_ids)
     records = dict(repo.records)
-    for cid in sorted(set(participants)):
+    for cid in result.participant_ids:
         rec = records.get(cid)
         if rec is None:
             rec = ParticipantRecord()
-        offered = result.offered_prices.get(cid)
-        if offered is None:
-            raise ValueError(f"round result has no offered prices for participant {cid}")
+        offered = result.offered_prices[cid]
         records[cid] = rec.after_win(offered) if cid in winner_ids else rec.after_loss(offered)
     for cid in result.drops_this_round:
         records[cid] = records[cid].marked_dropped(result.round_index)
@@ -269,20 +272,29 @@ def _simulate_one_run(
     rng_fair = _fairness_rng(config.master_seed, run_index)
     repo = Repository.fresh(range(scenario.shape.num_consumers))
     previous_prices: Optional[dict[int, tuple[Money, ...]]] = None
-    results: list[RoundResult] = []
+    rows: list[metrics.PerRoundRow] = []
+    drops = 0
     for round_index in range(1, config.rounds + 1):
         provider_bids = generate_provider_bids(scenario, rng_bids)
         all_bids = generate_consumer_bids(scenario, rng_bids, round_index, previous_prices)
         previous_prices = {b.consumer_id: b.unit_prices for b in all_bids}
         active = [b for b in all_bids if not repo.record(b.consumer_id).dropped]
         result = run_round(repo, active, provider_bids, config, rng_fair)
-        repo = update_repository(repo, result, [b.consumer_id for b in active])
-        results.append(result)
-    return (
-        metrics.per_round_rows(run_index, results),
-        metrics.aggregate(results, repo, run=run_index),
-        repository_to_dict(repo),
-    )
+        repo = update_repository(repo, result)
+        drops += len(result.drops_this_round)
+        rows.append(
+            metrics.PerRoundRow(
+                run=run_index,
+                round=result.round_index,
+                total_utility=result.total_utility,
+                total_satisfaction=result.total_satisfaction,
+                utilization_percent=result.utilization_percent,
+                win_percent=result.win_percent,
+                cumulative_drops=drops,
+            )
+        )
+        del result  # garbage now, not held through the next round's clearing
+    return rows, metrics.aggregate(rows, run_index), repository_to_dict(repo)
 
 
 def config_echo(scenario: ScenarioConfig, config: EngineConfig) -> dict:
@@ -324,6 +336,21 @@ def config_echo(scenario: ScenarioConfig, config: EngineConfig) -> dict:
     return echo
 
 
+def check_solver_fits(scenario: ScenarioConfig, config: EngineConfig) -> None:
+    """Reject, before any round, a solver whose limits the scenario exceeds.
+
+    Only ``oracle`` has one: it enumerates every winner subset, so it takes
+    at most ``ORACLE_MAX_CONSUMERS`` consumers, and a round never has more
+    consumers than the scenario.
+    """
+    consumers = scenario.shape.num_consumers
+    if config.solver_mode == "oracle" and consumers > ORACLE_MAX_CONSUMERS:
+        raise ValueError(
+            f"solver 'oracle' enumerates at most {ORACLE_MAX_CONSUMERS} consumers, "
+            f"the scenario has {consumers} consumers"
+        )
+
+
 def run_simulation(
     scenario: ScenarioConfig, config: EngineConfig, jobs: int = 1
 ) -> metrics.SimulationReport:
@@ -331,8 +358,10 @@ def run_simulation(
 
     Runs use separate deterministic random streams, so the report is a pure
     function of the two configurations; ``jobs > 1`` executes runs in
-    parallel worker processes without changing the result.
+    parallel worker processes without changing the result.  A solver whose
+    limits the scenario exceeds is rejected up front (:func:`check_solver_fits`).
     """
+    check_solver_fits(scenario, config)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     runs = range(scenario.runs)

@@ -2,9 +2,10 @@
 
 Per-round rows capture total utility, total satisfaction, resource
 utilization, the winning rate, and the cumulative drop count; per-run rows
-aggregate them.  Utilization is the percentage of offered units actually
-sold in a round; the winning rate is the percentage of that round's
-participants who won.  Every evaluation series is recoverable from the
+aggregate them and read nothing else, so every per-run value, drops
+included, is a function of the run's ``per_round.csv`` rows.  Utilization
+is the percentage of offered units actually sold in a round; the winning
+rate is the percentage of that round's participants who won.  Every evaluation series is recoverable from the
 emitted ``per_round.csv`` / ``per_run.csv`` with any plotting tool.
 
 Currency values are exact rationals internally and in ``report.json``
@@ -24,19 +25,16 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Optional, Sequence
 
-from .model import Money, ProviderBid, RoundResult
+from .model import Money, ProviderBid
 
 __all__ = [
     "PerRoundRow",
     "RunMetrics",
     "SimulationReport",
-    "utilization_percent",
     "utilization_from_units",
-    "win_percent",
     "win_rate_percent",
     "units_offered",
     "aggregate",
-    "per_round_rows",
     "emit",
     "report_to_json",
     "parse_report",
@@ -111,81 +109,49 @@ def utilization_from_units(units_sold: int, offered: int) -> float:
     return 100.0 * units_sold / offered
 
 
-def utilization_percent(round_result: RoundResult, provider_bids: Sequence[ProviderBid]) -> float:
-    """Percentage of this round's offered units that were sold."""
-    return utilization_from_units(round_result.allocation.units_sold(), units_offered(provider_bids))
-
-
 def win_rate_percent(num_winners: int, num_participants: int) -> float:
     if num_participants <= 0:
         raise ValueError("winning percentage is undefined without participants")
     return 100.0 * num_winners / num_participants
 
 
-def win_percent(round_result: RoundResult, participants: Iterable[int]) -> float:
-    """Percentage of this round's participants who won."""
-    return win_rate_percent(round_result.allocation.num_winners, len(set(participants)))
+def aggregate(rows: Sequence[PerRoundRow], run: int) -> RunMetrics:
+    """Collapse one run's per-round rows, in round order, into its summary row.
 
-
-def aggregate(rounds: Sequence[RoundResult], repo_final, run: int = 0) -> RunMetrics:
-    """Collapse one run into its summary row.
-
-    ``repo_final`` is the repository after the last round (an
-    ``engine.Repository`` or a plain id-to-record mapping); drop statistics
-    come from its records, everything else from the round results.
+    A consumer drops at most once, so the run's drops are the steps of
+    ``cumulative_drops``: a step of k at round r is k drops at round r.  A
+    count that falls is an error.
     """
-    records = getattr(repo_final, "records", repo_final)
-    drop_rounds = sorted(
-        rec.dropped_at_round for rec in records.values() if rec.dropped_at_round is not None
-    )
+    drop_rounds: list[int] = []
+    dropped = 0
+    for row in rows:
+        if row.cumulative_drops < dropped:
+            raise ValueError(
+                f"run {run}: cumulative drops fall from {dropped} to "
+                f"{row.cumulative_drops} at round {row.round}"
+            )
+        drop_rounds += [row.round] * (row.cumulative_drops - dropped)
+        dropped = row.cumulative_drops
     return RunMetrics(
         run=run,
-        total_utility=sum((r.total_utility for r in rounds), Fraction(0)),
-        drops=len(drop_rounds),
+        total_utility=sum((r.total_utility for r in rows), Fraction(0)),
+        drops=dropped,
         mean_drop_round=fmean(drop_rounds) if drop_rounds else None,
-        mean_utilization=fmean(r.utilization_percent for r in rounds) if rounds else 0.0,
-        mean_win_percent=fmean(r.win_percent for r in rounds) if rounds else 0.0,
+        mean_utilization=fmean(r.utilization_percent for r in rows) if rows else 0.0,
+        mean_win_percent=fmean(r.win_percent for r in rows) if rows else 0.0,
     )
-
-
-def per_round_rows(run: int, rounds: Sequence[RoundResult]) -> list[PerRoundRow]:
-    rows = []
-    cumulative = 0
-    for result in rounds:
-        cumulative += len(result.drops_this_round)
-        rows.append(
-            PerRoundRow(
-                run=run,
-                round=result.round_index,
-                total_utility=result.total_utility,
-                total_satisfaction=result.total_satisfaction,
-                utilization_percent=result.utilization_percent,
-                win_percent=result.win_percent,
-                cumulative_drops=cumulative,
-            )
-        )
-    return rows
 
 
 def _cross_check(report: SimulationReport) -> None:
-    """Per-run rows must be exact aggregates of the per-round rows."""
+    """Each per-run row must equal :func:`aggregate` of its run's per-round rows."""
     for run_row in report.per_run:
-        rows = [r for r in report.per_round if r.run == run_row.run]
-        recomputed_utility = sum((r.total_utility for r in rows), Fraction(0))
-        if recomputed_utility != run_row.total_utility:
-            raise ValueError(
-                f"run {run_row.run}: per-run total utility {run_row.total_utility} "
-                f"!= per-round sum {recomputed_utility}"
-            )
-        if rows:
-            if fmean(r.utilization_percent for r in rows) != run_row.mean_utilization:
-                raise ValueError(f"run {run_row.run}: mean utilization mismatch")
-            if fmean(r.win_percent for r in rows) != run_row.mean_win_percent:
-                raise ValueError(f"run {run_row.run}: mean winning percentage mismatch")
-            if rows[-1].cumulative_drops != run_row.drops:
+        rows = sorted((r for r in report.per_round if r.run == run_row.run), key=lambda r: r.round)
+        derived = aggregate(rows, run_row.run)
+        for name in PER_RUN_FIELDS:
+            if getattr(run_row, name) != getattr(derived, name):
                 raise ValueError(
-                    f"run {run_row.run}: cumulative drops end at {rows[-1].cumulative_drops} "
-                    f"but the run reports {run_row.drops}"
+                    f"run {run_row.run}: per-run {name} is {getattr(run_row, name)}, "
+                    f"but the per-round rows give {getattr(derived, name)}"
                 )
 
 

@@ -915,10 +915,12 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
         and their fairness factor sum over ``S``."""
         return up * (budgets - sum(state.cost)) + factors
 
+    # The sort is stable, so tied margins stay in position order.
     ranked = np.array(
         sorted(
             (n for n in np.flatnonzero(sc.feasible_alone).tolist() if sc.margin[n] >= 0),
-            key=lambda n: (-sc.margin[n], n),
+            key=sc.margin.__getitem__,
+            reverse=True,
         ),
         dtype=np.intp,
     )

@@ -8,6 +8,7 @@ outstrips supply by roughly the same factor as in the full-scale reference
 scenario — the regime where the fairness mechanism matters.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from faircda.engine import (
     run_round,
     update_repository,
 )
-from faircda.metrics import RunMetrics, aggregate
+from faircda.metrics import PerRoundRow, RunMetrics, aggregate
 from faircda.model import Allocation, MarketShape, RoundResult
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from faircda.wdp_solver import (
@@ -83,10 +84,18 @@ def simulate_arm(seed: int, fairness_enabled: bool, check_invariants: bool) -> A
         result = run_round(repo, active, providers, config, rng_fair)
         if check_invariants:
             _check_round_invariants(active, providers, result)
-        repo = update_repository(repo, result, [b.consumer_id for b in active])
+        repo = update_repository(repo, result)
         rounds.append(result)
+    drops = itertools.accumulate(len(r.drops_this_round) for r in rounds)
+    rows = [
+        PerRoundRow(seed, r.round_index, r.total_utility, r.total_satisfaction,
+                    r.utilization_percent, r.win_percent, cumulative)
+        for r, cumulative in zip(rounds, drops)
+    ]
+    run_metrics = aggregate(rows, seed)
+    assert run_metrics.drops == sum(rec.dropped for rec in repo.records.values())
     return ArmResult(
-        metrics=aggregate(rounds, repo, run=seed),
+        metrics=run_metrics,
         rounds=rounds,
         first_allocation=rounds[0].allocation,
     )

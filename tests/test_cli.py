@@ -62,22 +62,29 @@ class TestCmdRun:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "scenario",
+        "config, named",
         [
             # Would fail mid-run: a round with no units offered has no utilization.
-            {"consumers": 5, "providers": 1, "resource_types": 1, "runs": 1,
-             "provider_quantity_range": [0, 5]},
+            ({"scenario": {"consumers": 5, "providers": 1, "resource_types": 1, "runs": 1,
+                           "provider_quantity_range": [0, 5]}}, ()),
             # Would fail in round 2: fairness factors divide by the mean offer.
-            {"consumers": 5, "runs": 1, "consumer_price_range": [0, 0]},
+            ({"scenario": {"consumers": 5, "runs": 1, "consumer_price_range": [0, 0]}}, ()),
+            # Would fail in round 1: the oracle enumerates at most 12 consumers.
+            ({"scenario": {"consumers": 13, "providers": 2, "resource_types": 1, "runs": 1},
+              "engine": {"solver": "oracle"}}, ("solver", "consumers")),
         ],
+        ids=["no-units-offered", "zero-prices", "oracle-13-consumers"],
     )
-    def test_config_that_cannot_finish_exits_one_without_files(self, tmp_path, capsys, scenario):
+    def test_config_that_cannot_finish_exits_one_without_files(
+        self, tmp_path, capsys, config, named
+    ):
         config_path = tmp_path / "experiment.json"
-        config_path.write_text(json.dumps({"scenario": scenario}))
+        config_path.write_text(json.dumps(config))
         out = tmp_path / "results"
         assert run_main(["run", "--config", config_path, "--rounds", "40", "--out", out]) == 1
         assert not out.exists()
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(word in err for word in named)
 
     @pytest.mark.parametrize(
         "section, key, value",

@@ -1,13 +1,17 @@
 """Round orchestration, repository evolution, and full simulations."""
 
+import weakref
 from fractions import Fraction
+from statistics import fmean
 
 import numpy as np
 import pytest
 
+from faircda import engine
 from faircda.engine import (
     EngineConfig,
     Repository,
+    check_solver_fits,
     previous_outcomes,
     repository_from_dict,
     repository_from_json,
@@ -99,7 +103,7 @@ class TestUpdateRepository:
         repo = Repository(records=records, round_counter=round_counter)
         config = EngineConfig(fairness_enabled=False, rounds=100)
         result = run_round(repo, consumer_bids, provider_bids, config, fairness_rng())
-        return result, update_repository(repo, result, [b.consumer_id for b in consumer_bids])
+        return result, update_repository(repo, result)
 
     def test_winner_streak_resets(self):
         records = {0: ParticipantRecord(wins=1, losses=5, consecutive_losses=5)}
@@ -143,7 +147,7 @@ class TestUpdateRepository:
             real(record)
 
         monkeypatch.setattr(ParticipantRecord, "__post_init__", counting)
-        repo = update_repository(known, result, [0, 1, 2])
+        repo = update_repository(known, result)
         monkeypatch.undo()
         assert built == [ParticipantRecord()]
         assert repo.records[2].price_history == ((Fraction(7),),)
@@ -155,7 +159,7 @@ class TestUpdateRepository:
         result = run_round(repo, [cbid(0, 10)], [pbid(0, 5, 5)], config, fairness_rng())
         stale = Repository(records=repo.records, round_counter=5)
         with pytest.raises(ValueError, match="cannot follow"):
-            update_repository(stale, result, [0])
+            update_repository(stale, result)
 
 
 class TestPreviousOutcomes:
@@ -244,12 +248,66 @@ class TestRunSimulation:
             previous_prices = {b.consumer_id: b.unit_prices for b in bids}
             active = [b for b in bids if not repo.records[b.consumer_id].dropped]
             result = run_round(repo, active, providers, config, rng_fair)
-            repo = update_repository(repo, result, [b.consumer_id for b in active])
+            repo = update_repository(repo, result)
             results.append(result)
         replayed = Repository.fresh(range(6))
         for result in results:
-            replayed = update_repository(replayed, result, result.participant_ids)
+            replayed = update_repository(replayed, result)
         assert replayed == repo
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_run_metrics_agree_with_the_final_repository(self, seed):
+        # The per-run drop figures come from the per-round rows alone; they
+        # must say what the repository's drop records say.
+        scenario = ScenarioConfig(shape=MarketShape(8, 1, 1), runs=2,
+                                  provider_quantity_range=(5, 8))
+        report = run_simulation(scenario, EngineConfig(rounds=25, master_seed=seed))
+        assert sum(row.drops for row in report.per_run) > 0
+        for row, snapshot in zip(report.per_run, report.final_repositories):
+            drop_rounds = [
+                rec.dropped_at_round
+                for rec in repository_from_dict(snapshot).records.values()
+                if rec.dropped
+            ]
+            assert row.drops == len(drop_rounds)
+            assert row.mean_drop_round == (fmean(drop_rounds) if drop_rounds else None)
+
+    def test_no_round_result_outlives_its_round(self, monkeypatch):
+        results = []
+        alive_at_next_round = []
+
+        def recording_run_round(*args):
+            alive_at_next_round.append(sum(ref() is not None for ref in results))
+            result = run_round(*args)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(engine, "run_round", recording_run_round)
+        scenario = ScenarioConfig(shape=MarketShape(8, 2, 2), runs=1)
+        run_simulation(scenario, EngineConfig(rounds=6, master_seed=4))
+        assert len(results) == 6
+        assert alive_at_next_round == [0] * 6
+        assert all(ref() is None for ref in results)
+
+
+class TestCheckSolverFits:
+    def test_oracle_past_its_cap_is_rejected_before_any_round(self, monkeypatch):
+        def no_round(*args):
+            raise AssertionError("a round was started")
+
+        monkeypatch.setattr(engine, "run_round", no_round)
+        scenario = ScenarioConfig(shape=MarketShape(13, 2, 1), runs=2)
+        config = EngineConfig(solver_mode="oracle", rounds=2)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="solver 'oracle'.* 13 consumers"):
+                run_simulation(scenario, config, jobs=jobs)
+
+    def test_oracle_at_its_cap_and_other_solvers_pass(self):
+        at_cap = ScenarioConfig(shape=MarketShape(12, 2, 1))
+        past_cap = ScenarioConfig(shape=MarketShape(13, 2, 1))
+        check_solver_fits(at_cap, EngineConfig(solver_mode="oracle"))
+        for mode in ("exact", "heuristic"):
+            check_solver_fits(past_cap, EngineConfig(solver_mode=mode))
 
 
 class TestRepositorySerialization:

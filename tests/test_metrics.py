@@ -1,60 +1,37 @@
 """Metric formulas, aggregation, and deterministic emission."""
 
+from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from faircda.engine import Repository
 from faircda.metrics import (
     PER_ROUND_FIELDS,
     PER_RUN_FIELDS,
+    PerRoundRow,
     RunMetrics,
     SimulationReport,
     aggregate,
     emit,
     parse_report,
-    per_round_rows,
     report_to_json,
     units_offered,
-    utilization_percent,
-    win_percent,
+    utilization_from_units,
+    win_rate_percent,
 )
-from faircda.model import (
-    Allocation,
-    ParticipantRecord,
-    ProviderBid,
-    RoundResult,
-)
+from faircda.model import ProviderBid
 
 
-def make_result(round_index=1, units=0, winners=0, participants=3,
-                total_utility=0, satisfaction=0, drops=()):
-    """Minimal RoundResult for metric arithmetic: one consumer slot per participant."""
-    n = max(participants, 1)
-    transfers = np.zeros((n, 1, 1), dtype=np.int64)
-    flags = [False] * n
-    for i in range(winners):
-        flags[i] = True
-        transfers[i, 0, 0] = 1
-    # Park any extra sold units on the first winner.
-    if units > winners and winners:
-        transfers[0, 0, 0] += units - winners
-    prices = {i: (Fraction(1),) for i in range(participants)}
-    return RoundResult(
-        round_index=round_index,
-        allocation=Allocation(winners=tuple(flags), transfers=transfers),
-        unit_trade_prices={},
-        consumer_payments={},
-        provider_receipts={},
-        consumer_utilities={},
-        provider_utilities={},
+def make_row(round_index=1, total_utility=0, satisfaction=0, utilization=0.0,
+             win=0.0, cumulative_drops=0, run=0):
+    return PerRoundRow(
+        run=run,
+        round=round_index,
         total_utility=Fraction(total_utility),
         total_satisfaction=Fraction(satisfaction),
-        utilization_percent=0.0,
-        win_percent=0.0,
-        drops_this_round=tuple(drops),
-        offered_prices=prices,
+        utilization_percent=utilization,
+        win_percent=win,
+        cumulative_drops=cumulative_drops,
     )
 
 
@@ -63,18 +40,18 @@ OFFERS = [ProviderBid(0, (Fraction(5),), (10,))]
 
 class TestUtilization:
     def test_partial(self):
-        assert utilization_percent(make_result(units=4, winners=1), OFFERS) == 40.0
+        assert utilization_from_units(4, units_offered(OFFERS)) == 40.0
 
     def test_nothing_sold(self):
-        assert utilization_percent(make_result(units=0), OFFERS) == 0.0
+        assert utilization_from_units(0, units_offered(OFFERS)) == 0.0
 
     def test_everything_sold(self):
-        assert utilization_percent(make_result(units=10, winners=1), OFFERS) == 100.0
+        assert utilization_from_units(10, units_offered(OFFERS)) == 100.0
 
     def test_zero_offer_is_an_error(self):
         empty = [ProviderBid(0, (Fraction(5),), (0,))]
         with pytest.raises(ValueError, match="no units"):
-            utilization_percent(make_result(), empty)
+            utilization_from_units(0, units_offered(empty))
 
     def test_units_offered_sums_everything(self):
         offers = [
@@ -86,72 +63,90 @@ class TestUtilization:
 
 class TestWinPercent:
     def test_ratio(self):
-        assert win_percent(make_result(winners=1, participants=10), range(10)) == 10.0
+        assert win_rate_percent(1, 10) == 10.0
 
     def test_everyone_wins(self):
-        assert win_percent(make_result(winners=3, participants=3), range(3)) == 100.0
+        assert win_rate_percent(3, 3) == 100.0
 
     def test_nobody_wins(self):
-        assert win_percent(make_result(winners=0, participants=3), range(3)) == 0.0
+        assert win_rate_percent(0, 3) == 0.0
 
     def test_no_participants_is_an_error(self):
         with pytest.raises(ValueError, match="participants"):
-            win_percent(make_result(), [])
+            win_rate_percent(0, 0)
 
 
 class TestAggregate:
     def test_no_drops_reports_absent_mean(self):
-        repo = Repository.fresh([0, 1])
-        row = aggregate([make_result(total_utility=5)], repo, run=0)
+        row = aggregate([make_row(total_utility=5)], 0)
         assert row.drops == 0 and row.mean_drop_round is None
 
     def test_mean_drop_round(self):
-        repo = Repository(
-            records={
-                0: ParticipantRecord(losses=10, consecutive_losses=7).marked_dropped(10),
-                1: ParticipantRecord(losses=20, consecutive_losses=7).marked_dropped(20),
-                2: ParticipantRecord(),
-            }
-        )
-        row = aggregate([make_result()], repo, run=0)
+        rows = [make_row(r, cumulative_drops=(r >= 10) + (r >= 20)) for r in range(1, 26)]
+        row = aggregate(rows, 0)
         assert row.drops == 2 and row.mean_drop_round == 15.0
 
+    def test_drops_in_one_round_count_once_each(self):
+        rows = [make_row(1), make_row(2, cumulative_drops=3), make_row(3, cumulative_drops=4)]
+        row = aggregate(rows, 0)
+        assert row.drops == 4 and row.mean_drop_round == (2 + 2 + 2 + 3) / 4
+
+    def test_falling_drop_count_is_an_error(self):
+        rows = [make_row(1, cumulative_drops=2), make_row(2, cumulative_drops=1)]
+        with pytest.raises(ValueError, match="cumulative drops fall from 2 to 1 at round 2"):
+            aggregate(rows, 0)
+
     def test_utility_sums_exactly(self):
-        repo = Repository.fresh([0])
-        rounds = [make_result(1, total_utility=5), make_result(2, total_utility=7)]
-        assert aggregate(rounds, repo).total_utility == 12
+        rows = [make_row(1, total_utility=5), make_row(2, total_utility=7)]
+        assert aggregate(rows, 0).total_utility == 12
+
+    def test_means_over_rounds(self):
+        rows = [make_row(1, utilization=40.0, win=50.0), make_row(2, utilization=20.0, win=0.0)]
+        row = aggregate(rows, 0)
+        assert (row.mean_utilization, row.mean_win_percent) == (30.0, 25.0)
 
 
 class TestPerRoundRows:
     def test_cumulative_drops_monotone(self):
-        rounds = [
-            make_result(1, drops=(4,)),
-            make_result(2),
-            make_result(3, drops=(5, 6)),
-        ]
-        rows = per_round_rows(0, rounds)
-        assert [r.cumulative_drops for r in rows] == [1, 1, 3]
+        from faircda.engine import EngineConfig, repository_from_dict, run_simulation
+        from faircda.model import MarketShape
+        from faircda.scenario import ScenarioConfig
+
+        report = run_simulation(
+            ScenarioConfig(shape=MarketShape(8, 1, 1), runs=1, provider_quantity_range=(5, 8)),
+            EngineConfig(rounds=25, master_seed=5, fairness_enabled=False),
+        )
+        counts = [r.cumulative_drops for r in report.per_round]
+        assert counts == sorted(counts) and counts[-1] > 0
+        records = repository_from_dict(report.final_repositories[0]).records.values()
+        for row in report.per_round:
+            assert row.cumulative_drops == sum(
+                rec.dropped_at_round is not None and rec.dropped_at_round <= row.round
+                for rec in records
+            )
 
 
 def tiny_report():
-    rounds = [
-        make_result(1, units=4, winners=1, total_utility=5, drops=(2,)),
-        make_result(2, units=2, winners=1, total_utility=7),
-    ]
-    repo = Repository(
-        records={
-            0: ParticipantRecord(wins=2),
-            2: ParticipantRecord(losses=1, consecutive_losses=1).marked_dropped(1),
-        },
-        round_counter=2,
+    rows = (
+        make_row(1, total_utility=5, utilization=40.0, win=100 / 3, cumulative_drops=1),
+        make_row(2, total_utility=7, utilization=20.0, win=100 / 3, cumulative_drops=1),
     )
-    rows = per_round_rows(0, rounds)
     return SimulationReport(
-        per_round=tuple(rows),
-        per_run=(aggregate(rounds, repo, run=0),),
+        per_round=rows,
+        per_run=(aggregate(rows, 0),),
         config_echo={"engine": {"rounds": 2}},
         final_repositories=(),
     )
+
+
+# A value that contradicts ``tiny_report``'s rows, for every per-run field but ``run``.
+WRONG_PER_RUN_VALUES = {
+    "total_utility": Fraction(999),
+    "drops": 2,
+    "mean_drop_round": 2.0,
+    "mean_utilization": 0.0,
+    "mean_win_percent": 0.0,
+}
 
 
 class TestEmit:
@@ -176,24 +171,32 @@ class TestEmit:
         _, _, json_path = emit(report, tmp_path)
         assert parse_report(json_path.read_text()) == report
 
-    def test_inconsistent_aggregates_refuse_to_emit(self, tmp_path):
+    @pytest.mark.parametrize("name", WRONG_PER_RUN_VALUES)
+    def test_inconsistent_aggregates_refuse_to_emit(self, tmp_path, name):
         report = tiny_report()
-        broken = SimulationReport(
-            per_round=report.per_round,
-            per_run=(RunMetrics(run=0, total_utility=Fraction(999), drops=1,
-                                mean_drop_round=1.0, mean_utilization=0.0,
-                                mean_win_percent=0.0),),
-            config_echo=report.config_echo,
-        )
-        with pytest.raises(ValueError, match="total utility"):
-            emit(broken, tmp_path)
+        wrong = replace(report.per_run[0], **{name: WRONG_PER_RUN_VALUES[name]})
+        with pytest.raises(ValueError, match=f"run 0: per-run {name} is"):
+            emit(replace(report, per_run=(wrong,)), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_every_per_run_field_is_cross_checked(self):
+        assert set(WRONG_PER_RUN_VALUES) == set(PER_RUN_FIELDS) - {"run"}
+
+    def test_falling_cumulative_drops_refuse_to_emit(self, tmp_path):
+        report = tiny_report()
+        rows = (report.per_round[0], replace(report.per_round[1], cumulative_drops=0))
+        broken = replace(report, per_round=rows)
+        with pytest.raises(ValueError, match="cumulative drops fall from 1 to 0 at round 2"):
+            emit(broken, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_rows_out_of_round_order_are_checked_in_round_order(self, tmp_path):
+        report = tiny_report()
+        emit(replace(report, per_round=report.per_round[::-1]), tmp_path)
 
     def test_absent_mean_drop_round_is_empty_cell(self, tmp_path):
-        rounds = [make_result(1, total_utility=1)]
-        report = SimulationReport(
-            per_round=tuple(per_round_rows(0, rounds)),
-            per_run=(aggregate(rounds, Repository.fresh([0]), run=0),),
-        )
+        rows = (make_row(1, total_utility=1),)
+        report = SimulationReport(per_round=rows, per_run=(aggregate(rows, 0),))
         _, per_run, _ = emit(report, tmp_path)
         line = per_run.read_text().splitlines()[1]
         assert line.split(",")[PER_RUN_FIELDS.index("mean_drop_round")] == ""
