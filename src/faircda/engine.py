@@ -38,6 +38,7 @@ from .model import (
     ProviderBid,
     RoundResult,
     _check_count,
+    _unchecked,
     over_common_denominator,
 )
 from .pricing import settle
@@ -195,7 +196,6 @@ def run_round(
     )
     instance = WdpInstance.from_bids(ext_bids, provider_bids, num_resource_types=num_types)
     solution = _SOLVERS[config.solver_mode](instance, config.solver_limits)
-    settlement = settle(instance, solution.allocation)
 
     winner_ids = {
         bid.consumer_id
@@ -211,14 +211,12 @@ def run_round(
     win_rate = (
         metrics.win_rate_percent(len(winner_ids), len(participants)) if participants else 0.0
     )
-    return RoundResult(
+    # Unchecked: the offered prices are bid unit prices, which ConsumerBid checked.
+    return _unchecked(
+        RoundResult,
         round_index=round_index,
         allocation=solution.allocation,
-        unit_trade_prices=settlement.unit_trade_prices,
-        consumer_payments=settlement.consumer_payments,
-        provider_receipts=settlement.provider_receipts,
-        consumer_utilities=settlement.consumer_utilities,
-        provider_utilities=settlement.provider_utilities,
+        settlement=settle(instance, solution.allocation),
         total_utility=solution.total_utility,
         total_satisfaction=solution.total_satisfaction,
         utilization_percent=metrics.utilization_from_units(
@@ -236,7 +234,8 @@ def update_repository(repo: Repository, result: RoundResult) -> Repository:
     The result alone drives the fold: its participants are the consumers
     in ``result.offered_prices``.  Winners gain a win and reset their
     streak; losers gain a loss and extend it; everyone's offered prices are
-    appended to their history; consumers listed in
+    appended to their history, unchecked (the result validated them when it
+    was built); consumers listed in
     ``result.drops_this_round`` are marked dropped at this round.
     """
     if result.round_index != repo.round_counter + 1:
@@ -246,11 +245,8 @@ def update_repository(repo: Repository, result: RoundResult) -> Repository:
     winner_ids = set(result.winner_ids)
     records = dict(repo.records)
     for cid in result.participant_ids:
-        rec = records.get(cid)
-        if rec is None:
-            rec = ParticipantRecord()
-        offered = result.offered_prices[cid]
-        records[cid] = rec.after_win(offered) if cid in winner_ids else rec.after_loss(offered)
+        rec = records.get(cid) or ParticipantRecord()
+        records[cid] = rec._appended(cid in winner_ids, result.offered_prices[cid])
     for cid in result.drops_this_round:
         records[cid] = records[cid].marked_dropped(result.round_index)
     return Repository(records=records, round_counter=result.round_index)

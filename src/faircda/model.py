@@ -4,7 +4,7 @@ Monetary values are exact rationals (`fractions.Fraction`) at the API, so
 midpoint trade prices and budget-balance checks are exact equalities rather
 than floating-point approximations.  Inside winner determination and
 settlement, a round's prices are carried as integers over their common
-denominator and turned back into rationals only for the results.
+denominator and turned back into rationals only where something reads them.
 Quantities are integers: resources are discrete units.
 
 All types are immutable value objects; constructing one with an invalid
@@ -16,9 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .pricing import Settlement
 
 Money = Fraction
 
@@ -64,10 +67,15 @@ def over_common_denominator(
 
     Sums and comparisons of the returned integers are exact and need no
     rational arithmetic; divide a result by ``S`` to get a rational back.
+    ``S`` is a product tree of pairwise ``lcm``s (Bernstein 2008), so each
+    joins operands of similar size, not a small one into a growing ``S``.
     """
     denominators = {v.denominator for v in values}
     denominators.add(denominator)
-    S = math.lcm(*denominators)
+    level = list(denominators)
+    while len(level) > 1:
+        level = [math.lcm(*level[i : i + 2]) for i in range(0, len(level), 2)]
+    S = level[0]
     scale = {d: S // d for d in denominators}
     return S, [v.numerator * scale[v.denominator] for v in values]
 
@@ -135,6 +143,17 @@ def _quantity_tuple(values: Sequence, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_bid_vectors(bid, side: str, bid_id: int) -> None:
+    """Store a bid's unit prices and quantities validated; they must match in length."""
+    object.__setattr__(bid, "unit_prices", _money_tuple(bid.unit_prices, f"{side} unit prices"))
+    object.__setattr__(bid, "quantities", _quantity_tuple(bid.quantities, f"{side} quantities"))
+    if len(bid.unit_prices) != len(bid.quantities):
+        raise ValueError(
+            f"{side} {bid_id}: price vector has length {len(bid.unit_prices)} "
+            f"but quantity vector has length {len(bid.quantities)}"
+        )
+
+
 @dataclass(frozen=True)
 class MarketShape:
     """Market dimensions: consumer, provider, and resource-type counts.
@@ -167,18 +186,7 @@ class ConsumerBid:
     quantities: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "unit_prices", _money_tuple(self.unit_prices, "consumer unit prices")
-        )
-        object.__setattr__(
-            self, "quantities", _quantity_tuple(self.quantities, "consumer quantities")
-        )
-        if len(self.unit_prices) != len(self.quantities):
-            raise ValueError(
-                f"consumer {self.consumer_id}: price vector has length "
-                f"{len(self.unit_prices)} but quantity vector has length "
-                f"{len(self.quantities)}"
-            )
+        _check_bid_vectors(self, "consumer", self.consumer_id)
         if not any(q >= 1 for q in self.quantities):
             raise ValueError(
                 f"consumer {self.consumer_id}: bid requests no resources at all"
@@ -198,18 +206,7 @@ class ProviderBid:
     quantities: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "unit_prices", _money_tuple(self.unit_prices, "provider unit prices")
-        )
-        object.__setattr__(
-            self, "quantities", _quantity_tuple(self.quantities, "provider quantities")
-        )
-        if len(self.unit_prices) != len(self.quantities):
-            raise ValueError(
-                f"provider {self.provider_id}: price vector has length "
-                f"{len(self.unit_prices)} but quantity vector has length "
-                f"{len(self.quantities)}"
-            )
+        _check_bid_vectors(self, "provider", self.provider_id)
 
     @property
     def num_types(self) -> int:
@@ -249,8 +246,8 @@ class ParticipantRecord:
     History is validated on entry: the constructor checks every entry it is
     given, while :meth:`after_win` and :meth:`after_loss` check only the
     entry they append, because the entries already held passed that check
-    when they entered.  A run therefore validates each entry once, not once
-    per later round.
+    when they entered; the fold appends a :class:`RoundResult`'s offered
+    prices unchecked.  A run validates each entry once, not once per round.
     """
 
     wins: int = 0
@@ -283,42 +280,33 @@ class ParticipantRecord:
         """Most recent price vector this consumer offered, or None."""
         return self.price_history[-1] if self.price_history else None
 
-    def _appended(
-        self, wins: int, losses: int, consecutive_losses: int, offered_prices: Sequence
-    ) -> "ParticipantRecord":
-        # Counts derived from a valid record stay valid, and held history
-        # was validated on entry; only the new entry needs checking.
-        entry = _money_tuple(offered_prices, "price history entry")
+    def _appended(self, won: bool, entry: tuple[Money, ...]) -> "ParticipantRecord":
+        # Counts derived from a valid record stay valid, held history was
+        # validated on entry, and ``entry`` must already be valid money.
         return _unchecked(
             ParticipantRecord,
-            wins=wins,
-            losses=losses,
-            consecutive_losses=consecutive_losses,
+            wins=self.wins + won,
+            losses=self.losses + (not won),
+            consecutive_losses=0 if won else self.consecutive_losses + 1,
             dropped_at_round=self.dropped_at_round,
             price_history=self.price_history + (entry,),
         )
 
     def after_win(self, offered_prices: Sequence) -> "ParticipantRecord":
         """Successor record after winning a round: streak resets to zero."""
-        return self._appended(self.wins + 1, self.losses, 0, offered_prices)
+        return self._appended(True, _money_tuple(offered_prices, "price history entry"))
 
     def after_loss(self, offered_prices: Sequence) -> "ParticipantRecord":
         """Successor record after losing a round: the streak grows by one."""
-        return self._appended(
-            self.wins, self.losses + 1, self.consecutive_losses + 1, offered_prices
-        )
+        return self._appended(False, _money_tuple(offered_prices, "price history entry"))
 
     def marked_dropped(self, round_index: int) -> "ParticipantRecord":
         """Successor record with the drop round recorded; idempotent once set."""
         if self.dropped_at_round is not None:
             return self
-        return ParticipantRecord(
-            wins=self.wins,
-            losses=self.losses,
-            consecutive_losses=self.consecutive_losses,
-            dropped_at_round=round_index,
-            price_history=self.price_history,
-        )
+        # Only the new field needs checking: the rest is this valid record's.
+        _check_count(round_index, "dropped_at_round", positive=True)
+        return _unchecked(ParticipantRecord, **{**vars(self), "dropped_at_round": round_index})
 
 
 @dataclass(frozen=True)
@@ -406,26 +394,33 @@ class Allocation:
 class RoundResult:
     """Everything that happened in one auction round.
 
-    Payments and receipts are exact; ``sum(consumer_payments.values()) ==
-    sum(provider_receipts.values())`` holds as an equality (the auctioneer
-    keeps nothing).  ``offered_prices`` records each participant's per-type
-    bid prices so that repository evolution is replayable from the round log
-    alone.
+    The ``settlement``'s maps read here by name.  Payments and receipts are
+    exact; ``sum(consumer_payments.values()) == sum(provider_receipts.values())``
+    holds as an equality (the auctioneer keeps nothing).  ``offered_prices``
+    (validated here) records each participant's per-type bid prices so that
+    repository evolution is replayable from the round log alone.
     """
 
     round_index: int
     allocation: Allocation
-    unit_trade_prices: Mapping[tuple[int, int, int], Money]
-    consumer_payments: Mapping[int, Money]
-    provider_receipts: Mapping[int, Money]
-    consumer_utilities: Mapping[int, Money]
-    provider_utilities: Mapping[int, Money]
+    settlement: Settlement
     total_utility: Money
     total_satisfaction: Money
     utilization_percent: float
     win_percent: float
     drops_this_round: tuple[int, ...] = ()
     offered_prices: Mapping[int, tuple[Money, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        items = self.offered_prices.items()
+        checked = {k: _money_tuple(v, f"offered_prices[{k!r}]") for k, v in items}
+        object.__setattr__(self, "offered_prices", checked)
+
+    unit_trade_prices = property(lambda self: self.settlement.unit_trade_prices)
+    consumer_payments = property(lambda self: self.settlement.consumer_payments)
+    provider_receipts = property(lambda self: self.settlement.provider_receipts)
+    consumer_utilities = property(lambda self: self.settlement.consumer_utilities)
+    provider_utilities = property(lambda self: self.settlement.provider_utilities)
 
     @property
     def participant_ids(self) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -35,20 +36,39 @@ def trade_price_unit(consumer_price: Money, provider_price: Money) -> Money:
     return (cp + pp) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Settlement:
     """Per-participant money flows of one cleared round.
 
     All maps are keyed by participant id (trade prices by consumer id, type
     index, provider id) and include zero entries for participants who did
-    not trade.
+    not trade.  Flows are kept as integers over ``twice_d`` (``2D``): row 0
+    of a side's totals is what each paid or received, row 1 the surplus each
+    kept, and each traded cell ``(n, l, m)`` has its unit price.  Each map
+    is built on first access, then kept.
     """
 
-    unit_trade_prices: dict[tuple[int, int, int], Money]
-    consumer_payments: dict[int, Money]
-    provider_receipts: dict[int, Money]
-    consumer_utilities: dict[int, Money]
-    provider_utilities: dict[int, Money]
+    twice_d: int
+    consumer_ids: list[int]
+    provider_ids: list[int]
+    consumer_totals: np.ndarray
+    provider_totals: np.ndarray
+    traded_cells: np.ndarray
+    traded_prices: np.ndarray
+
+    def _money(self, keys: list, totals: np.ndarray) -> dict:
+        return {key: Fraction(t, self.twice_d) for key, t in zip(keys, totals.tolist())}
+
+    @cached_property
+    def unit_trade_prices(self) -> dict[tuple[int, int, int], Money]:
+        c, p = self.consumer_ids, self.provider_ids
+        cells = [(c[n], l, p[m]) for n, l, m in self.traded_cells.tolist()]
+        return self._money(cells, self.traded_prices)
+
+    consumer_payments = cached_property(lambda s: s._money(s.consumer_ids, s.consumer_totals[0]))
+    provider_receipts = cached_property(lambda s: s._money(s.provider_ids, s.provider_totals[0]))
+    consumer_utilities = cached_property(lambda s: s._money(s.consumer_ids, s.consumer_totals[1]))
+    provider_utilities = cached_property(lambda s: s._money(s.provider_ids, s.provider_totals[1]))
 
     def total_payments(self) -> Money:
         return sum(self.consumer_payments.values(), Fraction(0))
@@ -71,8 +91,8 @@ def settle(instance: WdpInstance, allocation: Allocation) -> Settlement:
     providers who sold nothing settle at zero.
 
     Sums run over the instance's integer prices: a midpoint is
-    ``(cp + pp) / 2D`` for prices scaled by ``D``, and each participant's
-    totals become rationals once, at the end.
+    ``(cp + pp) / 2D`` for prices scaled by ``D``, and the settlement keeps
+    each participant's totals as integers until a map is read.
     """
     violations = validate_solution(instance, allocation)
     if violations:
@@ -80,29 +100,19 @@ def settle(instance: WdpInstance, allocation: Allocation) -> Settlement:
             "cannot settle an infeasible allocation:\n  " + "\n  ".join(violations)
         )
     sc = instance._scaled
-    twice_d = 2 * sc.denominator
-    consumer_ids = [ext.consumer_id for ext in instance.consumer_bids]
-    provider_ids = [pb.provider_id for pb in instance.provider_bids]
     y = allocation.transfers
     cp = sc.consumer_prices[:, :, None]
     pp = sc.provider_prices.T[None, :, :]
     # Over 2D: a unit's price is cp + pp, and the surplus each side keeps cp - pp.
     price = cp + pp
-    paid = y * price
-    kept = y * (cp - pp)
-
-    def rationals(ids: list[int], totals: np.ndarray) -> dict[int, Money]:
-        return {key: Fraction(t, twice_d) for key, t in zip(ids, totals.tolist())}
-
+    flows = np.stack([y * price, y * (cp - pp)])
     traded = y > 0
-    unit_prices = {
-        (consumer_ids[n], l, provider_ids[m]): Fraction(p, twice_d)
-        for (n, l, m), p in zip(np.argwhere(traded).tolist(), price[traded].tolist())
-    }
     return Settlement(
-        unit_trade_prices=unit_prices,
-        consumer_payments=rationals(consumer_ids, paid.sum(axis=(1, 2))),
-        provider_receipts=rationals(provider_ids, paid.sum(axis=(0, 1))),
-        consumer_utilities=rationals(consumer_ids, kept.sum(axis=(1, 2))),
-        provider_utilities=rationals(provider_ids, kept.sum(axis=(0, 1))),
+        twice_d=2 * sc.denominator,
+        consumer_ids=[ext.consumer_id for ext in instance.consumer_bids],
+        provider_ids=[pb.provider_id for pb in instance.provider_bids],
+        consumer_totals=flows.sum(axis=(2, 3)),
+        provider_totals=flows.sum(axis=(1, 2)),
+        traded_cells=np.argwhere(traded),
+        traded_prices=price[traded],
     )

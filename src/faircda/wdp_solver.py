@@ -56,6 +56,7 @@ from .model import (
     Money,
     ProviderBid,
     _check_count,
+    _unchecked,
     as_money,
     over_common_denominator,
 )
@@ -104,7 +105,9 @@ class _ScaledValues:
     their bundle; ``cheapest_bound[n]`` their bundle priced at each type's
     cheapest ask, over ``D``, and ``margin[n]`` their budget plus fairness
     factor minus that, over ``S``: what they can add to any objective at most
-    (both 0 when not feasible alone).  Price arrays,
+    (both 0 when not feasible alone).  ``margin_sum``, the sum of the
+    positive margins, bounds every objective over ``S``: the heuristic's
+    gap bound and the exact search's root bound.  Price arrays,
     ``cumsup`` and ``cumcost`` are int64 when every sum formed from them
     fits, ``object`` otherwise; quantity arrays are int64.  Every array is
     read-only.
@@ -161,6 +164,7 @@ class _ScaledValues:
             (b - c) * up + f if ok else 0
             for b, c, f, ok in zip(self.budgets, self.cheapest_bound, factors, self.feasible_alone)
         )
+        self.margin_sum = sum(m for m in self.margin if m > 0)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -459,21 +463,19 @@ def objective_value(
         raise ValueError(
             "allocation violates the instance constraints:\n  " + "\n  ".join(violations)
         )
-    utility, satisfaction = _objective_parts(instance, allocation)
-    sc = instance._scaled
-    utility = Fraction(utility, sc.denominator)
-    satisfaction = Fraction(satisfaction, sc.factor_denominator)
-    return utility + satisfaction, utility, satisfaction
+    return _totals(instance, allocation)[1:]
 
 
-def _objective_parts(instance: WdpInstance, allocation: Allocation) -> tuple[int, int]:
-    """(total_utility over ``D``, total_satisfaction over ``S``) of a feasible allocation."""
+def _totals(instance: WdpInstance, allocation: Allocation) -> tuple[int, Money, Money, Money]:
+    """A feasible allocation's objective over ``S``, then (objective, utility, satisfaction)."""
     sc = instance._scaled
+    S, D = sc.factor_denominator, sc.denominator
     won = allocation.winners
     value = sum(b for b, w in zip(sc.budgets, won) if w)
     satisfaction = sum(f for f, w in zip(sc.factors, won) if w)
-    cost = int((allocation.transfers.sum(axis=0) * sc.provider_prices.T).sum())
-    return value - cost, satisfaction
+    utility = value - int((allocation.transfers.sum(axis=0) * sc.provider_prices.T).sum())
+    objective = utility * (S // D) + satisfaction
+    return objective, Fraction(objective, S), Fraction(utility, D), Fraction(satisfaction, S)
 
 
 def _build_solution(
@@ -493,21 +495,17 @@ def _build_solution(
     chosen = set(positions)
     winners = tuple(n in chosen for n in range(instance.shape.num_consumers))
     allocation = Allocation(winners=winners, transfers=y)
-    sc = instance._scaled
-    utility, satisfaction = _objective_parts(instance, allocation)
-    gap = 0
-    if bound is not None:
-        S = sc.factor_denominator
-        gap = max(0, bound - utility * (S // sc.denominator) - satisfaction)
-    utility = Fraction(utility, sc.denominator)
-    satisfaction = Fraction(satisfaction, sc.factor_denominator)
-    return WdpSolution(
+    scaled, objective, utility, satisfaction = _totals(instance, allocation)
+    gap = 0 if bound is None else max(0, bound - scaled)
+    # Unchecked: the objective is the sum of its parts by construction.
+    return _unchecked(
+        WdpSolution,
         allocation=allocation,
-        objective=utility + satisfaction,
+        objective=objective,
         total_utility=utility,
         total_satisfaction=satisfaction,
         optimality=optimality,
-        gap_bound=Fraction(gap, sc.factor_denominator),
+        gap_bound=Fraction(gap, instance._scaled.factor_denominator),
     )
 
 
@@ -604,9 +602,9 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
 
     # Winner values and the sums of the remaining positive optimistic margins, over S.
     w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
-    suffix_opt = [0] * (N + 1)
-    for n in range(N - 1, -1, -1):
-        suffix_opt[n] = suffix_opt[n + 1] + max(0, sc.margin[n])
+    suffix_opt = [sc.margin_sum] * (N + 1)
+    for n in range(N):
+        suffix_opt[n + 1] = suffix_opt[n] - max(0, sc.margin[n])
 
     # The empty set is always feasible: start from it, objective 0.  Because
     # subtrees are visited in lexicographic winner-vector order and the
@@ -947,9 +945,8 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
         else:
             state.restore(snapshot)
 
-    root_bound = sum(m for m in sc.margin if m > 0)
     return _build_solution(
-        instance, np.flatnonzero(won).tolist(), optimality="heuristic", bound=root_bound
+        instance, np.flatnonzero(won).tolist(), optimality="heuristic", bound=sc.margin_sum
     )
 
 

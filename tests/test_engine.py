@@ -7,7 +7,7 @@ from statistics import fmean
 import numpy as np
 import pytest
 
-from faircda import engine
+from faircda import engine, model
 from faircda.engine import (
     EngineConfig,
     Repository,
@@ -21,8 +21,17 @@ from faircda.engine import (
     run_simulation,
     update_repository,
 )
-from faircda.model import ConsumerBid, MarketShape, ParticipantRecord, ProviderBid
+from faircda.model import (
+    Allocation,
+    ConsumerBid,
+    MarketShape,
+    ParticipantRecord,
+    ProviderBid,
+    RoundResult,
+)
+from faircda.pricing import settle
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
+from faircda.wdp_solver import WdpInstance
 
 
 def cbid(cid, price, quantity=1):
@@ -160,6 +169,63 @@ class TestUpdateRepository:
         stale = Repository(records=repo.records, round_counter=5)
         with pytest.raises(ValueError, match="cannot follow"):
             update_repository(stale, result)
+
+
+def hand_built_result(offered_prices):
+    """A round-one result in which nobody trades, built through the public constructor."""
+    instance = WdpInstance.from_bids([cbid(0, 10), cbid(1, 8)], [pbid(0, 5, 0)])
+    allocation = Allocation.empty(instance.shape)
+    return RoundResult(
+        round_index=1,
+        allocation=allocation,
+        settlement=settle(instance, allocation),
+        total_utility=Fraction(0),
+        total_satisfaction=Fraction(0),
+        utilization_percent=0.0,
+        win_percent=0.0,
+        offered_prices=offered_prices,
+    )
+
+
+class TestOfferedPrices:
+    @pytest.mark.parametrize("bad", [(Fraction(-1),), ("x",), (None,)])
+    def test_bad_entry_is_rejected_at_construction_by_name(self, bad):
+        with pytest.raises(ValueError, match=r"offered_prices\[1\] must be"):
+            hand_built_result({0: (Fraction(3),), 1: bad})
+
+    def test_fold_stores_validated_fractions(self):
+        result = hand_built_result({0: (3,), 1: ("5/2",)})
+        repo = update_repository(Repository.fresh([0, 1]), result)
+        assert repo.records[0].price_history == ((Fraction(3),),)
+        assert repo.records[1].price_history == ((Fraction(5, 2),),)
+        assert all(
+            type(p) is Fraction
+            for rec in repo.records.values()
+            for entry in rec.price_history
+            for p in entry
+        )
+
+    def test_folding_a_round_validates_no_price_again(self, monkeypatch):
+        # Consumer 1 loses at the streak limit, so the fold marks a drop too.
+        history = ((Fraction(2),),) * 6
+        streak = ParticipantRecord(losses=6, consecutive_losses=6, price_history=history)
+        repo = Repository(records={0: ParticipantRecord(), 1: streak, 2: ParticipantRecord()})
+        config = EngineConfig(fairness_enabled=False, rounds=10)
+        bids = [cbid(0, 10), cbid(1, 2), cbid(2, 7)]
+        result = run_round(repo, bids, [pbid(0, 5, 5)], config, fairness_rng())
+        assert result.drops_this_round == (1,)
+        calls = []
+        real = model._money_tuple
+
+        def counting(values, what):
+            calls.append(what)
+            return real(values, what)
+
+        monkeypatch.setattr(model, "_money_tuple", counting)
+        repo = update_repository(repo, result)
+        assert calls == []
+        assert repo.records[2].price_history == ((Fraction(7),),)
+        assert repo.records[1].dropped_at_round == 1
 
 
 class TestPreviousOutcomes:

@@ -1,5 +1,6 @@
 """Domain type invariants and the budget operation."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -118,6 +119,11 @@ class TestParticipantRecord:
         assert rec.dropped_at_round == 7
         assert rec.marked_dropped(9).dropped_at_round == 7
 
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.0])
+    def test_drop_round_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="dropped_at_round"):
+            ParticipantRecord(losses=1, consecutive_losses=1).marked_dropped(bad)
+
     def test_constructor_validates_every_history_entry(self):
         with pytest.raises(ValueError, match="price history entry"):
             ParticipantRecord(price_history=((Fraction(1),), (Fraction(-1),)))
@@ -225,6 +231,39 @@ class TestBudget:
             quantities[0] = 1
         bid = ConsumerBid(0, tuple(map(Fraction, prices)), tuple(quantities))
         assert budget(bid) == sum(p * q for p, q in zip(prices, quantities))
+
+
+# Pairwise coprime: gcd(2**a - 1, 2**b - 1) == 2**gcd(a, b) - 1 == 1 for distinct primes a, b.
+WIDE = tuple(2**e - 1 for e in (89, 97, 101, 103, 107, 109, 113, 127))
+F = Fraction
+
+
+class TestOverCommonDenominator:
+    @pytest.mark.parametrize(
+        "values, denominator",
+        [
+            ([], 1),
+            ([], 6),
+            ([F(3, 7)], 1),
+            ([F(3, 7)], 4),
+            ([F(1, 6), F(5, 6), F(-1, 4), F(3, 4), F(2), F(1, 6)], 1),
+            ([F(k, d) for k, d in zip(range(1, 9), WIDE)] + [F(1, WIDE[0] * WIDE[1])], 10),
+            ([F(-k, WIDE[k % 3]) for k in range(1, 40)], WIDE[5]),
+        ],
+        ids=["empty", "empty-with-denominator", "single", "single-with-denominator",
+             "repeated-denominators", "wide-coprime", "wide-repeated"],
+    )
+    def test_lcm_and_exact_scaling(self, values, denominator):
+        S, scaled = model.over_common_denominator(values, denominator)
+        assert S == math.lcm(denominator, *(v.denominator for v in values))
+        assert len(scaled) == len(values)
+        assert all(type(x) is int and x == v * S for x, v in zip(scaled, values))
+
+    @given(st.lists(st.fractions(max_denominator=10**6), max_size=40), st.integers(1, 10**6))
+    def test_matches_a_single_lcm(self, values, denominator):
+        S, scaled = model.over_common_denominator(values, denominator)
+        assert S == math.lcm(denominator, *(v.denominator for v in values))
+        assert scaled == [int(v * S) for v in values]
 
 
 class TestAsMoney:

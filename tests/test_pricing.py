@@ -4,13 +4,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircda.cli import random_micro_instance
-from faircda.model import Allocation, ConsumerBid, ExtendedConsumerBid, ProviderBid
+from faircda.model import Allocation, ConsumerBid, ExtendedConsumerBid, MarketShape, ProviderBid
 from faircda.pricing import settle, trade_price_unit
-from faircda.wdp_solver import WdpInstance, objective_value, solve_exact
+from faircda.wdp_solver import WdpInstance, objective_value, solve_exact, solve_heuristic
+
+MAPS = (
+    "unit_trade_prices",
+    "consumer_payments",
+    "provider_receipts",
+    "consumer_utilities",
+    "provider_utilities",
+)
+PRICES = st.fractions(min_value=0, max_value=60, max_denominator=13)
 
 
 def micro_instance(consumer_price, provider_price, quantity, supply=None):
@@ -112,3 +121,58 @@ class TestSettlementInvariants:
         for inst, sol, s in self.solved_settlements():
             _, total_utility, _ = objective_value(inst, sol.allocation)
             assert s.total_utility() == total_utility == sol.total_utility
+
+
+@st.composite
+def solved_instances(draw):
+    """A small instance with rational prices and its heuristic or exact allocation."""
+    N, M, L = draw(st.integers(0, 7)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    quantities = st.lists(st.integers(0, 3), min_size=L, max_size=L)
+    prices = st.lists(PRICES, min_size=L, max_size=L)
+    consumers = []
+    for n in range(N):
+        q = draw(quantities)
+        q[0] += not any(q)
+        bid = ConsumerBid(n + 10, tuple(draw(prices)), tuple(q))
+        consumers.append(ExtendedConsumerBid(bid, draw(st.integers(-20, 20))))
+    providers = [ProviderBid(m + 20, tuple(draw(prices)), tuple(draw(quantities))) for m in range(M)]
+    instance = WdpInstance(MarketShape(N, M, L), tuple(consumers), tuple(providers))
+    solve = draw(st.sampled_from([solve_heuristic, solve_exact]))
+    return instance, solve(instance).allocation
+
+
+def eager_settlement(instance, allocation):
+    """The five maps, built unit by unit from the bids with :func:`trade_price_unit`."""
+    cids = [ext.consumer_id for ext in instance.consumer_bids]
+    pids = [pb.provider_id for pb in instance.provider_bids]
+    maps = {"unit_trade_prices": {}}
+    for name, ids in zip(MAPS[1:], (cids, pids, cids, pids)):
+        maps[name] = dict.fromkeys(ids, Fraction(0))
+    y = allocation.transfers
+    for n, l, m in zip(*np.nonzero(y)):
+        cp = instance.consumer_bids[n].bid.unit_prices[l]
+        pp = instance.provider_bids[m].unit_prices[l]
+        price = trade_price_unit(cp, pp)
+        units = int(y[n, l, m])
+        maps["unit_trade_prices"][(cids[n], int(l), pids[m])] = price
+        maps["consumer_payments"][cids[n]] += units * price
+        maps["provider_receipts"][pids[m]] += units * price
+        maps["consumer_utilities"][cids[n]] += units * (cp - price)
+        maps["provider_utilities"][pids[m]] += units * (price - pp)
+    return maps
+
+
+class TestLazySettlement:
+    @settings(max_examples=80, deadline=None)
+    @given(solved_instances())
+    def test_maps_equal_an_eager_reference_and_are_built_on_first_read(self, case):
+        instance, allocation = case
+        s = settle(instance, allocation)
+        assert not set(MAPS) & set(vars(s))
+        reference = eager_settlement(instance, allocation)
+        for name in MAPS:
+            assert getattr(s, name) == reference[name], name
+            assert getattr(s, name) is getattr(s, name)
+        assert all(type(v) is Fraction for name in MAPS for v in getattr(s, name).values())
+        assert s.total_payments() == s.total_receipts()
+        assert s.total_payments() == sum(reference["provider_receipts"].values())
