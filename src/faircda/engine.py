@@ -394,6 +394,7 @@ def repository_to_dict(repo: Repository) -> dict:
 
 
 def repository_from_dict(payload: Mapping) -> Repository:
+    # ParticipantRecord converts each price once, with as_money: 0.1 loads as 1/10.
     records = {}
     for cid, fields in payload["records"].items():
         records[int(cid)] = ParticipantRecord(
@@ -401,9 +402,7 @@ def repository_from_dict(payload: Mapping) -> Repository:
             losses=fields["losses"],
             consecutive_losses=fields["consecutive_losses"],
             dropped_at_round=fields["dropped_at_round"],
-            price_history=tuple(
-                tuple(Fraction(p) for p in entry) for entry in fields["price_history"]
-            ),
+            price_history=fields["price_history"],
         )
     return Repository(records=records, round_counter=payload["round_counter"])
 

@@ -22,7 +22,10 @@ solver here:
 ``solve_exact`` runs depth-first branch and bound over the winner vector,
 ``solve_oracle`` enumerates all winner subsets, and ``solve_heuristic``
 greedily admits consumers by optimistic margin with one drop-and-readd
-repair pass.  All three return allocations that validate clean.
+repair pass.  All three return allocations that validate clean.  The two
+search solvers hold winner demand in one layout, the flat cumulative-demand
+vector of ``_HeuristicState``, and read its cost with one formula,
+``_breakpoint_cost``.
 
 Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` derives
 its market as integers once, when it is built (:class:`_ScaledValues`):
@@ -43,7 +46,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -548,57 +551,23 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     minus their demand priced at the cheapest compatible ask, supply
     ignored).  If a budget runs out first, the incumbent is returned with a
     gap bound from the open nodes.  Objectives and bounds are integers over
-    the instance's common denominator ``S``.  A node's ``cumdem[l][k]`` sums
-    the type-``l`` demand of winners reaching at most ``k + 1`` sorted
-    providers.  Nodes are cheap, so they run on Python lists, not arrays.
+    the instance's common denominator ``S``.  A node's demand is the flat
+    cumulative-demand list of :class:`_HeuristicState`, whose contribution
+    rows, supply and cost tables the search reads: a consumer fits iff
+    every entry of the demand with them added is within its supply, and a
+    node's cost is read at the price breakpoints (:func:`_breakpoint_cost`)
+    once, when it is pushed.  Nodes are cheap, so they run on Python lists,
+    not arrays.
     """
     if limits is None:
         limits = SolverLimits()
     sc = instance._scaled
-    shape = instance.shape
-    N, M, L = shape.num_consumers, shape.num_providers, shape.num_resource_types
-    S = sc.factor_denominator
-    up = S // sc.denominator
-    q = sc.consumer_quantities.tolist()
-    reach = sc.reach.tolist()
-    cumsup = sc.cumsup.tolist()
-    cumcost = sc.cumcost.tolist()
-    sorted_prices = sc.sorted_prices.tolist()
+    N = instance.shape.num_consumers
+    up = sc.factor_denominator // sc.denominator
     feasible_alone = sc.feasible_alone.tolist()
-
-    def can_add(cumdem: list[list[int]], n: int) -> bool:
-        if not feasible_alone[n]:
-            return False
-        for l in range(L):
-            qn = q[n][l]
-            if qn == 0:
-                continue
-            row = cumdem[l]
-            csl = cumsup[l]
-            for k in range(reach[n][l] - 1, M):
-                if row[k] + qn > csl[k + 1]:
-                    return False
-        return True
-
-    def add(cumdem: list[list[int]], n: int) -> None:
-        for l in range(L):
-            qn = q[n][l]
-            if qn == 0:
-                continue
-            row = cumdem[l]
-            for k in range(reach[n][l] - 1, M):
-                row[k] += qn
-
-    def total_cost(cumdem: list[list[int]]) -> int:
-        """Cheapest-first cost of the winners' demand, over ``D``."""
-        total = 0
-        for l in range(L):
-            demand = cumdem[l][M - 1] if M else 0
-            if demand:
-                cs = cumsup[l]
-                idx = bisect_left(cs, demand)
-                total += cumcost[l][idx - 1] + (demand - cs[idx - 1]) * sorted_prices[l][idx - 1]
-        return total
+    state = _HeuristicState(instance)
+    rows, supply = state.contribution_rows, state.supply_list
+    tables = list(zip(state.tables, state.demand_at))
 
     # Winner values and the sums of the remaining positive optimistic margins, over S.
     w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
@@ -613,8 +582,9 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     incumbent: list[int] = []
     incumbent_obj = 0
 
-    # Stack entries: (next consumer index, winner positions, demand state, winner-value sum).
-    stack = [(0, [], [[0] * M for _ in range(L)], 0)]
+    # Stack entries: (next consumer index, winner positions, demand,
+    # winner-value sum, objective), the objective over S.
+    stack = [(0, [], state.cumdem, 0, 0)]
     nodes = 0
     truncated = False
     started = time.monotonic()
@@ -629,9 +599,8 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
         ):
             truncated = True
             break
-        i, chosen, cumdem, wsum = stack.pop()
+        i, chosen, cumdem, wsum, node_obj = stack.pop()
         nodes += 1
-        node_obj = wsum - up * total_cost(cumdem)
         if i == N:
             if node_obj > incumbent_obj:
                 incumbent = chosen
@@ -640,17 +609,17 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
         if node_obj + suffix_opt[i] <= incumbent_obj:
             continue
         # Push include first so the exclude branch pops (and is explored) first.
-        if can_add(cumdem, i):
-            child = [row[:] for row in cumdem]
-            add(child, i)
-            stack.append((i + 1, chosen + [i], child, wsum + w[i]))
-        stack.append((i + 1, chosen, cumdem, wsum))
+        # The parent's demand fits, so the child fits iff every entry does.
+        if feasible_alone[i]:
+            child = list(map(add, cumdem, rows[i]))
+            if all(map(le, child, supply)):
+                cost = sum(_breakpoint_cost(*t, child[at])[1] for t, at in tables)
+                child_w = wsum + w[i]
+                stack.append((i + 1, chosen + [i], child, child_w, child_w - up * cost))
+        stack.append((i + 1, chosen, cumdem, wsum, node_obj))
 
     if truncated:
-        open_bound = max(
-            [incumbent_obj]
-            + [wsum - up * total_cost(cumdem) + suffix_opt[i] for i, _, cumdem, wsum in stack]
-        )
+        open_bound = max([incumbent_obj] + [obj + suffix_opt[i] for i, *_, obj in stack])
         if open_bound > incumbent_obj:
             return _build_solution(instance, incumbent, optimality="heuristic", bound=open_bound)
     return _build_solution(instance, incumbent, optimality="proved_optimal")
@@ -729,6 +698,10 @@ class _HeuristicState:
     and because asks are sorted ascending, cost is convex in demand, so a
     consumer's marginal cost never falls while the demand stays within
     supply; demand beyond supply already fails the room test.
+
+    :func:`solve_exact` reads ``contribution_rows``, ``supply_list``,
+    ``tables`` and ``demand_at`` for its own search nodes, and none of the
+    room or marginal costs.
     """
 
     def __init__(self, instance: WdpInstance):

@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, file outputs, and solver validation."""
 
 import json
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircda.cli import (
     cmd_validate,
@@ -13,6 +16,7 @@ from faircda.cli import (
     main,
     run_validation_corpus,
 )
+from faircda.engine import SOLVER_MODES
 from faircda.metrics import parse_report, report_to_json
 from faircda.model import Allocation
 from faircda.wdp_solver import WdpSolution
@@ -85,6 +89,38 @@ class TestCmdRun:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error:") and all(word in err for word in named)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        consumers=st.integers(1, 14),
+        providers=st.integers(1, 3),
+        types=st.integers(1, 2),
+        rounds=st.integers(1, 3),
+        solver=st.sampled_from(SOLVER_MODES),
+        fairness=st.booleans(),
+        seed=st.integers(0, 5),
+    )
+    def test_accepted_config_and_solver_run_to_completion_or_exit_one(
+        self, consumers, providers, types, rounds, solver, fairness, seed
+    ):
+        config = {
+            "scenario": {"consumers": consumers, "providers": providers,
+                         "resource_types": types, "runs": 1},
+            "engine": {"rounds": rounds, "solver": solver, "fairness_enabled": fairness,
+                       "master_seed": seed},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = Path(tmp) / "experiment.json"
+            config_path.write_text(json.dumps(config))
+            out = Path(tmp) / "results"
+            code = run_main(["run", "--config", config_path, "--out", out])
+            # Exit 2 is a failure after the config was accepted.
+            assert code in (0, 1)
+            if code == 0:
+                assert sorted(p.name for p in out.iterdir()) == [
+                    "per_round.csv", "per_run.csv", "report.json"]
+            else:
+                assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, key, value",

@@ -392,6 +392,21 @@ class TestRepositorySerialization:
         repo = Repository(records={1: ParticipantRecord(wins=1, losses=0)}, round_counter=1)
         assert repository_from_dict(repository_to_dict(repo)) == repo
 
+    @staticmethod
+    def payload(price_history):
+        record = {"wins": 0, "losses": 1, "consecutive_losses": 1, "dropped_at_round": None,
+                  "price_history": price_history}
+        return {"round_counter": 1, "records": {"3": record}}
+
+    def test_price_history_converts_like_the_record(self):
+        repo = repository_from_dict(self.payload([[0.1, "1/3"]]))
+        assert repo.records[3].price_history == ((Fraction(1, 10), Fraction(1, 3)),)
+        assert repository_from_json(repository_to_json(repo)) == repo
+
+    def test_non_numeric_price_history_entry_rejected(self):
+        with pytest.raises(ValueError, match="price history entry"):
+            repository_from_dict(self.payload([["abc"]]))
+
 
 class TestEngineConfig:
     def test_zero_rounds_rejected(self):

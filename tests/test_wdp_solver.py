@@ -224,6 +224,31 @@ class TestSolveExact:
         assert truncated.objective + truncated.gap_bound >= optimal.objective
         assert validate_solution(inst, truncated.allocation) == []
 
+    # Recorded before the search ran on the heuristic's demand layout: node
+    # order, and so every truncated result, must not move.
+    TRUNCATED_40x4x3 = {
+        1: ((), Fraction(0), Fraction(1381561, 50)),
+        2: ((), Fraction(0), Fraction(1381561, 50)),
+        3: ((), Fraction(0), Fraction(1381561, 50)),
+        7: ((), Fraction(0), Fraction(1381561, 50)),
+        50: ((37, 39), Fraction(176371, 100), Fraction(2586751, 100)),
+        400: (tuple(range(26, 40)), Fraction(486003, 50), Fraction(447779, 25)),
+        5000: (tuple(range(7, 40)), Fraction(2239131, 100), Fraction(523991, 100)),
+    }
+
+    @pytest.mark.parametrize("node_budget", sorted(TRUNCATED_40x4x3))
+    def test_truncated_results_are_recorded(self, node_budget):
+        config = ScenarioConfig(shape=MarketShape(40, 4, 3), runs=1)
+        rng = np.random.default_rng(5)
+        inst = WdpInstance.from_bids(
+            generate_consumer_bids(config, rng, 1), generate_provider_bids(config, rng)
+        )
+        sol = solve_exact(inst, SolverLimits(node_budget=node_budget))
+        winners, objective, gap_bound = self.TRUNCATED_40x4x3[node_budget]
+        assert (sol.winner_positions, sol.objective, sol.gap_bound, sol.optimality) == (
+            winners, objective, gap_bound, "heuristic"
+        )
+
 
 class TestSolveOracle:
     def test_agrees_with_exact_on_worked_examples(self):
@@ -235,13 +260,19 @@ class TestSolveOracle:
             assert solve_oracle(inst).objective == solve_exact(inst).objective
 
     def test_empty_market_edge(self):
-        inst = WdpInstance(
+        no_consumers = WdpInstance(
             shape=MarketShape(0, 1, 1),
             consumer_bids=(),
             provider_bids=(provider(0, [5], [1]),),
         )
-        sol = solve_oracle(inst)
-        assert sol.objective == 0 and sol.allocation.winners == ()
+        no_providers = WdpInstance(
+            shape=MarketShape(1, 0, 1), consumer_bids=(consumer(0, [10], [1]),), provider_bids=()
+        )
+        for solver in (solve_oracle, solve_exact):
+            sol = solver(no_consumers)
+            assert sol.objective == 0 and sol.allocation.winners == ()
+            sol = solver(no_providers)
+            assert sol.objective == 0 and sol.allocation.winners == (False,)
 
     def test_large_instance_guard(self):
         consumers = [consumer(n, [10], [1]) for n in range(13)]
