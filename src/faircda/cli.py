@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -26,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .engine import SOLVER_MODES, EngineConfig, check_solver_fits, config_echo, run_simulation
-from .metrics import SimulationReport, _csv_cell, emit
+from .metrics import SimulationReport, _rows_to_csv, emit
 from .model import (
     ConsumerBid,
     ExtendedConsumerBid,
@@ -55,23 +54,18 @@ __all__ = [
     "main",
 ]
 
-COMPARISON_FIELDS = (
-    "run",
-    "drops_fairness",
-    "drops_baseline",
-    "drops_delta",
-    "mean_drop_round_fairness",
-    "mean_drop_round_baseline",
-    "mean_drop_round_delta",
-    "total_utility_fairness",
-    "total_utility_baseline",
-    "total_utility_delta",
-    "utilization_fairness",
-    "utilization_baseline",
-    "utilization_delta",
-    "win_percent_fairness",
-    "win_percent_baseline",
-    "win_percent_delta",
+# The columns that comparison.csv pairs up, one triple of fairness, baseline
+# and delta columns each: (column stem, per-run field, delta sign).  A delta
+# is the sign times fairness minus baseline.
+_COMPARED = (
+    ("drops", "drops", -1),
+    ("mean_drop_round", "mean_drop_round", 1),
+    ("total_utility", "total_utility", 1),
+    ("utilization", "mean_utilization", 1),
+    ("win_percent", "mean_win_percent", 1),
+)
+COMPARISON_FIELDS = ("run",) + tuple(
+    f"{stem}_{column}" for stem, _, _ in _COMPARED for column in ("fairness", "baseline", "delta")
 )
 
 DEFAULT_CORPUS_SIZE = 500
@@ -213,39 +207,13 @@ def comparison_rows(fairness: SimulationReport, baseline: SimulationReport) -> l
     for fair, base in zip(fairness.per_run, baseline.per_run):
         if fair.run != base.run:
             raise ValueError("comparison reports are not aligned by run")
-        if fair.mean_drop_round is None or base.mean_drop_round is None:
-            drop_round_delta = None
-        else:
-            drop_round_delta = fair.mean_drop_round - base.mean_drop_round
-        rows.append(
-            {
-                "run": fair.run,
-                "drops_fairness": fair.drops,
-                "drops_baseline": base.drops,
-                "drops_delta": base.drops - fair.drops,
-                "mean_drop_round_fairness": fair.mean_drop_round,
-                "mean_drop_round_baseline": base.mean_drop_round,
-                "mean_drop_round_delta": drop_round_delta,
-                "total_utility_fairness": fair.total_utility,
-                "total_utility_baseline": base.total_utility,
-                "total_utility_delta": fair.total_utility - base.total_utility,
-                "utilization_fairness": fair.mean_utilization,
-                "utilization_baseline": base.mean_utilization,
-                "utilization_delta": fair.mean_utilization - base.mean_utilization,
-                "win_percent_fairness": fair.mean_win_percent,
-                "win_percent_baseline": base.mean_win_percent,
-                "win_percent_delta": fair.mean_win_percent - base.mean_win_percent,
-            }
-        )
+        row = {"run": fair.run}
+        for stem, name, sign in _COMPARED:
+            f, b = getattr(fair, name), getattr(base, name)
+            row[f"{stem}_fairness"], row[f"{stem}_baseline"] = f, b
+            row[f"{stem}_delta"] = None if f is None or b is None else sign * (f - b)
+        rows.append(row)
     return rows
-
-
-def write_comparison_csv(rows: Sequence[dict], path: Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COMPARISON_FIELDS)
-        for row in rows:
-            writer.writerow([_csv_cell(row[f]) for f in COMPARISON_FIELDS])
 
 
 def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> int:
@@ -263,8 +231,7 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> int:
     emit(fairness, out / "fairness")
     emit(baseline, out / "baseline")
     rows = comparison_rows(fairness, baseline)
-    out.mkdir(parents=True, exist_ok=True)
-    write_comparison_csv(rows, out / "comparison.csv")
+    (out / "comparison.csv").write_text(_rows_to_csv(COMPARISON_FIELDS, rows))
 
     better_drops = sum(1 for r in rows if r["drops_delta"] > 0)
     utility_signs = {

@@ -81,6 +81,9 @@ class Repository:
     records: dict[int, ParticipantRecord] = field(default_factory=dict)
     round_counter: int = 0
 
+    def __post_init__(self):
+        _check_count(self.round_counter, "round_counter")
+
     def record(self, consumer_id: int) -> ParticipantRecord:
         try:
             return self.records[consumer_id]

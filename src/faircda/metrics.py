@@ -19,11 +19,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import Money, ProviderBid
 
@@ -39,25 +39,6 @@ __all__ = [
     "report_to_json",
     "parse_report",
 ]
-
-PER_ROUND_FIELDS = (
-    "run",
-    "round",
-    "total_utility",
-    "total_satisfaction",
-    "utilization_percent",
-    "win_percent",
-    "cumulative_drops",
-)
-PER_RUN_FIELDS = (
-    "run",
-    "total_utility",
-    "drops",
-    "mean_drop_round",
-    "mean_utilization",
-    "mean_win_percent",
-)
-
 
 @dataclass(frozen=True)
 class PerRoundRow:
@@ -78,6 +59,11 @@ class RunMetrics:
     mean_drop_round: Optional[float]
     mean_utilization: float
     mean_win_percent: float
+
+
+# A table's columns are its row type's fields, in order.
+PER_ROUND_FIELDS = tuple(f.name for f in fields(PerRoundRow))
+PER_RUN_FIELDS = tuple(f.name for f in fields(RunMetrics))
 
 
 @dataclass(frozen=True)
@@ -165,46 +151,26 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(fields: Sequence[str], rows: Iterable) -> str:
+def _rows_to_csv(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
+    """The CSV text of ``rows``, a header of ``columns`` and one line per row."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fields)
+    writer.writerow(columns)
     for row in rows:
-        data = asdict(row)
-        writer.writerow([_csv_cell(data[f]) for f in fields])
+        writer.writerow([_csv_cell(row[c]) for c in columns])
     return buffer.getvalue()
 
 
-def _money_str(value: Money) -> str:
-    return str(Fraction(value))
+def _json_row(row) -> dict:
+    """A report row's fields, money as an exact fraction string."""
+    return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(row).items()}
 
 
 def report_to_json(report: SimulationReport) -> str:
     payload = {
         "config": report.config_echo,
-        "per_round": [
-            {
-                "run": r.run,
-                "round": r.round,
-                "total_utility": _money_str(r.total_utility),
-                "total_satisfaction": _money_str(r.total_satisfaction),
-                "utilization_percent": r.utilization_percent,
-                "win_percent": r.win_percent,
-                "cumulative_drops": r.cumulative_drops,
-            }
-            for r in report.per_round
-        ],
-        "per_run": [
-            {
-                "run": r.run,
-                "total_utility": _money_str(r.total_utility),
-                "drops": r.drops,
-                "mean_drop_round": r.mean_drop_round,
-                "mean_utilization": r.mean_utilization,
-                "mean_win_percent": r.mean_win_percent,
-            }
-            for r in report.per_run
-        ],
+        "per_round": [_json_row(r) for r in report.per_round],
+        "per_run": [_json_row(r) for r in report.per_run],
         "repositories": list(report.final_repositories),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -262,8 +228,8 @@ def emit(report: SimulationReport, destination) -> list[Path]:
         report_path = dest / "report.json"
         ordered_rounds = sorted(report.per_round, key=lambda r: (r.run, r.round))
         ordered_runs = sorted(report.per_run, key=lambda r: r.run)
-        per_round_path.write_text(_rows_to_csv(PER_ROUND_FIELDS, ordered_rounds))
-        per_run_path.write_text(_rows_to_csv(PER_RUN_FIELDS, ordered_runs))
+        per_round_path.write_text(_rows_to_csv(PER_ROUND_FIELDS, map(vars, ordered_rounds)))
+        per_run_path.write_text(_rows_to_csv(PER_RUN_FIELDS, map(vars, ordered_runs)))
         report_path.write_text(report_to_json(report))
     except OSError as exc:
         raise OSError(f"cannot write report files under {dest}: {exc}") from exc

@@ -373,10 +373,6 @@ class Allocation:
         )
         return cls(winners=(False,) * shape.num_consumers, transfers=zeros)
 
-    @property
-    def num_winners(self) -> int:
-        return sum(self.winners)
-
     def units_sold(self) -> int:
         return int(self.transfers.sum())
 

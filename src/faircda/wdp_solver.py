@@ -23,9 +23,9 @@ solver here:
 ``solve_oracle`` enumerates all winner subsets, and ``solve_heuristic``
 greedily admits consumers by optimistic margin with one drop-and-readd
 repair pass.  All three return allocations that validate clean.  The two
-search solvers hold winner demand in one layout, the flat cumulative-demand
-vector of ``_HeuristicState``, and read its cost with one formula,
-``_breakpoint_cost``.
+search solvers hold winner demand in one layout, a flat cumulative-demand
+vector, read the supply and cost tables of that layout from the instance,
+and read its cost with one formula, ``_breakpoint_cost``.
 
 Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` derives
 its market as integers once, when it is built (:class:`_ScaledValues`):
@@ -46,6 +46,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -59,7 +60,6 @@ from .model import (
     Money,
     ProviderBid,
     _check_count,
-    _unchecked,
     as_money,
     over_common_denominator,
 )
@@ -114,6 +114,14 @@ class _ScaledValues:
     ``cumsup`` and ``cumcost`` are int64 when every sum formed from them
     fits, ``object`` otherwise; quantity arrays are int64.  Every array is
     read-only.
+
+    Both searches hold winner demand as one flat cumulative-demand vector
+    (see :class:`_HeuristicState`) and read the same layout from here:
+    ``supply`` (and ``supply_list``), each entry's cumulative supply;
+    ``contribution[n]`` (and ``contribution_rows``), what admitting consumer
+    ``n`` adds to the demand; ``demand_at[l]``, where type ``l``'s whole
+    demand is; and ``tables[l]``, the type's ``(cumsup, cumcost, price)``
+    lists for :func:`_breakpoint_cost`.
     """
 
     def __init__(
@@ -168,6 +176,25 @@ class _ScaledValues:
             for b, c, f, ok in zip(self.budgets, self.cheapest_bound, factors, self.feasible_alone)
         )
         self.margin_sum = sum(m for m in self.margin if m > 0)
+
+        # The layout both searches read.  cumsup[l][k + 1], flat by type with
+        # each type's providers last first, as the cumulative demand is.
+        self.supply = self.cumsup[:, :0:-1].reshape(-1)
+        self.supply_list = self.supply.tolist()
+        self.demand_at = [l * M for l in range(L)]
+        # What admitting consumer n adds to the cumulative demand: q[n][l] at
+        # every provider of type l it reaches.
+        self.contribution = np.where(
+            np.arange(M - 1, -1, -1) >= self.reach[:, :, None] - 1, q[:, :, None], 0
+        ).reshape(N, L * M)
+        self.contribution_rows = self.contribution.tolist()
+        self.tables = []
+        for l in range(L):
+            # One breakpoint past the supply, so that every segment has an end.
+            cumsup = self.cumsup[l].tolist()
+            cumsup.append(cumsup[-1] + 1)
+            price = self.sorted_prices[l].tolist() + [0]
+            self.tables.append((cumsup, self.cumcost[l].tolist(), price))
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -267,7 +294,6 @@ class WdpSolution:
     """A solved allocation plus its exact objective decomposition."""
 
     allocation: Allocation
-    objective: Money
     total_utility: Money
     total_satisfaction: Money
     optimality: str
@@ -276,15 +302,15 @@ class WdpSolution:
     def __post_init__(self):
         if self.optimality not in ("proved_optimal", "heuristic", "oracle"):
             raise ValueError(f"unknown optimality tag {self.optimality!r}")
-        if self.objective != self.total_utility + self.total_satisfaction:
-            raise ValueError(
-                "objective must equal total_utility + total_satisfaction "
-                f"({self.objective} != {self.total_utility} + {self.total_satisfaction})"
-            )
         if self.gap_bound < 0:
             raise ValueError("gap_bound must be non-negative")
         if self.optimality in ("proved_optimal", "oracle") and self.gap_bound != 0:
             raise ValueError("a proved-optimal solution must report gap_bound 0")
+
+    @cached_property
+    def objective(self) -> Money:
+        """``total_utility + total_satisfaction``, built on first access."""
+        return self.total_utility + self.total_satisfaction
 
     @property
     def winner_positions(self) -> tuple[int, ...]:
@@ -466,19 +492,19 @@ def objective_value(
         raise ValueError(
             "allocation violates the instance constraints:\n  " + "\n  ".join(violations)
         )
-    return _totals(instance, allocation)[1:]
+    scaled, utility, satisfaction = _totals(instance, allocation)
+    return Fraction(scaled, instance._scaled.factor_denominator), utility, satisfaction
 
 
-def _totals(instance: WdpInstance, allocation: Allocation) -> tuple[int, Money, Money, Money]:
-    """A feasible allocation's objective over ``S``, then (objective, utility, satisfaction)."""
+def _totals(instance: WdpInstance, allocation: Allocation) -> tuple[int, Money, Money]:
+    """A feasible allocation's objective over ``S``, then (utility, satisfaction)."""
     sc = instance._scaled
     S, D = sc.factor_denominator, sc.denominator
     won = allocation.winners
     value = sum(b for b, w in zip(sc.budgets, won) if w)
     satisfaction = sum(f for f, w in zip(sc.factors, won) if w)
     utility = value - int((allocation.transfers.sum(axis=0) * sc.provider_prices.T).sum())
-    objective = utility * (S // D) + satisfaction
-    return objective, Fraction(objective, S), Fraction(utility, D), Fraction(satisfaction, S)
+    return utility * (S // D) + satisfaction, Fraction(utility, D), Fraction(satisfaction, S)
 
 
 def _build_solution(
@@ -498,13 +524,10 @@ def _build_solution(
     chosen = set(positions)
     winners = tuple(n in chosen for n in range(instance.shape.num_consumers))
     allocation = Allocation(winners=winners, transfers=y)
-    scaled, objective, utility, satisfaction = _totals(instance, allocation)
+    scaled, utility, satisfaction = _totals(instance, allocation)
     gap = 0 if bound is None else max(0, bound - scaled)
-    # Unchecked: the objective is the sum of its parts by construction.
-    return _unchecked(
-        WdpSolution,
+    return WdpSolution(
         allocation=allocation,
-        objective=objective,
         total_utility=utility,
         total_satisfaction=satisfaction,
         optimality=optimality,
@@ -551,13 +574,13 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     minus their demand priced at the cheapest compatible ask, supply
     ignored).  If a budget runs out first, the incumbent is returned with a
     gap bound from the open nodes.  Objectives and bounds are integers over
-    the instance's common denominator ``S``.  A node's demand is the flat
-    cumulative-demand list of :class:`_HeuristicState`, whose contribution
-    rows, supply and cost tables the search reads: a consumer fits iff
-    every entry of the demand with them added is within its supply, and a
-    node's cost is read at the price breakpoints (:func:`_breakpoint_cost`)
-    once, when it is pushed.  Nodes are cheap, so they run on Python lists,
-    not arrays.
+    the instance's common denominator ``S``.  A node's demand is a flat
+    cumulative-demand list, laid out as :class:`_HeuristicState`'s, and the
+    search reads the instance's contribution rows, supply and cost tables
+    (:class:`_ScaledValues`): a consumer fits iff every entry of the
+    demand with them added is within its supply, and a node's cost is read
+    at the price breakpoints (:func:`_breakpoint_cost`) once, when it is
+    pushed.  Nodes are cheap, so they run on Python lists, not arrays.
     """
     if limits is None:
         limits = SolverLimits()
@@ -565,9 +588,8 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     N = instance.shape.num_consumers
     up = sc.factor_denominator // sc.denominator
     feasible_alone = sc.feasible_alone.tolist()
-    state = _HeuristicState(instance)
-    rows, supply = state.contribution_rows, state.supply_list
-    tables = list(zip(state.tables, state.demand_at))
+    rows, supply = sc.contribution_rows, sc.supply_list
+    tables = list(zip(sc.tables, sc.demand_at))
 
     # Winner values and the sums of the remaining positive optimistic margins, over S.
     w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
@@ -584,7 +606,7 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
 
     # Stack entries: (next consumer index, winner positions, demand,
     # winner-value sum, objective), the objective over S.
-    stack = [(0, [], state.cumdem, 0, 0)]
+    stack = [(0, [], [0] * len(supply), 0, 0)]
     nodes = 0
     truncated = False
     started = time.monotonic()
@@ -699,9 +721,9 @@ class _HeuristicState:
     consumer's marginal cost never falls while the demand stays within
     supply; demand beyond supply already fails the room test.
 
-    :func:`solve_exact` reads ``contribution_rows``, ``supply_list``,
-    ``tables`` and ``demand_at`` for its own search nodes, and none of the
-    room or marginal costs.
+    The supply, contribution rows and cost tables are the instance's
+    (:class:`_ScaledValues`), which :func:`solve_exact` reads too; the
+    room, the marginal costs and the pools are the heuristic's alone.
     """
 
     def __init__(self, instance: WdpInstance):
@@ -709,26 +731,17 @@ class _HeuristicState:
         L, M = sc.sorted_prices.shape
         D = sc.denominator
         self.num_types, self.dtype = L, sc.cumsup.dtype
-        # cumsup[l][k + 1] in the flat layout of cumdem.
-        self.supply = sc.cumsup[:, :0:-1].reshape(-1)
-        self.supply_list = self.supply.tolist()
+        self.supply, self.supply_list = sc.supply, sc.supply_list
+        self.contribution, self.contribution_rows = sc.contribution, sc.contribution_rows
+        self.tables, self.demand_at = sc.tables, sc.demand_at
         self.type_start = [t == 0 for _ in range(L) for t in range(M)]
-        self.demand_at = [l * M for l in range(L)]
-        # What admitting consumer n adds to cumdem: q[n][l] at every provider
-        # of type l it reaches.
-        self.contribution = np.where(
-            np.arange(M - 1, -1, -1) >= sc.reach[:, :, None] - 1,
-            sc.consumer_quantities[:, :, None],
-            0,
-        ).reshape(len(sc.budgets), L * M)
-        self.contribution_rows = self.contribution.tolist()
         value = [
             b + ext.fairness_factor.numerator * D // ext.fairness_factor.denominator
             for b, ext in zip(sc.budgets, instance.consumer_bids)
         ]
         fits = max(map(abs, value), default=0) < _INT64_SAFE
         self.value = np.array(value, dtype=np.int64 if fits else object)
-        self.distinct, self.slot_start, self.tables = [], [], []
+        self.distinct, self.slot_start = [], []
         slot = np.empty((L, len(value)), dtype=np.intp)
         start = L * M
         for l, column in enumerate(sc.consumer_quantities.T):
@@ -737,11 +750,6 @@ class _HeuristicState:
             self.slot_start.append(start)
             slot[l] = start + index[:-1]
             start += len(values)
-            # One breakpoint past the supply, so that every segment has an end.
-            cumsup = sc.cumsup[l].tolist()
-            cumsup.append(cumsup[-1] + 1)
-            price = sc.sorted_prices[l].tolist() + [0]
-            self.tables.append((cumsup, sc.cumcost[l].tolist(), price))
         self.table_arrays = [[np.array(t, dtype=self.dtype) for t in tab] for tab in self.tables]
         # Reach r reads type l's room at l·M + M - r.  Room is never negative,
         # so a type a consumer does not demand (reach 0 included) never stops them.

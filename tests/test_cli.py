@@ -35,7 +35,6 @@ def never_trades(instance):
     """Injected bug: a 'solver' that always clears the market empty."""
     return WdpSolution(
         allocation=Allocation.empty(instance.shape),
-        objective=Fraction(0),
         total_utility=Fraction(0),
         total_satisfaction=Fraction(0),
         optimality="heuristic",

@@ -1,5 +1,6 @@
 """Round orchestration, repository evolution, and full simulations."""
 
+import json
 import weakref
 from fractions import Fraction
 from statistics import fmean
@@ -406,6 +407,12 @@ class TestRepositorySerialization:
     def test_non_numeric_price_history_entry_rejected(self):
         with pytest.raises(ValueError, match="price history entry"):
             repository_from_dict(self.payload([["abc"]]))
+
+    @pytest.mark.parametrize("counter", ["3", -1, True, 2.5])
+    def test_malformed_round_counter_rejected(self, counter):
+        text = json.dumps({**self.payload([]), "round_counter": counter})
+        with pytest.raises(ValueError, match="round_counter"):
+            repository_from_json(text)
 
 
 class TestEngineConfig:

@@ -249,6 +249,23 @@ class TestSolveExact:
             winners, objective, gap_bound, "heuristic"
         )
 
+    def test_search_builds_no_heuristic_state(self, monkeypatch):
+        # The exact search reads the instance's demand layout; the
+        # heuristic's room and marginal-cost state is the heuristic's alone.
+        built = []
+
+        class Spy(_HeuristicState):
+            def __init__(self, inst):
+                built.append(inst)
+                super().__init__(inst)
+
+        monkeypatch.setattr("faircda.wdp_solver._HeuristicState", Spy)
+        inst = ab_competition()
+        assert solve_exact(inst).winner_positions == solve_oracle(inst).winner_positions
+        assert built == []
+        solve_heuristic(inst)
+        assert built == [inst]
+
 
 class TestSolveOracle:
     def test_agrees_with_exact_on_worked_examples(self):
