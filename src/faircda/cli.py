@@ -305,9 +305,11 @@ def run_validation_corpus(
 ) -> tuple[int, list[str]]:
     """Cross-check ``solver`` against exhaustive enumeration on random micro instances.
 
-    Returns (pass count, failure descriptions).  ``solver`` defaults to the
-    branch-and-bound solver; the parameter exists so tests can inject a
-    broken solver and watch the corpus catch it.
+    An instance passes when the two winner vectors are equal, so the tie
+    rule (the lexicographically smallest optimum) is checked as well as the
+    objective.  Returns (pass count, failure descriptions).  ``solver``
+    defaults to the branch-and-bound solver; the parameter exists so tests
+    can inject a broken solver and watch the corpus catch it.
     """
     if count < 1:
         raise ValueError(f"corpus size must be positive, got {count}")
@@ -319,13 +321,17 @@ def run_validation_corpus(
         instance = random_micro_instance(rng)
         got = check(instance)
         expected = solve_oracle(instance)
-        if got.objective == expected.objective:
+        if got.allocation.winners == expected.allocation.winners:
             passes += 1
-        else:
-            failures.append(
-                f"instance {index}: solver objective {got.objective} != "
-                f"oracle objective {expected.objective}\n{dump_instance(instance)}"
-            )
+            continue
+        got_bits, oracle_bits = (
+            "".join("01"[w] for w in s.allocation.winners) for s in (got, expected)
+        )
+        failures.append(
+            f"instance {index}: solver winners {got_bits} (objective {got.objective}) != "
+            f"oracle winners {oracle_bits} (objective {expected.objective})\n"
+            f"{dump_instance(instance)}"
+        )
     return passes, failures
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .model import Money, ProviderBid
+from .model import Money, ProviderBid, _check_count
 
 __all__ = [
     "PerRoundRow",
@@ -177,25 +177,29 @@ def report_to_json(report: SimulationReport) -> str:
 
 
 def parse_report(text: str) -> SimulationReport:
-    """Inverse of :func:`report_to_json`: exact round-trip of a report."""
+    """Inverse of :func:`report_to_json`: exact round-trip of a report.
+
+    Counts (``run``, ``round``, ``cumulative_drops``, ``drops``) must be
+    JSON integers; anything else raises a ``ValueError`` naming the field.
+    """
     payload = json.loads(text)
     per_round = tuple(
         PerRoundRow(
-            run=row["run"],
-            round=row["round"],
+            run=_check_count(row["run"], "run"),
+            round=_check_count(row["round"], "round", positive=True),
             total_utility=Fraction(row["total_utility"]),
             total_satisfaction=Fraction(row["total_satisfaction"]),
             utilization_percent=float(row["utilization_percent"]),
             win_percent=float(row["win_percent"]),
-            cumulative_drops=row["cumulative_drops"],
+            cumulative_drops=_check_count(row["cumulative_drops"], "cumulative_drops"),
         )
         for row in payload["per_round"]
     )
     per_run = tuple(
         RunMetrics(
-            run=row["run"],
+            run=_check_count(row["run"], "run"),
             total_utility=Fraction(row["total_utility"]),
-            drops=row["drops"],
+            drops=_check_count(row["drops"], "drops"),
             mean_drop_round=(
                 None if row["mean_drop_round"] is None else float(row["mean_drop_round"])
             ),

@@ -20,12 +20,14 @@ solver here:
   realizes exactly that multiset).
 
 ``solve_exact`` runs depth-first branch and bound over the winner vector,
-``solve_oracle`` enumerates all winner subsets, and ``solve_heuristic``
-greedily admits consumers by optimistic margin with one drop-and-readd
-repair pass.  All three return allocations that validate clean.  The two
-search solvers hold winner demand in one layout, a flat cumulative-demand
-vector, read the supply and cost tables of that layout from the instance,
-and read its cost with one formula, ``_breakpoint_cost``.
+seeded with the heuristic's winners and bounded by the Lagrangian
+relaxation of the per-type supply balance; ``solve_oracle`` enumerates all
+winner subsets, and ``solve_heuristic`` greedily admits consumers by
+optimistic margin with one drop-and-readd repair pass.  All three return
+allocations that validate clean.  The two search solvers hold winner
+demand in one layout, a flat cumulative-demand vector, read the supply and
+cost tables of that layout from the instance, and read its cost with one
+formula, ``_breakpoint_cost``.
 
 Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` derives
 its market as integers once, when it is built (:class:`_ScaledValues`):
@@ -47,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -108,9 +110,9 @@ class _ScaledValues:
     their bundle; ``cheapest_bound[n]`` their bundle priced at each type's
     cheapest ask, over ``D``, and ``margin[n]`` their budget plus fairness
     factor minus that, over ``S``: what they can add to any objective at most
-    (both 0 when not feasible alone).  ``margin_sum``, the sum of the
-    positive margins, bounds every objective over ``S``: the heuristic's
-    gap bound and the exact search's root bound.  Price arrays,
+    (both 0 when not feasible alone), and the heuristic's ranking key.
+    ``margin_sum``, the sum of the positive margins, bounds every objective
+    over ``S``: the heuristic's gap bound.  Price arrays,
     ``cumsup`` and ``cumcost`` are int64 when every sum formed from them
     fits, ``object`` otherwise; quantity arrays are int64.  Every array is
     read-only.
@@ -568,22 +570,38 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     """Branch and bound over the winner vector, exact within the given limits.
 
     Consumers are decided in bid order, exclude branch first, so subsets are
-    visited in lexicographic winner-vector order and the first incumbent
-    among ties is the lexicographically smallest.  Node bounds add each
-    undecided consumer's optimistic margin (budget plus fairness factor
-    minus their demand priced at the cheapest compatible ask, supply
-    ignored).  If a budget runs out first, the incumbent is returned with a
-    gap bound from the open nodes.  Objectives and bounds are integers over
-    the instance's common denominator ``S``.  A node's demand is a flat
-    cumulative-demand list, laid out as :class:`_HeuristicState`'s, and the
-    search reads the instance's contribution rows, supply and cost tables
-    (:class:`_ScaledValues`): a consumer fits iff every entry of the
-    demand with them added is within its supply, and a node's cost is read
-    at the price breakpoints (:func:`_breakpoint_cost`) once, when it is
-    pushed.  Nodes are cheap, so they run on Python lists, not arrays.
+    visited in lexicographic winner-vector order.  The incumbent starts as
+    the heuristic's winner set (the seed), so a truncated search is never
+    worse than :func:`solve_heuristic`.  Each node is bounded by the
+    Lagrangian relaxation of the per-type supply balance, with one
+    multiplier per type read from the seed (:func:`_lagrangian_bound`): its
+    winners' Lagrangian margins plus a suffix sum, O(1) per node.
+
+    Ties go to the lexicographically smallest winner vector.  A search leaf
+    replaces the incumbent only by strict improvement and a node is pruned
+    when its bound does not exceed the incumbent's, so the first optimum
+    found in lexicographic order is kept.  The seed may not be that
+    optimum, so it enters one unit over ``S`` below its objective: while it
+    is the incumbent, only nodes bounded strictly below it are pruned, and
+    the first search leaf that reaches it replaces it.  If a budget runs out
+    first, the incumbent is tagged ``proved_optimal`` only when no open node
+    is bounded above it: open nodes come later in lexicographic order than
+    every leaf visited, so at most they tie a leaf, but could tie the seed
+    from before it.  Otherwise it is returned with a gap bound from the open
+    nodes (0 when one only ties the seed).  The time budget counts the seed.
+
+    Objectives and bounds are integers over the instance's common
+    denominator ``S``.  A node's demand is a flat cumulative-demand list,
+    laid out as :class:`_HeuristicState`'s, and the search reads the
+    instance's contribution rows, supply and cost tables
+    (:class:`_ScaledValues`): a consumer fits iff every entry of the demand
+    with them added is within its supply, and only a leaf's cost is read,
+    at the price breakpoints (:func:`_breakpoint_cost`).  Nodes are cheap,
+    so they run on Python lists, not arrays.
     """
     if limits is None:
         limits = SolverLimits()
+    started = time.monotonic()
     sc = instance._scaled
     N = instance.shape.num_consumers
     up = sc.factor_denominator // sc.denominator
@@ -591,25 +609,19 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     rows, supply = sc.contribution_rows, sc.supply_list
     tables = list(zip(sc.tables, sc.demand_at))
 
-    # Winner values and the sums of the remaining positive optimistic margins, over S.
+    # Winner values and the seed's objective, less one, over S; each node's
+    # bound is its winners' Lagrangian margins g plus rest[i], what
+    # consumers i.. and the providers can add at most.
     w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
-    suffix_opt = [sc.margin_sum] * (N + 1)
-    for n in range(N):
-        suffix_opt[n + 1] = suffix_opt[n] - max(0, sc.margin[n])
-
-    # The empty set is always feasible: start from it, objective 0.  Because
-    # subtrees are visited in lexicographic winner-vector order and the
-    # incumbent is replaced only on strict improvement, the returned
-    # optimum is the lexicographically smallest among ties.
-    incumbent: list[int] = []
-    incumbent_obj = 0
+    incumbent, state = _heuristic_pass(instance)
+    incumbent_obj = sum(w[n] for n in incumbent) - up * sum(state.cost) - 1
+    g, rest = _lagrangian_bound(instance, state.cumdem)
 
     # Stack entries: (next consumer index, winner positions, demand,
-    # winner-value sum, objective), the objective over S.
+    # winner-value sum, Lagrangian margin sum), sums over S.
     stack = [(0, [], [0] * len(supply), 0, 0)]
     nodes = 0
     truncated = False
-    started = time.monotonic()
     while stack:
         if nodes >= limits.node_budget:
             truncated = True
@@ -621,30 +633,64 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
         ):
             truncated = True
             break
-        i, chosen, cumdem, wsum, node_obj = stack.pop()
+        i, chosen, cumdem, wsum, gsum = stack.pop()
         nodes += 1
         if i == N:
-            if node_obj > incumbent_obj:
-                incumbent = chosen
-                incumbent_obj = node_obj
+            # The empty set is worth 0; with no providers it has no demand to read.
+            cost = sum(_breakpoint_cost(*t, cumdem[at])[1] for t, at in tables) if chosen else 0
+            if (node_obj := wsum - up * cost) > incumbent_obj:
+                incumbent, incumbent_obj = chosen, node_obj
             continue
-        if node_obj + suffix_opt[i] <= incumbent_obj:
+        if gsum + rest[i] <= incumbent_obj:
             continue
         # Push include first so the exclude branch pops (and is explored) first.
         # The parent's demand fits, so the child fits iff every entry does.
         if feasible_alone[i]:
             child = list(map(add, cumdem, rows[i]))
             if all(map(le, child, supply)):
-                cost = sum(_breakpoint_cost(*t, child[at])[1] for t, at in tables)
-                child_w = wsum + w[i]
-                stack.append((i + 1, chosen + [i], child, child_w, child_w - up * cost))
-        stack.append((i + 1, chosen, cumdem, wsum, node_obj))
+                stack.append((i + 1, chosen + [i], child, wsum + w[i], gsum + g[i]))
+        stack.append((i + 1, chosen, cumdem, wsum, gsum))
 
     if truncated:
-        open_bound = max([incumbent_obj] + [obj + suffix_opt[i] for i, *_, obj in stack])
+        open_bound = max(gsum + rest[i] for i, *_, gsum in stack)
         if open_bound > incumbent_obj:
             return _build_solution(instance, incumbent, optimality="heuristic", bound=open_bound)
     return _build_solution(instance, incumbent, optimality="proved_optimal")
+
+
+def _lagrangian_bound(instance: WdpInstance, cumdem: list[int]) -> tuple[list[int], list[int]]:
+    """``(g, rest)``: each consumer's Lagrangian margin, and the bound on
+    what consumers ``i``, ``i + 1``, ... and the providers add, all over ``S``.
+
+    Relaxing each type's supply balance (units bought equal units sold) with
+    a multiplier ``u_l`` bounds every objective by ``Σ_n max(0, g_n)`` over
+    consumers feasible alone, ``g_n = w_n − Σ_l q_nl·u_l``, plus ``C =
+    Σ_l Σ_k supply_lk·max(0, u_l − ask_lk)`` (Fisher 1981): any ``u`` gives a
+    valid bound, and dropping the reach constraints only loosens it.
+    ``u_l`` is the ask at the ``d_l``-th cheapest unit of type ``l``, ``d_l``
+    read from ``cumdem`` (the cheapest ask when ``d_l`` is 0); then ``C`` is
+    what the units cheaper than ``u_l`` save at that price.  ``rest[i]`` is
+    ``C`` plus the positive ``g`` from consumer ``i`` on, so a node at depth
+    ``i`` is bounded by its winners' ``g`` plus ``rest[i]``.  Consumers not
+    feasible alone have ``g`` 0.
+    """
+    sc = instance._scaled
+    up = sc.factor_denominator // sc.denominator
+    u, saved = [], 0
+    for (cumsup, cumcost, price), at in zip(sc.tables, sc.demand_at):
+        j, _ = _breakpoint_cost(cumsup, cumcost, price, cumdem[at] if cumdem else 0)
+        u.append(price[j])
+        saved += price[j] * cumsup[j] - cumcost[j]
+    g = [
+        (b * up + f - up * sum(map(mul, q, u))) if ok else 0
+        for b, f, q, ok in zip(
+            sc.budgets, sc.factors, sc.consumer_quantities.tolist(), sc.feasible_alone
+        )
+    ]
+    rest = [up * saved] * (len(g) + 1)
+    for n in range(len(g) - 1, -1, -1):
+        rest[n] = rest[n + 1] + max(0, g[n])
+    return g, rest
 
 
 def _breakpoint_cost(
@@ -868,6 +914,15 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     candidates are gathered once as a :class:`_Pool` and narrowed with a
     mask; the repair pool is gathered again only when a swap is kept.
     """
+    winners, _ = _heuristic_pass(instance)
+    return _build_solution(
+        instance, winners, optimality="heuristic", bound=instance._scaled.margin_sum
+    )
+
+
+def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
+    """:func:`solve_heuristic`'s winner positions, ascending, and its final state,
+    which holds their demand and its cost: the search, with no solution built."""
     sc = instance._scaled
     up = sc.factor_denominator // sc.denominator
     state = _HeuristicState(instance)
@@ -926,9 +981,7 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
         else:
             state.restore(snapshot)
 
-    return _build_solution(
-        instance, np.flatnonzero(won).tolist(), optimality="heuristic", bound=sc.margin_sum
-    )
+    return np.flatnonzero(won).tolist(), state
 
 
 def dump_instance(instance: WdpInstance) -> str:

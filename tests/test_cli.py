@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, file outputs, and solver validation."""
 
 import json
+import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from faircda.cli import (
 from faircda.engine import SOLVER_MODES
 from faircda.metrics import parse_report, report_to_json
 from faircda.model import Allocation
-from faircda.wdp_solver import WdpSolution
+from faircda.wdp_solver import WdpInstance, WdpSolution, solve_oracle
 
 MICRO = [
     "--consumers", "10", "--providers", "2", "--types", "2",
@@ -39,6 +41,20 @@ def never_trades(instance):
         total_satisfaction=Fraction(0),
         optimality="heuristic",
     )
+
+
+def ties_broken_last_first(instance):
+    """Injected bug: an optimum, with ties broken over the consumers in reverse order."""
+    flipped = WdpInstance(
+        shape=instance.shape,
+        consumer_bids=instance.consumer_bids[::-1],
+        provider_bids=instance.provider_bids,
+    )
+    sol = solve_oracle(flipped)
+    allocation = Allocation(
+        winners=sol.allocation.winners[::-1], transfers=sol.allocation.transfers[::-1]
+    )
+    return replace(sol, allocation=allocation)
 
 
 class TestCmdRun:
@@ -328,6 +344,17 @@ class TestCmdValidate:
         assert cmd_validate(count=30, seed=3, solver=never_trades) == 3
         out = capsys.readouterr().out
         assert "market" in out  # failing instance dumped in the debug format
+
+    def test_equal_objectives_with_other_winners_are_caught(self):
+        passes, failures = run_validation_corpus(count=100, seed=3, solver=ties_broken_last_first)
+        assert 0 < len(failures) == 100 - passes
+        for failure in failures:
+            got, got_obj, want, want_obj = re.match(
+                r"instance \d+: solver winners ([01]*) \(objective (\S+)\) != "
+                r"oracle winners ([01]*) \(objective (\S+)\)",
+                failure,
+            ).groups()
+            assert got != want and got_obj == want_obj
 
     def test_corpus_reports_failure_details(self):
         passes, failures = run_validation_corpus(count=30, seed=3, solver=never_trades)

@@ -1,5 +1,6 @@
 """Metric formulas, aggregation, and deterministic emission."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -165,6 +166,17 @@ class TestEmit:
     def test_json_round_trip(self):
         report = tiny_report()
         assert parse_report(report_to_json(report)) == report
+
+    @pytest.mark.parametrize(
+        "table, field, value",
+        [("per_round", "cumulative_drops", "0"), ("per_round", "run", True),
+         ("per_round", "round", 0), ("per_run", "drops", 1.0), ("per_run", "run", True)],
+    )
+    def test_malformed_counts_rejected_at_load(self, table, field, value):
+        payload = json.loads(report_to_json(tiny_report()))
+        payload[table][0][field] = value
+        with pytest.raises(ValueError, match=field):
+            parse_report(json.dumps(payload))
 
     def test_emitted_json_parses_back(self, tmp_path):
         report = tiny_report()

@@ -27,8 +27,10 @@ from faircda.model import (
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from faircda.wdp_solver import (
     SolverLimits,
-    _HeuristicState,
     WdpInstance,
+    _HeuristicState,
+    _heuristic_pass,
+    _lagrangian_bound,
     compatible,
     dump_instance,
     load_instance,
@@ -165,6 +167,15 @@ def ab_competition():
     )
 
 
+def generated_instance(seed, **scenario):
+    """A generated 40x4x3 round-one market."""
+    config = ScenarioConfig(shape=MarketShape(40, 4, 3), runs=1, **scenario)
+    rng = np.random.default_rng(seed)
+    return WdpInstance.from_bids(
+        generate_consumer_bids(config, rng, 1), generate_provider_bids(config, rng)
+    )
+
+
 class TestSolveExact:
     def test_single_profitable_trade(self):
         inst = instance([consumer(0, [10], [1])], [provider(0, [5], [1])])
@@ -214,44 +225,70 @@ class TestSolveExact:
         assert isinstance(SolverLimits(time_budget_s=5).time_budget_s, float)
 
     def test_truncated_search_reports_valid_gap(self):
+        # The greedy takes consumer 2 (two units, the best margin); dropping
+        # it readmits consumer 1, also two units, so the repair keeps it.
+        # Consumers 0 and 3, one unit each, are worth more together.
         inst = instance(
-            [consumer(0, [10], [1]), consumer(1, [9], [1])],
-            [provider(0, [5], [2])],
+            [
+                consumer(0, [11], [1], ff=6),
+                consumer(1, [18], [2], ff=-5),
+                consumer(2, [13], [2], ff=7),
+                consumer(3, [11], [1], ff=6),
+            ],
+            [provider(0, [9], [2])],
         )
         optimal = solve_exact(inst)
+        assert (optimal.winner_positions, optimal.objective) == ((0, 3), 16)
+        assert solve_heuristic(inst).objective == 15
         truncated = solve_exact(inst, SolverLimits(node_budget=1))
         assert truncated.optimality == "heuristic"
         assert truncated.objective + truncated.gap_bound >= optimal.objective
         assert validate_solution(inst, truncated.allocation) == []
 
-    # Recorded before the search ran on the heuristic's demand layout: node
-    # order, and so every truncated result, must not move.
+    # Recorded when the search was first seeded with the heuristic's winners
+    # and bounded by the Lagrangian relaxation.  Every consumer wins, and the
+    # root's bound equals the seed's objective.  Until the search reaches the
+    # seed's own leaf an open node ties it, so the seed is returned tagged
+    # heuristic with gap 0: it is not proved the lexicographically smallest
+    # optimum.
     TRUNCATED_40x4x3 = {
-        1: ((), Fraction(0), Fraction(1381561, 50)),
-        2: ((), Fraction(0), Fraction(1381561, 50)),
-        3: ((), Fraction(0), Fraction(1381561, 50)),
-        7: ((), Fraction(0), Fraction(1381561, 50)),
-        50: ((37, 39), Fraction(176371, 100), Fraction(2586751, 100)),
-        400: (tuple(range(26, 40)), Fraction(486003, 50), Fraction(447779, 25)),
-        5000: (tuple(range(7, 40)), Fraction(2239131, 100), Fraction(523991, 100)),
+        1: "heuristic",
+        2: "heuristic",
+        3: "heuristic",
+        7: "heuristic",
+        50: "heuristic",
+        400: "proved_optimal",
+        5000: "proved_optimal",
     }
 
     @pytest.mark.parametrize("node_budget", sorted(TRUNCATED_40x4x3))
     def test_truncated_results_are_recorded(self, node_budget):
-        config = ScenarioConfig(shape=MarketShape(40, 4, 3), runs=1)
-        rng = np.random.default_rng(5)
-        inst = WdpInstance.from_bids(
-            generate_consumer_bids(config, rng, 1), generate_provider_bids(config, rng)
-        )
+        inst = generated_instance(seed=5)
         sol = solve_exact(inst, SolverLimits(node_budget=node_budget))
-        winners, objective, gap_bound = self.TRUNCATED_40x4x3[node_budget]
         assert (sol.winner_positions, sol.objective, sol.gap_bound, sol.optimality) == (
-            winners, objective, gap_bound, "heuristic"
+            tuple(range(40)), Fraction(505709, 20), 0, self.TRUNCATED_40x4x3[node_budget]
         )
 
-    def test_search_builds_no_heuristic_state(self, monkeypatch):
-        # The exact search reads the instance's demand layout; the
-        # heuristic's room and marginal-cost state is the heuristic's alone.
+    def test_truncated_search_improves_on_its_seed(self):
+        # A contested market: within 400 nodes the search finds nothing
+        # better than the seed, within 5000 it does, and neither proves it.
+        inst = generated_instance(seed=9, provider_quantity_range=(5, 15))
+        seed = solve_heuristic(inst)
+        early = solve_exact(inst, SolverLimits(node_budget=400))
+        assert (early.winner_positions, early.objective, early.gap_bound, early.optimality) == (
+            seed.winner_positions, Fraction(792403, 100), Fraction(16644, 25), "heuristic"
+        )
+        later = solve_exact(inst, SolverLimits(node_budget=5000))
+        assert (later.winner_positions, later.objective, later.gap_bound, later.optimality) == (
+            (9, 11, 16, 17, 18, 20, 21, 24, 25, 27, 30, 31, 35, 36, 37, 38, 39),
+            Fraction(400721, 50),
+            Fraction(57537, 100),
+            "heuristic",
+        )
+
+    def test_search_builds_one_heuristic_state(self, monkeypatch):
+        # The seed is the one heuristic state a solve builds; the search
+        # itself reads the instance's demand layout.
         built = []
 
         class Spy(_HeuristicState):
@@ -262,9 +299,11 @@ class TestSolveExact:
         monkeypatch.setattr("faircda.wdp_solver._HeuristicState", Spy)
         inst = ab_competition()
         assert solve_exact(inst).winner_positions == solve_oracle(inst).winner_positions
-        assert built == []
-        solve_heuristic(inst)
         assert built == [inst]
+        solve_exact(inst, SolverLimits(node_budget=1))
+        assert built == [inst, inst]
+        solve_heuristic(inst)
+        assert built == [inst, inst, inst]
 
 
 class TestSolveOracle:
@@ -359,6 +398,26 @@ def heuristic_instances(draw):
         for m in range(M)
     ]
     return WdpInstance(shape=MarketShape(N, M, L), consumer_bids=consumers, provider_bids=providers)
+
+
+class TestSeededSearch:
+    """The Lagrangian bound, the heuristic seed and the tie rule against the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(heuristic_instances())
+    def test_bound_seed_and_truncation(self, inst):
+        oracle = solve_oracle(inst)
+        _, state = _heuristic_pass(inst)
+        _, rest = _lagrangian_bound(inst, state.cumdem)
+        assert Fraction(rest[0], inst._scaled.factor_denominator) >= oracle.objective
+        assert solve_exact(inst).allocation.winners == oracle.allocation.winners
+        seed = solve_heuristic(inst).objective
+        for budget in (1, 2, 5, 20):
+            sol = solve_exact(inst, SolverLimits(node_budget=budget))
+            assert sol.objective >= seed
+            assert sol.objective + sol.gap_bound >= oracle.objective
+            if sol.optimality == "proved_optimal":
+                assert sol.allocation.winners == oracle.allocation.winners
 
 
 def assert_matches_reference(inst):
