@@ -25,7 +25,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .model import Money, ProviderBid, _check_count
+from .model import Money, ProviderBid, _check_count, as_money
 
 __all__ = [
     "PerRoundRow",
@@ -176,21 +176,29 @@ def report_to_json(report: SimulationReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _load_number(row: Mapping, name: str) -> Money:
+    try:
+        return as_money(row[name])
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a finite number, got {row[name]!r}") from None
+
+
 def parse_report(text: str) -> SimulationReport:
     """Inverse of :func:`report_to_json`: exact round-trip of a report.
 
     Counts (``run``, ``round``, ``cumulative_drops``, ``drops``) must be
-    JSON integers; anything else raises a ``ValueError`` naming the field.
+    JSON integers, other values finite numbers or fraction strings; anything
+    else (``true`` and NaN included) raises a ``ValueError`` naming the field.
     """
     payload = json.loads(text)
     per_round = tuple(
         PerRoundRow(
             run=_check_count(row["run"], "run"),
             round=_check_count(row["round"], "round", positive=True),
-            total_utility=Fraction(row["total_utility"]),
-            total_satisfaction=Fraction(row["total_satisfaction"]),
-            utilization_percent=float(row["utilization_percent"]),
-            win_percent=float(row["win_percent"]),
+            total_utility=_load_number(row, "total_utility"),
+            total_satisfaction=_load_number(row, "total_satisfaction"),
+            utilization_percent=float(_load_number(row, "utilization_percent")),
+            win_percent=float(_load_number(row, "win_percent")),
             cumulative_drops=_check_count(row["cumulative_drops"], "cumulative_drops"),
         )
         for row in payload["per_round"]
@@ -198,13 +206,15 @@ def parse_report(text: str) -> SimulationReport:
     per_run = tuple(
         RunMetrics(
             run=_check_count(row["run"], "run"),
-            total_utility=Fraction(row["total_utility"]),
+            total_utility=_load_number(row, "total_utility"),
             drops=_check_count(row["drops"], "drops"),
             mean_drop_round=(
-                None if row["mean_drop_round"] is None else float(row["mean_drop_round"])
+                None
+                if row["mean_drop_round"] is None
+                else float(_load_number(row, "mean_drop_round"))
             ),
-            mean_utilization=float(row["mean_utilization"]),
-            mean_win_percent=float(row["mean_win_percent"]),
+            mean_utilization=float(_load_number(row, "mean_utilization")),
+            mean_win_percent=float(_load_number(row, "mean_win_percent")),
         )
         for row in payload["per_run"]
     )

@@ -20,14 +20,15 @@ solver here:
   realizes exactly that multiset).
 
 ``solve_exact`` runs depth-first branch and bound over the winner vector,
-seeded with the heuristic's winners and bounded by the Lagrangian
-relaxation of the per-type supply balance; ``solve_oracle`` enumerates all
-winner subsets, and ``solve_heuristic`` greedily admits consumers by
-optimistic margin with one drop-and-readd repair pass.  All three return
-allocations that validate clean.  The two search solvers hold winner
-demand in one layout, a flat cumulative-demand vector, read the supply and
-cost tables of that layout from the instance, and read its cost with one
-formula, ``_breakpoint_cost``.
+seeded with the heuristic's winners; ``solve_oracle`` enumerates all winner
+subsets; ``solve_heuristic`` greedily admits consumers by Lagrangian margin
+with one drop-and-readd repair pass.  One function bounds both searches, the
+Lagrangian relaxation of the per-type supply balance: at the heuristic's
+demand for the exact nodes, at the cheapest asks for the heuristic's
+ranking and gap.  All three return allocations that validate clean.  The
+two search solvers hold winner demand in one layout, a flat
+cumulative-demand vector, read the supply and cost tables of that layout
+from the instance, and read its cost with one formula, ``_breakpoint_cost``.
 
 Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` derives
 its market as integers once, when it is built (:class:`_ScaledValues`):
@@ -49,7 +50,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le, mul, sub
+from itertools import accumulate
+from operator import add, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -101,21 +103,17 @@ class _ScaledValues:
     times ``denominator`` (``D``, the least common multiple of the prices'
     denominators); ``budgets`` are Python ints over ``D``.  ``factors`` are
     the fairness factors as Python ints over ``factor_denominator`` (``S``,
-    the least common multiple of ``D`` and the factors' denominators).  Per
+    the least common multiple of ``D`` and the factors' denominators), and
+    ``factor_floors`` the floors of the factors over ``D``.  Per
     type, ``order[l]`` lists provider positions by (ask, position), and
     ``sorted_prices``, ``cumsup`` and ``cumcost`` (cumulative supply and
     cost, each with a leading 0) follow that order.
     ``reach[n, l]`` is how many of those providers consumer ``n`` can afford
     for type ``l``; ``feasible_alone[n]`` whether that supply alone covers
-    their bundle; ``cheapest_bound[n]`` their bundle priced at each type's
-    cheapest ask, over ``D``, and ``margin[n]`` their budget plus fairness
-    factor minus that, over ``S``: what they can add to any objective at most
-    (both 0 when not feasible alone), and the heuristic's ranking key.
-    ``margin_sum``, the sum of the positive margins, bounds every objective
-    over ``S``: the heuristic's gap bound.  Price arrays,
-    ``cumsup`` and ``cumcost`` are int64 when every sum formed from them
-    fits, ``object`` otherwise; quantity arrays are int64.  Every array is
-    read-only.
+    their bundle.  ``up`` is ``S // D``, which takes a value over ``D`` to
+    one over ``S``.  Price arrays, ``cumsup`` and ``cumcost`` are int64 when
+    every sum formed from them fits, ``object`` otherwise; quantity arrays
+    are int64.  Every array is read-only.
 
     Both searches hold winner demand as one flat cumulative-demand vector
     (see :class:`_HeuristicState`) and read the same layout from here:
@@ -166,18 +164,12 @@ class _ScaledValues:
             )
         fits = (q == 0) | ((self.reach > 0) & (q <= self.cumsup[types, self.reach]))
         self.feasible_alone = fits.all(axis=1)
-        bound = (q * self.sorted_prices[:, 0]).sum(axis=1) if M else np.zeros(N, int)
-        self.cheapest_bound = tuple(np.where(self.feasible_alone, bound, 0).tolist())
-        self.factor_denominator, factors = over_common_denominator(
-            [ext.fairness_factor for ext in consumer_bids], D
-        )
+        fairness = [ext.fairness_factor for ext in consumer_bids]
+        self.factor_denominator, factors = over_common_denominator(fairness, D)
         self.factors = tuple(factors)
-        up = self.factor_denominator // D
-        self.margin = tuple(
-            (b - c) * up + f if ok else 0
-            for b, c, f, ok in zip(self.budgets, self.cheapest_bound, factors, self.feasible_alone)
-        )
-        self.margin_sum = sum(m for m in self.margin if m > 0)
+        # From the small rationals: f // up on the factors over S divides integers of S's size.
+        self.factor_floors = tuple(ff.numerator * D // ff.denominator for ff in fairness)
+        self.up = self.factor_denominator // D
 
         # The layout both searches read.  cumsup[l][k + 1], flat by type with
         # each type's providers last first, as the cumulative demand is.
@@ -506,7 +498,7 @@ def _totals(instance: WdpInstance, allocation: Allocation) -> tuple[int, Money, 
     value = sum(b for b, w in zip(sc.budgets, won) if w)
     satisfaction = sum(f for f, w in zip(sc.factors, won) if w)
     utility = value - int((allocation.transfers.sum(axis=0) * sc.provider_prices.T).sum())
-    return utility * (S // D) + satisfaction, Fraction(utility, D), Fraction(satisfaction, S)
+    return utility * sc.up + satisfaction, Fraction(utility, D), Fraction(satisfaction, S)
 
 
 def _build_solution(
@@ -604,7 +596,7 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     started = time.monotonic()
     sc = instance._scaled
     N = instance.shape.num_consumers
-    up = sc.factor_denominator // sc.denominator
+    up = sc.up
     feasible_alone = sc.feasible_alone.tolist()
     rows, supply = sc.contribution_rows, sc.supply_list
     tables = list(zip(sc.tables, sc.demand_at))
@@ -613,7 +605,7 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     # bound is its winners' Lagrangian margins g plus rest[i], what
     # consumers i.. and the providers can add at most.
     w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
-    incumbent, state = _heuristic_pass(instance)
+    incumbent, state, _ = _heuristic_pass(instance)
     incumbent_obj = sum(w[n] for n in incumbent) - up * sum(state.cost) - 1
     g, rest = _lagrangian_bound(instance, state.cumdem)
 
@@ -672,24 +664,24 @@ def _lagrangian_bound(instance: WdpInstance, cumdem: list[int]) -> tuple[list[in
     what the units cheaper than ``u_l`` save at that price.  ``rest[i]`` is
     ``C`` plus the positive ``g`` from consumer ``i`` on, so a node at depth
     ``i`` is bounded by its winners' ``g`` plus ``rest[i]``.  Consumers not
-    feasible alone have ``g`` 0.
+    feasible alone have ``g`` 0.  At zero demand (``cumdem`` empty), ``u_l``
+    is the cheapest ask and ``C`` is 0: the heuristic's ranking key and bound.
     """
     sc = instance._scaled
-    up = sc.factor_denominator // sc.denominator
+    up = sc.up
     u, saved = [], 0
     for (cumsup, cumcost, price), at in zip(sc.tables, sc.demand_at):
         j, _ = _breakpoint_cost(cumsup, cumcost, price, cumdem[at] if cumdem else 0)
         u.append(price[j])
         saved += price[j] * cumsup[j] - cumcost[j]
+    bundle = (sc.consumer_quantities @ np.array(u, dtype=sc.cumsup.dtype)).tolist()
     g = [
-        (b * up + f - up * sum(map(mul, q, u))) if ok else 0
-        for b, f, q, ok in zip(
-            sc.budgets, sc.factors, sc.consumer_quantities.tolist(), sc.feasible_alone
-        )
+        (b - c) * up + f if ok else 0
+        for b, c, f, ok in zip(sc.budgets, bundle, sc.factors, sc.feasible_alone.tolist())
     ]
-    rest = [up * saved] * (len(g) + 1)
-    for n in range(len(g) - 1, -1, -1):
-        rest[n] = rest[n + 1] + max(0, g[n])
+    # Skip a margin that is not positive: adding 0 would still copy a large integer.
+    rest = list(accumulate(reversed(g), lambda r, x: r + x if x > 0 else r, initial=up * saved))
+    rest.reverse()
     return g, rest
 
 
@@ -775,16 +767,12 @@ class _HeuristicState:
     def __init__(self, instance: WdpInstance):
         sc = instance._scaled
         L, M = sc.sorted_prices.shape
-        D = sc.denominator
         self.num_types, self.dtype = L, sc.cumsup.dtype
         self.supply, self.supply_list = sc.supply, sc.supply_list
         self.contribution, self.contribution_rows = sc.contribution, sc.contribution_rows
         self.tables, self.demand_at = sc.tables, sc.demand_at
         self.type_start = [t == 0 for _ in range(L) for t in range(M)]
-        value = [
-            b + ext.fairness_factor.numerator * D // ext.fairness_factor.denominator
-            for b, ext in zip(sc.budgets, instance.consumer_bids)
-        ]
+        value = list(map(add, sc.budgets, sc.factor_floors))
         fits = max(map(abs, value), default=0) < _INT64_SAFE
         self.value = np.array(value, dtype=np.int64 if fits else object)
         self.distinct, self.slot_start = [], []
@@ -888,12 +876,14 @@ class _HeuristicState:
 
 
 def solve_heuristic(instance: WdpInstance) -> WdpSolution:
-    """Greedy admission by optimistic margin with one drop-and-readd pass.
+    """Greedy admission by Lagrangian margin with one drop-and-readd pass.
 
-    Consumers are ranked by budget plus fairness factor minus their
-    cheapest-compatible cost bound (``margin``); each with a non-negative
-    margin is admitted when the winner set stays feasible and the exact
-    marginal cost does not exceed their value.  One repair pass then tries
+    Consumers are ranked by budget plus fairness factor minus their bundle
+    at each type's cheapest ask: the Lagrangian margin at zero demand
+    (:func:`_lagrangian_bound`), whose bound, the sum of the positive
+    margins, sets the gap.  Each with a non-negative margin is admitted when
+    the winner set stays feasible and the exact marginal cost does not
+    exceed their value.  One repair pass then tries
     dropping each admitted consumer in ascending rank and greedily
     readmitting the other ranked candidates not admitted, keeping strict
     improvements of the objective.  Every comparison is exact integer
@@ -914,18 +904,17 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     candidates are gathered once as a :class:`_Pool` and narrowed with a
     mask; the repair pool is gathered again only when a swap is kept.
     """
-    winners, _ = _heuristic_pass(instance)
-    return _build_solution(
-        instance, winners, optimality="heuristic", bound=instance._scaled.margin_sum
-    )
+    winners, _, bound = _heuristic_pass(instance)
+    return _build_solution(instance, winners, optimality="heuristic", bound=bound)
 
 
-def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
-    """:func:`solve_heuristic`'s winner positions, ascending, and its final state,
-    which holds their demand and its cost: the search, with no solution built."""
+def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState, int]:
+    """:func:`solve_heuristic`'s winner positions, ascending, its final state,
+    which holds their demand and its cost, and its bound on the optimum over
+    ``S``: the search, with no solution built."""
     sc = instance._scaled
-    up = sc.factor_denominator // sc.denominator
     state = _HeuristicState(instance)
+    margin, rest = _lagrangian_bound(instance, [])
 
     def admit_in_order(pool: _Pool) -> list[int]:
         """Admit each candidate of ``pool``, in order, that fits and pays its way."""
@@ -947,13 +936,13 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
     def objective(budgets: int, factors: int) -> int:
         """The winners' objective over ``S``, from their budget sum over ``D``
         and their fairness factor sum over ``S``."""
-        return up * (budgets - sum(state.cost)) + factors
+        return sc.up * (budgets - sum(state.cost)) + factors
 
     # The sort is stable, so tied margins stay in position order.
     ranked = np.array(
         sorted(
-            (n for n in np.flatnonzero(sc.feasible_alone).tolist() if sc.margin[n] >= 0),
-            key=sc.margin.__getitem__,
+            (n for n in np.flatnonzero(sc.feasible_alone).tolist() if margin[n] >= 0),
+            key=margin.__getitem__,
             reverse=True,
         ),
         dtype=np.intp,
@@ -966,7 +955,7 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
     budgets = sum(sc.budgets[n] for n in admitted)
     factors = sum(sc.factors[n] for n in admitted)
     current = objective(budgets, factors)
-    for a in sorted(admitted, key=lambda n: (sc.margin[n], n)):
+    for a in sorted(admitted, key=lambda n: (margin[n], n)):
         snapshot = state.save()
         state.remove(a)
         gained = admit_in_order(pool)
@@ -981,7 +970,7 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
         else:
             state.restore(snapshot)
 
-    return np.flatnonzero(won).tolist(), state
+    return np.flatnonzero(won).tolist(), state, rest[0]
 
 
 def dump_instance(instance: WdpInstance) -> str:

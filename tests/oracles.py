@@ -76,6 +76,30 @@ def _brute_force_type(inst, winner_positions, l):
     return best[0]
 
 
+def reference_margins(inst: WdpInstance) -> dict[int, Fraction]:
+    """Each consumer whose bundle the providers they can afford cover on their
+    own, by position, mapped to their margin: budget plus fairness factor
+    minus their bundle priced at each type's cheapest ask.
+
+    No winner set gains more from a consumer than their margin, so the sum
+    of the positive margins bounds every objective.
+    """
+    margins = {}
+    for n, ext in enumerate(inst.consumer_bids):
+        bound, ok = Fraction(0), True
+        for l, (need, price) in enumerate(zip(ext.bid.quantities, ext.bid.unit_prices)):
+            if need == 0:
+                continue
+            affordable = [pb for pb in inst.provider_bids if pb.unit_prices[l] <= price]
+            if sum(pb.quantities[l] for pb in affordable) < need:
+                ok = False
+                break
+            bound += need * min(pb.unit_prices[l] for pb in inst.provider_bids)
+        if ok:
+            margins[n] = budget(ext.bid) + ext.fairness_factor - bound
+    return margins
+
+
 def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
     """Winner positions of the greedy-plus-repair heuristic, one candidate at a time.
 
@@ -85,7 +109,6 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
     tests candidates as arrays, on integers over common denominators; it
     must admit exactly the consumers this loop admits.
     """
-    N = inst.shape.num_consumers
     M = inst.shape.num_providers
     L = inst.shape.num_resource_types
     q = [list(ext.bid.quantities) for ext in inst.consumer_bids]
@@ -105,19 +128,6 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
         [bisect_right(sorted_prices[l], ext.bid.unit_prices[l]) for l in range(L)]
         for ext in inst.consumer_bids
     ]
-    cheapest_bound, feasible_alone = [], []
-    for n in range(N):
-        bound, ok = Fraction(0), True
-        for l in range(L):
-            if q[n][l] == 0:
-                continue
-            if reach[n][l] == 0 or q[n][l] > cumsup[l][reach[n][l]]:
-                ok = False
-                break
-            bound += q[n][l] * sorted_prices[l][0]
-        cheapest_bound.append(bound)
-        feasible_alone.append(ok)
-
     def can_add(cumdem, n):
         for l in range(L):
             if q[n][l] == 0:
@@ -161,7 +171,7 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
             total -= cost(l, cumdem[l][M - 1] if M else 0)
         return total
 
-    margin = {n: w[n] - cheapest_bound[n] for n in range(N) if feasible_alone[n]}
+    margin = reference_margins(inst)
     ranked = sorted((n for n in margin if margin[n] >= 0), key=lambda n: (-margin[n], n))
     cumdem = [[0] * M for _ in range(L)]
     admitted = []

@@ -170,7 +170,13 @@ class TestEmit:
     @pytest.mark.parametrize(
         "table, field, value",
         [("per_round", "cumulative_drops", "0"), ("per_round", "run", True),
-         ("per_round", "round", 0), ("per_run", "drops", 1.0), ("per_run", "run", True)],
+         ("per_round", "round", 0), ("per_run", "drops", 1.0), ("per_run", "run", True),
+         ("per_round", "total_utility", True), ("per_round", "total_satisfaction", True),
+         ("per_round", "total_satisfaction", "nan"), ("per_run", "total_utility", True),
+         ("per_round", "utilization_percent", True), ("per_round", "win_percent", "nan"),
+         ("per_round", "utilization_percent", "nan"), ("per_run", "mean_utilization", True),
+         ("per_run", "mean_win_percent", "nan"), ("per_run", "mean_drop_round", True),
+         ("per_run", "mean_utilization", float("nan"))],
     )
     def test_malformed_counts_rejected_at_load(self, table, field, value):
         payload = json.loads(report_to_json(tiny_report()))

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_min_cost, reference_heuristic_winners, transfer_cost
+from oracles import (
+    brute_force_min_cost,
+    reference_heuristic_winners,
+    reference_margins,
+    transfer_cost,
+)
 
 from faircda import engine
 from faircda.cli import random_micro_instance, run_validation_corpus
@@ -407,7 +412,7 @@ class TestSeededSearch:
     @given(heuristic_instances())
     def test_bound_seed_and_truncation(self, inst):
         oracle = solve_oracle(inst)
-        _, state = _heuristic_pass(inst)
+        _, state, _ = _heuristic_pass(inst)
         _, rest = _lagrangian_bound(inst, state.cumdem)
         assert Fraction(rest[0], inst._scaled.factor_denominator) >= oracle.objective
         assert solve_exact(inst).allocation.winners == oracle.allocation.winners
@@ -418,6 +423,24 @@ class TestSeededSearch:
             assert sol.objective + sol.gap_bound >= oracle.objective
             if sol.optimality == "proved_optimal":
                 assert sol.allocation.winners == oracle.allocation.winners
+
+
+class TestHeuristicBound:
+    """The heuristic's ranking key and gap bound, the Lagrangian bound at zero
+    demand, against the reference margins."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(heuristic_instances())
+    def test_margins_and_gap_bound(self, inst):
+        margins = reference_margins(inst)
+        g, _ = _lagrangian_bound(inst, [])
+        S = inst._scaled.factor_denominator
+        assert [Fraction(x, S) for x in g] == [
+            margins.get(n, 0) for n in range(inst.shape.num_consumers)
+        ]
+        sol = solve_heuristic(inst)
+        positive = sum(m for m in margins.values() if m > 0)
+        assert sol.gap_bound == max(0, positive - sol.objective)
 
 
 def assert_matches_reference(inst):
