@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +78,22 @@ def over_common_denominator(
     S = level[0]
     scale = {d: S // d for d in denominators}
     return S, [v.numerator * scale[v.denominator] for v in values]
+
+
+def exact_sum(values: Iterable[Money]) -> Money:
+    """The exact sum of ``values``: numerators are summed per denominator,
+    and those sums added in pairs as a tree, like
+    :func:`over_common_denominator`'s ``lcm``s, so each addition joins
+    operands of similar size.  Partial sums stay unreduced; one ``gcd``
+    reduces the total."""
+    per_denominator: dict[int, int] = {}
+    for v in values:
+        per_denominator[v.denominator] = per_denominator.get(v.denominator, 0) + v.numerator
+    level = [(n, d) for d, n in per_denominator.items()] or [(0, 1)]
+    while len(level) > 1:
+        pairs = zip(level[::2], level[1::2])
+        level = [(a * d + c * b, b * d) for (a, b), (c, d) in pairs] + level[len(level) & ~1 :]
+    return Fraction(*level[0])
 
 
 def _check_count(value, name: str, positive: bool = False) -> int:

@@ -15,7 +15,7 @@ major, type-minor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -35,6 +35,8 @@ from .model import (
 __all__ = ["ScenarioConfig", "generate_provider_bids", "generate_consumer_bids"]
 
 _CENTS = 100
+# Price draws and the solvers' unit counts are int64.
+_INT64_LIMIT = 2**63
 _RANGES = (
     "provider_quantity_range",
     "consumer_quantity_range",
@@ -95,10 +97,19 @@ class ScenarioConfig:
             lo_c, hi_c = _grid_bounds(getattr(self, name))
             if lo_c > hi_c:
                 raise ValueError(f"{name} contains no representable price (grid is 1/{_CENTS})")
+            if hi_c >= _INT64_LIMIT:
+                raise ValueError(f"{name} must stay below 2**63 cents, got {hi_c} cents")
         if self.provider_quantity_range[0] < 1:
             raise ValueError(
                 "provider_quantity_range must start at 1 or more, got "
                 f"{list(self.provider_quantity_range)}"
+            )
+        N, M, L = astuple(self.shape)
+        units = L * (N * self.consumer_quantity_range[1] + M * self.provider_quantity_range[1])
+        if units >= _INT64_LIMIT:
+            raise ValueError(
+                f"consumer_quantity_range and provider_quantity_range allow {units} units "
+                "in a round, at most 2**63 - 1 fit the solvers' arithmetic"
             )
         if self.consumer_price_range[0] <= 0:
             raise ValueError(

@@ -35,11 +35,14 @@ its market as integers once, when it is built (:class:`_ScaledValues`):
 prices and budgets over ``D``, the least common multiple of the prices'
 denominators, and the reach, cumulative cost and stand-alone feasibility
 facts every solver reads.  Budgets are derived, never passed in.  The
-solvers add the fairness factors over ``S``, a common multiple of ``D`` and
-the factors' denominators.  Rationals are built only for the results.  The
-integers are int64 arrays when every sum formed from them provably fits,
-and ``object`` arrays of Python ints otherwise, so the same code stays
-exact on any rational input.
+heuristic and settlement run over ``D``: each fairness factor enters as its
+floor over ``D``, and the exact remainder the floor drops is read only
+where the floors cannot decide.  Only ``solve_exact`` and a heuristic or
+truncated gap bound, when read, build ``S``, the common multiple of ``D``
+and the factors' denominators, and add the factors over it.  Rationals are
+built only for the results.  The integers are int64 arrays when every sum
+formed from them provably fits, and ``object`` arrays of Python ints
+otherwise, so the same code stays exact on any rational input.
 """
 
 from __future__ import annotations
@@ -47,12 +50,13 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import add, le, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from .model import (
     ProviderBid,
     _check_count,
     as_money,
+    exact_sum,
     over_common_denominator,
 )
 
@@ -101,17 +106,14 @@ class _ScaledValues:
 
     ``consumer_prices[n, l]`` and ``provider_prices[m, l]`` are unit prices
     times ``denominator`` (``D``, the least common multiple of the prices'
-    denominators); ``budgets`` are Python ints over ``D``.  ``factors`` are
-    the fairness factors as Python ints over ``factor_denominator`` (``S``,
-    the least common multiple of ``D`` and the factors' denominators), and
-    ``factor_floors`` the floors of the factors over ``D``.  Per
-    type, ``order[l]`` lists provider positions by (ask, position), and
-    ``sorted_prices``, ``cumsup`` and ``cumcost`` (cumulative supply and
-    cost, each with a leading 0) follow that order.
-    ``reach[n, l]`` is how many of those providers consumer ``n`` can afford
-    for type ``l``; ``feasible_alone[n]`` whether that supply alone covers
-    their bundle.  ``up`` is ``S // D``, which takes a value over ``D`` to
-    one over ``S``.  Price arrays, ``cumsup`` and ``cumcost`` are int64 when
+    denominators); ``budgets`` are Python ints over ``D``; ``fairness``
+    holds the fairness factors and ``factor_floors`` their floors over
+    ``D``.  Per type, ``order[l]`` lists provider positions by (ask,
+    position), and ``sorted_prices``, ``cumsup`` and ``cumcost`` (cumulative
+    supply and cost, each with a leading 0) follow that order.  ``reach[n,
+    l]`` is how many of those providers consumer ``n`` can afford for type
+    ``l``; ``feasible_alone[n]`` whether that supply alone covers their
+    bundle.  Price arrays, ``cumsup`` and ``cumcost`` are int64 when
     every sum formed from them fits, ``object`` otherwise; quantity arrays
     are int64.  Every array is read-only.
 
@@ -122,6 +124,11 @@ class _ScaledValues:
     ``n`` adds to the demand; ``demand_at[l]``, where type ``l``'s whole
     demand is; and ``tables[l]``, the type's ``(cumsup, cumcost, price)``
     lists for :func:`_breakpoint_cost`.
+
+    ``factors`` are the factors as ints over ``factor_denominator`` (``S``,
+    the least common multiple of ``D`` and their denominators, thousands of
+    bits on generated markets) and ``up`` is ``S // D``.  Only the exact
+    search and a read gap bound use them, so they are built on first access.
     """
 
     def __init__(
@@ -135,6 +142,9 @@ class _ScaledValues:
         D, scaled = over_common_denominator(prices)
         units = sum(q for ext in consumer_bids for q in ext.bid.quantities)
         units += sum(q for pb in provider_bids for q in pb.quantities)
+        if units >= 2**63:
+            # Quantities, routes and transfers are int64.
+            raise ValueError(f"a market holds at most 2**63 - 1 units, this one {units}")
         dtype = np.int64 if (max(scaled, default=0) + 1) * (units + 1) < _INT64_SAFE else object
         flat = np.array(scaled, dtype=dtype)
         N, M, L = len(consumer_bids), len(provider_bids), num_types
@@ -164,12 +174,8 @@ class _ScaledValues:
             )
         fits = (q == 0) | ((self.reach > 0) & (q <= self.cumsup[types, self.reach]))
         self.feasible_alone = fits.all(axis=1)
-        fairness = [ext.fairness_factor for ext in consumer_bids]
-        self.factor_denominator, factors = over_common_denominator(fairness, D)
-        self.factors = tuple(factors)
-        # From the small rationals: f // up on the factors over S divides integers of S's size.
-        self.factor_floors = tuple(ff.numerator * D // ff.denominator for ff in fairness)
-        self.up = self.factor_denominator // D
+        self.fairness = tuple(ext.fairness_factor for ext in consumer_bids)
+        self.factor_floors = tuple(ff.numerator * D // ff.denominator for ff in self.fairness)
 
         # The layout both searches read.  cumsup[l][k + 1], flat by type with
         # each type's providers last first, as the cumulative demand is.
@@ -192,6 +198,20 @@ class _ScaledValues:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    def remainder(self, n: int) -> Fraction:
+        """What ``factor_floors[n]`` drops of consumer ``n``'s factor over
+        ``D``: ``f_n·D − F_n``, in ``[0, 1)``."""
+        return self.fairness[n] * self.denominator - self.factor_floors[n]
+
+    @cached_property
+    def _over_s(self) -> tuple[int, tuple[int, ...], int]:
+        S, factors = over_common_denominator(self.fairness, self.denominator)
+        return S, tuple(factors), S // self.denominator
+
+    factor_denominator = property(lambda self: self._over_s[0])
+    factors = property(lambda self: self._over_s[1])
+    up = property(lambda self: self._over_s[2])
 
 
 @dataclass(frozen=True)
@@ -285,26 +305,33 @@ class WdpInstance:
 
 @dataclass(frozen=True)
 class WdpSolution:
-    """A solved allocation plus its exact objective decomposition."""
+    """A solved allocation plus its exact objective decomposition.
+
+    ``bound``, for a result not proved optimal, returns an upper bound on
+    the optimum; it is called on the first read of :attr:`gap_bound`.
+    """
 
     allocation: Allocation
     total_utility: Money
     total_satisfaction: Money
     optimality: str
-    gap_bound: Money = Fraction(0)
+    bound: Optional[Callable[[], Money]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.optimality not in ("proved_optimal", "heuristic", "oracle"):
             raise ValueError(f"unknown optimality tag {self.optimality!r}")
-        if self.gap_bound < 0:
-            raise ValueError("gap_bound must be non-negative")
-        if self.optimality in ("proved_optimal", "oracle") and self.gap_bound != 0:
-            raise ValueError("a proved-optimal solution must report gap_bound 0")
+        if self.optimality in ("proved_optimal", "oracle") and self.bound is not None:
+            raise ValueError("a proved-optimal solution carries no bound: its gap is 0")
 
     @cached_property
     def objective(self) -> Money:
         """``total_utility + total_satisfaction``, built on first access."""
         return self.total_utility + self.total_satisfaction
+
+    @cached_property
+    def gap_bound(self) -> Money:
+        """How far the optimum may lie above :attr:`objective`, at least 0."""
+        return max(Fraction(0), self.bound() - self.objective) if self.bound else Fraction(0)
 
     @property
     def winner_positions(self) -> tuple[int, ...]:
@@ -486,31 +513,35 @@ def objective_value(
         raise ValueError(
             "allocation violates the instance constraints:\n  " + "\n  ".join(violations)
         )
-    scaled, utility, satisfaction = _totals(instance, allocation)
-    return Fraction(scaled, instance._scaled.factor_denominator), utility, satisfaction
+    utility, satisfaction = _totals(instance, allocation)
+    return utility + satisfaction, utility, satisfaction
 
 
-def _totals(instance: WdpInstance, allocation: Allocation) -> tuple[int, Money, Money]:
-    """A feasible allocation's objective over ``S``, then (utility, satisfaction)."""
+def _totals(instance: WdpInstance, allocation: Allocation) -> tuple[Money, Money]:
+    """A feasible allocation's (utility, satisfaction): its utility from
+    integers over ``D``, its satisfaction as the exact sum of its winners'
+    factors."""
     sc = instance._scaled
-    S, D = sc.factor_denominator, sc.denominator
     won = allocation.winners
     value = sum(b for b, w in zip(sc.budgets, won) if w)
-    satisfaction = sum(f for f, w in zip(sc.factors, won) if w)
     utility = value - int((allocation.transfers.sum(axis=0) * sc.provider_prices.T).sum())
-    return utility * sc.up + satisfaction, Fraction(utility, D), Fraction(satisfaction, S)
+    satisfaction = exact_sum(f for f, w in zip(sc.fairness, won) if w and f)
+    return Fraction(utility, sc.denominator), satisfaction
 
 
 def _build_solution(
-    instance: WdpInstance, positions: Sequence[int], optimality: str, bound: Optional[int] = None
+    instance: WdpInstance,
+    positions: Sequence[int],
+    optimality: str,
+    bound: Optional[Callable[[], int]] = None,
 ) -> WdpSolution:
     """A solver's winner set routed at minimum cost, as a solution.
 
     The routing is feasible by construction, so it is not validated here;
     the engine validates each round's allocation once, when it settles it.
-    ``bound``, an upper bound on the optimum over ``S`` where the solver has
-    one, sets the gap to ``max(0, bound - objective) / S``; without it the
-    gap is 0.
+    ``bound``, where the solver has one, returns an upper bound on the
+    optimum over ``S``; it is called, and ``S`` built, only when something
+    reads the solution's gap.
     """
     y = _route(instance, positions)
     if y is None:
@@ -518,14 +549,14 @@ def _build_solution(
     chosen = set(positions)
     winners = tuple(n in chosen for n in range(instance.shape.num_consumers))
     allocation = Allocation(winners=winners, transfers=y)
-    scaled, utility, satisfaction = _totals(instance, allocation)
-    gap = 0 if bound is None else max(0, bound - scaled)
+    utility, satisfaction = _totals(instance, allocation)
+    sc = instance._scaled
     return WdpSolution(
         allocation=allocation,
         total_utility=utility,
         total_satisfaction=satisfaction,
         optimality=optimality,
-        gap_bound=Fraction(gap, instance._scaled.factor_denominator),
+        bound=None if bound is None else lambda: Fraction(bound(), sc.factor_denominator),
     )
 
 
@@ -605,7 +636,7 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     # bound is its winners' Lagrangian margins g plus rest[i], what
     # consumers i.. and the providers can add at most.
     w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
-    incumbent, state, _ = _heuristic_pass(instance)
+    incumbent, state = _heuristic_pass(instance)
     incumbent_obj = sum(w[n] for n in incumbent) - up * sum(state.cost) - 1
     g, rest = _lagrangian_bound(instance, state.cumdem)
 
@@ -646,7 +677,7 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     if truncated:
         open_bound = max(gsum + rest[i] for i, *_, gsum in stack)
         if open_bound > incumbent_obj:
-            return _build_solution(instance, incumbent, optimality="heuristic", bound=open_bound)
+            return _build_solution(instance, incumbent, "heuristic", bound=lambda: open_bound)
     return _build_solution(instance, incumbent, optimality="proved_optimal")
 
 
@@ -665,7 +696,9 @@ def _lagrangian_bound(instance: WdpInstance, cumdem: list[int]) -> tuple[list[in
     ``C`` plus the positive ``g`` from consumer ``i`` on, so a node at depth
     ``i`` is bounded by its winners' ``g`` plus ``rest[i]``.  Consumers not
     feasible alone have ``g`` 0.  At zero demand (``cumdem`` empty), ``u_l``
-    is the cheapest ask and ``C`` is 0: the heuristic's ranking key and bound.
+    is the cheapest ask and ``C`` is 0: the heuristic's ranking key, which
+    it reads over ``D``.  ``rest[0]`` there and at the heuristic's final
+    demand both bound the optimum; the smaller sets the heuristic's gap.
     """
     sc = instance._scaled
     up = sc.up
@@ -880,16 +913,19 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
 
     Consumers are ranked by budget plus fairness factor minus their bundle
     at each type's cheapest ask: the Lagrangian margin at zero demand
-    (:func:`_lagrangian_bound`), whose bound, the sum of the positive
-    margins, sets the gap.  Each with a non-negative margin is admitted when
-    the winner set stays feasible and the exact marginal cost does not
-    exceed their value.  One repair pass then tries
+    (:func:`_lagrangian_bound`).  Each with a non-negative margin is
+    admitted when the winner set stays feasible and the exact marginal cost
+    does not exceed their value.  One repair pass then tries
     dropping each admitted consumer in ascending rank and greedily
     readmitting the other ranked candidates not admitted, keeping strict
-    improvements of the objective.  Every comparison is exact integer
-    arithmetic over the instance's denominators (see
-    :class:`_HeuristicState`); costs are read at price breakpoints, so
-    memory does not grow with units.
+    improvements of the objective.  Every comparison is exact, over ``D``:
+    each factor enters as its floor over ``D``, and the remainder the floor
+    drops is read only where the floors cannot decide, between tied margins
+    and for a swap whose change over ``D`` lies in ``(-k, 0]`` for ``k``
+    readmitted consumers (see :class:`_HeuristicState`).  Costs are read at
+    price breakpoints, so memory does not grow with units.  The gap bound
+    is the smaller of the Lagrangian bound at zero demand and at the final
+    demand; it is computed over ``S`` only when read.
 
     Every scan walks its candidates in rank order and only admits, so winner
     demand only grows within a scan, and a candidate rejected once stays
@@ -904,17 +940,19 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     candidates are gathered once as a :class:`_Pool` and narrowed with a
     mask; the repair pool is gathered again only when a swap is kept.
     """
-    winners, _, bound = _heuristic_pass(instance)
-    return _build_solution(instance, winners, optimality="heuristic", bound=bound)
+    winners, state = _heuristic_pass(instance)
+    return _build_solution(
+        instance, winners, "heuristic",
+        bound=lambda: min(_lagrangian_bound(instance, d)[1][0] for d in ([], state.cumdem)),
+    )
 
 
-def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState, int]:
-    """:func:`solve_heuristic`'s winner positions, ascending, its final state,
-    which holds their demand and its cost, and its bound on the optimum over
-    ``S``: the search, with no solution built."""
+def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
+    """:func:`solve_heuristic`'s winner positions, ascending, and its final
+    state, which holds their demand and its cost: the search, with no
+    solution built."""
     sc = instance._scaled
     state = _HeuristicState(instance)
-    margin, rest = _lagrangian_bound(instance, [])
 
     def admit_in_order(pool: _Pool) -> list[int]:
         """Admit each candidate of ``pool``, in order, that fits and pays its way."""
@@ -933,44 +971,45 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState, 
             alive &= state.admissible(pool)
         return gained
 
-    def objective(budgets: int, factors: int) -> int:
-        """The winners' objective over ``S``, from their budget sum over ``D``
-        and their fairness factor sum over ``S``."""
-        return sc.up * (budgets - sum(state.cost)) + factors
-
+    # The margin over D with the factors' floors: the Lagrangian margin at
+    # zero demand over S is (margin[n] + remainder(n))·up with the remainder
+    # in [0, 1), so (margin, remainder) orders as it does, and it is
+    # non-negative iff margin is.  Remainders only break ties.
+    cheapest = np.array([price[0] for _, _, price in sc.tables], dtype=sc.cumsup.dtype)
+    margin = (state.value - sc.consumer_quantities @ cheapest).tolist()
+    candidates = [n for n in np.flatnonzero(sc.feasible_alone).tolist() if margin[n] >= 0]
+    tied = Counter(margin[n] for n in candidates)
+    key = {n: (margin[n], sc.remainder(n) if tied[margin[n]] > 1 else 0) for n in candidates}
     # The sort is stable, so tied margins stay in position order.
-    ranked = np.array(
-        sorted(
-            (n for n in np.flatnonzero(sc.feasible_alone).tolist() if margin[n] >= 0),
-            key=margin.__getitem__,
-            reverse=True,
-        ),
-        dtype=np.intp,
-    )
+    ranked = np.array(sorted(candidates, key=key.__getitem__, reverse=True), dtype=np.intp)
     run = state.admit_leading_run(ranked)
     admitted = ranked[:run].tolist() + admit_in_order(state.pool(ranked[run + 1 :]))
     won = np.zeros(instance.shape.num_consumers, dtype=bool)
     won[admitted] = True
     pool = state.pool(ranked[~won[ranked]])
-    budgets = sum(sc.budgets[n] for n in admitted)
-    factors = sum(sc.factors[n] for n in admitted)
-    current = objective(budgets, factors)
-    for a in sorted(admitted, key=lambda n: (margin[n], n)):
+    # The winners' objective over D with the factors' floors.  A swap's
+    # exact change, times D, is its change x in that plus the gained
+    # remainders less the dropped one: in (x - 1, x + len(gained)), so
+    # positive if x >= 1 and not if x <= -len(gained).  Only in between
+    # are the remainders read.
+    value = state.value.tolist()
+    values = sum(value[n] for n in admitted)
+    current = values - sum(state.cost)
+    for a in sorted(admitted, key=lambda n: (key[n], n)):
         snapshot = state.save()
         state.remove(a)
         gained = admit_in_order(pool)
-        new_budgets = budgets - sc.budgets[a] + sum(sc.budgets[n] for n in gained)
-        new_factors = factors - sc.factors[a] + sum(sc.factors[n] for n in gained)
-        new = objective(new_budgets, new_factors)
-        if new > current:
-            current, budgets, factors = new, new_budgets, new_factors
+        new_values = values - value[a] + sum(value[n] for n in gained)
+        x = new_values - sum(state.cost) - current
+        if x >= 1 or (x > -len(gained) and x + sum(map(sc.remainder, gained)) > sc.remainder(a)):
+            current, values = current + x, new_values
             won[a] = False
             won[gained] = True
             pool = state.pool(ranked[~won[ranked]])
         else:
             state.restore(snapshot)
 
-    return np.flatnonzero(won).tolist(), state, rest[0]
+    return np.flatnonzero(won).tolist(), state
 
 
 def dump_instance(instance: WdpInstance) -> str:

@@ -91,8 +91,17 @@ class TestCmdRun:
             # Would fail in round 1: the oracle enumerates at most 12 consumers.
             ({"scenario": {"consumers": 13, "providers": 2, "resource_types": 1, "runs": 1},
               "engine": {"solver": "oracle"}}, ("solver", "consumers")),
+            # Would fail in round 1: price draws are int64 cents.
+            ({"scenario": {"consumers": 5, "runs": 1, "consumer_price_range": ["1e17", "1e18"]}},
+             ("consumer_price_range",)),
+            # Would settle a wrong allocation in round 1: unit counts are int64.
+            ({"scenario": {"consumers": 3, "providers": 2, "resource_types": 1, "runs": 1,
+                           "provider_quantity_range": [2**62, 2**62],
+                           "consumer_quantity_range": [2**62, 2**62]}},
+             ("consumer_quantity_range", "provider_quantity_range")),
         ],
-        ids=["no-units-offered", "zero-prices", "oracle-13-consumers"],
+        ids=["no-units-offered", "zero-prices", "oracle-13-consumers", "price-past-int64",
+             "units-past-int64"],
     )
     def test_config_that_cannot_finish_exits_one_without_files(
         self, tmp_path, capsys, config, named

@@ -258,12 +258,15 @@ class TestOverCommonDenominator:
         assert S == math.lcm(denominator, *(v.denominator for v in values))
         assert len(scaled) == len(values)
         assert all(type(x) is int and x == v * S for x, v in zip(scaled, values))
+        total = model.exact_sum(values)
+        assert type(total) is F and total == sum(values, F(0))
 
     @given(st.lists(st.fractions(max_denominator=10**6), max_size=40), st.integers(1, 10**6))
     def test_matches_a_single_lcm(self, values, denominator):
         S, scaled = model.over_common_denominator(values, denominator)
         assert S == math.lcm(denominator, *(v.denominator for v in values))
         assert scaled == [int(v * S) for v in values]
+        assert model.exact_sum(values) == sum(values, F(0))
 
 
 class TestAsMoney:

@@ -89,6 +89,30 @@ class TestScenarioConfig:
         assert config.consumer_price_range == (Fraction(100), Fraction(250))
         assert hash(config) == hash(small_config(provider_quantity_range=(3, 9)))
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"consumer_price_range": ("1e17", "1e18")}, "consumer_price_range"),
+            ({"provider_price_range": (1, Fraction(2**63, 100))}, "provider_price_range"),
+            ({"consumer_quantity_range": (1, 2**62)}, "consumer_quantity_range"),
+            ({"provider_quantity_range": (2**62, 2**62)}, "provider_quantity_range"),
+        ],
+    )
+    def test_int64_overflowing_ranges_rejected(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            small_config(**fields)
+
+    def test_largest_int64_ranges_accepted(self):
+        N, M, L = astuple(small_config().shape)
+        qhi = (2**63 - 1) // (L * (N + M))
+        config = small_config(
+            provider_price_range=(1, Fraction(2**63 - 1, 100)),
+            consumer_quantity_range=(1, qhi),
+            provider_quantity_range=(1, qhi),
+        )
+        assert len(generate_consumer_bids(config, rng(), 1)) == N
+        assert len(generate_provider_bids(config, rng())) == M
+
     def test_negative_drift_rejected(self):
         with pytest.raises(ValueError, match="price_drift"):
             small_config(price_drift=-1)

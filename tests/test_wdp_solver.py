@@ -28,6 +28,7 @@ from faircda.model import (
     MarketShape,
     ProviderBid,
     budget,
+    over_common_denominator,
 )
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from faircda.wdp_solver import (
@@ -89,6 +90,10 @@ class TestWdpInstance:
     def test_duplicate_consumer_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             instance([consumer(0, [10], [1]), consumer(0, [8], [1])], [provider(0, [5], [2])])
+
+    def test_units_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="units"):
+            instance([consumer(n, [10], [2**62]) for n in range(2)], [provider(0, [5], [1])])
 
     def test_type_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="resource types"):
@@ -365,6 +370,30 @@ class TestSolveHeuristic:
         sol = solve_heuristic(inst)
         assert sol.objective == 0 and sol.allocation.winners == ()
 
+    def test_simulation_scales_only_the_prices(self):
+        """A heuristic run, settlement included, never builds the factors'
+        common denominator S; reading a heuristic solution's gap does."""
+        caught = []
+        real = engine._SOLVERS["heuristic"]
+
+        def spy(inst, limits):
+            caught.append(inst)
+            return real(inst, limits)
+
+        with mock.patch.dict(engine._SOLVERS, heuristic=spy), mock.patch(
+            "faircda.wdp_solver.over_common_denominator", wraps=over_common_denominator
+        ) as scaled:
+            engine.run_simulation(
+                ScenarioConfig(shape=MarketShape(300, 5, 4), runs=1),
+                engine.EngineConfig(rounds=2, master_seed=5),
+            )
+        assert scaled.call_count == len(caught) == 2
+        assert not any("_over_s" in vars(inst._scaled) for inst in caught)
+        sol = solve_heuristic(caught[-1])
+        assert "_over_s" not in vars(caught[-1]._scaled)
+        assert sol.gap_bound > 0 and "_over_s" in vars(caught[-1]._scaled)
+        assert caught[-1]._scaled.factor_denominator.bit_length() > 64
+
     def test_never_beats_exact_and_validates_clean(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
@@ -378,7 +407,7 @@ class TestSolveHeuristic:
 
 # Few distinct values make margin ties common.
 PRICES = [Fraction(p) for p in ("1", "3/2", "2", "7/3", "3", "4", "9/2")]
-FACTORS = [Fraction(f) for f in ("-3", "-1/3", "0", "0", "1", "5/2")]
+FACTORS = [Fraction(f) for f in ("-3", "-1/3", "0", "0", "1", "5/2", "1/7", "-2/11", "3/13")]
 
 
 @st.composite
@@ -412,11 +441,13 @@ class TestSeededSearch:
     @given(heuristic_instances())
     def test_bound_seed_and_truncation(self, inst):
         oracle = solve_oracle(inst)
-        _, state, _ = _heuristic_pass(inst)
+        _, state = _heuristic_pass(inst)
         _, rest = _lagrangian_bound(inst, state.cumdem)
         assert Fraction(rest[0], inst._scaled.factor_denominator) >= oracle.objective
         assert solve_exact(inst).allocation.winners == oracle.allocation.winners
-        seed = solve_heuristic(inst).objective
+        heuristic = solve_heuristic(inst)
+        assert heuristic.objective + heuristic.gap_bound >= oracle.objective
+        seed = heuristic.objective
         for budget in (1, 2, 5, 20):
             sol = solve_exact(inst, SolverLimits(node_budget=budget))
             assert sol.objective >= seed
@@ -426,8 +457,8 @@ class TestSeededSearch:
 
 
 class TestHeuristicBound:
-    """The heuristic's ranking key and gap bound, the Lagrangian bound at zero
-    demand, against the reference margins."""
+    """The heuristic's ranking key, the Lagrangian margins at zero demand,
+    against the reference margins; its gap bound is at most theirs."""
 
     @settings(max_examples=200, deadline=None)
     @given(heuristic_instances())
@@ -440,7 +471,7 @@ class TestHeuristicBound:
         ]
         sol = solve_heuristic(inst)
         positive = sum(m for m in margins.values() if m > 0)
-        assert sol.gap_bound == max(0, positive - sol.objective)
+        assert 0 <= sol.gap_bound <= max(0, positive - sol.objective)
 
 
 def assert_matches_reference(inst):
@@ -482,6 +513,43 @@ class TestHeuristicMatchesScalarReference:
         )
         assert_matches_reference(inst)
         assert solve_heuristic(inst).winner_positions == (2,)
+
+    def test_tied_margins_rank_by_the_factors_remainders(self):
+        # Integer prices, so D = 1, and every margin over D is 0.  The exact
+        # margins are the factors' remainders: 3/13, 0 and 2/3 (the floor of
+        # -1/3 is -1).  Consumer 2 ranks first and takes the one unit; a
+        # position tie-break would admit consumer 0, and the repair would
+        # then try consumer 1 first, worth no more.
+        inst = instance(
+            [consumer(0, [4], [1], ff="3/13"), consumer(1, [4], [1]),
+             consumer(2, [5], [1], ff="-1/3")],
+            [provider(0, [4], [1])],
+        )
+        assert_matches_reference(inst)
+        assert solve_heuristic(inst).winner_positions == (2,)
+
+    def test_swap_with_equal_floors_decided_by_remainders(self):
+        # Consumer 0 ranks first (margin 6 over D against 4) and wins.
+        # Dropping it readmits consumer 1: over D with the factors' floors
+        # both are worth 4, and consumer 1's remainder 5/13 beats 2/7.
+        inst = instance(
+            [consumer(0, [3, 3], [2, 2], ff="2/7"), consumer(1, [4, 4], [0, 2], ff="5/13")],
+            [provider(0, [1, 5], [0, 2]), provider(1, [2, 2], [2, 3])],
+        )
+        assert_matches_reference(inst)
+        assert solve_heuristic(inst).winner_positions == (1,)
+
+    def test_swap_losing_a_unit_over_d_won_by_two_remainders(self):
+        # Dropping consumer 0 (worth 5 over D with floors, remainder 2/3)
+        # readmits consumers 1 and 2 (together 4, remainders 10/11 and
+        # 12/13): one unit over D less, but more than one in remainders.
+        inst = instance(
+            [consumer(0, [5], [2], ff="-1/3"), consumer(1, [6], [1], ff="-1/11"),
+             consumer(2, [3], [1], ff="12/13")],
+            [provider(0, [2], [2])],
+        )
+        assert_matches_reference(inst)
+        assert solve_heuristic(inst).winner_positions == (1, 2)
 
     def test_contested_generated_markets(self):
         """Scenario-sized markets where the repair pass swaps winners."""
