@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -138,7 +139,9 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
     config file and any key the echo does not write is rejected.  The echo's
     ``engine.machine_dependent`` is accepted and ignored: it is recomputed
     from ``time_budget_s``.  A solver whose limits the scenario exceeds is
-    rejected here, so such a config exits 1 before any round.
+    rejected here, so such a config exits 1 before any round, as is an
+    ``output_dir`` that exists and is not a directory or whose nearest
+    existing ancestor is not one.
     """
     merged = {**config_echo(ScenarioConfig(), EngineConfig()), "output_dir": "out"}
     merged["engine"]["machine_dependent"] = None
@@ -173,7 +176,12 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
             fairness_params=params, solver_mode=engine.pop("solver"), solver_limits=limits, **engine
         )
     check_solver_fits(scenario_config, engine_config)
-    return ExperimentConfig(scenario_config, engine_config, merged["output_dir"])
+    config = ExperimentConfig(scenario_config, engine_config, merged["output_dir"])
+    out = config.output_dir
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not os.path.isdir(existing):
+        raise ValueError(f"output_dir {out} cannot be a directory: {existing} is not one")
+    return config
 
 
 def cmd_run(config: ExperimentConfig, jobs: int = 1) -> int:
@@ -234,11 +242,7 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> int:
     (out / "comparison.csv").write_text(_rows_to_csv(COMPARISON_FIELDS, rows))
 
     better_drops = sum(1 for r in rows if r["drops_delta"] > 0)
-    utility_signs = {
-        "fairness_higher": sum(1 for r in rows if r["total_utility_delta"] > 0),
-        "baseline_higher": sum(1 for r in rows if r["total_utility_delta"] < 0),
-        "tied": sum(1 for r in rows if r["total_utility_delta"] == 0),
-    }
+    utility = [r["total_utility_delta"] for r in rows]
     for row in rows:
         print(
             f"run {row['run']}: drops {row['drops_fairness']} vs {row['drops_baseline']} "
@@ -248,8 +252,8 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> int:
         )
     print(
         f"fairness arm has fewer drops in {better_drops}/{len(rows)} runs; "
-        f"total-utility deltas: {utility_signs['fairness_higher']} positive, "
-        f"{utility_signs['baseline_higher']} negative, {utility_signs['tied']} tied"
+        f"total-utility deltas: {sum(d > 0 for d in utility)} positive, "
+        f"{sum(d < 0 for d in utility)} negative, {utility.count(0)} tied"
     )
     print(f"wrote {out / 'comparison.csv'}")
     return 0
@@ -360,33 +364,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="master random seed")
-    parser.add_argument("--rounds", type=int, default=None, help="auction rounds per run")
-    parser.add_argument("--runs", type=int, default=None, help="independent runs")
-    parser.add_argument("--consumers", type=int, default=None, help="number of consumers")
-    parser.add_argument("--providers", type=int, default=None, help="number of providers")
-    parser.add_argument("--types", type=int, default=None, help="number of resource types")
+    parser.add_argument("--config", type=Path, help="JSON experiment config")
+    parser.add_argument("--seed", type=int, help="master random seed")
+    parser.add_argument("--rounds", type=int, help="auction rounds per run")
+    parser.add_argument("--runs", type=int, help="independent runs")
+    parser.add_argument("--consumers", type=int, help="number of consumers")
+    parser.add_argument("--providers", type=int, help="number of providers")
+    parser.add_argument("--types", type=int, help="number of resource types")
     parser.add_argument(
         "--no-fairness", dest="fairness_enabled", action="store_const", const=False,
         help="disable the fairness mechanism",
     )
+    parser.add_argument("--solver", choices=SOLVER_MODES, help="winner determination mode")
     parser.add_argument(
-        "--solver", choices=SOLVER_MODES, default=None,
-        help="winner determination mode",
-    )
-    parser.add_argument(
-        "--time-limit-ms", type=int, default=None,
+        "--time-limit-ms", type=int,
         help="wall-clock budget for the exact solver, in milliseconds",
     )
-    parser.add_argument(
-        "--node-budget", type=int, default=None,
-        help="node budget for the exact solver",
-    )
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for parallel runs"
-    )
+    parser.add_argument("--node-budget", type=int, help="node budget for the exact solver")
+    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for parallel runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,21 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fairness-aware combinatorial double auction simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run_parser = sub.add_parser("run", help="run one simulation and emit reports")
-    _add_experiment_arguments(run_parser)
-    compare_parser = sub.add_parser(
-        "compare", help="run fairness-on vs fairness-off on shared bids"
-    )
-    _add_experiment_arguments(compare_parser)
-    validate_parser = sub.add_parser(
-        "validate", help="cross-check the exact solver against enumeration"
-    )
-    validate_parser.add_argument(
-        "--count", type=int, default=DEFAULT_CORPUS_SIZE, help="corpus size"
-    )
-    validate_parser.add_argument(
-        "--seed", type=int, default=DEFAULT_CORPUS_SEED, help="corpus seed"
-    )
+    for name, text in (
+        ("run", "run one simulation and emit reports"),
+        ("compare", "run fairness-on vs fairness-off on shared bids"),
+    ):
+        _add_experiment_arguments(sub.add_parser(name, help=text))
+    validate = sub.add_parser("validate", help="cross-check the exact solver against enumeration")
+    validate.add_argument("--count", type=int, default=DEFAULT_CORPUS_SIZE, help="corpus size")
+    validate.add_argument("--seed", type=int, default=DEFAULT_CORPUS_SEED, help="corpus seed")
     return parser
 
 

@@ -38,6 +38,7 @@ from .model import (
     ProviderBid,
     RoundResult,
     _check_count,
+    _json_value,
     _unchecked,
     over_common_denominator,
 )
@@ -175,18 +176,16 @@ def run_round(
             raise ValueError(f"consumer {cid} dropped out and can no longer bid")
 
     params = config.fairness_params
+    factors = {}
     if config.fairness_enabled and consumer_bids:
-        outcome_map = previous_outcomes(repo, participants)
         factors = compute_fairness_factors(
             repo,
             participants,
-            outcome_map,
+            previous_outcomes(repo, participants),
             _market_mean_prices(consumer_bids),
             params,
             rng,
         ).factors
-    else:
-        factors = {}
 
     ext_bids = [
         ExtendedConsumerBid(bid=b, fairness_factor=factors.get(b.consumer_id, Fraction(0)))
@@ -208,8 +207,7 @@ def run_round(
     drops = tuple(
         cid
         for cid in participants
-        if cid not in winner_ids
-        and repo.record(cid).consecutive_losses + 1 > params.max_losses
+        if cid not in winner_ids and repo.record(cid).consecutive_losses >= params.max_losses
     )
     win_rate = (
         metrics.win_rate_percent(len(winner_ids), len(participants)) if participants else 0.0
@@ -255,20 +253,16 @@ def update_repository(repo: Repository, result: RoundResult) -> Repository:
     return Repository(records=records, round_counter=result.round_index)
 
 
-def _bid_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(run_index, 0)))
-
-
-def _fairness_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(run_index, 1)))
+def _run_rng(master_seed: int, run_index: int, stream: int) -> np.random.Generator:
+    """A run's random stream: 0 draws the bids, 1 the fairness factors."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(run_index, stream)))
 
 
 def _simulate_one_run(
     scenario: ScenarioConfig, config: EngineConfig, run_index: int
 ) -> tuple[list[metrics.PerRoundRow], metrics.RunMetrics, dict]:
     """One run's report rows, metrics and final repository: small to return from a worker."""
-    rng_bids = _bid_rng(config.master_seed, run_index)
-    rng_fair = _fairness_rng(config.master_seed, run_index)
+    rng_bids, rng_fair = (_run_rng(config.master_seed, run_index, stream) for stream in (0, 1))
     repo = Repository.fresh(range(scenario.shape.num_consumers))
     previous_prices: Optional[dict[int, tuple[Money, ...]]] = None
     rows: list[metrics.PerRoundRow] = []
@@ -396,16 +390,21 @@ def repository_to_dict(repo: Repository) -> dict:
     }
 
 
+_RECORD_COUNTS = ("wins", "losses", "consecutive_losses", "dropped_at_round")
+
+
 def repository_from_dict(payload: Mapping) -> Repository:
-    # ParticipantRecord converts each price once, with as_money: 0.1 loads as 1/10.
+    """Inverse of :func:`repository_to_dict`; malformed input raises a
+    ``ValueError`` naming the field."""
+    payload = _json_value(payload, "repository", keys=("records", "round_counter"))
     records = {}
-    for cid, fields in payload["records"].items():
+    for cid, fields in _json_value(payload["records"], "records").items():
+        fields = _json_value(fields, f"record {cid}", keys=(*_RECORD_COUNTS, "price_history"))
+        history = _json_value(fields["price_history"], "price_history", list)
+        # ParticipantRecord converts each price once, with as_money: 0.1 loads as 1/10.
         records[int(cid)] = ParticipantRecord(
-            wins=fields["wins"],
-            losses=fields["losses"],
-            consecutive_losses=fields["consecutive_losses"],
-            dropped_at_round=fields["dropped_at_round"],
-            price_history=fields["price_history"],
+            **{name: fields[name] for name in _RECORD_COUNTS},
+            price_history=[_json_value(e, "price history entry", list) for e in history],
         )
     return Repository(records=records, round_counter=payload["round_counter"])
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .model import Money, ProviderBid, _check_count, as_money
+from .model import Money, ProviderBid, _check_count, _json_value, as_money
 
 __all__ = [
     "PerRoundRow",
@@ -64,6 +64,7 @@ class RunMetrics:
 # A table's columns are its row type's fields, in order.
 PER_ROUND_FIELDS = tuple(f.name for f in fields(PerRoundRow))
 PER_RUN_FIELDS = tuple(f.name for f in fields(RunMetrics))
+_TABLES = {"per_round": PER_ROUND_FIELDS, "per_run": PER_RUN_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -188,9 +189,15 @@ def parse_report(text: str) -> SimulationReport:
 
     Counts (``run``, ``round``, ``cumulative_drops``, ``drops``) must be
     JSON integers, other values finite numbers or fraction strings; anything
-    else (``true`` and NaN included) raises a ``ValueError`` naming the field.
+    else (``true`` and NaN included) raises a ``ValueError`` naming the field,
+    as does a missing field or a value that is not the JSON object or array
+    the report holds there.
     """
-    payload = json.loads(text)
+    payload = _json_value(json.loads(text), "report", keys=("config", *_TABLES, "repositories"))
+    rounds, runs = (
+        [_json_value(r, f"{name} row", keys=keys) for r in _json_value(payload[name], name, list)]
+        for name, keys in _TABLES.items()
+    )
     per_round = tuple(
         PerRoundRow(
             run=_check_count(row["run"], "run"),
@@ -201,7 +208,7 @@ def parse_report(text: str) -> SimulationReport:
             win_percent=float(_load_number(row, "win_percent")),
             cumulative_drops=_check_count(row["cumulative_drops"], "cumulative_drops"),
         )
-        for row in payload["per_round"]
+        for row in rounds
     )
     per_run = tuple(
         RunMetrics(
@@ -216,13 +223,13 @@ def parse_report(text: str) -> SimulationReport:
             mean_utilization=float(_load_number(row, "mean_utilization")),
             mean_win_percent=float(_load_number(row, "mean_win_percent")),
         )
-        for row in payload["per_run"]
+        for row in runs
     )
     return SimulationReport(
         per_round=per_round,
         per_run=per_run,
         config_echo=payload["config"],
-        final_repositories=tuple(payload["repositories"]),
+        final_repositories=tuple(_json_value(payload["repositories"], "repositories", list)),
     )
 
 

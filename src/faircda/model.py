@@ -108,6 +108,20 @@ def _check_count(value, name: str, positive: bool = False) -> int:
     return value
 
 
+def _json_value(value, name: str, kind: type = dict, keys: Iterable[str] = ()):
+    """``value`` if it is a JSON object (``kind`` dict) holding every one of
+    ``keys``, or a JSON array (``kind`` list): the shape check of the JSON
+    loaders, so that malformed input raises a ``ValueError`` naming the value
+    or the missing field, never a ``KeyError`` or ``TypeError``."""
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "array"
+        raise ValueError(f"{name} must be a JSON {shape}, got {value!r}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{name} is missing the field {key!r}")
+    return value
+
+
 def _check_money(value, name: str) -> Money:
     """``value`` as exact money if :func:`as_money` reads it and it is at least 0.
 

@@ -23,12 +23,13 @@ solver here:
 seeded with the heuristic's winners; ``solve_oracle`` enumerates all winner
 subsets; ``solve_heuristic`` greedily admits consumers by Lagrangian margin
 with one drop-and-readd repair pass.  One function bounds both searches, the
-Lagrangian relaxation of the per-type supply balance: at the heuristic's
-demand for the exact nodes, at the cheapest asks for the heuristic's
-ranking and gap.  All three return allocations that validate clean.  The
-two search solvers hold winner demand in one layout, a flat
-cumulative-demand vector, read the supply and cost tables of that layout
-from the instance, and read its cost with one formula, ``_breakpoint_cost``.
+Lagrangian relaxation of the per-type supply balance, over ``D``: at the
+heuristic's demand for the exact nodes, at the cheapest asks for the
+heuristic's ranking, and at both for its gap.  All three return allocations
+that validate clean.  The two search solvers hold winner demand in one
+layout, a flat cumulative-demand vector, read the supply and cost tables of
+that layout from the instance, and read its cost with one formula,
+``_breakpoint_cost``.
 
 Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` derives
 its market as integers once, when it is built (:class:`_ScaledValues`):
@@ -37,12 +38,12 @@ denominators, and the reach, cumulative cost and stand-alone feasibility
 facts every solver reads.  Budgets are derived, never passed in.  The
 heuristic and settlement run over ``D``: each fairness factor enters as its
 floor over ``D``, and the exact remainder the floor drops is read only
-where the floors cannot decide.  Only ``solve_exact`` and a heuristic or
-truncated gap bound, when read, build ``S``, the common multiple of ``D``
-and the factors' denominators, and add the factors over it.  Rationals are
-built only for the results.  The integers are int64 arrays when every sum
-formed from them provably fits, and ``object`` arrays of Python ints
-otherwise, so the same code stays exact on any rational input.
+where the floors cannot decide.  Only ``solve_exact`` builds ``S``, the
+common multiple of ``D`` and the factors' denominators, once per call, and
+adds the factors over it.  Rationals are built only for the results.  The
+integers are int64 arrays when every sum formed from them provably fits,
+and ``object`` arrays of Python ints otherwise, so the same code stays
+exact on any rational input.
 """
 
 from __future__ import annotations
@@ -123,12 +124,8 @@ class _ScaledValues:
     ``contribution[n]`` (and ``contribution_rows``), what admitting consumer
     ``n`` adds to the demand; ``demand_at[l]``, where type ``l``'s whole
     demand is; and ``tables[l]``, the type's ``(cumsup, cumcost, price)``
-    lists for :func:`_breakpoint_cost`.
-
-    ``factors`` are the factors as ints over ``factor_denominator`` (``S``,
-    the least common multiple of ``D`` and their denominators, thousands of
-    bits on generated markets) and ``up`` is ``S // D``.  Only the exact
-    search and a read gap bound use them, so they are built on first access.
+    lists for :func:`_breakpoint_cost`.  Nothing here is over ``S``: only
+    :func:`solve_exact` builds it, once per call.
     """
 
     def __init__(
@@ -204,15 +201,6 @@ class _ScaledValues:
         ``D``: ``f_n·D − F_n``, in ``[0, 1)``."""
         return self.fairness[n] * self.denominator - self.factor_floors[n]
 
-    @cached_property
-    def _over_s(self) -> tuple[int, tuple[int, ...], int]:
-        S, factors = over_common_denominator(self.fairness, self.denominator)
-        return S, tuple(factors), S // self.denominator
-
-    factor_denominator = property(lambda self: self._over_s[0])
-    factors = property(lambda self: self._over_s[1])
-    up = property(lambda self: self._over_s[2])
-
 
 @dataclass(frozen=True)
 class WdpInstance:
@@ -233,38 +221,24 @@ class WdpInstance:
     def __post_init__(self):
         object.__setattr__(self, "consumer_bids", tuple(self.consumer_bids))
         object.__setattr__(self, "provider_bids", tuple(self.provider_bids))
-        if len(self.consumer_bids) != self.shape.num_consumers:
-            raise ValueError(
-                f"expected {self.shape.num_consumers} consumer bids, "
-                f"got {len(self.consumer_bids)}"
-            )
-        if len(self.provider_bids) != self.shape.num_providers:
-            raise ValueError(
-                f"expected {self.shape.num_providers} provider bids, "
-                f"got {len(self.provider_bids)}"
-            )
         L = self.shape.num_resource_types
-        seen_consumers = set()
-        for ext in self.consumer_bids:
-            if ext.bid.num_types != L:
-                raise ValueError(
-                    f"consumer {ext.consumer_id}: bid covers {ext.bid.num_types} "
-                    f"resource types, market has {L}"
-                )
-            if ext.consumer_id in seen_consumers:
-                raise ValueError(f"duplicate consumer id {ext.consumer_id}")
-            seen_consumers.add(ext.consumer_id)
-        seen_providers = set()
-        for pb in self.provider_bids:
-            if pb.num_types != L:
-                raise ValueError(
-                    f"provider {pb.provider_id}: bid covers {pb.num_types} "
-                    f"resource types, market has {L}"
-                )
-            if pb.provider_id in seen_providers:
-                raise ValueError(f"duplicate provider id {pb.provider_id}")
-            seen_providers.add(pb.provider_id)
-
+        for kind, bids, expected in (
+            ("consumer", [ext.bid for ext in self.consumer_bids], self.shape.num_consumers),
+            ("provider", self.provider_bids, self.shape.num_providers),
+        ):
+            if len(bids) != expected:
+                raise ValueError(f"expected {expected} {kind} bids, got {len(bids)}")
+            seen = set()
+            for bid in bids:
+                bid_id = getattr(bid, f"{kind}_id")
+                if bid.num_types != L:
+                    raise ValueError(
+                        f"{kind} {bid_id}: bid covers {bid.num_types} resource types, "
+                        f"market has {L}"
+                    )
+                if bid_id in seen:
+                    raise ValueError(f"duplicate {kind} id {bid_id}")
+                seen.add(bid_id)
         object.__setattr__(
             self, "_scaled", _ScaledValues(self.consumer_bids, self.provider_bids, L)
         )
@@ -533,15 +507,14 @@ def _build_solution(
     instance: WdpInstance,
     positions: Sequence[int],
     optimality: str,
-    bound: Optional[Callable[[], int]] = None,
+    bound: Optional[Callable[[], Money]] = None,
 ) -> WdpSolution:
     """A solver's winner set routed at minimum cost, as a solution.
 
     The routing is feasible by construction, so it is not validated here;
     the engine validates each round's allocation once, when it settles it.
     ``bound``, where the solver has one, returns an upper bound on the
-    optimum over ``S``; it is called, and ``S`` built, only when something
-    reads the solution's gap.
+    optimum; it is called only when something reads the solution's gap.
     """
     y = _route(instance, positions)
     if y is None:
@@ -550,13 +523,12 @@ def _build_solution(
     winners = tuple(n in chosen for n in range(instance.shape.num_consumers))
     allocation = Allocation(winners=winners, transfers=y)
     utility, satisfaction = _totals(instance, allocation)
-    sc = instance._scaled
     return WdpSolution(
         allocation=allocation,
         total_utility=utility,
         total_satisfaction=satisfaction,
         optimality=optimality,
-        bound=None if bound is None else lambda: Fraction(bound(), sc.factor_denominator),
+        bound=bound,
     )
 
 
@@ -613,21 +585,24 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     from before it.  Otherwise it is returned with a gap bound from the open
     nodes (0 when one only ties the seed).  The time budget counts the seed.
 
-    Objectives and bounds are integers over the instance's common
-    denominator ``S``.  A node's demand is a flat cumulative-demand list,
-    laid out as :class:`_HeuristicState`'s, and the search reads the
-    instance's contribution rows, supply and cost tables
-    (:class:`_ScaledValues`): a consumer fits iff every entry of the demand
-    with them added is within its supply, and only a leaf's cost is read,
-    at the price breakpoints (:func:`_breakpoint_cost`).  Nodes are cheap,
-    so they run on Python lists, not arrays.
+    Objectives and bounds are integers over ``S``, the least common multiple
+    of ``D`` and the factors' denominators (thousands of bits on generated
+    markets), which each call builds for itself and nothing else does.  A
+    node's demand is a flat cumulative-demand list, laid out as
+    :class:`_HeuristicState`'s, and the search reads the instance's
+    contribution rows, supply and cost tables (:class:`_ScaledValues`): a
+    consumer fits iff every entry of the demand with them added is within
+    its supply, and only a leaf's cost is read, at the price breakpoints
+    (:func:`_breakpoint_cost`).  Nodes are cheap, so they run on Python
+    lists, not arrays.
     """
     if limits is None:
         limits = SolverLimits()
     started = time.monotonic()
     sc = instance._scaled
     N = instance.shape.num_consumers
-    up = sc.up
+    S, factors = over_common_denominator(sc.fairness, sc.denominator)
+    up = S // sc.denominator
     feasible_alone = sc.feasible_alone.tolist()
     rows, supply = sc.contribution_rows, sc.supply_list
     tables = list(zip(sc.tables, sc.demand_at))
@@ -635,10 +610,14 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     # Winner values and the seed's objective, less one, over S; each node's
     # bound is its winners' Lagrangian margins g plus rest[i], what
     # consumers i.. and the providers can add at most.
-    w = [b * up + f for b, f in zip(sc.budgets, sc.factors)]
+    w = [b * up + f for b, f in zip(sc.budgets, factors)]
     incumbent, state = _heuristic_pass(instance)
     incumbent_obj = sum(w[n] for n in incumbent) - up * sum(state.cost) - 1
-    g, rest = _lagrangian_bound(instance, state.cumdem)
+    bundle, saved = _lagrangian_bound(instance, state.cumdem)
+    g = [x - c * up if ok else 0 for x, c, ok in zip(w, bundle, feasible_alone)]
+    # Skip a margin that is not positive: adding 0 would still copy a large integer.
+    rest = list(accumulate(reversed(g), lambda r, x: r + x if x > 0 else r, initial=up * saved))
+    rest.reverse()
 
     # Stack entries: (next consumer index, winner positions, demand,
     # winner-value sum, Lagrangian margin sum), sums over S.
@@ -677,45 +656,55 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     if truncated:
         open_bound = max(gsum + rest[i] for i, *_, gsum in stack)
         if open_bound > incumbent_obj:
-            return _build_solution(instance, incumbent, "heuristic", bound=lambda: open_bound)
+            return _build_solution(
+                instance, incumbent, "heuristic", bound=lambda: Fraction(open_bound, S)
+            )
     return _build_solution(instance, incumbent, optimality="proved_optimal")
 
 
-def _lagrangian_bound(instance: WdpInstance, cumdem: list[int]) -> tuple[list[int], list[int]]:
-    """``(g, rest)``: each consumer's Lagrangian margin, and the bound on
-    what consumers ``i``, ``i + 1``, ... and the providers add, all over ``S``.
+def _lagrangian_bound(instance: WdpInstance, cumdem: list[int]) -> tuple[list[int], int]:
+    """``(bundle, saved)``, integers over ``D``: each consumer's bundle priced
+    at the multipliers ``u``, and the providers' constant ``C``.
 
     Relaxing each type's supply balance (units bought equal units sold) with
-    a multiplier ``u_l`` bounds every objective by ``Σ_n max(0, g_n)`` over
-    consumers feasible alone, ``g_n = w_n − Σ_l q_nl·u_l``, plus ``C =
-    Σ_l Σ_k supply_lk·max(0, u_l − ask_lk)`` (Fisher 1981): any ``u`` gives a
-    valid bound, and dropping the reach constraints only loosens it.
-    ``u_l`` is the ask at the ``d_l``-th cheapest unit of type ``l``, ``d_l``
-    read from ``cumdem`` (the cheapest ask when ``d_l`` is 0); then ``C`` is
-    what the units cheaper than ``u_l`` save at that price.  ``rest[i]`` is
-    ``C`` plus the positive ``g`` from consumer ``i`` on, so a node at depth
-    ``i`` is bounded by its winners' ``g`` plus ``rest[i]``.  Consumers not
-    feasible alone have ``g`` 0.  At zero demand (``cumdem`` empty), ``u_l``
-    is the cheapest ask and ``C`` is 0: the heuristic's ranking key, which
-    it reads over ``D``.  ``rest[0]`` there and at the heuristic's final
-    demand both bound the optimum; the smaller sets the heuristic's gap.
+    a multiplier ``u_l`` bounds every objective by ``C = Σ_l Σ_k
+    supply_lk·max(0, u_l − ask_lk)`` plus ``Σ_n max(0, g_n)`` over consumers
+    feasible alone, where ``g_n = b_n + f_n − bundle_n`` is the Lagrangian
+    margin of budget ``b_n``, factor ``f_n`` and ``bundle_n = Σ_l
+    q_nl·u_l`` (Fisher 1981): any ``u`` gives a valid bound, and dropping
+    the reach constraints only loosens it.  ``u_l`` is the ask at the
+    ``d_l``-th cheapest unit of type ``l``, ``d_l`` read from ``cumdem`` (the
+    cheapest ask when ``d_l`` is 0); then ``C`` is what the units cheaper
+    than ``u_l`` save at that price.  At zero demand (``cumdem`` empty),
+    ``u_l`` is the cheapest ask and ``C`` is 0: the heuristic ranks by those
+    margins, and that bound and the one at its final demand set its gap
+    (:func:`solve_heuristic`).  :func:`solve_exact` adds the factors over
+    ``S`` to the margins at its seed's demand.
     """
     sc = instance._scaled
-    up = sc.up
     u, saved = [], 0
     for (cumsup, cumcost, price), at in zip(sc.tables, sc.demand_at):
         j, _ = _breakpoint_cost(cumsup, cumcost, price, cumdem[at] if cumdem else 0)
         u.append(price[j])
         saved += price[j] * cumsup[j] - cumcost[j]
-    bundle = (sc.consumer_quantities @ np.array(u, dtype=sc.cumsup.dtype)).tolist()
-    g = [
-        (b - c) * up + f if ok else 0
-        for b, c, f, ok in zip(sc.budgets, bundle, sc.factors, sc.feasible_alone.tolist())
-    ]
-    # Skip a margin that is not positive: adding 0 would still copy a large integer.
-    rest = list(accumulate(reversed(g), lambda r, x: r + x if x > 0 else r, initial=up * saved))
-    rest.reverse()
-    return g, rest
+    return (sc.consumer_quantities @ np.array(u, dtype=sc.cumsup.dtype)).tolist(), saved
+
+
+def _rational_bound(instance: WdpInstance, cumdem: list[int]) -> Money:
+    """The Lagrangian bound at ``cumdem`` (:func:`_lagrangian_bound`) as a
+    rational: ``C`` plus the winning budgets less bundles over ``D``, plus
+    the exact sum of those consumers' factors.
+
+    ``g_n·D`` is the integer ``b_n − bundle_n + F_n``, ``F_n`` the factor's
+    floor over ``D``, plus the floor's remainder in ``[0, 1)``: so ``g_n`` is
+    at least 0 iff that integer is, and a ``g_n`` of 0 adds nothing.
+    """
+    sc = instance._scaled
+    bundle, saved = _lagrangian_bound(instance, cumdem)
+    ok, b, floor = sc.feasible_alone.tolist(), sc.budgets, sc.factor_floors
+    positive = [n for n, c in enumerate(bundle) if ok[n] and b[n] + floor[n] >= c]
+    over_d = saved + sum(b[n] - bundle[n] for n in positive)
+    return Fraction(over_d, sc.denominator) + exact_sum(sc.fairness[n] for n in positive)
 
 
 def _breakpoint_cost(
@@ -735,9 +724,10 @@ def _breakpoint_cost(
 def _breakpoint_costs(
     cumsup: np.ndarray, cumcost: np.ndarray, price: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """:func:`_breakpoint_cost`'s cost for every entry of ``x``, the same
-    formula over arrays: ``searchsorted`` is ``bisect_left``."""
-    j = np.searchsorted(cumsup[1 : len(cumcost)], x)
+    """:func:`_breakpoint_cost`'s cost for every entry of ``x``, each within
+    the supply, the same formula over one type's rows of
+    :class:`_ScaledValues`: ``searchsorted`` is ``bisect_left``."""
+    j = np.searchsorted(cumsup[1:], x)
     return cumcost[j] + (x - cumsup[j]) * price[j]
 
 
@@ -798,12 +788,9 @@ class _HeuristicState:
     """
 
     def __init__(self, instance: WdpInstance):
-        sc = instance._scaled
+        self.sc = sc = instance._scaled
         L, M = sc.sorted_prices.shape
         self.num_types, self.dtype = L, sc.cumsup.dtype
-        self.supply, self.supply_list = sc.supply, sc.supply_list
-        self.contribution, self.contribution_rows = sc.contribution, sc.contribution_rows
-        self.tables, self.demand_at = sc.tables, sc.demand_at
         self.type_start = [t == 0 for _ in range(L) for t in range(M)]
         value = list(map(add, sc.budgets, sc.factor_floors))
         fits = max(map(abs, value), default=0) < _INT64_SAFE
@@ -817,7 +804,6 @@ class _HeuristicState:
             self.slot_start.append(start)
             slot[l] = start + index[:-1]
             start += len(values)
-        self.table_arrays = [[np.array(t, dtype=self.dtype) for t in tab] for tab in self.tables]
         # Reach r reads type l's room at l·M + M - r.  Room is never negative,
         # so a type a consumer does not demand (reach 0 included) never stops them.
         room_index = np.minimum(M - sc.reach.T, M - 1) + M * np.arange(L)[:, None]
@@ -827,17 +813,15 @@ class _HeuristicState:
         self._refresh()
 
     def _refresh(self) -> None:
-        cumdem = self.cumdem
+        sc, cumdem = self.sc, self.cumdem
         # The suffix minimum of each type's slack, from its last provider on.
         low = 0
         room = [
             low := s if first or s < low else low
-            for s, first in zip(map(sub, self.supply_list, cumdem), self.type_start)
+            for s, first in zip(map(sub, sc.supply_list, cumdem), self.type_start)
         ]
         cost, marginal = [], []
-        for (cumsup, cumcost, price), distinct, at in zip(
-            self.tables, self.distinct, self.demand_at
-        ):
+        for (cumsup, cumcost, price), distinct, at in zip(sc.tables, self.distinct, sc.demand_at):
             d = cumdem[at] if cumdem else 0
             j, c = _breakpoint_cost(cumsup, cumcost, price, d)
             cost.append(c)
@@ -878,11 +862,12 @@ class _HeuristicState:
         # alone, so no pool the solver passes has members.
         if not len(ids):
             return 0
-        after = np.cumsum(self.contribution[ids], axis=0, dtype=self.dtype) + self.cumdem
-        fits = (after <= self.supply).all(axis=1)
+        sc = self.sc
+        after = np.cumsum(sc.contribution[ids], axis=0, dtype=self.dtype) + self.cumdem
+        fits = (after <= sc.supply).all(axis=1)
         fitting = len(ids) if fits.all() else int(fits.argmin())
-        demand = after[:fitting, self.demand_at]
-        totals = sum(_breakpoint_costs(*t, demand[:, l]) for l, t in enumerate(self.table_arrays))
+        demand = after[:fitting, sc.demand_at].T
+        totals = sum(map(_breakpoint_costs, sc.cumsup, sc.cumcost, sc.sorted_prices, demand))
         marginal = np.diff(totals, prepend=sum(self.cost))
         passed = marginal <= self.value[ids[:fitting]]
         f = fitting if passed.all() else int(passed.argmin())
@@ -892,11 +877,11 @@ class _HeuristicState:
         return f
 
     def add(self, n: int) -> None:
-        self.cumdem = list(map(add, self.cumdem, self.contribution_rows[n]))
+        self.cumdem = list(map(add, self.cumdem, self.sc.contribution_rows[n]))
         self._refresh()
 
     def remove(self, n: int) -> None:
-        self.cumdem = list(map(sub, self.cumdem, self.contribution_rows[n]))
+        self.cumdem = list(map(sub, self.cumdem, self.sc.contribution_rows[n]))
         self._refresh()
 
     def save(self) -> tuple:
@@ -925,7 +910,8 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     readmitted consumers (see :class:`_HeuristicState`).  Costs are read at
     price breakpoints, so memory does not grow with units.  The gap bound
     is the smaller of the Lagrangian bound at zero demand and at the final
-    demand; it is computed over ``S`` only when read.
+    demand, computed only when read: its budgets and bundles over ``D``
+    plus the exact sum of its consumers' factors, with no ``S``.
 
     Every scan walks its candidates in rank order and only admits, so winner
     demand only grows within a scan, and a candidate rejected once stays
@@ -943,7 +929,7 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     winners, state = _heuristic_pass(instance)
     return _build_solution(
         instance, winners, "heuristic",
-        bound=lambda: min(_lagrangian_bound(instance, d)[1][0] for d in ([], state.cumdem)),
+        bound=lambda: min(_rational_bound(instance, d) for d in ([], state.cumdem)),
     )
 
 
@@ -971,12 +957,12 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
             alive &= state.admissible(pool)
         return gained
 
-    # The margin over D with the factors' floors: the Lagrangian margin at
-    # zero demand over S is (margin[n] + remainder(n))·up with the remainder
-    # in [0, 1), so (margin, remainder) orders as it does, and it is
+    # The Lagrangian margin at zero demand over D with the factors' floors:
+    # the exact margin times D is margin[n] + remainder(n), the remainder in
+    # [0, 1), so (margin, remainder) orders as it does, and it is
     # non-negative iff margin is.  Remainders only break ties.
-    cheapest = np.array([price[0] for _, _, price in sc.tables], dtype=sc.cumsup.dtype)
-    margin = (state.value - sc.consumer_quantities @ cheapest).tolist()
+    value = state.value.tolist()
+    margin = list(map(sub, value, _lagrangian_bound(instance, [])[0]))
     candidates = [n for n in np.flatnonzero(sc.feasible_alone).tolist() if margin[n] >= 0]
     tied = Counter(margin[n] for n in candidates)
     key = {n: (margin[n], sc.remainder(n) if tied[margin[n]] > 1 else 0) for n in candidates}
@@ -992,7 +978,6 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
     # remainders less the dropped one: in (x - 1, x + len(gained)), so
     # positive if x >= 1 and not if x <= -len(gained).  Only in between
     # are the remainders read.
-    value = state.value.tolist()
     values = sum(value[n] for n in admitted)
     current = values - sum(state.cost)
     for a in sorted(admitted, key=lambda n: (key[n], n)):

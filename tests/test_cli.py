@@ -114,6 +114,22 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and all(word in err for word in named)
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("below", ["", "x"])
+    def test_output_dir_that_cannot_be_a_directory_exits_one(
+        self, tmp_path, capsys, command, below
+    ):
+        # The path, or its nearest existing ancestor, is a regular file.
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        args = ["--consumers", "5", "--providers", "2", "--types", "1", "--rounds", "2"]
+        out = afile / below if below else afile
+        assert run_main([command, *args, "--runs", "1", "--out", out]) == 1
+        assert afile.read_text() == "kept"
+        # Rejected before any round: nothing was run or printed.
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: output_dir")
+
     @settings(max_examples=25, deadline=None)
     @given(
         consumers=st.integers(1, 14),

@@ -408,6 +408,23 @@ class TestRepositorySerialization:
         with pytest.raises(ValueError, match="price history entry"):
             repository_from_dict(self.payload([["abc"]]))
 
+    @pytest.mark.parametrize(
+        "malform, named",
+        [(lambda p: p["records"]["3"].pop("losses"), "losses"),
+         (lambda p: p["records"]["3"].update(price_history=5), "price_history"),
+         (lambda p: p["records"]["3"].update(price_history=[5]), "price history entry"),
+         (lambda p: p["records"].update({"3": 7}), "record 3"),
+         (lambda p: p.update(records=[]), "records"),
+         (lambda p: p.pop("round_counter"), "round_counter")],
+        ids=["losses-missing", "history-5", "history-entry-5", "record-7", "records-array",
+             "round_counter-missing"],
+    )
+    def test_malformed_record_rejected(self, malform, named):
+        payload = self.payload([])
+        malform(payload)
+        with pytest.raises(ValueError, match=named):
+            repository_from_json(json.dumps(payload))
+
     @pytest.mark.parametrize("counter", ["3", -1, True, 2.5])
     def test_malformed_round_counter_rejected(self, counter):
         text = json.dumps({**self.payload([]), "round_counter": counter})

@@ -150,6 +150,9 @@ WRONG_PER_RUN_VALUES = {
 }
 
 
+MISSING = object()
+
+
 class TestEmit:
     def test_headers_are_the_public_contract(self, tmp_path):
         report = SimulationReport(per_round=(), per_run=())
@@ -176,12 +179,27 @@ class TestEmit:
          ("per_round", "utilization_percent", True), ("per_round", "win_percent", "nan"),
          ("per_round", "utilization_percent", "nan"), ("per_run", "mean_utilization", True),
          ("per_run", "mean_win_percent", "nan"), ("per_run", "mean_drop_round", True),
-         ("per_run", "mean_utilization", float("nan"))],
+         ("per_run", "mean_utilization", float("nan")),
+         # A missing field, a non-object and a non-array: table None is the
+         # report itself, field None replaces the whole row or report.
+         pytest.param("per_round", "round", MISSING, id="per_round-round-missing"),
+         pytest.param(None, "repositories", MISSING, id="repositories-missing"),
+         pytest.param(None, None, [], id="report-array"),
+         pytest.param("per_run", None, 5, id="per_run-row-5"),
+         pytest.param(None, "per_round", {}, id="per_round-object")],
     )
     def test_malformed_counts_rejected_at_load(self, table, field, value):
         payload = json.loads(report_to_json(tiny_report()))
-        payload[table][0][field] = value
-        with pytest.raises(ValueError, match=field):
+        if field is None and table is None:
+            payload = value
+        elif field is None:
+            payload[table][0] = value
+        else:
+            target = payload if table is None else payload[table][0]
+            target[field] = value
+            if value is MISSING:
+                del target[field]
+        with pytest.raises(ValueError, match=field or table or "report"):
             parse_report(json.dumps(payload))
 
     def test_emitted_json_parses_back(self, tmp_path):

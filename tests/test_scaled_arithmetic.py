@@ -363,18 +363,20 @@ class TestGeneratedInstances:
     def test_heuristic_costs_are_exact_over_the_denominator(self, inst, price, data):
         inst = with_empty_provider(inst, price, data)
         L = inst.shape.num_resource_types
-        D = inst._scaled.denominator
+        sc = inst._scaled
+        D = sc.denominator
         state = _HeuristicState(inst)
         references = [[c * D for c in reference_costs(inst, l)] for l in range(L)]
         for x in range(max(len(r) for r in references)):
-            state.cumdem = [x if at in state.demand_at else v for at, v in enumerate(state.cumdem)]
+            state.cumdem = [x if at in sc.demand_at else v for at, v in enumerate(state.cumdem)]
             state._refresh()
             for l, reference in enumerate(references):
                 if x >= len(reference):
                     continue
                 # Both evaluators, and the costs the refresh derives from them.
-                assert _breakpoint_cost(*state.tables[l], x)[1] == reference[x]
-                (cost,) = _breakpoint_costs(*state.table_arrays[l], np.array([x]))
+                assert _breakpoint_cost(*sc.tables[l], x)[1] == reference[x]
+                row = sc.cumsup[l], sc.cumcost[l], sc.sorted_prices[l]
+                (cost,) = _breakpoint_costs(*row, np.array([x]))
                 assert cost == reference[x]
                 assert state.cost[l] == reference[x]
                 for s, q in enumerate(state.distinct[l]):

@@ -37,6 +37,7 @@ from faircda.wdp_solver import (
     _HeuristicState,
     _heuristic_pass,
     _lagrangian_bound,
+    _rational_bound,
     compatible,
     dump_instance,
     load_instance,
@@ -284,6 +285,8 @@ class TestSolveExact:
         # better than the seed, within 5000 it does, and neither proves it.
         inst = generated_instance(seed=9, provider_quantity_range=(5, 15))
         seed = solve_heuristic(inst)
+        # Recorded while the heuristic's gap was still summed over S.
+        assert seed.gap_bound == Fraction(16644, 25)
         early = solve_exact(inst, SolverLimits(node_budget=400))
         assert (early.winner_positions, early.objective, early.gap_bound, early.optimality) == (
             seed.winner_positions, Fraction(792403, 100), Fraction(16644, 25), "heuristic"
@@ -371,14 +374,16 @@ class TestSolveHeuristic:
         assert sol.objective == 0 and sol.allocation.winners == ()
 
     def test_simulation_scales_only_the_prices(self):
-        """A heuristic run, settlement included, never builds the factors'
-        common denominator S; reading a heuristic solution's gap does."""
+        """A heuristic run, settlement and a read gap included, puts only the
+        prices of each instance over a common denominator; solve_exact adds
+        one call, for S, the factors' common denominator."""
         caught = []
         real = engine._SOLVERS["heuristic"]
 
         def spy(inst, limits):
-            caught.append(inst)
-            return real(inst, limits)
+            sol = real(inst, limits)
+            caught.append((inst, sol.gap_bound))
+            return sol
 
         with mock.patch.dict(engine._SOLVERS, heuristic=spy), mock.patch(
             "faircda.wdp_solver.over_common_denominator", wraps=over_common_denominator
@@ -387,12 +392,14 @@ class TestSolveHeuristic:
                 ScenarioConfig(shape=MarketShape(300, 5, 4), runs=1),
                 engine.EngineConfig(rounds=2, master_seed=5),
             )
-        assert scaled.call_count == len(caught) == 2
-        assert not any("_over_s" in vars(inst._scaled) for inst in caught)
-        sol = solve_heuristic(caught[-1])
-        assert "_over_s" not in vars(caught[-1]._scaled)
-        assert sol.gap_bound > 0 and "_over_s" in vars(caught[-1]._scaled)
-        assert caught[-1]._scaled.factor_denominator.bit_length() > 64
+            assert scaled.call_count == len(caught) == 2
+            assert all(gap > 0 for _, gap in caught)
+            inst = caught[-1][0]
+            solve_exact(inst, SolverLimits(node_budget=1))
+            assert scaled.call_count == 3
+        assert scaled.call_args.args == (inst._scaled.fairness, inst._scaled.denominator)
+        S, _ = over_common_denominator(*scaled.call_args.args)
+        assert S.bit_length() > 64
 
     def test_never_beats_exact_and_validates_clean(self):
         rng = np.random.default_rng(7)
@@ -442,8 +449,7 @@ class TestSeededSearch:
     def test_bound_seed_and_truncation(self, inst):
         oracle = solve_oracle(inst)
         _, state = _heuristic_pass(inst)
-        _, rest = _lagrangian_bound(inst, state.cumdem)
-        assert Fraction(rest[0], inst._scaled.factor_denominator) >= oracle.objective
+        assert _rational_bound(inst, state.cumdem) >= oracle.objective
         assert solve_exact(inst).allocation.winners == oracle.allocation.winners
         heuristic = solve_heuristic(inst)
         assert heuristic.objective + heuristic.gap_bound >= oracle.objective
@@ -458,19 +464,23 @@ class TestSeededSearch:
 
 class TestHeuristicBound:
     """The heuristic's ranking key, the Lagrangian margins at zero demand,
-    against the reference margins; its gap bound is at most theirs."""
+    against the reference margins: the bound at zero demand is the sum of
+    the positive ones, and the heuristic's gap bound is at most that."""
 
     @settings(max_examples=200, deadline=None)
     @given(heuristic_instances())
     def test_margins_and_gap_bound(self, inst):
         margins = reference_margins(inst)
-        g, _ = _lagrangian_bound(inst, [])
-        S = inst._scaled.factor_denominator
-        assert [Fraction(x, S) for x in g] == [
-            margins.get(n, 0) for n in range(inst.shape.num_consumers)
-        ]
-        sol = solve_heuristic(inst)
+        sc = inst._scaled
+        bundle, saved = _lagrangian_bound(inst, [])
+        assert saved == 0
+        assert [
+            Fraction(b - c, sc.denominator) + f if ok else 0
+            for b, c, f, ok in zip(sc.budgets, bundle, sc.fairness, sc.feasible_alone)
+        ] == [margins.get(n, 0) for n in range(inst.shape.num_consumers)]
         positive = sum(m for m in margins.values() if m > 0)
+        assert _rational_bound(inst, []) == positive
+        sol = solve_heuristic(inst)
         assert 0 <= sol.gap_bound <= max(0, positive - sol.objective)
 
 
@@ -646,7 +656,8 @@ class TestGreedyLeadingRun:
                 engine.EngineConfig(rounds=4, master_seed=5),
             )
         for inst in caught[1:]:
-            assert inst._scaled.factor_denominator.bit_length() > 64
+            S, _ = over_common_denominator(inst._scaled.fairness, inst._scaled.denominator)
+            assert S.bit_length() > 64
             run, ranked = leading_run(inst)
             assert 0 < run < ranked
 
