@@ -43,6 +43,7 @@ from .model import (
     MarketShape,
     Money,
     ParticipantRecord,
+    PriceVector,
     ProviderBid,
     RoundResult,
     as_money,
@@ -78,6 +79,7 @@ __all__ = [
     "Money",
     "ParticipantRecord",
     "PerRoundRow",
+    "PriceVector",
     "ProviderBid",
     "Repository",
     "RoundResult",

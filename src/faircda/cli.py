@@ -140,8 +140,11 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
     ``engine.machine_dependent`` is accepted and ignored: it is recomputed
     from ``time_budget_s``.  A solver whose limits the scenario exceeds is
     rejected here, so such a config exits 1 before any round, as is an
-    ``output_dir`` that exists and is not a directory or whose nearest
-    existing ancestor is not one.
+    output path the command cannot write: an ``output_dir`` that exists and
+    is not a directory or whose nearest existing ancestor is not one, and
+    for ``compare`` (``args.command``) the same for its arms' ``fairness``
+    and ``baseline`` subdirectories, or a ``comparison.csv`` that is a
+    directory.
     """
     merged = {**config_echo(ScenarioConfig(), EngineConfig()), "output_dir": "out"}
     merged["engine"]["machine_dependent"] = None
@@ -178,9 +181,13 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
     check_solver_fits(scenario_config, engine_config)
     config = ExperimentConfig(scenario_config, engine_config, merged["output_dir"])
     out = config.output_dir
-    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
-    if not os.path.isdir(existing):
-        raise ValueError(f"output_dir {out} cannot be a directory: {existing} is not one")
+    compare = getattr(args, "command", None) == "compare"
+    for directory in (out, out / "fairness", out / "baseline") if compare else (out,):
+        existing = next(p for p in (directory, *directory.parents) if os.path.lexists(p))
+        if not os.path.isdir(existing):
+            raise ValueError(f"output_dir {directory} cannot be a directory: {existing} is not one")
+    if compare and os.path.isdir(out / "comparison.csv"):
+        raise ValueError(f"output_dir {out}: comparison.csv cannot be written, it is a directory")
     return config
 
 

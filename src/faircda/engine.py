@@ -9,6 +9,11 @@ prices.  A run keeps no round log; each round is folded into the
 repository and into its report row as soon as it clears, and the per-run
 metrics are computed from those rows.
 
+Prices stay the bids' :class:`~faircda.model.PriceVector`s through a round:
+the market mean prices are sums of their integers, the offered prices and
+the repository's history hold the same vectors, and the repository
+snapshot formats them from their integers.
+
 Randomness is split into two independent streams per run — one for bid
 generation, one for fairness draws — both derived deterministically from
 the master seed and run index.  Bids are generated for every consumer each
@@ -35,12 +40,13 @@ from .model import (
     FairnessParams,
     Money,
     ParticipantRecord,
+    PriceVector,
     ProviderBid,
     RoundResult,
     _check_count,
     _json_value,
     _unchecked,
-    over_common_denominator,
+    common_denominator,
 )
 from .pricing import settle
 from .scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
@@ -73,6 +79,7 @@ _SOLVERS = {
     "oracle": lambda instance, limits: solve_oracle(instance),
 }
 SOLVER_MODES = tuple(_SOLVERS)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -143,12 +150,18 @@ def previous_outcomes(repo: Repository, participants: Sequence[int]) -> dict[int
 
 
 def _market_mean_prices(consumer_bids: Sequence[ConsumerBid]) -> list[Money]:
-    """Per type, the mean offered unit price, summed as integers over one denominator."""
-    num_types = consumer_bids[0].num_types
-    S, scaled = over_common_denominator([p for bid in consumer_bids for p in bid.unit_prices])
-    return [
-        Fraction(sum(scaled[l::num_types]), S * len(consumer_bids)) for l in range(num_types)
-    ]
+    """Per type, the mean offered unit price: the price vectors' numerators
+    summed per denominator, and those sums over their common denominator."""
+    rows_by_denominator: dict[int, list[tuple[int, ...]]] = {}
+    for bid in consumer_bids:
+        prices = bid.unit_prices
+        rows_by_denominator.setdefault(prices.denominator, []).append(prices.numerators)
+    D = common_denominator(rows_by_denominator)
+    totals = [0] * consumer_bids[0].num_types
+    for d, rows in rows_by_denominator.items():
+        for l, column in enumerate(zip(*rows)):
+            totals[l] += sum(column) * (D // d)
+    return [Fraction(total, D * len(consumer_bids)) for total in totals]
 
 
 def run_round(
@@ -187,8 +200,12 @@ def run_round(
             rng,
         ).factors
 
+    # Unchecked: each factor is compute_fairness_factors' Fraction or
+    # Fraction(0), and each bid a checked ConsumerBid.
     ext_bids = [
-        ExtendedConsumerBid(bid=b, fairness_factor=factors.get(b.consumer_id, Fraction(0)))
+        _unchecked(
+            ExtendedConsumerBid, bid=b, fairness_factor=factors.get(b.consumer_id, _ZERO)
+        )
         for b in consumer_bids
     ]
     num_types = (
@@ -264,7 +281,7 @@ def _simulate_one_run(
     """One run's report rows, metrics and final repository: small to return from a worker."""
     rng_bids, rng_fair = (_run_rng(config.master_seed, run_index, stream) for stream in (0, 1))
     repo = Repository.fresh(range(scenario.shape.num_consumers))
-    previous_prices: Optional[dict[int, tuple[Money, ...]]] = None
+    previous_prices: Optional[dict[int, PriceVector]] = None
     rows: list[metrics.PerRoundRow] = []
     drops = 0
     for round_index in range(1, config.rounds + 1):
@@ -383,7 +400,9 @@ def repository_to_dict(repo: Repository) -> dict:
                 "losses": rec.losses,
                 "consecutive_losses": rec.consecutive_losses,
                 "dropped_at_round": rec.dropped_at_round,
-                "price_history": [[str(p) for p in entry] for entry in rec.price_history],
+                # Formatted from the vectors' integers: iterating them would
+                # build every history price as a Fraction.
+                "price_history": [entry.strings() for entry in rec.price_history],
             }
             for cid, rec in sorted(repo.records.items())
         },
@@ -402,7 +421,11 @@ def repository_from_dict(payload: Mapping) -> Repository:
         fields = _json_value(fields, f"record {cid}", keys=(*_RECORD_COUNTS, "price_history"))
         history = _json_value(fields["price_history"], "price_history", list)
         # ParticipantRecord converts each price once, with as_money: 0.1 loads as 1/10.
-        records[int(cid)] = ParticipantRecord(
+        try:
+            consumer_id = int(cid)
+        except (TypeError, ValueError):
+            raise ValueError(f"records key must be an integer consumer id, got {cid!r}") from None
+        records[consumer_id] = ParticipantRecord(
             **{name: fields[name] for name in _RECORD_COUNTS},
             price_history=[_json_value(e, "price history entry", list) for e in history],
         )

@@ -14,12 +14,12 @@ on :func:`eval_fun`, :func:`prob_w` and :func:`prob_l`.
 
 Arithmetic is exact integer arithmetic.  The market means are validated
 and scaled to integer coefficients once per round; a quality score is an
-integer numerator over an integer denominator, clamped by integer
-comparisons, and each reward or penalty is built as a single ``Fraction``
-from integers.  A uniform draw ``u`` is compared with a probability
-``num / den`` as ``u``'s exact integer ratio, so no rational is built for
-it.  The public formulas and :func:`compute_fairness_factors` share these
-integer helpers.
+integer numerator over an integer denominator, read from the last offered
+price vector's integers and clamped by integer comparisons, and each reward
+or penalty is built as a single ``Fraction`` from integers.  A uniform draw
+``u`` is compared with a probability ``num / den`` as ``u``'s exact integer
+ratio, so no rational is built for it.  The public formulas and
+:func:`compute_fairness_factors` share these integer helpers.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Literal, Mapping, Sequence
 
 from .model import FairnessParams, Money, ParticipantRecord, _unchecked, as_money
@@ -95,12 +96,9 @@ def _quality(record: ParticipantRecord, coefficients: list[int], scale: int) -> 
         raise ValueError(
             f"price history entry has {len(last)} types but market means have {len(coefficients)}"
         )
-    ratios = [p.as_integer_ratio() for p in last]
-    b = math.lcm(*[d for _, d in ratios])
-    num = 0
-    for (a, d), c in zip(ratios, coefficients):
-        num += a * (b // d) * c
-    den = b * scale
+    # The last offered prices are integers over one denominator.
+    num = sum(map(mul, last.numerators, coefficients))
+    den = last.denominator * scale
     if 10 * num < den:
         return 1, 10
     if num > 10 * den:

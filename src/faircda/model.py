@@ -2,10 +2,13 @@
 
 Monetary values are exact rationals (`fractions.Fraction`) at the API, so
 midpoint trade prices and budget-balance checks are exact equalities rather
-than floating-point approximations.  Inside winner determination and
-settlement, a round's prices are carried as integers over their common
-denominator and turned back into rationals only where something reads them.
-Quantities are integers: resources are discrete units.
+than floating-point approximations.  A bid's unit prices are a
+:class:`PriceVector`: integer numerators over one denominator, read as a
+sequence of ``Fraction`` items that are built only when an item is read.
+Generation, winner determination, settlement, the fairness factors and the
+repository's report read the integers, so a generated price is never a
+``Fraction`` unless something reads it as one.  Quantities are integers:
+resources are discrete units.
 
 All types are immutable value objects; constructing one with an invalid
 field combination raises ``ValueError``.
@@ -14,6 +17,8 @@ field combination raises ``ValueError``.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
@@ -28,6 +33,7 @@ Money = Fraction
 __all__ = [
     "Money",
     "as_money",
+    "PriceVector",
     "MarketShape",
     "ConsumerBid",
     "ProviderBid",
@@ -59,6 +65,18 @@ def as_money(value) -> Money:
     raise ValueError(f"cannot interpret {value!r} as a monetary value")
 
 
+def common_denominator(denominators: Iterable[int]) -> int:
+    """The least common multiple of ``denominators`` (1 for none).
+
+    A product tree of pairwise ``lcm``s (Bernstein 2008), so each joins
+    operands of similar size, not a small one into a growing result.
+    """
+    level = list(set(denominators)) or [1]
+    while len(level) > 1:
+        level = [math.lcm(*level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
+
+
 def over_common_denominator(
     values: Sequence[Money], denominator: int = 1
 ) -> tuple[int, list[int]]:
@@ -67,23 +85,94 @@ def over_common_denominator(
 
     Sums and comparisons of the returned integers are exact and need no
     rational arithmetic; divide a result by ``S`` to get a rational back.
-    ``S`` is a product tree of pairwise ``lcm``s (Bernstein 2008), so each
-    joins operands of similar size, not a small one into a growing ``S``.
     """
     denominators = {v.denominator for v in values}
     denominators.add(denominator)
-    level = list(denominators)
-    while len(level) > 1:
-        level = [math.lcm(*level[i : i + 2]) for i in range(0, len(level), 2)]
-    S = level[0]
+    S = common_denominator(denominators)
     scale = {d: S // d for d in denominators}
     return S, [v.numerator * scale[v.denominator] for v in values]
+
+
+class PriceVector(_SequenceABC):
+    """An immutable vector of exact prices: integer ``numerators`` over one
+    ``denominator``.
+
+    The denominator is the least common denominator of the items, so equal
+    vectors hold equal integers.  The vector is a read-only sequence of
+    :data:`Money`: reading an item builds its ``Fraction``, and a vector
+    equals and hashes like the tuple of those ``Fraction``s.  Code that
+    only computes with the prices reads ``numerators`` and ``denominator``
+    and builds no ``Fraction`` at all.
+
+    ``PriceVector(values)`` reads each value with :func:`as_money`, like
+    ``tuple(values)``, and returns a vector given a vector.
+    """
+
+    __slots__ = ("numerators", "denominator")
+
+    def __new__(cls, values: Iterable = ()):
+        if type(values) is cls:
+            return values
+        items = [as_money(v) for v in values]
+        D = math.lcm(*[p.denominator for p in items])
+        return cls._make(tuple(p.numerator * (D // p.denominator) for p in items), D)
+
+    @classmethod
+    def _make(cls, numerators: tuple[int, ...], denominator: int) -> "PriceVector":
+        """The vector of these integers, unchecked: ``denominator`` must be
+        positive and the least common denominator of the items."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "numerators", numerators)
+        object.__setattr__(vector, "denominator", denominator)
+        return vector
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PriceVector is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PriceVector is immutable; cannot delete {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PriceVector(tuple(self)[index])
+        return Fraction(self.numerators[index], self.denominator)
+
+    def __iter__(self):
+        d = self.denominator
+        return (Fraction(n, d) for n in self.numerators)
+
+    def __eq__(self, other):
+        if isinstance(other, PriceVector):
+            return self.numerators == other.numerators and self.denominator == other.denominator
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return PriceVector._make, (self.numerators, self.denominator)
+
+    def __repr__(self) -> str:
+        return f"PriceVector({self.strings()!r})"
+
+    def strings(self) -> list[str]:
+        """Each item as ``str`` prints its ``Fraction``, formatted from the integers."""
+        d = self.denominator
+        return [
+            str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}"
+            for n in self.numerators
+        ]
 
 
 def exact_sum(values: Iterable[Money]) -> Money:
     """The exact sum of ``values``: numerators are summed per denominator,
     and those sums added in pairs as a tree, like
-    :func:`over_common_denominator`'s ``lcm``s, so each addition joins
+    :func:`common_denominator`'s ``lcm``s, so each addition joins
     operands of similar size.  Partial sums stay unreduced; one ``gcd``
     reduces the total."""
     per_denominator: dict[int, int] = {}
@@ -147,15 +236,18 @@ def _unchecked(cls, **fields):
     return instance
 
 
-def _money_tuple(values: Sequence, what: str) -> tuple[Money, ...]:
+def _money_tuple(values: Sequence, what: str) -> PriceVector:
+    """``values`` as a :class:`PriceVector` of non-negative money; a vector
+    is returned as it is once its sign is checked.  The one price check of
+    bids, history entries and offered prices."""
     try:
-        out = tuple(as_money(v) for v in values)
+        vector = PriceVector(values)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{what} must be numbers, got {values!r}") from exc
-    for v in out:
-        if v.numerator < 0:
-            raise ValueError(f"{what} must be non-negative, got {v}")
-    return out
+    for n in vector.numerators:
+        if n < 0:
+            raise ValueError(f"{what} must be non-negative, got {Fraction(n, vector.denominator)}")
+    return vector
 
 
 def _quantity_tuple(values: Sequence, what: str) -> tuple[int, ...]:
@@ -207,12 +299,13 @@ class ConsumerBid:
     """A consumer's request: per-type unit prices and a bundle of quantities.
 
     The bid asks for ``quantities[l]`` units of each resource type ``l`` at a
-    suggested unit price of ``unit_prices[l]``.  A bid must request at least
-    one unit of something; an all-zero request is rejected.
+    suggested unit price of ``unit_prices[l]``.  Any sequence of money is
+    accepted as the prices and stored as a :class:`PriceVector`.  A bid must
+    request at least one unit of something; an all-zero request is rejected.
     """
 
     consumer_id: int
-    unit_prices: tuple[Money, ...]
+    unit_prices: PriceVector
     quantities: tuple[int, ...]
 
     def __post_init__(self):
@@ -229,10 +322,11 @@ class ConsumerBid:
 
 @dataclass(frozen=True)
 class ProviderBid:
-    """A provider's offer: per-type unit asking prices and available supply."""
+    """A provider's offer: per-type unit asking prices (a :class:`PriceVector`,
+    like a consumer's) and available supply."""
 
     provider_id: int
-    unit_prices: tuple[Money, ...]
+    unit_prices: PriceVector
     quantities: tuple[int, ...]
 
     def __post_init__(self):
@@ -269,9 +363,9 @@ class ParticipantRecord:
 
     ``consecutive_losses`` is the length of the current losing streak and
     resets to zero on a win.  ``price_history`` holds the per-type unit
-    prices this consumer offered in each past round, most recent last; it
-    feeds the bid-quality evaluation.  ``dropped_at_round``, once set, never
-    changes.
+    prices this consumer offered in each past round, most recent last, each
+    a :class:`PriceVector`; it feeds the bid-quality evaluation.
+    ``dropped_at_round``, once set, never changes.
 
     History is validated on entry: the constructor checks every entry it is
     given, while :meth:`after_win` and :meth:`after_loss` check only the
@@ -284,7 +378,7 @@ class ParticipantRecord:
     losses: int = 0
     consecutive_losses: int = 0
     dropped_at_round: Optional[int] = None
-    price_history: tuple[tuple[Money, ...], ...] = ()
+    price_history: tuple[PriceVector, ...] = ()
 
     def __post_init__(self):
         for name in ("wins", "losses", "consecutive_losses"):
@@ -306,11 +400,11 @@ class ParticipantRecord:
     def dropped(self) -> bool:
         return self.dropped_at_round is not None
 
-    def last_offered_prices(self) -> Optional[tuple[Money, ...]]:
+    def last_offered_prices(self) -> Optional[PriceVector]:
         """Most recent price vector this consumer offered, or None."""
         return self.price_history[-1] if self.price_history else None
 
-    def _appended(self, won: bool, entry: tuple[Money, ...]) -> "ParticipantRecord":
+    def _appended(self, won: bool, entry: PriceVector) -> "ParticipantRecord":
         # Counts derived from a valid record stay valid, held history was
         # validated on entry, and ``entry`` must already be valid money.
         return _unchecked(
@@ -435,7 +529,7 @@ class RoundResult:
     utilization_percent: float
     win_percent: float
     drops_this_round: tuple[int, ...] = ()
-    offered_prices: Mapping[int, tuple[Money, ...]] = field(default_factory=dict)
+    offered_prices: Mapping[int, PriceVector] = field(default_factory=dict)
 
     def __post_init__(self):
         items = self.offered_prices.items()
@@ -469,6 +563,5 @@ def budget(bid: ConsumerBid) -> Money:
     This is the dot product of the bid's unit prices and quantities; it is
     also the consumer's gross contribution to total utility when they win.
     """
-    return sum(
-        (p * q for p, q in zip(bid.unit_prices, bid.quantities)), Fraction(0)
-    )
+    prices = bid.unit_prices
+    return Fraction(sum(map(operator.mul, prices.numerators, bid.quantities)), prices.denominator)

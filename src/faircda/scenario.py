@@ -7,6 +7,11 @@ for each type drifts uniformly within a relative band around their own
 previous price, clamped back into the configured range — prices are sticky
 per consumer but the market keeps moving.
 
+Each bid's prices are its row of cent draws as a
+:class:`~faircda.model.PriceVector`, integers over 100: no ``Fraction`` is
+built for them here, and the drift windows read the previous vectors'
+integers.
+
 Draw order is part of the reproducibility contract: per call, one block of
 quantity draws then one block of price draws, each laid out participant-
 major, type-minor.
@@ -25,11 +30,11 @@ from .model import (
     ConsumerBid,
     MarketShape,
     Money,
+    PriceVector,
     ProviderBid,
     _check_count,
     _check_money,
     _unchecked,
-    as_money,
 )
 
 __all__ = ["ScenarioConfig", "generate_provider_bids", "generate_consumer_bids"]
@@ -119,8 +124,12 @@ class ScenarioConfig:
         object.__setattr__(self, "price_drift", _check_money(self.price_drift, "price_drift"))
 
 
-def _cents_to_money(cents: np.ndarray) -> list[tuple[Money, ...]]:
-    return [tuple(Fraction(c, _CENTS) for c in row) for row in cents.tolist()]
+def _cent_vectors(cents: np.ndarray) -> list[PriceVector]:
+    """Each row of cent draws as a price vector: the row and 100, both divided
+    by their gcd, are its numerators and its least common denominator."""
+    g = np.gcd(np.gcd.reduce(cents, axis=1), _CENTS)
+    rows = (cents // g[:, None]).tolist()
+    return list(map(PriceVector._make, map(tuple, rows), (_CENTS // g).tolist()))
 
 
 def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> list[ProviderBid]:
@@ -131,11 +140,11 @@ def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> 
     plo_c, phi_c = _grid_bounds(config.provider_price_range)
     quantities = rng.integers(qlo, qhi, size=(M, L), endpoint=True)
     price_cents = rng.integers(plo_c, phi_c, size=(M, L), endpoint=True)
-    # Integer draws from the validated ranges, as ints and cent-grid
-    # fractions: valid by construction, so the constructor's checks are skipped.
+    # Integer draws from the validated ranges, as ints and cent-grid price
+    # vectors: valid by construction, so the constructor's checks are skipped.
     return [
-        _unchecked(ProviderBid, provider_id=m, unit_prices=prices, quantities=tuple(q))
-        for m, (prices, q) in enumerate(zip(_cents_to_money(price_cents), quantities.tolist()))
+        _unchecked(ProviderBid, provider_id=m, unit_prices=p, quantities=tuple(q))
+        for m, (p, q) in enumerate(zip(_cent_vectors(price_cents), quantities.tolist()))
     ]
 
 
@@ -148,9 +157,11 @@ def _drift_windows(
 
     The window ``[(1 - drift) * p, (1 + drift) * p]`` in cents, for
     ``p = a / b`` and ``drift = u / v``, is ``[(v - u) * 100a / vb,
-    (v + u) * 100a / vb]``, rounded inward and clamped into the grid.  The
-    arithmetic is int64 when every product provably fits, and ``object``
-    arrays of Python ints otherwise.
+    (v + u) * 100a / vb]``, rounded inward and clamped into the grid.  Each
+    consumer's previous prices are read as a :class:`PriceVector`: ``a`` is
+    a numerator and ``b`` the row's one denominator, which moves no floor.
+    The arithmetic is int64 when every product provably fits, and
+    ``object`` arrays of Python ints otherwise.
     """
     N = config.shape.num_consumers
     L = config.shape.num_resource_types
@@ -164,10 +175,9 @@ def _drift_windows(
             raise ValueError(
                 f"consumer {n}: previous prices cover {len(prev)} types, expected {L}"
             )
-        rows.append(prev)
-    flat = [as_money(p) for row in rows for p in row]
-    numerators = [p.numerator for p in flat]
-    denominators = [p.denominator for p in flat]
+        rows.append(PriceVector(prev))
+    numerators = [a for row in rows for a in row.numerators]
+    denominators = [row.denominator for row in rows]
     plo_c, phi_c = grid
     u, v = config.price_drift.numerator, config.price_drift.denominator
     largest = max(
@@ -178,7 +188,7 @@ def _drift_windows(
     )
     dtype = np.int64 if largest < 2**63 else object
     cents = np.array(numerators, dtype=dtype).reshape(N, L) * _CENTS
-    b = np.array(denominators, dtype=dtype).reshape(N, L)
+    b = np.array(denominators, dtype=dtype).reshape(N, 1)
     lo = np.maximum(plo_c, -((u - v) * cents // (b * v)))
     hi = np.minimum(phi_c, (v + u) * cents // (b * v))
     outside = lo > hi
@@ -233,10 +243,10 @@ def generate_consumer_bids(
         lo, hi = _drift_windows(config, previous_personal_prices, grid)
         price_cents = rng.integers(lo, hi, size=(N, L), endpoint=True)
 
-    # Integer draws from the validated ranges, as ints and cent-grid
-    # fractions, and every bid requests a unit: valid by construction, so
-    # the constructor's checks are skipped.
+    # Integer draws from the validated ranges, as ints and cent-grid price
+    # vectors, and every bid requests a unit: valid by construction, so the
+    # constructor's checks are skipped.
     return [
-        _unchecked(ConsumerBid, consumer_id=n, unit_prices=prices, quantities=tuple(q))
-        for n, (prices, q) in enumerate(zip(_cents_to_money(price_cents), quantities.tolist()))
+        _unchecked(ConsumerBid, consumer_id=n, unit_prices=p, quantities=tuple(q))
+        for n, (p, q) in enumerate(zip(_cent_vectors(price_cents), quantities.tolist()))
     ]

@@ -70,6 +70,7 @@ from .model import (
     ProviderBid,
     _check_count,
     as_money,
+    common_denominator,
     exact_sum,
     over_common_denominator,
 )
@@ -134,9 +135,15 @@ class _ScaledValues:
         provider_bids: Sequence[ProviderBid],
         num_types: int,
     ):
-        prices = [p for ext in consumer_bids for p in ext.bid.unit_prices]
-        prices += [p for pb in provider_bids for p in pb.unit_prices]
-        D, scaled = over_common_denominator(prices)
+        vectors = [ext.bid.unit_prices for ext in consumer_bids]
+        vectors += [pb.unit_prices for pb in provider_bids]
+        # The lcm of the vectors' denominators is the items' lcm: each vector
+        # is over its items' least common denominator.
+        D = common_denominator(v.denominator for v in vectors)
+        scaled = []
+        for v in vectors:
+            k = D // v.denominator
+            scaled += [a * k for a in v.numerators] if k > 1 else v.numerators
         units = sum(q for ext in consumer_bids for q in ext.bid.quantities)
         units += sum(q for pb in provider_bids for q in pb.quantities)
         if units >= 2**63:
@@ -1008,14 +1015,14 @@ def dump_instance(instance: WdpInstance) -> str:
         f"{instance.shape.num_resource_types}"
     ]
     for ext in instance.consumer_bids:
-        prices = ",".join(str(p) for p in ext.bid.unit_prices)
+        prices = ",".join(ext.bid.unit_prices.strings())
         quantities = ",".join(str(q) for q in ext.bid.quantities)
         lines.append(
             f"consumer {ext.consumer_id} ff={ext.fairness_factor} "
             f"prices={prices} quantities={quantities}"
         )
     for pb in instance.provider_bids:
-        prices = ",".join(str(p) for p in pb.unit_prices)
+        prices = ",".join(pb.unit_prices.strings())
         quantities = ",".join(str(q) for q in pb.quantities)
         lines.append(f"provider {pb.provider_id} prices={prices} quantities={quantities}")
     return "\n".join(lines) + "\n"

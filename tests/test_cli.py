@@ -130,6 +130,28 @@ class TestCmdRun:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: output_dir")
 
+    @pytest.mark.parametrize(
+        "blocked, make",
+        [("fairness", "file"), ("baseline", "file"), ("comparison.csv", "dir")],
+    )
+    def test_compare_output_that_cannot_be_written_exits_one(
+        self, tmp_path, capsys, blocked, make
+    ):
+        # The output directory is fine, but one arm's subdirectory is a
+        # regular file, or comparison.csv is a directory.
+        out = tmp_path / "pair"
+        out.mkdir()
+        if make == "file":
+            (out / blocked).write_text("kept")
+        else:
+            (out / blocked).mkdir()
+        args = ["--consumers", "5", "--providers", "2", "--types", "1", "--rounds", "2"]
+        assert run_main(["compare", *args, "--runs", "1", "--out", out]) == 1
+        # Rejected before any round: nothing was run, printed or written.
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: output_dir")
+        assert sorted(p.name for p in out.iterdir()) == [blocked]
+
     @settings(max_examples=25, deadline=None)
     @given(
         consumers=st.integers(1, 14),

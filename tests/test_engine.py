@@ -356,6 +356,25 @@ class TestRunSimulation:
         assert alive_at_next_round == [0] * 6
         assert all(ref() is None for ref in results)
 
+    def test_reference_rounds_build_no_price_fraction(self, monkeypatch):
+        # Generation, fairness, the instance build, the solve, settlement,
+        # the fold and the repository snapshot all read the price vectors'
+        # integers: no bid price is read as a Fraction item.
+        reads = []
+        for name in ("__iter__", "__getitem__"):
+            real = getattr(model.PriceVector, name)
+            monkeypatch.setattr(
+                model.PriceVector, name,
+                lambda self, *args, _name=name, _real=real: reads.append(_name) or _real(self, *args),
+            )
+        scenario = ScenarioConfig(shape=MarketShape(300, 5, 4), runs=1)
+        report = run_simulation(scenario, EngineConfig(rounds=2, master_seed=0))
+        assert report.per_run[0].total_utility > 0
+        assert sum(row.total_satisfaction != 0 for row in report.per_round) == 1
+        assert reads == []
+        assert list(model.PriceVector((Fraction(1, 2), "3/2"))) == [Fraction(1, 2), Fraction(3, 2)]
+        assert reads == ["__iter__"]
+
 
 class TestCheckSolverFits:
     def test_oracle_past_its_cap_is_rejected_before_any_round(self, monkeypatch):
@@ -415,9 +434,10 @@ class TestRepositorySerialization:
          (lambda p: p["records"]["3"].update(price_history=[5]), "price history entry"),
          (lambda p: p["records"].update({"3": 7}), "record 3"),
          (lambda p: p.update(records=[]), "records"),
-         (lambda p: p.pop("round_counter"), "round_counter")],
+         (lambda p: p.pop("round_counter"), "round_counter"),
+         (lambda p: p["records"].update(x=p["records"].pop("3")), "records key .*'x'")],
         ids=["losses-missing", "history-5", "history-entry-5", "record-7", "records-array",
-             "round_counter-missing"],
+             "round_counter-missing", "key-x"],
     )
     def test_malformed_record_rejected(self, malform, named):
         payload = self.payload([])

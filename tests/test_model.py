@@ -1,6 +1,7 @@
 """Domain type invariants and the budget operation."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from faircda.model import (
     as_money,
     budget,
 )
+from faircda.engine import Repository, repository_to_dict
+from faircda.wdp_solver import WdpInstance
 
 
 class TestMarketShape:
@@ -267,6 +270,72 @@ class TestOverCommonDenominator:
         assert S == math.lcm(denominator, *(v.denominator for v in values))
         assert scaled == [int(v * S) for v in values]
         assert model.exact_sum(values) == sum(values, F(0))
+
+
+price_st = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+price_tuple_st = st.lists(price_st, max_size=8).map(tuple)
+
+
+@st.composite
+def market_price_rows(draw):
+    """Consumer and provider price rows of one market, ``L`` prices each."""
+    L = draw(st.integers(1, 3))
+    row = st.lists(price_st, min_size=L, max_size=L).map(tuple)
+    return draw(st.lists(row, max_size=4)), draw(st.lists(row, min_size=1, max_size=3))
+
+
+class TestPriceVector:
+    @given(price_tuple_st)
+    def test_reads_equals_and_hashes_like_the_fraction_tuple(self, prices):
+        vector = model._money_tuple(prices, "prices")
+        assert type(vector) is model.PriceVector
+        assert vector == prices and prices == vector and not vector != prices
+        assert hash(vector) == hash(prices)
+        assert len(vector) == len(prices)
+        assert tuple(vector) == prices and all(type(p) is F for p in vector)
+        n = len(prices)
+        assert [vector[i] for i in range(-n, n)] == [prices[i] for i in range(-n, n)]
+        assert vector[1:3] == prices[1:3] and vector[::-1] == prices[::-1]
+        assert vector.denominator == math.lcm(*(p.denominator for p in prices))
+        assert all(type(a) is int for a in vector.numerators)
+        # One price-validation path, idempotent on a vector.
+        assert model._money_tuple(vector, "prices") is vector
+        assert model.PriceVector(vector) is vector
+        assert pickle.loads(pickle.dumps(vector)) == vector
+        assert eval(repr(vector), {"PriceVector": model.PriceVector}) == vector
+
+    @given(price_tuple_st)
+    def test_repository_strings_are_the_fraction_strings(self, prices):
+        record = ParticipantRecord(losses=1, consecutive_losses=1, price_history=(prices,))
+        payload = repository_to_dict(Repository(records={0: record}, round_counter=1))
+        assert payload["records"]["0"]["price_history"] == [[str(p) for p in prices]]
+        assert model.PriceVector(prices).strings() == [str(p) for p in prices]
+
+    @given(market_price_rows())
+    def test_instance_denominator_is_the_prices_common_denominator(self, rows):
+        consumer_rows, provider_rows = rows
+        L = len(provider_rows[0])
+        instance = WdpInstance.from_bids(
+            [ConsumerBid(n, prices, (1,) * L) for n, prices in enumerate(consumer_rows)],
+            [ProviderBid(m, prices, (1,) * L) for m, prices in enumerate(provider_rows)],
+            num_resource_types=L,
+        )
+        D, scaled = model.over_common_denominator(
+            [p for row in consumer_rows + provider_rows for p in row]
+        )
+        sc = instance._scaled
+        assert sc.denominator == D
+        assert sc.consumer_prices.ravel().tolist() + sc.provider_prices.ravel().tolist() == scaled
+
+    def test_is_immutable_and_checks_its_sign_and_integers(self):
+        vector = model.PriceVector((F(1, 2), 3))
+        with pytest.raises(AttributeError):
+            vector.denominator = 1
+        with pytest.raises(AttributeError):
+            del vector.numerators
+        with pytest.raises(ValueError, match="non-negative, got -1/4"):
+            model._money_tuple(model.PriceVector((F(1), F(-1, 4))), "prices")
+        assert vector != [F(1, 2), F(3)] and vector != (F(1, 2),)
 
 
 class TestAsMoney:

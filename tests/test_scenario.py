@@ -13,7 +13,7 @@ from oracles import (
     reference_provider_bids,
 )
 
-from faircda.model import MarketShape
+from faircda.model import MarketShape, PriceVector
 from faircda.scenario import (
     ScenarioConfig,
     _drift_windows,
@@ -224,6 +224,12 @@ def _assert_same_as_validated(bids):
     """Generator-built bids hold exactly what the validating constructor would."""
     for bid in bids:
         assert bid == type(bid)(*astuple(bid))
+        # The same integers as a vector built from the Fractions: each
+        # generated vector is over its items' least common denominator.
+        prices = bid.unit_prices
+        rebuilt = PriceVector(tuple(prices))
+        assert (prices.numerators, prices.denominator) == (rebuilt.numerators, rebuilt.denominator)
+        assert all(type(a) is int for a in prices.numerators)
         assert all(type(p) is Fraction for p in bid.unit_prices)
         assert all(type(q) is int for q in bid.quantities)
 

@@ -374,9 +374,10 @@ class TestSolveHeuristic:
         assert sol.objective == 0 and sol.allocation.winners == ()
 
     def test_simulation_scales_only_the_prices(self):
-        """A heuristic run, settlement and a read gap included, puts only the
-        prices of each instance over a common denominator; solve_exact adds
-        one call, for S, the factors' common denominator."""
+        """A heuristic run, settlement and a read gap included, never builds
+        S: each instance's D is its cent prices' denominator, read from the
+        price vectors, and nothing is put over a common denominator with the
+        factors.  solve_exact makes the one call, for S."""
         caught = []
         real = engine._SOLVERS["heuristic"]
 
@@ -392,11 +393,12 @@ class TestSolveHeuristic:
                 ScenarioConfig(shape=MarketShape(300, 5, 4), runs=1),
                 engine.EngineConfig(rounds=2, master_seed=5),
             )
-            assert scaled.call_count == len(caught) == 2
+            assert scaled.call_count == 0 and len(caught) == 2
             assert all(gap > 0 for _, gap in caught)
+            assert all(100 % inst._scaled.denominator == 0 for inst, _ in caught)
             inst = caught[-1][0]
             solve_exact(inst, SolverLimits(node_budget=1))
-            assert scaled.call_count == 3
+            assert scaled.call_count == 1
         assert scaled.call_args.args == (inst._scaled.fairness, inst._scaled.denominator)
         S, _ = over_common_denominator(*scaled.call_args.args)
         assert S.bit_length() > 64
