@@ -7,8 +7,8 @@ per-run deltas; ``faircda validate`` cross-checks the branch-and-bound
 solver against exhaustive enumeration on a corpus of randomized micro
 instances.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure,
-3 solver validation mismatch.
+Exit codes: 0 success, 1 usage or configuration error (before any work),
+2 runtime failure, 3 solver validation mismatch.
 """
 
 from __future__ import annotations
@@ -20,19 +20,21 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .engine import SOLVER_MODES, EngineConfig, check_solver_fits, config_echo, run_simulation
-from .metrics import SimulationReport, _rows_to_csv, emit
+from .metrics import REPORT_FILES, SimulationReport, _rows_to_csv, emit
 from .model import (
     ConsumerBid,
     ExtendedConsumerBid,
     FairnessParams,
     MarketShape,
     ProviderBid,
+    _check_count,
 )
 from .scenario import ScenarioConfig
 from .wdp_solver import (
@@ -68,6 +70,9 @@ _COMPARED = (
 COMPARISON_FIELDS = ("run",) + tuple(
     f"{stem}_{column}" for stem, _, _ in _COMPARED for column in ("fairness", "baseline", "delta")
 )
+# compare's arms: the subdirectory each emits into and whether fairness is on.
+ARMS = (("fairness", True), ("baseline", False))
+COMPARISON_FILE = "comparison.csv"
 
 DEFAULT_CORPUS_SIZE = 500
 DEFAULT_CORPUS_SEED = 20240
@@ -85,22 +90,6 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, (str, Path)):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
-
-
-# argparse dest -> the dotted config key its flag overrides.
-_FLAG_KEYS = {
-    "consumers": "scenario.consumers",
-    "providers": "scenario.providers",
-    "types": "scenario.resource_types",
-    "runs": "scenario.runs",
-    "rounds": "engine.rounds",
-    "seed": "engine.master_seed",
-    "solver": "engine.solver",
-    "time_limit_ms": "engine.time_budget_s",
-    "node_budget": "engine.node_budget",
-    "fairness_enabled": "engine.fairness_enabled",
-    "out": "output_dir",
-}
 
 
 def _merge(template: dict, payload, path: str) -> dict:
@@ -138,13 +127,11 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
     plus ``output_dir``, so every report's ``config`` object is a valid
     config file and any key the echo does not write is rejected.  The echo's
     ``engine.machine_dependent`` is accepted and ignored: it is recomputed
-    from ``time_budget_s``.  A solver whose limits the scenario exceeds is
-    rejected here, so such a config exits 1 before any round, as is an
-    output path the command cannot write: an ``output_dir`` that exists and
-    is not a directory or whose nearest existing ancestor is not one, and
-    for ``compare`` (``args.command``) the same for its arms' ``fairness``
-    and ``baseline`` subdirectories, or a ``comparison.csv`` that is a
-    directory.
+    from ``time_budget_s``.  Each parsed value in ``args`` whose dest is a
+    dotted config key (``scenario.consumers``, ``output_dir``) overrides
+    that key.  A solver whose limits the scenario exceeds is rejected here,
+    so such a config exits 1 before any round; :func:`main` checks the
+    output paths.
     """
     merged = {**config_echo(ScenarioConfig(), EngineConfig()), "output_dir": "out"}
     merged["engine"]["machine_dependent"] = None
@@ -156,13 +143,11 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
         merged = _merge(merged, payload, "")
-    for dest, dotted in _FLAG_KEYS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            section, _, key = dotted.rpartition(".")
-            if dest == "time_limit_ms":
-                value = value / 1000
-            (merged[section] if section else merged)[key] = value
+    for dest, value in (vars(args) if args is not None else {}).items():
+        section, _, key = dest.rpartition(".")
+        target = merged[section] if section else merged
+        if value is not None and key in target:
+            target[key] = value
 
     scenario, engine = merged["scenario"], merged["engine"]
     del engine["machine_dependent"]
@@ -179,16 +164,23 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
             fairness_params=params, solver_mode=engine.pop("solver"), solver_limits=limits, **engine
         )
     check_solver_fits(scenario_config, engine_config)
-    config = ExperimentConfig(scenario_config, engine_config, merged["output_dir"])
-    out = config.output_dir
-    compare = getattr(args, "command", None) == "compare"
-    for directory in (out, out / "fairness", out / "baseline") if compare else (out,):
-        existing = next(p for p in (directory, *directory.parents) if os.path.lexists(p))
+    return ExperimentConfig(scenario_config, engine_config, merged["output_dir"])
+
+
+def _check_outputs(command: str, out: Path) -> None:
+    """Raise ``ValueError`` unless ``command`` (``run`` or ``compare``) can
+    write every file it writes under ``out``: each file's nearest existing
+    ancestor must be a directory, and the file must not be one."""
+    dirs = [out] if command == "run" else [out / arm for arm, _ in ARMS]
+    written = [d / name for d in dirs for name in REPORT_FILES]
+    if command == "compare":
+        written.append(out / COMPARISON_FILE)
+    for path in written:
+        existing = next(p for p in path.parents if os.path.lexists(p))
         if not os.path.isdir(existing):
-            raise ValueError(f"output_dir {directory} cannot be a directory: {existing} is not one")
-    if compare and os.path.isdir(out / "comparison.csv"):
-        raise ValueError(f"output_dir {out}: comparison.csv cannot be written, it is a directory")
-    return config
+            raise ValueError(f"output_dir: cannot write {path}, {existing} is not a directory")
+        if os.path.isdir(path):
+            raise ValueError(f"output_dir: cannot write {path}, it is a directory")
 
 
 def cmd_run(config: ExperimentConfig, jobs: int = 1) -> int:
@@ -238,15 +230,15 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> int:
     fairness draws, so the arms clear identical bids and the deltas isolate
     the fairness mechanism.
     """
-    fair_engine = replace(config.engine, fairness_enabled=True)
-    base_engine = replace(config.engine, fairness_enabled=False)
-    fairness = run_simulation(config.scenario, fair_engine, jobs=jobs)
-    baseline = run_simulation(config.scenario, base_engine, jobs=jobs)
-    out = Path(config.output_dir)
-    emit(fairness, out / "fairness")
-    emit(baseline, out / "baseline")
-    rows = comparison_rows(fairness, baseline)
-    (out / "comparison.csv").write_text(_rows_to_csv(COMPARISON_FIELDS, rows))
+    reports = [
+        run_simulation(config.scenario, replace(config.engine, fairness_enabled=on), jobs=jobs)
+        for _, on in ARMS
+    ]
+    out = config.output_dir
+    for (arm, _), report in zip(ARMS, reports):
+        emit(report, out / arm)
+    rows = comparison_rows(*reports)
+    (out / COMPARISON_FILE).write_text(_rows_to_csv(COMPARISON_FIELDS, rows))
 
     better_drops = sum(1 for r in rows if r["drops_delta"] > 0)
     utility = [r["total_utility_delta"] for r in rows]
@@ -262,7 +254,7 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> int:
         f"total-utility deltas: {sum(d > 0 for d in utility)} positive, "
         f"{sum(d < 0 for d in utility)} negative, {utility.count(0)} tied"
     )
-    print(f"wrote {out / 'comparison.csv'}")
+    print(f"wrote {out / COMPARISON_FILE}")
     return 0
 
 
@@ -361,35 +353,44 @@ def cmd_validate(
     return 0 if not failures else 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
+
+
+def milliseconds(text: str) -> float:
+    """A ``--time-limit-ms`` value, in seconds."""
+    return int(text) / 1000
 
 
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--rounds", type=int, help="auction rounds per run")
-    parser.add_argument("--runs", type=int, help="independent runs")
-    parser.add_argument("--consumers", type=int, help="number of consumers")
-    parser.add_argument("--providers", type=int, help="number of providers")
-    parser.add_argument("--types", type=int, help="number of resource types")
+    # Each dest is the dotted config key the flag overrides.
+    parser.add_argument("--config", type=Path, metavar="FILE", help="JSON experiment config")
+    for flag, key, text in (
+        ("--seed", "engine.master_seed", "master random seed"),
+        ("--rounds", "engine.rounds", "auction rounds per run"),
+        ("--runs", "scenario.runs", "independent runs"),
+        ("--consumers", "scenario.consumers", "number of consumers"),
+        ("--providers", "scenario.providers", "number of providers"),
+        ("--types", "scenario.resource_types", "number of resource types"),
+        ("--node-budget", "engine.node_budget", "node budget for the exact solver"),
+    ):
+        parser.add_argument(flag, dest=key, type=int, metavar="N", help=text)
     parser.add_argument(
-        "--no-fairness", dest="fairness_enabled", action="store_const", const=False,
+        "--no-fairness", dest="engine.fairness_enabled", action="store_const", const=False,
         help="disable the fairness mechanism",
     )
-    parser.add_argument("--solver", choices=SOLVER_MODES, help="winner determination mode")
     parser.add_argument(
-        "--time-limit-ms", type=int,
+        "--solver", dest="engine.solver", choices=SOLVER_MODES, help="winner determination mode"
+    )
+    parser.add_argument(
+        "--time-limit-ms", dest="engine.time_budget_s", type=milliseconds, metavar="MS",
         help="wall-clock budget for the exact solver, in milliseconds",
     )
-    parser.add_argument("--node-budget", type=int, help="node budget for the exact solver")
-    parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for parallel runs")
+    parser.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N", help="worker processes for parallel runs"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,33 +411,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Check the arguments, the config and every output path, then run the command.
+
+    A failed check names its flag or config key and exits 1 before any work.
+    A command that raises exits 2; otherwise its own code is returned.
+    """
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "validate":
-        try:
-            return cmd_validate(count=args.count, seed=args.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except Exception as exc:  # noqa: BLE001 - CLI boundary
-            print(f"failure: {exc}", file=sys.stderr)
-            return 2
-
-    try:
-        config = load_experiment_config(args.config, args)
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.command == "validate":
+            _check_count(args.count, "--count", positive=True)
+            _check_count(args.seed, "--seed")
+            command = partial(cmd_validate, args.count, args.seed)
+        else:
+            config = load_experiment_config(args.config, args)
+            _check_count(args.jobs, "--jobs", positive=True)
+            _check_outputs(args.command, config.output_dir)
+            run = cmd_run if args.command == "run" else cmd_compare
+            command = partial(run, config, jobs=args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "run":
-            return cmd_run(config, jobs=args.jobs)
-        return cmd_compare(config, jobs=args.jobs)
+        return command()
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"failure: {exc}", file=sys.stderr)
         return 2

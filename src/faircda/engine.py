@@ -46,7 +46,7 @@ from .model import (
     _check_count,
     _json_value,
     _unchecked,
-    common_denominator,
+    price_rows,
 )
 from .pricing import settle
 from .scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
@@ -150,18 +150,9 @@ def previous_outcomes(repo: Repository, participants: Sequence[int]) -> dict[int
 
 
 def _market_mean_prices(consumer_bids: Sequence[ConsumerBid]) -> list[Money]:
-    """Per type, the mean offered unit price: the price vectors' numerators
-    summed per denominator, and those sums over their common denominator."""
-    rows_by_denominator: dict[int, list[tuple[int, ...]]] = {}
-    for bid in consumer_bids:
-        prices = bid.unit_prices
-        rows_by_denominator.setdefault(prices.denominator, []).append(prices.numerators)
-    D = common_denominator(rows_by_denominator)
-    totals = [0] * consumer_bids[0].num_types
-    for d, rows in rows_by_denominator.items():
-        for l, column in enumerate(zip(*rows)):
-            totals[l] += sum(column) * (D // d)
-    return [Fraction(total, D * len(consumer_bids)) for total in totals]
+    """Per type, the mean offered unit price, summed exactly over one denominator."""
+    D, rows = price_rows([bid.unit_prices for bid in consumer_bids])
+    return [Fraction(sum(column), D * len(rows)) for column in zip(*rows)]
 
 
 def run_round(

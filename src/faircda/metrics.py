@@ -35,6 +35,7 @@ __all__ = [
     "win_rate_percent",
     "units_offered",
     "aggregate",
+    "REPORT_FILES",
     "emit",
     "report_to_json",
     "parse_report",
@@ -191,12 +192,13 @@ def parse_report(text: str) -> SimulationReport:
     JSON integers, other values finite numbers or fraction strings; anything
     else (``true`` and NaN included) raises a ``ValueError`` naming the field,
     as does a missing field or a value that is not the JSON object or array
-    the report holds there.
+    the report holds there; a repository snapshot is kept as loaded once
+    it is an object holding ``records`` and ``round_counter``.
     """
     payload = _json_value(json.loads(text), "report", keys=("config", *_TABLES, "repositories"))
-    rounds, runs = (
-        [_json_value(r, f"{name} row", keys=keys) for r in _json_value(payload[name], name, list)]
-        for name, keys in _TABLES.items()
+    rounds, runs, repositories = (
+        [_json_value(r, f"{name} entry", keys=keys) for r in _json_value(payload[name], name, list)]
+        for name, keys in (*_TABLES.items(), ("repositories", ("records", "round_counter")))
     )
     per_round = tuple(
         PerRoundRow(
@@ -229,12 +231,16 @@ def parse_report(text: str) -> SimulationReport:
         per_round=per_round,
         per_run=per_run,
         config_echo=payload["config"],
-        final_repositories=tuple(_json_value(payload["repositories"], "repositories", list)),
+        final_repositories=tuple(repositories),
     )
 
 
+# The files :func:`emit` writes, in the order it writes them.
+REPORT_FILES = ("per_round.csv", "per_run.csv", "report.json")
+
+
 def emit(report: SimulationReport, destination) -> list[Path]:
-    """Write ``per_round.csv``, ``per_run.csv`` and ``report.json``.
+    """Write :data:`REPORT_FILES` under ``destination`` and return their paths.
 
     Row order is run-major then round; column order is part of the public
     contract.  The per-run aggregates are re-derived from the per-round rows
@@ -242,16 +248,18 @@ def emit(report: SimulationReport, destination) -> list[Path]:
     """
     _cross_check(report)
     dest = Path(destination)
+    ordered_rounds = sorted(report.per_round, key=lambda r: (r.run, r.round))
+    ordered_runs = sorted(report.per_run, key=lambda r: r.run)
+    texts = (
+        _rows_to_csv(PER_ROUND_FIELDS, map(vars, ordered_rounds)),
+        _rows_to_csv(PER_RUN_FIELDS, map(vars, ordered_runs)),
+        report_to_json(report),
+    )
+    paths = [dest / name for name in REPORT_FILES]
     try:
         dest.mkdir(parents=True, exist_ok=True)
-        per_round_path = dest / "per_round.csv"
-        per_run_path = dest / "per_run.csv"
-        report_path = dest / "report.json"
-        ordered_rounds = sorted(report.per_round, key=lambda r: (r.run, r.round))
-        ordered_runs = sorted(report.per_run, key=lambda r: r.run)
-        per_round_path.write_text(_rows_to_csv(PER_ROUND_FIELDS, map(vars, ordered_rounds)))
-        per_run_path.write_text(_rows_to_csv(PER_RUN_FIELDS, map(vars, ordered_runs)))
-        report_path.write_text(report_to_json(report))
+        for path, text in zip(paths, texts):
+            path.write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write report files under {dest}: {exc}") from exc
-    return [per_round_path, per_run_path, report_path]
+    return paths

@@ -93,6 +93,16 @@ def over_common_denominator(
     return S, [v.numerator * scale[v.denominator] for v in values]
 
 
+def price_rows(vectors: Sequence[PriceVector]) -> tuple[int, list[Sequence[int]]]:
+    """``D``, the lcm of the vectors' denominators and so of their items',
+    and each vector's numerators over ``D``."""
+    D = common_denominator(v.denominator for v in vectors)
+    return D, [
+        v.numerators if v.denominator == D else [a * (D // v.denominator) for a in v.numerators]
+        for v in vectors
+    ]
+
+
 class PriceVector(_SequenceABC):
     """An immutable vector of exact prices: integer ``numerators`` over one
     ``denominator``.

@@ -70,9 +70,9 @@ from .model import (
     ProviderBid,
     _check_count,
     as_money,
-    common_denominator,
     exact_sum,
     over_common_denominator,
+    price_rows,
 )
 
 __all__ = [
@@ -136,14 +136,8 @@ class _ScaledValues:
         num_types: int,
     ):
         vectors = [ext.bid.unit_prices for ext in consumer_bids]
-        vectors += [pb.unit_prices for pb in provider_bids]
-        # The lcm of the vectors' denominators is the items' lcm: each vector
-        # is over its items' least common denominator.
-        D = common_denominator(v.denominator for v in vectors)
-        scaled = []
-        for v in vectors:
-            k = D // v.denominator
-            scaled += [a * k for a in v.numerators] if k > 1 else v.numerators
+        D, rows = price_rows(vectors + [pb.unit_prices for pb in provider_bids])
+        scaled = [a for row in rows for a in row]
         units = sum(q for ext in consumer_bids for q in ext.bid.quantities)
         units += sum(q for pb in provider_bids for q in pb.quantities)
         if units >= 2**63:

@@ -12,16 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircda import cli
 from faircda.cli import (
+    build_parser,
     cmd_validate,
     comparison_rows,
+    load_experiment_config,
     main,
     run_validation_corpus,
 )
-from faircda.engine import SOLVER_MODES
+from faircda.engine import SOLVER_MODES, EngineConfig
 from faircda.metrics import parse_report, report_to_json
-from faircda.model import Allocation
-from faircda.wdp_solver import WdpInstance, WdpSolution, solve_oracle
+from faircda.model import Allocation, MarketShape
+from faircda.wdp_solver import SolverLimits, WdpInstance, WdpSolution, solve_oracle
+
+REPORT_NAMES = ("per_round.csv", "per_run.csv", "report.json")
 
 MICRO = [
     "--consumers", "10", "--providers", "2", "--types", "2",
@@ -151,6 +156,52 @@ class TestCmdRun:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: output_dir")
         assert sorted(p.name for p in out.iterdir()) == [blocked]
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        # comparison.csv is the case of the test above.
+        [("run", name) for name in REPORT_NAMES]
+        + [("compare", f"{arm}/{name}") for arm in ("fairness", "baseline")
+           for name in REPORT_NAMES],
+    )
+    def test_output_file_that_is_a_directory_exits_one_without_files(
+        self, tmp_path, capsys, command, blocked
+    ):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        args = ["--consumers", "5", "--providers", "2", "--types", "1", "--rounds", "2"]
+        assert run_main([command, *args, "--runs", "1", "--out", out]) == 1
+        # Rejected before any round: nothing was run, printed or written.
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: output_dir")
+        assert blocked in captured.err
+        assert [p for p in out.rglob("*") if not p.is_dir()] == []
+
+    def test_every_flag_sets_its_config_key(self):
+        args = build_parser().parse_args([
+            "run", "--seed", "5", "--rounds", "3", "--runs", "2", "--consumers", "7",
+            "--providers", "3", "--types", "2", "--no-fairness", "--solver", "exact",
+            "--time-limit-ms", "1500", "--node-budget", "9", "--out", "elsewhere",
+        ])
+        config = load_experiment_config(None, args)
+        assert config.scenario.shape == MarketShape(7, 3, 2) and config.scenario.runs == 2
+        assert config.engine == replace(
+            EngineConfig(), fairness_enabled=False, solver_mode="exact",
+            solver_limits=SolverLimits(9, 1.5), rounds=3, master_seed=5,
+        )
+        assert config.output_dir == Path("elsewhere")
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [(["validate", "--seed", "-1"], "--seed"), (["validate", "--count", "0"], "--count"),
+         (["run", "--jobs", "0", "--out", "out"], "--jobs")],
+    )
+    def test_bad_option_exits_one_naming_its_flag(self, tmp_path, monkeypatch, capsys, args, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {flag} ")
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -407,6 +458,15 @@ class TestCmdValidate:
         passes, failures = run_validation_corpus(count=30, seed=3, solver=never_trades)
         assert passes < 30
         assert all("objective" in f for f in failures)
+
+
+    def test_value_error_while_running_exits_two(self, monkeypatch, capsys):
+        def broken(count, seed, solver=None):
+            raise ValueError("broken corpus")
+
+        monkeypatch.setattr(cli, "run_validation_corpus", broken)
+        assert main(["validate", "--count", "3"]) == 2
+        assert capsys.readouterr().err == "failure: broken corpus\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -186,7 +186,12 @@ class TestEmit:
          pytest.param(None, "repositories", MISSING, id="repositories-missing"),
          pytest.param(None, None, [], id="report-array"),
          pytest.param("per_run", None, 5, id="per_run-row-5"),
-         pytest.param(None, "per_round", {}, id="per_round-object")],
+         pytest.param(None, "per_round", {}, id="per_round-object"),
+         # Each repository snapshot is an object holding its two fields.
+         pytest.param(None, "repositories", [5, "x"], id="repositories-entry-5"),
+         pytest.param(None, "repositories", [{"records": {}}], id="repositories-entry-missing"),
+         pytest.param(None, "repositories", [{"round_counter": 0}],
+                      id="repositories-entry-no-records")],
     )
     def test_malformed_counts_rejected_at_load(self, table, field, value):
         payload = json.loads(report_to_json(tiny_report()))
