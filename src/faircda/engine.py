@@ -6,8 +6,8 @@ midpoint prices, and record who won, who lost, and who dropped out.  The
 repository of participation records evolves as a pure fold over round
 results alone: each result names its participants and their offered
 prices.  A run keeps no round log; each round is folded into the
-repository and into its report row as soon as it clears, and the per-run
-metrics are computed from those rows.
+repository and into its report row as soon as it clears; the report
+derives the per-run metrics from those rows.
 
 Prices stay the bids' :class:`~faircda.model.PriceVector`s through a round:
 the market mean prices are sums of their integers, the offered prices and
@@ -166,15 +166,14 @@ def run_round(
 
     Fairness factors are all zero when fairness is disabled (and in round
     one, when nobody has history).  ``rng`` feeds only the fairness draws.
-    Bids from dropped consumers are rejected.  With no participants at all
-    the round degenerates to an empty clearing with a winning rate of zero.
+    Bids from dropped consumers, and two bids from one consumer, are
+    rejected.  With no participants at all the round degenerates to an
+    empty clearing with a winning rate of zero.
     """
     round_index = repo.round_counter + 1
     consumer_bids = sorted(consumer_bids, key=lambda b: b.consumer_id)
     provider_bids = sorted(provider_bids, key=lambda b: b.provider_id)
     participants = [b.consumer_id for b in consumer_bids]
-    if len(set(participants)) != len(participants):
-        raise ValueError("duplicate consumer ids in this round's bids")
     for cid in participants:
         if repo.record(cid).dropped:
             raise ValueError(f"consumer {cid} dropped out and can no longer bid")
@@ -199,12 +198,7 @@ def run_round(
         )
         for b in consumer_bids
     ]
-    num_types = (
-        consumer_bids[0].num_types if consumer_bids
-        else provider_bids[0].num_types if provider_bids
-        else 0
-    )
-    instance = WdpInstance.from_bids(ext_bids, provider_bids, num_resource_types=num_types)
+    instance = WdpInstance.from_bids(ext_bids, provider_bids)
     solution = _SOLVERS[config.solver_mode](instance, config.solver_limits)
 
     winner_ids = {
@@ -268,8 +262,8 @@ def _run_rng(master_seed: int, run_index: int, stream: int) -> np.random.Generat
 
 def _simulate_one_run(
     scenario: ScenarioConfig, config: EngineConfig, run_index: int
-) -> tuple[list[metrics.PerRoundRow], metrics.RunMetrics, dict]:
-    """One run's report rows, metrics and final repository: small to return from a worker."""
+) -> tuple[list[metrics.PerRoundRow], dict]:
+    """One run's report rows and final repository: small to return from a worker."""
     rng_bids, rng_fair = (_run_rng(config.master_seed, run_index, stream) for stream in (0, 1))
     repo = Repository.fresh(range(scenario.shape.num_consumers))
     previous_prices: Optional[dict[int, PriceVector]] = None
@@ -295,7 +289,7 @@ def _simulate_one_run(
             )
         )
         del result  # garbage now, not held through the next round's clearing
-    return rows, metrics.aggregate(rows, run_index), repository_to_dict(repo)
+    return rows, repository_to_dict(repo)
 
 
 def config_echo(scenario: ScenarioConfig, config: EngineConfig) -> dict:
@@ -323,13 +317,7 @@ def config_echo(scenario: ScenarioConfig, config: EngineConfig) -> dict:
             "master_seed": config.master_seed,
             "node_budget": config.solver_limits.node_budget,
             "time_budget_s": config.solver_limits.time_budget_s,
-            "fairness_params": {
-                "alpha1": str(config.fairness_params.alpha1),
-                "alpha2": str(config.fairness_params.alpha2),
-                "beta1": str(config.fairness_params.beta1),
-                "beta2": str(config.fairness_params.beta2),
-                "max_losses": config.fairness_params.max_losses,
-            },
+            "fairness_params": metrics._json_row(config.fairness_params),
         },
     }
     if config.solver_limits.time_budget_s is not None:
@@ -373,10 +361,9 @@ def run_simulation(
             outcomes = list(
                 pool.map(_simulate_one_run, [scenario] * len(runs), [config] * len(runs), runs)
             )
-    rows, per_run, repositories = zip(*outcomes)
+    rows, repositories = zip(*outcomes)
     return metrics.SimulationReport(
         per_round=tuple(row for run_rows in rows for row in run_rows),
-        per_run=per_run,
         config_echo=config_echo(scenario, config),
         final_repositories=repositories,
     )

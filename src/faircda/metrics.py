@@ -1,9 +1,10 @@
 """Evaluation metrics, report assembly, and CSV/JSON emission.
 
 Per-round rows capture total utility, total satisfaction, resource
-utilization, the winning rate, and the cumulative drop count; per-run rows
-aggregate them and read nothing else, so every per-run value, drops
-included, is a function of the run's ``per_round.csv`` rows.  Utilization
+utilization, the winning rate, and the cumulative drop count; a report
+carries only them and derives its per-run rows with :func:`aggregate`, so
+every per-run value, drops included, is a function of the run's
+``per_round.csv`` rows.  Utilization
 is the percentage of offered units actually sold in a round; the winning
 rate is the percentage of that round's participants who won.  Every evaluation series is recoverable from the
 emitted ``per_round.csv`` / ``per_run.csv`` with any plotting tool.
@@ -21,9 +22,11 @@ import io
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby, zip_longest
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, get_type_hints
 
 from .model import Money, ProviderBid, _check_count, _json_value, as_money
 
@@ -66,6 +69,7 @@ class RunMetrics:
 PER_ROUND_FIELDS = tuple(f.name for f in fields(PerRoundRow))
 PER_RUN_FIELDS = tuple(f.name for f in fields(RunMetrics))
 _TABLES = {"per_round": PER_ROUND_FIELDS, "per_run": PER_RUN_FIELDS}
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (PerRoundRow, RunMetrics)}
 
 
 @dataclass(frozen=True)
@@ -74,17 +78,22 @@ class SimulationReport:
 
     ``final_repositories`` holds one plain-dict repository snapshot per run
     (see ``engine.repository_to_dict``), keeping the report JSON-friendly.
+    :attr:`per_run` is derived from ``per_round``, not carried.
     """
 
     per_round: tuple[PerRoundRow, ...]
-    per_run: tuple[RunMetrics, ...]
     config_echo: dict = field(default_factory=dict)
     final_repositories: tuple[dict, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "per_round", tuple(self.per_round))
-        object.__setattr__(self, "per_run", tuple(self.per_run))
         object.__setattr__(self, "final_repositories", tuple(self.final_repositories))
+
+    @cached_property
+    def per_run(self) -> tuple[RunMetrics, ...]:
+        """:func:`aggregate` of each run's rows in round order, in run order; built once."""
+        ordered = sorted(self.per_round, key=lambda r: (r.run, r.round))
+        return tuple(aggregate(list(rows), run) for run, rows in groupby(ordered, lambda r: r.run))
 
 
 def units_offered(provider_bids: Sequence[ProviderBid]) -> int:
@@ -130,19 +139,6 @@ def aggregate(rows: Sequence[PerRoundRow], run: int) -> RunMetrics:
     )
 
 
-def _cross_check(report: SimulationReport) -> None:
-    """Each per-run row must equal :func:`aggregate` of its run's per-round rows."""
-    for run_row in report.per_run:
-        rows = sorted((r for r in report.per_round if r.run == run_row.run), key=lambda r: r.round)
-        derived = aggregate(rows, run_row.run)
-        for name in PER_RUN_FIELDS:
-            if getattr(run_row, name) != getattr(derived, name):
-                raise ValueError(
-                    f"run {run_row.run}: per-run {name} is {getattr(run_row, name)}, "
-                    f"but the per-round rows give {getattr(derived, name)}"
-                )
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -164,7 +160,7 @@ def _rows_to_csv(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
 
 
 def _json_row(row) -> dict:
-    """A report row's fields, money as an exact fraction string."""
+    """A report row's (or config's) fields, money as an exact fraction string."""
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(row).items()}
 
 
@@ -178,61 +174,56 @@ def report_to_json(report: SimulationReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _load_number(row: Mapping, name: str) -> Money:
+def _load_field(name: str, kind, value):
+    """A JSON value read as a report row field of declared type ``kind``:
+    ``int`` a count (``round`` positive), ``Money`` exact, ``float`` finite,
+    ``Optional[float]`` also ``null``."""
+    if kind is int:
+        return _check_count(value, name, positive=name == "round")
+    if value is None and kind == Optional[float]:
+        return None
     try:
-        return as_money(row[name])
+        money = as_money(value)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{name} must be a finite number, got {row[name]!r}") from None
+        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
+    return money if kind is Money else float(money)
 
 
 def parse_report(text: str) -> SimulationReport:
     """Inverse of :func:`report_to_json`: exact round-trip of a report.
 
-    Counts (``run``, ``round``, ``cumulative_drops``, ``drops``) must be
+    Row fields are read by their types (:func:`_load_field`): counts must be
     JSON integers, other values finite numbers or fraction strings; anything
     else (``true`` and NaN included) raises a ``ValueError`` naming the field,
     as does a missing field or a value that is not the JSON object or array
     the report holds there; a repository snapshot is kept as loaded once
-    it is an object holding ``records`` and ``round_counter``.
+    it is an object holding ``records`` and ``round_counter``.  The
+    ``per_run`` rows, sorted by run, must be the derived
+    :attr:`SimulationReport.per_run`, or a ``ValueError`` names the run.
     """
     payload = _json_value(json.loads(text), "report", keys=("config", *_TABLES, "repositories"))
     rounds, runs, repositories = (
         [_json_value(r, f"{name} entry", keys=keys) for r in _json_value(payload[name], name, list)]
         for name, keys in (*_TABLES.items(), ("repositories", ("records", "round_counter")))
     )
-    per_round = tuple(
-        PerRoundRow(
-            run=_check_count(row["run"], "run"),
-            round=_check_count(row["round"], "round", positive=True),
-            total_utility=_load_number(row, "total_utility"),
-            total_satisfaction=_load_number(row, "total_satisfaction"),
-            utilization_percent=float(_load_number(row, "utilization_percent")),
-            win_percent=float(_load_number(row, "win_percent")),
-            cumulative_drops=_check_count(row["cumulative_drops"], "cumulative_drops"),
-        )
-        for row in rounds
+    per_round, per_run = (
+        [cls(**{k: _load_field(k, t, r[k]) for k, t in _FIELD_TYPES[cls].items()}) for r in rows]
+        for cls, rows in ((PerRoundRow, rounds), (RunMetrics, runs))
     )
-    per_run = tuple(
-        RunMetrics(
-            run=_check_count(row["run"], "run"),
-            total_utility=_load_number(row, "total_utility"),
-            drops=_check_count(row["drops"], "drops"),
-            mean_drop_round=(
-                None
-                if row["mean_drop_round"] is None
-                else float(_load_number(row, "mean_drop_round"))
-            ),
-            mean_utilization=float(_load_number(row, "mean_utilization")),
-            mean_win_percent=float(_load_number(row, "mean_win_percent")),
-        )
-        for row in runs
+    report = SimulationReport(
+        per_round=per_round, config_echo=payload["config"], final_repositories=repositories
     )
-    return SimulationReport(
-        per_round=per_round,
-        per_run=per_run,
-        config_echo=payload["config"],
-        final_repositories=tuple(repositories),
-    )
+    for got, want in zip_longest(sorted(per_run, key=lambda r: r.run), report.per_run):
+        if got is None or want is None or got.run != want.run:
+            run = min(r.run for r in (got, want) if r is not None)
+            raise ValueError(f"run {run}: per_run needs one row for each run with per-round rows")
+        for name in PER_RUN_FIELDS:
+            if getattr(got, name) != getattr(want, name):
+                raise ValueError(
+                    f"run {got.run}: per-run {name} is {getattr(got, name)}, "
+                    f"but the per-round rows give {getattr(want, name)}"
+                )
+    return report
 
 
 # The files :func:`emit` writes, in the order it writes them.
@@ -243,16 +234,14 @@ def emit(report: SimulationReport, destination) -> list[Path]:
     """Write :data:`REPORT_FILES` under ``destination`` and return their paths.
 
     Row order is run-major then round; column order is part of the public
-    contract.  The per-run aggregates are re-derived from the per-round rows
-    first and any mismatch aborts the write.
+    contract.  The per-run rows are :attr:`SimulationReport.per_run`, derived
+    from the per-round rows, so rows whose drop count falls abort the write.
     """
-    _cross_check(report)
     dest = Path(destination)
     ordered_rounds = sorted(report.per_round, key=lambda r: (r.run, r.round))
-    ordered_runs = sorted(report.per_run, key=lambda r: r.run)
     texts = (
         _rows_to_csv(PER_ROUND_FIELDS, map(vars, ordered_rounds)),
-        _rows_to_csv(PER_RUN_FIELDS, map(vars, ordered_runs)),
+        _rows_to_csv(PER_RUN_FIELDS, map(vars, report.per_run)),
         report_to_json(report),
     )
     paths = [dest / name for name in REPORT_FILES]

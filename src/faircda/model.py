@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence as _SequenceABC
+from collections.abc import Iterable, Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -252,7 +252,7 @@ def _money_tuple(values: Sequence, what: str) -> PriceVector:
     bids, history entries and offered prices."""
     try:
         vector = PriceVector(values)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{what} must be numbers, got {values!r}") from exc
     for n in vector.numerators:
         if n < 0:
@@ -261,6 +261,8 @@ def _money_tuple(values: Sequence, what: str) -> PriceVector:
 
 
 def _quantity_tuple(values: Sequence, what: str) -> tuple[int, ...]:
+    if not isinstance(values, Iterable):
+        raise ValueError(f"{what} must be integers, got {values!r}")
     out = []
     for v in values:
         try:
@@ -400,6 +402,8 @@ class ParticipantRecord:
             )
         if self.dropped_at_round is not None:
             _check_count(self.dropped_at_round, "dropped_at_round", positive=True)
+        if not isinstance(self.price_history, Iterable):
+            raise ValueError(f"price history must be price vectors, got {self.price_history!r}")
         object.__setattr__(
             self,
             "price_history",

@@ -84,6 +84,15 @@ class TestRunRound:
         with pytest.raises(ValueError, match="dropped"):
             run_round(repo, [cbid(0, 10)], [pbid(0, 5, 5)], config, fairness_rng())
 
+    @pytest.mark.parametrize("fairness_enabled", [True, False])
+    def test_duplicate_consumer_ids_are_rejected(self, fairness_enabled):
+        repo = Repository.fresh([0, 1])
+        config = EngineConfig(fairness_enabled=fairness_enabled, rounds=5)
+        first = run_round(repo, [cbid(0, 10), cbid(1, 8)], [pbid(0, 5, 5)], config, fairness_rng())
+        repo = update_repository(repo, first)
+        with pytest.raises(ValueError, match="duplicate"):
+            run_round(repo, [cbid(0, 10), cbid(0, 8)], [pbid(0, 5, 5)], config, fairness_rng())
+
     def test_round_without_participants_degenerates(self):
         repo = Repository()
         config = EngineConfig(rounds=1)

@@ -134,7 +134,6 @@ def tiny_report():
     )
     return SimulationReport(
         per_round=rows,
-        per_run=(aggregate(rows, 0),),
         config_echo={"engine": {"rounds": 2}},
         final_repositories=(),
     )
@@ -155,7 +154,7 @@ MISSING = object()
 
 class TestEmit:
     def test_headers_are_the_public_contract(self, tmp_path):
-        report = SimulationReport(per_round=(), per_run=())
+        report = SimulationReport(per_round=())
         per_round, per_run, _ = emit(report, tmp_path)
         assert per_round.read_text() == ",".join(PER_ROUND_FIELDS) + "\n"
         assert per_run.read_text() == ",".join(PER_RUN_FIELDS) + "\n"
@@ -212,16 +211,39 @@ class TestEmit:
         _, _, json_path = emit(report, tmp_path)
         assert parse_report(json_path.read_text()) == report
 
-    @pytest.mark.parametrize("name", WRONG_PER_RUN_VALUES)
-    def test_inconsistent_aggregates_refuse_to_emit(self, tmp_path, name):
+    def test_per_run_is_derived_from_the_per_round_rows(self):
         report = tiny_report()
-        wrong = replace(report.per_run[0], **{name: WRONG_PER_RUN_VALUES[name]})
+        assert report.per_run == (aggregate(report.per_round, 0),)
+        assert report.per_run is report.per_run  # built once, then kept
+
+    @pytest.mark.parametrize("name", WRONG_PER_RUN_VALUES)
+    def test_inconsistent_aggregates_refuse_to_emit(self, name):
+        # A report carries no per-run rows, so a wrong one can only come from
+        # outside; parse_report refuses it before anything can emit it.
+        payload = json.loads(report_to_json(tiny_report()))
+        value = WRONG_PER_RUN_VALUES[name]
+        payload["per_run"][0][name] = str(value) if isinstance(value, Fraction) else value
         with pytest.raises(ValueError, match=f"run 0: per-run {name} is"):
-            emit(replace(report, per_run=(wrong,)), tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+            parse_report(json.dumps(payload))
 
     def test_every_per_run_field_is_cross_checked(self):
         assert set(WRONG_PER_RUN_VALUES) == set(PER_RUN_FIELDS) - {"run"}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [pytest.param(lambda rows: rows[:1], "run 1: per_run needs", id="missing"),
+         pytest.param(lambda rows: rows + [{**rows[0], "run": 7}], "run 7: per_run needs",
+                      id="extra"),
+         pytest.param(lambda rows: rows + rows[:1], "run 0: per_run needs", id="duplicated")],
+    )
+    def test_per_run_rows_must_cover_each_run_once(self, edit, message):
+        report = tiny_report()
+        rows = report.per_round
+        two_runs = replace(report, per_round=rows + tuple(replace(r, run=1) for r in rows))
+        payload = json.loads(report_to_json(two_runs))
+        payload["per_run"] = edit(payload["per_run"])
+        with pytest.raises(ValueError, match=message):
+            parse_report(json.dumps(payload))
 
     def test_falling_cumulative_drops_refuse_to_emit(self, tmp_path):
         report = tiny_report()
@@ -237,7 +259,7 @@ class TestEmit:
 
     def test_absent_mean_drop_round_is_empty_cell(self, tmp_path):
         rows = (make_row(1, total_utility=1),)
-        report = SimulationReport(per_round=rows, per_run=(aggregate(rows, 0),))
+        report = SimulationReport(per_round=rows)
         _, per_run, _ = emit(report, tmp_path)
         line = per_run.read_text().splitlines()[1]
         assert line.split(",")[PER_RUN_FIELDS.index("mean_drop_round")] == ""

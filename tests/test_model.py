@@ -164,6 +164,24 @@ class TestParticipantRecord:
         assert all(isinstance(p, Fraction) for p in after.price_history[-1])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [pytest.param(lambda: ConsumerBid(0, 5, (1,)), "consumer unit prices must be numbers, got 5",
+                  id="consumer-prices"),
+     pytest.param(lambda: ConsumerBid(0, (1,), 3), "consumer quantities must be integers, got 3",
+                  id="consumer-quantities"),
+     pytest.param(lambda: ProviderBid(0, None, (1,)),
+                  "provider unit prices must be numbers, got None", id="provider-prices"),
+     pytest.param(lambda: ParticipantRecord(price_history=5), "price history must be",
+                  id="history"),
+     pytest.param(lambda: ParticipantRecord(price_history=[5]),
+                  "price history entry must be numbers, got 5", id="history-entry")],
+)
+def test_a_field_that_is_not_a_sequence_names_itself(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestFairnessParams:
     def test_defaults_match_reference_parametrization(self):
         p = FairnessParams()
