@@ -31,7 +31,7 @@ for cl in range(0, 7):
 print("\npenalty for a winner, by win count (fresh streak, neutral quality):")
 for wins in (1, 5, 10, 20):
     print(f"  {wins:>2} wins: penalty={fun_l(wins, Fraction(1), 0, params)}  "
-          f"applied with probability {prob_l(0, params)}")
+          f"applied with probability {prob_l(0)}")
 
 # Bid quality compares a consumer's latest offered prices to the market
 # means: offering double the market rate doubles the quality score.
@@ -41,9 +41,10 @@ stingy = ParticipantRecord(price_history=((Fraction(75), Fraction(50)),))
 print("\nbid quality, aggressive bidder:", eval_fun(aggressive, market_means))
 print("bid quality, stingy bidder    :", eval_fun(stingy, market_means))
 
-# A full factor computation for one round.  Consumer 0 is on a 6-round
-# losing streak (reward guaranteed), consumer 1 just won (penalty
-# guaranteed), consumer 2 is new (no factor).
+# A full factor computation for one round; each consumer's previous
+# outcome is read from their record.  Consumer 0 is on a 6-round losing
+# streak (reward guaranteed), consumer 1 just won (penalty guaranteed),
+# consumer 2 is new (no factor).
 records = {
     0: ParticipantRecord(wins=0, losses=6, consecutive_losses=6,
                          price_history=((Fraction(150), Fraction(100)),) * 6),
@@ -55,7 +56,6 @@ rng = np.random.default_rng(2024)
 outcome = compute_fairness_factors(
     records,
     participants=[0, 1, 2],
-    previous_round_outcomes={0: "lost", 1: "won"},
     market_mean_prices=market_means,
     params=params,
     rng=rng,

@@ -10,7 +10,6 @@ losers are boosted before they abandon the market.
 from .engine import (
     EngineConfig,
     Repository,
-    previous_outcomes,
     repository_from_json,
     repository_to_json,
     run_round,
@@ -106,7 +105,6 @@ __all__ = [
     "min_cost_allocation",
     "objective_value",
     "parse_report",
-    "previous_outcomes",
     "prob_l",
     "prob_w",
     "report_to_json",

@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .fairness import Outcome, compute_fairness_factors
+from .fairness import compute_fairness_factors
 from .model import (
     ConsumerBid,
     ExtendedConsumerBid,
@@ -66,7 +66,6 @@ __all__ = [
     "update_repository",
     "run_simulation",
     "check_solver_fits",
-    "previous_outcomes",
     "repository_to_dict",
     "repository_from_dict",
     "repository_to_json",
@@ -130,25 +129,6 @@ class EngineConfig:
         _check_count(self.master_seed, "master_seed")
 
 
-def previous_outcomes(repo: Repository, participants: Sequence[int]) -> dict[int, Outcome]:
-    """Reconstruct each participant's previous-round outcome from their record.
-
-    Active consumers bid every round, so a record with no history means the
-    consumer is new ("absent"), a positive losing streak means they lost the
-    previous round, and a zero streak with history means they won it.
-    """
-    outcomes: dict[int, Outcome] = {}
-    for cid in participants:
-        rec = repo.record(cid)
-        if rec.wins + rec.losses == 0:
-            outcomes[cid] = "absent"
-        elif rec.consecutive_losses > 0:
-            outcomes[cid] = "lost"
-        else:
-            outcomes[cid] = "won"
-    return outcomes
-
-
 def _market_mean_prices(consumer_bids: Sequence[ConsumerBid]) -> list[Money]:
     """Per type, the mean offered unit price, summed exactly over one denominator."""
     D, rows = price_rows([bid.unit_prices for bid in consumer_bids])
@@ -182,12 +162,7 @@ def run_round(
     factors = {}
     if config.fairness_enabled and consumer_bids:
         factors = compute_fairness_factors(
-            repo,
-            participants,
-            previous_outcomes(repo, participants),
-            _market_mean_prices(consumer_bids),
-            params,
-            rng,
+            repo.records, participants, _market_mean_prices(consumer_bids), params, rng
         ).factors
 
     # Unchecked: each factor is compute_fairness_factors' Fraction or
@@ -269,9 +244,9 @@ def _simulate_one_run(
     previous_prices: Optional[dict[int, PriceVector]] = None
     rows: list[metrics.PerRoundRow] = []
     drops = 0
-    for round_index in range(1, config.rounds + 1):
+    for _ in range(config.rounds):
         provider_bids = generate_provider_bids(scenario, rng_bids)
-        all_bids = generate_consumer_bids(scenario, rng_bids, round_index, previous_prices)
+        all_bids = generate_consumer_bids(scenario, rng_bids, previous_prices)
         previous_prices = {b.consumer_id: b.unit_prices for b in all_bids}
         active = [b for b in all_bids if not repo.record(b.consumer_id).dropped]
         result = run_round(repo, active, provider_bids, config, rng_fair)

@@ -7,6 +7,10 @@ factor is added to the winner-determination objective when that consumer
 wins, so rewards pull persistent losers back into the market and penalties
 throttle serial winners.
 
+The history is the repository's participation records alone: a
+consumer's previous-round outcome is read from their record (new, lost or
+won), so the records and the outcome cannot disagree.
+
 The reward/penalty magnitudes use the market's loss/win counts and a bid
 quality score; the intervention probabilities use the losing-streak length.
 The quality score and both probability shapes are policy choices documented
@@ -34,7 +38,6 @@ from .model import FairnessParams, Money, ParticipantRecord, _unchecked, as_mone
 
 __all__ = [
     "Branch",
-    "Outcome",
     "FairnessOutcome",
     "eval_fun",
     "fun_w",
@@ -45,7 +48,6 @@ __all__ = [
 ]
 
 Branch = Literal["reward", "penalty", "none"]
-Outcome = Literal["won", "lost", "absent"]
 
 _ZERO = Fraction(0)
 
@@ -176,39 +178,38 @@ def prob_w(cl: int, params: FairnessParams) -> Fraction:
     return Fraction(*_reward_odds(cl, params))
 
 
-def prob_l(cl: int, params: FairnessParams) -> Fraction:
+def prob_l(cl: int) -> Fraction:
     """Probability of penalizing a winner with streak ``cl``.
 
     ``1 / (cl + 1)``: certain for a consumer with no losing streak (the
     usual case right after a win, when the streak has just reset) and
-    fading with streak length.  ``params`` is accepted so alternative
-    shapes can be keyed off it without changing call sites.
+    fading with streak length.
     """
-    del params
     return Fraction(*_penalty_odds(cl))
 
 
 def compute_fairness_factors(
-    repository,
+    records: Mapping[int, ParticipantRecord],
     participants: Sequence[int],
-    previous_round_outcomes: Mapping[int, Outcome],
     market_mean_prices: Sequence[Money],
     params: FairnessParams,
     rng,
 ) -> FairnessOutcome:
     """Run the factor-assignment procedure for one round's participants.
 
-    ``repository`` is either an ``engine.Repository`` or a plain mapping of
-    consumer id to :class:`ParticipantRecord`.  Exactly one uniform draw is
+    ``records`` maps consumer id to :class:`ParticipantRecord` (the
+    repository's records).  Each participant's previous-round outcome is read
+    from their record: active consumers bid every round, so a record with no
+    wins and no losses is new (factor 0, branch "none", as for everyone in
+    round one), a positive losing streak means they lost the previous round,
+    and any other record means they won it.  Exactly one uniform draw is
     consumed per participant, in ascending consumer-id order, regardless of
     which branch applies — so the random trace depends only on the
-    participant set, never on outcomes.  Participants absent from the
-    previous round (everyone, in round one) get factor 0 and branch "none".
+    participant set, never on outcomes.
 
     ``rng`` is a seeded ``numpy.random.Generator`` (anything with a
     ``random()`` method works).
     """
-    records = getattr(repository, "records", repository)
     factors: dict[int, Money] = {}
     branches: dict[int, Branch] = {}
     # The means are validated and scaled at the first evaluation, so a call
@@ -219,26 +220,24 @@ def compute_fairness_factors(
         if record is None:
             raise ValueError(f"no participation record for consumer {cid}")
         u = float(rng.random())
-        outcome = previous_round_outcomes.get(cid, "absent")
         factor: Money = _ZERO
         branch: Branch = "none"
-        if outcome == "lost" or outcome == "won":
+        if record.wins or record.losses:
             cl = record.consecutive_losses
-            odds, odds_den = _reward_odds(cl, params) if outcome == "lost" else _penalty_odds(cl)
+            lost = cl > 0
+            odds, odds_den = _reward_odds(cl, params) if lost else _penalty_odds(cl)
             # u < odds / odds_den, exactly: a float is a ratio of integers.
             un, ud = u.as_integer_ratio()
             if un * odds_den < odds * ud:
                 if market_scale is None:
                     market_scale = _market_scale(market_mean_prices)
                 qn, qd = _quality(record, *market_scale)
-                if outcome == "lost":
+                if lost:
                     factor = _reward(record.losses, qn, qd, cl, params)
                     branch = "reward"
                 else:
                     factor = _penalty(record.wins, qn, qd, cl, params)
                     branch = "penalty"
-        elif outcome != "absent":
-            raise ValueError(f"consumer {cid}: unknown previous-round outcome {outcome!r}")
         factors[cid] = factor
         branches[cid] = branch
     # Valid by construction: rewards are >= 0 since alpha >= 0, and penalties

@@ -115,13 +115,19 @@ def win_rate_percent(num_winners: int, num_participants: int) -> float:
 def aggregate(rows: Sequence[PerRoundRow], run: int) -> RunMetrics:
     """Collapse one run's per-round rows, in round order, into its summary row.
 
-    A consumer drops at most once, so the run's drops are the steps of
-    ``cumulative_drops``: a step of k at round r is k drops at round r.  A
-    count that falls is an error.
+    The rows must be rounds 1..n, each exactly once.  A consumer drops at
+    most once, so the run's drops are the steps of ``cumulative_drops``: a
+    step of k at round r is k drops at round r.  A count that falls is an
+    error.
     """
     drop_rounds: list[int] = []
     dropped = 0
-    for row in rows:
+    for expected, row in enumerate(rows, 1):
+        if row.round != expected:
+            raise ValueError(
+                f"run {run}: round {row.round} where round {expected} belongs "
+                "(a run's rows are rounds 1..n, each once)"
+            )
         if row.cumulative_drops < dropped:
             raise ValueError(
                 f"run {run}: cumulative drops fall from {dropped} to "
@@ -199,7 +205,9 @@ def parse_report(text: str) -> SimulationReport:
     the report holds there; a repository snapshot is kept as loaded once
     it is an object holding ``records`` and ``round_counter``.  The
     ``per_run`` rows, sorted by run, must be the derived
-    :attr:`SimulationReport.per_run`, or a ``ValueError`` names the run.
+    :attr:`SimulationReport.per_run`, or a ``ValueError`` names the run;
+    deriving them requires each run's per-round rows to be rounds 1..n, once
+    each.
     """
     payload = _json_value(json.loads(text), "report", keys=("config", *_TABLES, "repositories"))
     rounds, runs, repositories = (
@@ -235,7 +243,8 @@ def emit(report: SimulationReport, destination) -> list[Path]:
 
     Row order is run-major then round; column order is part of the public
     contract.  The per-run rows are :attr:`SimulationReport.per_run`, derived
-    from the per-round rows, so rows whose drop count falls abort the write.
+    from the per-round rows, so a run whose rows repeat or skip a round, or
+    whose drop count falls, aborts the write.
     """
     dest = Path(destination)
     ordered_rounds = sorted(report.per_round, key=lambda r: (r.run, r.round))

@@ -528,9 +528,9 @@ class Allocation:
 class RoundResult:
     """Everything that happened in one auction round.
 
-    The ``settlement``'s maps read here by name.  Payments and receipts are
-    exact; ``sum(consumer_payments.values()) == sum(provider_receipts.values())``
-    holds as an equality (the auctioneer keeps nothing).  ``offered_prices``
+    Payments and receipts are read from ``settlement`` and are exact;
+    ``settlement.total_payments() == settlement.total_receipts()`` holds as an
+    equality (the auctioneer keeps nothing).  ``offered_prices``
     (validated here) records each participant's per-type bid prices so that
     repository evolution is replayable from the round log alone.
     """
@@ -549,12 +549,6 @@ class RoundResult:
         items = self.offered_prices.items()
         checked = {k: _money_tuple(v, f"offered_prices[{k!r}]") for k, v in items}
         object.__setattr__(self, "offered_prices", checked)
-
-    unit_trade_prices = property(lambda self: self.settlement.unit_trade_prices)
-    consumer_payments = property(lambda self: self.settlement.consumer_payments)
-    provider_receipts = property(lambda self: self.settlement.provider_receipts)
-    consumer_utilities = property(lambda self: self.settlement.consumer_utilities)
-    provider_utilities = property(lambda self: self.settlement.provider_utilities)
 
     @property
     def participant_ids(self) -> tuple[int, ...]:

@@ -207,25 +207,17 @@ def _drift_windows(
 def generate_consumer_bids(
     config: ScenarioConfig,
     rng: np.random.Generator,
-    round_index: int,
     previous_personal_prices: Optional[Mapping[int, Sequence[Money]]] = None,
 ) -> list[ConsumerBid]:
     """Draw one request per consumer: per-type demand and offered prices.
 
-    In round one, prices are uniform over the configured range.  Later,
-    each consumer's price for each type is uniform over
-    ``[(1 - drift) * previous, (1 + drift) * previous]`` clamped into the
-    range, where ``previous`` is that consumer's own price from the prior
-    round (``previous_personal_prices``, keyed by consumer id, must cover
-    every consumer exactly when ``round_index > 1``).
+    Without previous prices (round one), prices are uniform over the
+    configured range.  Given ``previous_personal_prices``, keyed by consumer
+    id and covering every consumer, each consumer's price for each type is
+    uniform over ``[(1 - drift) * previous, (1 + drift) * previous]``
+    clamped into the range, where ``previous`` is that consumer's own price
+    from the prior round.
     """
-    if round_index < 1:
-        raise ValueError(f"round_index must be >= 1, got {round_index}")
-    if round_index == 1 and previous_personal_prices is not None:
-        raise ValueError("round 1 has no previous prices; pass None")
-    if round_index > 1 and previous_personal_prices is None:
-        raise ValueError(f"round {round_index} requires the previous round's personal prices")
-
     N = config.shape.num_consumers
     L = config.shape.num_resource_types
     qlo, qhi = config.consumer_quantity_range
@@ -237,7 +229,7 @@ def generate_consumer_bids(
             if not quantities[n].any():
                 quantities[n][int(rng.integers(0, L))] = 1
 
-    if round_index == 1:
+    if previous_personal_prices is None:
         price_cents = rng.integers(*grid, size=(N, L), endpoint=True)
     else:
         lo, hi = _drift_windows(config, previous_personal_prices, grid)

@@ -227,23 +227,31 @@ def reference_prob_w(cl, params) -> Fraction:
     return min(Fraction(1), Fraction(cl + 1, params.max_losses + 1))
 
 
-def reference_prob_l(cl, params) -> Fraction:
+def reference_prob_l(cl) -> Fraction:
     return Fraction(1, cl + 1)
 
 
-def reference_fairness_factors(records, participants, outcomes, means, params, rng):
+def reference_previous_outcome(record) -> str:
+    """The previous-round outcome a record implies: "new" with no round played,
+    "lost" while on a losing streak, "won" otherwise."""
+    if record.wins + record.losses == 0:
+        return "new"
+    return "lost" if record.consecutive_losses > 0 else "won"
+
+
+def reference_fairness_factors(records, participants, means, params, rng):
     """``(factors, branches)``: one draw per participant in id order, compared as a float."""
     factors, branches = {}, {}
     for cid in sorted(participants):
         record = records[cid]
         u = float(rng.random())
-        outcome = outcomes.get(cid, "absent")
+        outcome = reference_previous_outcome(record)
         factor, branch = Fraction(0), "none"
         if outcome == "lost" and u < reference_prob_w(record.consecutive_losses, params):
             quality = reference_eval_fun(record, means)
             factor = reference_fun_w(record.losses, quality, record.consecutive_losses, params)
             branch = "reward"
-        elif outcome == "won" and u < reference_prob_l(record.consecutive_losses, params):
+        elif outcome == "won" and u < reference_prob_l(record.consecutive_losses):
             quality = reference_eval_fun(record, means)
             factor = reference_fun_l(record.wins, quality, record.consecutive_losses, params)
             branch = "penalty"
@@ -270,8 +278,9 @@ def reference_drift_window(previous_price, price_range, drift) -> tuple[int, int
     return wlo, whi
 
 
-def reference_consumer_bids(config, rng, round_index, previous=None) -> list[ConsumerBid]:
-    """The consumer bid generator as a per-cell loop over validating constructors."""
+def reference_consumer_bids(config, rng, previous=None) -> list[ConsumerBid]:
+    """The consumer bid generator as a per-cell loop over validating constructors;
+    round one's uniform prices when there are no ``previous`` prices."""
     N = config.shape.num_consumers
     L = config.shape.num_resource_types
     qlo, qhi = config.consumer_quantity_range
@@ -282,7 +291,7 @@ def reference_consumer_bids(config, rng, round_index, previous=None) -> list[Con
         for n in range(N):
             if not quantities[n].any():
                 quantities[n][int(rng.integers(0, L))] = 1
-    if round_index == 1:
+    if previous is None:
         cents = rng.integers(lo_c, hi_c, size=(N, L), endpoint=True)
     else:
         windows = [

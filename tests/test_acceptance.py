@@ -74,11 +74,9 @@ def simulate_arm(seed: int, fairness_enabled: bool, check_invariants: bool) -> A
     repo = Repository.fresh(range(SCALED_SCENARIO.shape.num_consumers))
     previous_prices = None
     rounds: list[RoundResult] = []
-    for round_index in range(1, SCALED_ROUNDS + 1):
+    for _ in range(SCALED_ROUNDS):
         providers = generate_provider_bids(SCALED_SCENARIO, rng_bids)
-        all_bids = generate_consumer_bids(
-            SCALED_SCENARIO, rng_bids, round_index, previous_prices
-        )
+        all_bids = generate_consumer_bids(SCALED_SCENARIO, rng_bids, previous_prices)
         previous_prices = {b.consumer_id: b.unit_prices for b in all_bids}
         active = [b for b in all_bids if not repo.records[b.consumer_id].dropped]
         result = run_round(repo, active, providers, config, rng_fair)
@@ -103,12 +101,13 @@ def simulate_arm(seed: int, fairness_enabled: bool, check_invariants: bool) -> A
 
 def _check_round_invariants(consumer_bids, provider_bids, result: RoundResult) -> None:
     # Budget balance, exact.
-    payments = sum(result.consumer_payments.values(), Fraction(0))
-    receipts = sum(result.provider_receipts.values(), Fraction(0))
+    settlement = result.settlement
+    payments = sum(settlement.consumer_payments.values(), Fraction(0))
+    receipts = sum(settlement.provider_receipts.values(), Fraction(0))
     assert payments == receipts, f"round {result.round_index}: {payments} != {receipts}"
     # Individual rationality.
-    assert all(u >= 0 for u in result.consumer_utilities.values())
-    assert all(u >= 0 for u in result.provider_utilities.values())
+    assert all(u >= 0 for u in settlement.consumer_utilities.values())
+    assert all(u >= 0 for u in settlement.provider_utilities.values())
     # Feasibility, checked against a fairness-free rebuild of the instance
     # (the constraints do not involve fairness factors).
     instance = WdpInstance.from_bids(

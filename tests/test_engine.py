@@ -13,7 +13,6 @@ from faircda.engine import (
     EngineConfig,
     Repository,
     check_solver_fits,
-    previous_outcomes,
     repository_from_dict,
     repository_from_json,
     repository_to_dict,
@@ -70,7 +69,8 @@ class TestRunRound:
         config = EngineConfig(rounds=1)
         result = run_round(repo, [cbid(0, 10, 2)], [pbid(0, 6, 3)], config, fairness_rng())
         assert result.winner_ids == (0,)
-        assert result.consumer_payments[0] == result.provider_receipts[0] == 16
+        settlement = result.settlement
+        assert settlement.consumer_payments[0] == settlement.provider_receipts[0] == 16
         assert result.total_utility == 8
         assert result.win_percent == 100.0
         assert result.utilization_percent == pytest.approx(100 * 2 / 3)
@@ -238,18 +238,6 @@ class TestOfferedPrices:
         assert repo.records[1].dropped_at_round == 1
 
 
-class TestPreviousOutcomes:
-    def test_derivation_from_records(self):
-        repo = Repository(
-            records={
-                0: ParticipantRecord(),
-                1: ParticipantRecord(wins=2, losses=1, consecutive_losses=1),
-                2: ParticipantRecord(wins=1, losses=3, consecutive_losses=0),
-            }
-        )
-        assert previous_outcomes(repo, [0, 1, 2]) == {0: "absent", 1: "lost", 2: "won"}
-
-
 class TestRunSimulation:
     def test_same_seed_is_bit_identical(self):
         scenario = ScenarioConfig(shape=MarketShape(15, 2, 2), runs=2)
@@ -318,9 +306,9 @@ class TestRunSimulation:
         repo = Repository.fresh(range(6))
         results = []
         previous_prices = None
-        for round_index in range(1, 7):
+        for _ in range(6):
             providers = generate_provider_bids(scenario, rng_bids)
-            bids = generate_consumer_bids(scenario, rng_bids, round_index, previous_prices)
+            bids = generate_consumer_bids(scenario, rng_bids, previous_prices)
             previous_prices = {b.consumer_id: b.unit_prices for b in bids}
             active = [b for b in bids if not repo.records[b.consumer_id].dropped]
             result = run_round(repo, active, providers, config, rng_fair)

@@ -125,21 +125,21 @@ class TestProbabilities:
         assert prob_w(3, PARAMS) == Fraction(4, 7)
 
     def test_prob_l_certain_at_zero_streak(self):
-        assert prob_l(0, PARAMS) == 1
+        assert prob_l(0) == 1
 
     def test_prob_l_halves(self):
-        assert prob_l(1, PARAMS) == Fraction(1, 2)
-        assert prob_l(3, PARAMS) == Fraction(1, 4)
+        assert prob_l(1) == Fraction(1, 2)
+        assert prob_l(3) == Fraction(1, 4)
 
     @given(cl=counts)
     def test_both_are_probabilities(self, cl):
         assert 0 <= prob_w(cl, PARAMS) <= 1
-        assert 0 < prob_l(cl, PARAMS) <= 1
+        assert 0 < prob_l(cl) <= 1
 
     @given(cl=counts)
     def test_monotonicities(self, cl):
         assert prob_w(cl + 1, PARAMS) >= prob_w(cl, PARAMS)
-        assert prob_l(cl + 1, PARAMS) <= prob_l(cl, PARAMS)
+        assert prob_l(cl + 1) <= prob_l(cl)
 
 
 class _ConstantRng:
@@ -173,14 +173,30 @@ class TestComputeFairnessFactors:
     def test_round_one_everyone_absent(self):
         records = {0: ParticipantRecord(), 1: ParticipantRecord()}
         rng = _ConstantRng(0.5)
-        out = compute_fairness_factors(records, [0, 1], {}, self.MEANS, PARAMS, rng)
+        out = compute_fairness_factors(records, [0, 1], self.MEANS, PARAMS, rng)
         assert out.factors == {0: 0, 1: 0}
         assert out.applied_branch == {0: "none", 1: "none"}
         assert rng.draws == 2
 
+    def test_previous_outcome_is_read_from_the_record(self):
+        # No round played: new, whatever the history says.  A losing streak:
+        # lost.  Any other record with a round played is won, one with
+        # losses and no wins included: the rule reads only the counts.
+        records = {
+            0: ParticipantRecord(price_history=((Fraction(100), Fraction(100)),)),
+            1: ParticipantRecord(wins=2, losses=1, consecutive_losses=1),
+            2: ParticipantRecord(wins=0, losses=3, consecutive_losses=0),
+            3: ParticipantRecord(wins=1),
+        }
+        rng = _ConstantRng(0.0)
+        out = compute_fairness_factors(records, [0, 1, 2, 3], self.MEANS, PARAMS, rng)
+        assert out.applied_branch == {0: "none", 1: "reward", 2: "penalty", 3: "penalty"}
+        assert out.factors[1] == fun_w(1, Fraction(1), 1, PARAMS)
+        assert out.factors[2] == fun_l(0, Fraction(1), 0, PARAMS)
+
     def test_saturated_loser_rewarded_regardless_of_draw(self):
         out = compute_fairness_factors(
-            self.records(), [0], {0: "lost"}, self.MEANS, PARAMS, _ConstantRng(0.99)
+            self.records(), [0], self.MEANS, PARAMS, _ConstantRng(0.99)
         )
         # prob_w(6) = 1, so even a 0.99 draw takes the reward branch.
         assert out.applied_branch[0] == "reward"
@@ -188,7 +204,7 @@ class TestComputeFairnessFactors:
 
     def test_fresh_winner_always_penalized(self):
         out = compute_fairness_factors(
-            self.records(), [1], {1: "won"}, self.MEANS, PARAMS, _ConstantRng(0.3)
+            self.records(), [1], self.MEANS, PARAMS, _ConstantRng(0.3)
         )
         # prob_l(0) = 1: the penalty branch is certain right after a win.
         assert out.applied_branch[1] == "penalty"
@@ -197,30 +213,23 @@ class TestComputeFairnessFactors:
 
     def test_failed_draw_leaves_factor_zero(self):
         records = {0: ParticipantRecord(losses=1, consecutive_losses=1)}
-        out = compute_fairness_factors(
-            records, [0], {0: "lost"}, self.MEANS, PARAMS, _ConstantRng(0.9)
-        )
+        out = compute_fairness_factors(records, [0], self.MEANS, PARAMS, _ConstantRng(0.9))
         # prob_w(1) = 2/7 < 0.9: no intervention this round.
         assert out.factors[0] == 0 and out.applied_branch[0] == "none"
 
     def test_one_draw_per_participant_in_id_order(self):
         rng = _ConstantRng(0.5)
-        compute_fairness_factors(
-            self.records(), [2, 0, 1], {0: "lost", 1: "won"}, self.MEANS, PARAMS, rng
-        )
+        compute_fairness_factors(self.records(), [2, 0, 1], self.MEANS, PARAMS, rng)
         assert rng.draws == 3
 
     def test_missing_record_names_the_consumer(self):
         with pytest.raises(ValueError, match="consumer 7"):
-            compute_fairness_factors({}, [7], {}, self.MEANS, PARAMS, _ConstantRng(0.5))
+            compute_fairness_factors({}, [7], self.MEANS, PARAMS, _ConstantRng(0.5))
 
     def test_deterministic_given_seed(self):
         def run():
             rng = np.random.default_rng(1234)
-            return compute_fairness_factors(
-                self.records(), [0, 1, 2], {0: "lost", 1: "won"},
-                self.MEANS, PARAMS, rng,
-            )
+            return compute_fairness_factors(self.records(), [0, 1, 2], self.MEANS, PARAMS, rng)
 
         assert run() == run()
 
@@ -269,12 +278,17 @@ EDGE_RATIOS = (
     Fraction(1, 10), Fraction(1, 10) - Fraction(1, 997), Fraction(1, 10) + Fraction(1, 997),
     Fraction(10), Fraction(10) - Fraction(1, 997), Fraction(10) + Fraction(1, 997), Fraction(1),
 )
-# Draws exactly on probability thresholds (0.5 is prob_w(2) at max_losses 5,
-# and prob_l(1)), floats just off them, and arbitrary floats.
+# Draws exactly on probability thresholds (0.5 is prob_w(2) at max_losses 5),
+# floats just off them, and arbitrary floats.
 draw_st = st.one_of(
     st.sampled_from([0.0, 0.5, 0.25, 0.75, 1 / 3, 2 / 3, 1 / 7, 0.2, 0.125]),
     st.floats(min_value=0, max_value=1, exclude_max=True),
 )
+
+
+# A record's previous outcome is read from it: new (no round played), lost
+# (on a losing streak) or won (any other record with a round played).
+RECORD_KINDS = ("new", "lost", "won")
 
 
 @st.composite
@@ -283,11 +297,19 @@ def fairness_round(draw):
     means = draw(st.lists(means_st, min_size=L, max_size=L))
     params = draw(params_st)
     n = draw(st.integers(1, 8))
-    records, outcomes = {}, {}
+    records = {}
     for cid in range(n):
-        losses = draw(st.integers(0, 12))
+        kind = draw(st.sampled_from(RECORD_KINDS))
+        wins = losses = streak = 0
+        if kind == "lost":
+            wins, losses = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+            streak = draw(st.integers(1, losses))
+        elif kind == "won":
+            wins, losses = draw(
+                st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda c: sum(c))
+            )
         history = ()
-        if draw(st.booleans()) or losses:
+        if kind != "new" or draw(st.booleans()):
             if draw(st.booleans()):
                 ratio = draw(st.sampled_from(EDGE_RATIOS))
                 last = tuple(m * ratio for m in means)
@@ -300,26 +322,22 @@ def fairness_round(draw):
                 )
             history = (last,)
         records[cid] = ParticipantRecord(
-            wins=draw(st.integers(0, 12)),
-            losses=losses,
-            consecutive_losses=draw(st.integers(0, losses)),
-            price_history=history,
+            wins=wins, losses=losses, consecutive_losses=streak, price_history=history
         )
-        outcomes[cid] = draw(st.sampled_from(["lost", "won", "absent"]))
     draws = draw(st.lists(draw_st, min_size=n, max_size=n))
-    return records, outcomes, means, params, draws
+    return records, means, params, draws
 
 
 class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(case=fairness_round())
     def test_factors_and_branches_equal_the_fraction_reference(self, case):
-        records, outcomes, means, params, draws = case
+        records, means, params, draws = case
         participants = list(records)[::-1]
         rng, reference_rng = _SequenceRng(draws), _SequenceRng(draws)
-        out = compute_fairness_factors(records, participants, outcomes, means, params, rng)
+        out = compute_fairness_factors(records, participants, means, params, rng)
         factors, branches = reference_fairness_factors(
-            records, participants, outcomes, means, params, reference_rng
+            records, participants, means, params, reference_rng
         )
         assert out.factors == factors
         assert out.applied_branch == branches
@@ -339,20 +357,20 @@ class TestAgainstReference:
         if eval != 0:
             assert fun_l(count, eval, cl, params) == reference_fun_l(count, eval, cl, params)
         assert prob_w(cl, params) == reference_prob_w(cl, params)
-        assert prob_l(cl, params) == reference_prob_l(cl, params)
+        assert prob_l(cl) == reference_prob_l(cl)
 
     def test_draw_exactly_on_the_threshold_fails(self):
         params = FairnessParams(max_losses=5)
         records = {
             0: ParticipantRecord(losses=2, consecutive_losses=2, price_history=((Fraction(1),),)),
-            1: ParticipantRecord(wins=1, losses=1, consecutive_losses=1, price_history=((Fraction(1),),)),
+            1: ParticipantRecord(wins=1, losses=1, consecutive_losses=0, price_history=((Fraction(1),),)),
         }
-        outcomes = {0: "lost", 1: "won"}
-        # prob_w(2) = 3/6 and prob_l(1) = 1/2: a draw of 0.5 is not below either.
-        out = compute_fairness_factors(records, [0, 1], outcomes, (1,), params, _ConstantRng(0.5))
-        assert out.applied_branch == {0: "none", 1: "none"}
+        # prob_w(2) = 3/6: a draw of 0.5 is not below it.  Consumer 1 won, so
+        # their streak is 0 and prob_l(0) = 1: every draw is below it.
+        out = compute_fairness_factors(records, [0, 1], (1,), params, _ConstantRng(0.5))
+        assert out.applied_branch == {0: "none", 1: "penalty"}
         below = compute_fairness_factors(
-            records, [0, 1], outcomes, (1,), params, _ConstantRng(0.49999999999999994)
+            records, [0, 1], (1,), params, _ConstantRng(0.49999999999999994)
         )
         assert below.applied_branch == {0: "reward", 1: "penalty"}
 
@@ -362,9 +380,9 @@ class TestMarketMeanValidation:
 
     def test_non_positive_mean_accepted_when_nobody_is_evaluated(self):
         # prob_w(1) = 2/7 < 0.9: the loser's draw fails, so nobody is evaluated.
-        for outcomes in ({0: "lost"}, {0: "absent"}, {}):
+        for records in (self.LOSER, {0: ParticipantRecord()}):
             out = compute_fairness_factors(
-                self.LOSER, [0], outcomes, (Fraction(0),), PARAMS, _ConstantRng(0.9)
+                records, [0], (Fraction(0),), PARAMS, _ConstantRng(0.9)
             )
             assert out.factors == {0: 0} and out.applied_branch == {0: "none"}
 
@@ -373,6 +391,6 @@ class TestMarketMeanValidation:
             ValueError, match=r"market mean price for resource type 1 must be positive, got -1/2"
         ):
             compute_fairness_factors(
-                self.LOSER, [0], {0: "lost"}, (Fraction(1), Fraction(-1, 2)), PARAMS,
+                self.LOSER, [0], (Fraction(1), Fraction(-1, 2)), PARAMS,
                 _ConstantRng(0.0),
             )

@@ -1,6 +1,7 @@
 """Metric formulas, aggregation, and deterministic emission."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -244,6 +245,27 @@ class TestEmit:
         payload["per_run"] = edit(payload["per_run"])
         with pytest.raises(ValueError, match=message):
             parse_report(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [pytest.param(lambda rows: rows + rows[-1:], "run 0: round 3 where round 4 belongs",
+                      id="duplicated"),
+         pytest.param(lambda rows: rows[:1] + rows[2:], "run 0: round 3 where round 2 belongs",
+                      id="skipped")],
+    )
+    def test_each_run_holds_rounds_one_to_n_once(self, tmp_path, edit, message):
+        rows = edit(tuple(make_row(r, total_utility=r, utilization=10.0 * r) for r in (1, 2, 3)))
+        # The per_run row the edited rows sum to: with no drops, their round
+        # numbers do not enter it, so it equals that of the rows numbered 1..n.
+        numbered = [replace(row, round=r) for r, row in enumerate(rows, 1)]
+        payload = json.loads(report_to_json(SimulationReport(per_round=numbered)))
+        for row, json_row in zip(rows, payload["per_round"]):
+            json_row["round"] = row.round
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_report(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            emit(SimulationReport(per_round=rows), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_falling_cumulative_drops_refuse_to_emit(self, tmp_path):
         report = tiny_report()

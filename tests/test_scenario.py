@@ -110,7 +110,7 @@ class TestScenarioConfig:
             consumer_quantity_range=(1, qhi),
             provider_quantity_range=(1, qhi),
         )
-        assert len(generate_consumer_bids(config, rng(), 1)) == N
+        assert len(generate_consumer_bids(config, rng())) == N
         assert len(generate_provider_bids(config, rng())) == M
 
     def test_negative_drift_rejected(self):
@@ -140,7 +140,7 @@ class TestProviderBids:
 class TestConsumerBids:
     def test_round_one_ranges(self):
         config = small_config()
-        bids = generate_consumer_bids(config, rng(), round_index=1)
+        bids = generate_consumer_bids(config, rng())
         assert len(bids) == 12
         for bid in bids:
             assert all(q in (1, 2, 3) for q in bid.quantities)
@@ -150,55 +150,43 @@ class TestConsumerBids:
         config = small_config()
         previous = {n: (Fraction(250), Fraction(250)) for n in range(12)}
         for seed in range(5):
-            bids = generate_consumer_bids(config, rng(seed), 2, previous)
+            bids = generate_consumer_bids(config, rng(seed), previous)
             for bid in bids:
                 assert all(Fraction(225) <= p <= Fraction(250) for p in bid.unit_prices)
 
     def test_zero_drift_freezes_prices(self):
         config = small_config(price_drift=0)
         previous = {n: (Fraction(150), Fraction(17999, 100)) for n in range(12)}
-        bids = generate_consumer_bids(config, rng(), 2, previous)
+        bids = generate_consumer_bids(config, rng(), previous)
         for n, bid in enumerate(bids):
             assert bid.unit_prices == previous[n]
-
-    def test_previous_prices_required_after_round_one(self):
-        config = small_config()
-        with pytest.raises(ValueError, match="previous"):
-            generate_consumer_bids(config, rng(), 2, None)
-
-    def test_previous_prices_forbidden_in_round_one(self):
-        config = small_config()
-        with pytest.raises(ValueError, match="round 1"):
-            generate_consumer_bids(config, rng(), 1, {0: (Fraction(100), Fraction(100))})
 
     def test_missing_consumer_in_previous_prices(self):
         config = small_config()
         previous = {n: (Fraction(150), Fraction(150)) for n in range(11)}
         with pytest.raises(ValueError, match="consumer 11"):
-            generate_consumer_bids(config, rng(), 2, previous)
+            generate_consumer_bids(config, rng(), previous)
 
     def test_wrong_length_previous_prices(self):
         config = small_config()
         previous = {n: (Fraction(150), Fraction(150)) for n in range(12)}
         previous[5] = (Fraction(150),)
         with pytest.raises(ValueError, match="consumer 5: previous prices cover 1 types, expected 2"):
-            generate_consumer_bids(config, rng(), 2, previous)
+            generate_consumer_bids(config, rng(), previous)
 
     def test_fixed_seed_reproduces_bids(self):
         config = small_config()
-        assert generate_consumer_bids(config, rng(9), 1) == generate_consumer_bids(
-            config, rng(9), 1
-        )
+        assert generate_consumer_bids(config, rng(9)) == generate_consumer_bids(config, rng(9))
 
     def test_zero_quantity_floor_still_requests_something(self):
         config = small_config(consumer_quantity_range=(0, 1))
-        bids = generate_consumer_bids(config, rng(3), 1)
+        bids = generate_consumer_bids(config, rng(3))
         for bid in bids:
             assert any(q >= 1 for q in bid.quantities)
 
     def test_prices_live_on_the_cent_grid(self):
         config = small_config()
-        bids = generate_consumer_bids(config, rng(4), 1)
+        bids = generate_consumer_bids(config, rng(4))
         for bid in bids:
             for p in bid.unit_prices:
                 assert (p * 100).denominator == 1
@@ -211,7 +199,7 @@ def test_default_round_one_markets_are_non_degenerate():
     for seed in range(10):
         generator = rng(seed)
         providers = generate_provider_bids(config, generator)
-        consumers = generate_consumer_bids(config, generator, 1)
+        consumers = generate_consumer_bids(config, generator)
         assert any(
             c.unit_prices[l] >= p.unit_prices[l]
             for c in consumers
@@ -286,8 +274,8 @@ class TestAgainstReference:
         ]
         assert lo.dtype == hi.dtype == np.int64
         assert [list(zip(a, b)) for a, b in zip(lo.tolist(), hi.tolist())] == expected
-        bids = generate_consumer_bids(config, rng(seed), 2, previous)
-        assert bids == reference_consumer_bids(config, rng(seed), 2, previous)
+        bids = generate_consumer_bids(config, rng(seed), previous)
+        assert bids == reference_consumer_bids(config, rng(seed), previous)
         _assert_same_as_validated(bids)
 
     @settings(max_examples=50, deadline=None)
@@ -298,8 +286,8 @@ class TestAgainstReference:
         providers = generate_provider_bids(config, generator)
         assert providers == reference_provider_bids(config, reference)
         _assert_same_as_validated(providers)
-        bids = generate_consumer_bids(config, generator, 1)
-        assert bids == reference_consumer_bids(config, reference, 1)
+        bids = generate_consumer_bids(config, generator)
+        assert bids == reference_consumer_bids(config, reference)
         _assert_same_as_validated(bids)
 
     def test_half_cent_previous_prices_snap_half_to_even(self):

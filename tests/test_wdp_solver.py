@@ -82,7 +82,7 @@ class TestWdpInstance:
         config = ScenarioConfig(shape=MarketShape(40, 3, 2), runs=1)
         for _ in range(3):
             inst = WdpInstance.from_bids(
-                generate_consumer_bids(config, rng, 1),
+                generate_consumer_bids(config, rng),
                 generate_provider_bids(config, rng),
             )
             assert inst._scaled.consumer_prices.dtype == np.int64
@@ -183,7 +183,7 @@ def generated_instance(seed, **scenario):
     config = ScenarioConfig(shape=MarketShape(40, 4, 3), runs=1, **scenario)
     rng = np.random.default_rng(seed)
     return WdpInstance.from_bids(
-        generate_consumer_bids(config, rng, 1), generate_provider_bids(config, rng)
+        generate_consumer_bids(config, rng), generate_provider_bids(config, rng)
     )
 
 
@@ -571,7 +571,7 @@ class TestHeuristicMatchesScalarReference:
                 shape=MarketShape(*shape), runs=1, provider_quantity_range=(5, 30)
             )
             for _ in range(3):
-                bids = generate_consumer_bids(config, rng, 1)
+                bids = generate_consumer_bids(config, rng)
                 factors = rng.integers(-4000, 4000, size=len(bids))
                 inst = WdpInstance.from_bids(
                     [
