@@ -10,6 +10,7 @@ losers are boosted before they abandon the market.
 from .engine import (
     EngineConfig,
     Repository,
+    RoundResult,
     repository_from_json,
     repository_to_json,
     run_round,
@@ -44,7 +45,6 @@ from .model import (
     ParticipantRecord,
     PriceVector,
     ProviderBid,
-    RoundResult,
     as_money,
     budget,
 )

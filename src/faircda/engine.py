@@ -2,17 +2,16 @@
 
 Each round: collect bids, extend consumer bids with fairness factors (zero
 in the baseline model or in round one), determine winners, settle at
-midpoint prices, and record who won, who lost, and who dropped out.  The
-repository of participation records evolves as a pure fold over round
-results alone: each result names its participants and their offered
-prices.  A run keeps no round log; each round is folded into the
-repository and into its report row as soon as it clears; the report
-derives the per-run metrics from those rows.
+midpoint prices, and record who dropped out.  A :class:`RoundResult` keeps
+the cleared instance and its solution, and the repository of
+participation records evolves as a pure fold over those results alone, so
+a round's bids and outcomes cannot disagree.  A run keeps no round log;
+each round is folded into the repository and into its report row as soon
+as it clears; the report derives the per-run metrics from those rows.
 
 Prices stay the bids' :class:`~faircda.model.PriceVector`s through a round:
-the market mean prices are sums of their integers, the offered prices and
-the repository's history hold the same vectors, and the repository
-snapshot formats them from their integers.
+the market mean prices are sums of their integers, the repository's
+history holds the bids' vectors, and its snapshot formats their integers.
 
 Randomness is split into two independent streams per run — one for bid
 generation, one for fairness draws — both derived deterministically from
@@ -42,18 +41,18 @@ from .model import (
     ParticipantRecord,
     PriceVector,
     ProviderBid,
-    RoundResult,
     _check_count,
     _json_value,
     _unchecked,
     price_rows,
 )
-from .pricing import settle
+from .pricing import Settlement, settle
 from .scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from .wdp_solver import (
     ORACLE_MAX_CONSUMERS,
     SolverLimits,
     WdpInstance,
+    WdpSolution,
     solve_exact,
     solve_heuristic,
     solve_oracle,
@@ -62,6 +61,7 @@ from .wdp_solver import (
 __all__ = [
     "Repository",
     "EngineConfig",
+    "RoundResult",
     "run_round",
     "update_repository",
     "run_simulation",
@@ -129,6 +129,46 @@ class EngineConfig:
         _check_count(self.master_seed, "master_seed")
 
 
+@dataclass(frozen=True)
+class RoundResult:
+    """One cleared round: the ``instance`` solved, its ``solution``, the
+    exact ``settlement`` (payments equal receipts) and the drops.
+
+    Every other fact is read from the instance and the solution by position:
+    ``instance.consumer_bids[n]`` won iff ``solution.allocation.winners[n]``.
+    The constructor rejects a solution without one winner entry per consumer
+    bid, and a market that offers no units (its utilization is undefined).
+    """
+
+    round_index: int
+    instance: WdpInstance
+    solution: WdpSolution
+    settlement: Settlement
+    drops_this_round: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        entries, bids = len(self.solution.allocation.winners), self.instance.shape.num_consumers
+        if entries != bids:
+            raise ValueError(f"the solution has {entries} winner entries for {bids} consumer bids")
+        self.utilization_percent  # raises for a market that offers no units
+
+    @property
+    def winner_ids(self) -> tuple[int, ...]:
+        winners = self.solution.allocation.winners
+        return tuple(ext.consumer_id for ext, won in zip(self.instance.consumer_bids, winners) if won)
+
+    @property
+    def utilization_percent(self) -> float:
+        offered = metrics.units_offered(self.instance.provider_bids)
+        return metrics.utilization_from_units(self.solution.allocation.units_sold(), offered)
+
+    @property
+    def win_percent(self) -> float:
+        """Winners per consumer bid, in percent; 0 for a round without bids."""
+        winners = self.solution.allocation.winners
+        return metrics.win_rate_percent(sum(winners), len(winners)) if winners else 0.0
+
+
 def _market_mean_prices(consumer_bids: Sequence[ConsumerBid]) -> list[Money]:
     """Per type, the mean offered unit price, summed exactly over one denominator."""
     D, rows = price_rows([bid.unit_prices for bid in consumer_bids])
@@ -147,8 +187,9 @@ def run_round(
     Fairness factors are all zero when fairness is disabled (and in round
     one, when nobody has history).  ``rng`` feeds only the fairness draws.
     Bids from dropped consumers, and two bids from one consumer, are
-    rejected.  With no participants at all the round degenerates to an
-    empty clearing with a winning rate of zero.
+    rejected, as is a market whose providers offer no units.  With no
+    participants at all the round degenerates to an empty clearing with a
+    winning rate of zero.
     """
     round_index = repo.round_counter + 1
     consumer_bids = sorted(consumer_bids, key=lambda b: b.consumer_id)
@@ -175,34 +216,17 @@ def run_round(
     ]
     instance = WdpInstance.from_bids(ext_bids, provider_bids)
     solution = _SOLVERS[config.solver_mode](instance, config.solver_limits)
-
-    winner_ids = {
-        bid.consumer_id
-        for bid, won in zip(consumer_bids, solution.allocation.winners)
-        if won
-    }
     drops = tuple(
-        cid
-        for cid in participants
-        if cid not in winner_ids and repo.record(cid).consecutive_losses >= params.max_losses
+        b.consumer_id
+        for b, won in zip(consumer_bids, solution.allocation.winners)
+        if not won and repo.record(b.consumer_id).consecutive_losses >= params.max_losses
     )
-    win_rate = (
-        metrics.win_rate_percent(len(winner_ids), len(participants)) if participants else 0.0
-    )
-    # Unchecked: the offered prices are bid unit prices, which ConsumerBid checked.
-    return _unchecked(
-        RoundResult,
+    return RoundResult(
         round_index=round_index,
-        allocation=solution.allocation,
+        instance=instance,
+        solution=solution,
         settlement=settle(instance, solution.allocation),
-        total_utility=solution.total_utility,
-        total_satisfaction=solution.total_satisfaction,
-        utilization_percent=metrics.utilization_from_units(
-            solution.allocation.units_sold(), metrics.units_offered(provider_bids)
-        ),
-        win_percent=win_rate,
         drops_this_round=drops,
-        offered_prices={b.consumer_id: b.unit_prices for b in consumer_bids},
     )
 
 
@@ -210,21 +234,21 @@ def update_repository(repo: Repository, result: RoundResult) -> Repository:
     """Fold one round result into the repository, returning the successor.
 
     The result alone drives the fold: its participants are the consumers
-    in ``result.offered_prices``.  Winners gain a win and reset their
-    streak; losers gain a loss and extend it; everyone's offered prices are
-    appended to their history, unchecked (the result validated them when it
-    was built); consumers listed in
-    ``result.drops_this_round`` are marked dropped at this round.
+    of ``result.instance``, each won or lost by position in the solution's
+    winner vector.  Winners gain a win and reset their streak; losers gain
+    a loss and extend it; everyone's bid unit prices are appended to their
+    history, unchecked (:class:`~faircda.model.ConsumerBid` checked them);
+    consumers listed in ``result.drops_this_round`` are marked dropped at
+    this round.
     """
     if result.round_index != repo.round_counter + 1:
         raise ValueError(
             f"round result {result.round_index} cannot follow round {repo.round_counter}"
         )
-    winner_ids = set(result.winner_ids)
     records = dict(repo.records)
-    for cid in result.participant_ids:
-        rec = records.get(cid) or ParticipantRecord()
-        records[cid] = rec._appended(cid in winner_ids, result.offered_prices[cid])
+    for ext, won in zip(result.instance.consumer_bids, result.solution.allocation.winners):
+        rec = records.get(ext.consumer_id) or ParticipantRecord()
+        records[ext.consumer_id] = rec._appended(won, ext.bid.unit_prices)
     for cid in result.drops_this_round:
         records[cid] = records[cid].marked_dropped(result.round_index)
     return Repository(records=records, round_counter=result.round_index)
@@ -256,8 +280,8 @@ def _simulate_one_run(
             metrics.PerRoundRow(
                 run=run_index,
                 round=result.round_index,
-                total_utility=result.total_utility,
-                total_satisfaction=result.total_satisfaction,
+                total_utility=result.solution.total_utility,
+                total_satisfaction=result.solution.total_satisfaction,
                 utilization_percent=result.utilization_percent,
                 win_percent=result.win_percent,
                 cumulative_drops=drops,
@@ -373,11 +397,14 @@ def repository_from_dict(payload: Mapping) -> Repository:
     for cid, fields in _json_value(payload["records"], "records").items():
         fields = _json_value(fields, f"record {cid}", keys=(*_RECORD_COUNTS, "price_history"))
         history = _json_value(fields["price_history"], "price_history", list)
-        # ParticipantRecord converts each price once, with as_money: 0.1 loads as 1/10.
+        # Only str(id) itself: "03" or " 3" would merge with "3" into one record.
         try:
             consumer_id = int(cid)
+            if str(consumer_id) != cid:
+                raise ValueError
         except (TypeError, ValueError):
-            raise ValueError(f"records key must be an integer consumer id, got {cid!r}") from None
+            raise ValueError(f"records key must be a consumer id as str(id), got {cid!r}") from None
+        # ParticipantRecord converts each price once, with as_money: 0.1 loads as 1/10.
         records[consumer_id] = ParticipantRecord(
             **{name: fields[name] for name in _RECORD_COUNTS},
             price_history=[_json_value(e, "price history entry", list) for e in history],

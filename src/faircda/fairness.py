@@ -1,11 +1,14 @@
 """Per-consumer fairness factors from participation history.
 
 A consumer who lost the previous round may receive a positive reward factor
-(more likely the longer their losing streak); a consumer who won may receive
-a negative penalty factor (more likely the shorter their streak).  The
-factor is added to the winner-determination objective when that consumer
-wins, so rewards pull persistent losers back into the market and penalties
-throttle serial winners.
+(more likely the longer their losing streak); a consumer who won receives a
+negative penalty factor.  The factor is added to the winner-determination
+objective when that consumer wins, so rewards pull persistent losers back
+into the market and penalties throttle serial winners.  A previous-round
+winner's losing streak has just reset to 0, so the penalty applies with
+certainty (``prob_l(0) = 1``) and :func:`fun_l` divides by 1: the streak
+dependence of :func:`prob_l` and :func:`fun_l` is reached only by calling
+them directly.
 
 The history is the repository's participation records alone: a
 consumer's previous-round outcome is read from their record (new, lost or
@@ -68,9 +71,6 @@ class FairnessOutcome:
                 raise ValueError(f"consumer {cid}: penalty branch with factor {factor} >= 0")
             if branch == "none" and factor != 0:
                 raise ValueError(f"consumer {cid}: no branch applied but factor is {factor}")
-
-    def factor(self, consumer_id: int) -> Money:
-        return self.factors.get(consumer_id, _ZERO)
 
 
 def _market_scale(market_mean_prices: Sequence[Money]) -> tuple[list[int], int]:
@@ -181,9 +181,9 @@ def prob_w(cl: int, params: FairnessParams) -> Fraction:
 def prob_l(cl: int) -> Fraction:
     """Probability of penalizing a winner with streak ``cl``.
 
-    ``1 / (cl + 1)``: certain for a consumer with no losing streak (the
-    usual case right after a win, when the streak has just reset) and
-    fading with streak length.
+    ``1 / (cl + 1)``: certain for a consumer with no losing streak, which
+    every previous-round winner is (the streak resets on a win), and
+    fading with streak length, which only direct calls reach.
     """
     return Fraction(*_penalty_odds(cl))
 
@@ -202,7 +202,9 @@ def compute_fairness_factors(
     from their record: active consumers bid every round, so a record with no
     wins and no losses is new (factor 0, branch "none", as for everyone in
     round one), a positive losing streak means they lost the previous round,
-    and any other record means they won it.  Exactly one uniform draw is
+    and any other record means they won it.  A winner's streak is therefore
+    always 0: the penalty applies with certainty (``prob_l(0) = 1``) and
+    :func:`fun_l` divides by 1.  Exactly one uniform draw is
     consumed per participant, in ascending consumer-id order, regardless of
     which branch applies — so the random trace depends only on the
     participant set, never on outcomes.

@@ -219,7 +219,8 @@ def parse_report(text: str) -> SimulationReport:
         for cls, rows in ((PerRoundRow, rounds), (RunMetrics, runs))
     )
     report = SimulationReport(
-        per_round=per_round, config_echo=payload["config"], final_repositories=repositories
+        per_round=per_round, config_echo=_json_value(payload["config"], "config"),
+        final_repositories=repositories,
     )
     for got, want in zip_longest(sorted(per_run, key=lambda r: r.run), report.per_run):
         if got is None or want is None or got.run != want.run:

@@ -19,14 +19,11 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence as _SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .pricing import Settlement
 
 Money = Fraction
 
@@ -41,7 +38,6 @@ __all__ = [
     "ParticipantRecord",
     "FairnessParams",
     "Allocation",
-    "RoundResult",
     "budget",
 ]
 
@@ -249,7 +245,7 @@ def _unchecked(cls, **fields):
 def _money_tuple(values: Sequence, what: str) -> PriceVector:
     """``values`` as a :class:`PriceVector` of non-negative money; a vector
     is returned as it is once its sign is checked.  The one price check of
-    bids, history entries and offered prices."""
+    bids and history entries."""
     try:
         vector = PriceVector(values)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -382,8 +378,9 @@ class ParticipantRecord:
     History is validated on entry: the constructor checks every entry it is
     given, while :meth:`after_win` and :meth:`after_loss` check only the
     entry they append, because the entries already held passed that check
-    when they entered; the fold appends a :class:`RoundResult`'s offered
-    prices unchecked.  A run validates each entry once, not once per round.
+    when they entered; the fold appends each bid's unit prices unchecked,
+    since :class:`ConsumerBid` checked them.  A run validates each entry
+    once, not once per round.
     """
 
     wins: int = 0
@@ -522,47 +519,6 @@ class Allocation:
         )
 
     __hash__ = None
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Everything that happened in one auction round.
-
-    Payments and receipts are read from ``settlement`` and are exact;
-    ``settlement.total_payments() == settlement.total_receipts()`` holds as an
-    equality (the auctioneer keeps nothing).  ``offered_prices``
-    (validated here) records each participant's per-type bid prices so that
-    repository evolution is replayable from the round log alone.
-    """
-
-    round_index: int
-    allocation: Allocation
-    settlement: Settlement
-    total_utility: Money
-    total_satisfaction: Money
-    utilization_percent: float
-    win_percent: float
-    drops_this_round: tuple[int, ...] = ()
-    offered_prices: Mapping[int, PriceVector] = field(default_factory=dict)
-
-    def __post_init__(self):
-        items = self.offered_prices.items()
-        checked = {k: _money_tuple(v, f"offered_prices[{k!r}]") for k, v in items}
-        object.__setattr__(self, "offered_prices", checked)
-
-    @property
-    def participant_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.offered_prices))
-
-    @property
-    def winner_ids(self) -> tuple[int, ...]:
-        ids = self.participant_ids
-        if len(ids) != len(self.allocation.winners):
-            raise ValueError(
-                "offered_prices does not cover the allocation's consumers; "
-                "winner ids cannot be recovered"
-            )
-        return tuple(cid for cid, won in zip(ids, self.allocation.winners) if won)
 
 
 def budget(bid: ConsumerBid) -> Money:

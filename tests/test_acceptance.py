@@ -22,11 +22,12 @@ from faircda.cli import main, random_micro_instance, run_validation_corpus
 from faircda.engine import (
     EngineConfig,
     Repository,
+    RoundResult,
     run_round,
     update_repository,
 )
 from faircda.metrics import PerRoundRow, RunMetrics, aggregate
-from faircda.model import Allocation, MarketShape, RoundResult
+from faircda.model import Allocation, MarketShape
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from faircda.wdp_solver import (
     WdpInstance,
@@ -86,7 +87,7 @@ def simulate_arm(seed: int, fairness_enabled: bool, check_invariants: bool) -> A
         rounds.append(result)
     drops = itertools.accumulate(len(r.drops_this_round) for r in rounds)
     rows = [
-        PerRoundRow(seed, r.round_index, r.total_utility, r.total_satisfaction,
+        PerRoundRow(seed, r.round_index, r.solution.total_utility, r.solution.total_satisfaction,
                     r.utilization_percent, r.win_percent, cumulative)
         for r, cumulative in zip(rounds, drops)
     ]
@@ -95,7 +96,7 @@ def simulate_arm(seed: int, fairness_enabled: bool, check_invariants: bool) -> A
     return ArmResult(
         metrics=run_metrics,
         rounds=rounds,
-        first_allocation=rounds[0].allocation,
+        first_allocation=rounds[0].solution.allocation,
     )
 
 
@@ -114,7 +115,7 @@ def _check_round_invariants(consumer_bids, provider_bids, result: RoundResult) -
         consumer_bids, provider_bids,
         num_resource_types=SCALED_SCENARIO.shape.num_resource_types,
     )
-    violations = validate_solution(instance, result.allocation)
+    violations = validate_solution(instance, result.solution.allocation)
     assert violations == [], f"round {result.round_index}: {violations}"
 
 
@@ -289,7 +290,7 @@ def test_criterion_10_round_one_equivalence(scaled_comparison):
         for s in SEEDS
     )
     satisfaction_zero = all(
-        arms[s]["fairness"].rounds[0].total_satisfaction == 0 for s in SEEDS
+        arms[s]["fairness"].rounds[0].solution.total_satisfaction == 0 for s in SEEDS
     )
     criterion(
         10,

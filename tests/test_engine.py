@@ -1,5 +1,6 @@
 """Round orchestration, repository evolution, and full simulations."""
 
+import dataclasses
 import json
 import weakref
 from fractions import Fraction
@@ -12,6 +13,7 @@ from faircda import engine, model
 from faircda.engine import (
     EngineConfig,
     Repository,
+    RoundResult,
     check_solver_fits,
     repository_from_dict,
     repository_from_json,
@@ -27,11 +29,10 @@ from faircda.model import (
     MarketShape,
     ParticipantRecord,
     ProviderBid,
-    RoundResult,
 )
 from faircda.pricing import settle
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
-from faircda.wdp_solver import WdpInstance
+from faircda.wdp_solver import WdpInstance, WdpSolution, solve_heuristic
 
 
 def cbid(cid, price, quantity=1):
@@ -51,7 +52,7 @@ class TestRunRound:
         repo = Repository.fresh([0, 1])
         config = EngineConfig(fairness_enabled=False, rounds=1)
         result = run_round(repo, [cbid(0, 10), cbid(1, 8)], [pbid(0, 5, 5)], config, fairness_rng())
-        assert result.total_satisfaction == 0
+        assert result.solution.total_satisfaction == 0
 
     def test_round_one_identical_with_and_without_fairness(self):
         bids = [cbid(0, 10), cbid(1, 8)]
@@ -61,8 +62,8 @@ class TestRunRound:
             repo = Repository.fresh([0, 1])
             config = EngineConfig(fairness_enabled=enabled, rounds=1)
             results.append(run_round(repo, bids, offers, config, fairness_rng()))
-        assert results[0].allocation == results[1].allocation
-        assert results[0].total_satisfaction == results[1].total_satisfaction == 0
+        assert results[0].solution.allocation == results[1].solution.allocation
+        assert results[0].solution.total_satisfaction == results[1].solution.total_satisfaction == 0
 
     def test_single_trade_round_is_balanced(self):
         repo = Repository.fresh([0])
@@ -71,7 +72,7 @@ class TestRunRound:
         assert result.winner_ids == (0,)
         settlement = result.settlement
         assert settlement.consumer_payments[0] == settlement.provider_receipts[0] == 16
-        assert result.total_utility == 8
+        assert result.solution.total_utility == 8
         assert result.win_percent == 100.0
         assert result.utilization_percent == pytest.approx(100 * 2 / 3)
 
@@ -99,7 +100,7 @@ class TestRunRound:
         result = run_round(repo, [], [pbid(0, 5, 5)], config, fairness_rng())
         assert result.win_percent == 0.0
         assert result.utilization_percent == 0.0
-        assert result.total_utility == 0
+        assert result.solution.total_utility == 0
 
     def test_loser_on_the_brink_is_reported_dropped(self):
         # Consumer 1's offer beats no ask, so they lose; their streak is at
@@ -181,30 +182,53 @@ class TestUpdateRepository:
             update_repository(stale, result)
 
 
-def hand_built_result(offered_prices):
-    """A round-one result in which nobody trades, built through the public constructor."""
-    instance = WdpInstance.from_bids([cbid(0, 10), cbid(1, 8)], [pbid(0, 5, 0)])
-    allocation = Allocation.empty(instance.shape)
+def hand_built_result(consumer_bids, provider_bids):
+    """A round-one result, solved and built through the public constructor."""
+    instance = WdpInstance.from_bids(consumer_bids, provider_bids)
+    solution = solve_heuristic(instance)
     return RoundResult(
         round_index=1,
-        allocation=allocation,
-        settlement=settle(instance, allocation),
-        total_utility=Fraction(0),
-        total_satisfaction=Fraction(0),
-        utilization_percent=0.0,
-        win_percent=0.0,
-        offered_prices=offered_prices,
+        instance=instance,
+        solution=solution,
+        settlement=settle(instance, solution.allocation),
     )
 
 
-class TestOfferedPrices:
-    @pytest.mark.parametrize("bad", [(Fraction(-1),), ("x",), (None,)])
-    def test_bad_entry_is_rejected_at_construction_by_name(self, bad):
-        with pytest.raises(ValueError, match=r"offered_prices\[1\] must be"):
-            hand_built_result({0: (Fraction(3),), 1: bad})
+class TestRoundResult:
+    def test_fold_credits_the_win_to_the_consumer_charged(self):
+        # The instance lists consumer 1 first: the winner flags are read by
+        # the instance's bid order, not by sorted consumer id.
+        result = hand_built_result([cbid(1, 10), cbid(0, 8)], [pbid(0, 5, 1)])
+        assert result.solution.allocation.winners == (True, False)
+        assert result.settlement.consumer_payments == {1: Fraction(15, 2), 0: 0}
+        assert result.winner_ids == (1,)
+        assert result.win_percent == 50.0
+        repo = update_repository(Repository.fresh([0, 1]), result)
+        assert (repo.records[1].wins, repo.records[1].losses) == (1, 0)
+        assert (repo.records[0].wins, repo.records[0].losses) == (0, 1)
 
+    def test_solution_must_have_one_winner_entry_per_consumer(self):
+        result = hand_built_result([cbid(0, 10), cbid(1, 8)], [pbid(0, 5, 1)])
+        short = WdpSolution(
+            allocation=Allocation(winners=(True,), transfers=np.ones((1, 1, 1))),
+            total_utility=Fraction(5),
+            total_satisfaction=Fraction(0),
+            optimality="heuristic",
+        )
+        with pytest.raises(ValueError, match="1 winner entries for 2 consumer bids"):
+            dataclasses.replace(result, solution=short)
+
+    @pytest.mark.parametrize("provider_bids", [[], [pbid(0, 5, 0)]], ids=["none", "empty"])
+    def test_market_offering_no_units_is_rejected(self, provider_bids):
+        repo = Repository.fresh([0])
+        config = EngineConfig(rounds=1)
+        with pytest.raises(ValueError, match="utilization is undefined"):
+            run_round(repo, [cbid(0, 10)], provider_bids, config, fairness_rng())
+
+
+class TestOfferedPrices:
     def test_fold_stores_validated_fractions(self):
-        result = hand_built_result({0: (3,), 1: ("5/2",)})
+        result = hand_built_result([cbid(0, 3), cbid(1, "5/2")], [pbid(0, 5, 1)])
         repo = update_repository(Repository.fresh([0, 1]), result)
         assert repo.records[0].price_history == ((Fraction(3),),)
         assert repo.records[1].price_history == ((Fraction(5, 2),),)
@@ -432,9 +456,12 @@ class TestRepositorySerialization:
          (lambda p: p["records"].update({"3": 7}), "record 3"),
          (lambda p: p.update(records=[]), "records"),
          (lambda p: p.pop("round_counter"), "round_counter"),
-         (lambda p: p["records"].update(x=p["records"].pop("3")), "records key .*'x'")],
+         (lambda p: p["records"].update(x=p["records"].pop("3")), "records key .*'x'"),
+         # Not str(id): "03" would merge with "3" into one record, keeping the last read.
+         (lambda p: p["records"].update({"03": p["records"]["3"]}), "records key .*'03'"),
+         (lambda p: p["records"].update({" 3": p["records"].pop("3")}), "records key .*' 3'")],
         ids=["losses-missing", "history-5", "history-entry-5", "record-7", "records-array",
-             "round_counter-missing", "key-x"],
+             "round_counter-missing", "key-x", "key-03", "key-space-3"],
     )
     def test_malformed_record_rejected(self, malform, named):
         payload = self.payload([])

@@ -243,10 +243,6 @@ class TestFairnessOutcome:
         with pytest.raises(ValueError, match="no branch"):
             FairnessOutcome(factors={0: Fraction(1)}, applied_branch={0: "none"})
 
-    def test_missing_factor_defaults_to_zero(self):
-        out = FairnessOutcome(factors={}, applied_branch={0: "none"})
-        assert out.factor(0) == 0 and out.factor(99) == 0
-
 
 class _SequenceRng:
     """Stand-in random stream yielding given uniform values in order."""

@@ -187,6 +187,7 @@ class TestEmit:
          pytest.param(None, None, [], id="report-array"),
          pytest.param("per_run", None, 5, id="per_run-row-5"),
          pytest.param(None, "per_round", {}, id="per_round-object"),
+         pytest.param(None, "config", 5, id="config-5"),
          # Each repository snapshot is an object holding its two fields.
          pytest.param(None, "repositories", [5, "x"], id="repositories-entry-5"),
          pytest.param(None, "repositories", [{"records": {}}], id="repositories-entry-missing"),
