@@ -413,8 +413,8 @@ def repository_from_dict(payload: Mapping) -> Repository:
 
 
 def repository_to_json(repo: Repository) -> str:
-    """Repository snapshot as structured text, for resumable experiments."""
-    return json.dumps(repository_to_dict(repo), indent=2, sort_keys=True) + "\n"
+    """Repository snapshot in ``report.json``'s layout, for resumable experiments."""
+    return metrics._json_text(repository_to_dict(repo)) + "\n"
 
 
 def repository_from_json(text: str) -> Repository:

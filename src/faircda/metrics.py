@@ -12,7 +12,8 @@ emitted ``per_round.csv`` / ``per_run.csv`` with any plotting tool.
 Currency values are exact rationals internally and in ``report.json``
 (serialized as fraction strings); CSV cells hold their float values for
 plotting convenience.  Emission is deterministic: identical reports produce
-byte-identical files.
+byte-identical files.  ``report.json`` is ``json.dumps(…, indent=2,
+sort_keys=True)`` plus a newline, from the writer ``repository_to_json`` shares.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, zip_longest
+from itertools import chain, groupby, zip_longest
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Mapping, Optional, Sequence, get_type_hints
@@ -170,14 +172,42 @@ def _json_row(row) -> dict:
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(row).items()}
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, when
+    every object key is a string.  ``json`` runs its C encoder only without
+    ``indent``; here each list of strings, or of non-empty string lists (a
+    price history), goes to its C string encoder in one join."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(f"{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if kinds == {str}:
+        body = sep.join(map(_quote, value))
+    elif kinds <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) == {str}:
+        deeper = sep + "  "
+        body = sep.join(f"[\n{inner}  {deeper.join(map(_quote, v))}\n{inner}]" for v in value)
+    else:
+        body = sep.join(_json_text(v, inner) for v in value)
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def report_to_json(report: SimulationReport) -> str:
+    """``report.json``'s text: :func:`_json_text` of the report plus a newline."""
     payload = {
         "config": report.config_echo,
         "per_round": [_json_row(r) for r in report.per_round],
         "per_run": [_json_row(r) for r in report.per_run],
         "repositories": list(report.final_repositories),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text(payload) + "\n"
 
 
 def _load_field(name: str, kind, value):

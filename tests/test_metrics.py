@@ -6,6 +6,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faircda.metrics import (
     PER_ROUND_FIELDS,
@@ -13,6 +15,7 @@ from faircda.metrics import (
     PerRoundRow,
     RunMetrics,
     SimulationReport,
+    _json_text,
     aggregate,
     emit,
     parse_report,
@@ -303,3 +306,66 @@ class TestEmit:
             EngineConfig(rounds=4, master_seed=1),
         )
         assert parse_report(report_to_json(report)) == report
+
+
+# Characters the JSON string encoder escapes or that mark a layout: quotes,
+# backslashes, control characters, brackets, commas, and non-ASCII text.
+_json_strings = st.text(
+    st.one_of(st.sampled_from('"\\[],:\n\t\x00\x1f\x7f é€😀'), st.characters()), max_size=6
+)
+_json_scalars = st.one_of(
+    _json_strings,
+    st.integers(),
+    st.sampled_from([2**64, -(2**64) - 1, 10**30]),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-7]),
+    st.booleans(),
+    st.none(),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_json_strings, children, max_size=4),
+        # The writer's fast paths: string lists (empty ones included),
+        # lists of them, and lists mixing strings with string lists.
+        st.lists(_json_strings, max_size=4),
+        st.lists(st.lists(_json_strings, max_size=3), max_size=4),
+        st.lists(st.one_of(_json_strings, st.lists(_json_strings, max_size=3)), max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values)
+    @example([])
+    @example([[]])
+    @example([["a"], []])
+    @example(["a", ["b"]])
+    @example({"k": [["1/2", "3"], ("4",)], "": {}})
+    def test_same_bytes_as_the_stdlib(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_real_report_and_its_repository(self):
+        """A contested two-run fairness report; its last run drops a consumer."""
+        from faircda.engine import (
+            EngineConfig,
+            repository_from_dict,
+            repository_to_json,
+            run_simulation,
+        )
+        from faircda.model import MarketShape
+        from faircda.scenario import ScenarioConfig
+
+        report = run_simulation(
+            ScenarioConfig(shape=MarketShape(40, 3, 2), runs=2, provider_quantity_range=(10, 26)),
+            EngineConfig(rounds=16, master_seed=3),
+        )
+        assert report.per_run[-1].drops > 0
+        text = report_to_json(report)
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        snapshot = repository_to_json(repository_from_dict(report.final_repositories[-1]))
+        assert snapshot == json.dumps(json.loads(snapshot), indent=2, sort_keys=True) + "\n"
