@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,14 +37,7 @@ from .model import (
     _check_count,
 )
 from .scenario import ScenarioConfig
-from .wdp_solver import (
-    SolverLimits,
-    WdpInstance,
-    WdpSolution,
-    dump_instance,
-    solve_exact,
-    solve_oracle,
-)
+from .wdp_solver import SolverLimits, WdpInstance, dump_instance, solve_exact, solve_oracle
 
 __all__ = [
     "ExperimentConfig",
@@ -302,27 +295,23 @@ def random_micro_instance(rng: np.random.Generator) -> WdpInstance:
 
 
 def run_validation_corpus(
-    count: int = DEFAULT_CORPUS_SIZE,
-    seed: int = DEFAULT_CORPUS_SEED,
-    solver: Optional[Callable[[WdpInstance], WdpSolution]] = None,
+    count: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_CORPUS_SEED
 ) -> tuple[int, list[str]]:
-    """Cross-check ``solver`` against exhaustive enumeration on random micro instances.
+    """Cross-check :func:`~faircda.wdp_solver.solve_exact` against exhaustive
+    enumeration on random micro instances.
 
     An instance passes when the two winner vectors are equal, so the tie
     rule (the lexicographically smallest optimum) is checked as well as the
-    objective.  Returns (pass count, failure descriptions).  ``solver``
-    defaults to the branch-and-bound solver; the parameter exists so tests
-    can inject a broken solver and watch the corpus catch it.
+    objective.  Returns (pass count, failure descriptions).
     """
     if count < 1:
         raise ValueError(f"corpus size must be positive, got {count}")
-    check = solver if solver is not None else solve_exact
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     passes = 0
     failures: list[str] = []
     for index in range(count):
         instance = random_micro_instance(rng)
-        got = check(instance)
+        got = solve_exact(instance)
         expected = solve_oracle(instance)
         if got.allocation.winners == expected.allocation.winners:
             passes += 1
@@ -338,13 +327,9 @@ def run_validation_corpus(
     return passes, failures
 
 
-def cmd_validate(
-    count: int = DEFAULT_CORPUS_SIZE,
-    seed: int = DEFAULT_CORPUS_SEED,
-    solver: Optional[Callable[[WdpInstance], WdpSolution]] = None,
-) -> int:
+def cmd_validate(count: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_CORPUS_SEED) -> int:
     """Run the solver-equivalence corpus; exit 0 iff every instance agrees."""
-    passes, failures = run_validation_corpus(count, seed, solver=solver)
+    passes, failures = run_validation_corpus(count, seed)
     print(f"solver validation: {passes}/{count} instances agree (seed {seed})")
     for failure in failures[:5]:
         print(failure)

@@ -27,7 +27,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,10 +41,12 @@ from .model import (
     ParticipantRecord,
     PriceVector,
     ProviderBid,
+    Repository,
     _check_count,
-    _json_value,
     _unchecked,
     price_rows,
+    repository_from_dict,
+    repository_to_dict,
 )
 from .pricing import Settlement, settle
 from .scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
@@ -82,27 +84,6 @@ _ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
-class Repository:
-    """Participation records for every consumer ever seen, plus the round count."""
-
-    records: dict[int, ParticipantRecord] = field(default_factory=dict)
-    round_counter: int = 0
-
-    def __post_init__(self):
-        _check_count(self.round_counter, "round_counter")
-
-    def record(self, consumer_id: int) -> ParticipantRecord:
-        try:
-            return self.records[consumer_id]
-        except KeyError:
-            raise ValueError(f"no participation record for consumer {consumer_id}") from None
-
-    @classmethod
-    def fresh(cls, consumer_ids: Sequence[int]) -> "Repository":
-        return cls(records={cid: ParticipantRecord() for cid in sorted(consumer_ids)})
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     """Knobs of one simulation: fairness switch, solver, length, and seed."""
 
@@ -132,24 +113,30 @@ class EngineConfig:
 @dataclass(frozen=True)
 class RoundResult:
     """One cleared round: the ``instance`` solved, its ``solution``, the
-    exact ``settlement`` (payments equal receipts) and the drops.
+    drops, and the exact ``settlement`` (payments equal receipts) of the two.
 
     Every other fact is read from the instance and the solution by position:
     ``instance.consumer_bids[n]`` won iff ``solution.allocation.winners[n]``.
-    The constructor rejects a solution without one winner entry per consumer
-    bid, and a market that offers no units (its utilization is undefined).
+    The constructor settles the solution, validating it once, and rejects a
+    drop that is not a loser of the round or is listed twice, and a market
+    that offers no units.
     """
 
     round_index: int
     instance: WdpInstance
     solution: WdpSolution
-    settlement: Settlement
     drops_this_round: tuple[int, ...] = ()
+    settlement: Settlement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries, bids = len(self.solution.allocation.winners), self.instance.shape.num_consumers
-        if entries != bids:
-            raise ValueError(f"the solution has {entries} winner entries for {bids} consumer bids")
+        object.__setattr__(self, "settlement", settle(self.instance, self.solution.allocation))
+        if self.drops_this_round:
+            bids, winners = self.instance.consumer_bids, self.solution.allocation.winners
+            losers = {ext.consumer_id for ext, won in zip(bids, winners) if not won}
+            for cid in self.drops_this_round:
+                if cid not in losers:
+                    raise ValueError(f"consumer {cid} cannot drop: not a loser, or listed twice")
+                losers.remove(cid)
         self.utilization_percent  # raises for a market that offers no units
 
     @property
@@ -221,13 +208,7 @@ def run_round(
         for b, won in zip(consumer_bids, solution.allocation.winners)
         if not won and repo.record(b.consumer_id).consecutive_losses >= params.max_losses
     )
-    return RoundResult(
-        round_index=round_index,
-        instance=instance,
-        solution=solution,
-        settlement=settle(instance, solution.allocation),
-        drops_this_round=drops,
-    )
+    return RoundResult(round_index, instance, solution, drops)
 
 
 def update_repository(repo: Repository, result: RoundResult) -> Repository:
@@ -366,50 +347,6 @@ def run_simulation(
         config_echo=config_echo(scenario, config),
         final_repositories=repositories,
     )
-
-
-def repository_to_dict(repo: Repository) -> dict:
-    return {
-        "round_counter": repo.round_counter,
-        "records": {
-            str(cid): {
-                "wins": rec.wins,
-                "losses": rec.losses,
-                "consecutive_losses": rec.consecutive_losses,
-                "dropped_at_round": rec.dropped_at_round,
-                # Formatted from the vectors' integers: iterating them would
-                # build every history price as a Fraction.
-                "price_history": [entry.strings() for entry in rec.price_history],
-            }
-            for cid, rec in sorted(repo.records.items())
-        },
-    }
-
-
-_RECORD_COUNTS = ("wins", "losses", "consecutive_losses", "dropped_at_round")
-
-
-def repository_from_dict(payload: Mapping) -> Repository:
-    """Inverse of :func:`repository_to_dict`; malformed input raises a
-    ``ValueError`` naming the field."""
-    payload = _json_value(payload, "repository", keys=("records", "round_counter"))
-    records = {}
-    for cid, fields in _json_value(payload["records"], "records").items():
-        fields = _json_value(fields, f"record {cid}", keys=(*_RECORD_COUNTS, "price_history"))
-        history = _json_value(fields["price_history"], "price_history", list)
-        # Only str(id) itself: "03" or " 3" would merge with "3" into one record.
-        try:
-            consumer_id = int(cid)
-            if str(consumer_id) != cid:
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ValueError(f"records key must be a consumer id as str(id), got {cid!r}") from None
-        # ParticipantRecord converts each price once, with as_money: 0.1 loads as 1/10.
-        records[consumer_id] = ParticipantRecord(
-            **{name: fields[name] for name in _RECORD_COUNTS},
-            price_history=[_json_value(e, "price history entry", list) for e in history],
-        )
-    return Repository(records=records, round_counter=payload["round_counter"])
 
 
 def repository_to_json(repo: Repository) -> str:

@@ -30,7 +30,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Mapping, Optional, Sequence, get_type_hints
 
-from .model import Money, ProviderBid, _check_count, _json_value, as_money
+from .model import Money, ProviderBid, _check_count, _json_value, as_money, repository_from_dict
 
 __all__ = [
     "PerRoundRow",
@@ -233,7 +233,7 @@ def parse_report(text: str) -> SimulationReport:
     else (``true`` and NaN included) raises a ``ValueError`` naming the field,
     as does a missing field or a value that is not the JSON object or array
     the report holds there; a repository snapshot is kept as loaded once
-    it is an object holding ``records`` and ``round_counter``.  The
+    its loader (:func:`~faircda.model.repository_from_dict`) reads it.  The
     ``per_run`` rows, sorted by run, must be the derived
     :attr:`SimulationReport.per_run`, or a ``ValueError`` names the run;
     deriving them requires each run's per-round rows to be rounds 1..n, once
@@ -244,6 +244,8 @@ def parse_report(text: str) -> SimulationReport:
         [_json_value(r, f"{name} entry", keys=keys) for r in _json_value(payload[name], name, list)]
         for name, keys in (*_TABLES.items(), ("repositories", ("records", "round_counter")))
     )
+    for snapshot in repositories:
+        repository_from_dict(snapshot)
     per_round, per_run = (
         [cls(**{k: _load_field(k, t, r[k]) for k, t in _FIELD_TYPES[cls].items()}) for r in rows]
         for cls, rows in ((PerRoundRow, rounds), (RunMetrics, runs))

@@ -11,7 +11,8 @@ repository's report read the integers, so a generated price is never a
 resources are discrete units.
 
 All types are immutable value objects; constructing one with an invalid
-field combination raises ``ValueError``.
+field combination raises ``ValueError``.  The :class:`Repository` and its
+snapshot loader are here, where both the engine and the report parser read them.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence as _SequenceABC
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +37,9 @@ __all__ = [
     "ProviderBid",
     "ExtendedConsumerBid",
     "ParticipantRecord",
+    "Repository",
+    "repository_to_dict",
+    "repository_from_dict",
     "FairnessParams",
     "Allocation",
     "budget",
@@ -445,6 +449,71 @@ class ParticipantRecord:
 
 
 @dataclass(frozen=True)
+class Repository:
+    """Participation records for every consumer ever seen, plus the round count."""
+
+    records: dict[int, ParticipantRecord] = field(default_factory=dict)
+    round_counter: int = 0
+
+    def __post_init__(self):
+        _check_count(self.round_counter, "round_counter")
+
+    def record(self, consumer_id: int) -> ParticipantRecord:
+        try:
+            return self.records[consumer_id]
+        except KeyError:
+            raise ValueError(f"no participation record for consumer {consumer_id}") from None
+
+    @classmethod
+    def fresh(cls, consumer_ids: Sequence[int]) -> "Repository":
+        return cls(records={cid: ParticipantRecord() for cid in sorted(consumer_ids)})
+
+
+def repository_to_dict(repo: Repository) -> dict:
+    return {
+        "round_counter": repo.round_counter,
+        "records": {
+            str(cid): {
+                "wins": rec.wins,
+                "losses": rec.losses,
+                "consecutive_losses": rec.consecutive_losses,
+                "dropped_at_round": rec.dropped_at_round,
+                # Formatted from the vectors' integers: iterating them would
+                # build every history price as a Fraction.
+                "price_history": [entry.strings() for entry in rec.price_history],
+            }
+            for cid, rec in sorted(repo.records.items())
+        },
+    }
+
+
+_RECORD_COUNTS = ("wins", "losses", "consecutive_losses", "dropped_at_round")
+
+
+def repository_from_dict(payload: Mapping) -> Repository:
+    """Inverse of :func:`repository_to_dict`; malformed input raises a
+    ``ValueError`` naming the field."""
+    payload = _json_value(payload, "repository", keys=("records", "round_counter"))
+    records = {}
+    for cid, fields in _json_value(payload["records"], "records").items():
+        fields = _json_value(fields, f"record {cid}", keys=(*_RECORD_COUNTS, "price_history"))
+        history = _json_value(fields["price_history"], "price_history", list)
+        # Only str(id) itself: "03" or " 3" would merge with "3" into one record.
+        try:
+            consumer_id = int(cid)
+            if str(consumer_id) != cid:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(f"records key must be a consumer id as str(id), got {cid!r}") from None
+        # ParticipantRecord converts each price once, with as_money: 0.1 loads as 1/10.
+        records[consumer_id] = ParticipantRecord(
+            **{name: fields[name] for name in _RECORD_COUNTS},
+            price_history=[_json_value(e, "price history entry", list) for e in history],
+        )
+    return Repository(records=records, round_counter=payload["round_counter"])
+
+
+@dataclass(frozen=True)
 class FairnessParams:
     """Coefficients of the fairness-factor policy.
 
@@ -487,7 +556,13 @@ class Allocation:
 
     def __post_init__(self):
         object.__setattr__(self, "winners", tuple(bool(w) for w in self.winners))
-        transfers = np.asarray(self.transfers, dtype=np.int64)
+        transfers = np.asarray(self.transfers)
+        if transfers.dtype != np.int64:
+            # Item by item, so that 1.5 or 2**63 is an error, not truncated or overflowed.
+            units = _quantity_tuple(transfers.ravel().tolist(), "transfers")
+            if max(units, default=0) >= 2**63:
+                raise ValueError(f"transfers must fit in int64, got {max(units)}")
+            transfers = np.array(units, dtype=np.int64).reshape(transfers.shape)
         if transfers.ndim != 3:
             raise ValueError(f"transfers must be a 3-d array, got shape {transfers.shape}")
         if transfers.shape[0] != len(self.winners):

@@ -54,7 +54,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import add, le, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -283,7 +283,9 @@ class WdpSolution:
     """A solved allocation plus its exact objective decomposition.
 
     ``bound``, for a result not proved optimal, returns an upper bound on
-    the optimum; it is called on the first read of :attr:`gap_bound`.
+    the optimum; it is called on the first read of :attr:`gap_bound`.  The
+    solvers' bounds are ``functools.partial``s of module-level functions,
+    so a solution pickles.
     """
 
     allocation: Allocation
@@ -474,6 +476,13 @@ def validate_solution(instance: WdpInstance, allocation: Allocation) -> list[str
     return violations
 
 
+def _require_feasible(instance: WdpInstance, allocation: Allocation, failure: str) -> None:
+    """Raise ``ValueError``, ``failure`` then every violation, unless
+    :func:`validate_solution` finds the allocation feasible for the instance."""
+    if violations := validate_solution(instance, allocation):
+        raise ValueError(f"{failure}:\n  " + "\n  ".join(violations))
+
+
 def objective_value(
     instance: WdpInstance, allocation: Allocation
 ) -> tuple[Money, Money, Money]:
@@ -483,11 +492,7 @@ def objective_value(
     because every trade price appears once positively (provider revenue) and
     once negatively (consumer payment).
     """
-    violations = validate_solution(instance, allocation)
-    if violations:
-        raise ValueError(
-            "allocation violates the instance constraints:\n  " + "\n  ".join(violations)
-        )
+    _require_feasible(instance, allocation, "allocation violates the instance constraints")
     utility, satisfaction = _totals(instance, allocation)
     return utility + satisfaction, utility, satisfaction
 
@@ -658,12 +663,12 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
         open_bound = max(gsum + rest[i] for i, *_, gsum in stack)
         if open_bound > incumbent_obj:
             return _build_solution(
-                instance, incumbent, "heuristic", bound=lambda: Fraction(open_bound, S)
+                instance, incumbent, "heuristic", bound=partial(Fraction, open_bound, S)
             )
     return _build_solution(instance, incumbent, optimality="proved_optimal")
 
 
-def _lagrangian_bound(instance: WdpInstance, cumdem: list[int]) -> tuple[list[int], int]:
+def _lagrangian_bound(instance: WdpInstance, cumdem: Sequence[int]) -> tuple[list[int], int]:
     """``(bundle, saved)``, integers over ``D``: each consumer's bundle priced
     at the multipliers ``u``, and the providers' constant ``C``.
 
@@ -691,7 +696,7 @@ def _lagrangian_bound(instance: WdpInstance, cumdem: list[int]) -> tuple[list[in
     return (sc.consumer_quantities @ np.array(u, dtype=sc.cumsup.dtype)).tolist(), saved
 
 
-def _rational_bound(instance: WdpInstance, cumdem: list[int]) -> Money:
+def _rational_bound(instance: WdpInstance, cumdem: Sequence[int]) -> Money:
     """The Lagrangian bound at ``cumdem`` (:func:`_lagrangian_bound`) as a
     rational: ``C`` plus the winning budgets less bundles over ``D``, plus
     the exact sum of those consumers' factors.
@@ -928,10 +933,13 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     mask; the repair pool is gathered again only when a swap is kept.
     """
     winners, state = _heuristic_pass(instance)
-    return _build_solution(
-        instance, winners, "heuristic",
-        bound=lambda: min(_rational_bound(instance, d) for d in ([], state.cumdem)),
-    )
+    bound = partial(_heuristic_bound, instance, tuple(state.cumdem))
+    return _build_solution(instance, winners, "heuristic", bound=bound)
+
+
+def _heuristic_bound(instance: WdpInstance, cumdem: tuple[int, ...]) -> Money:
+    """The smaller Lagrangian bound, at zero demand or at the final ``cumdem``."""
+    return min(_rational_bound(instance, d) for d in ((), cumdem))
 
 
 def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:

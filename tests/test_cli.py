@@ -433,13 +433,15 @@ class TestCmdValidate:
         assert main(["validate", "--count", "0"]) == 1
         assert "positive" in capsys.readouterr().err
 
-    def test_injected_bug_is_caught(self, capsys):
-        assert cmd_validate(count=30, seed=3, solver=never_trades) == 3
+    def test_injected_bug_is_caught(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve_exact", never_trades)
+        assert cmd_validate(count=30, seed=3) == 3
         out = capsys.readouterr().out
         assert "market" in out  # failing instance dumped in the debug format
 
-    def test_equal_objectives_with_other_winners_are_caught(self):
-        passes, failures = run_validation_corpus(count=100, seed=3, solver=ties_broken_last_first)
+    def test_equal_objectives_with_other_winners_are_caught(self, monkeypatch):
+        monkeypatch.setattr(cli, "solve_exact", ties_broken_last_first)
+        passes, failures = run_validation_corpus(count=100, seed=3)
         assert 0 < len(failures) == 100 - passes
         for failure in failures:
             got, got_obj, want, want_obj = re.match(
@@ -449,14 +451,15 @@ class TestCmdValidate:
             ).groups()
             assert got != want and got_obj == want_obj
 
-    def test_corpus_reports_failure_details(self):
-        passes, failures = run_validation_corpus(count=30, seed=3, solver=never_trades)
+    def test_corpus_reports_failure_details(self, monkeypatch):
+        monkeypatch.setattr(cli, "solve_exact", never_trades)
+        passes, failures = run_validation_corpus(count=30, seed=3)
         assert passes < 30
         assert all("objective" in f for f in failures)
 
 
     def test_value_error_while_running_exits_two(self, monkeypatch, capsys):
-        def broken(count, seed, solver=None):
+        def broken(count, seed):
             raise ValueError("broken corpus")
 
         monkeypatch.setattr(cli, "run_validation_corpus", broken)

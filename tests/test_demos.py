@@ -1,7 +1,8 @@
 """Every script under ``demos/`` runs to completion.
 
 Each demo runs in its own interpreter, in a scratch working directory so
-files it writes land there, with the package importable from ``src/``.
+files it writes land there, with the package importable from ``src/`` and
+warnings raised as errors, as in the tests themselves.
 """
 
 import os
@@ -21,7 +22,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

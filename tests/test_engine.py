@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import weakref
 from fractions import Fraction
 from statistics import fmean
@@ -9,7 +10,7 @@ from statistics import fmean
 import numpy as np
 import pytest
 
-from faircda import engine, model
+from faircda import engine, model, wdp_solver
 from faircda.engine import (
     EngineConfig,
     Repository,
@@ -30,7 +31,6 @@ from faircda.model import (
     ParticipantRecord,
     ProviderBid,
 )
-from faircda.pricing import settle
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from faircda.wdp_solver import WdpInstance, WdpSolution, solve_heuristic
 
@@ -182,15 +182,12 @@ class TestUpdateRepository:
             update_repository(stale, result)
 
 
-def hand_built_result(consumer_bids, provider_bids):
+def hand_built_result(consumer_bids, provider_bids, drops=()):
     """A round-one result, solved and built through the public constructor."""
     instance = WdpInstance.from_bids(consumer_bids, provider_bids)
     solution = solve_heuristic(instance)
     return RoundResult(
-        round_index=1,
-        instance=instance,
-        solution=solution,
-        settlement=settle(instance, solution.allocation),
+        round_index=1, instance=instance, solution=solution, drops_this_round=drops
     )
 
 
@@ -215,8 +212,49 @@ class TestRoundResult:
             total_satisfaction=Fraction(0),
             optimality="heuristic",
         )
-        with pytest.raises(ValueError, match="1 winner entries for 2 consumer bids"):
+        with pytest.raises(ValueError, match=r"1 winners does not match the instance shape \(2,"):
             dataclasses.replace(result, solution=short)
+
+    def test_settlement_is_derived_from_the_round(self):
+        result = hand_built_result([cbid(0, 10), cbid(1, 8)], [pbid(0, 5, 1)])
+        assert result.settlement.instance is result.instance
+        assert result.settlement.allocation is result.solution.allocation
+        assert "settlement" not in {f.name for f in dataclasses.fields(RoundResult) if f.init}
+        with pytest.raises(TypeError, match="settlement"):
+            RoundResult(1, result.instance, result.solution, settlement=result.settlement)
+
+    def test_solution_infeasible_for_its_instance_is_rejected(self):
+        # Both consumers marked winners, but the provider offers one unit.
+        result = hand_built_result([cbid(0, 10), cbid(1, 8)], [pbid(0, 5, 1)])
+        both = WdpSolution(
+            allocation=Allocation(winners=(True, True), transfers=np.ones((2, 1, 1))),
+            total_utility=Fraction(8),
+            total_satisfaction=Fraction(0),
+            optimality="heuristic",
+        )
+        with pytest.raises(ValueError, match="cannot settle an infeasible allocation"):
+            dataclasses.replace(result, solution=both)
+
+    @pytest.mark.parametrize("drop", [0, 7, 1], ids=["winner", "not-a-bidder", "twice"])
+    def test_a_drop_must_be_a_loser_of_the_round(self, drop):
+        # Consumer 0 wins the one unit, consumer 1 loses, 7 did not bid.
+        bids, offers = [cbid(0, 10), cbid(1, 8)], [pbid(0, 5, 1)]
+        assert hand_built_result(bids, offers, drops=(1,)).drops_this_round == (1,)
+        with pytest.raises(ValueError, match=f"consumer {drop} cannot drop"):
+            hand_built_result(bids, offers, drops=(1, drop))
+
+    def test_result_pickles_with_its_gap_and_settlement(self):
+        repo = Repository.fresh(range(6))
+        bids = [cbid(cid, 10 - cid, 1 + cid % 2) for cid in range(6)]
+        config = EngineConfig(rounds=1)
+        result = run_round(repo, bids, [pbid(0, 5, 3), pbid(1, 6, 2)], config, fairness_rng())
+        assert result.solution.optimality == "heuristic" and result.solution.bound is not None
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy.solution.gap_bound == result.solution.gap_bound
+        assert copy.winner_ids == result.winner_ids
+        for name in ("unit_trade_prices", "consumer_payments", "provider_receipts",
+                     "consumer_utilities", "provider_utilities"):
+            assert getattr(copy.settlement, name) == getattr(result.settlement, name), name
 
     @pytest.mark.parametrize("provider_bids", [[], [pbid(0, 5, 0)]], ids=["none", "empty"])
     def test_market_offering_no_units_is_rejected(self, provider_bids):
@@ -263,6 +301,20 @@ class TestOfferedPrices:
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("solver", ["heuristic", "exact"])
+    def test_each_round_is_validated_once(self, monkeypatch, solver):
+        calls = []
+        real = wdp_solver.validate_solution
+
+        def counting(instance, allocation):
+            calls.append(instance)
+            return real(instance, allocation)
+
+        monkeypatch.setattr(wdp_solver, "validate_solution", counting)
+        scenario = ScenarioConfig(shape=MarketShape(12, 2, 2), runs=2)
+        run_simulation(scenario, EngineConfig(solver_mode=solver, rounds=4, master_seed=1))
+        assert len(calls) == 2 * 4 == len({id(instance) for instance in calls})
+
     def test_same_seed_is_bit_identical(self):
         scenario = ScenarioConfig(shape=MarketShape(15, 2, 2), runs=2)
         config = EngineConfig(rounds=8, master_seed=11)

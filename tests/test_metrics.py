@@ -211,6 +211,29 @@ class TestEmit:
         with pytest.raises(ValueError, match=field or table or "report"):
             parse_report(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [pytest.param(lambda s: s.update(records=5), "records must be a JSON object",
+                      id="records-5"),
+         pytest.param(lambda s: s["records"]["0"].update(wins="x"), "wins must be a non-negative",
+                      id="wins-x"),
+         pytest.param(lambda s: s["records"]["0"].update(price_history=[["-1"]]),
+                      "price history entry must be non-negative", id="negative-price"),
+         pytest.param(lambda s: s.update(round_counter=-1), "round_counter must be",
+                      id="round-counter-negative")],
+    )
+    def test_each_repository_snapshot_is_loaded(self, edit, message):
+        record = {"wins": 1, "losses": 0, "consecutive_losses": 0, "dropped_at_round": None,
+                  "price_history": [["5/2", "3"]]}
+        payload = json.loads(report_to_json(tiny_report()))
+        payload["repositories"] = [{"records": {"0": record}, "round_counter": 1}]
+        text = _json_text(payload) + "\n"
+        assert report_to_json(parse_report(text)) == text  # kept as loaded
+        bad = json.loads(text)
+        edit(bad["repositories"][0])
+        with pytest.raises(ValueError, match=message):
+            parse_report(json.dumps(bad))
+
     def test_emitted_json_parses_back(self, tmp_path):
         report = tiny_report()
         _, _, json_path = emit(report, tmp_path)

@@ -217,6 +217,26 @@ class TestAllocation:
         with pytest.raises(ValueError, match="non-negative"):
             Allocation(winners=(True,), transfers=np.array([[[-1]]]))
 
+    @pytest.mark.parametrize(
+        "transfers, message",
+        [pytest.param([[[1.5]]], "must be integers, got 1.5", id="fractional"),
+         pytest.param(np.array([[[np.nan]]]), "must be integers, got nan", id="nan"),
+         pytest.param([[[2**63]]], "must fit in int64", id="past-int64"),
+         pytest.param([[[2**70]]], "must fit in int64", id="far-past-int64")],
+    )
+    def test_transfers_must_be_int64_integers(self, transfers, message):
+        with pytest.raises(ValueError, match=message):
+            Allocation(winners=(True,), transfers=transfers)
+
+    @pytest.mark.parametrize(
+        "transfers",
+        [np.ones((1, 1, 1)), [[[1]]], np.ones((1, 1, 1), dtype=np.int32), [[[True]]]],
+        ids=["float-ones", "list", "int32", "bool"],
+    )
+    def test_integral_transfers_of_any_type_are_read_as_int64(self, transfers):
+        alloc = Allocation(winners=(True,), transfers=transfers)
+        assert alloc.transfers.dtype == np.int64 and alloc.transfers.tolist() == [[[1]]]
+
     def test_transfers_frozen(self):
         alloc = Allocation(winners=(True,), transfers=np.ones((1, 1, 1), dtype=np.int64))
         with pytest.raises(ValueError):

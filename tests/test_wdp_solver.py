@@ -5,6 +5,7 @@ transfer matrices (see ``oracles.py``, independent of the library's
 greedy); the branch-and-bound solver is checked against subset enumeration.
 """
 
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -298,6 +299,13 @@ class TestSolveExact:
             Fraction(57537, 100),
             "heuristic",
         )
+
+    def test_solutions_with_a_gap_pickle(self):
+        inst = generated_instance(seed=9, provider_quantity_range=(5, 15))
+        for sol in (solve_heuristic(inst), solve_exact(inst, SolverLimits(node_budget=400))):
+            copy = pickle.loads(pickle.dumps(sol))  # before the gap is read: the bound itself
+            assert copy.allocation == sol.allocation
+            assert copy.gap_bound == sol.gap_bound == Fraction(16644, 25)
 
     def test_search_builds_one_heuristic_state(self, monkeypatch):
         # The seed is the one heuristic state a solve builds; the search
