@@ -36,7 +36,6 @@ providers = [
 instance = WdpInstance.from_bids(
     [ExtendedConsumerBid(bid=c) for c in consumers], providers
 )
-print("budgets (price . quantity):", [str(v) for v in instance.budgets])
 
 # All three solver modes agree on this tiny market.
 for solver in (solve_exact, solve_oracle, solve_heuristic):

@@ -13,8 +13,6 @@ from faircda import (
     MarketShape,
     ScenarioConfig,
     emit,
-    repository_from_json,
-    repository_to_json,
     run_simulation,
 )
 from faircda.engine import repository_from_dict
@@ -51,11 +49,8 @@ out = Path("demo_out")
 paths = emit(report, out)
 print("\nwrote:", ", ".join(str(p) for p in paths))
 
-# Repository snapshots support resumable experiments: serialize the final
-# state of run 0 and read it back.
+# The report keeps each run's final repository as a snapshot; load run 0's.
 repo = repository_from_dict(report.final_repositories[0])
-text = repository_to_json(repo)
-assert repository_from_json(text) == repo
 survivors = sum(1 for rec in repo.records.values() if not rec.dropped)
 print(f"run 0 final state: {survivors} active consumers, "
       f"{len(repo.records) - survivors} dropped, after {repo.round_counter} rounds")

@@ -11,21 +11,11 @@ from .engine import (
     EngineConfig,
     Repository,
     RoundResult,
-    repository_from_json,
-    repository_to_json,
     run_round,
     run_simulation,
     update_repository,
 )
-from .fairness import (
-    FairnessOutcome,
-    compute_fairness_factors,
-    eval_fun,
-    fun_l,
-    fun_w,
-    prob_l,
-    prob_w,
-)
+from .fairness import FairnessOutcome, compute_fairness_factors
 from .metrics import (
     PerRoundRow,
     RunMetrics,
@@ -46,17 +36,14 @@ from .model import (
     PriceVector,
     ProviderBid,
     as_money,
-    budget,
 )
-from .pricing import Settlement, settle, trade_price_unit
+from .pricing import Settlement, settle
 from .scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from .wdp_solver import (
     SolverLimits,
     WdpInstance,
     WdpSolution,
-    compatible,
     dump_instance,
-    load_instance,
     min_cost_allocation,
     objective_value,
     solve_exact,
@@ -91,32 +78,21 @@ __all__ = [
     "WdpSolution",
     "aggregate",
     "as_money",
-    "budget",
-    "compatible",
     "compute_fairness_factors",
     "dump_instance",
     "emit",
-    "eval_fun",
-    "fun_l",
-    "fun_w",
     "generate_consumer_bids",
     "generate_provider_bids",
-    "load_instance",
     "min_cost_allocation",
     "objective_value",
     "parse_report",
-    "prob_l",
-    "prob_w",
     "report_to_json",
-    "repository_from_json",
-    "repository_to_json",
     "run_round",
     "run_simulation",
     "settle",
     "solve_exact",
     "solve_heuristic",
     "solve_oracle",
-    "trade_price_unit",
     "update_repository",
     "validate_solution",
 ]

@@ -23,7 +23,6 @@ streams (common random numbers), whatever their drop histories.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,8 +69,6 @@ __all__ = [
     "check_solver_fits",
     "repository_to_dict",
     "repository_from_dict",
-    "repository_to_json",
-    "repository_from_json",
 ]
 
 _SOLVERS = {
@@ -138,11 +135,6 @@ class RoundResult:
                     raise ValueError(f"consumer {cid} cannot drop: not a loser, or listed twice")
                 losers.remove(cid)
         self.utilization_percent  # raises for a market that offers no units
-
-    @property
-    def winner_ids(self) -> tuple[int, ...]:
-        winners = self.solution.allocation.winners
-        return tuple(ext.consumer_id for ext, won in zip(self.instance.consumer_bids, winners) if won)
 
     @property
     def utilization_percent(self) -> float:
@@ -347,12 +339,3 @@ def run_simulation(
         config_echo=config_echo(scenario, config),
         final_repositories=repositories,
     )
-
-
-def repository_to_json(repo: Repository) -> str:
-    """Repository snapshot in ``report.json``'s layout, for resumable experiments."""
-    return metrics._json_text(repository_to_dict(repo)) + "\n"
-
-
-def repository_from_json(text: str) -> Repository:
-    return repository_from_dict(json.loads(text))

@@ -13,7 +13,7 @@ Currency values are exact rationals internally and in ``report.json``
 (serialized as fraction strings); CSV cells hold their float values for
 plotting convenience.  Emission is deterministic: identical reports produce
 byte-identical files.  ``report.json`` is ``json.dumps(…, indent=2,
-sort_keys=True)`` plus a newline, from the writer ``repository_to_json`` shares.
+sort_keys=True)`` plus a newline, written by one writer (``_json_text``).
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ snapshot loader are here, where both the engine and the report parser read them.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable, Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,7 +41,6 @@ __all__ = [
     "repository_from_dict",
     "FairnessParams",
     "Allocation",
-    "budget",
 ]
 
 
@@ -380,11 +378,9 @@ class ParticipantRecord:
     ``dropped_at_round``, once set, never changes.
 
     History is validated on entry: the constructor checks every entry it is
-    given, while :meth:`after_win` and :meth:`after_loss` check only the
-    entry they append, because the entries already held passed that check
-    when they entered; the fold appends each bid's unit prices unchecked,
-    since :class:`ConsumerBid` checked them.  A run validates each entry
-    once, not once per round.
+    given, and the fold (``engine.update_repository``) appends each bid's
+    unit prices unchecked, since :class:`ConsumerBid` checked them.  A run
+    validates each entry once, not once per round.
     """
 
     wins: int = 0
@@ -430,14 +426,6 @@ class ParticipantRecord:
             dropped_at_round=self.dropped_at_round,
             price_history=self.price_history + (entry,),
         )
-
-    def after_win(self, offered_prices: Sequence) -> "ParticipantRecord":
-        """Successor record after winning a round: streak resets to zero."""
-        return self._appended(True, _money_tuple(offered_prices, "price history entry"))
-
-    def after_loss(self, offered_prices: Sequence) -> "ParticipantRecord":
-        """Successor record after losing a round: the streak grows by one."""
-        return self._appended(False, _money_tuple(offered_prices, "price history entry"))
 
     def marked_dropped(self, round_index: int) -> "ParticipantRecord":
         """Successor record with the drop round recorded; idempotent once set."""
@@ -556,7 +544,8 @@ class Allocation:
 
     def __post_init__(self):
         object.__setattr__(self, "winners", tuple(bool(w) for w in self.winners))
-        transfers = np.asarray(self.transfers)
+        # A copy: freezing the caller's own array would make it read-only.
+        transfers = np.array(self.transfers)
         if transfers.dtype != np.int64:
             # Item by item, so that 1.5 or 2**63 is an error, not truncated or overflowed.
             units = _quantity_tuple(transfers.ravel().tolist(), "transfers")
@@ -575,14 +564,6 @@ class Allocation:
         transfers.flags.writeable = False
         object.__setattr__(self, "transfers", transfers)
 
-    @classmethod
-    def empty(cls, shape: MarketShape) -> "Allocation":
-        zeros = np.zeros(
-            (shape.num_consumers, shape.num_resource_types, shape.num_providers),
-            dtype=np.int64,
-        )
-        return cls(winners=(False,) * shape.num_consumers, transfers=zeros)
-
     def units_sold(self) -> int:
         return int(self.transfers.sum())
 
@@ -594,13 +575,3 @@ class Allocation:
         )
 
     __hash__ = None
-
-
-def budget(bid: ConsumerBid) -> Money:
-    """Total amount the consumer is prepared to pay for the whole bundle.
-
-    This is the dot product of the bid's unit prices and quantities; it is
-    also the consumer's gross contribution to total utility when they win.
-    """
-    prices = bid.unit_prices
-    return Fraction(sum(map(operator.mul, prices.numerators, bid.quantities)), prices.denominator)

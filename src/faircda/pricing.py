@@ -16,25 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Allocation, Money, as_money
-from .wdp_solver import WdpInstance, _require_feasible, compatible
+from .model import Allocation, Money
+from .wdp_solver import WdpInstance, _require_feasible
 
-__all__ = ["Settlement", "trade_price_unit", "settle"]
-
-
-def trade_price_unit(consumer_price: Money, provider_price: Money) -> Money:
-    """Unit trade price: the midpoint of the two suggested prices.
-
-    Only defined for compatible pairs; a consumer offering less than the ask
-    cannot trade at any price acceptable to both sides.
-    """
-    cp = as_money(consumer_price)
-    pp = as_money(provider_price)
-    if not compatible(cp, pp):
-        raise ValueError(
-            f"no trade price exists: consumer offers {cp}, provider asks {pp}"
-        )
-    return (cp + pp) / 2
+__all__ = ["Settlement", "settle"]
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,7 +69,6 @@ from .model import (
     Money,
     ProviderBid,
     _check_count,
-    as_money,
     exact_sum,
     over_common_denominator,
     price_rows,
@@ -79,7 +78,6 @@ __all__ = [
     "WdpInstance",
     "WdpSolution",
     "SolverLimits",
-    "compatible",
     "objective_value",
     "min_cost_allocation",
     "solve_exact",
@@ -87,15 +85,9 @@ __all__ = [
     "solve_heuristic",
     "validate_solution",
     "dump_instance",
-    "load_instance",
 ]
 
 ORACLE_MAX_CONSUMERS = 12
-
-
-def compatible(consumer_price: Money, provider_price: Money) -> bool:
-    """A unit may trade at these prices iff the consumer offers at least the ask."""
-    return as_money(consumer_price) >= as_money(provider_price)
 
 
 # Scaled prices are int64 when (max price + 1) * (total units + 1) stays below
@@ -243,12 +235,6 @@ class WdpInstance:
         object.__setattr__(
             self, "_scaled", _ScaledValues(self.consumer_bids, self.provider_bids, L)
         )
-
-    @property
-    def budgets(self) -> tuple[Money, ...]:
-        """Each consumer's price-quantity product, :func:`faircda.model.budget` of their bid."""
-        sc = self._scaled
-        return tuple(Fraction(b, sc.denominator) for b in sc.budgets)
 
     @classmethod
     def from_bids(
@@ -1007,10 +993,9 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
 
 
 def dump_instance(instance: WdpInstance) -> str:
-    """Serialize an instance to the line-oriented debug format.
+    """An instance as text, one line per bid, for reading a failing case.
 
-    One record per bid; rationals print as ``p`` or ``p/q`` and parse back
-    bit-exactly.  See :func:`load_instance`.
+    Rationals print as ``p`` or ``p/q``; a fairness factor as ``ff=``.
     """
     lines = [
         f"market {instance.shape.num_consumers} {instance.shape.num_providers} "
@@ -1028,47 +1013,3 @@ def dump_instance(instance: WdpInstance) -> str:
         quantities = ",".join(str(q) for q in pb.quantities)
         lines.append(f"provider {pb.provider_id} prices={prices} quantities={quantities}")
     return "\n".join(lines) + "\n"
-
-
-def load_instance(text: str) -> WdpInstance:
-    """Parse the format written by :func:`dump_instance`."""
-    shape: Optional[MarketShape] = None
-    consumers: list[ExtendedConsumerBid] = []
-    providers: list[ProviderBid] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "market":
-                shape = MarketShape(int(fields[1]), int(fields[2]), int(fields[3]))
-            elif kind in ("consumer", "provider"):
-                entry_id = int(fields[1])
-                kv = dict(f.split("=", 1) for f in fields[2:])
-                prices = [Fraction(p) for p in kv["prices"].split(",")] if kv["prices"] else []
-                quantities = (
-                    [int(q) for q in kv["quantities"].split(",")] if kv["quantities"] else []
-                )
-                if kind == "consumer":
-                    consumers.append(
-                        ExtendedConsumerBid(
-                            bid=ConsumerBid(entry_id, tuple(prices), tuple(quantities)),
-                            fairness_factor=Fraction(kv.get("ff", "0")),
-                        )
-                    )
-                else:
-                    providers.append(ProviderBid(entry_id, tuple(prices), tuple(quantities)))
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except (IndexError, KeyError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(
-                f"malformed instance record on line {lineno}: {raw!r} "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-    if shape is None:
-        raise ValueError("instance text is missing the leading 'market N M L' record")
-    return WdpInstance(
-        shape=shape, consumer_bids=tuple(consumers), provider_bids=tuple(providers)
-    )

@@ -14,8 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from faircda.model import ConsumerBid, ProviderBid, as_money, budget
+from faircda.model import ConsumerBid, ProviderBid, as_money
 from faircda.wdp_solver import WdpInstance
+
+
+def reference_budget(bid) -> Fraction:
+    """What a consumer offers for their whole bundle: price times quantity, summed."""
+    return sum((p * q for p, q in zip(bid.unit_prices, bid.quantities)), Fraction(0))
 
 
 def transfer_cost(inst: WdpInstance, y: np.ndarray) -> Fraction:
@@ -96,7 +101,7 @@ def reference_margins(inst: WdpInstance) -> dict[int, Fraction]:
                 break
             bound += need * min(pb.unit_prices[l] for pb in inst.provider_bids)
         if ok:
-            margins[n] = budget(ext.bid) + ext.fairness_factor - bound
+            margins[n] = reference_budget(ext.bid) + ext.fairness_factor - bound
     return margins
 
 
@@ -112,7 +117,7 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
     M = inst.shape.num_providers
     L = inst.shape.num_resource_types
     q = [list(ext.bid.quantities) for ext in inst.consumer_bids]
-    w = [budget(ext.bid) + ext.fairness_factor for ext in inst.consumer_bids]
+    w = [reference_budget(ext.bid) + ext.fairness_factor for ext in inst.consumer_bids]
     sorted_prices, cumsup, cumcost = [], [], []
     for l in range(L):
         order = sorted(range(M), key=lambda m: (inst.provider_bids[m].unit_prices[l], m))

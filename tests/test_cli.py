@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,8 +41,10 @@ def run_main(args):
 
 def never_trades(instance):
     """Injected bug: a 'solver' that always clears the market empty."""
+    shape = instance.shape
+    n, l, m = shape.num_consumers, shape.num_resource_types, shape.num_providers
     return WdpSolution(
-        allocation=Allocation.empty(instance.shape),
+        allocation=Allocation((False,) * n, np.zeros((n, l, m), dtype=np.int64)),
         total_utility=Fraction(0),
         total_satisfaction=Fraction(0),
         optimality="heuristic",

@@ -17,9 +17,7 @@ from faircda.engine import (
     RoundResult,
     check_solver_fits,
     repository_from_dict,
-    repository_from_json,
     repository_to_dict,
-    repository_to_json,
     run_round,
     run_simulation,
     update_repository,
@@ -69,7 +67,7 @@ class TestRunRound:
         repo = Repository.fresh([0])
         config = EngineConfig(rounds=1)
         result = run_round(repo, [cbid(0, 10, 2)], [pbid(0, 6, 3)], config, fairness_rng())
-        assert result.winner_ids == (0,)
+        assert result.solution.allocation.winners == (True,)
         settlement = result.settlement
         assert settlement.consumer_payments[0] == settlement.provider_receipts[0] == 16
         assert result.solution.total_utility == 8
@@ -198,7 +196,7 @@ class TestRoundResult:
         result = hand_built_result([cbid(1, 10), cbid(0, 8)], [pbid(0, 5, 1)])
         assert result.solution.allocation.winners == (True, False)
         assert result.settlement.consumer_payments == {1: Fraction(15, 2), 0: 0}
-        assert result.winner_ids == (1,)
+        assert result.instance.consumer_bids[0].consumer_id == 1
         assert result.win_percent == 50.0
         repo = update_repository(Repository.fresh([0, 1]), result)
         assert (repo.records[1].wins, repo.records[1].losses) == (1, 0)
@@ -251,7 +249,7 @@ class TestRoundResult:
         assert result.solution.optimality == "heuristic" and result.solution.bound is not None
         copy = pickle.loads(pickle.dumps(result))
         assert copy.solution.gap_bound == result.solution.gap_bound
-        assert copy.winner_ids == result.winner_ids
+        assert copy.solution.allocation == result.solution.allocation
         for name in ("unit_trade_prices", "consumer_payments", "provider_receipts",
                      "consumer_utilities", "provider_utilities"):
             assert getattr(copy.settlement, name) == getattr(result.settlement, name), name
@@ -479,7 +477,7 @@ class TestRepositorySerialization:
             },
             round_counter=9,
         )
-        assert repository_from_json(repository_to_json(repo)) == repo
+        assert repository_from_dict(json.loads(json.dumps(repository_to_dict(repo)))) == repo
 
     def test_dict_round_trip_through_report(self):
         repo = Repository(records={1: ParticipantRecord(wins=1, losses=0)}, round_counter=1)
@@ -494,7 +492,7 @@ class TestRepositorySerialization:
     def test_price_history_converts_like_the_record(self):
         repo = repository_from_dict(self.payload([[0.1, "1/3"]]))
         assert repo.records[3].price_history == ((Fraction(1, 10), Fraction(1, 3)),)
-        assert repository_from_json(repository_to_json(repo)) == repo
+        assert repository_from_dict(json.loads(json.dumps(repository_to_dict(repo)))) == repo
 
     def test_non_numeric_price_history_entry_rejected(self):
         with pytest.raises(ValueError, match="price history entry"):
@@ -519,13 +517,13 @@ class TestRepositorySerialization:
         payload = self.payload([])
         malform(payload)
         with pytest.raises(ValueError, match=named):
-            repository_from_json(json.dumps(payload))
+            repository_from_dict(payload)
 
     @pytest.mark.parametrize("counter", ["3", -1, True, 2.5])
     def test_malformed_round_counter_rejected(self, counter):
-        text = json.dumps({**self.payload([]), "round_counter": counter})
+        payload = {**self.payload([]), "round_counter": counter}
         with pytest.raises(ValueError, match="round_counter"):
-            repository_from_json(text)
+            repository_from_dict(payload)
 
 
 class TestEngineConfig:

@@ -1,5 +1,7 @@
-"""Fairness factor formulas, intervention probabilities, and the round procedure."""
+"""Fairness factors: the reward and penalty formulas, their probabilities,
+and the round procedure, each read through :func:`compute_fairness_factors`."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,131 +17,18 @@ from oracles import (
     reference_prob_w,
 )
 
-from faircda.fairness import (
-    FairnessOutcome,
-    compute_fairness_factors,
-    eval_fun,
-    fun_l,
-    fun_w,
-    prob_l,
-    prob_w,
-)
+from faircda.fairness import compute_fairness_factors
 from faircda.model import FairnessParams, ParticipantRecord
 
 PARAMS = FairnessParams()  # alpha1=9, alpha2=7, beta1=4, beta2=28, max_losses=6
+# beta1 = 0 and beta2 = 1 make a winner's penalty minus one over their bid quality.
+QUALITY_PARAMS = FairnessParams(beta1=0, beta2=1)
+# The largest draw a uniform stream in [0, 1) can yield.
+TOP_DRAW = math.nextafter(1.0, 0.0)
 
 evals = st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10))
 counts = st.integers(min_value=0, max_value=50)
-
-
-class TestEvalFun:
-    def test_prices_equal_to_market_means(self):
-        rec = ParticipantRecord(price_history=((Fraction(150), Fraction(120)),))
-        assert eval_fun(rec, (Fraction(150), Fraction(120))) == 1
-
-    def test_prices_double_the_market_means(self):
-        rec = ParticipantRecord(price_history=((Fraction(300), Fraction(240)),))
-        assert eval_fun(rec, (Fraction(150), Fraction(120))) == 2
-
-    def test_empty_history_scores_neutral(self):
-        assert eval_fun(ParticipantRecord(), (Fraction(100),)) == 1
-
-    def test_only_most_recent_entry_counts(self):
-        rec = ParticipantRecord(
-            price_history=((Fraction(999),), (Fraction(50),))
-        )
-        assert eval_fun(rec, (Fraction(100),)) == Fraction(1, 2)
-
-    def test_clamped_to_band(self):
-        high = ParticipantRecord(price_history=((Fraction(10_000),),))
-        low = ParticipantRecord(price_history=((Fraction(1, 100),),))
-        assert eval_fun(high, (Fraction(1),)) == 10
-        assert eval_fun(low, (Fraction(100),)) == Fraction(1, 10)
-
-    def test_non_positive_market_mean_rejected(self):
-        rec = ParticipantRecord(price_history=((Fraction(10),),))
-        with pytest.raises(ValueError, match="positive"):
-            eval_fun(rec, (Fraction(0),))
-
-
-class TestFunW:
-    def test_fresh_loser(self):
-        assert fun_w(0, Fraction(1), 0, PARAMS) == 7
-
-    def test_streaky_loser(self):
-        assert fun_w(2, Fraction(2), 1, PARAMS) == 64
-
-    def test_vanishes_with_no_history_signal(self):
-        assert fun_w(0, Fraction(1, 10**6), 0, PARAMS) == Fraction(7, 10**6)
-
-    @given(losses=counts, eval=evals, cl=counts)
-    def test_non_negative(self, losses, eval, cl):
-        assert fun_w(losses, eval, cl, PARAMS) >= 0
-
-    @given(losses=st.integers(0, 50), eval=evals, cl=counts)
-    def test_streak_escalates_reward(self, losses, eval, cl):
-        # Strictly increasing in the streak whenever the base term is positive.
-        assert fun_w(losses, eval, cl + 1, PARAMS) > fun_w(losses, eval, cl, PARAMS)
-
-    @given(losses=counts, eval=evals, cl=counts)
-    def test_monotone_in_losses_and_quality(self, losses, eval, cl):
-        assert fun_w(losses + 1, eval, cl, PARAMS) > fun_w(losses, eval, cl, PARAMS)
-        assert fun_w(losses, eval + 1, cl, PARAMS) > fun_w(losses, eval, cl, PARAMS)
-
-
-class TestFunL:
-    def test_single_win(self):
-        assert fun_l(1, Fraction(1), 0, PARAMS) == -32
-
-    def test_quality_soaks_up_the_penalty(self):
-        assert fun_l(0, Fraction(28), 0, PARAMS) == -1
-
-    def test_streak_fades_the_penalty(self):
-        assert fun_l(2, Fraction(2), 1, PARAMS) == -11
-
-    def test_zero_quality_rejected(self):
-        with pytest.raises(ValueError, match="non-zero"):
-            fun_l(1, Fraction(0), 0, PARAMS)
-
-    @given(wins=counts, eval=evals, cl=counts)
-    def test_never_positive(self, wins, eval, cl):
-        assert fun_l(wins, eval, cl, PARAMS) <= 0
-
-    @given(wins=counts, eval=evals, cl=counts)
-    def test_penalty_fades_with_streak(self, wins, eval, cl):
-        assert abs(fun_l(wins, eval, cl + 1, PARAMS)) < abs(fun_l(wins, eval, cl, PARAMS))
-
-    @given(wins=counts, eval=evals, cl=counts)
-    def test_penalty_grows_with_wins(self, wins, eval, cl):
-        assert abs(fun_l(wins + 1, eval, cl, PARAMS)) > abs(fun_l(wins, eval, cl, PARAMS))
-
-
-class TestProbabilities:
-    def test_prob_w_saturates_at_drop_threshold(self):
-        assert prob_w(6, PARAMS) == 1
-
-    def test_prob_w_fresh_streak(self):
-        assert prob_w(0, PARAMS) == Fraction(1, 7)
-
-    def test_prob_w_mid_streak(self):
-        assert prob_w(3, PARAMS) == Fraction(4, 7)
-
-    def test_prob_l_certain_at_zero_streak(self):
-        assert prob_l(0) == 1
-
-    def test_prob_l_halves(self):
-        assert prob_l(1) == Fraction(1, 2)
-        assert prob_l(3) == Fraction(1, 4)
-
-    @given(cl=counts)
-    def test_both_are_probabilities(self, cl):
-        assert 0 <= prob_w(cl, PARAMS) <= 1
-        assert 0 < prob_l(cl) <= 1
-
-    @given(cl=counts)
-    def test_monotonicities(self, cl):
-        assert prob_w(cl + 1, PARAMS) >= prob_w(cl, PARAMS)
-        assert prob_l(cl + 1) <= prob_l(cl)
+streaks = st.integers(min_value=1, max_value=50)
 
 
 class _ConstantRng:
@@ -152,6 +41,142 @@ class _ConstantRng:
     def random(self):
         self.draws += 1
         return self.value
+
+
+def outcome(record, means=(Fraction(1),), params=PARAMS, u=0.0):
+    """The branch and factor :func:`compute_fairness_factors` gives one consumer."""
+    out = compute_fairness_factors({0: record}, [0], means, params, _ConstantRng(u))
+    return out.applied_branch[0], out.factors[0]
+
+
+def reward(losses, quality, cl):
+    """A loser's factor at a zero draw, their last price ``quality`` times a mean of 1."""
+    record = ParticipantRecord(losses=losses, consecutive_losses=cl, price_history=((quality,),))
+    branch, factor = outcome(record)
+    assert branch == "reward"
+    return factor
+
+
+def penalty(wins, quality):
+    """A winner's factor, their last price ``quality`` times a mean of 1."""
+    branch, factor = outcome(ParticipantRecord(wins=wins, price_history=((quality,),)))
+    assert branch == "penalty"
+    return factor
+
+
+def quality_penalty(history, means):
+    """Minus one over the bid quality of a winner with this price history."""
+    return outcome(ParticipantRecord(wins=1, price_history=history), means, QUALITY_PARAMS)[1]
+
+
+class TestEvalFun:
+    """The bid-quality score, read as a winner's penalty under ``QUALITY_PARAMS``."""
+
+    def test_prices_equal_to_market_means(self):
+        assert quality_penalty(((150, 120),), (Fraction(150), Fraction(120))) == -1
+
+    def test_prices_double_the_market_means(self):
+        assert quality_penalty(((300, 240),), (Fraction(150), Fraction(120))) == Fraction(-1, 2)
+
+    def test_empty_history_scores_neutral(self):
+        assert quality_penalty((), (Fraction(100),)) == -1
+
+    def test_only_most_recent_entry_counts(self):
+        assert quality_penalty(((999,), (50,)), (Fraction(100),)) == -2
+
+    def test_clamped_to_band(self):
+        assert quality_penalty(((10_000,),), (Fraction(1),)) == Fraction(-1, 10)
+        assert quality_penalty(((Fraction(1, 100),),), (Fraction(100),)) == -10
+
+    def test_non_positive_market_mean_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            quality_penalty(((10,),), (Fraction(0),))
+
+
+class TestFunW:
+    """A loser's reward ``(cl + 1) * (alpha1 * losses + alpha2 * quality)``."""
+
+    def test_fresh_loser(self):
+        assert reward(1, 1, 1) == 32
+
+    def test_streaky_loser(self):
+        assert reward(2, 2, 1) == 64
+
+    @given(extra=counts, quality=evals, cl=streaks)
+    def test_non_negative(self, extra, quality, cl):
+        assert reward(cl + extra, quality, cl) >= 0
+
+    @given(extra=counts, quality=evals, cl=streaks)
+    def test_streak_escalates_reward(self, extra, quality, cl):
+        losses = cl + 1 + extra
+        assert reward(losses, quality, cl + 1) > reward(losses, quality, cl)
+
+    @given(extra=counts, quality=st.fractions(Fraction(1, 10), 9), cl=streaks)
+    def test_monotone_in_losses_and_quality(self, extra, quality, cl):
+        losses = cl + extra
+        assert reward(losses + 1, quality, cl) > reward(losses, quality, cl)
+        assert reward(losses, quality + 1, cl) > reward(losses, quality, cl)
+
+
+class TestFunL:
+    """A winner's penalty ``-(beta1 * wins + beta2 / quality)``."""
+
+    def test_single_win(self):
+        assert penalty(1, 1) == -32
+
+    def test_quality_soaks_up_the_penalty(self):
+        assert penalty(1, 7) == -8
+        assert penalty(1, 10) == Fraction(-34, 5)
+
+    @given(wins=streaks, quality=evals)
+    def test_never_positive(self, wins, quality):
+        assert penalty(wins, quality) < 0
+
+    @given(wins=streaks, quality=evals)
+    def test_penalty_grows_with_wins(self, wins, quality):
+        assert abs(penalty(wins + 1, quality)) > abs(penalty(wins, quality))
+
+
+def branch_at(u, cl=None):
+    """The branch of a loser on streak ``cl`` at draw ``u``, or of a winner for no ``cl``."""
+    if cl is None:
+        record = ParticipantRecord(wins=1)
+    else:
+        record = ParticipantRecord(losses=cl, consecutive_losses=cl)
+    return outcome(record, u=u)[0]
+
+
+class TestProbabilities:
+    """A loser's reward applies iff the draw is below
+    ``min(1, (cl + 1) / (max_losses + 1))``; a winner's penalty is certain."""
+
+    def test_prob_w_saturates_at_drop_threshold(self):
+        assert branch_at(TOP_DRAW, cl=6) == "reward"
+        assert branch_at(TOP_DRAW, cl=9) == "reward"
+
+    def test_prob_w_fresh_streak(self):
+        # 2/7 = 0.2857...
+        assert branch_at(0.28, cl=1) == "reward"
+        assert branch_at(0.29, cl=1) == "none"
+
+    def test_prob_w_mid_streak(self):
+        # 4/7 = 0.5714...
+        assert branch_at(0.57, cl=3) == "reward"
+        assert branch_at(0.58, cl=3) == "none"
+
+    def test_prob_l_certain_at_zero_streak(self):
+        assert branch_at(TOP_DRAW) == "penalty"
+
+    @given(cl=streaks, u=st.floats(min_value=0, max_value=1, exclude_max=True))
+    def test_both_are_probabilities(self, cl, u):
+        assert branch_at(0.0, cl=cl) == "reward"
+        assert branch_at(u, cl=cl) in ("reward", "none")
+        assert branch_at(u) == "penalty"
+
+    @given(cl=streaks, u=st.floats(min_value=0, max_value=1, exclude_max=True))
+    def test_monotonicities(self, cl, u):
+        if branch_at(u, cl=cl) == "reward":
+            assert branch_at(u, cl=cl + 1) == "reward"
 
 
 class TestComputeFairnessFactors:
@@ -191,30 +216,30 @@ class TestComputeFairnessFactors:
         rng = _ConstantRng(0.0)
         out = compute_fairness_factors(records, [0, 1, 2, 3], self.MEANS, PARAMS, rng)
         assert out.applied_branch == {0: "none", 1: "reward", 2: "penalty", 3: "penalty"}
-        assert out.factors[1] == fun_w(1, Fraction(1), 1, PARAMS)
-        assert out.factors[2] == fun_l(0, Fraction(1), 0, PARAMS)
+        assert out.factors[1] == 32  # 2 * (9 * 1 + 7 * 1)
+        assert out.factors[2] == -28  # -(4 * 0 + 28 / 1)
 
     def test_saturated_loser_rewarded_regardless_of_draw(self):
         out = compute_fairness_factors(
             self.records(), [0], self.MEANS, PARAMS, _ConstantRng(0.99)
         )
-        # prob_w(6) = 1, so even a 0.99 draw takes the reward branch.
+        # The reward probability is 1 at streak 6, so even a 0.99 draw takes it.
         assert out.applied_branch[0] == "reward"
-        assert out.factors[0] == fun_w(6, Fraction(1), 6, PARAMS)
+        assert out.factors[0] == 427  # 7 * (9 * 6 + 7 * 1)
 
     def test_fresh_winner_always_penalized(self):
         out = compute_fairness_factors(
             self.records(), [1], self.MEANS, PARAMS, _ConstantRng(0.3)
         )
-        # prob_l(0) = 1: the penalty branch is certain right after a win.
+        # The penalty branch is certain right after a win.
         assert out.applied_branch[1] == "penalty"
-        assert out.factors[1] == fun_l(3, Fraction(1), 0, PARAMS)
+        assert out.factors[1] == -40  # -(4 * 3 + 28 / 1)
         assert out.factors[1] < 0
 
     def test_failed_draw_leaves_factor_zero(self):
         records = {0: ParticipantRecord(losses=1, consecutive_losses=1)}
         out = compute_fairness_factors(records, [0], self.MEANS, PARAMS, _ConstantRng(0.9))
-        # prob_w(1) = 2/7 < 0.9: no intervention this round.
+        # The reward probability at streak 1 is 2/7 < 0.9: no intervention.
         assert out.factors[0] == 0 and out.applied_branch[0] == "none"
 
     def test_one_draw_per_participant_in_id_order(self):
@@ -232,16 +257,6 @@ class TestComputeFairnessFactors:
             return compute_fairness_factors(self.records(), [0, 1, 2], self.MEANS, PARAMS, rng)
 
         assert run() == run()
-
-
-class TestFairnessOutcome:
-    def test_branch_sign_consistency_enforced(self):
-        with pytest.raises(ValueError, match="penalty"):
-            FairnessOutcome(factors={0: Fraction(1)}, applied_branch={0: "penalty"})
-        with pytest.raises(ValueError, match="reward"):
-            FairnessOutcome(factors={0: Fraction(-1)}, applied_branch={0: "reward"})
-        with pytest.raises(ValueError, match="no branch"):
-            FairnessOutcome(factors={0: Fraction(1)}, applied_branch={0: "none"})
 
 
 class _SequenceRng:
@@ -274,8 +289,8 @@ EDGE_RATIOS = (
     Fraction(1, 10), Fraction(1, 10) - Fraction(1, 997), Fraction(1, 10) + Fraction(1, 997),
     Fraction(10), Fraction(10) - Fraction(1, 997), Fraction(10) + Fraction(1, 997), Fraction(1),
 )
-# Draws exactly on probability thresholds (0.5 is prob_w(2) at max_losses 5),
-# floats just off them, and arbitrary floats.
+# Draws exactly on probability thresholds (0.5 is the reward probability at
+# streak 2 and max_losses 5), floats just off them, and arbitrary floats.
 draw_st = st.one_of(
     st.sampled_from([0.0, 0.5, 0.25, 0.75, 1 / 3, 2 / 3, 1 / 7, 0.2, 0.125]),
     st.floats(min_value=0, max_value=1, exclude_max=True),
@@ -337,23 +352,27 @@ class TestAgainstReference:
         )
         assert out.factors == factors
         assert out.applied_branch == branches
-        FairnessOutcome(factors=out.factors, applied_branch=out.applied_branch)
         assert rng.draws == reference_rng.draws == len(records)
-        for cid, record in records.items():
-            assert eval_fun(record, means) == reference_eval_fun(record, means)
+        for record in records.values():
+            quality = reference_eval_fun(record, means)
+            assert quality_penalty(record.price_history, means) == -1 / quality
 
-    @given(
-        count=counts,
-        eval=st.fractions(min_value=Fraction(-5), max_value=50, max_denominator=97),
-        cl=counts,
-        params=params_st,
-    )
-    def test_public_formulas_equal_the_fraction_reference(self, count, eval, cl, params):
-        assert fun_w(count, eval, cl, params) == reference_fun_w(count, eval, cl, params)
-        if eval != 0:
-            assert fun_l(count, eval, cl, params) == reference_fun_l(count, eval, cl, params)
-        assert prob_w(cl, params) == reference_prob_w(cl, params)
-        assert prob_l(cl) == reference_prob_l(cl)
+    @given(count=counts, quality=evals, cl=streaks, u=draw_st, params=params_st)
+    def test_public_formulas_equal_the_fraction_reference(self, count, quality, cl, u, params):
+        # The paper's formulas as the round applies them: a loser on streak
+        # cl, and a winner, whose streak is 0, with quality over a mean of 1.
+        history = ((quality,),)
+        loser = ParticipantRecord(losses=cl + count, consecutive_losses=cl, price_history=history)
+        assert outcome(loser, params=params) == (
+            "reward", reference_fun_w(cl + count, quality, cl, params)
+        )
+        rewarded = u < reference_prob_w(cl, params)
+        assert outcome(loser, params=params, u=u)[0] == ("reward" if rewarded else "none")
+        winner = ParticipantRecord(wins=count, losses=1, price_history=history)
+        assert u < reference_prob_l(0)
+        assert outcome(winner, params=params, u=u) == (
+            "penalty", reference_fun_l(count, quality, 0, params)
+        )
 
     def test_draw_exactly_on_the_threshold_fails(self):
         params = FairnessParams(max_losses=5)
@@ -361,8 +380,8 @@ class TestAgainstReference:
             0: ParticipantRecord(losses=2, consecutive_losses=2, price_history=((Fraction(1),),)),
             1: ParticipantRecord(wins=1, losses=1, consecutive_losses=0, price_history=((Fraction(1),),)),
         }
-        # prob_w(2) = 3/6: a draw of 0.5 is not below it.  Consumer 1 won, so
-        # their streak is 0 and prob_l(0) = 1: every draw is below it.
+        # The reward probability at streak 2 is 3/6: a draw of 0.5 is not
+        # below it.  Consumer 1 won, so their penalty is certain.
         out = compute_fairness_factors(records, [0, 1], (1,), params, _ConstantRng(0.5))
         assert out.applied_branch == {0: "none", 1: "penalty"}
         below = compute_fairness_factors(
@@ -375,7 +394,8 @@ class TestMarketMeanValidation:
     LOSER = {0: ParticipantRecord(losses=1, consecutive_losses=1, price_history=((Fraction(3),),))}
 
     def test_non_positive_mean_accepted_when_nobody_is_evaluated(self):
-        # prob_w(1) = 2/7 < 0.9: the loser's draw fails, so nobody is evaluated.
+        # The reward probability at streak 1 is 2/7 < 0.9: the loser's draw
+        # fails, so nobody is evaluated.
         for records in (self.LOSER, {0: ParticipantRecord()}):
             out = compute_fairness_factors(
                 records, [0], (Fraction(0),), PARAMS, _ConstantRng(0.9)
@@ -390,3 +410,14 @@ class TestMarketMeanValidation:
                 self.LOSER, [0], (Fraction(1), Fraction(-1, 2)), PARAMS,
                 _ConstantRng(0.0),
             )
+
+
+class TestFairnessOutcome:
+    @settings(max_examples=100, deadline=None)
+    @given(case=fairness_round())
+    def test_branch_sign_consistency_enforced(self, case):
+        records, means, params, draws = case
+        out = compute_fairness_factors(records, list(records), means, params, _SequenceRng(draws))
+        for cid, branch in out.applied_branch.items():
+            factor = out.factors[cid]
+            assert {"reward": factor >= 0, "penalty": factor < 0, "none": factor == 0}[branch]

@@ -377,7 +377,7 @@ class TestJsonText:
         from faircda.engine import (
             EngineConfig,
             repository_from_dict,
-            repository_to_json,
+            repository_to_dict,
             run_simulation,
         )
         from faircda.model import MarketShape
@@ -390,5 +390,6 @@ class TestJsonText:
         assert report.per_run[-1].drops > 0
         text = report_to_json(report)
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-        snapshot = repository_to_json(repository_from_dict(report.final_repositories[-1]))
-        assert snapshot == json.dumps(json.loads(snapshot), indent=2, sort_keys=True) + "\n"
+        repo = repository_from_dict(report.final_repositories[-1])
+        snapshot = _json_text(repository_to_dict(repo))
+        assert snapshot == json.dumps(json.loads(snapshot), indent=2, sort_keys=True)

@@ -1,4 +1,4 @@
-"""Domain type invariants and the budget operation."""
+"""Domain type invariants, and the records and budgets the program derives from them."""
 
 import math
 import pickle
@@ -19,9 +19,14 @@ from faircda.model import (
     ParticipantRecord,
     ProviderBid,
     as_money,
-    budget,
 )
-from faircda.engine import Repository, repository_to_dict
+from faircda.engine import (
+    EngineConfig,
+    Repository,
+    repository_to_dict,
+    run_round,
+    update_repository,
+)
 from faircda.wdp_solver import WdpInstance
 
 
@@ -93,6 +98,22 @@ class TestProviderBid:
             ProviderBid(0, (1,), ("a",))
 
 
+# One provider with ample supply of two types.  Asking nothing, it sells to
+# every bid; asking more than any bid here offers, it sells to none.
+FREE = ProviderBid(0, (0, 0), (100, 100))
+DEAR = ProviderBid(0, (1000, 1000), (100, 100))
+
+
+def folded(record: ParticipantRecord, prices, provider: ProviderBid) -> ParticipantRecord:
+    """``record`` after ``update_repository`` folds a round in which its
+    consumer bid ``prices`` for one unit of each type against ``provider``."""
+    repo = Repository(records={0: record}, round_counter=record.wins + record.losses)
+    bid = ConsumerBid(0, prices, (1, 1))
+    config = EngineConfig(fairness_enabled=False)
+    result = run_round(repo, [bid], [provider], config, np.random.default_rng(0))
+    return update_repository(repo, result).records[0]
+
+
 class TestParticipantRecord:
     def test_streak_cannot_exceed_losses(self):
         with pytest.raises(ValueError, match="consecutive_losses"):
@@ -108,13 +129,13 @@ class TestParticipantRecord:
 
     def test_win_resets_streak(self):
         rec = ParticipantRecord(wins=1, losses=5, consecutive_losses=5)
-        after = rec.after_win((Fraction(10),))
+        after = folded(rec, (Fraction(10), Fraction(10)), FREE)
         assert after.wins == 2 and after.consecutive_losses == 0
-        assert after.price_history[-1] == (Fraction(10),)
+        assert after.price_history[-1] == (Fraction(10), Fraction(10))
 
     def test_loss_extends_streak(self):
         rec = ParticipantRecord(losses=2, consecutive_losses=1)
-        after = rec.after_loss((Fraction(7),))
+        after = folded(rec, (Fraction(7), Fraction(7)), DEAR)
         assert after.losses == 3 and after.consecutive_losses == 2
 
     def test_drop_mark_is_permanent(self):
@@ -133,13 +154,13 @@ class TestParticipantRecord:
 
     def test_unreadable_history_entry_names_itself(self):
         with pytest.raises(ValueError, match="price history entry must be numbers"):
-            ParticipantRecord().after_loss(("x",))
+            ParticipantRecord(price_history=(("x",),))
 
     def test_appends_reject_a_negative_entry(self):
-        rec = ParticipantRecord()
-        for append in (rec.after_win, rec.after_loss):
-            with pytest.raises(ValueError, match="price history entry"):
-                append((Fraction(3), Fraction(-1)))
+        # The fold appends a bid's prices, and no bid holds a negative price.
+        for provider in (FREE, DEAR):
+            with pytest.raises(ValueError, match="consumer unit prices must be non-negative"):
+                folded(ParticipantRecord(), (Fraction(3), Fraction(-1)), provider)
 
     def test_append_validates_only_the_new_entry(self, monkeypatch):
         history = tuple((Fraction(k), Fraction(k, 2)) for k in range(200))
@@ -152,7 +173,8 @@ class TestParticipantRecord:
             return real(values, what)
 
         monkeypatch.setattr(model, "_money_tuple", counting)
-        after = rec.after_win((3, "1/2")).after_loss((Fraction(4), 0.25))
+        after = folded(folded(rec, (3, "1/2"), FREE), (Fraction(4), 0.25), DEAR)
+        # Only each new bid's prices, when the bid is built; the fold checks none.
         assert checked == [(3, "1/2"), (Fraction(4), 0.25)]
         monkeypatch.undo()
         assert after == ParticipantRecord(
@@ -242,24 +264,37 @@ class TestAllocation:
         with pytest.raises(ValueError):
             alloc.transfers[0, 0, 0] = 2
 
+    def test_callers_array_stays_writeable(self):
+        y = np.ones((1, 1, 1), dtype=np.int64)
+        alloc = Allocation((True,), y)
+        assert y.flags.writeable and not alloc.transfers.flags.writeable
+        y[0, 0, 0] = 2
+        assert alloc.transfers.tolist() == [[[1]]]
+
     def test_value_equality(self):
         a = Allocation(winners=(True,), transfers=np.ones((1, 1, 1), dtype=np.int64))
         b = Allocation(winners=(True,), transfers=np.ones((1, 1, 1), dtype=np.int64))
         assert a == b and a.units_sold() == 1
 
 
+def scaled_budget(bid: ConsumerBid) -> Fraction:
+    """The budget the solvers read for ``bid``: its integer over the instance's ``D``."""
+    scaled = WdpInstance.from_bids([bid], [])._scaled
+    return Fraction(scaled.budgets[0], scaled.denominator)
+
+
 class TestBudget:
     def test_hand_computed_example(self):
         bid = ConsumerBid(0, (Fraction(10), Fraction(20)), (1, 2))
-        assert budget(bid) == 50
+        assert scaled_budget(bid) == 50
 
     def test_zero_quantity_type_contributes_nothing(self):
         bid = ConsumerBid(0, (Fraction(10), Fraction(20)), (0, 1))
-        assert budget(bid) == 20
+        assert scaled_budget(bid) == 20
 
     def test_zero_prices(self):
         bid = ConsumerBid(0, (Fraction(0), Fraction(0)), (1, 1))
-        assert budget(bid) == 0
+        assert scaled_budget(bid) == 0
 
     @given(
         prices=st.lists(st.integers(0, 50), min_size=1, max_size=4),
@@ -271,7 +306,7 @@ class TestBudget:
         if not any(quantities):
             quantities[0] = 1
         bid = ConsumerBid(0, tuple(map(Fraction, prices)), tuple(quantities))
-        assert budget(bid) == sum(p * q for p, q in zip(prices, quantities))
+        assert scaled_budget(bid) == sum(p * q for p, q in zip(prices, quantities))
 
 
 # Pairwise coprime: gcd(2**a - 1, 2**b - 1) == 2**gcd(a, b) - 1 == 1 for distinct primes a, b.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from faircda.cli import random_micro_instance
 from faircda.model import Allocation, ConsumerBid, ExtendedConsumerBid, MarketShape, ProviderBid
-from faircda.pricing import settle, trade_price_unit
+from faircda.pricing import settle
 from faircda.wdp_solver import WdpInstance, objective_value, solve_exact, solve_heuristic
 
 MAPS = (
@@ -28,19 +28,26 @@ def micro_instance(consumer_price, provider_price, quantity, supply=None):
     return WdpInstance.from_bids([ExtendedConsumerBid(bid=bid)], [pb])
 
 
+def unit_price(consumer_price, provider_price):
+    """The price :func:`settle` gives one unit that the consumer buys from the provider."""
+    inst = micro_instance(consumer_price, provider_price, 1)
+    s = settle(inst, Allocation(winners=(True,), transfers=np.ones((1, 1, 1), dtype=np.int64)))
+    return s.unit_trade_prices[(0, 0, 0)]
+
+
 class TestTradePriceUnit:
     def test_midpoint(self):
-        assert trade_price_unit(Fraction(100), Fraction(50)) == 75
+        assert unit_price(100, 50) == 75
 
     def test_equal_prices(self):
-        assert trade_price_unit(Fraction(80), Fraction(80)) == 80
+        assert unit_price(80, 80) == 80
 
     def test_wide_spread(self):
-        assert trade_price_unit(Fraction(250), Fraction(50)) == 150
+        assert unit_price(250, 50) == 150
 
     def test_incompatible_pair_rejected(self):
-        with pytest.raises(ValueError, match="no trade price"):
-            trade_price_unit(Fraction(4), Fraction(5))
+        with pytest.raises(ValueError, match="price compatibility"):
+            unit_price(4, 5)
 
     @given(
         pp=st.fractions(min_value=0, max_value=1000),
@@ -48,7 +55,7 @@ class TestTradePriceUnit:
     )
     def test_lies_between_the_suggested_prices(self, pp, spread):
         cp = pp + spread
-        price = trade_price_unit(cp, pp)
+        price = unit_price(cp, pp)
         assert pp <= price <= cp
 
 
@@ -65,7 +72,8 @@ class TestSettle:
 
     def test_empty_allocation_settles_to_zero(self):
         inst = micro_instance(100, 50, 2)
-        s = settle(inst, Allocation.empty(inst.shape))
+        nothing = Allocation(winners=(False,), transfers=np.zeros((1, 1, 1), dtype=np.int64))
+        s = settle(inst, nothing)
         assert s.consumer_payments == {0: 0}
         assert s.provider_receipts == {0: 0}
         assert s.consumer_utilities == {0: 0}
@@ -142,7 +150,7 @@ def solved_instances(draw):
 
 
 def eager_settlement(instance, allocation):
-    """The five maps, built unit by unit from the bids with :func:`trade_price_unit`."""
+    """The five maps, built unit by unit from the bids at midpoint prices."""
     cids = [ext.consumer_id for ext in instance.consumer_bids]
     pids = [pb.provider_id for pb in instance.provider_bids]
     maps = {"unit_trade_prices": {}}
@@ -152,7 +160,7 @@ def eager_settlement(instance, allocation):
     for n, l, m in zip(*np.nonzero(y)):
         cp = instance.consumer_bids[n].bid.unit_prices[l]
         pp = instance.provider_bids[m].unit_prices[l]
-        price = trade_price_unit(cp, pp)
+        price = (cp + pp) / 2
         units = int(y[n, l, m])
         maps["unit_trade_prices"][(cids[n], int(l), pids[m])] = price
         maps["consumer_payments"][cids[n]] += units * price

@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_costs, reference_heuristic_winners
+from oracles import reference_budget, reference_costs, reference_heuristic_winners
 
 from faircda import engine
 from faircda.engine import EngineConfig, run_simulation
@@ -26,7 +26,6 @@ from faircda.model import (
     FairnessParams,
     MarketShape,
     ProviderBid,
-    budget,
 )
 from faircda.pricing import settle
 from faircda.scenario import ScenarioConfig
@@ -150,9 +149,11 @@ class TestBeyondInt64:
 
     def test_budgets_are_each_bids_price_quantity_product(self):
         inst = coprime_instance()
-        assert inst._scaled.consumer_prices.dtype == object
-        assert inst.budgets == tuple(budget(ext.bid) for ext in inst.consumer_bids)
-        assert all(type(b) is Fraction for b in inst.budgets)
+        sc = inst._scaled
+        assert sc.consumer_prices.dtype == object
+        budgets = [Fraction(b, sc.denominator) for b in sc.budgets]
+        assert budgets == [reference_budget(ext.bid) for ext in inst.consumer_bids]
+        assert all(type(b) is int for b in sc.budgets)
 
     def test_solvers_return_the_recorded_results(self):
         inst = coprime_instance()
@@ -348,11 +349,11 @@ class TestGeneratedInstances:
     @settings(max_examples=60, deadline=None)
     @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=12))
     def test_budgets_are_each_bids_price_quantity_product(self, inst):
-        budgets = inst.budgets
-        assert len(budgets) == inst.shape.num_consumers
-        for n, ext in enumerate(inst.consumer_bids):
-            assert budgets[n] == budget(ext.bid)
-            assert type(budgets[n]) is Fraction
+        sc = inst._scaled
+        assert len(sc.budgets) == inst.shape.num_consumers
+        for b, ext in zip(sc.budgets, inst.consumer_bids):
+            assert Fraction(b, sc.denominator) == reference_budget(ext.bid)
+            assert type(b) is int
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -465,7 +466,7 @@ class TestGeneratedInstances:
                 for l in range(L)
             )
             ext = inst.consumer_bids[n]
-            return marginal <= budget(ext.bid) + ext.fairness_factor
+            return marginal <= reference_budget(ext.bid) + ext.fairness_factor
 
         state = _HeuristicState(inst)
         winners, saved = set(), []
