@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import SOLVER_MODES, EngineConfig, check_solver_fits, config_echo, run_simulation
+from .engine import SOLVER_MODES, EngineConfig, config_echo, run_simulation
 from .metrics import REPORT_FILES, SimulationReport, _rows_to_csv, emit
 from .model import (
     ConsumerBid,
@@ -122,9 +122,7 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
     ``engine.machine_dependent`` is accepted and ignored: it is recomputed
     from ``time_budget_s``.  Each parsed value in ``args`` whose dest is a
     dotted config key (``scenario.consumers``, ``output_dir``) overrides
-    that key.  A solver whose limits the scenario exceeds is rejected here,
-    so such a config exits 1 before any round; :func:`main` checks the
-    output paths.
+    that key.  :func:`main` checks the output paths.
     """
     merged = {**config_echo(ScenarioConfig(), EngineConfig()), "output_dir": "out"}
     merged["engine"]["machine_dependent"] = None
@@ -151,12 +149,14 @@ def load_experiment_config(path: Optional[Path], args: Optional[argparse.Namespa
         scenario_config = ScenarioConfig(shape=shape, **scenario)
     with _section("engine.fairness_params"):
         params = FairnessParams(**engine.pop("fairness_params"))
+    solver = engine.pop("solver")
+    if solver not in SOLVER_MODES:
+        raise ValueError(f"engine.solver must be one of {SOLVER_MODES}, got {solver!r}")
     with _section("engine"):
         limits = SolverLimits(engine.pop("node_budget"), engine.pop("time_budget_s"))
         engine_config = EngineConfig(
-            fairness_params=params, solver_mode=engine.pop("solver"), solver_limits=limits, **engine
+            fairness_params=params, solver_mode=solver, solver_limits=limits, **engine
         )
-    check_solver_fits(scenario_config, engine_config)
     return ExperimentConfig(scenario_config, engine_config, merged["output_dir"])
 
 

@@ -49,15 +49,7 @@ from .model import (
 )
 from .pricing import Settlement, settle
 from .scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
-from .wdp_solver import (
-    ORACLE_MAX_CONSUMERS,
-    SolverLimits,
-    WdpInstance,
-    WdpSolution,
-    solve_exact,
-    solve_heuristic,
-    solve_oracle,
-)
+from .wdp_solver import SolverLimits, WdpInstance, WdpSolution, solve_exact, solve_heuristic
 
 __all__ = [
     "Repository",
@@ -66,17 +58,11 @@ __all__ = [
     "run_round",
     "update_repository",
     "run_simulation",
-    "check_solver_fits",
     "repository_to_dict",
     "repository_from_dict",
 ]
 
-_SOLVERS = {
-    "exact": lambda instance, limits: solve_exact(instance, limits),
-    "heuristic": lambda instance, limits: solve_heuristic(instance),
-    "oracle": lambda instance, limits: solve_oracle(instance),
-}
-SOLVER_MODES = tuple(_SOLVERS)
+SOLVER_MODES = ("exact", "heuristic")
 _ZERO = Fraction(0)
 
 
@@ -194,7 +180,10 @@ def run_round(
         for b in consumer_bids
     ]
     instance = WdpInstance.from_bids(ext_bids, provider_bids)
-    solution = _SOLVERS[config.solver_mode](instance, config.solver_limits)
+    if config.solver_mode == "exact":
+        solution = solve_exact(instance, config.solver_limits)
+    else:
+        solution = solve_heuristic(instance)
     drops = tuple(
         b.consumer_id
         for b, won in zip(consumer_bids, solution.allocation.winners)
@@ -297,21 +286,6 @@ def config_echo(scenario: ScenarioConfig, config: EngineConfig) -> dict:
     return echo
 
 
-def check_solver_fits(scenario: ScenarioConfig, config: EngineConfig) -> None:
-    """Reject, before any round, a solver whose limits the scenario exceeds.
-
-    Only ``oracle`` has one: it enumerates every winner subset, so it takes
-    at most ``ORACLE_MAX_CONSUMERS`` consumers, and a round never has more
-    consumers than the scenario.
-    """
-    consumers = scenario.shape.num_consumers
-    if config.solver_mode == "oracle" and consumers > ORACLE_MAX_CONSUMERS:
-        raise ValueError(
-            f"solver 'oracle' enumerates at most {ORACLE_MAX_CONSUMERS} consumers, "
-            f"the scenario has {consumers} consumers"
-        )
-
-
 def run_simulation(
     scenario: ScenarioConfig, config: EngineConfig, jobs: int = 1
 ) -> metrics.SimulationReport:
@@ -319,10 +293,8 @@ def run_simulation(
 
     Runs use separate deterministic random streams, so the report is a pure
     function of the two configurations; ``jobs > 1`` executes runs in
-    parallel worker processes without changing the result.  A solver whose
-    limits the scenario exceeds is rejected up front (:func:`check_solver_fits`).
+    parallel worker processes without changing the result.
     """
-    check_solver_fits(scenario, config)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     runs = range(scenario.runs)

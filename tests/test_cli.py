@@ -96,9 +96,9 @@ class TestCmdRun:
                            "provider_quantity_range": [0, 5]}}, ()),
             # Would fail in round 2: fairness factors divide by the mean offer.
             ({"scenario": {"consumers": 5, "runs": 1, "consumer_price_range": [0, 0]}}, ()),
-            # Would fail in round 1: the oracle enumerates at most 12 consumers.
-            ({"scenario": {"consumers": 13, "providers": 2, "resource_types": 1, "runs": 1},
-              "engine": {"solver": "oracle"}}, ("solver", "consumers")),
+            # A report written when oracle was a solver mode: it is a reference only now.
+            ({"scenario": {"consumers": 5, "runs": 1}, "engine": {"solver": "oracle"}},
+             ("engine.solver", "'oracle'")),
             # Would fail in round 1: price draws are int64 cents.
             ({"scenario": {"consumers": 5, "runs": 1, "consumer_price_range": ["1e17", "1e18"]}},
              ("consumer_price_range",)),
@@ -108,7 +108,7 @@ class TestCmdRun:
                            "consumer_quantity_range": [2**62, 2**62]}},
              ("consumer_quantity_range", "provider_quantity_range")),
         ],
-        ids=["no-units-offered", "zero-prices", "oracle-13-consumers", "price-past-int64",
+        ids=["no-units-offered", "zero-prices", "oracle-solver", "price-past-int64",
              "units-past-int64"],
     )
     def test_config_that_cannot_finish_exits_one_without_files(
@@ -351,8 +351,9 @@ class TestCmdRun:
         assert "machine_dependent" not in plain.config_echo["engine"]
 
     def test_usage_error_exits_one(self, capsys):
-        assert run_main(["run", "--solver", "magic"]) == 1
-        assert "error" in capsys.readouterr().err
+        for solver in ("magic", "oracle"):
+            assert run_main(["run", "--solver", solver]) == 1
+            assert "error" in capsys.readouterr().err
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         config_path = tmp_path / "experiment.json"

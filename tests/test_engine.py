@@ -15,7 +15,6 @@ from faircda.engine import (
     EngineConfig,
     Repository,
     RoundResult,
-    check_solver_fits,
     repository_from_dict,
     repository_to_dict,
     run_round,
@@ -30,7 +29,7 @@ from faircda.model import (
     ProviderBid,
 )
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
-from faircda.wdp_solver import WdpInstance, WdpSolution, solve_heuristic
+from faircda.wdp_solver import WdpInstance, WdpSolution, solve_heuristic, solve_oracle
 
 
 def cbid(cid, price, quantity=1):
@@ -447,24 +446,45 @@ class TestRunSimulation:
         assert reads == ["__iter__"]
 
 
-class TestCheckSolverFits:
-    def test_oracle_past_its_cap_is_rejected_before_any_round(self, monkeypatch):
-        def no_round(*args):
-            raise AssertionError("a round was started")
+class TestExactIsTheOracle:
+    # (shape, seed, rounds): the small market has rounds the heuristic gets
+    # wrong, the large one rounds at the oracle's 12-consumer cap.  Scarce
+    # supply and max_losses=1 make drops happen.
+    SIMULATIONS = (((8, 2, 1), 2, 6), ((12, 3, 2), 1, 2))
 
-        monkeypatch.setattr(engine, "run_round", no_round)
-        scenario = ScenarioConfig(shape=MarketShape(13, 2, 1), runs=2)
-        config = EngineConfig(solver_mode="oracle", rounds=2)
-        for jobs in (1, 2):
-            with pytest.raises(ValueError, match="solver 'oracle'.* 13 consumers"):
-                run_simulation(scenario, config, jobs=jobs)
+    @pytest.mark.parametrize("fairness", [True, False])
+    def test_every_simulated_round_is_the_oracles_optimum(self, monkeypatch, fairness):
+        """On markets the oracle can enumerate, every round ``exact`` clears
+        is proved optimal and is the oracle's allocation, tie rule included."""
+        real = engine.solve_exact
+        sizes, heuristic_misses, drops = [], 0, 0
 
-    def test_oracle_at_its_cap_and_other_solvers_pass(self):
-        at_cap = ScenarioConfig(shape=MarketShape(12, 2, 1))
-        past_cap = ScenarioConfig(shape=MarketShape(13, 2, 1))
-        check_solver_fits(at_cap, EngineConfig(solver_mode="oracle"))
-        for mode in ("exact", "heuristic"):
-            check_solver_fits(past_cap, EngineConfig(solver_mode=mode))
+        def checked_solve(instance, limits):
+            nonlocal heuristic_misses
+            sol = real(instance, limits)
+            expected = solve_oracle(instance).allocation
+            assert sol.optimality == "proved_optimal"
+            assert sol.allocation == expected
+            sizes.append(instance.shape.num_consumers)
+            heuristic_misses += solve_heuristic(instance).allocation != expected
+            return sol
+
+        monkeypatch.setattr(engine, "solve_exact", checked_solve)
+        for shape, seed, rounds in self.SIMULATIONS:
+            scenario = ScenarioConfig(
+                shape=MarketShape(*shape), runs=1, provider_quantity_range=(5, 20)
+            )
+            config = EngineConfig(
+                fairness_enabled=fairness,
+                fairness_params=model.FairnessParams(max_losses=1),
+                solver_mode="exact",
+                rounds=rounds,
+                master_seed=seed,
+            )
+            drops += sum(row.drops for row in run_simulation(scenario, config).per_run)
+        assert len(sizes) == sum(rounds for _, _, rounds in self.SIMULATIONS)
+        assert max(sizes) == wdp_solver.ORACLE_MAX_CONSUMERS
+        assert drops > 0 and heuristic_misses > 0
 
 
 class TestRepositorySerialization:
@@ -541,8 +561,9 @@ class TestEngineConfig:
             EngineConfig(**fields)
 
     def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError, match="solver_mode"):
-            EngineConfig(solver_mode="simplex")
+        for mode in ("simplex", "oracle"):
+            with pytest.raises(ValueError, match="solver_mode"):
+                EngineConfig(solver_mode=mode)
 
     @pytest.mark.parametrize("name", ["fairness_params", "solver_limits"])
     def test_nested_config_must_have_its_type(self, name):

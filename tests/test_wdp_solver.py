@@ -394,14 +394,14 @@ class TestSolveHeuristic:
         price vectors, and nothing is put over a common denominator with the
         factors.  solve_exact makes the one call, for S."""
         caught = []
-        real = engine._SOLVERS["heuristic"]
+        real = engine.solve_heuristic
 
-        def spy(inst, limits):
-            sol = real(inst, limits)
+        def spy(inst):
+            sol = real(inst)
             caught.append((inst, sol.gap_bound))
             return sol
 
-        with mock.patch.dict(engine._SOLVERS, heuristic=spy), mock.patch(
+        with mock.patch.object(engine, "solve_heuristic", spy), mock.patch(
             "faircda.wdp_solver.over_common_denominator", wraps=over_common_denominator
         ) as scaled:
             engine.run_simulation(
@@ -661,13 +661,13 @@ class TestGreedyLeadingRun:
     def test_reference_rounds_with_fairness_factors(self):
         """Reference-sized rounds after the first, whose factors have large denominators."""
         caught = []
-        real = engine._SOLVERS["heuristic"]
+        real = engine.solve_heuristic
 
-        def spy(inst, limits):
+        def spy(inst):
             caught.append(inst)
-            return real(inst, limits)
+            return real(inst)
 
-        with mock.patch.dict(engine._SOLVERS, heuristic=spy):
+        with mock.patch.object(engine, "solve_heuristic", spy):
             engine.run_simulation(
                 ScenarioConfig(shape=MarketShape(300, 5, 4), runs=1),
                 engine.EngineConfig(rounds=4, master_seed=5),
