@@ -23,6 +23,7 @@ streams (common random numbers), whatever their drop histories.
 
 from __future__ import annotations
 
+import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -224,33 +225,41 @@ def _run_rng(master_seed: int, run_index: int, stream: int) -> np.random.Generat
 def _simulate_one_run(
     scenario: ScenarioConfig, config: EngineConfig, run_index: int
 ) -> tuple[list[metrics.PerRoundRow], dict]:
-    """One run's report rows and final repository: small to return from a worker."""
-    rng_bids, rng_fair = (_run_rng(config.master_seed, run_index, stream) for stream in (0, 1))
-    repo = Repository.fresh(range(scenario.shape.num_consumers))
-    previous_prices: Optional[dict[int, PriceVector]] = None
-    rows: list[metrics.PerRoundRow] = []
-    drops = 0
-    for _ in range(config.rounds):
-        provider_bids = generate_provider_bids(scenario, rng_bids)
-        all_bids = generate_consumer_bids(scenario, rng_bids, previous_prices)
-        previous_prices = {b.consumer_id: b.unit_prices for b in all_bids}
-        active = [b for b in all_bids if not repo.record(b.consumer_id).dropped]
-        result = run_round(repo, active, provider_bids, config, rng_fair)
-        repo = update_repository(repo, result)
-        drops += len(result.drops_this_round)
-        rows.append(
-            metrics.PerRoundRow(
-                run=run_index,
-                round=result.round_index,
-                total_utility=result.solution.total_utility,
-                total_satisfaction=result.solution.total_satisfaction,
-                utilization_percent=result.utilization_percent,
-                win_percent=result.win_percent,
-                cumulative_drops=drops,
+    """One run's report rows and final repository: small to return from a worker.
+
+    A run makes no reference cycles, so cyclic collection is off while it lasts."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        rng_bids, rng_fair = (_run_rng(config.master_seed, run_index, stream) for stream in (0, 1))
+        repo = Repository.fresh(range(scenario.shape.num_consumers))
+        previous_prices: Optional[dict[int, PriceVector]] = None
+        rows: list[metrics.PerRoundRow] = []
+        drops = 0
+        for _ in range(config.rounds):
+            provider_bids = generate_provider_bids(scenario, rng_bids)
+            all_bids = generate_consumer_bids(scenario, rng_bids, previous_prices)
+            previous_prices = {b.consumer_id: b.unit_prices for b in all_bids}
+            active = [b for b in all_bids if not repo.record(b.consumer_id).dropped]
+            result = run_round(repo, active, provider_bids, config, rng_fair)
+            repo = update_repository(repo, result)
+            drops += len(result.drops_this_round)
+            rows.append(
+                metrics.PerRoundRow(
+                    run=run_index,
+                    round=result.round_index,
+                    total_utility=result.solution.total_utility,
+                    total_satisfaction=result.solution.total_satisfaction,
+                    utilization_percent=result.utilization_percent,
+                    win_percent=result.win_percent,
+                    cumulative_drops=drops,
+                )
             )
-        )
-        del result  # garbage now, not held through the next round's clearing
-    return rows, repository_to_dict(repo)
+            del result  # garbage now, not held through the next round's clearing
+        return rows, repository_to_dict(repo)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def config_echo(scenario: ScenarioConfig, config: EngineConfig) -> dict:

@@ -4,10 +4,10 @@ Per-round rows capture total utility, total satisfaction, resource
 utilization, the winning rate, and the cumulative drop count; a report
 carries only them and derives its per-run rows with :func:`aggregate`, so
 every per-run value, drops included, is a function of the run's
-``per_round.csv`` rows.  Utilization
-is the percentage of offered units actually sold in a round; the winning
-rate is the percentage of that round's participants who won.  Every evaluation series is recoverable from the
-emitted ``per_round.csv`` / ``per_run.csv`` with any plotting tool.
+``per_round.csv`` rows.  Utilization is the percentage of offered units
+actually sold in a round; the winning rate is the percentage of that
+round's participants who won.  Every evaluation series is recoverable from
+the emitted ``per_round.csv`` / ``per_run.csv`` with any plotting tool.
 
 Currency values are exact rationals internally and in ``report.json``
 (serialized as fraction strings); CSV cells hold their float values for
@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
@@ -172,20 +173,36 @@ def _json_row(row) -> dict:
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(row).items()}
 
 
+def _scalar(value) -> str:
+    """``json.dumps(value)``; an exact str, int, finite float, bool or None builds no encoder."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return kind.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    return json.dumps(value)
+
+
 def _json_text(value, pad: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, when
     every object key is a string.  ``json`` runs its C encoder only without
     ``indent``; here each list of strings, or of non-empty string lists (a
-    price history), goes to its C string encoder in one join."""
+    price history), goes to its C string encoder in one join, a scalar to :func:`_scalar`."""
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = sep.join(f"{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        body = sep.join(
+            f"{_quote(k)}: "
+            f"{_json_text(v, inner) if isinstance(v, (dict, list, tuple)) else _scalar(v)}"
+            for k, v in sorted(value.items())
+        )
         return f"{{\n{inner}{body}\n{pad}}}"
     if not isinstance(value, (list, tuple)):
-        return json.dumps(value)
+        return _scalar(value)
     if not value:
         return "[]"
     kinds = set(map(type, value))
@@ -220,9 +237,9 @@ def _load_field(name: str, kind, value):
         return None
     try:
         money = as_money(value)
-    except (ValueError, ZeroDivisionError):
+        return money if kind is Money else float(money)
+    except (ValueError, ZeroDivisionError, OverflowError):  # float(Fraction(10**400)) overflows
         raise ValueError(f"{name} must be a finite number, got {value!r}") from None
-    return money if kind is Money else float(money)
 
 
 def parse_report(text: str) -> SimulationReport:

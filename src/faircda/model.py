@@ -101,6 +101,17 @@ def price_rows(vectors: Sequence[PriceVector]) -> tuple[int, list[Sequence[int]]
     ]
 
 
+def _ratio(value) -> tuple[int, int]:
+    """``value``'s reduced numerator and denominator, as :func:`as_money` reads it."""
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash) and (d := int(den or 1)):
+            g = math.gcd(n := int(num), d)
+            return n // g, d // g
+    money = as_money(value)
+    return money.numerator, money.denominator
+
+
 class PriceVector(_SequenceABC):
     """An immutable vector of exact prices: integer ``numerators`` over one
     ``denominator``.
@@ -113,7 +124,9 @@ class PriceVector(_SequenceABC):
     and builds no ``Fraction`` at all.
 
     ``PriceVector(values)`` reads each value with :func:`as_money`, like
-    ``tuple(values)``, and returns a vector given a vector.
+    ``tuple(values)``, and returns a vector given a vector; a canonical string,
+    ASCII ``"n"`` or ``"n/d"`` with ``d > 0`` as :meth:`strings` writes, is
+    read to the same integers without a ``Fraction``.
     """
 
     __slots__ = ("numerators", "denominator")
@@ -121,9 +134,9 @@ class PriceVector(_SequenceABC):
     def __new__(cls, values: Iterable = ()):
         if type(values) is cls:
             return values
-        items = [as_money(v) for v in values]
-        D = math.lcm(*[p.denominator for p in items])
-        return cls._make(tuple(p.numerator * (D // p.denominator) for p in items), D)
+        pairs = [_ratio(v) for v in values]
+        D = math.lcm(*[d for _, d in pairs])
+        return cls._make(tuple(n * (D // d) for n, d in pairs), D)
 
     @classmethod
     def _make(cls, numerators: tuple[int, ...], denominator: int) -> "PriceVector":

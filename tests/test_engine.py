@@ -1,6 +1,7 @@
 """Round orchestration, repository evolution, and full simulations."""
 
 import dataclasses
+import gc
 import json
 import pickle
 import weakref
@@ -311,6 +312,36 @@ class TestRunSimulation:
         scenario = ScenarioConfig(shape=MarketShape(12, 2, 2), runs=2)
         run_simulation(scenario, EngineConfig(solver_mode=solver, rounds=4, master_seed=1))
         assert len(calls) == 2 * 4 == len({id(instance) for instance in calls})
+
+    @pytest.mark.parametrize("solver", ["heuristic", "exact"])
+    @pytest.mark.parametrize("fairness", [True, False])
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_a_run_collects_nothing_and_leaves_the_collector_as_found(
+        self, monkeypatch, solver, fairness, collecting
+    ):
+        """Collection is off during a run, which leaves no cyclic garbage,
+        and the caller's collector state is restored."""
+        states = []
+        real = engine.run_round
+
+        def recording(*args):
+            states.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(engine, "run_round", recording)
+        scenario = ScenarioConfig(shape=MarketShape(30, 3, 2), runs=2)
+        config = EngineConfig(
+            fairness_enabled=fairness, solver_mode=solver, rounds=6, master_seed=2
+        )
+        gc.collect()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            run_simulation(scenario, config)
+            assert gc.isenabled() is collecting
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert states == [False] * 2 * 6
 
     def test_same_seed_is_bit_identical(self):
         scenario = ScenarioConfig(shape=MarketShape(15, 2, 2), runs=2)

@@ -3,6 +3,7 @@
 import json
 import re
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,8 @@ class TestEmit:
          ("per_round", "utilization_percent", "nan"), ("per_run", "mean_utilization", True),
          ("per_run", "mean_win_percent", "nan"), ("per_run", "mean_drop_round", True),
          ("per_run", "mean_utilization", float("nan")),
+         # Finite, but past a float's range.
+         ("per_round", "utilization_percent", "1e400"), ("per_run", "mean_win_percent", 10**400),
          # A missing field, a non-object and a non-array: table None is the
          # report itself, field None replaces the whole row or report.
          pytest.param("per_round", "round", MISSING, id="per_round-round-missing"),
@@ -371,6 +374,22 @@ class TestJsonText:
     @example({"k": [["1/2", "3"], ("4",)], "": {}})
     def test_same_bytes_as_the_stdlib(self, value):
         assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [IntEnum("Size", "ONE").ONE, type("Str", (str,), {})("x"), type("Real", (float,), {})(0.5),
+         Fraction(1, 2), object()],
+    )
+    def test_scalar_subclasses_and_other_types_as_the_stdlib(self, value):
+        """Scalars past the typed fast path: the stdlib's bytes, or its error."""
+        payload = {"k": value, "list": [value]}
+        try:
+            want = json.dumps(payload, indent=2, sort_keys=True)
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=re.escape(str(exc))):
+                _json_text(payload)
+        else:
+            assert _json_text(payload) == want
 
     def test_real_report_and_its_repository(self):
         """A contested two-run fairness report; its last run drops a consumer."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from faircda import model
@@ -409,6 +409,59 @@ class TestPriceVector:
         with pytest.raises(ValueError, match="non-negative, got -1/4"):
             model._money_tuple(model.PriceVector((F(1), F(-1, 4))), "prices")
         assert vector != [F(1, 2), F(3)] and vector != (F(1, 2),)
+
+
+def _money_tuple_through_as_money(values, what):
+    """The reference price check: every item read by ``as_money`` into a
+    ``Fraction``, then the vector built from those."""
+    try:
+        items = [as_money(v) for v in values]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{what} must be numbers, got {values!r}") from exc
+    for p in items:
+        if p < 0:
+            raise ValueError(f"{what} must be non-negative, got {p}")
+    D = math.lcm(*(p.denominator for p in items))
+    return model.PriceVector._make(tuple(p.numerator * (D // p.denominator) for p in items), D)
+
+
+# Near-canonical strings: digits (ASCII, Arabic-Indic, superscript), slashes,
+# signs, underscores, points, exponents and spaces.
+_price_strings = st.one_of(
+    st.text(st.sampled_from("0123456789/+-_.eE \t٣²"), max_size=8),
+    st.from_regex(r"\A[0-9]{1,5}(/[0-9]{1,5})?\Z"),
+    st.text(max_size=6),
+)
+
+
+class TestPriceStrings:
+    @given(st.lists(_price_strings, max_size=4))
+    @example(["1_000"])  # read by Python 3.11's Fraction, rejected by 3.10's
+    @example(["٣"])
+    @example(["²"])
+    @example([" 3 "])
+    @example(["+3"])
+    @example(["-0"])
+    @example(["3/-4"])
+    @example(["2/4"])
+    @example(["1/0"])
+    @example(["0/7", "3/"])
+    @example(["0.10"])
+    @example(["1e2"])
+    @example(["1" * 5000])  # past the int digit limit
+    @example(["12/5", "7", "1/3", 0.5, F(2, 9)])
+    def test_read_as_as_money_reads_them(self, values):
+        """Canonical strings skip the ``Fraction``; every value loads, or is
+        refused with the same message, as through ``as_money``."""
+        try:
+            want = _money_tuple_through_as_money(values, "prices")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                model._money_tuple(values, "prices")
+            assert str(got.value) == str(exc)
+        else:
+            got = model._money_tuple(values, "prices")
+            assert (got.numerators, got.denominator) == (want.numerators, want.denominator)
 
 
 class TestAsMoney:
