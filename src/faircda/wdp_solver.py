@@ -20,16 +20,17 @@ solver here:
   realizes exactly that multiset).
 
 ``solve_exact`` runs depth-first branch and bound over the winner vector,
-seeded with the heuristic's winners; ``solve_oracle`` enumerates all winner
-subsets; ``solve_heuristic`` greedily admits consumers by Lagrangian margin
-with one drop-and-readd repair pass.  One function bounds both searches, the
-Lagrangian relaxation of the per-type supply balance, over ``D``: at the
-heuristic's demand for the exact nodes, at the cheapest asks for the
-heuristic's ranking, and at both for its gap.  All three return allocations
-that validate clean.  The two search solvers hold winner demand in one
-layout, a flat cumulative-demand vector, read the supply and cost tables of
-that layout from the instance, and read its cost with one formula,
-``_breakpoint_cost``.
+seeded with the heuristic's winners (the greedy pass's alone when no budget
+can truncate the search, whose result is then the same whatever the seed);
+``solve_oracle`` enumerates all winner subsets; ``solve_heuristic`` greedily
+admits consumers by Lagrangian margin with one drop-and-readd repair pass.
+One function bounds both searches, the Lagrangian relaxation of the per-type
+supply balance, over ``D``: at the heuristic's demand for the exact nodes, at
+the cheapest asks for the heuristic's ranking, and at both for its gap.  All
+three return allocations that validate clean.  The two search solvers hold
+winner demand in one layout, a flat cumulative-demand vector, read the supply
+and cost tables of that layout from the instance, and read its cost with one
+formula, ``_breakpoint_cost``.
 
 Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` derives
 its market as integers once, when it is built (:class:`_ScaledValues`):
@@ -308,7 +309,9 @@ class SolverLimits:
     ``node_budget`` is the deterministic limit; ``time_budget_s`` (None for
     unlimited, else a positive finite number of seconds, stored as a float)
     additionally caps wall-clock time but makes truncated results
-    machine-dependent.
+    machine-dependent.  With no time budget, a node budget of at least
+    ``2^(N+1) − 1`` (the whole tree of ``N`` consumers) proves optimality,
+    and the seed skips the heuristic's repair pass: no output changes.
     """
 
     node_budget: int = 1_000_000
@@ -559,8 +562,10 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     Consumers are decided in bid order, exclude branch first, so subsets are
     visited in lexicographic winner-vector order.  The incumbent starts as
     the heuristic's winner set (the seed), so a truncated search is never
-    worse than :func:`solve_heuristic`.  Each node is bounded by the
-    Lagrangian relaxation of the per-type supply balance, with one
+    worse than :func:`solve_heuristic`.  A search that no budget can
+    truncate (see :class:`SolverLimits`) returns the same result whatever
+    the seed, so its seed is the greedy pass alone.  Each node is bounded
+    by the Lagrangian relaxation of the per-type supply balance, with one
     multiplier per type read from the seed (:func:`_lagrangian_bound`): its
     winners' Lagrangian margins plus a suffix sum, O(1) per node.
 
@@ -588,8 +593,9 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     (:func:`_breakpoint_cost`).  Nodes are cheap, so they run on Python
     lists, not arrays.
     """
-    if limits is None:
-        limits = SolverLimits()
+    limits = SolverLimits() if limits is None else limits
+    if not isinstance(limits, SolverLimits):
+        raise ValueError(f"limits must be a SolverLimits, got {limits!r}")
     started = time.monotonic()
     sc = instance._scaled
     N = instance.shape.num_consumers
@@ -598,12 +604,14 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     feasible_alone = sc.feasible_alone.tolist()
     rows, supply = sc.contribution_rows, sc.supply_list
     tables = list(zip(sc.tables, sc.demand_at))
+    # node_budget >= 2^(N+1) - 1, the whole tree: the search cannot be truncated.
+    complete = limits.time_budget_s is None and (limits.node_budget + 1).bit_length() > N + 1
 
     # Winner values and the seed's objective, less one, over S; each node's
     # bound is its winners' Lagrangian margins g plus rest[i], what
     # consumers i.. and the providers can add at most.
     w = [b * up + f for b, f in zip(sc.budgets, factors)]
-    incumbent, state = _heuristic_pass(instance)
+    incumbent, state = _heuristic_pass(instance, repair=not complete)
     incumbent_obj = sum(w[n] for n in incumbent) - up * sum(state.cost) - 1
     bundle, saved = _lagrangian_bound(instance, state.cumdem)
     g = [x - c * up if ok else 0 for x, c, ok in zip(w, bundle, feasible_alone)]
@@ -928,10 +936,10 @@ def _heuristic_bound(instance: WdpInstance, cumdem: tuple[int, ...]) -> Money:
     return min(_rational_bound(instance, d) for d in ((), cumdem))
 
 
-def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
+def _heuristic_pass(instance: WdpInstance, repair=True) -> tuple[list[int], _HeuristicState]:
     """:func:`solve_heuristic`'s winner positions, ascending, and its final
     state, which holds their demand and its cost: the search, with no
-    solution built."""
+    solution built.  Without ``repair``, the greedy pass's."""
     sc = instance._scaled
     state = _HeuristicState(instance)
 
@@ -965,6 +973,8 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], _HeuristicState]:
     ranked = np.array(sorted(candidates, key=key.__getitem__, reverse=True), dtype=np.intp)
     run = state.admit_leading_run(ranked)
     admitted = ranked[:run].tolist() + admit_in_order(state.pool(ranked[run + 1 :]))
+    if not repair:
+        return sorted(admitted), state
     won = np.zeros(instance.shape.num_consumers, dtype=bool)
     won[admitted] = True
     pool = state.pool(ranked[~won[ranked]])

@@ -186,6 +186,24 @@ def ab_competition():
     )
 
 
+def swap_market():
+    """Four consumers, one provider of two units.
+
+    The greedy takes consumer 2 (two units, the best margin); dropping it
+    readmits consumer 1, also two units, so the repair keeps consumer 2.
+    Consumers 0 and 3, one unit each, are worth more together.
+    """
+    return instance(
+        [
+            consumer(0, [11], [1], ff=6),
+            consumer(1, [18], [2], ff=-5),
+            consumer(2, [13], [2], ff=7),
+            consumer(3, [11], [1], ff=6),
+        ],
+        [provider(0, [9], [2])],
+    )
+
+
 def generated_instance(seed, **scenario):
     """A generated 40x4x3 round-one market."""
     config = ScenarioConfig(shape=MarketShape(40, 4, 3), runs=1, **scenario)
@@ -239,23 +257,17 @@ class TestSolveExact:
         with pytest.raises(ValueError, match=next(iter(fields))):
             SolverLimits(**fields)
 
+    @pytest.mark.parametrize("limits", [5, 1.5, {"node_budget": 5}])
+    def test_limits_of_another_type_rejected(self, limits):
+        with pytest.raises(ValueError, match="limits must be a SolverLimits, got"):
+            solve_exact(ab_competition(), limits)
+
     def test_time_budget_is_stored_as_float(self):
         assert SolverLimits(time_budget_s=5).time_budget_s == 5.0
         assert isinstance(SolverLimits(time_budget_s=5).time_budget_s, float)
 
     def test_truncated_search_reports_valid_gap(self):
-        # The greedy takes consumer 2 (two units, the best margin); dropping
-        # it readmits consumer 1, also two units, so the repair keeps it.
-        # Consumers 0 and 3, one unit each, are worth more together.
-        inst = instance(
-            [
-                consumer(0, [11], [1], ff=6),
-                consumer(1, [18], [2], ff=-5),
-                consumer(2, [13], [2], ff=7),
-                consumer(3, [11], [1], ff=6),
-            ],
-            [provider(0, [9], [2])],
-        )
+        inst = swap_market()
         optimal = solve_exact(inst)
         assert (optimal.winner_positions, optimal.objective) == ((0, 3), 16)
         assert solve_heuristic(inst).objective == 15
@@ -471,12 +483,59 @@ class TestSeededSearch:
         heuristic = solve_heuristic(inst)
         assert heuristic.objective + heuristic.gap_bound >= oracle.objective
         seed = heuristic.objective
-        for budget in (1, 2, 5, 20):
-            sol = solve_exact(inst, SolverLimits(node_budget=budget))
+        # A depth-N tree has 2^(N+1) - 1 nodes: the budgets either side of
+        # it (but 0), and a time budget the seed alone uses up, which stops
+        # the search at its root.
+        whole_tree = 2 ** (inst.shape.num_consumers + 1) - 1
+        budgets = [
+            SolverLimits(node_budget=b) for b in (1, 2, 5, 20, whole_tree - 1, whole_tree) if b
+        ]
+        for limits in budgets + [SolverLimits(time_budget_s=1e-9)]:
+            sol = solve_exact(inst, limits)
             assert sol.objective >= seed
             assert sol.objective + sol.gap_bound >= oracle.objective
             if sol.optimality == "proved_optimal":
                 assert sol.allocation.winners == oracle.allocation.winners
+
+    @settings(max_examples=60, deadline=None)
+    @given(heuristic_instances())
+    def test_whole_tree_budget_gives_the_default_result(self, inst):
+        whole_tree = SolverLimits(node_budget=2 ** (inst.shape.num_consumers + 1) - 1)
+        sol, default = solve_exact(inst, whole_tree), solve_exact(inst)
+        assert (sol.allocation, sol.objective, sol.optimality) == (
+            default.allocation, default.objective, default.optimality
+        )
+        assert sol.allocation.winners == solve_oracle(inst).allocation.winners
+
+    def test_repair_runs_only_when_the_search_can_be_truncated(self, monkeypatch):
+        # The repair pass drops each greedy winner once; nothing else does.
+        dropped = []
+        remove = _HeuristicState.remove
+
+        def spy(state, n):
+            dropped.append(n)
+            remove(state, n)
+
+        monkeypatch.setattr(_HeuristicState, "remove", spy)
+        inst = swap_market()
+        N = inst.shape.num_consumers
+        whole_tree = 2 ** (N + 1) - 1
+        for limits, repairs in (
+            (SolverLimits(node_budget=1), True),
+            (SolverLimits(node_budget=2**N - 1), True),
+            (SolverLimits(node_budget=whole_tree - 1), True),
+            (SolverLimits(node_budget=whole_tree), False),
+            (SolverLimits(node_budget=whole_tree + 1), False),
+            (SolverLimits(), False),
+            (SolverLimits(node_budget=whole_tree, time_budget_s=60), True),
+            (SolverLimits(time_budget_s=60), True),
+        ):
+            dropped.clear()
+            solve_exact(inst, limits)
+            assert dropped == ([2] if repairs else []), limits
+        dropped.clear()
+        assert solve_heuristic(inst).winner_positions == (2,)
+        assert dropped == [2]
 
 
 class TestHeuristicBound:
