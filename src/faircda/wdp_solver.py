@@ -20,8 +20,8 @@ solver here:
   realizes exactly that multiset).
 
 ``solve_exact`` runs depth-first branch and bound over the winner vector,
-seeded with the heuristic's winners (the greedy pass's alone when no budget
-can truncate the search, whose result is then the same whatever the seed);
+seeded with the heuristic's winners (its greedy pass's alone, without the
+repair, when no budget can truncate the search: the result is then the same);
 ``solve_oracle`` enumerates all winner subsets; ``solve_heuristic`` greedily
 admits consumers by Lagrangian margin with one drop-and-readd repair pass.
 One function bounds both searches, the Lagrangian relaxation of the per-type
@@ -102,21 +102,21 @@ class _ScaledValues:
     ``consumer_prices[n, l]`` and ``provider_prices[m, l]`` are unit prices
     times ``denominator`` (``D``, the least common multiple of the prices'
     denominators); ``budgets`` are Python ints over ``D``; ``fairness``
-    holds the fairness factors and ``factor_floors`` their floors over
-    ``D``.  Per type, ``order[l]`` lists provider positions by (ask,
-    position), and ``sorted_prices``, ``cumsup`` and ``cumcost`` (cumulative
-    supply and cost, each with a leading 0) follow that order.  ``reach[n,
-    l]`` is how many of those providers consumer ``n`` can afford for type
-    ``l``; ``feasible_alone[n]`` whether that supply alone covers their
-    bundle.  Price arrays, ``cumsup`` and ``cumcost`` are int64 when
-    every sum formed from them fits, ``object`` otherwise; quantity arrays
-    are int64.  Every array is read-only.
+    holds the fairness factors, ``factor_floors`` their floors over ``D``
+    and ``value`` each budget plus floor.  Per type, ``order[l]`` lists
+    provider positions by (ask, position), and ``sorted_prices``, ``cumsup``
+    and ``cumcost`` (cumulative supply and cost, each with a leading 0)
+    follow that order.  ``reach[n, l]`` is how many of those providers
+    consumer ``n`` can afford for type ``l``; ``feasible_alone[n]`` whether
+    that supply alone covers their bundle.  Price arrays, ``cumsup`` and
+    ``cumcost`` are int64 when every sum formed from them fits, ``object``
+    otherwise; quantity arrays are int64.  Every array is read-only.
 
     Both searches hold winner demand as one flat cumulative-demand vector
-    (see :class:`_HeuristicState`) and read the same layout from here:
-    ``supply`` (and ``supply_list``), each entry's cumulative supply;
-    ``contribution[n]`` (and ``contribution_rows``), what admitting consumer
-    ``n`` adds to the demand; ``demand_at[l]``, where type ``l``'s whole
+    (see :class:`_HeuristicState`) and read the same layout from here, as
+    lists: ``supply_list``, each entry's cumulative supply;
+    ``contribution_rows[n]``, what admitting consumer ``n`` adds to the
+    demand; ``demand_at[l]``, where type ``l``'s whole
     demand is; and ``tables[l]``, the type's ``(cumsup, cumcost, price)``
     lists for :func:`_breakpoint_cost`.  Nothing here is over ``S``: only
     :func:`solve_exact` builds it, once per call.
@@ -167,18 +167,17 @@ class _ScaledValues:
         self.feasible_alone = fits.all(axis=1)
         self.fairness = tuple(ext.fairness_factor for ext in consumer_bids)
         self.factor_floors = tuple(ff.numerator * D // ff.denominator for ff in self.fairness)
+        self.value = tuple(map(add, self.budgets, self.factor_floors))
 
         # The layout both searches read.  cumsup[l][k + 1], flat by type with
         # each type's providers last first, as the cumulative demand is.
-        self.supply = self.cumsup[:, :0:-1].reshape(-1)
-        self.supply_list = self.supply.tolist()
+        self.supply_list = self.cumsup[:, :0:-1].reshape(-1).tolist()
         self.demand_at = [l * M for l in range(L)]
         # What admitting consumer n adds to the cumulative demand: q[n][l] at
         # every provider of type l it reaches.
-        self.contribution = np.where(
+        self.contribution_rows = np.where(
             np.arange(M - 1, -1, -1) >= self.reach[:, :, None] - 1, q[:, :, None], 0
-        ).reshape(N, L * M)
-        self.contribution_rows = self.contribution.tolist()
+        ).reshape(N, L * M).tolist()
         self.tables = []
         for l in range(L):
             # One breakpoint past the supply, so that every segment has an end.
@@ -311,7 +310,7 @@ class SolverLimits:
     additionally caps wall-clock time but makes truncated results
     machine-dependent.  With no time budget, a node budget of at least
     ``2^(N+1) − 1`` (the whole tree of ``N`` consumers) proves optimality,
-    and the seed skips the heuristic's repair pass: no output changes.
+    and the seed is the heuristic's greedy pass alone: no output changes.
     """
 
     node_budget: int = 1_000_000
@@ -564,10 +563,12 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     the heuristic's winner set (the seed), so a truncated search is never
     worse than :func:`solve_heuristic`.  A search that no budget can
     truncate (see :class:`SolverLimits`) returns the same result whatever
-    the seed, so its seed is the greedy pass alone.  Each node is bounded
-    by the Lagrangian relaxation of the per-type supply balance, with one
-    multiplier per type read from the seed (:func:`_lagrangian_bound`): its
-    winners' Lagrangian margins plus a suffix sum, O(1) per node.
+    the seed, so its seed is the heuristic's greedy pass alone
+    (:func:`_greedy_pass`), with no repair and no :class:`_HeuristicState`.
+    Each node is bounded by the Lagrangian relaxation of the per-type supply
+    balance, with one multiplier per type read from the seed
+    (:func:`_lagrangian_bound`): its winners' Lagrangian margins plus a
+    suffix sum, O(1) per node.
 
     Ties go to the lexicographically smallest winner vector.  A search leaf
     replaces the incumbent only by strict improvement and a node is pruned
@@ -611,9 +612,12 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     # bound is its winners' Lagrangian margins g plus rest[i], what
     # consumers i.. and the providers can add at most.
     w = [b * up + f for b, f in zip(sc.budgets, factors)]
-    incumbent, state = _heuristic_pass(instance, repair=not complete)
-    incumbent_obj = sum(w[n] for n in incumbent) - up * sum(state.cost) - 1
-    bundle, saved = _lagrangian_bound(instance, state.cumdem)
+    if complete:
+        incumbent, seed_demand, seed_cost = _greedy_pass(instance, _ranked(instance)[0])
+    else:
+        incumbent, seed_demand, seed_cost = _heuristic_pass(instance)
+    incumbent_obj = sum(w[n] for n in incumbent) - up * seed_cost - 1
+    bundle, saved = _lagrangian_bound(instance, seed_demand)
     g = [x - c * up if ok else 0 for x, c, ok in zip(w, bundle, feasible_alone)]
     # Skip a margin that is not positive: adding 0 would still copy a large integer.
     rest = list(accumulate(reversed(g), lambda r, x: r + x if x > 0 else r, initial=up * saved))
@@ -721,16 +725,6 @@ def _breakpoint_cost(
     return j, cumcost[j] + (x - cumsup[j]) * price[j]
 
 
-def _breakpoint_costs(
-    cumsup: np.ndarray, cumcost: np.ndarray, price: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """:func:`_breakpoint_cost`'s cost for every entry of ``x``, each within
-    the supply, the same formula over one type's rows of
-    :class:`_ScaledValues`: ``searchsorted`` is ``bisect_left``."""
-    j = np.searchsorted(cumsup[1:], x)
-    return cumcost[j] + (x - cumsup[j]) * price[j]
-
-
 class _Pool(NamedTuple):
     """The candidates of a scan, gathered once, in scan order.
 
@@ -782,21 +776,22 @@ class _HeuristicState:
     consumer's marginal cost never falls while the demand stays within
     supply; demand beyond supply already fails the room test.
 
-    The supply, contribution rows and cost tables are the instance's
-    (:class:`_ScaledValues`), which :func:`solve_exact` reads too; the
-    room, the marginal costs and the pools are the heuristic's alone.
+    The state starts at ``cumdem``, zero demand if none is given; the
+    repair pass starts it at the greedy pass's demand.  The supply,
+    contribution rows and cost tables are the instance's
+    (:class:`_ScaledValues`), which the greedy pass and :func:`solve_exact`
+    read too; the room, the marginal costs and the pools are the repair's alone.
     """
 
-    def __init__(self, instance: WdpInstance):
+    def __init__(self, instance: WdpInstance, cumdem: Sequence[int] = ()):
         self.sc = sc = instance._scaled
         L, M = sc.sorted_prices.shape
         self.num_types, self.dtype = L, sc.cumsup.dtype
         self.type_start = [t == 0 for _ in range(L) for t in range(M)]
-        value = list(map(add, sc.budgets, sc.factor_floors))
-        fits = max(map(abs, value), default=0) < _INT64_SAFE
-        self.value = np.array(value, dtype=np.int64 if fits else object)
+        fits = max(map(abs, sc.value), default=0) < _INT64_SAFE
+        self.value = np.array(sc.value, dtype=np.int64 if fits else object)
         self.distinct, self.slot_start = [], []
-        slot = np.empty((L, len(value)), dtype=np.intp)
+        slot = np.empty((L, len(sc.value)), dtype=np.intp)
         start = L * M
         for l, column in enumerate(sc.consumer_quantities.T):
             values, index = np.unique(np.append(column, 0), return_inverse=True)
@@ -809,7 +804,7 @@ class _HeuristicState:
         room_index = np.minimum(M - sc.reach.T, M - 1) + M * np.arange(L)[:, None]
         # A pool's per-type arrays, stacked so that one gather takes them all.
         self.candidate_side = np.concatenate([sc.consumer_quantities.T, room_index, slot])
-        self.cumdem = [0] * (L * M)
+        self.cumdem = list(cumdem) or [0] * (L * M)
         self._refresh()
 
     def _refresh(self) -> None:
@@ -843,38 +838,6 @@ class _HeuristicState:
         read = self.reads.take(pool.index)
         fits = np.logical_and.reduce(pool.quantities <= read[:L], axis=0)
         return fits & (np.add.reduce(read[L:], axis=0) <= pool.value)
-
-    def admit_leading_run(self, ids: np.ndarray) -> int:
-        """Admit the longest prefix of ``ids`` that would be admitted one by one.
-
-        Candidate ``i`` is tested against the state with ``ids[:i]``
-        admitted.  That state plus the candidate is the cumulative sum of
-        the contributions through ``i``, so one array pass tests them all
-        for room: the current state is feasible, and so is every state
-        before the first failure, so a candidate fits iff the whole sum fits
-        the supply prefixes.  The candidates that fit are then priced at
-        once (:func:`_breakpoint_costs`): each one's marginal cost is the
-        difference of two consecutive total costs.  Returns the prefix
-        length ``f``; ``ids[f]``, if it exists, fails against the state now
-        held.
-        """
-        # Reading demand needs a provider.  With none, no consumer fits
-        # alone, so no pool the solver passes has members.
-        if not len(ids):
-            return 0
-        sc = self.sc
-        after = np.cumsum(sc.contribution[ids], axis=0, dtype=self.dtype) + self.cumdem
-        fits = (after <= sc.supply).all(axis=1)
-        fitting = len(ids) if fits.all() else int(fits.argmin())
-        demand = after[:fitting, sc.demand_at].T
-        totals = sum(map(_breakpoint_costs, sc.cumsup, sc.cumcost, sc.sorted_prices, demand))
-        marginal = np.diff(totals, prepend=sum(self.cost))
-        passed = marginal <= self.value[ids[:fitting]]
-        f = fitting if passed.all() else int(passed.argmin())
-        if f:
-            self.cumdem = after[f - 1].tolist()
-            self._refresh()
-        return f
 
     def add(self, n: int) -> None:
         self.cumdem = list(map(add, self.cumdem, self.sc.contribution_rows[n]))
@@ -916,18 +879,17 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     Every scan walks its candidates in rank order and only admits, so winner
     demand only grows within a scan, and a candidate rejected once stays
     rejected for the rest of it (room only shrinks, cost is convex).  The
-    greedy pass starts with its leading run: from the empty state, the
-    top-ranked candidates are admitted back to back, so one array pass
-    tests each for room against the state with all before it admitted, and
-    the run up to the first failure is admitted at once.  After that, and
-    in every repair scan, a scan tests all its candidates at once, admits
-    the first that passes, and tests again only the later ones that passed:
-    the admissions are those of a candidate-by-candidate loop.  A scan's
+    greedy pass is one loop over the ranked candidates on the instance's
+    demand layout (:func:`_greedy_pass`), the seed :func:`solve_exact` uses
+    alone.  The repair pass holds the demand in a :class:`_HeuristicState`:
+    each of its scans tests all its candidates at once, admits the first
+    that passes, and tests again only the later ones that passed, so the
+    admissions are those of a candidate-by-candidate loop.  A scan's
     candidates are gathered once as a :class:`_Pool` and narrowed with a
     mask; the repair pool is gathered again only when a swap is kept.
     """
-    winners, state = _heuristic_pass(instance)
-    bound = partial(_heuristic_bound, instance, tuple(state.cumdem))
+    winners, cumdem, _ = _heuristic_pass(instance)
+    bound = partial(_heuristic_bound, instance, tuple(cumdem))
     return _build_solution(instance, winners, "heuristic", bound=bound)
 
 
@@ -936,12 +898,49 @@ def _heuristic_bound(instance: WdpInstance, cumdem: tuple[int, ...]) -> Money:
     return min(_rational_bound(instance, d) for d in ((), cumdem))
 
 
-def _heuristic_pass(instance: WdpInstance, repair=True) -> tuple[list[int], _HeuristicState]:
-    """:func:`solve_heuristic`'s winner positions, ascending, and its final
-    state, which holds their demand and its cost: the search, with no
-    solution built.  Without ``repair``, the greedy pass's."""
+def _ranked(instance: WdpInstance) -> tuple[list[int], dict[int, tuple]]:
+    """``(ranked, key)``: the heuristic's candidates, best first, by ``key``:
+    the Lagrangian margin at zero demand over ``D`` with the factors' floors,
+    then between tied margins the remainder the floor drops, in ``[0, 1)``,
+    so it orders as the exact margin does; stable, so ties keep position order."""
     sc = instance._scaled
-    state = _HeuristicState(instance)
+    margin = list(map(sub, sc.value, _lagrangian_bound(instance, [])[0]))
+    candidates = [n for n in np.flatnonzero(sc.feasible_alone).tolist() if margin[n] >= 0]
+    tied = Counter(margin[n] for n in candidates)
+    key = {n: (margin[n], sc.remainder(n) if tied[margin[n]] > 1 else 0) for n in candidates}
+    return sorted(candidates, key=key.__getitem__, reverse=True), key
+
+
+def _greedy_pass(instance: WdpInstance, ranked: list[int]) -> tuple[list[int], list[int], int]:
+    """The heuristic's greedy pass over the ``ranked`` candidates: its winner
+    positions, ascending, their flat cumulative demand and its cost over
+    ``D``.  A candidate is admitted iff their contribution is within the
+    slack (the supply less the demand) entry by entry and the cost rises by
+    at most their value."""
+    sc = instance._scaled
+    supply = sc.supply_list
+    tables = [(*t, at) for t, at in zip(sc.tables, sc.demand_at)]
+    winners, slack, cost = [], supply, 0
+    for n in ranked:
+        row = sc.contribution_rows[n]
+        if all(map(le, row, slack)):
+            child = list(map(sub, slack, row))
+            child_cost = 0
+            for cumsup, cumcost, price, at in tables:
+                child_cost += _breakpoint_cost(cumsup, cumcost, price, supply[at] - child[at])[1]
+            if child_cost - cost <= sc.value[n]:
+                winners.append(n)
+                slack, cost = child, child_cost
+    return sorted(winners), list(map(sub, supply, slack)), cost
+
+
+def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], list[int], int]:
+    """:func:`solve_heuristic`'s winner positions, ascending, their flat
+    cumulative demand and its cost over ``D``, with no solution built."""
+    sc = instance._scaled
+    ranked, key = _ranked(instance)
+    admitted, cumdem, cost = _greedy_pass(instance, ranked)
+    state = _HeuristicState(instance, cumdem)
 
     def admit_in_order(pool: _Pool) -> list[int]:
         """Admit each candidate of ``pool``, in order, that fits and pays its way."""
@@ -960,21 +959,7 @@ def _heuristic_pass(instance: WdpInstance, repair=True) -> tuple[list[int], _Heu
             alive &= state.admissible(pool)
         return gained
 
-    # The Lagrangian margin at zero demand over D with the factors' floors:
-    # the exact margin times D is margin[n] + remainder(n), the remainder in
-    # [0, 1), so (margin, remainder) orders as it does, and it is
-    # non-negative iff margin is.  Remainders only break ties.
-    value = state.value.tolist()
-    margin = list(map(sub, value, _lagrangian_bound(instance, [])[0]))
-    candidates = [n for n in np.flatnonzero(sc.feasible_alone).tolist() if margin[n] >= 0]
-    tied = Counter(margin[n] for n in candidates)
-    key = {n: (margin[n], sc.remainder(n) if tied[margin[n]] > 1 else 0) for n in candidates}
-    # The sort is stable, so tied margins stay in position order.
-    ranked = np.array(sorted(candidates, key=key.__getitem__, reverse=True), dtype=np.intp)
-    run = state.admit_leading_run(ranked)
-    admitted = ranked[:run].tolist() + admit_in_order(state.pool(ranked[run + 1 :]))
-    if not repair:
-        return sorted(admitted), state
+    ranked = np.array(ranked, dtype=np.intp)
     won = np.zeros(instance.shape.num_consumers, dtype=bool)
     won[admitted] = True
     pool = state.pool(ranked[~won[ranked]])
@@ -983,13 +968,13 @@ def _heuristic_pass(instance: WdpInstance, repair=True) -> tuple[list[int], _Heu
     # remainders less the dropped one: in (x - 1, x + len(gained)), so
     # positive if x >= 1 and not if x <= -len(gained).  Only in between
     # are the remainders read.
-    values = sum(value[n] for n in admitted)
-    current = values - sum(state.cost)
+    values = sum(sc.value[n] for n in admitted)
+    current = values - cost
     for a in sorted(admitted, key=lambda n: (key[n], n)):
         snapshot = state.save()
         state.remove(a)
         gained = admit_in_order(pool)
-        new_values = values - value[a] + sum(value[n] for n in gained)
+        new_values = values - sc.value[a] + sum(sc.value[n] for n in gained)
         x = new_values - sum(state.cost) - current
         if x >= 1 or (x > -len(gained) and x + sum(map(sc.remainder, gained)) > sc.remainder(a)):
             current, values = current + x, new_values
@@ -999,7 +984,7 @@ def _heuristic_pass(instance: WdpInstance, repair=True) -> tuple[list[int], _Heu
         else:
             state.restore(snapshot)
 
-    return np.flatnonzero(won).tolist(), state
+    return np.flatnonzero(won).tolist(), state.cumdem, sum(state.cost)
 
 
 def dump_instance(instance: WdpInstance) -> str:

@@ -114,6 +114,19 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
     tests candidates as arrays, on integers over common denominators; it
     must admit exactly the consumers this loop admits.
     """
+    return _reference_heuristic(inst, repair=True)[0]
+
+
+def reference_greedy(inst: WdpInstance) -> tuple[list[int], list[list[int]], Fraction]:
+    """The same loop's greedy pass alone, with no repair: its winner
+    positions, ascending; their cumulative demand ``cumdem[l][k]``, the
+    demand of type ``l`` from winners who reach at most ``k + 1`` providers
+    sorted by (ask, position); and the cost of that demand."""
+    return _reference_heuristic(inst, repair=False)
+
+
+def _reference_heuristic(inst, repair):
+    """(winners, cumdem, cost) of the greedy pass, then the repair if ``repair``."""
     M = inst.shape.num_providers
     L = inst.shape.num_resource_types
     q = [list(ext.bid.quantities) for ext in inst.consumer_bids]
@@ -170,11 +183,11 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
                 shift(cumdem, n, 1)
                 admitted.append(n)
 
+    def total_cost(cumdem):
+        return sum((cost(l, cumdem[l][M - 1] if M else 0) for l in range(L)), Fraction(0))
+
     def objective(cumdem, admitted):
-        total = sum((w[n] for n in admitted), Fraction(0))
-        for l in range(L):
-            total -= cost(l, cumdem[l][M - 1] if M else 0)
-        return total
+        return sum((w[n] for n in admitted), Fraction(0)) - total_cost(cumdem)
 
     margin = reference_margins(inst)
     ranked = sorted((n for n in margin if margin[n] >= 0), key=lambda n: (-margin[n], n))
@@ -182,7 +195,7 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
     admitted = []
     admit_in_order(cumdem, admitted, ranked)
     current = objective(cumdem, admitted)
-    for a in sorted(admitted, key=lambda n: (margin[n], n)):
+    for a in sorted(admitted, key=lambda n: (margin[n], n)) if repair else ():
         trial_cumdem = [row[:] for row in cumdem]
         trial = [n for n in admitted if n != a]
         shift(trial_cumdem, a, -1)
@@ -190,7 +203,7 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
         new = objective(trial_cumdem, trial)
         if new > current:
             cumdem, admitted, current = trial_cumdem, trial, new
-    return sorted(admitted)
+    return sorted(admitted), cumdem, total_cost(cumdem)
 
 
 def reference_costs(inst: WdpInstance, l: int) -> list[Fraction]:

@@ -14,9 +14,15 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_budget, reference_costs, reference_heuristic_winners
+from oracles import (
+    reference_budget,
+    reference_costs,
+    reference_greedy,
+    reference_heuristic_winners,
+)
 
 from faircda import engine
 from faircda.engine import EngineConfig, run_simulation
@@ -32,8 +38,9 @@ from faircda.scenario import ScenarioConfig
 from faircda.wdp_solver import (
     WdpInstance,
     _breakpoint_cost,
-    _breakpoint_costs,
+    _greedy_pass,
     _HeuristicState,
+    _ranked,
     min_cost_allocation,
     objective_value,
     solve_exact,
@@ -335,6 +342,19 @@ def with_empty_provider(inst, price, data):
     return WdpInstance.from_bids(inst.consumer_bids, providers, L)
 
 
+def with_consumer_infeasible_alone(inst, price, data):
+    """``inst`` with one more consumer, between the others, who wants more of
+    one type than all providers hold: they never win, whatever their factor."""
+    L = inst.shape.num_resource_types
+    l = data.draw(st.integers(0, L - 1))
+    quantities = [0] * L
+    quantities[l] = sum(pb.quantities[l] for pb in inst.provider_bids) + 1
+    consumers = list(inst.consumer_bids)
+    at = data.draw(st.integers(0, len(consumers)))
+    consumers.insert(at, consumer(len(consumers), [price] * L, quantities, Fraction(40)))
+    return WdpInstance.from_bids(consumers, inst.provider_bids, L)
+
+
 class TestGeneratedInstances:
     @settings(max_examples=80, deadline=None)
     @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=9))
@@ -374,11 +394,8 @@ class TestGeneratedInstances:
             for l, reference in enumerate(references):
                 if x >= len(reference):
                     continue
-                # Both evaluators, and the costs the refresh derives from them.
+                # The evaluator, and the costs the refresh derives from it.
                 assert _breakpoint_cost(*sc.tables[l], x)[1] == reference[x]
-                row = sc.cumsup[l], sc.cumcost[l], sc.sorted_prices[l]
-                (cost,) = _breakpoint_costs(*row, np.array([x]))
-                assert cost == reference[x]
                 assert state.cost[l] == reference[x]
                 for s, q in enumerate(state.distinct[l]):
                     if x + q < len(reference):
@@ -392,8 +409,8 @@ class TestGeneratedInstances:
         st.data(),
     )
     def test_a_rejection_is_final_while_the_state_only_admits(self, inst, price, data):
-        # Both scan shortcuts rest on this: the leading run stops at the
-        # first rejection, and a scan re-tests only the candidates that passed.
+        # The repair's scans rest on this: a scan re-tests only the
+        # candidates that passed.
         inst = with_empty_provider(inst, price, data)
         L, M = inst.shape.num_resource_types, inst.shape.num_providers
         state = _HeuristicState(inst)
@@ -527,6 +544,25 @@ class TestGeneratedInstances:
         assert sol.winner_positions == (0,)
         assert sol.objective == solve_exact(inst).objective == 15
         assert reference_heuristic_winners(inst) == [0]
+
+    @pytest.mark.parametrize(
+        "prices, dtype", [(NON_DECIMAL, np.int64), (WIDE_GRID, object)], ids=["int64", "object"]
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_greedy_pass_is_the_scalar_greedy_pass(self, prices, dtype, data):
+        # The greedy pass both solvers run: solve_exact's whole seed on a
+        # search that no budget can truncate, and solve_heuristic's first pass.
+        inst = data.draw(instances(prices, max_consumers=10))
+        price = data.draw(prices)
+        inst = with_consumer_infeasible_alone(with_empty_provider(inst, price, data), price, data)
+        assume(inst._scaled.cumsup.dtype == dtype)
+        winners, demand, cost = _greedy_pass(inst, _ranked(inst)[0])
+        expected, cumdem, expected_cost = reference_greedy(inst)
+        assert winners == expected
+        # The pass's demand is flat by type, each type's providers last first.
+        assert demand == [d for row in cumdem for d in reversed(row)]
+        assert Fraction(cost, inst._scaled.denominator) == expected_cost
 
     @settings(max_examples=120, deadline=None)
     @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=12))

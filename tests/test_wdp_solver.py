@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_min_cost,
     reference_budget,
+    reference_greedy,
     reference_heuristic_winners,
     reference_margins,
     transfer_cost,
@@ -35,9 +36,11 @@ from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_pr
 from faircda.wdp_solver import (
     SolverLimits,
     WdpInstance,
+    _greedy_pass,
     _HeuristicState,
     _heuristic_pass,
     _lagrangian_bound,
+    _ranked,
     _rational_bound,
     dump_instance,
     min_cost_allocation,
@@ -326,21 +329,23 @@ class TestSolveExact:
             assert copy.allocation == sol.allocation
             assert copy.gap_bound == sol.gap_bound == Fraction(16644, 25)
 
-    def test_search_builds_one_heuristic_state(self, monkeypatch):
-        # The seed is the one heuristic state a solve builds; the search
-        # itself reads the instance's demand layout.
+    def test_only_a_search_that_can_be_truncated_builds_a_heuristic_state(self, monkeypatch):
+        # A search that runs to the end seeds itself on the instance's demand
+        # layout; one that a budget can stop keeps the full heuristic's seed.
         built = []
 
         class Spy(_HeuristicState):
-            def __init__(self, inst):
+            def __init__(self, inst, *args):
                 built.append(inst)
-                super().__init__(inst)
+                super().__init__(inst, *args)
 
         monkeypatch.setattr("faircda.wdp_solver._HeuristicState", Spy)
         inst = ab_competition()
         assert solve_exact(inst).winner_positions == solve_oracle(inst).winner_positions
-        assert built == [inst]
+        assert built == []
         solve_exact(inst, SolverLimits(node_budget=1))
+        assert built == [inst]
+        solve_exact(inst, SolverLimits(time_budget_s=60))
         assert built == [inst, inst]
         solve_heuristic(inst)
         assert built == [inst, inst, inst]
@@ -477,8 +482,8 @@ class TestSeededSearch:
     @given(heuristic_instances())
     def test_bound_seed_and_truncation(self, inst):
         oracle = solve_oracle(inst)
-        _, state = _heuristic_pass(inst)
-        assert _rational_bound(inst, state.cumdem) >= oracle.objective
+        _, cumdem, _ = _heuristic_pass(inst)
+        assert _rational_bound(inst, cumdem) >= oracle.objective
         assert solve_exact(inst).allocation.winners == oracle.allocation.winners
         heuristic = solve_heuristic(inst)
         assert heuristic.objective + heuristic.gap_bound >= oracle.objective
@@ -657,23 +662,23 @@ class TestHeuristicMatchesScalarReference:
                 assert_matches_reference(inst)
 
 
-def leading_run(inst):
-    """(admitted, ranked): the greedy's leading run, checked against the scalar loop."""
-    runs = []
-    real = _HeuristicState.admit_leading_run
+def greedy(inst):
+    """(winners, ranked): the greedy pass's winners and the candidates it
+    walked, checked against the scalar loop's greedy pass, and the whole
+    heuristic against the loop."""
+    ranked, _ = _ranked(inst)
+    winners, demand, cost = _greedy_pass(inst, ranked)
+    expected, cumdem, expected_cost = reference_greedy(inst)
+    # The pass's demand is flat by type, each type's providers last first.
+    assert (winners, demand) == (expected, [d for row in cumdem for d in reversed(row)])
+    assert Fraction(cost, inst._scaled.denominator) == expected_cost
+    assert_matches_reference(inst)
+    return winners, ranked
 
-    def spy(state, pool):
-        runs.append((real(state, pool), len(pool)))
-        return runs[-1][0]
 
-    with mock.patch.object(_HeuristicState, "admit_leading_run", spy):
-        assert_matches_reference(inst)
-    (run,) = runs
-    return run
-
-
-class TestGreedyLeadingRun:
-    """The greedy pass admits its leading run at once; every boundary of it."""
+class TestGreedyPass:
+    """The greedy pass, which both solvers run, admits what the scalar loop
+    does at every boundary of a scan."""
 
     def test_first_ranked_candidate_rejected(self):
         # Consumer 0 ranks first: its margin over the cheapest-ask bound,
@@ -683,7 +688,7 @@ class TestGreedyLeadingRun:
             [consumer(0, [5], [3], ff=-5), consumer(1, [5], [1])],
             [provider(0, [1], [1]), provider(1, [5], [5])],
         )
-        assert leading_run(inst) == (0, 2)
+        assert greedy(inst) == ([1], [0, 1])
         assert solve_heuristic(inst).winner_positions == (1,)
 
     def test_every_ranked_candidate_admitted(self):
@@ -691,22 +696,30 @@ class TestGreedyLeadingRun:
             [consumer(n, [9, 8], [1 + n % 2, n % 3]) for n in range(6)],
             [provider(0, [1, 2], [20, 20]), provider(1, [3, 1], [20, 20])],
         )
-        assert leading_run(inst) == (6, 6)
+        winners, ranked = greedy(inst)
+        assert winners == sorted(ranked) == list(range(6))
         assert solve_heuristic(inst).winner_positions == tuple(range(6))
 
-    def test_failure_inside_the_run_then_later_admissions(self):
+    def test_candidate_filling_the_supply_at_their_value_admitted(self):
+        # Consumer 0 takes both units at 5, exactly their budget; consumer 1
+        # offers below the ask.
+        inst = instance([consumer(0, [5], [2]), consumer(1, [4], [1])], [provider(0, [5], [2])])
+        assert greedy(inst) == ([0], [0])
+        assert solve_heuristic(inst).winner_positions == (0,)
+
+    def test_rejection_then_a_later_admission(self):
         # Ranked 0, 1, 2: consumer 1's two units do not fit beside
         # consumer 0's three; consumer 2's one unit does.
         inst = instance(
             [consumer(0, [10], [3]), consumer(1, [10], [2]), consumer(2, [10], [1])],
             [provider(0, [1], [4])],
         )
-        assert leading_run(inst) == (1, 3)
+        assert greedy(inst) == ([0, 2], [0, 1, 2])
         assert solve_heuristic(inst).winner_positions == (0, 2)
 
     def test_no_providers(self):
         inst = WdpInstance.from_bids([consumer(0, [5, 1], [1, 0])], [], 2)
-        assert leading_run(inst) == (0, 0)
+        assert greedy(inst) == ([], [])
         assert solve_heuristic(inst).winner_positions == ()
 
     def test_no_ranked_candidates(self):
@@ -714,7 +727,7 @@ class TestGreedyLeadingRun:
             [consumer(0, [1], [1]), consumer(1, [9], [9]), consumer(2, [5], [1], ff=-9)],
             [provider(0, [2], [3])],
         )
-        assert leading_run(inst) == (0, 0)
+        assert greedy(inst) == ([], [])
         assert solve_heuristic(inst).winner_positions == ()
 
     def test_reference_rounds_with_fairness_factors(self):
@@ -734,8 +747,8 @@ class TestGreedyLeadingRun:
         for inst in caught[1:]:
             S, _ = over_common_denominator(inst._scaled.fairness, inst._scaled.denominator)
             assert S.bit_length() > 64
-            run, ranked = leading_run(inst)
-            assert 0 < run < ranked
+            winners, ranked = greedy(inst)
+            assert 0 < len(winners) < len(ranked)
 
 
 class TestValidateSolution:
