@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate
-from operator import add, le, sub
+from operator import add, le, lt, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -116,9 +116,11 @@ class _ScaledValues:
     (see :class:`_HeuristicState`) and read the same layout from here, as
     lists: ``supply_list``, each entry's cumulative supply;
     ``contribution_rows[n]``, what admitting consumer ``n`` adds to the
-    demand; ``demand_at[l]``, where type ``l``'s whole
-    demand is; and ``tables[l]``, the type's ``(cumsup, cumcost, price)``
-    lists for :func:`_breakpoint_cost`.  Nothing here is over ``S``: only
+    demand (also kept as the int64 matrix ``contribution``, from which
+    :meth:`_HeuristicState.pool` takes each repair pool's floor);
+    ``demand_at[l]``, where type ``l``'s whole demand is; and
+    ``tables[l]``, the type's ``(cumsup, cumcost, price)`` lists for
+    :func:`_breakpoint_cost`.  Nothing here is over ``S``: only
     :func:`solve_exact` builds it, once per call.
     """
 
@@ -175,9 +177,10 @@ class _ScaledValues:
         self.demand_at = [l * M for l in range(L)]
         # What admitting consumer n adds to the cumulative demand: q[n][l] at
         # every provider of type l it reaches.
-        self.contribution_rows = np.where(
+        self.contribution = np.where(
             np.arange(M - 1, -1, -1) >= self.reach[:, :, None] - 1, q[:, :, None], 0
-        ).reshape(N, L * M).tolist()
+        ).reshape(N, L * M)
+        self.contribution_rows = self.contribution.tolist()
         self.tables = []
         for l in range(L):
             # One breakpoint past the supply, so that every segment has an end.
@@ -730,13 +733,16 @@ class _Pool(NamedTuple):
 
     Per type ``l`` and candidate ``i``: ``quantities[l, i]``; where in the
     state's ``reads`` their room is, ``index[l, i]``, and their marginal
-    cost, ``index[L + l, i]``; and ``value[i]``.
+    cost, ``index[L + l, i]``; and ``value[i]``.  ``floor`` is the
+    entry-wise minimum of their contribution rows, a list: where the slack
+    is below it at any entry, none of them fits.
     """
 
     ids: np.ndarray
     quantities: np.ndarray
     index: np.ndarray
     value: np.ndarray
+    floor: list
 
 
 class _HeuristicState:
@@ -775,6 +781,16 @@ class _HeuristicState:
     and because asks are sorted ascending, cost is convex in demand, so a
     consumer's marginal cost never falls while the demand stays within
     supply; demand beyond supply already fails the room test.
+
+    A scan also ends once nobody left can fit.  A pool's ``floor`` is its
+    candidates' least contribution at each entry, so where the slack
+    (supply less demand) falls below it at any entry, none of them fits.
+    When that holds after an admission, or nobody else passed the last
+    test, :meth:`add` updates only ``cumdem`` and ``cost`` (one breakpoint
+    read per type) and the scan ends with no refresh and no re-test.  So
+    ``reads`` matches ``cumdem`` only right after a refresh; every repair
+    trial starts with :meth:`remove`, which refreshes, before its first
+    test.
 
     The state starts at ``cumdem``, zero demand if none is given; the
     repair pass starts it at the greedy pass's demand.  The supply,
@@ -830,7 +846,8 @@ class _HeuristicState:
     def pool(self, ids: np.ndarray) -> _Pool:
         """The consumers ``ids``, in scan order, gathered for :meth:`admissible`."""
         side = self.candidate_side[:, ids]
-        return _Pool(ids, side[: self.num_types], side[self.num_types :], self.value[ids])
+        floor = self.sc.contribution[ids].min(axis=0).tolist() if len(ids) else []
+        return _Pool(ids, side[: self.num_types], side[self.num_types :], self.value[ids], floor)
 
     def admissible(self, pool: _Pool) -> np.ndarray:
         """Which candidates of ``pool`` would each, on their own, fit and pay their way."""
@@ -839,17 +856,28 @@ class _HeuristicState:
         fits = np.logical_and.reduce(pool.quantities <= read[:L], axis=0)
         return fits & (np.add.reduce(read[L:], axis=0) <= pool.value)
 
-    def add(self, n: int) -> None:
-        self.cumdem = list(map(add, self.cumdem, self.sc.contribution_rows[n]))
+    def add(self, n: int, floor: Optional[Sequence[int]] = ()) -> bool:
+        """Add consumer ``n``'s contribution to the demand; return whether
+        ``reads`` was refreshed.  It is not when nobody is left to test
+        (``floor`` None) or the new slack is below ``floor``, the least
+        contribution of those left, at some entry: then only ``cost`` is
+        updated.  The default, an empty floor, proves nothing."""
+        sc = self.sc
+        self.cumdem = cumdem = list(map(add, self.cumdem, sc.contribution_rows[n]))
+        if floor is None or any(map(lt, map(sub, sc.supply_list, cumdem), floor)):
+            tables = zip(sc.tables, sc.demand_at)
+            self.cost = [_breakpoint_cost(*t, cumdem[at])[1] for t, at in tables]
+            return False
         self._refresh()
+        return True
 
     def remove(self, n: int) -> None:
         self.cumdem = list(map(sub, self.cumdem, self.sc.contribution_rows[n]))
         self._refresh()
 
     def save(self) -> tuple:
-        # Every update rebinds cumdem, cost and reads rather than
-        # writing into them, so the current objects are a snapshot.
+        # Every update rebinds cumdem and cost, and reads when it refreshes,
+        # rather than writing into them, so the current objects are a snapshot.
         return self.cumdem, self.cost, self.reads
 
     def restore(self, saved: tuple) -> None:
@@ -886,7 +914,15 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     that passes, and tests again only the later ones that passed, so the
     admissions are those of a candidate-by-candidate loop.  A scan's
     candidates are gathered once as a :class:`_Pool` and narrowed with a
-    mask; the repair pool is gathered again only when a swap is kept.
+    mask; the repair pool is gathered again only when a swap is kept, and
+    with it the pool's floor, the least contribution of its candidates at
+    each entry of the demand.  After an admission, a scan ends with no
+    re-test when nobody else passed, or when the slack is below that floor
+    at some entry, so that nobody left fits: it then updates only the
+    demand and its cost, not the room and marginal costs a test reads.
+    Those match the demand only right after a refresh, and each trial's
+    drop refreshes them before its first test.  Both checks are exact, so a
+    scan ends early only where a re-test would admit nobody.
     """
     winners, cumdem, _ = _heuristic_pass(instance)
     bound = partial(_heuristic_bound, instance, tuple(cumdem))
@@ -948,15 +984,15 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], list[int], int]:
         if not len(pool.ids):
             return gained
         alive = state.admissible(pool)
-        while len(passing := np.flatnonzero(alive)):
-            i = passing[0]
+        i = alive.argmax()
+        while alive[i]:
             n = int(pool.ids[i])
-            state.add(n)
             gained.append(n)
-            if len(passing) == 1:
-                break
             alive[i] = False
+            if not state.add(n, pool.floor if alive.any() else None):
+                break
             alive &= state.admissible(pool)
+            i = alive.argmax()
         return gained
 
     ranked = np.array(ranked, dtype=np.intp)

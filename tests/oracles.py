@@ -114,7 +114,14 @@ def reference_heuristic_winners(inst: WdpInstance) -> list[int]:
     tests candidates as arrays, on integers over common denominators; it
     must admit exactly the consumers this loop admits.
     """
-    return _reference_heuristic(inst, repair=True)[0]
+    return reference_heuristic(inst)[0]
+
+
+def reference_heuristic(inst: WdpInstance) -> tuple[list[int], list[list[int]], Fraction]:
+    """The same loop, greedy pass and repair: its winner positions,
+    ascending, their cumulative demand and its cost, as
+    :func:`reference_greedy` returns them."""
+    return _reference_heuristic(inst, repair=True)
 
 
 def reference_greedy(inst: WdpInstance) -> tuple[list[int], list[list[int]], Fraction]:

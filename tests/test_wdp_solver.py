@@ -17,6 +17,7 @@ from oracles import (
     brute_force_min_cost,
     reference_budget,
     reference_greedy,
+    reference_heuristic,
     reference_heuristic_winners,
     reference_margins,
     transfer_cost,
@@ -749,6 +750,104 @@ class TestGreedyPass:
             assert S.bit_length() > 64
             winners, ranked = greedy(inst)
             assert 0 < len(winners) < len(ranked)
+
+
+def repair(inst):
+    """The heuristic pass's winners, checked against the scalar loop:
+    winners, their flat cumulative demand and its cost."""
+    winners, demand, cost = _heuristic_pass(inst)
+    expected, cumdem, expected_cost = reference_heuristic(inst)
+    assert (winners, demand) == (expected, [d for row in cumdem for d in reversed(row)])
+    assert Fraction(cost, inst._scaled.denominator) == expected_cost
+    return winners
+
+
+@pytest.fixture
+def scan_ends(monkeypatch):
+    """How each readmission of the repair ended, in order: ``retest`` when
+    the state refreshed for a re-test, ``floor`` when the pool's floor showed
+    that nobody left fits, ``last`` when nobody else was still admissible."""
+    ends = []
+    real = _HeuristicState.add
+
+    def spy(state, n, floor=()):
+        refreshed = real(state, n, floor)
+        ends.append("retest" if refreshed else "last" if floor is None else "floor")
+        return refreshed
+
+    monkeypatch.setattr(_HeuristicState, "add", spy)
+    return ends
+
+
+class TestRepairFloor:
+    """A readmission scan ends without a refresh once the slack is below
+    the pool's floor, its candidates' least contribution, at some entry.
+    Prices here equal the one ask, so each margin is the consumer's factor."""
+
+    def test_slack_below_the_floor_ends_the_scan(self, scan_ends):
+        # Dropping consumer 0 readmits consumer 1, leaving one unit against
+        # a floor of two: consumer 2 is not tested again, and the swap is lost.
+        inst = instance(
+            [consumer(0, [1], [4], ff=8), consumer(1, [1], [3], ff=7),
+             consumer(2, [1], [2], ff=6)],
+            [provider(0, [1], [4])],
+        )
+        assert repair(inst) == [0]
+        assert scan_ends == ["floor"]
+        assert solve_heuristic(inst).winner_positions == (0,)
+
+    def test_second_readmission_leaves_zero_slack(self, scan_ends):
+        # Dropping consumer 0 readmits consumer 1, leaving two units: exactly
+        # the floor, so consumer 2 is tested again and takes both.
+        inst = instance(
+            [consumer(0, [1], [4], ff=8), consumer(1, [1], [2], ff=6),
+             consumer(2, [1], [2], ff=6)],
+            [provider(0, [1], [4])],
+        )
+        assert repair(inst) == [1, 2]
+        assert scan_ends == ["retest", "last"]
+        assert solve_heuristic(inst).winner_positions == (1, 2)
+
+    def test_kept_swap_returns_a_smaller_row_to_the_pool(self, scan_ends):
+        # The greedy pass admits consumers 0 and 2.  Dropping 2 readmits 3
+        # and 4, worth 10 against 8, and returns 2, who wants no type 1, to
+        # the pool.  Dropping 0 then readmits 1, which uses up type 1: below
+        # the old pool's floor there, not the new pool's, so 2 is tested
+        # again and fits.
+        inst = instance(
+            [
+                consumer(0, [1, 1], [2, 3], ff=10),
+                consumer(1, [1, 1], [0, 3], ff=9),
+                consumer(2, [1, 1], [2, 0], ff=8),
+                consumer(3, [1, 1], [1, 1], ff=5),
+                consumer(4, [1, 1], [1, 1], ff=5),
+            ],
+            [provider(0, [1, 1], [4, 5])],
+        )
+        assert repair(inst) == [1, 2, 3, 4]
+        assert scan_ends == ["retest", "last", "retest", "last"]
+        assert solve_heuristic(inst).winner_positions == (1, 2, 3, 4)
+
+    def test_reference_rounds(self, scan_ends):
+        """Rounds 1-4 of a 300x5x4 run with fairness on, each against the
+        scalar loop, with scans ended both by the floor and by a re-test."""
+        caught = []
+        real = engine.solve_heuristic
+
+        def spy(inst):
+            caught.append(inst)
+            return real(inst)
+
+        with mock.patch.object(engine, "solve_heuristic", spy):
+            engine.run_simulation(
+                ScenarioConfig(shape=MarketShape(300, 5, 4), runs=1),
+                engine.EngineConfig(rounds=4, master_seed=2),
+            )
+        assert len(caught) == 4
+        scan_ends.clear()
+        for inst in caught:
+            assert solve_heuristic(inst).winner_positions == tuple(repair(inst))
+        assert {"floor", "retest"} <= set(scan_ends)
 
 
 class TestValidateSolution:
