@@ -9,9 +9,16 @@ a round's bids and outcomes cannot disagree.  A run keeps no round log;
 each round is folded into the repository and into its report row as soon
 as it clears; the report derives the per-run metrics from those rows.
 
-Prices stay the bids' :class:`~faircda.model.PriceVector`s through a round:
-the market mean prices are sums of their integers, the repository's
-history holds the bids' vectors, and its snapshot formats their integers.
+A simulated round's market stays the integers it was drawn as: the run
+loop keeps each round's quantity and cent arrays from the draws, and the
+drift windows, the market mean prices and the instance's integers
+(a :class:`~faircda.model._Market`) are read from those arrays, never from
+the bids built from them.  Those bids are valid by construction, so the
+loop clears them without :func:`run_round`'s sort and checks; the public
+:func:`run_round` checks the bids it is given once and derives the same
+record from them.  Both share one clearing step.  The bids' prices are
+:class:`~faircda.model.PriceVector`s: the repository's history holds
+them, and its snapshot formats their integers.
 
 Randomness is split into two independent streams per run — one for bid
 generation, one for fairness draws — both derived deterministically from
@@ -37,20 +44,36 @@ from .model import (
     ConsumerBid,
     ExtendedConsumerBid,
     FairnessParams,
-    Money,
     ParticipantRecord,
-    PriceVector,
     ProviderBid,
     Repository,
     _check_count,
+    _Market,
     _unchecked,
-    price_rows,
     repository_from_dict,
     repository_to_dict,
 )
 from .pricing import Settlement, settle
-from .scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
-from .wdp_solver import SolverLimits, WdpInstance, WdpSolution, solve_exact, solve_heuristic
+from .scenario import (
+    _CENTS,
+    ScenarioConfig,
+    _cent_market,
+    _consumer_bids,
+    _draw_consumers,
+    _draw_providers,
+    _drift_bounds,
+    _grid_bounds,
+    _provider_bids,
+)
+from .wdp_solver import (
+    SolverLimits,
+    WdpInstance,
+    WdpSolution,
+    _bid_market,
+    _bid_shape,
+    solve_exact,
+    solve_heuristic,
+)
 
 __all__ = [
     "Repository",
@@ -135,10 +158,43 @@ class RoundResult:
         return metrics.win_rate_percent(sum(winners), len(winners)) if winners else 0.0
 
 
-def _market_mean_prices(consumer_bids: Sequence[ConsumerBid]) -> list[Money]:
-    """Per type, the mean offered unit price, summed exactly over one denominator."""
-    D, rows = price_rows([bid.unit_prices for bid in consumer_bids])
-    return [Fraction(sum(column), D * len(rows)) for column in zip(*rows)]
+def _clear_round(
+    repo: Repository,
+    consumer_bids: Sequence[ConsumerBid],
+    provider_bids: Sequence[ProviderBid],
+    market: _Market,
+    config: EngineConfig,
+    rng: np.random.Generator,
+) -> RoundResult:
+    """Clear one round of bids that are valid for the round, each side in id
+    order, whose integers are ``market``: fairness factors from the market
+    means, the instance, its solution and the drops."""
+    params = config.fairness_params
+    factors = {}
+    if config.fairness_enabled and consumer_bids:
+        participants = [b.consumer_id for b in consumer_bids]
+        means = market.mean_consumer_prices()
+        factors = compute_fairness_factors(repo.records, participants, means, params, rng).factors
+
+    # Unchecked: each factor is compute_fairness_factors' Fraction or
+    # Fraction(0), and each bid a checked ConsumerBid.
+    ext_bids = tuple(
+        _unchecked(
+            ExtendedConsumerBid, bid=b, fairness_factor=factors.get(b.consumer_id, _ZERO)
+        )
+        for b in consumer_bids
+    )
+    instance = WdpInstance._of(ext_bids, tuple(provider_bids), market)
+    if config.solver_mode == "exact":
+        solution = solve_exact(instance, config.solver_limits)
+    else:
+        solution = solve_heuristic(instance)
+    drops = tuple(
+        b.consumer_id
+        for b, won in zip(consumer_bids, solution.allocation.winners)
+        if not won and repo.record(b.consumer_id).consecutive_losses >= params.max_losses
+    )
+    return RoundResult(repo.round_counter + 1, instance, solution, drops)
 
 
 def run_round(
@@ -155,42 +211,17 @@ def run_round(
     Bids from dropped consumers, and two bids from one consumer, are
     rejected, as is a market whose providers offer no units.  With no
     participants at all the round degenerates to an empty clearing with a
-    winning rate of zero.
+    winning rate of zero.  The bids are checked here, once, as a
+    :class:`~faircda.wdp_solver.WdpInstance` checks them, and the round's
+    integers derived from them.
     """
-    round_index = repo.round_counter + 1
     consumer_bids = sorted(consumer_bids, key=lambda b: b.consumer_id)
     provider_bids = sorted(provider_bids, key=lambda b: b.provider_id)
-    participants = [b.consumer_id for b in consumer_bids]
-    for cid in participants:
-        if repo.record(cid).dropped:
-            raise ValueError(f"consumer {cid} dropped out and can no longer bid")
-
-    params = config.fairness_params
-    factors = {}
-    if config.fairness_enabled and consumer_bids:
-        factors = compute_fairness_factors(
-            repo.records, participants, _market_mean_prices(consumer_bids), params, rng
-        ).factors
-
-    # Unchecked: each factor is compute_fairness_factors' Fraction or
-    # Fraction(0), and each bid a checked ConsumerBid.
-    ext_bids = [
-        _unchecked(
-            ExtendedConsumerBid, bid=b, fairness_factor=factors.get(b.consumer_id, _ZERO)
-        )
-        for b in consumer_bids
-    ]
-    instance = WdpInstance.from_bids(ext_bids, provider_bids)
-    if config.solver_mode == "exact":
-        solution = solve_exact(instance, config.solver_limits)
-    else:
-        solution = solve_heuristic(instance)
-    drops = tuple(
-        b.consumer_id
-        for b, won in zip(consumer_bids, solution.allocation.winners)
-        if not won and repo.record(b.consumer_id).consecutive_losses >= params.max_losses
-    )
-    return RoundResult(round_index, instance, solution, drops)
+    for b in consumer_bids:
+        if repo.record(b.consumer_id).dropped:
+            raise ValueError(f"consumer {b.consumer_id} dropped out and can no longer bid")
+    market = _bid_market(_bid_shape(consumer_bids, provider_bids), consumer_bids, provider_bids)
+    return _clear_round(repo, consumer_bids, provider_bids, market, config, rng)
 
 
 def update_repository(repo: Repository, result: RoundResult) -> Repository:
@@ -232,16 +263,34 @@ def _simulate_one_run(
     gc.disable()
     try:
         rng_bids, rng_fair = (_run_rng(config.master_seed, run_index, stream) for stream in (0, 1))
-        repo = Repository.fresh(range(scenario.shape.num_consumers))
-        previous_prices: Optional[dict[int, PriceVector]] = None
+        N, M = scenario.shape.num_consumers, scenario.shape.num_providers
+        grid = _grid_bounds(scenario.consumer_price_range)
+        repo = Repository.fresh(range(N))
+        offers: Optional[np.ndarray] = None
         rows: list[metrics.PerRoundRow] = []
         drops = 0
         for _ in range(config.rounds):
-            provider_bids = generate_provider_bids(scenario, rng_bids)
-            all_bids = generate_consumer_bids(scenario, rng_bids, previous_prices)
-            previous_prices = {b.consumer_id: b.unit_prices for b in all_bids}
-            active = [b for b in all_bids if not repo.record(b.consumer_id).dropped]
-            result = run_round(repo, active, provider_bids, config, rng_fair)
+            # The draws of generate_provider_bids and generate_consumer_bids,
+            # kept as arrays: every consumer's offer cents, the dropped ones'
+            # too, drift into the next round's windows.
+            supply, asks = _draw_providers(scenario, rng_bids)
+            windows = None if offers is None else _drift_bounds(scenario, offers, _CENTS, grid)
+            demand, offers = _draw_consumers(scenario, rng_bids, windows)
+            active = [n for n in range(N) if not repo.records[n].dropped]
+            kept = slice(None) if len(active) == N else active
+            bid_demand, bid_offers = demand[kept], offers[kept]
+            # Not run_round: these bids need neither its sort nor its checks.
+            # Ids are 0..N-1 in row order, so each side is in id order with no
+            # id twice, every bid has L types and requests a unit, no dropped
+            # consumer bids, and the market is read from the draws.
+            result = _clear_round(
+                repo,
+                _consumer_bids(active, bid_demand, bid_offers),
+                _provider_bids(range(M), supply, asks),
+                _cent_market(bid_offers, bid_demand, asks, supply),
+                config,
+                rng_fair,
+            )
             repo = update_repository(repo, result)
             drops += len(result.drops_this_round)
             rows.append(

@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable, Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -99,6 +99,44 @@ def price_rows(vectors: Sequence[PriceVector]) -> tuple[int, list[Sequence[int]]
         v.numerators if v.denominator == D else [a * (D // v.denominator) for a in v.numerators]
         for v in vectors
     ]
+
+
+# Scaled prices are int64 when (max price + 1) * (total units + 1) stays below
+# this: every budget, cumulative supply or cost and doubled midpoint sum fits.
+_INT64_SAFE = 2**62
+
+
+def _price_dtype(largest_price: int, units: int) -> type:
+    """The dtype of a market's scaled prices: int64 when
+    ``(largest_price + 1) * (units + 1) < _INT64_SAFE``, ``object`` (Python
+    ints) otherwise."""
+    return np.int64 if (largest_price + 1) * (units + 1) < _INT64_SAFE else object
+
+
+class _Market(NamedTuple):
+    """A round's market as integers, one row per bid in bid order.
+
+    ``consumer_prices[n, l]`` and ``provider_prices[m, l]`` are unit prices
+    times ``denominator`` (``D``, the least common denominator of every
+    price), of :func:`_price_dtype` over the largest of them and the
+    market's units; the quantity arrays are int64.  Two builders make it:
+    ``wdp_solver._bid_market`` from checked bids, and
+    ``scenario._cent_market`` from a round's draws, which are never read
+    back from the bids built from them.
+    """
+
+    denominator: int
+    consumer_prices: np.ndarray
+    provider_prices: np.ndarray
+    consumer_quantities: np.ndarray
+    provider_quantities: np.ndarray
+
+    def mean_consumer_prices(self) -> list[Money]:
+        """Per type, the mean offered unit price, one ``Fraction`` of the
+        column's integer sum.  Every bid requests a unit, so there are at
+        most as many prices as units and an int64 sum stays below 2**62."""
+        scale = self.denominator * len(self.consumer_prices)
+        return [Fraction(total, scale) for total in self.consumer_prices.sum(axis=0).tolist()]
 
 
 def _ratio(value) -> tuple[int, int]:

@@ -7,10 +7,14 @@ for each type drifts uniformly within a relative band around their own
 previous price, clamped back into the configured range — prices are sticky
 per consumer but the market keeps moving.
 
-Each bid's prices are its row of cent draws as a
-:class:`~faircda.model.PriceVector`, integers over 100: no ``Fraction`` is
-built for them here, and the drift windows read the previous vectors'
-integers.
+Each generator is a private draw, which returns int64 quantity and cent
+arrays, and the bid construction from them: each bid's prices are its row
+of cent draws as a :class:`~faircda.model.PriceVector`, integers over 100,
+so no ``Fraction`` is built for them here.  The engine's run loop calls the
+draws itself and keeps the arrays: its drift windows read the previous
+round's cents, and its round market (:func:`_cent_market`) the current
+ones.  The public generators read previous prices given per consumer as
+price vectors instead, through the same window formula.
 
 Draw order is part of the reproducibility contract: per call, one block of
 quantity draws then one block of price draws, each laid out participant-
@@ -34,6 +38,8 @@ from .model import (
     ProviderBid,
     _check_count,
     _check_money,
+    _Market,
+    _price_dtype,
     _unchecked,
 )
 
@@ -132,63 +138,88 @@ def _cent_vectors(cents: np.ndarray) -> list[PriceVector]:
     return list(map(PriceVector._make, map(tuple, rows), (_CENTS // g).tolist()))
 
 
-def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> list[ProviderBid]:
-    """Draw one offer per provider: per-type supply and ask prices."""
-    M = config.shape.num_providers
-    L = config.shape.num_resource_types
+def _cent_market(
+    consumer_cents: np.ndarray,
+    consumer_quantities: np.ndarray,
+    provider_cents: np.ndarray,
+    provider_quantities: np.ndarray,
+) -> _Market:
+    """A round's market from its draws, with no bid read: ``D`` is 100 over
+    the gcd of 100 and every cent, which is the lcm of the rows' price
+    vector denominators, and each price over ``D`` its cents over that gcd."""
+    g = math.gcd(
+        int(np.gcd.reduce(consumer_cents, axis=None)),
+        int(np.gcd.reduce(provider_cents, axis=None)),
+        _CENTS,
+    )
+    consumer_prices, provider_prices = consumer_cents // g, provider_cents // g
+    largest = max(int(consumer_prices.max(initial=0)), int(provider_prices.max(initial=0)))
+    units = int(consumer_quantities.sum()) + int(provider_quantities.sum())
+    dtype = _price_dtype(largest, units)
+    return _Market(
+        _CENTS // g,
+        consumer_prices.astype(dtype, copy=False),
+        provider_prices.astype(dtype, copy=False),
+        consumer_quantities,
+        provider_quantities,
+    )
+
+
+def _draw_providers(
+    config: ScenarioConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One offer per provider as int64 rows: per-type supply, then ask cents."""
+    shape = (config.shape.num_providers, config.shape.num_resource_types)
     qlo, qhi = config.provider_quantity_range
-    plo_c, phi_c = _grid_bounds(config.provider_price_range)
-    quantities = rng.integers(qlo, qhi, size=(M, L), endpoint=True)
-    price_cents = rng.integers(plo_c, phi_c, size=(M, L), endpoint=True)
+    quantities = rng.integers(qlo, qhi, size=shape, endpoint=True)
+    grid = _grid_bounds(config.provider_price_range)
+    return quantities, rng.integers(*grid, size=shape, endpoint=True)
+
+
+def _provider_bids(
+    ids: Sequence[int], quantities: np.ndarray, cents: np.ndarray
+) -> list[ProviderBid]:
     # Integer draws from the validated ranges, as ints and cent-grid price
     # vectors: valid by construction, so the constructor's checks are skipped.
     return [
         _unchecked(ProviderBid, provider_id=m, unit_prices=p, quantities=tuple(q))
-        for m, (p, q) in enumerate(zip(_cent_vectors(price_cents), quantities.tolist()))
+        for m, p, q in zip(ids, _cent_vectors(cents), quantities.tolist())
     ]
 
 
-def _drift_windows(
+def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> list[ProviderBid]:
+    """Draw one offer per provider: per-type supply and ask prices."""
+    return _provider_bids(range(config.shape.num_providers), *_draw_providers(config, rng))
+
+
+def _drift_bounds(
     config: ScenarioConfig,
-    previous_personal_prices: Mapping[int, Sequence[Money]],
+    numerators: np.ndarray,
+    denominators: np.ndarray | int,
     grid: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per consumer and type, the lowest and highest cents a drifted price may take.
+    """Per consumer and type, the lowest and highest cents a drifted price may
+    take, for previous prices ``numerators[n, l] / denominators[n]``.
 
     The window ``[(1 - drift) * p, (1 + drift) * p]`` in cents, for
     ``p = a / b`` and ``drift = u / v``, is ``[(v - u) * 100a / vb,
-    (v + u) * 100a / vb]``, rounded inward and clamped into the grid.  Each
-    consumer's previous prices are read as a :class:`PriceVector`: ``a`` is
-    a numerator and ``b`` the row's one denominator, which moves no floor.
-    The arithmetic is int64 when every product provably fits, and
-    ``object`` arrays of Python ints otherwise.
+    (v + u) * 100a / vb]``, rounded inward and clamped into the grid.  The
+    bounds are exact floors and ceilings, so any ``a / b`` of a price gives
+    the same window: the engine passes a round's cent draws over 100.  The
+    arithmetic is int64 when every product provably fits, and ``object``
+    arrays of Python ints otherwise.
     """
-    N = config.shape.num_consumers
-    L = config.shape.num_resource_types
-    rows = []
-    for n in range(N):
-        try:
-            prev = previous_personal_prices[n]
-        except KeyError:
-            raise ValueError(f"no previous prices for consumer {n}") from None
-        if len(prev) != L:
-            raise ValueError(
-                f"consumer {n}: previous prices cover {len(prev)} types, expected {L}"
-            )
-        rows.append(PriceVector(prev))
-    numerators = [a for row in rows for a in row.numerators]
-    denominators = [row.denominator for row in rows]
     plo_c, phi_c = grid
     u, v = config.price_drift.numerator, config.price_drift.denominator
     largest = max(
-        max(map(abs, numerators)) * _CENTS * (u + v),
-        max(denominators) * v * 2,
+        int(abs(numerators).max()) * _CENTS * (u + v),
+        int(np.max(denominators)) * v * 2,
         abs(plo_c),
         abs(phi_c),
     )
     dtype = np.int64 if largest < 2**63 else object
-    cents = np.array(numerators, dtype=dtype).reshape(N, L) * _CENTS
-    b = np.array(denominators, dtype=dtype).reshape(N, 1)
+    cents = np.asarray(numerators, dtype=dtype) * _CENTS
+    b = np.asarray(denominators, dtype=dtype)
     lo = np.maximum(plo_c, -((u - v) * cents // (b * v)))
     hi = np.minimum(phi_c, (v + u) * cents // (b * v))
     outside = lo > hi
@@ -202,6 +233,63 @@ def _drift_windows(
         lo = np.where(outside, snapped, lo)
         hi = np.where(outside, snapped, hi)
     return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def _drift_windows(
+    config: ScenarioConfig,
+    previous_personal_prices: Mapping[int, Sequence[Money]],
+    grid: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_drift_bounds` for previous prices given per consumer id, each
+    read as a :class:`PriceVector`: its numerators over its one denominator."""
+    N = config.shape.num_consumers
+    L = config.shape.num_resource_types
+    rows = []
+    for n in range(N):
+        try:
+            prev = previous_personal_prices[n]
+        except KeyError:
+            raise ValueError(f"no previous prices for consumer {n}") from None
+        if len(prev) != L:
+            raise ValueError(
+                f"consumer {n}: previous prices cover {len(prev)} types, expected {L}"
+            )
+        rows.append(PriceVector(prev))
+    numerators = np.array([row.numerators for row in rows], dtype=object).reshape(N, L)
+    denominators = np.array([row.denominator for row in rows], dtype=object).reshape(N, 1)
+    return _drift_bounds(config, numerators, denominators, grid)
+
+
+def _draw_consumers(
+    config: ScenarioConfig,
+    rng: np.random.Generator,
+    windows: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One request per consumer as int64 rows: per-type demand, then offer
+    cents, uniform over the range or, given ``windows``, over each cell's."""
+    shape = (config.shape.num_consumers, config.shape.num_resource_types)
+    qlo, qhi = config.consumer_quantity_range
+    quantities = rng.integers(qlo, qhi, size=shape, endpoint=True)
+    if qlo < 1:
+        # Every bid must request something; bump one uniformly chosen type.
+        for row in quantities:
+            if not row.any():
+                row[int(rng.integers(0, shape[1]))] = 1
+    if windows is None:
+        windows = _grid_bounds(config.consumer_price_range)
+    return quantities, rng.integers(*windows, size=shape, endpoint=True)
+
+
+def _consumer_bids(
+    ids: Sequence[int], quantities: np.ndarray, cents: np.ndarray
+) -> list[ConsumerBid]:
+    # Integer draws from the validated ranges, as ints and cent-grid price
+    # vectors, and every bid requests a unit: valid by construction, so the
+    # constructor's checks are skipped.
+    return [
+        _unchecked(ConsumerBid, consumer_id=n, unit_prices=p, quantities=tuple(q))
+        for n, p, q in zip(ids, _cent_vectors(cents), quantities.tolist())
+    ]
 
 
 def generate_consumer_bids(
@@ -218,27 +306,9 @@ def generate_consumer_bids(
     clamped into the range, where ``previous`` is that consumer's own price
     from the prior round.
     """
-    N = config.shape.num_consumers
-    L = config.shape.num_resource_types
-    qlo, qhi = config.consumer_quantity_range
-    grid = _grid_bounds(config.consumer_price_range)
-    quantities = rng.integers(qlo, qhi, size=(N, L), endpoint=True)
-    if qlo < 1:
-        # Every bid must request something; bump one uniformly chosen type.
-        for n in range(N):
-            if not quantities[n].any():
-                quantities[n][int(rng.integers(0, L))] = 1
-
-    if previous_personal_prices is None:
-        price_cents = rng.integers(*grid, size=(N, L), endpoint=True)
-    else:
-        lo, hi = _drift_windows(config, previous_personal_prices, grid)
-        price_cents = rng.integers(lo, hi, size=(N, L), endpoint=True)
-
-    # Integer draws from the validated ranges, as ints and cent-grid price
-    # vectors, and every bid requests a unit: valid by construction, so the
-    # constructor's checks are skipped.
-    return [
-        _unchecked(ConsumerBid, consumer_id=n, unit_prices=p, quantities=tuple(q))
-        for n, (p, q) in enumerate(zip(_cent_vectors(price_cents), quantities.tolist()))
-    ]
+    windows = None
+    if previous_personal_prices is not None:
+        grid = _grid_bounds(config.consumer_price_range)
+        windows = _drift_windows(config, previous_personal_prices, grid)
+    draws = _draw_consumers(config, rng, windows)
+    return _consumer_bids(range(config.shape.num_consumers), *draws)

@@ -36,7 +36,11 @@ Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` derives
 its market as integers once, when it is built (:class:`_ScaledValues`):
 prices and budgets over ``D``, the least common multiple of the prices'
 denominators, and the reach, cumulative cost and stand-alone feasibility
-facts every solver reads.  Budgets are derived, never passed in.  The
+facts every solver reads.  The prices and quantities come from the round's
+:class:`~faircda.model._Market`: a public construction checks its bids and
+reads them from the bids (:func:`_bid_market`); a simulated round reads
+them from its draws and passes them in (``WdpInstance._of``), with nothing
+checked again.  Budgets are derived, never passed in.  The
 heuristic and settlement run over ``D``: each fairness factor enters as its
 floor over ``D``, and the exact remainder the floor drops is read only
 where the floors cannot decide.  Only ``solve_exact`` builds ``S``, the
@@ -69,7 +73,11 @@ from .model import (
     MarketShape,
     Money,
     ProviderBid,
+    _INT64_SAFE,
+    _Market,
     _check_count,
+    _price_dtype,
+    _unchecked,
     exact_sum,
     over_common_denominator,
     price_rows,
@@ -91,19 +99,59 @@ __all__ = [
 ORACLE_MAX_CONSUMERS = 12
 
 
-# Scaled prices are int64 when (max price + 1) * (total units + 1) stays below
-# this: every budget, cumulative supply or cost and doubled midpoint sum fits.
-_INT64_SAFE = 2**62
+def _bid_market(
+    shape: MarketShape,
+    consumer_bids: Sequence[ConsumerBid],
+    provider_bids: Sequence[ProviderBid],
+) -> _Market:
+    """The market of bids from outside, checked against ``shape``: one bid
+    per participant, ids unique per side, every bid over the market's types,
+    and fewer than 2**63 units in all."""
+    L = shape.num_resource_types
+    for kind, bids, expected in (
+        ("consumer", consumer_bids, shape.num_consumers),
+        ("provider", provider_bids, shape.num_providers),
+    ):
+        if len(bids) != expected:
+            raise ValueError(f"expected {expected} {kind} bids, got {len(bids)}")
+        seen = set()
+        for bid in bids:
+            bid_id = getattr(bid, f"{kind}_id")
+            if bid.num_types != L:
+                raise ValueError(
+                    f"{kind} {bid_id}: bid covers {bid.num_types} resource types, "
+                    f"market has {L}"
+                )
+            if bid_id in seen:
+                raise ValueError(f"duplicate {kind} id {bid_id}")
+            seen.add(bid_id)
+    D, rows = price_rows([b.unit_prices for b in [*consumer_bids, *provider_bids]])
+    scaled = [a for row in rows for a in row]
+    units = sum(q for b in consumer_bids for q in b.quantities)
+    units += sum(q for b in provider_bids for q in b.quantities)
+    if units >= 2**63:
+        # Quantities, routes and transfers are int64.
+        raise ValueError(f"a market holds at most 2**63 - 1 units, this one {units}")
+    flat = np.array(scaled, dtype=_price_dtype(max(scaled, default=0), units))
+    N, M = len(consumer_bids), len(provider_bids)
+    return _Market(
+        D,
+        flat[: N * L].reshape(N, L),
+        flat[N * L :].reshape(M, L),
+        np.array([b.quantities for b in consumer_bids], dtype=np.int64).reshape(N, L),
+        np.array([b.quantities for b in provider_bids], dtype=np.int64).reshape(M, L),
+    )
 
 
 class _ScaledValues:
     """An instance's market as integers, derived once when the instance is built.
 
+    The prices and quantities are the round's :class:`~faircda.model._Market`:
     ``consumer_prices[n, l]`` and ``provider_prices[m, l]`` are unit prices
     times ``denominator`` (``D``, the least common multiple of the prices'
-    denominators); ``budgets`` are Python ints over ``D``; ``fairness``
-    holds the fairness factors, ``factor_floors`` their floors over ``D``
-    and ``value`` each budget plus floor.  Per type, ``order[l]`` lists
+    denominators).  From them, ``budgets`` are Python ints over ``D``;
+    ``fairness`` holds the fairness factors, ``factor_floors`` their floors
+    over ``D`` and ``value`` each budget plus floor.  Per type, ``order[l]`` lists
     provider positions by (ask, position), and ``sorted_prices``, ``cumsup``
     and ``cumcost`` (cumulative supply and cost, each with a leading 0)
     follow that order.  ``reach[n, l]`` is how many of those providers
@@ -124,33 +172,13 @@ class _ScaledValues:
     :func:`solve_exact` builds it, once per call.
     """
 
-    def __init__(
-        self,
-        consumer_bids: Sequence[ExtendedConsumerBid],
-        provider_bids: Sequence[ProviderBid],
-        num_types: int,
-    ):
-        vectors = [ext.bid.unit_prices for ext in consumer_bids]
-        D, rows = price_rows(vectors + [pb.unit_prices for pb in provider_bids])
-        scaled = [a for row in rows for a in row]
-        units = sum(q for ext in consumer_bids for q in ext.bid.quantities)
-        units += sum(q for pb in provider_bids for q in pb.quantities)
-        if units >= 2**63:
-            # Quantities, routes and transfers are int64.
-            raise ValueError(f"a market holds at most 2**63 - 1 units, this one {units}")
-        dtype = np.int64 if (max(scaled, default=0) + 1) * (units + 1) < _INT64_SAFE else object
-        flat = np.array(scaled, dtype=dtype)
-        N, M, L = len(consumer_bids), len(provider_bids), num_types
+    def __init__(self, market: _Market, consumer_bids: Sequence[ExtendedConsumerBid]):
+        D, self.consumer_prices, self.provider_prices, q, self.provider_quantities = market
+        self.denominator, self.consumer_quantities = D, q
+        dtype = self.consumer_prices.dtype
+        (N, L), M = q.shape, len(self.provider_quantities)
         types = np.arange(L)
 
-        self.denominator = D
-        self.consumer_prices = flat[: N * L].reshape(N, L)
-        self.provider_prices = flat[N * L :].reshape(M, L)
-        q = np.array([ext.bid.quantities for ext in consumer_bids], dtype=np.int64).reshape(N, L)
-        self.consumer_quantities = q
-        self.provider_quantities = np.array(
-            [pb.quantities for pb in provider_bids], dtype=np.int64
-        ).reshape(M, L)
         self.budgets = tuple((self.consumer_prices * q).sum(axis=1).tolist())
         by_ask = np.argsort(self.provider_prices, axis=0, kind="stable")
         self.order = by_ask.T
@@ -208,6 +236,11 @@ class WdpInstance:
     also derives the market as integers once (:class:`_ScaledValues`): the
     prices, budgets, fairness factors, reach and cost tables that the
     solvers and settlement use.
+
+    The constructor and :meth:`from_bids` check the bids, once, and read
+    their integers from them.  The engine's simulated rounds build their
+    instance with :meth:`_of` from the integers they drew, since generated
+    bids pass every check by construction.
     """
 
     shape: MarketShape
@@ -217,27 +250,9 @@ class WdpInstance:
     def __post_init__(self):
         object.__setattr__(self, "consumer_bids", tuple(self.consumer_bids))
         object.__setattr__(self, "provider_bids", tuple(self.provider_bids))
-        L = self.shape.num_resource_types
-        for kind, bids, expected in (
-            ("consumer", [ext.bid for ext in self.consumer_bids], self.shape.num_consumers),
-            ("provider", self.provider_bids, self.shape.num_providers),
-        ):
-            if len(bids) != expected:
-                raise ValueError(f"expected {expected} {kind} bids, got {len(bids)}")
-            seen = set()
-            for bid in bids:
-                bid_id = getattr(bid, f"{kind}_id")
-                if bid.num_types != L:
-                    raise ValueError(
-                        f"{kind} {bid_id}: bid covers {bid.num_types} resource types, "
-                        f"market has {L}"
-                    )
-                if bid_id in seen:
-                    raise ValueError(f"duplicate {kind} id {bid_id}")
-                seen.add(bid_id)
-        object.__setattr__(
-            self, "_scaled", _ScaledValues(self.consumer_bids, self.provider_bids, L)
-        )
+        bids = [ext.bid for ext in self.consumer_bids]
+        market = _bid_market(self.shape, bids, self.provider_bids)
+        object.__setattr__(self, "_scaled", _ScaledValues(market, self.consumer_bids))
 
     @classmethod
     def from_bids(
@@ -252,19 +267,51 @@ class WdpInstance:
             for b in consumer_bids
         )
         providers = tuple(provider_bids)
-        if num_resource_types is None:
-            if ext_bids:
-                num_resource_types = ext_bids[0].bid.num_types
-            elif providers:
-                num_resource_types = providers[0].num_types
-            else:
-                raise ValueError("cannot infer the number of resource types from no bids")
-        shape = MarketShape(
-            num_consumers=len(ext_bids),
-            num_providers=len(providers),
-            num_resource_types=num_resource_types,
-        )
+        shape = _bid_shape([ext.bid for ext in ext_bids], providers, num_resource_types)
         return cls(shape=shape, consumer_bids=ext_bids, provider_bids=providers)
+
+    @classmethod
+    def _of(
+        cls,
+        consumer_bids: tuple[ExtendedConsumerBid, ...],
+        provider_bids: tuple[ProviderBid, ...],
+        market: _Market,
+    ) -> "WdpInstance":
+        """The instance of bids that already passed :func:`_bid_market`'s
+        checks, or were generated to pass them, and whose integers are
+        ``market``: built without checking them again."""
+        N, L = market.consumer_quantities.shape
+        shape = _unchecked(
+            MarketShape, num_consumers=N, num_providers=len(provider_bids), num_resource_types=L
+        )
+        return _unchecked(
+            cls,
+            shape=shape,
+            consumer_bids=consumer_bids,
+            provider_bids=provider_bids,
+            _scaled=_ScaledValues(market, consumer_bids),
+        )
+
+
+def _bid_shape(
+    consumer_bids: Sequence[ConsumerBid],
+    provider_bids: Sequence[ProviderBid],
+    num_resource_types: Optional[int] = None,
+) -> MarketShape:
+    """The shape of a market of these bids; without ``num_resource_types``,
+    the first bid's type count."""
+    if num_resource_types is None:
+        if consumer_bids:
+            num_resource_types = consumer_bids[0].num_types
+        elif provider_bids:
+            num_resource_types = provider_bids[0].num_types
+        else:
+            raise ValueError("cannot infer the number of resource types from no bids")
+    return MarketShape(
+        num_consumers=len(consumer_bids),
+        num_providers=len(provider_bids),
+        num_resource_types=num_resource_types,
+    )
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ from statistics import fmean
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from faircda import engine, model, wdp_solver
+from faircda import engine, metrics, model, wdp_solver
 from faircda.engine import (
     EngineConfig,
     Repository,
@@ -322,13 +324,13 @@ class TestRunSimulation:
         """Collection is off during a run, which leaves no cyclic garbage,
         and the caller's collector state is restored."""
         states = []
-        real = engine.run_round
+        real = engine._clear_round
 
         def recording(*args):
             states.append(gc.isenabled())
             return real(*args)
 
-        monkeypatch.setattr(engine, "run_round", recording)
+        monkeypatch.setattr(engine, "_clear_round", recording)
         scenario = ScenarioConfig(shape=MarketShape(30, 3, 2), runs=2)
         config = EngineConfig(
             fairness_enabled=fairness, solver_mode=solver, rounds=6, master_seed=2
@@ -444,13 +446,15 @@ class TestRunSimulation:
         results = []
         alive_at_next_round = []
 
-        def recording_run_round(*args):
+        real = engine._clear_round
+
+        def recording_clear_round(*args):
             alive_at_next_round.append(sum(ref() is not None for ref in results))
-            result = run_round(*args)
+            result = real(*args)
             results.append(weakref.ref(result))
             return result
 
-        monkeypatch.setattr(engine, "run_round", recording_run_round)
+        monkeypatch.setattr(engine, "_clear_round", recording_clear_round)
         scenario = ScenarioConfig(shape=MarketShape(8, 2, 2), runs=1)
         run_simulation(scenario, EngineConfig(rounds=6, master_seed=4))
         assert len(results) == 6
@@ -475,6 +479,134 @@ class TestRunSimulation:
         assert reads == []
         assert list(model.PriceVector((Fraction(1, 2), "3/2"))) == [Fraction(1, 2), Fraction(3, 2)]
         assert reads == ["__iter__"]
+
+
+def assert_same_instance(instance, expected):
+    """Equal bids and, field for field, equal integers: every array with
+    its dtype, every list and tuple."""
+    assert instance == expected and instance.shape == expected.shape
+    ours, theirs = vars(instance._scaled), vars(expected._scaled)
+    assert ours.keys() == theirs.keys()
+    for name, value in ours.items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == theirs[name].dtype, name
+            assert value.shape == theirs[name].shape and np.array_equal(value, theirs[name]), name
+        else:
+            assert type(value) is type(theirs[name]) and value == theirs[name], name
+
+
+class TestRoundsFromDraws:
+    """A simulated round's instance is built from its draws, not read back
+    from its bids; it must be the instance its bids build."""
+
+    # The reference market; one whose fixed prices (150 and 60.5) put D at
+    # 2; and a small one whose prices put the scaled prices past int64 in
+    # some rounds and not in others.
+    MARKETS = (
+        (ScenarioConfig(shape=MarketShape(300, 5, 4), runs=1), 2, 5),
+        (
+            ScenarioConfig(
+                shape=MarketShape(6, 2, 2),
+                runs=1,
+                consumer_price_range=(150, 150),
+                provider_price_range=("60.5", "60.5"),
+            ),
+            1,
+            5,
+        ),
+        (
+            ScenarioConfig(
+                shape=MarketShape(10, 2, 2),
+                runs=1,
+                consumer_price_range=("1e14", "2e14"),
+                provider_price_range=("5e13", "1e14"),
+            ),
+            0,
+            40,
+        ),
+    )
+
+    @pytest.mark.parametrize("scenario, seed, rounds", MARKETS)
+    def test_cleared_instances_equal_those_built_from_their_bids(
+        self, monkeypatch, scenario, seed, rounds
+    ):
+        cleared = []
+        real = engine.solve_heuristic
+
+        def capturing(instance):
+            cleared.append(instance)
+            return real(instance)
+
+        monkeypatch.setattr(engine, "solve_heuristic", capturing)
+        run_simulation(scenario, EngineConfig(rounds=rounds, master_seed=seed))
+        assert len(cleared) == rounds
+        dtypes = set()
+        for instance in cleared:
+            expected = WdpInstance.from_bids(instance.consumer_bids, instance.provider_bids)
+            assert_same_instance(instance, expected)
+            dtypes.add(instance._scaled.consumer_prices.dtype)
+        if scenario.shape.num_consumers == 10:
+            assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+        if scenario.shape.num_consumers == 6:
+            assert {instance._scaled.denominator for instance in cleared} == {2}
+        assert sum(instance.shape.num_consumers for instance in cleared) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 3), st.integers(1, 2)),
+        rounds=st.integers(1, 8),
+        max_losses=st.integers(1, 2),
+        fairness=st.booleans(),
+        solver=st.sampled_from(["heuristic", "exact"]),
+        supply_top=st.integers(1, 12),
+        demand=st.sampled_from([(1, 3), (0, 2)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_run_is_the_loop_over_the_public_functions(
+        self, shape, rounds, max_losses, fairness, solver, supply_top, demand, seed
+    ):
+        """run_simulation's rows and final repository are those of a loop
+        over generate_provider_bids, generate_consumer_bids, run_round and
+        update_repository, drops included."""
+        scenario = ScenarioConfig(
+            shape=MarketShape(*shape),
+            runs=1,
+            provider_quantity_range=(1, supply_top),
+            consumer_quantity_range=demand,
+        )
+        config = EngineConfig(
+            fairness_enabled=fairness,
+            fairness_params=model.FairnessParams(max_losses=max_losses),
+            solver_mode=solver,
+            rounds=rounds,
+            master_seed=seed,
+        )
+        report = run_simulation(scenario, config)
+
+        rng_bids, rng_fair = (engine._run_rng(seed, 0, stream) for stream in (0, 1))
+        repo = Repository.fresh(range(shape[0]))
+        previous, rows, drops = None, [], 0
+        for _ in range(rounds):
+            providers = generate_provider_bids(scenario, rng_bids)
+            bids = generate_consumer_bids(scenario, rng_bids, previous)
+            previous = {b.consumer_id: b.unit_prices for b in bids}
+            active = [b for b in bids if not repo.records[b.consumer_id].dropped]
+            result = run_round(repo, active, providers, config, rng_fair)
+            repo = update_repository(repo, result)
+            drops += len(result.drops_this_round)
+            rows.append(
+                metrics.PerRoundRow(
+                    run=0,
+                    round=result.round_index,
+                    total_utility=result.solution.total_utility,
+                    total_satisfaction=result.solution.total_satisfaction,
+                    utilization_percent=result.utilization_percent,
+                    win_percent=result.win_percent,
+                    cumulative_drops=drops,
+                )
+            )
+        assert report.per_round == tuple(rows)
+        assert report.final_repositories == (repository_to_dict(repo),)
 
 
 class TestExactIsTheOracle:

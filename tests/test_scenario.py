@@ -16,6 +16,7 @@ from oracles import (
 from faircda.model import MarketShape, PriceVector
 from faircda.scenario import (
     ScenarioConfig,
+    _drift_bounds,
     _drift_windows,
     _grid_bounds,
     generate_consumer_bids,
@@ -289,6 +290,30 @@ class TestAgainstReference:
         bids = generate_consumer_bids(config, generator)
         assert bids == reference_consumer_bids(config, reference)
         _assert_same_as_validated(bids)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=drift_case(), data=st.data())
+    def test_drift_windows_from_cents_equal_those_from_price_vectors(self, case, data):
+        """The engine's windows, from a round's cent draws over 100, are the
+        windows of the same prices given per consumer as price vectors, in
+        the range, outside it (the snapping branch) and past int64."""
+        config, _, _ = case
+        N, L = config.shape.num_consumers, config.shape.num_resource_types
+        grid = _grid_bounds(config.consumer_price_range)
+        cents_st = st.one_of(
+            st.integers(max(0, grid[0] - 50), grid[1] + 50),
+            st.integers(0, 100_000),
+            st.integers(2**62, 2**63 - 1),
+        )
+        cents = data.draw(st.lists(cents_st, min_size=N * L, max_size=N * L))
+        cents = np.array(cents, dtype=np.int64).reshape(N, L)
+        vectors = {
+            n: PriceVector([Fraction(c, 100) for c in row]) for n, row in enumerate(cents.tolist())
+        }
+        lo, hi = _drift_bounds(config, cents, 100, grid)
+        expected_lo, expected_hi = _drift_windows(config, vectors, grid)
+        assert lo.dtype == hi.dtype == np.int64
+        assert lo.tolist() == expected_lo.tolist() and hi.tolist() == expected_hi.tolist()
 
     def test_half_cent_previous_prices_snap_half_to_even(self):
         # With no drift the window of an off-grid price is empty: it snaps to
