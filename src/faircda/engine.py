@@ -9,16 +9,16 @@ a round's bids and outcomes cannot disagree.  A run keeps no round log;
 each round is folded into the repository and into its report row as soon
 as it clears; the report derives the per-run metrics from those rows.
 
-A simulated round's market stays the integers it was drawn as: the run
-loop keeps each round's quantity and cent arrays from the draws, and the
-drift windows, the market mean prices and the instance's integers
-(a :class:`~faircda.model._Market`) are read from those arrays, never from
-the bids built from them.  Those bids are valid by construction, so the
-loop clears them without :func:`run_round`'s sort and checks; the public
-:func:`run_round` checks the bids it is given once and derives the same
-record from them.  Both share one clearing step.  The bids' prices are
-:class:`~faircda.model.PriceVector`s: the repository's history holds
-them, and its snapshot formats their integers.
+A simulated round's market stays the integers it was drawn as.  The
+generators' lists carry their draws, and the run loop passes them on: the
+drift windows read the previous round's cents, and :func:`run_round`
+derives the round's market (a :class:`~faircda.model._Market`, which the
+market mean prices and the instance's integers are read from) from the
+draws, without sorting or checking bids that are valid by construction.
+Bids given any other way are sorted and checked once, and the same record
+derived from them.  The bids' prices are
+:class:`~faircda.model.PriceVector`s: the repository's history holds them,
+and its snapshot formats their integers.
 
 Randomness is split into two independent streams per run — one for bid
 generation, one for fairness draws — both derived deterministically from
@@ -48,22 +48,17 @@ from .model import (
     ProviderBid,
     Repository,
     _check_count,
-    _Market,
     _unchecked,
     repository_from_dict,
     repository_to_dict,
 )
 from .pricing import Settlement, settle
 from .scenario import (
-    _CENTS,
     ScenarioConfig,
-    _cent_market,
-    _consumer_bids,
-    _draw_consumers,
-    _draw_providers,
-    _drift_bounds,
-    _grid_bounds,
-    _provider_bids,
+    _drawn_market,
+    _DrawnPrices,
+    generate_consumer_bids,
+    generate_provider_bids,
 )
 from .wdp_solver import (
     SolverLimits,
@@ -71,6 +66,7 @@ from .wdp_solver import (
     WdpSolution,
     _bid_market,
     _bid_shape,
+    _Priced,
     solve_exact,
     solve_heuristic,
 )
@@ -158,45 +154,6 @@ class RoundResult:
         return metrics.win_rate_percent(sum(winners), len(winners)) if winners else 0.0
 
 
-def _clear_round(
-    repo: Repository,
-    consumer_bids: Sequence[ConsumerBid],
-    provider_bids: Sequence[ProviderBid],
-    market: _Market,
-    config: EngineConfig,
-    rng: np.random.Generator,
-) -> RoundResult:
-    """Clear one round of bids that are valid for the round, each side in id
-    order, whose integers are ``market``: fairness factors from the market
-    means, the instance, its solution and the drops."""
-    params = config.fairness_params
-    factors = {}
-    if config.fairness_enabled and consumer_bids:
-        participants = [b.consumer_id for b in consumer_bids]
-        means = market.mean_consumer_prices()
-        factors = compute_fairness_factors(repo.records, participants, means, params, rng).factors
-
-    # Unchecked: each factor is compute_fairness_factors' Fraction or
-    # Fraction(0), and each bid a checked ConsumerBid.
-    ext_bids = tuple(
-        _unchecked(
-            ExtendedConsumerBid, bid=b, fairness_factor=factors.get(b.consumer_id, _ZERO)
-        )
-        for b in consumer_bids
-    )
-    instance = WdpInstance._of(ext_bids, tuple(provider_bids), market)
-    if config.solver_mode == "exact":
-        solution = solve_exact(instance, config.solver_limits)
-    else:
-        solution = solve_heuristic(instance)
-    drops = tuple(
-        b.consumer_id
-        for b, won in zip(consumer_bids, solution.allocation.winners)
-        if not won and repo.record(b.consumer_id).consecutive_losses >= params.max_losses
-    )
-    return RoundResult(repo.round_counter + 1, instance, solution, drops)
-
-
 def run_round(
     repo: Repository,
     consumer_bids: Sequence[ConsumerBid],
@@ -211,17 +168,54 @@ def run_round(
     Bids from dropped consumers, and two bids from one consumer, are
     rejected, as is a market whose providers offer no units.  With no
     participants at all the round degenerates to an empty clearing with a
-    winning rate of zero.  The bids are checked here, once, as a
-    :class:`~faircda.wdp_solver.WdpInstance` checks them, and the round's
-    integers derived from them.
+    winning rate of zero.
+
+    The round's integers are derived once, here: from the draws when the
+    bids are the generators' lists as built, which pass every check by
+    construction, and otherwise from the bids, sorted by id and checked
+    once, as a :class:`~faircda.wdp_solver.WdpInstance` checks them.
     """
-    consumer_bids = sorted(consumer_bids, key=lambda b: b.consumer_id)
-    provider_bids = sorted(provider_bids, key=lambda b: b.provider_id)
-    for b in consumer_bids:
-        if repo.record(b.consumer_id).dropped:
-            raise ValueError(f"consumer {b.consumer_id} dropped out and can no longer bid")
-    market = _bid_market(_bid_shape(consumer_bids, provider_bids), consumer_bids, provider_bids)
-    return _clear_round(repo, consumer_bids, provider_bids, market, config, rng)
+    round_index = repo.round_counter + 1
+    market = _drawn_market(consumer_bids, provider_bids)
+    if market is None:
+        consumer_bids = sorted(consumer_bids, key=lambda b: b.consumer_id)
+        provider_bids = sorted(provider_bids, key=lambda b: b.provider_id)
+    participants = [b.consumer_id for b in consumer_bids]
+    for cid in participants:
+        if repo.record(cid).dropped:
+            raise ValueError(f"consumer {cid} dropped out and can no longer bid")
+    if market is None:
+        shape = _bid_shape(consumer_bids, provider_bids)
+        market = _bid_market(shape, consumer_bids, provider_bids)
+
+    params = config.fairness_params
+    factors = {}
+    if config.fairness_enabled and consumer_bids:
+        means = market.mean_consumer_prices()
+        factors = compute_fairness_factors(repo.records, participants, means, params, rng).factors
+
+    # Unchecked: each factor is compute_fairness_factors' Fraction or
+    # Fraction(0), and each bid a checked ConsumerBid.
+    ext_bids = _Priced(
+        (
+            _unchecked(
+                ExtendedConsumerBid, bid=b, fairness_factor=factors.get(b.consumer_id, _ZERO)
+            )
+            for b in consumer_bids
+        ),
+        market,
+    )
+    instance = WdpInstance.from_bids(ext_bids, provider_bids)
+    if config.solver_mode == "exact":
+        solution = solve_exact(instance, config.solver_limits)
+    else:
+        solution = solve_heuristic(instance)
+    drops = tuple(
+        b.consumer_id
+        for b, won in zip(consumer_bids, solution.allocation.winners)
+        if not won and repo.record(b.consumer_id).consecutive_losses >= params.max_losses
+    )
+    return RoundResult(round_index, instance, solution, drops)
 
 
 def update_repository(repo: Repository, result: RoundResult) -> Repository:
@@ -263,34 +257,21 @@ def _simulate_one_run(
     gc.disable()
     try:
         rng_bids, rng_fair = (_run_rng(config.master_seed, run_index, stream) for stream in (0, 1))
-        N, M = scenario.shape.num_consumers, scenario.shape.num_providers
-        grid = _grid_bounds(scenario.consumer_price_range)
-        repo = Repository.fresh(range(N))
-        offers: Optional[np.ndarray] = None
+        repo = Repository.fresh(range(scenario.shape.num_consumers))
+        previous_prices: Optional[_DrawnPrices] = None
         rows: list[metrics.PerRoundRow] = []
         drops = 0
         for _ in range(config.rounds):
-            # The draws of generate_provider_bids and generate_consumer_bids,
-            # kept as arrays: every consumer's offer cents, the dropped ones'
-            # too, drift into the next round's windows.
-            supply, asks = _draw_providers(scenario, rng_bids)
-            windows = None if offers is None else _drift_bounds(scenario, offers, _CENTS, grid)
-            demand, offers = _draw_consumers(scenario, rng_bids, windows)
-            active = [n for n in range(N) if not repo.records[n].dropped]
-            kept = slice(None) if len(active) == N else active
-            bid_demand, bid_offers = demand[kept], offers[kept]
-            # Not run_round: these bids need neither its sort nor its checks.
-            # Ids are 0..N-1 in row order, so each side is in id order with no
-            # id twice, every bid has L types and requests a unit, no dropped
-            # consumer bids, and the market is read from the draws.
-            result = _clear_round(
-                repo,
-                _consumer_bids(active, bid_demand, bid_offers),
-                _provider_bids(range(M), supply, asks),
-                _cent_market(bid_offers, bid_demand, asks, supply),
-                config,
-                rng_fair,
+            # The generators' lists carry their draws, and these passes keep
+            # them: the next round's drift windows read this round's cents,
+            # and run_round reads the round's market from the draws.
+            provider_bids = generate_provider_bids(scenario, rng_bids)
+            all_bids = generate_consumer_bids(scenario, rng_bids, previous_prices)
+            previous_prices = _DrawnPrices(all_bids)
+            active = all_bids.rows(
+                [n for n, b in enumerate(all_bids) if not repo.record(b.consumer_id).dropped]
             )
+            result = run_round(repo, active, provider_bids, config, rng_fair)
             repo = update_repository(repo, result)
             drops += len(result.drops_this_round)
             rows.append(

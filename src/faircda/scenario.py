@@ -7,14 +7,15 @@ for each type drifts uniformly within a relative band around their own
 previous price, clamped back into the configured range — prices are sticky
 per consumer but the market keeps moving.
 
-Each generator is a private draw, which returns int64 quantity and cent
-arrays, and the bid construction from them: each bid's prices are its row
-of cent draws as a :class:`~faircda.model.PriceVector`, integers over 100,
-so no ``Fraction`` is built for them here.  The engine's run loop calls the
-draws itself and keeps the arrays: its drift windows read the previous
-round's cents, and its round market (:func:`_cent_market`) the current
-ones.  The public generators read previous prices given per consumer as
-price vectors instead, through the same window formula.
+Each bid's prices are its row of cent draws as a
+:class:`~faircda.model.PriceVector`, integers over 100: no ``Fraction`` is
+built for them here.  The generators return their bids as a list that also
+carries the int64 draws (:class:`_DrawnBids`).  The engine's run loop
+passes those lists on, so its drift windows read the previous round's
+cents (:class:`_DrawnPrices`) and its round market the current ones
+(:func:`_drawn_market`), never the bids built from them.  Previous prices
+given any other way are read as price vectors, through the same window
+formula.
 
 Draw order is part of the reproducibility contract: per call, one block of
 quantity draws then one block of price draws, each laid out participant-
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
+from operator import is_
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -138,6 +140,52 @@ def _cent_vectors(cents: np.ndarray) -> list[PriceVector]:
     return list(map(PriceVector._make, map(tuple, rows), (_CENTS // g).tolist()))
 
 
+class _DrawnBids(list):
+    """A generator's bids in id order, with the int64 draws they were built
+    from: bid ``i`` is row ``i`` of ``quantities`` and of ``cents``, drawn
+    under ``config``.
+
+    The draws stand for the bids only while the list holds exactly the bids
+    built (:meth:`intact`): a caller may reorder or edit the list.
+    """
+
+    __slots__ = ("config", "quantities", "cents", "_built")
+
+    def __init__(self, bids, config: ScenarioConfig, quantities: np.ndarray, cents: np.ndarray):
+        super().__init__(bids)
+        self.config, self.quantities, self.cents = config, quantities, cents
+        self._built = tuple(self)
+
+    def rows(self, positions: list[int]) -> "_DrawnBids":
+        """The bids at ascending ``positions``, with their rows of draws."""
+        index = np.array(positions, dtype=np.intp)
+        bids = map(self.__getitem__, positions)
+        return type(self)(bids, self.config, self.quantities[index], self.cents[index])
+
+    def intact(self) -> bool:
+        return len(self) == len(self._built) and all(map(is_, self, self._built))
+
+
+class _DrawnConsumers(_DrawnBids):
+    __slots__ = ()
+
+
+class _DrawnProviders(_DrawnBids):
+    __slots__ = ()
+
+
+class _DrawnPrices(dict):
+    """Consumer id -> unit prices of one round's generated consumer bids, as
+    the engine passes them to the next round, with their cent draws (row
+    ``n`` is consumer ``n``'s), from which the drift windows are read."""
+
+    __slots__ = ("cents",)
+
+    def __init__(self, bids: _DrawnConsumers):
+        super().__init__((b.consumer_id, b.unit_prices) for b in bids)
+        self.cents = bids.cents
+
+
 def _cent_market(
     consumer_cents: np.ndarray,
     consumer_quantities: np.ndarray,
@@ -165,31 +213,43 @@ def _cent_market(
     )
 
 
-def _draw_providers(
-    config: ScenarioConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One offer per provider as int64 rows: per-type supply, then ask cents."""
-    shape = (config.shape.num_providers, config.shape.num_resource_types)
-    qlo, qhi = config.provider_quantity_range
-    quantities = rng.integers(qlo, qhi, size=shape, endpoint=True)
-    grid = _grid_bounds(config.provider_price_range)
-    return quantities, rng.integers(*grid, size=shape, endpoint=True)
-
-
-def _provider_bids(
-    ids: Sequence[int], quantities: np.ndarray, cents: np.ndarray
-) -> list[ProviderBid]:
-    # Integer draws from the validated ranges, as ints and cent-grid price
-    # vectors: valid by construction, so the constructor's checks are skipped.
-    return [
-        _unchecked(ProviderBid, provider_id=m, unit_prices=p, quantities=tuple(q))
-        for m, p, q in zip(ids, _cent_vectors(cents), quantities.tolist())
-    ]
+def _drawn_market(
+    consumer_bids: Sequence[ConsumerBid], provider_bids: Sequence[ProviderBid]
+) -> Optional[_Market]:
+    """The market of generated consumer and provider bids, read from their
+    draws; ``None`` unless both lists are intact and drawn under one
+    configuration.  Such bids pass every check of ``wdp_solver._bid_market``
+    by construction: each side is in id order with no id twice, every bid
+    covers the configuration's types and requests a unit, and the
+    configuration bounds the units below 2**63."""
+    if not (
+        type(consumer_bids) is _DrawnConsumers
+        and type(provider_bids) is _DrawnProviders
+        and consumer_bids.config == provider_bids.config
+        and consumer_bids.intact()
+        and provider_bids.intact()
+    ):
+        return None
+    return _cent_market(
+        consumer_bids.cents, consumer_bids.quantities, provider_bids.cents, provider_bids.quantities
+    )
 
 
 def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> list[ProviderBid]:
     """Draw one offer per provider: per-type supply and ask prices."""
-    return _provider_bids(range(config.shape.num_providers), *_draw_providers(config, rng))
+    M = config.shape.num_providers
+    L = config.shape.num_resource_types
+    qlo, qhi = config.provider_quantity_range
+    plo_c, phi_c = _grid_bounds(config.provider_price_range)
+    quantities = rng.integers(qlo, qhi, size=(M, L), endpoint=True)
+    price_cents = rng.integers(plo_c, phi_c, size=(M, L), endpoint=True)
+    # Integer draws from the validated ranges, as ints and cent-grid price
+    # vectors: valid by construction, so the constructor's checks are skipped.
+    bids = [
+        _unchecked(ProviderBid, provider_id=m, unit_prices=p, quantities=tuple(q))
+        for m, (p, q) in enumerate(zip(_cent_vectors(price_cents), quantities.tolist()))
+    ]
+    return _DrawnProviders(bids, config, quantities, price_cents)
 
 
 def _drift_bounds(
@@ -205,9 +265,9 @@ def _drift_bounds(
     ``p = a / b`` and ``drift = u / v``, is ``[(v - u) * 100a / vb,
     (v + u) * 100a / vb]``, rounded inward and clamped into the grid.  The
     bounds are exact floors and ceilings, so any ``a / b`` of a price gives
-    the same window: the engine passes a round's cent draws over 100.  The
-    arithmetic is int64 when every product provably fits, and ``object``
-    arrays of Python ints otherwise.
+    the same window: the engine's previous round passes its cent draws over
+    100.  The arithmetic is int64 when every product provably fits, and
+    ``object`` arrays of Python ints otherwise.
     """
     plo_c, phi_c = grid
     u, v = config.price_drift.numerator, config.price_drift.denominator
@@ -241,9 +301,14 @@ def _drift_windows(
     grid: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_drift_bounds` for previous prices given per consumer id, each
-    read as a :class:`PriceVector`: its numerators over its one denominator."""
+    read as a :class:`PriceVector`: its numerators over its one denominator.
+    The engine's :class:`_DrawnPrices` are read from their cent draws."""
     N = config.shape.num_consumers
     L = config.shape.num_resource_types
+    if type(previous_personal_prices) is _DrawnPrices:
+        cents = previous_personal_prices.cents
+        if cents.shape == (N, L):
+            return _drift_bounds(config, cents, _CENTS, grid)
     rows = []
     for n in range(N):
         try:
@@ -260,38 +325,6 @@ def _drift_windows(
     return _drift_bounds(config, numerators, denominators, grid)
 
 
-def _draw_consumers(
-    config: ScenarioConfig,
-    rng: np.random.Generator,
-    windows: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One request per consumer as int64 rows: per-type demand, then offer
-    cents, uniform over the range or, given ``windows``, over each cell's."""
-    shape = (config.shape.num_consumers, config.shape.num_resource_types)
-    qlo, qhi = config.consumer_quantity_range
-    quantities = rng.integers(qlo, qhi, size=shape, endpoint=True)
-    if qlo < 1:
-        # Every bid must request something; bump one uniformly chosen type.
-        for row in quantities:
-            if not row.any():
-                row[int(rng.integers(0, shape[1]))] = 1
-    if windows is None:
-        windows = _grid_bounds(config.consumer_price_range)
-    return quantities, rng.integers(*windows, size=shape, endpoint=True)
-
-
-def _consumer_bids(
-    ids: Sequence[int], quantities: np.ndarray, cents: np.ndarray
-) -> list[ConsumerBid]:
-    # Integer draws from the validated ranges, as ints and cent-grid price
-    # vectors, and every bid requests a unit: valid by construction, so the
-    # constructor's checks are skipped.
-    return [
-        _unchecked(ConsumerBid, consumer_id=n, unit_prices=p, quantities=tuple(q))
-        for n, p, q in zip(ids, _cent_vectors(cents), quantities.tolist())
-    ]
-
-
 def generate_consumer_bids(
     config: ScenarioConfig,
     rng: np.random.Generator,
@@ -306,9 +339,28 @@ def generate_consumer_bids(
     clamped into the range, where ``previous`` is that consumer's own price
     from the prior round.
     """
-    windows = None
-    if previous_personal_prices is not None:
-        grid = _grid_bounds(config.consumer_price_range)
-        windows = _drift_windows(config, previous_personal_prices, grid)
-    draws = _draw_consumers(config, rng, windows)
-    return _consumer_bids(range(config.shape.num_consumers), *draws)
+    N = config.shape.num_consumers
+    L = config.shape.num_resource_types
+    qlo, qhi = config.consumer_quantity_range
+    grid = _grid_bounds(config.consumer_price_range)
+    quantities = rng.integers(qlo, qhi, size=(N, L), endpoint=True)
+    if qlo < 1:
+        # Every bid must request something; bump one uniformly chosen type.
+        for n in range(N):
+            if not quantities[n].any():
+                quantities[n][int(rng.integers(0, L))] = 1
+
+    if previous_personal_prices is None:
+        price_cents = rng.integers(*grid, size=(N, L), endpoint=True)
+    else:
+        lo, hi = _drift_windows(config, previous_personal_prices, grid)
+        price_cents = rng.integers(lo, hi, size=(N, L), endpoint=True)
+
+    # Integer draws from the validated ranges, as ints and cent-grid price
+    # vectors, and every bid requests a unit: valid by construction, so the
+    # constructor's checks are skipped.
+    bids = [
+        _unchecked(ConsumerBid, consumer_id=n, unit_prices=p, quantities=tuple(q))
+        for n, (p, q) in enumerate(zip(_cent_vectors(price_cents), quantities.tolist()))
+    ]
+    return _DrawnConsumers(bids, config, quantities, price_cents)

@@ -37,18 +37,18 @@ its market as integers once, when it is built (:class:`_ScaledValues`):
 prices and budgets over ``D``, the least common multiple of the prices'
 denominators, and the reach, cumulative cost and stand-alone feasibility
 facts every solver reads.  The prices and quantities come from the round's
-:class:`~faircda.model._Market`: a public construction checks its bids and
-reads them from the bids (:func:`_bid_market`); a simulated round reads
-them from its draws and passes them in (``WdpInstance._of``), with nothing
-checked again.  Budgets are derived, never passed in.  The
-heuristic and settlement run over ``D``: each fairness factor enters as its
-floor over ``D``, and the exact remainder the floor drops is read only
-where the floors cannot decide.  Only ``solve_exact`` builds ``S``, the
-common multiple of ``D`` and the factors' denominators, once per call, and
-adds the factors over it.  Rationals are built only for the results.  The
-integers are int64 arrays when every sum formed from them provably fits,
-and ``object`` arrays of Python ints otherwise, so the same code stays
-exact on any rational input.
+:class:`~faircda.model._Market`: a construction from bids checks them and
+reads it from them (:func:`_bid_market`); ``run_round`` passes in the
+market it derived (:class:`_Priced`), from its checked bids or, for a
+simulated round, from the draws, with nothing checked again.  Budgets are
+derived, never passed in.  The heuristic and settlement run over ``D``:
+each fairness factor enters as its floor over ``D``, and the exact
+remainder the floor drops is read only where the floors cannot decide.
+Only ``solve_exact`` builds ``S``, the common multiple of ``D`` and the
+factors' denominators, once per call, and adds the factors over it.
+Rationals are built only for the results.  The integers are int64 arrays
+when every sum formed from them provably fits, and ``object`` arrays of
+Python ints otherwise, so the same code stays exact on any rational input.
 """
 
 from __future__ import annotations
@@ -226,6 +226,18 @@ class _ScaledValues:
         return self.fairness[n] * self.denominator - self.factor_floors[n]
 
 
+class _Priced(tuple):
+    """Extended bids whose round's market is already derived, ``market``
+    (row ``n`` is bid ``n``'s), from bids that passed :func:`_bid_market`'s
+    checks or were generated to pass them: :meth:`WdpInstance.from_bids`
+    builds their instance without checking them again."""
+
+    def __new__(cls, bids: Iterable[ExtendedConsumerBid], market: _Market):
+        priced = super().__new__(cls, bids)
+        priced.market = market
+        return priced
+
+
 @dataclass(frozen=True)
 class WdpInstance:
     """One round's winner-determination problem.
@@ -238,9 +250,9 @@ class WdpInstance:
     solvers and settlement use.
 
     The constructor and :meth:`from_bids` check the bids, once, and read
-    their integers from them.  The engine's simulated rounds build their
-    instance with :meth:`_of` from the integers they drew, since generated
-    bids pass every check by construction.
+    their integers from them, except for :func:`~faircda.engine.run_round`'s
+    bids (:class:`_Priced`): it checked them, or they were generated to
+    pass the checks, and it passes in the market it derived.
     """
 
     shape: MarketShape
@@ -262,35 +274,26 @@ class WdpInstance:
         num_resource_types: Optional[int] = None,
     ) -> "WdpInstance":
         """Build an instance, extending plain bids with fairness factor 0."""
+        providers = tuple(provider_bids)
+        if type(consumer_bids) is _Priced:
+            market = consumer_bids.market
+            N, L = market.consumer_quantities.shape
+            shape = _unchecked(
+                MarketShape, num_consumers=N, num_providers=len(providers), num_resource_types=L
+            )
+            return _unchecked(
+                cls,
+                shape=shape,
+                consumer_bids=tuple(consumer_bids),
+                provider_bids=providers,
+                _scaled=_ScaledValues(market, consumer_bids),
+            )
         ext_bids = tuple(
             b if isinstance(b, ExtendedConsumerBid) else ExtendedConsumerBid(bid=b)
             for b in consumer_bids
         )
-        providers = tuple(provider_bids)
         shape = _bid_shape([ext.bid for ext in ext_bids], providers, num_resource_types)
         return cls(shape=shape, consumer_bids=ext_bids, provider_bids=providers)
-
-    @classmethod
-    def _of(
-        cls,
-        consumer_bids: tuple[ExtendedConsumerBid, ...],
-        provider_bids: tuple[ProviderBid, ...],
-        market: _Market,
-    ) -> "WdpInstance":
-        """The instance of bids that already passed :func:`_bid_market`'s
-        checks, or were generated to pass them, and whose integers are
-        ``market``: built without checking them again."""
-        N, L = market.consumer_quantities.shape
-        shape = _unchecked(
-            MarketShape, num_consumers=N, num_providers=len(provider_bids), num_resource_types=L
-        )
-        return _unchecked(
-            cls,
-            shape=shape,
-            consumer_bids=consumer_bids,
-            provider_bids=provider_bids,
-            _scaled=_ScaledValues(market, consumer_bids),
-        )
 
 
 def _bid_shape(

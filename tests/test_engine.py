@@ -5,6 +5,7 @@ import gc
 import json
 import pickle
 import weakref
+from collections import Counter
 from fractions import Fraction
 from statistics import fmean
 
@@ -324,13 +325,13 @@ class TestRunSimulation:
         """Collection is off during a run, which leaves no cyclic garbage,
         and the caller's collector state is restored."""
         states = []
-        real = engine._clear_round
+        real = engine.run_round
 
         def recording(*args):
             states.append(gc.isenabled())
             return real(*args)
 
-        monkeypatch.setattr(engine, "_clear_round", recording)
+        monkeypatch.setattr(engine, "run_round", recording)
         scenario = ScenarioConfig(shape=MarketShape(30, 3, 2), runs=2)
         config = EngineConfig(
             fairness_enabled=fairness, solver_mode=solver, rounds=6, master_seed=2
@@ -446,15 +447,13 @@ class TestRunSimulation:
         results = []
         alive_at_next_round = []
 
-        real = engine._clear_round
-
-        def recording_clear_round(*args):
+        def recording_run_round(*args):
             alive_at_next_round.append(sum(ref() is not None for ref in results))
-            result = real(*args)
+            result = run_round(*args)
             results.append(weakref.ref(result))
             return result
 
-        monkeypatch.setattr(engine, "_clear_round", recording_clear_round)
+        monkeypatch.setattr(engine, "run_round", recording_run_round)
         scenario = ScenarioConfig(shape=MarketShape(8, 2, 2), runs=1)
         run_simulation(scenario, EngineConfig(rounds=6, master_seed=4))
         assert len(results) == 6
@@ -551,6 +550,65 @@ class TestRoundsFromDraws:
             assert {instance._scaled.denominator for instance in cleared} == {2}
         assert sum(instance.shape.num_consumers for instance in cleared) > 0
 
+    def test_each_round_goes_through_the_public_functions(self, monkeypatch):
+        """Every simulated round calls the generators, run_round,
+        WdpInstance.from_bids and update_repository once, by the names the
+        engine module holds, so that a wrapper of those names sees it."""
+        calls = Counter()
+
+        def counting(name, func):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return counted
+
+        names = (
+            "generate_provider_bids",
+            "generate_consumer_bids",
+            "run_round",
+            "update_repository",
+        )
+        for name in names:
+            monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+        from_bids = staticmethod(counting("from_bids", engine.WdpInstance.from_bids))
+        monkeypatch.setattr(engine.WdpInstance, "from_bids", from_bids)
+        scenario = ScenarioConfig(shape=MarketShape(8, 2, 2), runs=2)
+        run_simulation(scenario, EngineConfig(rounds=6, master_seed=1))
+        assert calls == {name: 12 for name in (*names, "from_bids")}
+
+    def test_generated_lists_clear_from_their_draws_only_as_built(self):
+        """A generator's list clears from its draws only while it holds the
+        bids built, drawn under its counterpart's configuration: otherwise it
+        clears, or fails, as a plain list of the same bids does."""
+        scenario = ScenarioConfig(shape=MarketShape(8, 2, 2), runs=1)
+        rng = np.random.default_rng(5)
+        providers = generate_provider_bids(scenario, rng)
+        consumers = generate_consumer_bids(scenario, rng)
+        repo = Repository.fresh(range(8))
+
+        def clear(consumer_bids, provider_bids):
+            return run_round(repo, consumer_bids, provider_bids, EngineConfig(), fairness_rng())
+
+        expected = clear(list(consumers), list(providers))
+        assert_same_instance(clear(consumers, providers).instance, expected.instance)
+        consumers.reverse()
+        assert_same_instance(clear(consumers, providers).instance, expected.instance)
+        consumers[2] = ConsumerBid(5, (Fraction(240), Fraction("249.99")), (3, 1))
+        result = clear(consumers, providers)
+        assert_same_instance(result.instance, clear(list(consumers), providers).instance)
+        assert result.instance.consumer_bids[5].bid is consumers[2]
+
+        wider = ScenarioConfig(shape=MarketShape(8, 2, 3), runs=1)
+        wide_consumers = generate_consumer_bids(wider, rng)
+        messages = []
+        for consumer_bids in (wide_consumers, list(wide_consumers)):
+            with pytest.raises(ValueError) as error:
+                clear(consumer_bids, providers)
+            messages.append(str(error.value))
+        expected_message = "provider 0: bid covers 2 resource types, market has 3"
+        assert messages == [expected_message, expected_message]
+
     @settings(max_examples=40, deadline=None)
     @given(
         shape=st.tuples(st.integers(1, 8), st.integers(1, 3), st.integers(1, 2)),
@@ -567,7 +625,9 @@ class TestRoundsFromDraws:
     ):
         """run_simulation's rows and final repository are those of a loop
         over generate_provider_bids, generate_consumer_bids, run_round and
-        update_repository, drops included."""
+        update_repository, drops included.  The loop hands on a plain dict
+        and plain lists, so its rounds are read from the bids, not the
+        draws."""
         scenario = ScenarioConfig(
             shape=MarketShape(*shape),
             runs=1,
