@@ -16,7 +16,6 @@ from faircda import (
     settle,
     solve_exact,
     solve_heuristic,
-    solve_oracle,
     validate_solution,
 )
 
@@ -37,8 +36,8 @@ instance = WdpInstance.from_bids(
     [ExtendedConsumerBid(bid=c) for c in consumers], providers
 )
 
-# All three solver modes agree on this tiny market.
-for solver in (solve_exact, solve_oracle, solve_heuristic):
+# Both solvers agree on this tiny market.
+for solver in (solve_exact, solve_heuristic):
     solution = solver(instance)
     print(
         f"{solver.__name__:>16}: winners={solution.winner_positions} "

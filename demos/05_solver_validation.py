@@ -1,38 +1,41 @@
-"""Solver debugging workflow: print instances and cross-check solvers.
+"""Cross-check the two solvers on generated markets.
 
-The branch-and-bound solver is validated against exhaustive subset
-enumeration on randomized micro instances; any mismatch would be printed
-in a line-oriented text format, one line per bid with exact rationals,
-ready to read or to rebuild as a regression test.
+``solve_exact`` searches the winner vector by branch and bound and proves
+its result optimal; ``solve_heuristic`` admits consumers greedily and
+reports a gap bound, how far the optimum may lie above its objective.  On
+every market the heuristic's objective is at most the exact optimum, and
+the optimum is at most the heuristic's objective plus its gap bound.
 """
 
 import numpy as np
 
-from faircda import dump_instance, solve_exact, solve_heuristic, solve_oracle
-from faircda.cli import random_micro_instance, run_validation_corpus
-
-rng = np.random.default_rng(8)
-instance = random_micro_instance(rng)
-
-print("a random micro instance in the debug format:")
-print(dump_instance(instance))
-
-exact = solve_exact(instance)
-oracle = solve_oracle(instance)
-heuristic = solve_heuristic(instance)
-print(f"exact    : objective={exact.objective} winners={exact.winner_positions}")
-print(f"oracle   : objective={oracle.objective} winners={oracle.winner_positions}")
-print(f"heuristic: objective={heuristic.objective} winners={heuristic.winner_positions} "
-      f"(gap bound {heuristic.gap_bound})")
-
-# The corpus behind `faircda validate`: 200 seeded instances here, 500 by
-# default on the command line.
-passes, failures = run_validation_corpus(count=200, seed=123)
-print(f"\nvalidation corpus: {passes}/200 instances agree, {len(failures)} mismatches")
-
-# The heuristic is never allowed to beat the exact optimum.
-worst_gap = max(
-    solve_exact(inst).objective - solve_heuristic(inst).objective
-    for inst in (random_micro_instance(rng) for _ in range(100))
+from faircda import (
+    MarketShape,
+    ScenarioConfig,
+    WdpInstance,
+    generate_consumer_bids,
+    generate_provider_bids,
+    solve_exact,
+    solve_heuristic,
 )
-print(f"largest exact-minus-heuristic gap over 100 micro instances: {worst_gap}")
+
+# Twelve consumers compete for the scarce supply of three providers; in one
+# of these markets the heuristic misses the optimum.
+config = ScenarioConfig(shape=MarketShape(12, 3, 2), runs=1, provider_quantity_range=(3, 10))
+rng = np.random.default_rng(0)
+
+for market in range(5):
+    instance = WdpInstance.from_bids(
+        generate_consumer_bids(config, rng), generate_provider_bids(config, rng)
+    )
+    exact = solve_exact(instance)
+    heuristic = solve_heuristic(instance)
+    assert exact.optimality == "proved_optimal"
+    assert heuristic.objective <= exact.objective <= heuristic.objective + heuristic.gap_bound
+    print(
+        f"market {market}: exact {float(exact.objective):9.2f} "
+        f"({len(exact.winner_positions)} winners), "
+        f"heuristic {float(heuristic.objective):9.2f} "
+        f"+ gap bound {float(heuristic.gap_bound):7.2f} "
+        f"({len(heuristic.winner_positions)} winners)"
+    )

@@ -43,12 +43,8 @@ from .wdp_solver import (
     SolverLimits,
     WdpInstance,
     WdpSolution,
-    dump_instance,
-    min_cost_allocation,
-    objective_value,
     solve_exact,
     solve_heuristic,
-    solve_oracle,
     validate_solution,
 )
 
@@ -79,12 +75,9 @@ __all__ = [
     "aggregate",
     "as_money",
     "compute_fairness_factors",
-    "dump_instance",
     "emit",
     "generate_consumer_bids",
     "generate_provider_bids",
-    "min_cost_allocation",
-    "objective_value",
     "parse_report",
     "report_to_json",
     "run_round",
@@ -92,7 +85,6 @@ __all__ = [
     "settle",
     "solve_exact",
     "solve_heuristic",
-    "solve_oracle",
     "update_repository",
     "validate_solution",
 ]

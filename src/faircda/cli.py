@@ -1,14 +1,12 @@
-"""Command-line entry point: run simulations, compare fairness arms, validate solvers.
+"""Command-line entry point: run simulations and compare fairness arms.
 
 ``faircda run`` executes one simulation and emits its report files;
 ``faircda compare`` executes fairness-on and fairness-off simulations on
 shared bid streams (common random numbers) and additionally emits paired
-per-run deltas; ``faircda validate`` cross-checks the branch-and-bound
-solver against exhaustive enumeration on a corpus of randomized micro
-instances.
+per-run deltas.
 
 Exit codes: 0 success, 1 usage or configuration error (before any work),
-2 runtime failure, 3 solver validation mismatch.
+2 runtime failure.
 """
 
 from __future__ import annotations
@@ -19,33 +17,20 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .engine import SOLVER_MODES, EngineConfig, config_echo, run_simulation
 from .metrics import REPORT_FILES, SimulationReport, _rows_to_csv, emit
-from .model import (
-    ConsumerBid,
-    ExtendedConsumerBid,
-    FairnessParams,
-    MarketShape,
-    ProviderBid,
-    _check_count,
-)
+from .model import FairnessParams, MarketShape, _check_count
 from .scenario import ScenarioConfig
-from .wdp_solver import SolverLimits, WdpInstance, dump_instance, solve_exact, solve_oracle
+from .wdp_solver import SolverLimits
 
 __all__ = [
     "ExperimentConfig",
     "cmd_run",
     "cmd_compare",
-    "cmd_validate",
-    "random_micro_instance",
-    "run_validation_corpus",
     "comparison_rows",
     "main",
 ]
@@ -66,9 +51,6 @@ COMPARISON_FIELDS = ("run",) + tuple(
 # compare's arms: the subdirectory each emits into and whether fairness is on.
 ARMS = (("fairness", True), ("baseline", False))
 COMPARISON_FILE = "comparison.csv"
-
-DEFAULT_CORPUS_SIZE = 500
-DEFAULT_CORPUS_SEED = 20240
 
 
 @dataclass(frozen=True)
@@ -251,93 +233,6 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> int:
     return 0
 
 
-# Shape and value ranges of the validation corpus's micro instances (inclusive).
-MICRO_MAX_CONSUMERS = 4
-MICRO_MAX_PROVIDERS = 2
-MICRO_MAX_TYPES = 2
-MICRO_MAX_QUANTITY = 2
-MICRO_PRICE_RANGE = (1, 20)
-MICRO_FACTOR_RANGE = (-10, 10)
-
-
-def random_micro_instance(rng: np.random.Generator) -> WdpInstance:
-    """A small random instance for solver cross-checking.
-
-    Integer prices and fairness factors keep every objective a small exact
-    rational, so solver agreement can be asserted with zero tolerance.
-    """
-    N = int(rng.integers(1, MICRO_MAX_CONSUMERS, endpoint=True))
-    M = int(rng.integers(1, MICRO_MAX_PROVIDERS, endpoint=True))
-    L = int(rng.integers(1, MICRO_MAX_TYPES, endpoint=True))
-    plo, phi = MICRO_PRICE_RANGE
-    flo, fhi = MICRO_FACTOR_RANGE
-    consumers = []
-    for n in range(N):
-        quantities = [int(q) for q in rng.integers(0, MICRO_MAX_QUANTITY, size=L, endpoint=True)]
-        if not any(quantities):
-            quantities[int(rng.integers(0, L))] = 1
-        prices = [Fraction(int(p)) for p in rng.integers(plo, phi, size=L, endpoint=True)]
-        factor = Fraction(int(rng.integers(flo, fhi, endpoint=True)))
-        consumers.append(
-            ExtendedConsumerBid(
-                bid=ConsumerBid(n, tuple(prices), tuple(quantities)),
-                fairness_factor=factor,
-            )
-        )
-    providers = []
-    for m in range(M):
-        quantities = [int(q) for q in rng.integers(0, MICRO_MAX_QUANTITY, size=L, endpoint=True)]
-        prices = [Fraction(int(p)) for p in rng.integers(plo, phi, size=L, endpoint=True)]
-        providers.append(ProviderBid(m, tuple(prices), tuple(quantities)))
-    return WdpInstance(
-        shape=MarketShape(N, M, L), consumer_bids=tuple(consumers), provider_bids=tuple(providers)
-    )
-
-
-def run_validation_corpus(
-    count: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_CORPUS_SEED
-) -> tuple[int, list[str]]:
-    """Cross-check :func:`~faircda.wdp_solver.solve_exact` against exhaustive
-    enumeration on random micro instances.
-
-    An instance passes when the two winner vectors are equal, so the tie
-    rule (the lexicographically smallest optimum) is checked as well as the
-    objective.  Returns (pass count, failure descriptions).
-    """
-    if count < 1:
-        raise ValueError(f"corpus size must be positive, got {count}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    passes = 0
-    failures: list[str] = []
-    for index in range(count):
-        instance = random_micro_instance(rng)
-        got = solve_exact(instance)
-        expected = solve_oracle(instance)
-        if got.allocation.winners == expected.allocation.winners:
-            passes += 1
-            continue
-        got_bits, oracle_bits = (
-            "".join("01"[w] for w in s.allocation.winners) for s in (got, expected)
-        )
-        failures.append(
-            f"instance {index}: solver winners {got_bits} (objective {got.objective}) != "
-            f"oracle winners {oracle_bits} (objective {expected.objective})\n"
-            f"{dump_instance(instance)}"
-        )
-    return passes, failures
-
-
-def cmd_validate(count: int = DEFAULT_CORPUS_SIZE, seed: int = DEFAULT_CORPUS_SEED) -> int:
-    """Run the solver-equivalence corpus; exit 0 iff every instance agrees."""
-    passes, failures = run_validation_corpus(count, seed)
-    print(f"solver validation: {passes}/{count} instances agree (seed {seed})")
-    for failure in failures[:5]:
-        print(failure)
-    if len(failures) > 5:
-        print(f"... and {len(failures) - 5} more mismatches")
-    return 0 if not failures else 3
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
@@ -389,9 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", "run fairness-on vs fairness-off on shared bids"),
     ):
         _add_experiment_arguments(sub.add_parser(name, help=text))
-    validate = sub.add_parser("validate", help="cross-check the exact solver against enumeration")
-    validate.add_argument("--count", type=int, default=DEFAULT_CORPUS_SIZE, help="corpus size")
-    validate.add_argument("--seed", type=int, default=DEFAULT_CORPUS_SEED, help="corpus seed")
     return parser
 
 
@@ -403,16 +295,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "validate":
-            _check_count(args.count, "--count", positive=True)
-            _check_count(args.seed, "--seed")
-            command = partial(cmd_validate, args.count, args.seed)
-        else:
-            config = load_experiment_config(args.config, args)
-            _check_count(args.jobs, "--jobs", positive=True)
-            _check_outputs(args.command, config.output_dir)
-            run = cmd_run if args.command == "run" else cmd_compare
-            command = partial(run, config, jobs=args.jobs)
+        config = load_experiment_config(args.config, args)
+        _check_count(args.jobs, "--jobs", positive=True)
+        _check_outputs(args.command, config.output_dir)
+        run = cmd_run if args.command == "run" else cmd_compare
+        command = partial(run, config, jobs=args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

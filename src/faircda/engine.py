@@ -334,8 +334,7 @@ def run_simulation(
     function of the two configurations; ``jobs > 1`` executes runs in
     parallel worker processes without changing the result.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_count(jobs, "jobs", positive=True)
     runs = range(scenario.runs)
     if jobs == 1 or scenario.runs == 1:
         outcomes = [_simulate_one_run(scenario, config, run) for run in runs]

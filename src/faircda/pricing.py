@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import Allocation, Money
-from .wdp_solver import WdpInstance, _require_feasible
+from .wdp_solver import WdpInstance, validate_solution
 
 __all__ = ["Settlement", "settle"]
 
@@ -91,5 +91,6 @@ def settle(instance: WdpInstance, allocation: Allocation) -> Settlement:
     own offer, and symmetrically for providers.  Losers and providers who
     sold nothing settle at zero.  Nothing is priced until a map is read.
     """
-    _require_feasible(instance, allocation, "cannot settle an infeasible allocation")
+    if violations := validate_solution(instance, allocation):
+        raise ValueError("cannot settle an infeasible allocation:\n  " + "\n  ".join(violations))
     return Settlement(instance, allocation)

@@ -22,15 +22,15 @@ solver here:
 ``solve_exact`` runs depth-first branch and bound over the winner vector,
 seeded with the heuristic's winners (its greedy pass's alone, without the
 repair, when no budget can truncate the search: the result is then the same);
-``solve_oracle`` enumerates all winner subsets; ``solve_heuristic`` greedily
-admits consumers by Lagrangian margin with one drop-and-readd repair pass.
-One function bounds both searches, the Lagrangian relaxation of the per-type
-supply balance, over ``D``: at the heuristic's demand for the exact nodes, at
-the cheapest asks for the heuristic's ranking, and at both for its gap.  All
-three return allocations that validate clean.  The two search solvers hold
-winner demand in one layout, a flat cumulative-demand vector, read the supply
-and cost tables of that layout from the instance, and read its cost with one
-formula, ``_breakpoint_cost``.
+``solve_heuristic`` greedily admits consumers by Lagrangian margin with one
+drop-and-readd repair pass.  One function bounds both searches, the
+Lagrangian relaxation of the per-type supply balance, over ``D``: at the
+heuristic's demand for the exact nodes, at the cheapest asks for the
+heuristic's ranking, and at both for its gap.  Both return allocations that
+validate clean, routed by one function, ``_route``.  They hold winner demand
+in one layout, a flat cumulative-demand vector, read the supply and cost
+tables of that layout from the instance, and read its cost with one formula,
+``_breakpoint_cost``.
 
 Arithmetic is exact integer arithmetic.  A :class:`WdpInstance` derives
 its market as integers once, when it is built (:class:`_ScaledValues`):
@@ -87,16 +87,10 @@ __all__ = [
     "WdpInstance",
     "WdpSolution",
     "SolverLimits",
-    "objective_value",
-    "min_cost_allocation",
     "solve_exact",
-    "solve_oracle",
     "solve_heuristic",
     "validate_solution",
-    "dump_instance",
 ]
-
-ORACLE_MAX_CONSUMERS = 12
 
 
 def _bid_market(
@@ -334,9 +328,9 @@ class WdpSolution:
     bound: Optional[Callable[[], Money]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.optimality not in ("proved_optimal", "heuristic", "oracle"):
+        if self.optimality not in ("proved_optimal", "heuristic"):
             raise ValueError(f"unknown optimality tag {self.optimality!r}")
-        if self.optimality in ("proved_optimal", "oracle") and self.bound is not None:
+        if self.optimality == "proved_optimal" and self.bound is not None:
             raise ValueError("a proved-optimal solution carries no bound: its gap is 0")
 
     @cached_property
@@ -387,37 +381,17 @@ class SolverLimits:
         object.__setattr__(self, "time_budget_s", budget)
 
 
-def min_cost_allocation(
-    instance: WdpInstance, winner_set: Iterable[int]
-) -> Optional[np.ndarray]:
-    """Cheapest feasible routing that fully serves every winner, or None.
-
-    ``winner_set`` holds consumer ids.  Each resource type is routed
-    independently: winners are served in ascending order of their price
-    threshold, each from the cheapest provider with remaining stock they can
-    afford.  Returns the dense transfers array, or None when some winner
-    cannot be fully served within supply and price compatibility.
-    """
-    ids = set(winner_set)
-    positions = []
-    for pos, ext in enumerate(instance.consumer_bids):
-        if ext.consumer_id in ids:
-            positions.append(pos)
-            ids.discard(ext.consumer_id)
-    if ids:
-        raise ValueError(f"winner ids {sorted(ids)} are not part of this instance")
-    return _route(instance, positions)
-
-
 def _route(instance: WdpInstance, positions: Sequence[int]) -> Optional[np.ndarray]:
-    """:func:`min_cost_allocation` for consumer positions.
+    """Cheapest feasible routing that fully serves the consumers at
+    ``positions``, as a dense transfers array, or None.
 
-    Per type, lay the winners' demands end to end in ascending (threshold,
-    position) order, and the providers' supplies end to end in ascending
-    (ask, position) order: each winner takes from each provider the overlap
-    of their two intervals.  That is the cheapest-first fill, and it is
-    feasible iff the supply covers the demand and no winner overlaps a
-    provider asking more than the winner's price.
+    Each resource type is routed independently.  Per type, lay the winners'
+    demands end to end in ascending (threshold, position) order, and the
+    providers' supplies end to end in ascending (ask, position) order: each
+    winner takes from each provider the overlap of their two intervals.
+    That is the cheapest-first fill, and it is feasible iff the supply
+    covers the demand and no winner overlaps a provider asking more than the
+    winner's price.
     """
     N = instance.shape.num_consumers
     M = instance.shape.num_providers
@@ -517,27 +491,6 @@ def validate_solution(instance: WdpInstance, allocation: Allocation) -> list[str
     return violations
 
 
-def _require_feasible(instance: WdpInstance, allocation: Allocation, failure: str) -> None:
-    """Raise ``ValueError``, ``failure`` then every violation, unless
-    :func:`validate_solution` finds the allocation feasible for the instance."""
-    if violations := validate_solution(instance, allocation):
-        raise ValueError(f"{failure}:\n  " + "\n  ".join(violations))
-
-
-def objective_value(
-    instance: WdpInstance, allocation: Allocation
-) -> tuple[Money, Money, Money]:
-    """Exact (objective, total_utility, total_satisfaction) of a feasible allocation.
-
-    Total utility collapses to winner budgets minus provider-side cost
-    because every trade price appears once positively (provider revenue) and
-    once negatively (consumer payment).
-    """
-    _require_feasible(instance, allocation, "allocation violates the instance constraints")
-    utility, satisfaction = _totals(instance, allocation)
-    return utility + satisfaction, utility, satisfaction
-
-
 def _totals(instance: WdpInstance, allocation: Allocation) -> tuple[Money, Money]:
     """A feasible allocation's (utility, satisfaction): its utility from
     integers over ``D``, its satisfaction as the exact sum of its winners'
@@ -577,35 +530,6 @@ def _build_solution(
         optimality=optimality,
         bound=bound,
     )
-
-
-def solve_oracle(instance: WdpInstance) -> WdpSolution:
-    """Exhaustive reference solver: every winner subset, evaluated naively.
-
-    Kept deliberately free of the branch-and-bound machinery so the two
-    solvers fail independently.  Guarded to small instances.
-    """
-    N = instance.shape.num_consumers
-    if N > ORACLE_MAX_CONSUMERS:
-        raise ValueError(
-            f"oracle enumeration is limited to {ORACLE_MAX_CONSUMERS} consumers, "
-            f"instance has {N}"
-        )
-    best_positions: list[int] = []
-    best_objective: Optional[Money] = None
-    for mask in range(1 << N):
-        positions = [n for n in range(N) if mask & (1 << (N - 1 - n))]
-        ids = [instance.consumer_bids[n].consumer_id for n in positions]
-        y = min_cost_allocation(instance, ids)
-        if y is None:
-            continue
-        winners = tuple(n in set(positions) for n in range(N))
-        allocation = Allocation(winners=winners, transfers=y)
-        objective, _, _ = objective_value(instance, allocation)
-        if best_objective is None or objective > best_objective:
-            best_objective = objective
-            best_positions = positions
-    return _build_solution(instance, best_positions, optimality="oracle")
 
 
 def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) -> WdpSolution:
@@ -1071,26 +995,3 @@ def _heuristic_pass(instance: WdpInstance) -> tuple[list[int], list[int], int]:
             state.restore(snapshot)
 
     return np.flatnonzero(won).tolist(), state.cumdem, sum(state.cost)
-
-
-def dump_instance(instance: WdpInstance) -> str:
-    """An instance as text, one line per bid, for reading a failing case.
-
-    Rationals print as ``p`` or ``p/q``; a fairness factor as ``ff=``.
-    """
-    lines = [
-        f"market {instance.shape.num_consumers} {instance.shape.num_providers} "
-        f"{instance.shape.num_resource_types}"
-    ]
-    for ext in instance.consumer_bids:
-        prices = ",".join(ext.bid.unit_prices.strings())
-        quantities = ",".join(str(q) for q in ext.bid.quantities)
-        lines.append(
-            f"consumer {ext.consumer_id} ff={ext.fairness_factor} "
-            f"prices={prices} quantities={quantities}"
-        )
-    for pb in instance.provider_bids:
-        prices = ",".join(pb.unit_prices.strings())
-        quantities = ",".join(str(q) for q in pb.quantities)
-        lines.append(f"provider {pb.provider_id} prices={prices} quantities={quantities}")
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's solver machinery: routing cost is
-found by enumerating every integer transfer matrix, type by type, and the
-heuristic (as a candidate-by-candidate loop), the fairness factors and the
-bid generator's drift windows are written directly in ``Fraction``
-arithmetic.  Keep them slow and obvious.
+found by enumerating every integer transfer matrix, type by type, the
+optimum by enumerating every winner set, and the heuristic (as a
+candidate-by-candidate loop), the fairness factors and the bid generator's
+drift windows are written directly in ``Fraction`` arithmetic, read from
+the bids.  Keep them slow and obvious.
 """
 
 import itertools
@@ -221,6 +222,70 @@ def reference_costs(inst: WdpInstance, l: int) -> list[Fraction]:
         base = costs[-1]
         costs += [base + k * pb.unit_prices[l] for k in range(1, pb.quantities[l] + 1)]
     return costs
+
+
+def reference_value(inst: WdpInstance, winner_positions) -> Fraction:
+    """The winners' budgets plus their fairness factors."""
+    return sum(
+        (reference_budget(inst.consumer_bids[n].bid) + inst.consumer_bids[n].fairness_factor
+         for n in winner_positions),
+        Fraction(0),
+    )
+
+
+def reference_cost(inst: WdpInstance, winner_positions) -> Fraction:
+    """What the winners' whole demand of each type costs, bought cheapest unit first."""
+    total = Fraction(0)
+    for l in range(inst.shape.num_resource_types):
+        demand = sum(inst.consumer_bids[n].bid.quantities[l] for n in winner_positions)
+        total += reference_costs(inst, l)[demand]
+    return total
+
+
+def reference_optimum(inst: WdpInstance) -> tuple[list[int], Fraction]:
+    """The optimal winner positions and objective, by enumerating every winner set.
+
+    Sets are visited in lexicographic winner-vector order, and one replaces
+    the best only by strict improvement over it, starting from the empty
+    set's 0: ties go to the lexicographically smallest winner vector.  A
+    consumer can buy a type from exactly the providers asking at most their
+    price, so a set is feasible iff, for each type and each winner's price
+    ``p``, the winners offering at most ``p`` fit in the supply of the
+    providers asking at most ``p``.  A set's objective is its budgets plus
+    factors less the cost of each type's whole demand, bought cheapest first.
+    """
+    N, L = inst.shape.num_consumers, inst.shape.num_resource_types
+    bids = [ext.bid for ext in inst.consumer_bids]
+    q = [b.quantities for b in bids]
+    value = [reference_budget(ext.bid) + ext.fairness_factor for ext in inst.consumer_bids]
+    costs = [reference_costs(inst, l) for l in range(L)]
+    # Per consumer and type: who offers at most their price, and the supply
+    # of the providers asking at most it.
+    cheaper = [
+        [[k for k in range(N) if bids[k].unit_prices[l] <= b.unit_prices[l]] for l in range(L)]
+        for b in bids
+    ]
+    supply = [
+        [sum(pb.quantities[l] for pb in inst.provider_bids if pb.unit_prices[l] <= p)
+         for l, p in enumerate(b.unit_prices)]
+        for b in bids
+    ]
+    best, best_objective = [], Fraction(0)
+    for mask in range(1 << N):
+        winners = [n for n in range(N) if mask >> (N - 1 - n) & 1]
+        fits = all(
+            sum(q[k][l] for k in cheaper[n][l] if k in winners) <= supply[n][l]
+            for n in winners
+            for l in range(L)
+        )
+        if not fits:
+            continue
+        demand = [sum(q[n][l] for n in winners) for l in range(L)]
+        objective = sum((value[n] for n in winners), Fraction(0))
+        objective -= sum((costs[l][demand[l]] for l in range(L)), Fraction(0))
+        if objective > best_objective:
+            best, best_objective = winners, objective
+    return best, best_objective
 
 
 def reference_eval_fun(record, market_mean_prices) -> Fraction:

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import brute_force_min_cost, transfer_cost
+from micro import CORPUS_SEED, CORPUS_SIZE, random_micro_instance
+from oracles import brute_force_min_cost, reference_optimum, transfer_cost
 
-from faircda.cli import main, random_micro_instance, run_validation_corpus
+from faircda.cli import main
 from faircda.engine import (
     EngineConfig,
     Repository,
@@ -30,8 +31,10 @@ from faircda.metrics import PerRoundRow, RunMetrics, aggregate
 from faircda.model import Allocation, MarketShape
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
 from faircda.wdp_solver import (
+    SolverLimits,
     WdpInstance,
-    min_cost_allocation,
+    solve_exact,
+    solve_heuristic,
     validate_solution,
 )
 
@@ -133,14 +136,36 @@ def scaled_comparison():
 
 
 def test_criterion_1_oracle_equivalence():
+    """``exact`` against the enumeration of every winner set, winner vectors
+    and objectives: the seeded micro corpus, then markets of 8-10 consumers,
+    where the bound prunes: each is also proved optimal within half its
+    search tree's nodes."""
     started = time.monotonic()
-    passes, failures = run_validation_corpus(count=500)
+    rng = np.random.default_rng(np.random.SeedSequence(CORPUS_SEED))
+    micro = [random_micro_instance(rng) for _ in range(CORPUS_SIZE)]
+    rng = np.random.default_rng(np.random.SeedSequence(CORPUS_SEED, spawn_key=(1,)))
+    larger = [
+        random_micro_instance(rng, int(rng.integers(8, 10, endpoint=True))) for _ in range(100)
+    ]
+    mismatches = []
+    for index, inst in enumerate(micro + larger):
+        sol = solve_exact(inst)
+        if reference_optimum(inst) != (list(sol.winner_positions), sol.objective):
+            mismatches.append(index)
+    pruned = sum(
+        solve_exact(inst, SolverLimits(node_budget=2**inst.shape.num_consumers)).optimality
+        == "proved_optimal"
+        for inst in larger
+    )
     elapsed = time.monotonic() - started
     criterion(
         1,
-        "branch-and-bound matches exhaustive enumeration on 500 micro instances",
-        passes == 500 and not failures and elapsed < 60,
-        f"{passes}/500 agree in {elapsed:.1f}s",
+        f"branch-and-bound matches exhaustive enumeration on {CORPUS_SIZE} micro instances "
+        "and 100 markets of 8-10 consumers",
+        not mismatches and pruned == len(larger) and elapsed < 60,
+        f"{len(micro) + len(larger) - len(mismatches)}/{len(micro) + len(larger)} agree "
+        f"(mismatches at {mismatches[:5]}), {pruned}/{len(larger)} proved within half "
+        f"their tree, {elapsed:.1f}s",
     )
 
 
@@ -148,28 +173,22 @@ def test_criterion_2_inner_solver_exactness():
     started = time.monotonic()
     rng = np.random.default_rng(424242)
     checked = mismatches = 0
-    feasible = infeasible = 0
     for _ in range(200):
         inst = random_micro_instance(rng)
-        positions = [n for n in range(inst.shape.num_consumers) if rng.random() < 0.6]
-        ids = [inst.consumer_bids[n].consumer_id for n in positions]
-        y = min_cost_allocation(inst, ids)
-        expected = brute_force_min_cost(inst, positions)
-        checked += 1
-        if expected is None:
-            infeasible += 1
-            if y is not None:
-                mismatches += 1
-        else:
-            feasible += 1
-            if y is None or transfer_cost(inst, y) != expected:
-                mismatches += 1
+        for solve in (solve_exact, solve_heuristic):
+            allocation = solve(inst).allocation
+            winners = [n for n, won in enumerate(allocation.winners) if won]
+            checked += 1
+            clean = validate_solution(inst, allocation) == []
+            cost = brute_force_min_cost(inst, winners)
+            mismatches += not clean or transfer_cost(inst, allocation.transfers) != cost
     elapsed = time.monotonic() - started
     criterion(
         2,
-        "min-cost routing matches exhaustive transfer enumeration on 200 micro instances",
-        checked == 200 and mismatches == 0 and elapsed < 30,
-        f"{feasible} feasible + {infeasible} infeasible, {mismatches} mismatches, {elapsed:.1f}s",
+        "solver routings are feasible and as cheap as exhaustive transfer enumeration "
+        "on 200 micro instances",
+        checked == 400 and mismatches == 0 and elapsed < 30,
+        f"{checked} solutions, {mismatches} mismatches, {elapsed:.1f}s",
     )
 
 

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_cost, reference_optimum, transfer_cost
 
-from faircda import engine, metrics, model, wdp_solver
+from faircda import engine, metrics, model, pricing
 from faircda.engine import (
     EngineConfig,
     Repository,
@@ -33,7 +34,7 @@ from faircda.model import (
     ProviderBid,
 )
 from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
-from faircda.wdp_solver import WdpInstance, WdpSolution, solve_heuristic, solve_oracle
+from faircda.wdp_solver import WdpInstance, WdpSolution, solve_heuristic, validate_solution
 
 
 def cbid(cid, price, quantity=1):
@@ -305,13 +306,13 @@ class TestRunSimulation:
     @pytest.mark.parametrize("solver", ["heuristic", "exact"])
     def test_each_round_is_validated_once(self, monkeypatch, solver):
         calls = []
-        real = wdp_solver.validate_solution
+        real = pricing.validate_solution
 
         def counting(instance, allocation):
             calls.append(instance)
             return real(instance, allocation)
 
-        monkeypatch.setattr(wdp_solver, "validate_solution", counting)
+        monkeypatch.setattr(pricing, "validate_solution", counting)
         scenario = ScenarioConfig(shape=MarketShape(12, 2, 2), runs=2)
         run_simulation(scenario, EngineConfig(solver_mode=solver, rounds=4, master_seed=1))
         assert len(calls) == 2 * 4 == len({id(instance) for instance in calls})
@@ -355,6 +356,12 @@ class TestRunSimulation:
         scenario = ScenarioConfig(shape=MarketShape(10, 2, 2), runs=3)
         config = EngineConfig(rounds=5, master_seed=3)
         assert run_simulation(scenario, config, jobs=2) == run_simulation(scenario, config)
+
+    @pytest.mark.parametrize("jobs", [0, "2", 2.5, True])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
+        scenario = ScenarioConfig(shape=MarketShape(2, 1, 1), runs=2)
+        with pytest.raises(ValueError, match="jobs"):
+            run_simulation(scenario, EngineConfig(rounds=1), jobs=jobs)
 
     def test_unbeatable_consumer_never_drops(self):
         scenario = ScenarioConfig(
@@ -671,25 +678,30 @@ class TestRoundsFromDraws:
 
 class TestExactIsTheOracle:
     # (shape, seed, rounds): the small market has rounds the heuristic gets
-    # wrong, the large one rounds at the oracle's 12-consumer cap.  Scarce
+    # wrong, the large one rounds of 12 consumers, 4096 winner sets.  Scarce
     # supply and max_losses=1 make drops happen.
     SIMULATIONS = (((8, 2, 1), 2, 6), ((12, 3, 2), 1, 2))
 
     @pytest.mark.parametrize("fairness", [True, False])
     def test_every_simulated_round_is_the_oracles_optimum(self, monkeypatch, fairness):
-        """On markets the oracle can enumerate, every round ``exact`` clears
-        is proved optimal and is the oracle's allocation, tie rule included."""
+        """Every round ``exact`` clears is proved optimal and is the
+        enumeration's optimum, tie rule included, routed feasibly at the
+        cost of buying each type's demand cheapest first."""
         real = engine.solve_exact
         sizes, heuristic_misses, drops = [], 0, 0
 
         def checked_solve(instance, limits):
             nonlocal heuristic_misses
             sol = real(instance, limits)
-            expected = solve_oracle(instance).allocation
+            winners, objective = reference_optimum(instance)
             assert sol.optimality == "proved_optimal"
-            assert sol.allocation == expected
+            assert (list(sol.winner_positions), sol.objective) == (winners, objective)
+            assert validate_solution(instance, sol.allocation) == []
+            assert transfer_cost(instance, sol.allocation.transfers) == reference_cost(
+                instance, winners
+            )
             sizes.append(instance.shape.num_consumers)
-            heuristic_misses += solve_heuristic(instance).allocation != expected
+            heuristic_misses += list(solve_heuristic(instance).winner_positions) != winners
             return sol
 
         monkeypatch.setattr(engine, "solve_exact", checked_solve)
@@ -706,7 +718,7 @@ class TestExactIsTheOracle:
             )
             drops += sum(row.drops for row in run_simulation(scenario, config).per_run)
         assert len(sizes) == sum(rounds for _, _, rounds in self.SIMULATIONS)
-        assert max(sizes) == wdp_solver.ORACLE_MAX_CONSUMERS
+        assert max(sizes) == 12
         assert drops > 0 and heuristic_misses > 0
 
 

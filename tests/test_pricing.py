@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from micro import random_micro_instance
+from oracles import reference_budget, transfer_cost
 
-from faircda.cli import random_micro_instance
 from faircda.model import Allocation, ConsumerBid, ExtendedConsumerBid, MarketShape, ProviderBid
 from faircda.pricing import settle
-from faircda.wdp_solver import WdpInstance, objective_value, solve_exact, solve_heuristic
+from faircda.wdp_solver import WdpInstance, solve_exact, solve_heuristic
 
 MAPS = (
     "unit_trade_prices",
@@ -94,6 +95,12 @@ class TestSettle:
         with pytest.raises(ValueError, match="cannot settle"):
             settle(inst, bad)
 
+    def test_infeasible_allocation_rejected_with_details(self):
+        inst = micro_instance(100, 50, 1)
+        bad = Allocation(winners=(True,), transfers=np.zeros((1, 1, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="(?s)infeasible allocation:\n  .*demand exactness"):
+            settle(inst, bad)
+
 
 class TestSettlementInvariants:
     def solved_settlements(self, count=40, seed=13):
@@ -125,9 +132,11 @@ class TestSettlementInvariants:
 
     def test_settlement_utilities_sum_to_wdp_total_utility(self):
         # Trade prices cancel: settlement utilities must reproduce the
-        # objective's utility term exactly.
+        # objective's utility term exactly, the winners' budgets less what
+        # their units cost.
         for inst, sol, s in self.solved_settlements():
-            _, total_utility, _ = objective_value(inst, sol.allocation)
+            budgets = sum(reference_budget(inst.consumer_bids[n].bid) for n in sol.winner_positions)
+            total_utility = budgets - transfer_cost(inst, sol.allocation.transfers)
             assert s.total_utility() == total_utility == sol.total_utility
 
 

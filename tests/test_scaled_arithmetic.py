@@ -19,9 +19,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     reference_budget,
+    reference_cost,
     reference_costs,
     reference_greedy,
     reference_heuristic_winners,
+    reference_optimum,
+    reference_value,
+    transfer_cost,
 )
 
 from faircda import engine
@@ -41,11 +45,9 @@ from faircda.wdp_solver import (
     _greedy_pass,
     _HeuristicState,
     _ranked,
-    min_cost_allocation,
-    objective_value,
+    _route,
     solve_exact,
     solve_heuristic,
-    solve_oracle,
     validate_solution,
 )
 
@@ -166,7 +168,6 @@ class TestBeyondInt64:
         inst = coprime_instance()
         for solve, optimality in (
             (solve_exact, "proved_optimal"),
-            (solve_oracle, "oracle"),
             (solve_heuristic, "heuristic"),
         ):
             sol = solve(inst)
@@ -177,11 +178,8 @@ class TestBeyondInt64:
             assert sol.total_utility == RECORDED_UTILITY
             assert sol.total_satisfaction == RECORDED_SATISFACTION
         assert solve_heuristic(inst).gap_bound == RECORDED_HEURISTIC_GAP
-        assert objective_value(inst, solve_exact(inst).allocation) == (
-            RECORDED_OBJECTIVE,
-            RECORDED_UTILITY,
-            RECORDED_SATISFACTION,
-        )
+        winners = [n for n, won in enumerate(RECORDED_WINNERS) if won]
+        assert reference_optimum(inst) == (winners, RECORDED_OBJECTIVE)
 
     def test_settlement_returns_the_recorded_flows(self):
         inst = coprime_instance()
@@ -202,7 +200,7 @@ class TestBeyondInt64:
         )
         sol = solve_exact(inst)
         assert sol.allocation.winners == (True, False)
-        assert sol.objective == solve_oracle(inst).objective == 3 * (big + 7) - 3 * big
+        assert sol.objective == reference_optimum(inst)[1] == 3 * (big + 7) - 3 * big
         s = settle(inst, sol.allocation)
         assert s.consumer_payments[0] == Fraction(3 * (2 * big + 7), 2)
         assert s.total_payments() == s.total_receipts()
@@ -216,7 +214,7 @@ class TestRoutingOrder:
             [consumer(0, [Fraction(10)], [1]), consumer(1, [Fraction(6)], [1])],
             [ProviderBid(0, (Fraction(5),), (1,)), ProviderBid(1, (Fraction(3),), (1,))],
         )
-        y = min_cost_allocation(inst, {0, 1})
+        y = _route(inst, [0, 1])
         assert y[:, 0, :].tolist() == [[1, 0], [0, 1]]
 
     def test_equal_prices_are_served_in_position_order(self):
@@ -224,7 +222,7 @@ class TestRoutingOrder:
             [consumer(n, [Fraction(10, 3)], [1]) for n in range(3)],
             [ProviderBid(0, (Fraction(3),), (2,)), ProviderBid(1, (Fraction(1),), (1,))],
         )
-        y = min_cost_allocation(inst, {0, 1, 2})
+        y = _route(inst, [0, 1, 2])
         assert y[:, 0, :].tolist() == [[0, 1], [1, 0], [1, 0]]
 
 
@@ -272,7 +270,8 @@ class TestConfigsThatValidateRunClean:
         def checked_solve(instance, *args):
             sol = solve(instance, *args)
             assert validate_solution(instance, sol.allocation) == []
-            assert sol.objective == objective_value(instance, sol.allocation)[0]
+            value = reference_value(instance, sol.winner_positions)
+            assert sol.objective == value - transfer_cost(instance, sol.allocation.transfers)
             rounds.append(instance)
             return sol
 
@@ -360,11 +359,14 @@ class TestGeneratedInstances:
     @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=9))
     def test_exact_matches_enumeration(self, inst):
         exact = solve_exact(inst)
-        oracle = solve_oracle(inst)
+        winners, objective = reference_optimum(inst)
         assert exact.optimality == "proved_optimal"
-        assert exact.allocation == oracle.allocation
-        assert exact.objective == oracle.objective
-        assert exact.total_satisfaction == oracle.total_satisfaction
+        assert (list(exact.winner_positions), exact.objective) == (winners, objective)
+        assert exact.total_satisfaction == sum(
+            inst.consumer_bids[n].fairness_factor for n in winners
+        )
+        assert validate_solution(inst, exact.allocation) == []
+        assert transfer_cost(inst, exact.allocation.transfers) == reference_cost(inst, winners)
 
     @settings(max_examples=60, deadline=None)
     @given(instances(st.one_of(NON_DECIMAL, WIDE_GRID), max_consumers=12))
@@ -598,8 +600,7 @@ class TestGeneratedInstances:
         sol = solve_heuristic(inst)
         expected = reference_heuristic_winners(inst)
         assert sol.winner_positions == tuple(expected)
-        ids = [inst.consumer_bids[n].consumer_id for n in expected]
-        y = min_cost_allocation(inst, ids)
-        assert y is not None and np.array_equal(sol.allocation.transfers, y)
+        assert validate_solution(inst, sol.allocation) == []
+        assert transfer_cost(inst, sol.allocation.transfers) == reference_cost(inst, expected)
         s = settle(inst, sol.allocation)
         assert s.total_payments() == s.total_receipts()

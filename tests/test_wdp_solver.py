@@ -1,8 +1,8 @@
 """Winner determination: examples, invariants, and brute-force cross-checks.
 
 The inner routing is checked against an exhaustive enumeration of integer
-transfer matrices (see ``oracles.py``, independent of the library's
-greedy); the branch-and-bound solver is checked against subset enumeration.
+transfer matrices, and the branch-and-bound solver against an enumeration of
+every winner set (see ``oracles.py``, both read from the bids alone).
 """
 
 import pickle
@@ -13,18 +13,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from micro import random_micro_instance
 from oracles import (
     brute_force_min_cost,
     reference_budget,
+    reference_cost,
     reference_greedy,
     reference_heuristic,
     reference_heuristic_winners,
     reference_margins,
+    reference_optimum,
+    reference_value,
     transfer_cost,
 )
 
 from faircda import engine
-from faircda.cli import random_micro_instance, run_validation_corpus
 from faircda.model import (
     Allocation,
     ConsumerBid,
@@ -37,18 +40,16 @@ from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_pr
 from faircda.wdp_solver import (
     SolverLimits,
     WdpInstance,
+    WdpSolution,
     _greedy_pass,
     _HeuristicState,
     _heuristic_pass,
     _lagrangian_bound,
     _ranked,
     _rational_bound,
-    dump_instance,
-    min_cost_allocation,
-    objective_value,
+    _route,
     solve_exact,
     solve_heuristic,
-    solve_oracle,
     validate_solution,
 )
 
@@ -113,33 +114,25 @@ class TestWdpInstance:
             instance([consumer(0, [10, 10], [1, 1])], [provider(0, [5], [1])])
 
 
-class TestObjectiveValue:
+class TestObjectiveDecomposition:
     def test_empty_allocation(self):
-        inst = instance([consumer(0, [10], [1])], [provider(0, [5], [1])])
-        empty = Allocation((False,), np.zeros((1, 1, 1), dtype=np.int64))
-        assert objective_value(inst, empty) == (0, 0, 0)
+        inst = instance([consumer(0, [4], [1])], [provider(0, [5], [1])])
+        sol = solve_exact(inst)
+        assert (sol.objective, sol.total_utility, sol.total_satisfaction) == (0, 0, 0)
 
     def test_single_trade(self):
-        inst = instance([consumer(0, [10], [1])], [provider(0, [5], [1])])
-        alloc = Allocation(winners=(True,), transfers=np.array([[[1]]]))
-        assert objective_value(inst, alloc) == (5, 5, 0)
+        sol = solve_exact(instance([consumer(0, [10], [1])], [provider(0, [5], [1])]))
+        assert (sol.objective, sol.total_utility, sol.total_satisfaction) == (5, 5, 0)
 
     def test_fairness_factor_adds_satisfaction(self):
-        inst = instance([consumer(0, [10], [1], ff=3)], [provider(0, [5], [1])])
-        alloc = Allocation(winners=(True,), transfers=np.array([[[1]]]))
-        assert objective_value(inst, alloc) == (8, 5, 3)
-
-    def test_infeasible_allocation_rejected_with_details(self):
-        inst = instance([consumer(0, [10], [1])], [provider(0, [5], [1])])
-        bad = Allocation(winners=(True,), transfers=np.zeros((1, 1, 1), dtype=np.int64))
-        with pytest.raises(ValueError, match="demand exactness"):
-            objective_value(inst, bad)
+        sol = solve_exact(instance([consumer(0, [10], [1], ff=3)], [provider(0, [5], [1])]))
+        assert (sol.objective, sol.total_utility, sol.total_satisfaction) == (8, 5, 3)
 
 
-class TestMinCostAllocation:
+class TestRoute:
     def test_no_winners_costs_nothing(self):
         inst = instance([consumer(0, [10], [1])], [provider(0, [5], [1])])
-        y = min_cost_allocation(inst, set())
+        y = _route(inst, [])
         assert y is not None and y.sum() == 0
 
     def test_splits_across_providers_cheapest_first(self):
@@ -147,19 +140,14 @@ class TestMinCostAllocation:
             [consumer(0, [10], [2])],
             [provider(0, [5], [1]), provider(1, [7], [5])],
         )
-        y = min_cost_allocation(inst, {0})
+        y = _route(inst, [0])
         assert y is not None
         assert y[0, 0, 0] == 1 and y[0, 0, 1] == 1
         assert transfer_cost(inst, y) == 12
 
     def test_incompatible_demand_is_infeasible(self):
         inst = instance([consumer(0, [6], [1])], [provider(0, [7], [5])])
-        assert min_cost_allocation(inst, {0}) is None
-
-    def test_unknown_winner_id_rejected(self):
-        inst = instance([consumer(0, [10], [1])], [provider(0, [5], [1])])
-        with pytest.raises(ValueError, match="not part"):
-            min_cost_allocation(inst, {3})
+        assert _route(inst, [0]) is None
 
     def test_matches_brute_force_on_micro_corpus(self):
         rng = np.random.default_rng(99)
@@ -169,15 +157,14 @@ class TestMinCostAllocation:
             positions = [
                 n for n in range(inst.shape.num_consumers) if rng.random() < 0.6
             ]
-            ids = [inst.consumer_bids[n].consumer_id for n in positions]
-            y = min_cost_allocation(inst, ids)
+            y = _route(inst, positions)
             expected = brute_force_min_cost(inst, positions)
             if expected is None:
                 assert y is None
                 infeasible += 1
             else:
                 assert y is not None
-                assert transfer_cost(inst, y) == expected
+                assert transfer_cost(inst, y) == expected == reference_cost(inst, positions)
                 feasible += 1
         assert feasible and infeasible  # both behaviors exercised
 
@@ -241,9 +228,8 @@ class TestSolveExact:
             [consumer(0, [10], [1]), consumer(1, [10], [1])],
             [provider(0, [5], [1])],
         )
-        for solver in (solve_exact, solve_oracle):
-            sol = solver(inst)
-            assert sol.allocation.winners == (False, True)
+        assert solve_exact(inst).allocation.winners == (False, True)
+        assert reference_optimum(inst) == ([1], 5)
 
     def test_limit_validation(self):
         with pytest.raises(ValueError, match="node_budget"):
@@ -342,7 +328,7 @@ class TestSolveExact:
 
         monkeypatch.setattr("faircda.wdp_solver._HeuristicState", Spy)
         inst = ab_competition()
-        assert solve_exact(inst).winner_positions == solve_oracle(inst).winner_positions
+        assert list(solve_exact(inst).winner_positions) == reference_optimum(inst)[0]
         assert built == []
         solve_exact(inst, SolverLimits(node_budget=1))
         assert built == [inst]
@@ -352,14 +338,16 @@ class TestSolveExact:
         assert built == [inst, inst, inst]
 
 
-class TestSolveOracle:
+class TestReferenceOptimum:
     def test_agrees_with_exact_on_worked_examples(self):
         for inst in (
             instance([consumer(0, [10], [1])], [provider(0, [5], [1])]),
             instance([consumer(0, [4], [1])], [provider(0, [5], [1])]),
             ab_competition(),
+            swap_market(),
         ):
-            assert solve_oracle(inst).objective == solve_exact(inst).objective
+            sol = solve_exact(inst)
+            assert reference_optimum(inst) == (list(sol.winner_positions), sol.objective)
 
     def test_empty_market_edge(self):
         no_consumers = WdpInstance(
@@ -370,17 +358,67 @@ class TestSolveOracle:
         no_providers = WdpInstance(
             shape=MarketShape(1, 0, 1), consumer_bids=(consumer(0, [10], [1]),), provider_bids=()
         )
-        for solver in (solve_oracle, solve_exact):
-            sol = solver(no_consumers)
-            assert sol.objective == 0 and sol.allocation.winners == ()
-            sol = solver(no_providers)
-            assert sol.objective == 0 and sol.allocation.winners == (False,)
+        assert reference_optimum(no_consumers) == reference_optimum(no_providers) == ([], 0)
+        sol = solve_exact(no_consumers)
+        assert sol.objective == 0 and sol.allocation.winners == ()
+        sol = solve_exact(no_providers)
+        assert sol.objective == 0 and sol.allocation.winners == (False,)
 
-    def test_large_instance_guard(self):
-        consumers = [consumer(n, [10], [1]) for n in range(13)]
-        inst = instance(consumers, [provider(0, [5], [20])])
-        with pytest.raises(ValueError, match="limited"):
-            solve_oracle(inst)
+    def test_matches_exhaustive_transfer_enumeration(self):
+        """The reference's feasibility test and cost against the enumeration
+        of every integer transfer matrix, on every winner set."""
+        rng = np.random.default_rng(np.random.SeedSequence(17))
+        for _ in range(100):
+            inst = random_micro_instance(rng)
+            N = inst.shape.num_consumers
+            best, best_objective = [], Fraction(0)
+            for mask in range(1 << N):
+                winners = [n for n in range(N) if mask >> (N - 1 - n) & 1]
+                cost = brute_force_min_cost(inst, winners)
+                if cost is None:
+                    continue
+                value = reference_value(inst, winners)
+                assert cost == reference_cost(inst, winners)
+                if value - cost > best_objective:
+                    best, best_objective = winners, value - cost
+            assert reference_optimum(inst) == (best, best_objective)
+
+    def test_reversed_enumeration_breaks_some_tie_the_other_way(self):
+        """Enumerating the consumers in reverse order finds the same optimum,
+        and on some micro instance other winners: comparing winner vectors
+        with this reference catches a solver that breaks ties the wrong way."""
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        ties = 0
+        for _ in range(100):
+            inst = random_micro_instance(rng)
+            N = inst.shape.num_consumers
+            flipped = WdpInstance(
+                shape=inst.shape,
+                consumer_bids=inst.consumer_bids[::-1],
+                provider_bids=inst.provider_bids,
+            )
+            winners, objective = reference_optimum(inst)
+            reversed_winners, reversed_objective = reference_optimum(flipped)
+            assert reversed_objective == objective
+            ties += sorted(N - 1 - n for n in reversed_winners) != winners
+        assert ties > 0
+
+
+class TestWdpSolution:
+    @staticmethod
+    def solution(**fields):
+        allocation = Allocation((False,), np.zeros((1, 1, 1), dtype=np.int64))
+        return WdpSolution(allocation, Fraction(0), Fraction(0), **fields)
+
+    @pytest.mark.parametrize("tag", ["oracle", "optimal"])
+    def test_only_the_solvers_tags_are_accepted(self, tag):
+        assert self.solution(optimality="heuristic").gap_bound == 0
+        with pytest.raises(ValueError, match="unknown optimality tag"):
+            self.solution(optimality=tag)
+
+    def test_a_proved_optimum_carries_no_bound(self):
+        with pytest.raises(ValueError, match="no bound"):
+            self.solution(optimality="proved_optimal", bound=lambda: Fraction(1))
 
 
 class TestSolveHeuristic:
@@ -391,7 +429,7 @@ class TestSolveHeuristic:
         )
         sol = solve_heuristic(inst)
         assert sol.allocation.winners == (True, True)
-        assert sol.objective == solve_oracle(inst).objective
+        assert sol.objective == reference_optimum(inst)[1]
 
     def test_fairness_ranking_prefers_boosted_consumer(self):
         sol = solve_heuristic(ab_competition())
@@ -482,12 +520,12 @@ class TestSeededSearch:
     @settings(max_examples=60, deadline=None)
     @given(heuristic_instances())
     def test_bound_seed_and_truncation(self, inst):
-        oracle = solve_oracle(inst)
+        winners, optimum = reference_optimum(inst)
         _, cumdem, _ = _heuristic_pass(inst)
-        assert _rational_bound(inst, cumdem) >= oracle.objective
-        assert solve_exact(inst).allocation.winners == oracle.allocation.winners
+        assert _rational_bound(inst, cumdem) >= optimum
+        assert list(solve_exact(inst).winner_positions) == winners
         heuristic = solve_heuristic(inst)
-        assert heuristic.objective + heuristic.gap_bound >= oracle.objective
+        assert heuristic.objective + heuristic.gap_bound >= optimum
         seed = heuristic.objective
         # A depth-N tree has 2^(N+1) - 1 nodes: the budgets either side of
         # it (but 0), and a time budget the seed alone uses up, which stops
@@ -499,9 +537,9 @@ class TestSeededSearch:
         for limits in budgets + [SolverLimits(time_budget_s=1e-9)]:
             sol = solve_exact(inst, limits)
             assert sol.objective >= seed
-            assert sol.objective + sol.gap_bound >= oracle.objective
+            assert sol.objective + sol.gap_bound >= optimum
             if sol.optimality == "proved_optimal":
-                assert sol.allocation.winners == oracle.allocation.winners
+                assert list(sol.winner_positions) == winners
 
     @settings(max_examples=60, deadline=None)
     @given(heuristic_instances())
@@ -511,7 +549,7 @@ class TestSeededSearch:
         assert (sol.allocation, sol.objective, sol.optimality) == (
             default.allocation, default.objective, default.optimality
         )
-        assert sol.allocation.winners == solve_oracle(inst).allocation.winners
+        assert list(sol.winner_positions) == reference_optimum(inst)[0]
 
     def test_repair_runs_only_when_the_search_can_be_truncated(self, monkeypatch):
         # The repair pass drops each greedy winner once; nothing else does.
@@ -570,12 +608,9 @@ def assert_matches_reference(inst):
     sol = solve_heuristic(inst)
     expected = reference_heuristic_winners(inst)
     assert sol.winner_positions == tuple(expected)
-    ids = [inst.consumer_bids[n].consumer_id for n in expected]
-    allocation = Allocation(
-        winners=tuple(n in expected for n in range(inst.shape.num_consumers)),
-        transfers=min_cost_allocation(inst, ids),
-    )
-    assert sol.objective == objective_value(inst, allocation)[0]
+    assert validate_solution(inst, sol.allocation) == []
+    assert transfer_cost(inst, sol.allocation.transfers) == reference_cost(inst, expected)
+    assert sol.objective == reference_value(inst, expected) - reference_cost(inst, expected)
 
 
 class TestHeuristicMatchesScalarReference:
@@ -892,8 +927,11 @@ class TestValidateSolution:
 
 class TestSolverProperties:
     def test_oracle_equivalence_on_seeded_corpus(self):
-        passes, failures = run_validation_corpus(count=120, seed=5)
-        assert failures == [] and passes == 120
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        for _ in range(120):
+            inst = random_micro_instance(rng)
+            sol = solve_exact(inst)
+            assert reference_optimum(inst) == (list(sol.winner_positions), sol.objective)
 
     def test_objective_decomposes_into_value_minus_service_cost(self):
         rng = np.random.default_rng(31)
@@ -901,11 +939,7 @@ class TestSolverProperties:
             inst = random_micro_instance(rng)
             sol = solve_exact(inst)
             winners = sol.winner_positions
-            winning_bids = [inst.consumer_bids[n] for n in winners]
-            value = sum(
-                (reference_budget(ext.bid) + ext.fairness_factor for ext in winning_bids),
-                Fraction(0),
-            )
+            value = reference_value(inst, winners)
             assert sol.objective == value - brute_force_min_cost(inst, winners)
 
     def test_fairness_threshold_flips_the_argmax(self):
@@ -921,16 +955,3 @@ class TestSolverProperties:
         assert winners_by_factor[0] == (True, False)
         flip = winners_by_factor.index((False, True))
         assert all(w == (False, True) for w in winners_by_factor[flip:])
-
-
-class TestDumpLoad:
-    def test_fractional_values_survive(self):
-        inst = instance(
-            [consumer(0, ["7/3", "1/2"], [1, 2], ff="-5/4")],
-            [provider(0, ["3/2", "0"], [4, 0])],
-        )
-        assert dump_instance(inst) == (
-            "market 1 1 2\n"
-            "consumer 0 ff=-5/4 prices=7/3,1/2 quantities=1,2\n"
-            "provider 0 prices=3/2,0 quantities=4,0\n"
-        )
