@@ -65,7 +65,6 @@ from .wdp_solver import (
     WdpInstance,
     WdpSolution,
     _bid_market,
-    _bid_shape,
     _Priced,
     solve_exact,
     solve_heuristic,
@@ -185,8 +184,7 @@ def run_round(
         if repo.record(cid).dropped:
             raise ValueError(f"consumer {cid} dropped out and can no longer bid")
     if market is None:
-        shape = _bid_shape(consumer_bids, provider_bids)
-        market = _bid_market(shape, consumer_bids, provider_bids)
+        market = _bid_market(consumer_bids, provider_bids)
 
     params = config.fairness_params
     factors = {}

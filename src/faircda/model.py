@@ -120,7 +120,7 @@ class _Market(NamedTuple):
     times ``denominator`` (``D``, the least common denominator of every
     price), of :func:`_price_dtype` over the largest of them and the
     market's units; the quantity arrays are int64.  Two builders make it:
-    ``wdp_solver._bid_market`` from checked bids, and
+    ``wdp_solver._bid_market`` from the bids, which it checks, and
     ``scenario._cent_market`` from a round's draws, which are never read
     back from the bids built from them.
     """
@@ -411,6 +411,8 @@ class ExtendedConsumerBid:
     fairness_factor: Money = Fraction(0)
 
     def __post_init__(self):
+        if not isinstance(self.bid, ConsumerBid):
+            raise ValueError(f"an extended bid extends a ConsumerBid, got {self.bid!r}")
         object.__setattr__(self, "fairness_factor", as_money(self.fairness_factor))
 
     @property

@@ -77,7 +77,6 @@ from .model import (
     _Market,
     _check_count,
     _price_dtype,
-    _unchecked,
     exact_sum,
     over_common_denominator,
     price_rows,
@@ -94,22 +93,20 @@ __all__ = [
 
 
 def _bid_market(
-    shape: MarketShape,
-    consumer_bids: Sequence[ConsumerBid],
-    provider_bids: Sequence[ProviderBid],
+    consumer_bids: Sequence[ConsumerBid], provider_bids: Sequence[ProviderBid]
 ) -> _Market:
-    """The market of bids from outside, checked against ``shape``: one bid
-    per participant, ids unique per side, every bid over the market's types,
-    and fewer than 2**63 units in all."""
-    L = shape.num_resource_types
-    for kind, bids, expected in (
-        ("consumer", consumer_bids, shape.num_consumers),
-        ("provider", provider_bids, shape.num_providers),
-    ):
-        if len(bids) != expected:
-            raise ValueError(f"expected {expected} {kind} bids, got {len(bids)}")
+    """The market of bids from outside, checked: every provider entry a
+    :class:`~faircda.model.ProviderBid` (an ``ExtendedConsumerBid`` checks
+    that its bid is a ``ConsumerBid``), ids unique per side, every bid over
+    the first bid's types, and fewer than 2**63 units in all."""
+    for bid in provider_bids:
+        if not isinstance(bid, ProviderBid):
+            raise ValueError(f"provider bids must be ProviderBids, got {bid!r}")
+    bids = [*consumer_bids, *provider_bids]
+    L = bids[0].num_types if bids else 0
+    for kind, side in (("consumer", consumer_bids), ("provider", provider_bids)):
         seen = set()
-        for bid in bids:
+        for bid in side:
             bid_id = getattr(bid, f"{kind}_id")
             if bid.num_types != L:
                 raise ValueError(
@@ -119,7 +116,7 @@ def _bid_market(
             if bid_id in seen:
                 raise ValueError(f"duplicate {kind} id {bid_id}")
             seen.add(bid_id)
-    D, rows = price_rows([b.unit_prices for b in [*consumer_bids, *provider_bids]])
+    D, rows = price_rows([b.unit_prices for b in bids])
     scaled = [a for row in rows for a in row]
     units = sum(q for b in consumer_bids for q in b.quantities)
     units += sum(q for b in provider_bids for q in b.quantities)
@@ -223,8 +220,8 @@ class _ScaledValues:
 class _Priced(tuple):
     """Extended bids whose round's market is already derived, ``market``
     (row ``n`` is bid ``n``'s), from bids that passed :func:`_bid_market`'s
-    checks or were generated to pass them: :meth:`WdpInstance.from_bids`
-    builds their instance without checking them again."""
+    checks or were generated to pass them: :class:`WdpInstance` builds
+    their instance without checking them again."""
 
     def __new__(cls, bids: Iterable[ExtendedConsumerBid], market: _Market):
         priced = super().__new__(cls, bids)
@@ -238,77 +235,48 @@ class WdpInstance:
 
     Bid order is significant: objective ties are broken toward the
     lexicographically smallest winner vector over this order, so callers
-    should pass consumer bids sorted by ascending consumer id.  Construction
-    also derives the market as integers once (:class:`_ScaledValues`): the
-    prices, budgets, fairness factors, reach and cost tables that the
-    solvers and settlement use.
+    should pass consumer bids sorted by ascending consumer id.  A plain
+    :class:`~faircda.model.ConsumerBid` is extended with fairness factor 0.
+    ``shape`` is read from the bids: their two counts and the first bid's
+    type count, 0 when there are no bids.  Construction also derives the
+    market as integers once (:class:`_ScaledValues`): the prices, budgets,
+    fairness factors, reach and cost tables that the solvers and settlement use.
 
-    The constructor and :meth:`from_bids` check the bids, once, and read
+    The constructor checks the bids, once (:func:`_bid_market`), and reads
     their integers from them, except for :func:`~faircda.engine.run_round`'s
     bids (:class:`_Priced`): it checked them, or they were generated to
     pass the checks, and it passes in the market it derived.
     """
 
-    shape: MarketShape
     consumer_bids: tuple[ExtendedConsumerBid, ...]
     provider_bids: tuple[ProviderBid, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "consumer_bids", tuple(self.consumer_bids))
-        object.__setattr__(self, "provider_bids", tuple(self.provider_bids))
-        bids = [ext.bid for ext in self.consumer_bids]
-        market = _bid_market(self.shape, bids, self.provider_bids)
-        object.__setattr__(self, "_scaled", _ScaledValues(market, self.consumer_bids))
+        consumers, providers = self.consumer_bids, tuple(self.provider_bids)
+        if type(consumers) is _Priced:
+            market = consumers.market
+        else:
+            consumers = [
+                b if isinstance(b, ExtendedConsumerBid) else ExtendedConsumerBid(bid=b)
+                for b in consumers
+            ]
+            market = _bid_market([ext.bid for ext in consumers], providers)
+        first = consumers[0].bid if consumers else providers[0] if providers else None
+        shape = MarketShape(len(consumers), len(providers), first.num_types if first else 0)
+        object.__setattr__(self, "consumer_bids", tuple(consumers))
+        object.__setattr__(self, "provider_bids", providers)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_scaled", _ScaledValues(market, consumers))
 
     @classmethod
     def from_bids(
         cls,
         consumer_bids: Iterable[ExtendedConsumerBid | ConsumerBid],
         provider_bids: Iterable[ProviderBid],
-        num_resource_types: Optional[int] = None,
     ) -> "WdpInstance":
-        """Build an instance, extending plain bids with fairness factor 0."""
-        providers = tuple(provider_bids)
-        if type(consumer_bids) is _Priced:
-            market = consumer_bids.market
-            N, L = market.consumer_quantities.shape
-            shape = _unchecked(
-                MarketShape, num_consumers=N, num_providers=len(providers), num_resource_types=L
-            )
-            return _unchecked(
-                cls,
-                shape=shape,
-                consumer_bids=tuple(consumer_bids),
-                provider_bids=providers,
-                _scaled=_ScaledValues(market, consumer_bids),
-            )
-        ext_bids = tuple(
-            b if isinstance(b, ExtendedConsumerBid) else ExtendedConsumerBid(bid=b)
-            for b in consumer_bids
-        )
-        shape = _bid_shape([ext.bid for ext in ext_bids], providers, num_resource_types)
-        return cls(shape=shape, consumer_bids=ext_bids, provider_bids=providers)
-
-
-def _bid_shape(
-    consumer_bids: Sequence[ConsumerBid],
-    provider_bids: Sequence[ProviderBid],
-    num_resource_types: Optional[int] = None,
-) -> MarketShape:
-    """The shape of a market of these bids; without ``num_resource_types``,
-    the first bid's type count."""
-    if num_resource_types is None:
-        if consumer_bids:
-            num_resource_types = consumer_bids[0].num_types
-        elif provider_bids:
-            num_resource_types = provider_bids[0].num_types
-        else:
-            raise ValueError("cannot infer the number of resource types from no bids")
-    return MarketShape(
-        num_consumers=len(consumer_bids),
-        num_providers=len(provider_bids),
-        num_resource_types=num_resource_types,
-    )
+        """The instance of these bids: the constructor, under the name that
+        :func:`~faircda.engine.run_round` builds each round's instance by."""
+        return cls(consumer_bids, provider_bids)
 
 
 @dataclass(frozen=True)
@@ -491,42 +459,33 @@ def validate_solution(instance: WdpInstance, allocation: Allocation) -> list[str
     return violations
 
 
-def _totals(instance: WdpInstance, allocation: Allocation) -> tuple[Money, Money]:
-    """A feasible allocation's (utility, satisfaction): its utility from
-    integers over ``D``, its satisfaction as the exact sum of its winners'
-    factors."""
-    sc = instance._scaled
-    won = allocation.winners
-    value = sum(b for b, w in zip(sc.budgets, won) if w)
-    utility = value - int((allocation.transfers.sum(axis=0) * sc.provider_prices.T).sum())
-    satisfaction = exact_sum(f for f, w in zip(sc.fairness, won) if w and f)
-    return Fraction(utility, sc.denominator), satisfaction
-
-
 def _build_solution(
     instance: WdpInstance,
     positions: Sequence[int],
+    cost: int,
     optimality: str,
     bound: Optional[Callable[[], Money]] = None,
 ) -> WdpSolution:
     """A solver's winner set routed at minimum cost, as a solution.
 
-    The routing is feasible by construction, so it is not validated here;
-    the engine validates each round's allocation once, when it settles it.
-    ``bound``, where the solver has one, returns an upper bound on the
-    optimum; it is called only when something reads the solution's gap.
+    Utility is the winners' budgets less ``cost``, the cost over ``D`` of
+    their demand that the solver read at the price breakpoints, which is the
+    routing's.  The routing is feasible by construction, so it is not
+    validated here; the engine validates each round's allocation once, when
+    it settles it.  ``bound``, where the solver has one, returns an upper
+    bound on the optimum; it is called only when something reads the gap.
     """
     y = _route(instance, positions)
     if y is None:
         raise RuntimeError("internal error: solver produced an infeasible winner set")
+    sc = instance._scaled
     chosen = set(positions)
     winners = tuple(n in chosen for n in range(instance.shape.num_consumers))
-    allocation = Allocation(winners=winners, transfers=y)
-    utility, satisfaction = _totals(instance, allocation)
+    value = sum(sc.budgets[n] for n in positions)
     return WdpSolution(
-        allocation=allocation,
-        total_utility=utility,
-        total_satisfaction=satisfaction,
+        allocation=Allocation(winners=winners, transfers=y),
+        total_utility=Fraction(value - cost, sc.denominator),
+        total_satisfaction=exact_sum(sc.fairness[n] for n in positions if sc.fairness[n]),
         optimality=optimality,
         bound=bound,
     )
@@ -590,10 +549,10 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     # consumers i.. and the providers can add at most.
     w = [b * up + f for b, f in zip(sc.budgets, factors)]
     if complete:
-        incumbent, seed_demand, seed_cost = _greedy_pass(instance, _ranked(instance)[0])
+        incumbent, seed_demand, incumbent_cost = _greedy_pass(instance, _ranked(instance)[0])
     else:
-        incumbent, seed_demand, seed_cost = _heuristic_pass(instance)
-    incumbent_obj = sum(w[n] for n in incumbent) - up * seed_cost - 1
+        incumbent, seed_demand, incumbent_cost = _heuristic_pass(instance)
+    incumbent_obj = sum(w[n] for n in incumbent) - up * incumbent_cost - 1
     bundle, saved = _lagrangian_bound(instance, seed_demand)
     g = [x - c * up if ok else 0 for x, c, ok in zip(w, bundle, feasible_alone)]
     # Skip a margin that is not positive: adding 0 would still copy a large integer.
@@ -622,7 +581,7 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
             # The empty set is worth 0; with no providers it has no demand to read.
             cost = sum(_breakpoint_cost(*t, cumdem[at])[1] for t, at in tables) if chosen else 0
             if (node_obj := wsum - up * cost) > incumbent_obj:
-                incumbent, incumbent_obj = chosen, node_obj
+                incumbent, incumbent_obj, incumbent_cost = chosen, node_obj, cost
             continue
         if gsum + rest[i] <= incumbent_obj:
             continue
@@ -637,10 +596,9 @@ def solve_exact(instance: WdpInstance, limits: Optional[SolverLimits] = None) ->
     if truncated:
         open_bound = max(gsum + rest[i] for i, *_, gsum in stack)
         if open_bound > incumbent_obj:
-            return _build_solution(
-                instance, incumbent, "heuristic", bound=partial(Fraction, open_bound, S)
-            )
-    return _build_solution(instance, incumbent, optimality="proved_optimal")
+            bound = partial(Fraction, open_bound, S)
+            return _build_solution(instance, incumbent, incumbent_cost, "heuristic", bound)
+    return _build_solution(instance, incumbent, incumbent_cost, "proved_optimal")
 
 
 def _lagrangian_bound(instance: WdpInstance, cumdem: Sequence[int]) -> tuple[list[int], int]:
@@ -898,9 +856,9 @@ def solve_heuristic(instance: WdpInstance) -> WdpSolution:
     drop refreshes them before its first test.  Both checks are exact, so a
     scan ends early only where a re-test would admit nobody.
     """
-    winners, cumdem, _ = _heuristic_pass(instance)
+    winners, cumdem, cost = _heuristic_pass(instance)
     bound = partial(_heuristic_bound, instance, tuple(cumdem))
-    return _build_solution(instance, winners, "heuristic", bound=bound)
+    return _build_solution(instance, winners, cost, "heuristic", bound)
 
 
 def _heuristic_bound(instance: WdpInstance, cumdem: tuple[int, ...]) -> Money:

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from faircda.model import ConsumerBid, ExtendedConsumerBid, MarketShape, ProviderBid
+from faircda.model import ConsumerBid, ExtendedConsumerBid, ProviderBid
 from faircda.wdp_solver import WdpInstance
 
 # Shape and value ranges of a micro instance (inclusive).
@@ -56,6 +56,4 @@ def random_micro_instance(
         quantities = [int(q) for q in rng.integers(0, MICRO_MAX_QUANTITY, size=L, endpoint=True)]
         prices = [Fraction(int(p)) for p in rng.integers(plo, phi, size=L, endpoint=True)]
         providers.append(ProviderBid(m, tuple(prices), tuple(quantities)))
-    return WdpInstance(
-        shape=MarketShape(N, M, L), consumer_bids=tuple(consumers), provider_bids=tuple(providers)
-    )
+    return WdpInstance(consumer_bids=tuple(consumers), provider_bids=tuple(providers))

@@ -114,10 +114,7 @@ def _check_round_invariants(consumer_bids, provider_bids, result: RoundResult) -
     assert all(u >= 0 for u in settlement.provider_utilities.values())
     # Feasibility, checked against a fairness-free rebuild of the instance
     # (the constraints do not involve fairness factors).
-    instance = WdpInstance.from_bids(
-        consumer_bids, provider_bids,
-        num_resource_types=SCALED_SCENARIO.shape.num_resource_types,
-    )
+    instance = WdpInstance.from_bids(consumer_bids, provider_bids)
     violations = validate_solution(instance, result.solution.allocation)
     assert violations == [], f"round {result.round_index}: {violations}"
 

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,13 @@ class TestProviderBid:
             ProviderBid(0, ("1/0",), (1,))
         with pytest.raises(ValueError, match="provider quantities must be integers"):
             ProviderBid(0, (1,), ("a",))
+
+
+class TestExtendedConsumerBid:
+    @pytest.mark.parametrize("bad", [5, None, ProviderBid(0, (5,), (1,))])
+    def test_only_a_consumer_bid_is_extended(self, bad):
+        with pytest.raises(ValueError, match="extends a ConsumerBid, got " + re.escape(repr(bad))):
+            ExtendedConsumerBid(bid=bad)
 
 
 # One provider with ample supply of two types.  Asking nothing, it sells to
@@ -391,7 +399,6 @@ class TestPriceVector:
         instance = WdpInstance.from_bids(
             [ConsumerBid(n, prices, (1,) * L) for n, prices in enumerate(consumer_rows)],
             [ProviderBid(m, prices, (1,) * L) for m, prices in enumerate(provider_rows)],
-            num_resource_types=L,
         )
         D, scaled = model.over_common_denominator(
             [p for row in consumer_rows + provider_rows for p in row]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from micro import random_micro_instance
 from oracles import reference_budget, transfer_cost
 
-from faircda.model import Allocation, ConsumerBid, ExtendedConsumerBid, MarketShape, ProviderBid
+from faircda.model import Allocation, ConsumerBid, ExtendedConsumerBid, ProviderBid
 from faircda.pricing import settle
 from faircda.wdp_solver import WdpInstance, solve_exact, solve_heuristic
 
@@ -153,7 +153,7 @@ def solved_instances(draw):
         bid = ConsumerBid(n + 10, tuple(draw(prices)), tuple(q))
         consumers.append(ExtendedConsumerBid(bid, draw(st.integers(-20, 20))))
     providers = [ProviderBid(m + 20, tuple(draw(prices)), tuple(draw(quantities))) for m in range(M)]
-    instance = WdpInstance(MarketShape(N, M, L), tuple(consumers), tuple(providers))
+    instance = WdpInstance(tuple(consumers), tuple(providers))
     solve = draw(st.sampled_from([solve_heuristic, solve_exact]))
     return instance, solve(instance).allocation
 

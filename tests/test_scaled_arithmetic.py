@@ -252,6 +252,40 @@ def scenario_configs(draw):
         assume(False)
 
 
+def run_checked(config, solver, fairness, max_losses=FairnessParams().max_losses, seed=0):
+    """The instances a 5-round run of ``config`` clears, each solution
+    checked feasible and scored exactly, each settlement budget-balanced."""
+    rounds = []
+    solve = getattr(engine, f"solve_{solver}")
+
+    def checked_solve(instance, *args):
+        sol = solve(instance, *args)
+        assert validate_solution(instance, sol.allocation) == []
+        value = reference_value(instance, sol.winner_positions)
+        assert sol.objective == value - transfer_cost(instance, sol.allocation.transfers)
+        rounds.append(instance)
+        return sol
+
+    def checked_settle(instance, allocation):
+        s = settle(instance, allocation)
+        assert s.total_payments() == s.total_receipts()
+        return s
+
+    engine_config = EngineConfig(
+        fairness_enabled=fairness,
+        fairness_params=FairnessParams(max_losses=max_losses),
+        solver_mode=solver,
+        rounds=5,
+        master_seed=seed,
+    )
+    with mock.patch.object(engine, f"solve_{solver}", checked_solve), mock.patch.object(
+        engine, "settle", checked_settle
+    ):
+        report = run_simulation(config, engine_config)
+    assert len(report.per_round) == len(rounds) == 5
+    return rounds
+
+
 class TestConfigsThatValidateRunClean:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -264,34 +298,20 @@ class TestConfigsThatValidateRunClean:
     def test_every_round_is_feasible_balanced_and_exact(
         self, config, solver, fairness, max_losses, seed
     ):
-        rounds = []
-        solve = getattr(engine, f"solve_{solver}")
+        run_checked(config, solver, fairness, max_losses, seed)
 
-        def checked_solve(instance, *args):
-            sol = solve(instance, *args)
-            assert validate_solution(instance, sol.allocation) == []
-            value = reference_value(instance, sol.winner_positions)
-            assert sol.objective == value - transfer_cost(instance, sol.allocation.transfers)
-            rounds.append(instance)
-            return sol
-
-        def checked_settle(instance, allocation):
-            s = settle(instance, allocation)
-            assert s.total_payments() == s.total_receipts()
-            return s
-
-        engine_config = EngineConfig(
-            fairness_enabled=fairness,
-            fairness_params=FairnessParams(max_losses=max_losses),
-            solver_mode=solver,
-            rounds=5,
-            master_seed=seed,
+    @pytest.mark.parametrize("solver", ["heuristic", "exact"])
+    def test_prices_past_int64_run_clean_on_python_ints(self, solver):
+        """The drawn configurations all fit int64; this market's scaled
+        prices do not in most rounds, so the checks run on ``object`` prices."""
+        config = ScenarioConfig(
+            shape=MarketShape(10, 2, 2),
+            runs=1,
+            consumer_price_range=("1e14", "2e14"),
+            provider_price_range=("5e13", "1e14"),
         )
-        with mock.patch.object(engine, f"solve_{solver}", checked_solve), mock.patch.object(
-            engine, "settle", checked_settle
-        ):
-            report = run_simulation(config, engine_config)
-        assert len(report.per_round) == len(rounds) == 5
+        rounds = run_checked(config, solver, fairness=True)
+        assert any(instance._scaled.consumer_prices.dtype == object for instance in rounds)
 
 
 # --- generated instances: exact against enumeration, heuristic against its loop
@@ -327,9 +347,7 @@ def instances(draw, prices, max_consumers):
         )
         for m in range(M)
     ]
-    return WdpInstance(
-        shape=MarketShape(N, M, L), consumer_bids=consumers, provider_bids=providers
-    )
+    return WdpInstance(consumer_bids=consumers, provider_bids=providers)
 
 
 def with_empty_provider(inst, price, data):
@@ -338,7 +356,7 @@ def with_empty_provider(inst, price, data):
     providers = list(inst.provider_bids)
     at = data.draw(st.integers(0, len(providers)))
     providers.insert(at, ProviderBid(len(providers), (price,) * L, (0,) * L))
-    return WdpInstance.from_bids(inst.consumer_bids, providers, L)
+    return WdpInstance.from_bids(inst.consumer_bids, providers)
 
 
 def with_consumer_infeasible_alone(inst, price, data):
@@ -351,7 +369,7 @@ def with_consumer_infeasible_alone(inst, price, data):
     consumers = list(inst.consumer_bids)
     at = data.draw(st.integers(0, len(consumers)))
     consumers.insert(at, consumer(len(consumers), [price] * L, quantities, Fraction(40)))
-    return WdpInstance.from_bids(consumers, inst.provider_bids, L)
+    return WdpInstance.from_bids(consumers, inst.provider_bids)
 
 
 class TestGeneratedInstances:

@@ -5,7 +5,10 @@ transfer matrices, and the branch-and-bound solver against an enumeration of
 every winner set (see ``oracles.py``, both read from the bids alone).
 """
 
+import dataclasses
+import inspect
 import pickle
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -112,6 +115,52 @@ class TestWdpInstance:
     def test_type_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="resource types"):
             instance([consumer(0, [10, 10], [1, 1])], [provider(0, [5], [1])])
+
+    def test_the_bids_are_its_only_fields(self):
+        assert [f.name for f in dataclasses.fields(WdpInstance)] == [
+            "consumer_bids",
+            "provider_bids",
+        ]
+        assert list(inspect.signature(WdpInstance.from_bids).parameters) == [
+            "consumer_bids",
+            "provider_bids",
+        ]
+
+    def test_shape_is_read_from_the_bids(self):
+        consumers = [consumer(n, [10, 10], [1, 0]) for n in range(3)]
+        providers = [provider(m, [5, 5], [1, 1]) for m in range(2)]
+        assert instance(consumers, providers).shape == MarketShape(3, 2, 2)
+        assert instance([], providers).shape == MarketShape(0, 2, 2)
+        assert instance(consumers, []).shape == MarketShape(3, 0, 2)
+
+    def test_no_bids_is_an_empty_instance(self):
+        inst = WdpInstance.from_bids((), ())
+        assert inst.shape == MarketShape(0, 0, 0)
+        assert inst == WdpInstance((), ())
+        for solve in (solve_heuristic, solve_exact):
+            sol = solve(inst)
+            assert sol.allocation.winners == () and sol.objective == 0
+
+    def test_plain_bids_are_extended_with_factor_zero(self):
+        plain = [ConsumerBid(n, (Fraction(10),), (1,)) for n in range(2)]
+        inst = WdpInstance(plain, [provider(0, [5], [1])])
+        assert inst == instance([ExtendedConsumerBid(b) for b in plain], [provider(0, [5], [1])])
+        assert [ext.fairness_factor for ext in inst.consumer_bids] == [0, 0]
+        assert inst.shape == MarketShape(2, 1, 1)
+
+    @pytest.mark.parametrize(
+        "consumers, providers, named",
+        [
+            ([provider(0, [5], [1])], [provider(1, [5], [1])], "ProviderBid(provider_id=0"),
+            ([consumer(0, [10], [1])], [5], "5"),
+            ([5], [provider(0, [5], [1])], "5"),
+            ([], [consumer(0, [10], [1])], "ExtendedConsumerBid"),
+            ([], ["x"], "'x'"),
+        ],
+    )
+    def test_an_entry_that_is_not_a_bid_is_rejected_by_name(self, consumers, providers, named):
+        with pytest.raises(ValueError, match=r"got " + re.escape(named)):
+            WdpInstance.from_bids(consumers, providers)
 
 
 class TestObjectiveDecomposition:
@@ -350,14 +399,8 @@ class TestReferenceOptimum:
             assert reference_optimum(inst) == (list(sol.winner_positions), sol.objective)
 
     def test_empty_market_edge(self):
-        no_consumers = WdpInstance(
-            shape=MarketShape(0, 1, 1),
-            consumer_bids=(),
-            provider_bids=(provider(0, [5], [1]),),
-        )
-        no_providers = WdpInstance(
-            shape=MarketShape(1, 0, 1), consumer_bids=(consumer(0, [10], [1]),), provider_bids=()
-        )
+        no_consumers = WdpInstance(consumer_bids=(), provider_bids=(provider(0, [5], [1]),))
+        no_providers = WdpInstance(consumer_bids=(consumer(0, [10], [1]),), provider_bids=())
         assert reference_optimum(no_consumers) == reference_optimum(no_providers) == ([], 0)
         sol = solve_exact(no_consumers)
         assert sol.objective == 0 and sol.allocation.winners == ()
@@ -392,11 +435,7 @@ class TestReferenceOptimum:
         for _ in range(100):
             inst = random_micro_instance(rng)
             N = inst.shape.num_consumers
-            flipped = WdpInstance(
-                shape=inst.shape,
-                consumer_bids=inst.consumer_bids[::-1],
-                provider_bids=inst.provider_bids,
-            )
+            flipped = WdpInstance(inst.consumer_bids[::-1], inst.provider_bids)
             winners, objective = reference_optimum(inst)
             reversed_winners, reversed_objective = reference_optimum(flipped)
             assert reversed_objective == objective
@@ -436,11 +475,7 @@ class TestSolveHeuristic:
         assert sol.allocation.winners == (False, True)
 
     def test_empty_instance(self):
-        inst = WdpInstance(
-            shape=MarketShape(0, 1, 1),
-            consumer_bids=(),
-            provider_bids=(provider(0, [5], [1]),),
-        )
+        inst = WdpInstance(consumer_bids=(), provider_bids=(provider(0, [5], [1]),))
         sol = solve_heuristic(inst)
         assert sol.objective == 0 and sol.allocation.winners == ()
 
@@ -511,7 +546,7 @@ def heuristic_instances(draw):
         )
         for m in range(M)
     ]
-    return WdpInstance(shape=MarketShape(N, M, L), consumer_bids=consumers, provider_bids=providers)
+    return WdpInstance(consumer_bids=consumers, provider_bids=providers)
 
 
 class TestSeededSearch:
@@ -754,7 +789,7 @@ class TestGreedyPass:
         assert solve_heuristic(inst).winner_positions == (0, 2)
 
     def test_no_providers(self):
-        inst = WdpInstance.from_bids([consumer(0, [5, 1], [1, 0])], [], 2)
+        inst = WdpInstance.from_bids([consumer(0, [5, 1], [1, 0])], [])
         assert greedy(inst) == ([], [])
         assert solve_heuristic(inst).winner_positions == ()
 
