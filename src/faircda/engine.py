@@ -65,6 +65,7 @@ from .wdp_solver import (
     WdpInstance,
     WdpSolution,
     _bid_market,
+    _check_bid_types,
     _Priced,
     solve_exact,
     solve_heuristic,
@@ -172,11 +173,14 @@ def run_round(
     The round's integers are derived once, here: from the draws when the
     bids are the generators' lists as built, which pass every check by
     construction, and otherwise from the bids, sorted by id and checked
-    once, as a :class:`~faircda.wdp_solver.WdpInstance` checks them.
+    once, as a :class:`~faircda.wdp_solver.WdpInstance` checks them.  An
+    entry that is not a bid of its side raises ``ValueError``.
     """
     round_index = repo.round_counter + 1
     market = _drawn_market(consumer_bids, provider_bids)
     if market is None:
+        # Each entry's type first, since sorting reads its id.
+        _check_bid_types(consumer_bids, provider_bids)
         consumer_bids = sorted(consumer_bids, key=lambda b: b.consumer_id)
         provider_bids = sorted(provider_bids, key=lambda b: b.provider_id)
     participants = [b.consumer_id for b in consumer_bids]

@@ -28,12 +28,14 @@ offered prices score higher, so quality rewards aggressive bidders and the
 score is free of the market's price scale.
 
 Arithmetic is exact integer arithmetic.  The market means are validated
-and scaled to integer coefficients once per round; a quality score is an
+and scaled to integer coefficients, and the policy's coefficients
+cross-multiplied into integers, once per round; a quality score is an
 integer numerator over an integer denominator, read from the last offered
 price vector's integers and clamped by integer comparisons, and each reward
-or penalty is built as a single ``Fraction`` from integers.  A uniform draw
-``u`` is compared with the reward probability ``num / den`` as ``u``'s
-exact integer ratio, so no rational is built for it.
+or penalty is built as a single ``Fraction`` from integers.  The round's
+uniform draws are taken in one ``rng.random(n)`` call, and a draw ``u`` is
+compared with the reward probability ``num / den`` as ``u``'s exact integer
+ratio, so no rational is built for it.
 """
 
 from __future__ import annotations
@@ -82,32 +84,20 @@ def _quality(record: ParticipantRecord, coefficients: list[int], scale: int) -> 
     last = record.last_offered_prices()
     if last is None:
         return 1, 1
-    if len(last) != len(coefficients):
-        raise ValueError(
-            f"price history entry has {len(last)} types but market means have {len(coefficients)}"
-        )
     # The last offered prices are integers over one denominator.
-    num = sum(map(mul, last.numerators, coefficients))
+    numerators = last.numerators
+    if len(numerators) != len(coefficients):
+        raise ValueError(
+            f"price history entry has {len(numerators)} types but market means have "
+            f"{len(coefficients)}"
+        )
+    num = sum(map(mul, numerators, coefficients))
     den = last.denominator * scale
     if 10 * num < den:
         return 1, 10
     if num > 10 * den:
         return 10, 1
     return num, den
-
-
-def _reward(losses: int, qn: int, qd: int, cl: int, params: FairnessParams) -> Money:
-    """A loser's reward for the quality score ``qn / qd``, as one fraction of integers."""
-    a1, a2 = params.alpha1, params.alpha2
-    num = a1.numerator * losses * a2.denominator * qd + a2.numerator * qn * a1.denominator
-    return Fraction((cl + 1) * num, a1.denominator * a2.denominator * qd)
-
-
-def _penalty(wins: int, qn: int, qd: int, params: FairnessParams) -> Money:
-    """A winner's penalty for the quality score ``qn / qd > 0``, as one fraction of integers."""
-    b1, b2 = params.beta1, params.beta2
-    num = b1.numerator * wins * b2.denominator * qn + b2.numerator * qd * b1.denominator
-    return Fraction(-num, b1.denominator * b2.denominator * qn)
 
 
 def compute_fairness_factors(
@@ -131,19 +121,31 @@ def compute_fairness_factors(
     below the reward probability; a winner's draw is not compared at all,
     since ``u`` lies in ``[0, 1)`` and the penalty's probability is 1.
 
-    ``rng`` is a seeded ``numpy.random.Generator`` (anything with a
-    ``random()`` method works).
+    ``rng`` is a seeded ``numpy.random.Generator``.  The round's draws are
+    taken in one ``rng.random(n)`` call for ``n`` participants, which reads
+    the same stream as ``n`` calls of ``rng.random()``; anything whose
+    ``random(n)`` returns a numpy array of ``n`` floats works.
     """
+    ids = sorted(participants)
+    draws = rng.random(len(ids)).tolist()
+    # A reward (cl + 1) * (alpha1 * losses + alpha2 * q) and a penalty
+    # -(beta1 * wins + beta2 / q), for q = qn / qd, each as one fraction of
+    # integers: the coefficients' numerators and denominators cross-multiplied.
+    a1, a2, b1, b2 = params.alpha1, params.alpha2, params.beta1, params.beta2
+    reward_losses, reward_quality = a1.numerator * a2.denominator, a2.numerator * a1.denominator
+    reward_den = a1.denominator * a2.denominator
+    penalty_wins, penalty_quality = b1.numerator * b2.denominator, b2.numerator * b1.denominator
+    penalty_den = b1.denominator * b2.denominator
+    k = params.max_losses + 1
     factors: dict[int, Money] = {}
     branches: dict[int, Branch] = {}
     # The means are validated and scaled at the first evaluation, so a call
     # that evaluates nobody accepts any means, as a per-consumer check would.
     market_scale = None
-    for cid in sorted(participants):
+    for cid, u in zip(ids, draws):
         record = records.get(cid)
         if record is None:
             raise ValueError(f"no participation record for consumer {cid}")
-        u = float(rng.random())
         factor: Money = _ZERO
         branch: Branch = "none"
         if record.wins or record.losses:
@@ -151,7 +153,6 @@ def compute_fairness_factors(
             if cl:
                 # u < min(cl + 1, k) / k for k = max_losses + 1, exactly: a
                 # float is a ratio of integers.
-                k = params.max_losses + 1
                 un, ud = u.as_integer_ratio()
                 branch = "reward" if un * k < min(cl + 1, k) * ud else "none"
             else:
@@ -161,9 +162,11 @@ def compute_fairness_factors(
                     market_scale = _market_scale(market_mean_prices)
                 qn, qd = _quality(record, *market_scale)
                 if branch == "reward":
-                    factor = _reward(record.losses, qn, qd, cl, params)
+                    num = reward_losses * record.losses * qd + reward_quality * qn
+                    factor = Fraction((cl + 1) * num, reward_den * qd)
                 else:
-                    factor = _penalty(record.wins, qn, qd, params)
+                    num = penalty_wins * record.wins * qn + penalty_quality * qd
+                    factor = Fraction(-num, penalty_den * qn)
         factors[cid] = factor
         branches[cid] = branch
     # Rewards are >= 0 since alpha >= 0, and penalties < 0 since beta2 > 0.

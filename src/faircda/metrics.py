@@ -10,10 +10,12 @@ round's participants who won.  Every evaluation series is recoverable from
 the emitted ``per_round.csv`` / ``per_run.csv`` with any plotting tool.
 
 Currency values are exact rationals internally and in ``report.json``
-(serialized as fraction strings); CSV cells hold their float values for
-plotting convenience.  Emission is deterministic: identical reports produce
-byte-identical files.  ``report.json`` is ``json.dumps(…, indent=2,
-sort_keys=True)`` plus a newline, written by one writer (``_json_text``).
+(serialized as fraction strings, whatever their number of digits: Python's
+int string limit is lifted while they are written and read); CSV cells
+hold their float values for plotting convenience.  Emission is
+deterministic: identical reports produce byte-identical files.
+``report.json`` is ``json.dumps(…, indent=2, sort_keys=True)`` plus a
+newline, written by one writer (``_json_text``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import csv
 import io
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
@@ -168,6 +172,24 @@ def _rows_to_csv(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
     return buffer.getvalue()
 
 
+@contextmanager
+def _unlimited_int_strings():
+    """Lift Python's limit on the digits of an int converted to or from a
+    string (4,300 by default since Python 3.10.7) for the block, and restore
+    the previous limit after it.  A round's total satisfaction sums its
+    winners' factors, so its denominator grows with the distinct factor
+    denominators among them and can pass the limit on a valid market."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _json_row(row) -> dict:
     """A report row's (or config's) fields, money as an exact fraction string."""
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(row).items()}
@@ -218,10 +240,13 @@ def _json_text(value, pad: str = "") -> str:
 
 def report_to_json(report: SimulationReport) -> str:
     """``report.json``'s text: :func:`_json_text` of the report plus a newline."""
+    with _unlimited_int_strings():
+        per_round = [_json_row(r) for r in report.per_round]
+        per_run = [_json_row(r) for r in report.per_run]
     payload = {
         "config": report.config_echo,
-        "per_round": [_json_row(r) for r in report.per_round],
-        "per_run": [_json_row(r) for r in report.per_run],
+        "per_round": per_round,
+        "per_run": per_run,
         "repositories": list(report.final_repositories),
     }
     return _json_text(payload) + "\n"
@@ -263,24 +288,30 @@ def parse_report(text: str) -> SimulationReport:
     )
     for snapshot in repositories:
         repository_from_dict(snapshot)
-    per_round, per_run = (
-        [cls(**{k: _load_field(k, t, r[k]) for k, t in _FIELD_TYPES[cls].items()}) for r in rows]
-        for cls, rows in ((PerRoundRow, rounds), (RunMetrics, runs))
-    )
-    report = SimulationReport(
-        per_round=per_round, config_echo=_json_value(payload["config"], "config"),
-        final_repositories=repositories,
-    )
-    for got, want in zip_longest(sorted(per_run, key=lambda r: r.run), report.per_run):
-        if got is None or want is None or got.run != want.run:
-            run = min(r.run for r in (got, want) if r is not None)
-            raise ValueError(f"run {run}: per_run needs one row for each run with per-round rows")
-        for name in PER_RUN_FIELDS:
-            if getattr(got, name) != getattr(want, name):
+    with _unlimited_int_strings():
+        per_round, per_run = (
+            [
+                cls(**{k: _load_field(k, t, r[k]) for k, t in _FIELD_TYPES[cls].items()})
+                for r in rows
+            ]
+            for cls, rows in ((PerRoundRow, rounds), (RunMetrics, runs))
+        )
+        report = SimulationReport(
+            per_round=per_round, config_echo=_json_value(payload["config"], "config"),
+            final_repositories=repositories,
+        )
+        for got, want in zip_longest(sorted(per_run, key=lambda r: r.run), report.per_run):
+            if got is None or want is None or got.run != want.run:
+                run = min(r.run for r in (got, want) if r is not None)
                 raise ValueError(
-                    f"run {got.run}: per-run {name} is {getattr(got, name)}, "
-                    f"but the per-round rows give {getattr(want, name)}"
+                    f"run {run}: per_run needs one row for each run with per-round rows"
                 )
+            for name in PER_RUN_FIELDS:
+                if getattr(got, name) != getattr(want, name):
+                    raise ValueError(
+                        f"run {got.run}: per-run {name} is {getattr(got, name)}, "
+                        f"but the per-round rows give {getattr(want, name)}"
+                    )
     return report
 
 

@@ -222,10 +222,35 @@ class PriceVector(_SequenceABC):
     def strings(self) -> list[str]:
         """Each item as ``str`` prints its ``Fraction``, formatted from the integers."""
         d = self.denominator
-        return [
-            str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}"
-            for n in self.numerators
-        ]
+        return [_price_string(n, d) for n in self.numerators]
+
+
+def _price_string(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``, formatted from the integers."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+class _PriceStrings(dict):
+    """:func:`_price_string` of each numerator over one denominator, each
+    formatted once, when first looked up."""
+
+    __slots__ = ("denominator",)
+
+    def __init__(self, denominator: int):
+        self.denominator = denominator
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = _price_string(n, self.denominator)
+        return text
+
+
+class _SnapshotStrings(dict):
+    """A :class:`_PriceStrings` per denominator, made when first looked up."""
+
+    def __missing__(self, d: int) -> _PriceStrings:
+        strings = self[d] = _PriceStrings(d)
+        return strings
 
 
 def exact_sum(values: Iterable[Money]) -> Money:
@@ -511,6 +536,11 @@ class Repository:
 
 
 def repository_to_dict(repo: Repository) -> dict:
+    """The repository as a JSON-friendly dict: each history price as ``str``
+    prints its ``Fraction``, formatted from the vectors' integers (iterating
+    them would build every price as a ``Fraction``).  Each distinct price is
+    formatted once per call, and the entries that hold it share its string."""
+    memo = _SnapshotStrings()
     return {
         "round_counter": repo.round_counter,
         "records": {
@@ -519,9 +549,10 @@ def repository_to_dict(repo: Repository) -> dict:
                 "losses": rec.losses,
                 "consecutive_losses": rec.consecutive_losses,
                 "dropped_at_round": rec.dropped_at_round,
-                # Formatted from the vectors' integers: iterating them would
-                # build every history price as a Fraction.
-                "price_history": [entry.strings() for entry in rec.price_history],
+                "price_history": [
+                    list(map(memo[entry.denominator].__getitem__, entry.numerators))
+                    for entry in rec.price_history
+                ],
             }
             for cid, rec in sorted(repo.records.items())
         },

@@ -92,16 +92,25 @@ __all__ = [
 ]
 
 
+def _check_bid_types(
+    consumer_bids: Sequence[ConsumerBid], provider_bids: Sequence[ProviderBid]
+) -> None:
+    """Every entry a bid of its side, or ``ValueError``."""
+    for name, side, kind in (
+        ("consumer", consumer_bids, ConsumerBid), ("provider", provider_bids, ProviderBid)
+    ):
+        for bid in side:
+            if not isinstance(bid, kind):
+                raise ValueError(f"{name} bids must be {kind.__name__}s, got {bid!r}")
+
+
 def _bid_market(
     consumer_bids: Sequence[ConsumerBid], provider_bids: Sequence[ProviderBid]
 ) -> _Market:
-    """The market of bids from outside, checked: every provider entry a
-    :class:`~faircda.model.ProviderBid` (an ``ExtendedConsumerBid`` checks
-    that its bid is a ``ConsumerBid``), ids unique per side, every bid over
+    """The market of bids from outside, checked: every entry a bid of its
+    side (:func:`_check_bid_types`), ids unique per side, every bid over
     the first bid's types, and fewer than 2**63 units in all."""
-    for bid in provider_bids:
-        if not isinstance(bid, ProviderBid):
-            raise ValueError(f"provider bids must be ProviderBids, got {bid!r}")
+    _check_bid_types(consumer_bids, provider_bids)
     bids = [*consumer_bids, *provider_bids]
     L = bids[0].num_types if bids else 0
     for kind, side in (("consumer", consumer_bids), ("provider", provider_bids)):

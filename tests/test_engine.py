@@ -96,6 +96,21 @@ class TestRunRound:
         with pytest.raises(ValueError, match="duplicate"):
             run_round(repo, [cbid(0, 10), cbid(0, 8)], [pbid(0, 5, 5)], config, fairness_rng())
 
+    @pytest.mark.parametrize(
+        "consumers, providers, named",
+        [
+            ([5], [pbid(0, 5, 5)], "consumer bids must be ConsumerBids, got 5"),
+            ([cbid(0, 10)], [5], "provider bids must be ProviderBids, got 5"),
+            ([pbid(0, 5, 5)], [pbid(0, 5, 5)], "consumer bids must be ConsumerBids, got Provider"),
+        ],
+        ids=["int-consumer", "int-provider", "provider-as-consumer"],
+    )
+    def test_entry_that_is_not_a_bid_of_its_side_is_rejected(self, consumers, providers, named):
+        with pytest.raises(ValueError, match=named):
+            run_round(
+                Repository.fresh([0]), consumers, providers, EngineConfig(rounds=1), fairness_rng()
+            )
+
     def test_round_without_participants_degenerates(self):
         repo = Repository()
         config = EngineConfig(rounds=1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     reference_eval_fun,
@@ -38,9 +38,9 @@ class _ConstantRng:
         self.value = value
         self.draws = 0
 
-    def random(self):
-        self.draws += 1
-        return self.value
+    def random(self, size):
+        self.draws += size
+        return np.full(size, self.value)
 
 
 def outcome(record, means=(Fraction(1),), params=PARAMS, u=0.0):
@@ -266,10 +266,15 @@ class _SequenceRng:
         self.values = list(values)
         self.draws = 0
 
-    def random(self):
-        value = self.values[self.draws]
-        self.draws += 1
-        return value
+    def random(self, size=None):
+        """``size`` values as an array, or one value as a float, as numpy's ``Generator``."""
+        if size is None:
+            return self.random(1)[0].item()
+        if self.draws + size > len(self.values):
+            raise IndexError("the stream is exhausted")
+        values = self.values[self.draws : self.draws + size]
+        self.draws += size
+        return np.array(values, dtype=float)
 
 
 # Means and prices with denominators that are not powers of 2 and 5, and
@@ -373,6 +378,28 @@ class TestAgainstReference:
         assert outcome(winner, params=params, u=u) == (
             "penalty", reference_fun_l(count, quality, 0, params)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=fairness_round(),
+        order=st.lists(st.integers(0, 7), unique=True, max_size=8),
+        seed=st.integers(0, 2**63),
+    )
+    @example(case=({0: ParticipantRecord()}, (Fraction(1),), PARAMS, [0.5]), order=[], seed=0)
+    def test_one_call_reads_the_stream_of_one_draw_per_participant(self, case, order, seed):
+        # The round takes its draws in one random(n) call; the reference
+        # takes one random() per participant.  Both read a seeded numpy
+        # stream to the same factors and leave it at the same place.
+        records, means, params, _ = case
+        participants = [cid for cid in order if cid in records]
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = compute_fairness_factors(records, participants, means, params, rng)
+        factors, branches = reference_fairness_factors(
+            records, participants, means, params, reference_rng
+        )
+        assert out.factors == factors
+        assert out.applied_branch == branches
+        assert rng.random() == reference_rng.random()
 
     def test_draw_exactly_on_the_threshold_fails(self):
         params = FairnessParams(max_losses=5)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
@@ -173,6 +174,30 @@ class TestEmit:
     def test_json_round_trip(self):
         report = tiny_report()
         assert parse_report(report_to_json(report)) == report
+
+    @pytest.mark.parametrize("limit", [None, 640])
+    def test_money_past_the_int_string_limit_round_trips(self, tmp_path, limit):
+        # A satisfaction whose denominator has more digits than Python
+        # converts by default (4,300), written and read at the default limit
+        # and at the lowest one; the limit is restored afterwards.
+        satisfaction = Fraction(-7, 3**10_500)
+        report = SimulationReport(per_round=(make_row(satisfaction=satisfaction),))
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        previous = get_limit()
+        if limit is not None:
+            if previous is None:
+                pytest.skip("this Python has no int string limit")
+            sys.set_int_max_str_digits(limit)
+        try:
+            emit(report, tmp_path)
+            assert get_limit() == (limit or previous)
+            text = (tmp_path / "report.json").read_text()
+            assert len(json.loads(text)["per_round"][0]["total_satisfaction"]) > 5000
+            assert parse_report(text) == report
+            assert get_limit() == (limit or previous)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(previous)
 
     @pytest.mark.parametrize(
         "table, field, value",

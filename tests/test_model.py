@@ -355,6 +355,15 @@ class TestOverCommonDenominator:
 
 price_st = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
 price_tuple_st = st.lists(price_st, max_size=8).map(tuple)
+# Small numerators over denominators that need not divide 100, and ints past 2**63.
+wide_price_tuple_st = st.lists(
+    st.one_of(
+        st.fractions(min_value=0, max_value=3, max_denominator=12),
+        st.integers(2**63 - 2, 2**64 + 2).map(F),
+        st.builds(F, st.integers(2**63, 2**66), st.integers(1, 12)),
+    ),
+    max_size=4,
+).map(tuple)
 
 
 @st.composite
@@ -391,6 +400,21 @@ class TestPriceVector:
         payload = repository_to_dict(Repository(records={0: record}, round_counter=1))
         assert payload["records"]["0"]["price_history"] == [[str(p) for p in prices]]
         assert model.PriceVector(prices).strings() == [str(p) for p in prices]
+
+    @given(st.lists(st.lists(wide_price_tuple_st, max_size=3), min_size=1, max_size=4))
+    @example([[(F(1, 3),), (F(1, 7), F(2, 7))], [(F(2, 5), F(1, 2), F(1, 3))]])
+    @example([[(F(2**64 + 1, 3), F(2**64 + 1))], [(F(2**64 + 1, 6), F(1, 6))]])
+    def test_snapshot_writes_each_price_as_its_fraction_string(self, histories):
+        # Equal numerators over different denominators, within one vector and
+        # across vectors and records: a string is one (denominator, numerator)'s.
+        records = {
+            cid: ParticipantRecord(wins=1, price_history=history)
+            for cid, history in enumerate(histories)
+        }
+        payload = repository_to_dict(Repository(records=records, round_counter=1))
+        for cid, history in enumerate(histories):
+            written = payload["records"][str(cid)]["price_history"]
+            assert written == [[str(p) for p in prices] for prices in history]
 
     @given(market_price_rows())
     def test_instance_denominator_is_the_prices_common_denominator(self, rows):
