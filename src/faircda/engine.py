@@ -56,7 +56,6 @@ from .pricing import Settlement, settle
 from .scenario import (
     ScenarioConfig,
     _drawn_market,
-    _DrawnPrices,
     generate_consumer_bids,
     generate_provider_bids,
 )
@@ -241,7 +240,9 @@ def update_repository(repo: Repository, result: RoundResult) -> Repository:
         records[ext.consumer_id] = rec._appended(won, ext.bid.unit_prices)
     for cid in result.drops_this_round:
         records[cid] = records[cid].marked_dropped(result.round_index)
-    return Repository(records=records, round_counter=result.round_index)
+    # Unchecked: each record is the valid repository's or derived from one for
+    # an id ConsumerBid checked, and the round follows a valid counter.
+    return _unchecked(Repository, records=records, round_counter=result.round_index)
 
 
 def _run_rng(master_seed: int, run_index: int, stream: int) -> np.random.Generator:
@@ -260,16 +261,15 @@ def _simulate_one_run(
     try:
         rng_bids, rng_fair = (_run_rng(config.master_seed, run_index, stream) for stream in (0, 1))
         repo = Repository.fresh(range(scenario.shape.num_consumers))
-        previous_prices: Optional[_DrawnPrices] = None
+        all_bids: Optional[list[ConsumerBid]] = None
         rows: list[metrics.PerRoundRow] = []
         drops = 0
         for _ in range(config.rounds):
             # The generators' lists carry their draws, and these passes keep
-            # them: the next round's drift windows read this round's cents,
+            # them: the drift windows read the previous round's list's cents,
             # and run_round reads the round's market from the draws.
             provider_bids = generate_provider_bids(scenario, rng_bids)
-            all_bids = generate_consumer_bids(scenario, rng_bids, previous_prices)
-            previous_prices = _DrawnPrices(all_bids)
+            all_bids = generate_consumer_bids(scenario, rng_bids, all_bids)
             active = all_bids.rows(
                 [n for n, b in enumerate(all_bids) if not repo.record(b.consumer_id).dropped]
             )

@@ -121,8 +121,9 @@ class _Market(NamedTuple):
     price), of :func:`_price_dtype` over the largest of them and the
     market's units; the quantity arrays are int64.  Two builders make it:
     ``wdp_solver._bid_market`` from the bids, which it checks, and
-    ``scenario._cent_market`` from a round's draws, which are never read
-    back from the bids built from them.
+    ``scenario._drawn_market`` from the draws of a round's generated lists
+    when they pass the same checks by construction; the draws are never
+    read back from the bids built from them.
     """
 
     denominator: int
@@ -352,7 +353,9 @@ def _quantity_tuple(values: Sequence, what: str) -> tuple[int, ...]:
 
 
 def _check_bid_vectors(bid, side: str, bid_id: int) -> None:
-    """Store a bid's unit prices and quantities validated; they must match in length."""
+    """Check a bid's id and store its unit prices and quantities validated;
+    they must match in length."""
+    _check_count(bid_id, f"{side} id")
     object.__setattr__(bid, "unit_prices", _money_tuple(bid.unit_prices, f"{side} unit prices"))
     object.__setattr__(bid, "quantities", _quantity_tuple(bid.quantities, f"{side} quantities"))
     if len(bid.unit_prices) != len(bid.quantities):
@@ -522,6 +525,12 @@ class Repository:
     round_counter: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.records, dict):
+            raise ValueError(f"records must be a dict, got {type(self.records).__name__}")
+        for cid, rec in self.records.items():
+            _check_count(cid, "records key")
+            if not isinstance(rec, ParticipantRecord):
+                raise ValueError(f"record {cid} must be a ParticipantRecord, got {rec!r}")
         _check_count(self.round_counter, "round_counter")
 
     def record(self, consumer_id: int) -> ParticipantRecord:

@@ -11,11 +11,11 @@ Each bid's prices are its row of cent draws as a
 :class:`~faircda.model.PriceVector`, integers over 100: no ``Fraction`` is
 built for them here.  The generators return their bids as a list that also
 carries the int64 draws (:class:`_DrawnBids`).  The engine's run loop
-passes those lists on, so its drift windows read the previous round's
-cents (:class:`_DrawnPrices`) and its round market the current ones
-(:func:`_drawn_market`), never the bids built from them.  Previous prices
-given any other way are read as price vectors, through the same window
-formula.
+passes those lists on: the next round's drift windows read the cents of
+the consumer list it is given back, and the round's market is read from
+both lists' draws (:func:`_drawn_market`), never from the bids built from
+them.  Previous prices given any other way are read as price vectors,
+through the same window formula.
 
 Draw order is part of the reproducibility contract: per call, one block of
 quantity draws then one block of price draws, each laid out participant-
@@ -41,8 +41,10 @@ from .model import (
     _check_count,
     _check_money,
     _Market,
+    _money_tuple,
     _price_dtype,
     _unchecked,
+    price_rows,
 )
 
 __all__ = ["ScenarioConfig", "generate_provider_bids", "generate_consumer_bids"]
@@ -142,25 +144,24 @@ def _cent_vectors(cents: np.ndarray) -> list[PriceVector]:
 
 class _DrawnBids(list):
     """A generator's bids in id order, with the int64 draws they were built
-    from: bid ``i`` is row ``i`` of ``quantities`` and of ``cents``, drawn
-    under ``config``.
+    from: bid ``i`` is row ``i`` of ``quantities`` and of ``cents``.
 
     The draws stand for the bids only while the list holds exactly the bids
     built (:meth:`intact`): a caller may reorder or edit the list.
     """
 
-    __slots__ = ("config", "quantities", "cents", "_built")
+    __slots__ = ("quantities", "cents", "_built")
 
-    def __init__(self, bids, config: ScenarioConfig, quantities: np.ndarray, cents: np.ndarray):
+    def __init__(self, bids, quantities: np.ndarray, cents: np.ndarray):
         super().__init__(bids)
-        self.config, self.quantities, self.cents = config, quantities, cents
+        self.quantities, self.cents = quantities, cents
         self._built = tuple(self)
 
     def rows(self, positions: list[int]) -> "_DrawnBids":
         """The bids at ascending ``positions``, with their rows of draws."""
         index = np.array(positions, dtype=np.intp)
         bids = map(self.__getitem__, positions)
-        return type(self)(bids, self.config, self.quantities[index], self.cents[index])
+        return type(self)(bids, self.quantities[index], self.cents[index])
 
     def intact(self) -> bool:
         return len(self) == len(self._built) and all(map(is_, self, self._built))
@@ -174,64 +175,44 @@ class _DrawnProviders(_DrawnBids):
     __slots__ = ()
 
 
-class _DrawnPrices(dict):
-    """Consumer id -> unit prices of one round's generated consumer bids, as
-    the engine passes them to the next round, with their cent draws (row
-    ``n`` is consumer ``n``'s), from which the drift windows are read."""
+def _drawn_market(
+    consumer_bids: Sequence[ConsumerBid], provider_bids: Sequence[ProviderBid]
+) -> Optional[_Market]:
+    """The market of generated consumer and provider bids, read from their
+    draws, with no bid read; ``None`` unless both lists are intact, cover
+    the same number of types and hold fewer than 2**63 units, the checks of
+    ``wdp_solver._bid_market`` that generated bids can fail: each side is in
+    id order with no id twice by construction.
 
-    __slots__ = ("cents",)
-
-    def __init__(self, bids: _DrawnConsumers):
-        super().__init__((b.consumer_id, b.unit_prices) for b in bids)
-        self.cents = bids.cents
-
-
-def _cent_market(
-    consumer_cents: np.ndarray,
-    consumer_quantities: np.ndarray,
-    provider_cents: np.ndarray,
-    provider_quantities: np.ndarray,
-) -> _Market:
-    """A round's market from its draws, with no bid read: ``D`` is 100 over
-    the gcd of 100 and every cent, which is the lcm of the rows' price
-    vector denominators, and each price over ``D`` its cents over that gcd."""
+    ``D`` is 100 over the gcd of 100 and every cent, which is the lcm of the
+    rows' price vector denominators, and each price over ``D`` its cents
+    over that gcd."""
+    if not (
+        type(consumer_bids) is _DrawnConsumers
+        and type(provider_bids) is _DrawnProviders
+        and consumer_bids.intact()
+        and provider_bids.intact()
+        and consumer_bids.cents.shape[1] == provider_bids.cents.shape[1]
+    ):
+        return None
+    # Each side's configuration bounds its own sum below 2**63.
+    units = int(consumer_bids.quantities.sum()) + int(provider_bids.quantities.sum())
+    if units >= _INT64_LIMIT:
+        return None
     g = math.gcd(
-        int(np.gcd.reduce(consumer_cents, axis=None)),
-        int(np.gcd.reduce(provider_cents, axis=None)),
+        int(np.gcd.reduce(consumer_bids.cents, axis=None)),
+        int(np.gcd.reduce(provider_bids.cents, axis=None)),
         _CENTS,
     )
-    consumer_prices, provider_prices = consumer_cents // g, provider_cents // g
+    consumer_prices, provider_prices = consumer_bids.cents // g, provider_bids.cents // g
     largest = max(int(consumer_prices.max(initial=0)), int(provider_prices.max(initial=0)))
-    units = int(consumer_quantities.sum()) + int(provider_quantities.sum())
     dtype = _price_dtype(largest, units)
     return _Market(
         _CENTS // g,
         consumer_prices.astype(dtype, copy=False),
         provider_prices.astype(dtype, copy=False),
-        consumer_quantities,
-        provider_quantities,
-    )
-
-
-def _drawn_market(
-    consumer_bids: Sequence[ConsumerBid], provider_bids: Sequence[ProviderBid]
-) -> Optional[_Market]:
-    """The market of generated consumer and provider bids, read from their
-    draws; ``None`` unless both lists are intact and drawn under one
-    configuration.  Such bids pass every check of ``wdp_solver._bid_market``
-    by construction: each side is in id order with no id twice, every bid
-    covers the configuration's types and requests a unit, and the
-    configuration bounds the units below 2**63."""
-    if not (
-        type(consumer_bids) is _DrawnConsumers
-        and type(provider_bids) is _DrawnProviders
-        and consumer_bids.config == provider_bids.config
-        and consumer_bids.intact()
-        and provider_bids.intact()
-    ):
-        return None
-    return _cent_market(
-        consumer_bids.cents, consumer_bids.quantities, provider_bids.cents, provider_bids.quantities
+        consumer_bids.quantities,
+        provider_bids.quantities,
     )
 
 
@@ -249,17 +230,14 @@ def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> 
         _unchecked(ProviderBid, provider_id=m, unit_prices=p, quantities=tuple(q))
         for m, (p, q) in enumerate(zip(_cent_vectors(price_cents), quantities.tolist()))
     ]
-    return _DrawnProviders(bids, config, quantities, price_cents)
+    return _DrawnProviders(bids, quantities, price_cents)
 
 
 def _drift_bounds(
-    config: ScenarioConfig,
-    numerators: np.ndarray,
-    denominators: np.ndarray | int,
-    grid: tuple[int, int],
+    config: ScenarioConfig, numerators: np.ndarray, denominator: int, grid: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per consumer and type, the lowest and highest cents a drifted price may
-    take, for previous prices ``numerators[n, l] / denominators[n]``.
+    take, for previous prices ``numerators[n, l] / denominator``.
 
     The window ``[(1 - drift) * p, (1 + drift) * p]`` in cents, for
     ``p = a / b`` and ``drift = u / v``, is ``[(v - u) * 100a / vb,
@@ -273,13 +251,13 @@ def _drift_bounds(
     u, v = config.price_drift.numerator, config.price_drift.denominator
     largest = max(
         int(abs(numerators).max()) * _CENTS * (u + v),
-        int(np.max(denominators)) * v * 2,
+        denominator * v * 2,
         abs(plo_c),
         abs(phi_c),
     )
     dtype = np.int64 if largest < 2**63 else object
     cents = np.asarray(numerators, dtype=dtype) * _CENTS
-    b = np.asarray(denominators, dtype=dtype)
+    b = denominator
     lo = np.maximum(plo_c, -((u - v) * cents // (b * v)))
     hi = np.minimum(phi_c, (v + u) * cents // (b * v))
     outside = lo > hi
@@ -297,47 +275,51 @@ def _drift_bounds(
 
 def _drift_windows(
     config: ScenarioConfig,
-    previous_personal_prices: Mapping[int, Sequence[Money]],
+    previous: Mapping[int, Sequence[Money]] | Sequence[ConsumerBid],
     grid: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_drift_bounds` for previous prices given per consumer id, each
-    read as a :class:`PriceVector`: its numerators over its one denominator.
-    The engine's :class:`_DrawnPrices` are read from their cent draws."""
+    """:func:`_drift_bounds` of the cents of a consumer list this module
+    generated for this configuration's shape, if it is intact, and otherwise
+    of previous prices given per consumer id: every consumer's price vector,
+    over the vectors' least common denominator."""
     N = config.shape.num_consumers
     L = config.shape.num_resource_types
-    if type(previous_personal_prices) is _DrawnPrices:
-        cents = previous_personal_prices.cents
-        if cents.shape == (N, L):
-            return _drift_bounds(config, cents, _CENTS, grid)
-    rows = []
+    if type(previous) is _DrawnConsumers and previous.intact() and previous.cents.shape == (N, L):
+        return _drift_bounds(config, previous.cents, _CENTS, grid)
+    vectors = []
     for n in range(N):
         try:
-            prev = previous_personal_prices[n]
-        except KeyError:
+            prev = previous[n]
+        except (KeyError, IndexError, TypeError):
             raise ValueError(f"no previous prices for consumer {n}") from None
-        if len(prev) != L:
+        vector = _money_tuple(prev, f"consumer {n}: previous prices")
+        if len(vector) != L:
             raise ValueError(
-                f"consumer {n}: previous prices cover {len(prev)} types, expected {L}"
+                f"consumer {n}: previous prices cover {len(vector)} types, expected {L}"
             )
-        rows.append(PriceVector(prev))
-    numerators = np.array([row.numerators for row in rows], dtype=object).reshape(N, L)
-    denominators = np.array([row.denominator for row in rows], dtype=object).reshape(N, 1)
-    return _drift_bounds(config, numerators, denominators, grid)
+        vectors.append(vector)
+    D, rows = price_rows(vectors)
+    return _drift_bounds(config, np.array(rows, dtype=object).reshape(N, L), D, grid)
 
 
 def generate_consumer_bids(
     config: ScenarioConfig,
     rng: np.random.Generator,
-    previous_personal_prices: Optional[Mapping[int, Sequence[Money]]] = None,
+    previous_personal_prices: Optional[
+        Mapping[int, Sequence[Money]] | Sequence[ConsumerBid]
+    ] = None,
 ) -> list[ConsumerBid]:
     """Draw one request per consumer: per-type demand and offered prices.
 
     Without previous prices (round one), prices are uniform over the
-    configured range.  Given ``previous_personal_prices``, keyed by consumer
-    id and covering every consumer, each consumer's price for each type is
-    uniform over ``[(1 - drift) * previous, (1 + drift) * previous]``
-    clamped into the range, where ``previous`` is that consumer's own price
-    from the prior round.
+    configured range.  Given ``previous_personal_prices``, each consumer's
+    price for each type is uniform over ``[(1 - drift) * previous, (1 +
+    drift) * previous]`` clamped into the range, where ``previous`` is that
+    consumer's own price from the prior round.  They are either the list
+    this function returned for the prior round, unmodified, or price
+    sequences indexed by consumer id and covering every consumer; anything
+    else raises ``ValueError`` naming the first consumer it lacks a valid
+    price vector for.
     """
     N = config.shape.num_consumers
     L = config.shape.num_resource_types
@@ -363,4 +345,4 @@ def generate_consumer_bids(
         _unchecked(ConsumerBid, consumer_id=n, unit_prices=p, quantities=tuple(q))
         for n, (p, q) in enumerate(zip(_cent_vectors(price_cents), quantities.tolist()))
     ]
-    return _DrawnConsumers(bids, config, quantities, price_cents)
+    return _DrawnConsumers(bids, quantities, price_cents)

@@ -33,8 +33,19 @@ from faircda.model import (
     ParticipantRecord,
     ProviderBid,
 )
-from faircda.scenario import ScenarioConfig, generate_consumer_bids, generate_provider_bids
-from faircda.wdp_solver import WdpInstance, WdpSolution, solve_heuristic, validate_solution
+from faircda.scenario import (
+    ScenarioConfig,
+    _drawn_market,
+    generate_consumer_bids,
+    generate_provider_bids,
+)
+from faircda.wdp_solver import (
+    WdpInstance,
+    WdpSolution,
+    _bid_market,
+    solve_heuristic,
+    validate_solution,
+)
 
 
 def cbid(cid, price, quantity=1):
@@ -601,8 +612,8 @@ class TestRoundsFromDraws:
 
     def test_generated_lists_clear_from_their_draws_only_as_built(self):
         """A generator's list clears from its draws only while it holds the
-        bids built, drawn under its counterpart's configuration: otherwise it
-        clears, or fails, as a plain list of the same bids does."""
+        bids built, over its counterpart's types: otherwise it clears, or
+        fails, as a plain list of the same bids does."""
         scenario = ScenarioConfig(shape=MarketShape(8, 2, 2), runs=1)
         rng = np.random.default_rng(5)
         providers = generate_provider_bids(scenario, rng)
@@ -630,6 +641,37 @@ class TestRoundsFromDraws:
             messages.append(str(error.value))
         expected_message = "provider 0: bid covers 2 resource types, market has 3"
         assert messages == [expected_message, expected_message]
+        assert _drawn_market(wide_consumers, providers) is None
+
+    def test_the_draws_market_takes_the_checked_paths_conditions(self):
+        """Lists of two configurations give the draws' market when they
+        cover the same types and hold fewer than 2**63 units, the market
+        the checked path reads from the same bids; otherwise no market, and
+        run_round raises the checked path's error."""
+        rng = np.random.default_rng(3)
+        consumers = generate_consumer_bids(ScenarioConfig(shape=MarketShape(8, 2, 2)), rng)
+        cheap = ScenarioConfig(shape=MarketShape(4, 3, 2), provider_price_range=("1/3", 2))
+        providers = generate_provider_bids(cheap, rng)
+        drawn = _drawn_market(consumers, providers)
+        checked = _bid_market(list(consumers), list(providers))
+        assert drawn.denominator == checked.denominator
+        for ours, theirs in zip(drawn[1:], checked[1:]):
+            assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+        repo, config = Repository.fresh(range(8)), EngineConfig()
+        instance = run_round(repo, consumers, providers, config, fairness_rng()).instance
+        expected = run_round(repo, list(consumers), list(providers), config, fairness_rng())
+        assert_same_instance(instance, expected.instance)
+
+        one = MarketShape(1, 1, 1)
+        consumers = generate_consumer_bids(
+            ScenarioConfig(shape=one, consumer_quantity_range=(2**62, 2**62)), rng
+        )
+        providers = generate_provider_bids(
+            ScenarioConfig(shape=one, provider_quantity_range=(2**62, 2**62)), rng
+        )
+        assert _drawn_market(consumers, providers) is None
+        with pytest.raises(ValueError, match=f"at most 2\\*\\*63 - 1 units, this one {2**63}$"):
+            run_round(Repository.fresh([0]), consumers, providers, config, fairness_rng())
 
     @settings(max_examples=40, deadline=None)
     @given(

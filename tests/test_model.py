@@ -99,6 +99,31 @@ class TestProviderBid:
             ProviderBid(0, (1,), ("a",))
 
 
+@pytest.mark.parametrize("bad", ["x", -1, True, 2.0, None])
+@pytest.mark.parametrize("side, build", [("consumer", ConsumerBid), ("provider", ProviderBid)])
+def test_a_bid_id_must_be_a_non_negative_integer(side, build, bad):
+    # A str id used to clear and fold into a snapshot that did not load,
+    # and a bool id to settle as True.
+    with pytest.raises(ValueError, match=f"{side} id must be a non-negative integer"):
+        build(bad, (150, 150), (1, 1))
+
+
+class TestRepository:
+    def test_records_must_be_a_dict(self):
+        with pytest.raises(ValueError, match="records must be a dict, got list"):
+            Repository(records=[ParticipantRecord()])
+
+    @pytest.mark.parametrize("key", ["0", -1, True])
+    def test_keys_must_be_consumer_ids(self, key):
+        with pytest.raises(ValueError, match="records key must be a non-negative integer"):
+            Repository(records={key: ParticipantRecord()})
+
+    @pytest.mark.parametrize("value", [None, {"wins": 1}])
+    def test_values_must_be_records(self, value):
+        with pytest.raises(ValueError, match="record 3 must be a ParticipantRecord"):
+            Repository(records={0: ParticipantRecord(), 3: value})
+
+
 class TestExtendedConsumerBid:
     @pytest.mark.parametrize("bad", [5, None, ProviderBid(0, (5,), (1,))])
     def test_only_a_consumer_bid_is_extended(self, bad):

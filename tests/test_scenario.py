@@ -13,7 +13,7 @@ from oracles import (
     reference_provider_bids,
 )
 
-from faircda.model import MarketShape, PriceVector
+from faircda.model import ConsumerBid, MarketShape, PriceVector
 from faircda.scenario import (
     ScenarioConfig,
     _drift_bounds,
@@ -175,6 +175,34 @@ class TestConsumerBids:
         with pytest.raises(ValueError, match="consumer 5: previous prices cover 1 types, expected 2"):
             generate_consumer_bids(config, rng(), previous)
 
+    @pytest.mark.parametrize(
+        "previous, message",
+        [
+            ([(1, 2), (1, 2)], "no previous prices for consumer 2"),
+            ({0: (1, 2), 1: 5, 2: (1, 2)}, "consumer 1: previous prices must be numbers, got 5"),
+            ({0: None, 1: (1, 2), 2: (1, 2)}, "consumer 0: previous prices must be numbers"),
+            ({0: (1, 2), 1: (1, 2), 2: (1, -2)}, "consumer 2: previous prices must be non-neg"),
+            (7, "no previous prices for consumer 0"),
+        ],
+    )
+    def test_unreadable_previous_prices_name_the_consumer(self, previous, message):
+        config = small_config(shape=MarketShape(3, 2, 2))
+        with pytest.raises(ValueError, match=message):
+            generate_consumer_bids(config, rng(), previous)
+
+    def test_a_generated_list_is_previous_prices_only_as_built(self):
+        """A generated list stands for its prices only while it holds the
+        bids built for this configuration's shape; edited, cut to some
+        rows, or of another shape, it is no price vector per consumer."""
+        config = small_config()
+        bids = generate_consumer_bids(config, rng(1))
+        wider = generate_consumer_bids(small_config(shape=MarketShape(12, 3, 3)), rng(1))
+        replaced = generate_consumer_bids(config, rng(1))
+        replaced[4] = ConsumerBid(4, replaced[4].unit_prices, replaced[4].quantities)
+        for previous in (replaced, bids.rows([0, 2, 5]), wider):
+            with pytest.raises(ValueError, match="consumer 0: previous prices must be numbers"):
+                generate_consumer_bids(config, rng(2), previous)
+
     def test_fixed_seed_reproduces_bids(self):
         config = small_config()
         assert generate_consumer_bids(config, rng(9)) == generate_consumer_bids(config, rng(9))
@@ -278,6 +306,22 @@ class TestAgainstReference:
         bids = generate_consumer_bids(config, rng(seed), previous)
         assert bids == reference_consumer_bids(config, rng(seed), previous)
         _assert_same_as_validated(bids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=drift_case())
+    def test_a_generated_list_drifts_as_its_prices_by_id(self, case):
+        """Handed back as the next round's previous prices, the list a round
+        generated gives the windows and bids of its ``{id: unit_prices}``."""
+        config, previous, seed = case
+        bids = generate_consumer_bids(config, rng(seed), previous)
+        by_id = {b.consumer_id: b.unit_prices for b in bids}
+        grid = _grid_bounds(config.consumer_price_range)
+        windows = _drift_windows(config, bids, grid)
+        expected = _drift_windows(config, by_id, grid)
+        assert [w.tolist() for w in windows] == [w.tolist() for w in expected]
+        assert generate_consumer_bids(config, rng(seed + 1), bids) == generate_consumer_bids(
+            config, rng(seed + 1), by_id
+        )
 
     @settings(max_examples=50, deadline=None)
     @given(case=drift_case())
