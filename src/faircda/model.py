@@ -324,7 +324,9 @@ def _unchecked(cls, **fields):
 def _money_tuple(values: Sequence, what: str) -> PriceVector:
     """``values`` as a :class:`PriceVector` of non-negative money; a vector
     is returned as it is once its sign is checked.  The one price check of
-    bids and history entries."""
+    bids and history entries.  A string is one value, not a sequence."""
+    if isinstance(values, str):
+        raise ValueError(f"{what} must be numbers, got {values!r}")
     try:
         vector = PriceVector(values)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

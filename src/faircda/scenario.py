@@ -11,11 +11,10 @@ Each bid's prices are its row of cent draws as a
 :class:`~faircda.model.PriceVector`, integers over 100: no ``Fraction`` is
 built for them here.  The generators return their bids as a list that also
 carries the int64 draws (:class:`_DrawnBids`).  The engine's run loop
-passes those lists on: the next round's drift windows read the cents of
-the consumer list it is given back, and the round's market is read from
-both lists' draws (:func:`_drawn_market`), never from the bids built from
-them.  Previous prices given any other way are read as price vectors,
-through the same window formula.
+passes those lists on: the consumer list is the next round's previous
+prices, whose drift windows read its cents, and the round's market is read
+from both lists' draws (:func:`_drawn_market`), never from the bids built
+from them.
 
 Draw order is part of the reproducibility contract: per call, one block of
 quantity draws then one block of price draws, each laid out participant-
@@ -28,7 +27,7 @@ import math
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from operator import is_
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,10 +40,8 @@ from .model import (
     _check_count,
     _check_money,
     _Market,
-    _money_tuple,
     _price_dtype,
     _unchecked,
-    price_rows,
 )
 
 __all__ = ["ScenarioConfig", "generate_provider_bids", "generate_consumer_bids"]
@@ -233,96 +230,52 @@ def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> 
     return _DrawnProviders(bids, quantities, price_cents)
 
 
-def _drift_bounds(
-    config: ScenarioConfig, numerators: np.ndarray, denominator: int, grid: tuple[int, int]
+def _drift_windows(
+    config: ScenarioConfig, cents: np.ndarray, grid: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per consumer and type, the lowest and highest cents a drifted price may
-    take, for previous prices ``numerators[n, l] / denominator``.
+    take, for a previous round's price ``cents``.
 
-    The window ``[(1 - drift) * p, (1 + drift) * p]`` in cents, for
-    ``p = a / b`` and ``drift = u / v``, is ``[(v - u) * 100a / vb,
-    (v + u) * 100a / vb]``, rounded inward and clamped into the grid.  The
-    bounds are exact floors and ceilings, so any ``a / b`` of a price gives
-    the same window: the engine's previous round passes its cent draws over
-    100.  The arithmetic is int64 when every product provably fits, and
-    ``object`` arrays of Python ints otherwise.
+    The window ``[(1 - drift) * c, (1 + drift) * c]`` for ``drift = u / v``
+    is ``[(v - u) * c / v, (v + u) * c / v]``, rounded inward and clamped
+    into the grid.  It holds ``c``, so a price drawn under another range
+    whose window misses the grid drifts to the grid's nearest edge.  The
+    arithmetic is int64 when every product provably fits, and ``object``
+    arrays of Python ints otherwise.
     """
-    plo_c, phi_c = grid
     u, v = config.price_drift.numerator, config.price_drift.denominator
-    largest = max(
-        int(abs(numerators).max()) * _CENTS * (u + v),
-        denominator * v * 2,
-        abs(plo_c),
-        abs(phi_c),
-    )
-    dtype = np.int64 if largest < 2**63 else object
-    cents = np.asarray(numerators, dtype=dtype) * _CENTS
-    b = denominator
-    lo = np.maximum(plo_c, -((u - v) * cents // (b * v)))
-    hi = np.minimum(phi_c, (v + u) * cents // (b * v))
-    outside = lo > hi
-    if outside.any():
-        # The previous price sits outside the range: snap to the nearest
-        # edge, rounding 100p half to even as round(Fraction) does.
-        q = cents // b
-        r = cents - q * b
-        nearest = q + ((2 * r > b) | ((2 * r == b) & (q % 2 == 1)))
-        snapped = np.minimum(phi_c, np.maximum(plo_c, nearest))
-        lo = np.where(outside, snapped, lo)
-        hi = np.where(outside, snapped, hi)
+    if int(cents.max()) * (u + v) >= _INT64_LIMIT:
+        cents = cents.astype(object)
+    lo = np.clip(-((u - v) * cents // v), *grid)
+    hi = np.clip((v + u) * cents // v, *grid)
     return lo.astype(np.int64), hi.astype(np.int64)
-
-
-def _drift_windows(
-    config: ScenarioConfig,
-    previous: Mapping[int, Sequence[Money]] | Sequence[ConsumerBid],
-    grid: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_drift_bounds` of the cents of a consumer list this module
-    generated for this configuration's shape, if it is intact, and otherwise
-    of previous prices given per consumer id: every consumer's price vector,
-    over the vectors' least common denominator."""
-    N = config.shape.num_consumers
-    L = config.shape.num_resource_types
-    if type(previous) is _DrawnConsumers and previous.intact() and previous.cents.shape == (N, L):
-        return _drift_bounds(config, previous.cents, _CENTS, grid)
-    vectors = []
-    for n in range(N):
-        try:
-            prev = previous[n]
-        except (KeyError, IndexError, TypeError):
-            raise ValueError(f"no previous prices for consumer {n}") from None
-        vector = _money_tuple(prev, f"consumer {n}: previous prices")
-        if len(vector) != L:
-            raise ValueError(
-                f"consumer {n}: previous prices cover {len(vector)} types, expected {L}"
-            )
-        vectors.append(vector)
-    D, rows = price_rows(vectors)
-    return _drift_bounds(config, np.array(rows, dtype=object).reshape(N, L), D, grid)
 
 
 def generate_consumer_bids(
     config: ScenarioConfig,
     rng: np.random.Generator,
-    previous_personal_prices: Optional[
-        Mapping[int, Sequence[Money]] | Sequence[ConsumerBid]
-    ] = None,
+    previous_personal_prices: Optional[Sequence[ConsumerBid]] = None,
 ) -> list[ConsumerBid]:
     """Draw one request per consumer: per-type demand and offered prices.
 
     Without previous prices (round one), prices are uniform over the
-    configured range.  Given ``previous_personal_prices``, each consumer's
-    price for each type is uniform over ``[(1 - drift) * previous, (1 +
-    drift) * previous]`` clamped into the range, where ``previous`` is that
-    consumer's own price from the prior round.  They are either the list
-    this function returned for the prior round, unmodified, or price
-    sequences indexed by consumer id and covering every consumer; anything
-    else raises ``ValueError`` naming the first consumer it lacks a valid
-    price vector for.
+    configured range.  Given ``previous_personal_prices``, the list this
+    function returned for the prior round, unmodified and of this
+    configuration's shape, each consumer's price for each type is uniform
+    over ``[(1 - drift) * previous, (1 + drift) * previous]`` clamped into
+    the range, where ``previous`` is that consumer's own price in the list.
+    Anything else raises ``ValueError``.
     """
     N = config.shape.num_consumers
     L = config.shape.num_resource_types
+    previous = previous_personal_prices
+    if previous is not None and not (
+        type(previous) is _DrawnConsumers and previous.intact() and previous.cents.shape == (N, L)
+    ):
+        raise ValueError(
+            "previous_personal_prices must be the unmodified consumer list generated "
+            f"for the prior round, of {N} consumers and {L} types"
+        )
     qlo, qhi = config.consumer_quantity_range
     grid = _grid_bounds(config.consumer_price_range)
     quantities = rng.integers(qlo, qhi, size=(N, L), endpoint=True)
@@ -332,10 +285,10 @@ def generate_consumer_bids(
             if not quantities[n].any():
                 quantities[n][int(rng.integers(0, L))] = 1
 
-    if previous_personal_prices is None:
+    if previous is None:
         price_cents = rng.integers(*grid, size=(N, L), endpoint=True)
     else:
-        lo, hi = _drift_windows(config, previous_personal_prices, grid)
+        lo, hi = _drift_windows(config, previous.cents, grid)
         price_cents = rng.integers(lo, hi, size=(N, L), endpoint=True)
 
     # Integer draws from the validated ranges, as ints and cent-grid price

@@ -81,7 +81,7 @@ def simulate_arm(seed: int, fairness_enabled: bool, check_invariants: bool) -> A
     for _ in range(SCALED_ROUNDS):
         providers = generate_provider_bids(SCALED_SCENARIO, rng_bids)
         all_bids = generate_consumer_bids(SCALED_SCENARIO, rng_bids, previous_prices)
-        previous_prices = {b.consumer_id: b.unit_prices for b in all_bids}
+        previous_prices = all_bids
         active = [b for b in all_bids if not repo.records[b.consumer_id].dropped]
         result = run_round(repo, active, providers, config, rng_fair)
         if check_invariants:

@@ -449,7 +449,7 @@ class TestRunSimulation:
         for _ in range(6):
             providers = generate_provider_bids(scenario, rng_bids)
             bids = generate_consumer_bids(scenario, rng_bids, previous_prices)
-            previous_prices = {b.consumer_id: b.unit_prices for b in bids}
+            previous_prices = bids
             active = [b for b in bids if not repo.records[b.consumer_id].dropped]
             result = run_round(repo, active, providers, config, rng_fair)
             repo = update_repository(repo, result)
@@ -713,7 +713,7 @@ class TestRoundsFromDraws:
         for _ in range(rounds):
             providers = generate_provider_bids(scenario, rng_bids)
             bids = generate_consumer_bids(scenario, rng_bids, previous)
-            previous = {b.consumer_id: b.unit_prices for b in bids}
+            previous = bids
             active = [b for b in bids if not repo.records[b.consumer_id].dropped]
             result = run_round(repo, active, providers, config, rng_fair)
             repo = update_repository(repo, result)

@@ -230,7 +230,12 @@ class TestParticipantRecord:
      pytest.param(lambda: ParticipantRecord(price_history=5), "price history must be",
                   id="history"),
      pytest.param(lambda: ParticipantRecord(price_history=[5]),
-                  "price history entry must be numbers, got 5", id="history-entry")],
+                  "price history entry must be numbers, got 5", id="history-entry"),
+     # A string is one price, never a sequence of one-character prices.
+     pytest.param(lambda: ConsumerBid(0, "12", (1, 1)),
+                  "consumer unit prices must be numbers, got '12'", id="consumer-prices-str"),
+     pytest.param(lambda: ParticipantRecord(price_history=["35"]),
+                  "price history entry must be numbers, got '35'", id="history-entry-str")],
 )
 def test_a_field_that_is_not_a_sequence_names_itself(build, message):
     with pytest.raises(ValueError, match=message):

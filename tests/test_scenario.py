@@ -16,7 +16,6 @@ from oracles import (
 from faircda.model import ConsumerBid, MarketShape, PriceVector
 from faircda.scenario import (
     ScenarioConfig,
-    _drift_bounds,
     _drift_windows,
     _grid_bounds,
     generate_consumer_bids,
@@ -149,59 +148,42 @@ class TestConsumerBids:
 
     def test_drift_window_clamped_at_range_edge(self):
         config = small_config()
-        previous = {n: (Fraction(250), Fraction(250)) for n in range(12)}
+        previous = generate_consumer_bids(small_config(consumer_price_range=(250, 250)), rng())
         for seed in range(5):
             bids = generate_consumer_bids(config, rng(seed), previous)
             for bid in bids:
                 assert all(Fraction(225) <= p <= Fraction(250) for p in bid.unit_prices)
 
+    def test_a_list_drawn_under_another_range_drifts_to_the_nearest_edge(self):
+        # 300 and 50 drift to [270, 330] and [45, 55], both outside [100, 250].
+        config = small_config()
+        for price, edge in ((300, 250), (50, 100)):
+            previous = generate_consumer_bids(small_config(consumer_price_range=(price, price)), rng())
+            bids = generate_consumer_bids(config, rng(1), previous)
+            assert all(p == edge for bid in bids for p in bid.unit_prices)
+
     def test_zero_drift_freezes_prices(self):
         config = small_config(price_drift=0)
-        previous = {n: (Fraction(150), Fraction(17999, 100)) for n in range(12)}
-        bids = generate_consumer_bids(config, rng(), previous)
-        for n, bid in enumerate(bids):
-            assert bid.unit_prices == previous[n]
-
-    def test_missing_consumer_in_previous_prices(self):
-        config = small_config()
-        previous = {n: (Fraction(150), Fraction(150)) for n in range(11)}
-        with pytest.raises(ValueError, match="consumer 11"):
-            generate_consumer_bids(config, rng(), previous)
-
-    def test_wrong_length_previous_prices(self):
-        config = small_config()
-        previous = {n: (Fraction(150), Fraction(150)) for n in range(12)}
-        previous[5] = (Fraction(150),)
-        with pytest.raises(ValueError, match="consumer 5: previous prices cover 1 types, expected 2"):
-            generate_consumer_bids(config, rng(), previous)
-
-    @pytest.mark.parametrize(
-        "previous, message",
-        [
-            ([(1, 2), (1, 2)], "no previous prices for consumer 2"),
-            ({0: (1, 2), 1: 5, 2: (1, 2)}, "consumer 1: previous prices must be numbers, got 5"),
-            ({0: None, 1: (1, 2), 2: (1, 2)}, "consumer 0: previous prices must be numbers"),
-            ({0: (1, 2), 1: (1, 2), 2: (1, -2)}, "consumer 2: previous prices must be non-neg"),
-            (7, "no previous prices for consumer 0"),
-        ],
-    )
-    def test_unreadable_previous_prices_name_the_consumer(self, previous, message):
-        config = small_config(shape=MarketShape(3, 2, 2))
-        with pytest.raises(ValueError, match=message):
-            generate_consumer_bids(config, rng(), previous)
+        previous = generate_consumer_bids(config, rng())
+        bids = generate_consumer_bids(config, rng(1), previous)
+        assert [b.unit_prices for b in bids] == [b.unit_prices for b in previous]
 
     def test_a_generated_list_is_previous_prices_only_as_built(self):
-        """A generated list stands for its prices only while it holds the
-        bids built for this configuration's shape; edited, cut to some
-        rows, or of another shape, it is no price vector per consumer."""
+        """The previous prices are the list a round generated for this
+        configuration's shape, unmodified: prices given per consumer id,
+        an edited list, one cut to some rows, or one of another shape raise
+        the one ``ValueError``."""
         config = small_config()
         bids = generate_consumer_bids(config, rng(1))
         wider = generate_consumer_bids(small_config(shape=MarketShape(12, 3, 3)), rng(1))
         replaced = generate_consumer_bids(config, rng(1))
         replaced[4] = ConsumerBid(4, replaced[4].unit_prices, replaced[4].quantities)
-        for previous in (replaced, bids.rows([0, 2, 5]), wider):
-            with pytest.raises(ValueError, match="consumer 0: previous prices must be numbers"):
+        by_id = {b.consumer_id: b.unit_prices for b in bids}
+        prices = [b.unit_prices for b in bids]
+        for previous in (by_id, prices, list(bids), replaced, bids.rows([0, 2, 5]), wider, 7):
+            with pytest.raises(ValueError, match="must be the unmodified consumer list"):
                 generate_consumer_bids(config, rng(2), previous)
+        generate_consumer_bids(config, rng(2), bids)
 
     def test_fixed_seed_reproduces_bids(self):
         config = small_config()
@@ -251,18 +233,6 @@ def _assert_same_as_validated(bids):
         assert all(type(q) is int for q in bid.quantities)
 
 
-# Previous prices: the cent grid, thirds and sevenths, exact half cents (the
-# snap branch's ties), values outside the range, and numerators too large
-# for int64 arithmetic.
-previous_price_st = st.one_of(
-    st.integers(0, 40_000).map(lambda c: Fraction(c, 100)),
-    st.integers(0, 900).map(lambda k: Fraction(k, 3)),
-    st.integers(0, 2_100).map(lambda k: Fraction(k, 7)),
-    st.integers(0, 40_000).map(lambda c: Fraction(2 * c + 1, 200)),
-    st.integers(0, 10**4).map(lambda k: Fraction(10**18 + k, 10**16)),
-    st.integers(0, 10**4).map(lambda k: Fraction(10**21 + 2 * k + 1, 2 * 10**18)),
-    st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
-)
 drift_st = st.sampled_from(
     [Fraction(0), Fraction(1, 10), Fraction(1, 7), Fraction(1, 3), Fraction(1), Fraction(3, 2)]
 )
@@ -270,10 +240,19 @@ range_st = st.tuples(
     st.fractions(min_value=Fraction(1, 100), max_value=200, max_denominator=400),
     st.fractions(min_value=0, max_value=200, max_denominator=400),
 ).map(lambda lo_extra: (lo_extra[0], lo_extra[0] + lo_extra[1] + Fraction(1, 100)))
+# The previous list's prices: a range like the drifting one's, so its
+# windows may miss the grid and drift to its nearest edge, or whole cents
+# of at least 2**62, past int64 arithmetic for any drift.
+previous_range_st = st.one_of(
+    range_st,
+    st.integers(2**62, 2**63 - 1).map(lambda c: (Fraction(2**62, 100), Fraction(c, 100))),
+)
 
 
 @st.composite
 def drift_case(draw):
+    """A configuration, a consumer list generated for its shape under
+    another price range and drift, and a seed."""
     N, L = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     config = ScenarioConfig(
         shape=MarketShape(N, 2, L),
@@ -282,9 +261,16 @@ def drift_case(draw):
         consumer_price_range=draw(range_st),
         price_drift=draw(drift_st),
     )
-    previous = {
-        n: tuple(draw(st.lists(previous_price_st, min_size=L, max_size=L))) for n in range(N)
-    }
+    drawn_under = ScenarioConfig(
+        shape=config.shape,
+        runs=1,
+        consumer_price_range=draw(previous_range_st),
+        price_drift=draw(drift_st),
+    )
+    generator = rng(draw(st.integers(0, 2**32 - 1)))
+    previous = generate_consumer_bids(drawn_under, generator)
+    if draw(st.booleans()):
+        previous = generate_consumer_bids(drawn_under, generator, previous)
     return config, previous, draw(st.integers(0, 2**32 - 1))
 
 
@@ -292,36 +278,23 @@ class TestAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(case=drift_case())
     def test_drift_windows_and_bids_equal_the_per_cell_loop(self, case):
+        """A generated list drifts as the per-cell reference drifts its
+        prices by consumer id."""
         config, previous, seed = case
-        lo, hi = _drift_windows(config, previous, _grid_bounds(config.consumer_price_range))
+        by_id = {b.consumer_id: b.unit_prices for b in previous}
+        lo, hi = _drift_windows(config, previous.cents, _grid_bounds(config.consumer_price_range))
         expected = [
             [
                 reference_drift_window(p, config.consumer_price_range, config.price_drift)
-                for p in previous[n]
+                for p in by_id[n]
             ]
             for n in range(config.shape.num_consumers)
         ]
         assert lo.dtype == hi.dtype == np.int64
         assert [list(zip(a, b)) for a, b in zip(lo.tolist(), hi.tolist())] == expected
         bids = generate_consumer_bids(config, rng(seed), previous)
-        assert bids == reference_consumer_bids(config, rng(seed), previous)
+        assert bids == reference_consumer_bids(config, rng(seed), by_id)
         _assert_same_as_validated(bids)
-
-    @settings(max_examples=100, deadline=None)
-    @given(case=drift_case())
-    def test_a_generated_list_drifts_as_its_prices_by_id(self, case):
-        """Handed back as the next round's previous prices, the list a round
-        generated gives the windows and bids of its ``{id: unit_prices}``."""
-        config, previous, seed = case
-        bids = generate_consumer_bids(config, rng(seed), previous)
-        by_id = {b.consumer_id: b.unit_prices for b in bids}
-        grid = _grid_bounds(config.consumer_price_range)
-        windows = _drift_windows(config, bids, grid)
-        expected = _drift_windows(config, by_id, grid)
-        assert [w.tolist() for w in windows] == [w.tolist() for w in expected]
-        assert generate_consumer_bids(config, rng(seed + 1), bids) == generate_consumer_bids(
-            config, rng(seed + 1), by_id
-        )
 
     @settings(max_examples=50, deadline=None)
     @given(case=drift_case())
@@ -334,36 +307,3 @@ class TestAgainstReference:
         bids = generate_consumer_bids(config, generator)
         assert bids == reference_consumer_bids(config, reference)
         _assert_same_as_validated(bids)
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=drift_case(), data=st.data())
-    def test_drift_windows_from_cents_equal_those_from_price_vectors(self, case, data):
-        """The engine's windows, from a round's cent draws over 100, are the
-        windows of the same prices given per consumer as price vectors, in
-        the range, outside it (the snapping branch) and past int64."""
-        config, _, _ = case
-        N, L = config.shape.num_consumers, config.shape.num_resource_types
-        grid = _grid_bounds(config.consumer_price_range)
-        cents_st = st.one_of(
-            st.integers(max(0, grid[0] - 50), grid[1] + 50),
-            st.integers(0, 100_000),
-            st.integers(2**62, 2**63 - 1),
-        )
-        cents = data.draw(st.lists(cents_st, min_size=N * L, max_size=N * L))
-        cents = np.array(cents, dtype=np.int64).reshape(N, L)
-        vectors = {
-            n: PriceVector([Fraction(c, 100) for c in row]) for n, row in enumerate(cents.tolist())
-        }
-        lo, hi = _drift_bounds(config, cents, 100, grid)
-        expected_lo, expected_hi = _drift_windows(config, vectors, grid)
-        assert lo.dtype == hi.dtype == np.int64
-        assert lo.tolist() == expected_lo.tolist() and hi.tolist() == expected_hi.tolist()
-
-    def test_half_cent_previous_prices_snap_half_to_even(self):
-        # With no drift the window of an off-grid price is empty: it snaps to
-        # the nearest cent, ties to even, clamped into the range's grid.
-        config = small_config(shape=MarketShape(4, 3, 1), price_drift=0)
-        previous = {0: (Fraction(20025, 200),), 1: (Fraction(20027, 200),),
-                    2: (Fraction(601, 200),), 3: (Fraction(60001, 200),)}
-        lo, hi = _drift_windows(config, previous, _grid_bounds(config.consumer_price_range))
-        assert lo.tolist() == hi.tolist() == [[10_012], [10_014], [10_000], [25_000]]
