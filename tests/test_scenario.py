@@ -33,6 +33,11 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _with_bid_4_replaced(bids):
+    bids[4] = ConsumerBid(4, bids[4].unit_prices, bids[4].quantities)
+    return bids
+
+
 class TestScenarioConfig:
     def test_defaults_are_the_reference_setup(self):
         config = ScenarioConfig()
@@ -168,22 +173,37 @@ class TestConsumerBids:
         bids = generate_consumer_bids(config, rng(1), previous)
         assert [b.unit_prices for b in bids] == [b.unit_prices for b in previous]
 
-    def test_a_generated_list_is_previous_prices_only_as_built(self):
+    @pytest.mark.parametrize(
+        "make_previous",
+        [
+            pytest.param(lambda bids: {b.consumer_id: b.unit_prices for b in bids}, id="by-id"),
+            pytest.param(lambda bids: [b.unit_prices for b in bids], id="price-tuples"),
+            pytest.param(list, id="plain-list"),
+            pytest.param(_with_bid_4_replaced, id="edited"),
+            pytest.param(lambda bids: bids.rows([0, 2, 5]), id="rows-subset"),
+            pytest.param(
+                lambda bids: generate_consumer_bids(
+                    small_config(shape=MarketShape(12, 3, 3)), rng(1)
+                ),
+                id="other-shape",
+            ),
+            pytest.param(lambda bids: 7, id="not-a-list"),
+        ],
+    )
+    def test_a_generated_list_is_previous_prices_only_as_built(self, make_previous):
         """The previous prices are the list a round generated for this
         configuration's shape, unmodified: prices given per consumer id,
-        an edited list, one cut to some rows, or one of another shape raise
-        the one ``ValueError``."""
+        a plain list, an edited list, one cut to some rows, or one of
+        another shape raise the one ``ValueError``."""
+        config = small_config()
+        previous = make_previous(generate_consumer_bids(config, rng(1)))
+        with pytest.raises(ValueError, match="must be the unmodified consumer list"):
+            generate_consumer_bids(config, rng(2), previous)
+
+    def test_the_intact_list_is_previous_prices(self):
         config = small_config()
         bids = generate_consumer_bids(config, rng(1))
-        wider = generate_consumer_bids(small_config(shape=MarketShape(12, 3, 3)), rng(1))
-        replaced = generate_consumer_bids(config, rng(1))
-        replaced[4] = ConsumerBid(4, replaced[4].unit_prices, replaced[4].quantities)
-        by_id = {b.consumer_id: b.unit_prices for b in bids}
-        prices = [b.unit_prices for b in bids]
-        for previous in (by_id, prices, list(bids), replaced, bids.rows([0, 2, 5]), wider, 7):
-            with pytest.raises(ValueError, match="must be the unmodified consumer list"):
-                generate_consumer_bids(config, rng(2), previous)
-        generate_consumer_bids(config, rng(2), bids)
+        assert len(generate_consumer_bids(config, rng(2), bids)) == len(bids)
 
     def test_fixed_seed_reproduces_bids(self):
         config = small_config()
