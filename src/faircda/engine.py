@@ -10,13 +10,14 @@ each round is folded into the repository and into its report row as soon
 as it clears; the report derives the per-run metrics from those rows.
 
 A simulated round's market stays the integers it was drawn as.  The
-generators' lists carry their draws, and the run loop passes them on: the
+generators' immutable tuples carry their read-only draws, and the run loop
+passes them on, keeping the active consumers' rows by a boolean mask: the
 drift windows read the previous round's cents, and :func:`run_round`
 derives the round's market (a :class:`~faircda.model._Market`, which the
 market mean prices and the instance's integers are read from) from the
 draws, without sorting or checking bids that are valid by construction.
-Bids given any other way are sorted and checked once, and the same record
-derived from them.  The bids' prices are
+Bids given any other way, a ``list(...)`` copy included, are sorted and
+checked once, and the same record derived from them.  The bids' prices are
 :class:`~faircda.model.PriceVector`s: the repository's history holds them,
 and its snapshot formats their integers.
 
@@ -170,7 +171,7 @@ def run_round(
     winning rate of zero.
 
     The round's integers are derived once, here: from the draws when the
-    bids are the generators' lists as built, which pass every check by
+    bids are the generators' tuples, which pass every check by
     construction, and otherwise from the bids, sorted by id and checked
     once, as a :class:`~faircda.wdp_solver.WdpInstance` checks them.  An
     entry that is not a bid of its side raises ``ValueError``.
@@ -261,18 +262,16 @@ def _simulate_one_run(
     try:
         rng_bids, rng_fair = (_run_rng(config.master_seed, run_index, stream) for stream in (0, 1))
         repo = Repository.fresh(range(scenario.shape.num_consumers))
-        all_bids: Optional[list[ConsumerBid]] = None
+        all_bids: Optional[tuple[ConsumerBid, ...]] = None
         rows: list[metrics.PerRoundRow] = []
         drops = 0
         for _ in range(config.rounds):
-            # The generators' lists carry their draws, and these passes keep
-            # them: the drift windows read the previous round's list's cents,
+            # The generators' tuples carry their draws, and these passes keep
+            # them: the drift windows read the previous round's tuple's cents,
             # and run_round reads the round's market from the draws.
             provider_bids = generate_provider_bids(scenario, rng_bids)
             all_bids = generate_consumer_bids(scenario, rng_bids, all_bids)
-            active = all_bids.rows(
-                [n for n, b in enumerate(all_bids) if not repo.record(b.consumer_id).dropped]
-            )
+            active = all_bids.rows([not repo.record(b.consumer_id).dropped for b in all_bids])
             result = run_round(repo, active, provider_bids, config, rng_fair)
             repo = update_repository(repo, result)
             drops += len(result.drops_this_round)

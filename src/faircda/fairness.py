@@ -110,7 +110,8 @@ def compute_fairness_factors(
     """Run the factor-assignment procedure for one round's participants.
 
     ``records`` maps consumer id to :class:`ParticipantRecord` (the
-    repository's records).  Each participant's previous-round outcome is read
+    repository's records); a participant listed twice raises ``ValueError``
+    before any draw.  Each participant's previous-round outcome is read
     from their record: active consumers bid every round, so a record with no
     wins and no losses is new (factor 0, branch "none", as for everyone in
     round one), a positive losing streak means they lost the previous round,
@@ -127,6 +128,9 @@ def compute_fairness_factors(
     ``random(n)`` returns a numpy array of ``n`` floats works.
     """
     ids = sorted(participants)
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ValueError(f"consumer {a} is listed twice among the participants")
     draws = rng.random(len(ids)).tolist()
     # A reward (cl + 1) * (alpha1 * losses + alpha2 * q) and a penalty
     # -(beta1 * wins + beta2 / q), for q = qn / qd, each as one fraction of

@@ -122,14 +122,16 @@ def win_rate_percent(num_winners: int, num_participants: int) -> float:
 def aggregate(rows: Sequence[PerRoundRow], run: int) -> RunMetrics:
     """Collapse one run's per-round rows, in round order, into its summary row.
 
-    The rows must be rounds 1..n, each exactly once.  A consumer drops at
-    most once, so the run's drops are the steps of ``cumulative_drops``: a
-    step of k at round r is k drops at round r.  A count that falls is an
-    error.
+    The rows must be rounds 1..n of run ``run``, each exactly once.  A
+    consumer drops at most once, so the run's drops are the steps of
+    ``cumulative_drops``: a step of k at round r is k drops at round r.  A
+    count that falls is an error.
     """
     drop_rounds: list[int] = []
     dropped = 0
     for expected, row in enumerate(rows, 1):
+        if row.run != run:
+            raise ValueError(f"run {run}: a row of run {row.run} at round {row.round}")
         if row.round != expected:
             raise ValueError(
                 f"run {run}: round {row.round} where round {expected} belongs "

@@ -9,12 +9,13 @@ per consumer but the market keeps moving.
 
 Each bid's prices are its row of cent draws as a
 :class:`~faircda.model.PriceVector`, integers over 100: no ``Fraction`` is
-built for them here.  The generators return their bids as a list that also
-carries the int64 draws (:class:`_DrawnBids`).  The engine's run loop
-passes those lists on: the consumer list is the next round's previous
-prices, whose drift windows read its cents, and the round's market is read
-from both lists' draws (:func:`_drawn_market`), never from the bids built
-from them.
+built for them here.  The generators return their bids as an immutable
+tuple that also carries the int64 draws, read-only (:class:`_DrawnBids`),
+so the draws always stand for the bids.  The engine's run loop passes
+those tuples on: the consumer tuple is the next round's previous prices,
+whose drift windows read its cents, and the round's market is read from
+both tuples' draws (:func:`_drawn_market`), never from the bids built from
+them.
 
 Draw order is part of the reproducibility contract: per call, one block of
 quantity draws then one block of price draws, each laid out participant-
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
-from operator import is_
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -139,47 +140,48 @@ def _cent_vectors(cents: np.ndarray) -> list[PriceVector]:
     return list(map(PriceVector._make, map(tuple, rows), (_CENTS // g).tolist()))
 
 
-class _DrawnBids(list):
+class _DrawnBids(tuple):
     """A generator's bids in id order, with the int64 draws they were built
     from: bid ``i`` is row ``i`` of ``quantities`` and of ``cents``.
 
-    The draws stand for the bids only while the list holds exactly the bids
-    built (:meth:`intact`): a caller may reorder or edit the list.
+    The tuple and its read-only draws cannot be edited, so the draws always
+    stand for the bids; ``list(bids)`` is an editable copy of plain bids.
     """
 
-    __slots__ = ("quantities", "cents", "_built")
-
-    def __init__(self, bids, quantities: np.ndarray, cents: np.ndarray):
-        super().__init__(bids)
+    def __new__(cls, bids, quantities: np.ndarray, cents: np.ndarray):
+        self = super().__new__(cls, bids)
+        quantities.flags.writeable = cents.flags.writeable = False
         self.quantities, self.cents = quantities, cents
-        self._built = tuple(self)
+        return self
 
-    def rows(self, positions: list[int]) -> "_DrawnBids":
-        """The bids at ascending ``positions``, with their rows of draws."""
-        index = np.array(positions, dtype=np.intp)
-        bids = map(self.__getitem__, positions)
-        return type(self)(bids, self.quantities[index], self.cents[index])
+    def __reduce__(self):
+        return type(self), (tuple(self), self.quantities, self.cents)
 
-    def intact(self) -> bool:
-        return len(self) == len(self._built) and all(map(is_, self, self._built))
+    def rows(self, keep: Sequence[bool]) -> "_DrawnBids":
+        """The bids flagged in ``keep``, one boolean per bid, with their draws."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(self),):
+            raise ValueError(f"keep must be {len(self)} booleans, one per bid, got {keep.dtype}")
+        return type(self)(compress(self, keep.tolist()), self.quantities[keep], self.cents[keep])
 
 
 class _DrawnConsumers(_DrawnBids):
-    __slots__ = ()
+    pass
 
 
 class _DrawnProviders(_DrawnBids):
-    __slots__ = ()
+    pass
 
 
 def _drawn_market(
     consumer_bids: Sequence[ConsumerBid], provider_bids: Sequence[ProviderBid]
 ) -> Optional[_Market]:
     """The market of generated consumer and provider bids, read from their
-    draws, with no bid read; ``None`` unless both lists are intact, cover
-    the same number of types and hold fewer than 2**63 units, the checks of
-    ``wdp_solver._bid_market`` that generated bids can fail: each side is in
-    id order with no id twice by construction.
+    draws, with no bid read; ``None`` unless both are the generators'
+    tuples (or rows of them), cover the same number of types and hold fewer
+    than 2**63 units, the checks of ``wdp_solver._bid_market`` that
+    generated bids can fail: each side is in id order with no id twice by
+    construction.
 
     ``D`` is 100 over the gcd of 100 and every cent, which is the lcm of the
     rows' price vector denominators, and each price over ``D`` its cents
@@ -187,8 +189,6 @@ def _drawn_market(
     if not (
         type(consumer_bids) is _DrawnConsumers
         and type(provider_bids) is _DrawnProviders
-        and consumer_bids.intact()
-        and provider_bids.intact()
         and consumer_bids.cents.shape[1] == provider_bids.cents.shape[1]
     ):
         return None
@@ -213,8 +213,11 @@ def _drawn_market(
     )
 
 
-def generate_provider_bids(config: ScenarioConfig, rng: np.random.Generator) -> list[ProviderBid]:
-    """Draw one offer per provider: per-type supply and ask prices."""
+def generate_provider_bids(
+    config: ScenarioConfig, rng: np.random.Generator
+) -> tuple[ProviderBid, ...]:
+    """Draw one offer per provider: per-type supply and ask prices, as an
+    immutable tuple in id order that carries its read-only draws."""
     M = config.shape.num_providers
     L = config.shape.num_resource_types
     qlo, qhi = config.provider_quantity_range
@@ -255,22 +258,23 @@ def generate_consumer_bids(
     config: ScenarioConfig,
     rng: np.random.Generator,
     previous_personal_prices: Optional[Sequence[ConsumerBid]] = None,
-) -> list[ConsumerBid]:
-    """Draw one request per consumer: per-type demand and offered prices.
+) -> tuple[ConsumerBid, ...]:
+    """Draw one request per consumer: per-type demand and offered prices, as
+    an immutable tuple in id order that carries its read-only draws.
 
     Without previous prices (round one), prices are uniform over the
-    configured range.  Given ``previous_personal_prices``, the list this
-    function returned for the prior round, unmodified and of this
-    configuration's shape, each consumer's price for each type is uniform
-    over ``[(1 - drift) * previous, (1 + drift) * previous]`` clamped into
-    the range, where ``previous`` is that consumer's own price in the list.
-    Anything else raises ``ValueError``.
+    configured range.  Given ``previous_personal_prices``, the tuple this
+    function returned for the prior round, of this configuration's shape,
+    each consumer's price for each type is uniform over
+    ``[(1 - drift) * previous, (1 + drift) * previous]`` clamped into the
+    range, where ``previous`` is that consumer's own price in the tuple.
+    Anything else, a ``list(...)`` copy included, raises ``ValueError``.
     """
     N = config.shape.num_consumers
     L = config.shape.num_resource_types
     previous = previous_personal_prices
     if previous is not None and not (
-        type(previous) is _DrawnConsumers and previous.intact() and previous.cents.shape == (N, L)
+        type(previous) is _DrawnConsumers and previous.cents.shape == (N, L)
     ):
         raise ValueError(
             "previous_personal_prices must be the unmodified consumer list generated "

@@ -611,9 +611,9 @@ class TestRoundsFromDraws:
         assert calls == {name: 12 for name in (*names, "from_bids")}
 
     def test_generated_lists_clear_from_their_draws_only_as_built(self):
-        """A generator's list clears from its draws only while it holds the
-        bids built, over its counterpart's types: otherwise it clears, or
-        fails, as a plain list of the same bids does."""
+        """A generator's list clears from its draws, over its counterpart's
+        types; a list copy, reordered or edited, clears as plain bids do,
+        and a list of other types fails as a plain list of its bids does."""
         scenario = ScenarioConfig(shape=MarketShape(8, 2, 2), runs=1)
         rng = np.random.default_rng(5)
         providers = generate_provider_bids(scenario, rng)
@@ -625,12 +625,13 @@ class TestRoundsFromDraws:
 
         expected = clear(list(consumers), list(providers))
         assert_same_instance(clear(consumers, providers).instance, expected.instance)
-        consumers.reverse()
-        assert_same_instance(clear(consumers, providers).instance, expected.instance)
-        consumers[2] = ConsumerBid(5, (Fraction(240), Fraction("249.99")), (3, 1))
-        result = clear(consumers, providers)
-        assert_same_instance(result.instance, clear(list(consumers), providers).instance)
-        assert result.instance.consumer_bids[5].bid is consumers[2]
+        edited = list(consumers)
+        edited.reverse()
+        assert_same_instance(clear(edited, providers).instance, expected.instance)
+        edited[2] = ConsumerBid(5, (Fraction(240), Fraction("249.99")), (3, 1))
+        result = clear(edited, providers)
+        assert_same_instance(result.instance, clear(edited, list(providers)).instance)
+        assert result.instance.consumer_bids[5].bid is edited[2]
 
         wider = ScenarioConfig(shape=MarketShape(8, 2, 3), runs=1)
         wide_consumers = generate_consumer_bids(wider, rng)
@@ -642,6 +643,28 @@ class TestRoundsFromDraws:
         expected_message = "provider 0: bid covers 2 resource types, market has 3"
         assert messages == [expected_message, expected_message]
         assert _drawn_market(wide_consumers, providers) is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(keep=st.lists(st.booleans(), min_size=8, max_size=8), seed=st.integers(0, 2**16))
+    def test_a_selection_clears_as_the_list_of_its_bids(self, keep, seed):
+        """The bids a keep-mask selects from a generated list, after a round
+        that gives them fairness factors, clear field for field as a plain
+        list of the same bids does."""
+        scenario = ScenarioConfig(shape=MarketShape(8, 2, 2), runs=1)
+        rng = np.random.default_rng(seed)
+        repo, config = Repository.fresh(range(8)), EngineConfig()
+        consumers = generate_consumer_bids(scenario, rng)
+        first = run_round(repo, consumers, generate_provider_bids(scenario, rng), config, rng)
+        repo = update_repository(repo, first)
+        providers = generate_provider_bids(scenario, rng)
+        consumers = generate_consumer_bids(scenario, rng, consumers)
+        kept = consumers.rows(keep)
+        assert _drawn_market(kept, providers) is not None
+        result = run_round(repo, kept, providers, config, fairness_rng(seed))
+        plain = [b for b, k in zip(consumers, keep) if k]
+        expected = run_round(repo, plain, list(providers), config, fairness_rng(seed))
+        assert_same_instance(result.instance, expected.instance)
+        assert result.solution == expected.solution
 
     def test_the_draws_market_takes_the_checked_paths_conditions(self):
         """Lists of two configurations give the draws' market when they
@@ -689,9 +712,9 @@ class TestRoundsFromDraws:
     ):
         """run_simulation's rows and final repository are those of a loop
         over generate_provider_bids, generate_consumer_bids, run_round and
-        update_repository, drops included.  The loop hands on a plain dict
-        and plain lists, so its rounds are read from the bids, not the
-        draws."""
+        update_repository, drops included.  The loop hands run_round plain
+        lists of the active bids, so its rounds are read from the bids, not
+        the draws."""
         scenario = ScenarioConfig(
             shape=MarketShape(*shape),
             runs=1,

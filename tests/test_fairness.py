@@ -247,6 +247,12 @@ class TestComputeFairnessFactors:
         compute_fairness_factors(self.records(), [2, 0, 1], self.MEANS, PARAMS, rng)
         assert rng.draws == 3
 
+    def test_participant_listed_twice_is_rejected_before_any_draw(self):
+        rng = _ConstantRng(0.5)
+        with pytest.raises(ValueError, match="consumer 2 is listed twice"):
+            compute_fairness_factors(self.records(), [2, 0, 2], self.MEANS, PARAMS, rng)
+        assert rng.draws == 0
+
     def test_missing_record_names_the_consumer(self):
         with pytest.raises(ValueError, match="consumer 7"):
             compute_fairness_factors({}, [7], self.MEANS, PARAMS, _ConstantRng(0.5))

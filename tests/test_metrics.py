@@ -103,6 +103,12 @@ class TestAggregate:
         with pytest.raises(ValueError, match="cumulative drops fall from 2 to 1 at round 2"):
             aggregate(rows, 0)
 
+    def test_another_runs_row_is_an_error(self):
+        rows = [make_row(1, run=1), make_row(2, run=1)]
+        assert aggregate(rows, 1).run == 1
+        with pytest.raises(ValueError, match="run 0: a row of run 1 at round 1"):
+            aggregate(rows, 0)
+
     def test_utility_sums_exactly(self):
         rows = [make_row(1, total_utility=5), make_row(2, total_utility=7)]
         assert aggregate(rows, 0).total_utility == 12

@@ -1,5 +1,7 @@
 """Bid generation: ranges, determinism, and the price drift rule."""
 
+import copy
+import pickle
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from oracles import (
 from faircda.model import ConsumerBid, MarketShape, PriceVector
 from faircda.scenario import (
     ScenarioConfig,
+    _drawn_market,
     _drift_windows,
     _grid_bounds,
     generate_consumer_bids,
@@ -34,6 +37,7 @@ def rng(seed=0):
 
 
 def _with_bid_4_replaced(bids):
+    bids = list(bids)
     bids[4] = ConsumerBid(4, bids[4].unit_prices, bids[4].quantities)
     return bids
 
@@ -180,7 +184,9 @@ class TestConsumerBids:
             pytest.param(lambda bids: [b.unit_prices for b in bids], id="price-tuples"),
             pytest.param(list, id="plain-list"),
             pytest.param(_with_bid_4_replaced, id="edited"),
-            pytest.param(lambda bids: bids.rows([0, 2, 5]), id="rows-subset"),
+            pytest.param(
+                lambda bids: bids.rows([n in (0, 2, 5) for n in range(12)]), id="rows-subset"
+            ),
             pytest.param(
                 lambda bids: generate_consumer_bids(
                     small_config(shape=MarketShape(12, 3, 3)), rng(1)
@@ -192,15 +198,15 @@ class TestConsumerBids:
     )
     def test_a_generated_list_is_previous_prices_only_as_built(self, make_previous):
         """The previous prices are the list a round generated for this
-        configuration's shape, unmodified: prices given per consumer id,
-        a plain list, an edited list, one cut to some rows, or one of
-        another shape raise the one ``ValueError``."""
+        configuration's shape: prices given per consumer id, a plain list
+        copy, an edited copy, a list cut to some rows, or one of another
+        shape raise the one ``ValueError``."""
         config = small_config()
         previous = make_previous(generate_consumer_bids(config, rng(1)))
         with pytest.raises(ValueError, match="must be the unmodified consumer list"):
             generate_consumer_bids(config, rng(2), previous)
 
-    def test_the_intact_list_is_previous_prices(self):
+    def test_the_generated_list_is_previous_prices(self):
         config = small_config()
         bids = generate_consumer_bids(config, rng(1))
         assert len(generate_consumer_bids(config, rng(2), bids)) == len(bids)
@@ -221,6 +227,81 @@ class TestConsumerBids:
         for bid in bids:
             for p in bid.unit_prices:
                 assert (p * 100).denominator == 1
+
+
+class TestGeneratedLists:
+    """A generator returns its bids as an immutable tuple that carries the
+    read-only int64 draws they were built from."""
+
+    CONFIG = small_config(shape=MarketShape(6, 2, 2))
+
+    def lists(self):
+        generator = rng(7)
+        consumers = generate_consumer_bids(self.CONFIG, generator)
+        return consumers, generate_provider_bids(self.CONFIG, generator)
+
+    def test_bids_cannot_be_replaced(self):
+        for bids in self.lists():
+            with pytest.raises(TypeError):
+                bids[0] = bids[1]
+
+    @pytest.mark.parametrize("draws", ["quantities", "cents"])
+    def test_draws_are_read_only(self, draws):
+        for bids in self.lists():
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(bids, draws)[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "keep",
+        [
+            pytest.param([1, 1], id="twice"),
+            pytest.param([0, 0], id="first-twice"),
+            pytest.param([3, 0], id="out-of-order"),
+            pytest.param([1, 0, 1, 0, 1, 0], id="integers"),
+            pytest.param([True], id="short"),
+            pytest.param([True] * 7, id="long"),
+        ],
+    )
+    def test_rows_takes_one_boolean_per_bid(self, keep):
+        """Positions, or flags for another number of bids, are refused, so
+        no selection repeats or reorders a bid."""
+        for bids in self.lists():
+            with pytest.raises(ValueError, match=f"keep must be {len(bids)} booleans"):
+                bids.rows(keep)
+
+    def test_rows_keeps_the_flagged_bids_and_their_draws(self):
+        consumers, _ = self.lists()
+        keep = [True, False, False, True, True, False]
+        kept = consumers.rows(keep)
+        assert type(kept) is type(consumers)
+        assert list(kept) == [b for b, k in zip(consumers, keep) if k]
+        for name in ("quantities", "cents"):
+            rows = getattr(kept, name)
+            assert rows.tolist() == getattr(consumers, name)[[0, 3, 4]].tolist()
+            assert not rows.flags.writeable
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda bids: pickle.loads(pickle.dumps(bids)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_a_copy_keeps_its_draws(self, duplicate):
+        """A copy is a generated list still: it is accepted as previous
+        prices, drifting as the original does, and its market is read from
+        its draws."""
+        consumers, providers = self.lists()
+        copies = duplicate(consumers), duplicate(providers)
+        for twin, bids in zip(copies, (consumers, providers)):
+            assert type(twin) is type(bids) and twin == bids
+            for name in ("quantities", "cents"):
+                assert getattr(twin, name).tolist() == getattr(bids, name).tolist()
+                assert not getattr(twin, name).flags.writeable
+        drifted = generate_consumer_bids(self.CONFIG, rng(2), copies[0])
+        assert drifted == generate_consumer_bids(self.CONFIG, rng(2), consumers)
+        market, expected = _drawn_market(*copies), _drawn_market(consumers, providers)
+        assert market.denominator == expected.denominator
+        for ours, theirs in zip(market[1:], expected[1:]):
+            assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
 
 
 def test_default_round_one_markets_are_non_degenerate():
@@ -313,7 +394,7 @@ class TestAgainstReference:
         assert lo.dtype == hi.dtype == np.int64
         assert [list(zip(a, b)) for a, b in zip(lo.tolist(), hi.tolist())] == expected
         bids = generate_consumer_bids(config, rng(seed), previous)
-        assert bids == reference_consumer_bids(config, rng(seed), by_id)
+        assert list(bids) == reference_consumer_bids(config, rng(seed), by_id)
         _assert_same_as_validated(bids)
 
     @settings(max_examples=50, deadline=None)
@@ -322,8 +403,8 @@ class TestAgainstReference:
         config, _, seed = case
         generator, reference = rng(seed), rng(seed)
         providers = generate_provider_bids(config, generator)
-        assert providers == reference_provider_bids(config, reference)
+        assert list(providers) == reference_provider_bids(config, reference)
         _assert_same_as_validated(providers)
         bids = generate_consumer_bids(config, generator)
-        assert bids == reference_consumer_bids(config, reference)
+        assert list(bids) == reference_consumer_bids(config, reference)
         _assert_same_as_validated(bids)
