@@ -35,6 +35,7 @@ import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -142,8 +143,10 @@ class RoundResult:
                 losers.remove(cid)
         self.utilization_percent  # raises for a market that offers no units
 
-    @property
+    @cached_property
     def utilization_percent(self) -> float:
+        """Units sold per unit offered, in percent: counted once, by the
+        constructor, which raises for a market that offers no units."""
         offered = metrics.units_offered(self.instance.provider_bids)
         return metrics.utilization_from_units(self.solution.allocation.units_sold(), offered)
 

@@ -631,7 +631,9 @@ class Allocation:
     integrality, non-negativity); feasibility against a concrete instance —
     supply, demand exactness, linkage, price compatibility — is checked by
     ``wdp_solver.validate_solution`` so that deliberately infeasible
-    allocations can be constructed and diagnosed.
+    allocations can be constructed and diagnosed.  The solvers skip the
+    constructor (``wdp_solver._build_solution``): their transfers are a
+    fresh array, well-formed by construction, made read-only in place.
     """
 
     winners: tuple[bool, ...]

@@ -76,7 +76,9 @@ class ScenarioConfig:
 
     Every provider offers at least one unit of each type and every offer is
     priced above zero, so each round's utilization and the fairness
-    factors' market mean prices are defined.
+    factors' market mean prices are defined.  Each price range's cent grid,
+    the lowest and highest whole cents it holds, is derived once, when the
+    configuration is built, and the generators read it from there.
     """
 
     shape: MarketShape = field(default_factory=lambda: MarketShape(300, 5, 4))
@@ -106,12 +108,16 @@ class ScenarioConfig:
             if hi < lo:
                 raise ValueError(f"{name} must be a non-empty interval, got [{lo}, {hi}]")
             object.__setattr__(self, name, (lo, hi))
-        for name in ("provider_price_range", "consumer_price_range"):
-            lo_c, hi_c = _grid_bounds(getattr(self, name))
+        for side in ("provider", "consumer"):
+            name = f"{side}_price_range"
+            lo_c, hi_c = grid = _grid_bounds(getattr(self, name))
             if lo_c > hi_c:
                 raise ValueError(f"{name} contains no representable price (grid is 1/{_CENTS})")
             if hi_c >= _INT64_LIMIT:
                 raise ValueError(f"{name} must stay below 2**63 cents, got {hi_c} cents")
+            # Kept for the generators, but not a field: equality, repr and
+            # dataclasses.replace see only the range it is derived from.
+            object.__setattr__(self, f"_{side}_grid", grid)
         if self.provider_quantity_range[0] < 1:
             raise ValueError(
                 "provider_quantity_range must start at 1 or more, got "
@@ -221,9 +227,8 @@ def generate_provider_bids(
     M = config.shape.num_providers
     L = config.shape.num_resource_types
     qlo, qhi = config.provider_quantity_range
-    plo_c, phi_c = _grid_bounds(config.provider_price_range)
     quantities = rng.integers(qlo, qhi, size=(M, L), endpoint=True)
-    price_cents = rng.integers(plo_c, phi_c, size=(M, L), endpoint=True)
+    price_cents = rng.integers(*config._provider_grid, size=(M, L), endpoint=True)
     # Integer draws from the validated ranges, as ints and cent-grid price
     # vectors: valid by construction, so the constructor's checks are skipped.
     bids = [
@@ -281,7 +286,7 @@ def generate_consumer_bids(
             f"for the prior round, of {N} consumers and {L} types"
         )
     qlo, qhi = config.consumer_quantity_range
-    grid = _grid_bounds(config.consumer_price_range)
+    grid = config._consumer_grid
     quantities = rng.integers(qlo, qhi, size=(N, L), endpoint=True)
     if qlo < 1:
         # Every bid must request something; bump one uniformly chosen type.

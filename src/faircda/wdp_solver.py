@@ -77,6 +77,7 @@ from .model import (
     _Market,
     _check_count,
     _price_dtype,
+    _unchecked,
     exact_sum,
     over_common_denominator,
     price_rows,
@@ -362,13 +363,16 @@ def _route(instance: WdpInstance, positions: Sequence[int]) -> Optional[np.ndarr
     """Cheapest feasible routing that fully serves the consumers at
     ``positions``, as a dense transfers array, or None.
 
-    Each resource type is routed independently.  Per type, lay the winners'
-    demands end to end in ascending (threshold, position) order, and the
-    providers' supplies end to end in ascending (ask, position) order: each
-    winner takes from each provider the overlap of their two intervals.
-    That is the cheapest-first fill, and it is feasible iff the supply
-    covers the demand and no winner overlaps a provider asking more than the
-    winner's price.
+    Per type, lay the winners' demands end to end in ascending (threshold,
+    position) order, and the providers' supplies end to end in ascending
+    (ask, position) order: each winner takes from each provider the overlap
+    of their two intervals.  That is the cheapest-first fill, and it is
+    feasible iff every winner's interval ends within the supply of the
+    providers they can afford (``reach``), which also bounds the demand by
+    the supply.  Every type is routed in one pass over ``(L, W)`` arrays of
+    the ``W`` winners, and their overlaps with the providers are one
+    ``(L, W, M)`` array; a winner who wants none of a type has an empty
+    interval there, which overlaps nothing.
     """
     N = instance.shape.num_consumers
     M = instance.shape.num_providers
@@ -376,25 +380,19 @@ def _route(instance: WdpInstance, positions: Sequence[int]) -> Optional[np.ndarr
     sc = instance._scaled
     y = np.zeros((N, L, M), dtype=np.int64)
     positions = np.sort(np.asarray(positions, dtype=np.intp))
-    for l in range(L):
-        wanting = positions[sc.consumer_quantities[positions, l] > 0]
-        if not len(wanting):
-            continue
-        thresholds = sc.consumer_prices[wanting, l]
-        rank = np.argsort(thresholds, kind="stable")
-        wanting, thresholds = wanting[rank], thresholds[rank]
-        need = sc.consumer_quantities[wanting, l]
-        end = np.cumsum(need)
-        cs = sc.cumsup[l]
-        if end[-1] > cs[-1]:
-            return None
-        overlap = np.minimum(end[:, None], cs[None, 1:]) - np.maximum(
-            (end - need)[:, None], cs[None, :-1]
-        )
-        overlap = np.maximum(overlap, 0)
-        if ((overlap > 0) & (sc.sorted_prices[l][None, :] > thresholds[:, None])).any():
-            return None
-        y[wanting[:, None], l, sc.order[l][None, :]] = overlap
+    # Row l: the winners by type-l threshold, stable over the sorted positions.
+    winners = positions[np.argsort(sc.consumer_prices[positions].T, axis=1, kind="stable")]
+    types = np.arange(L)[:, None]
+    need = sc.consumer_quantities[winners, types]
+    end = need.cumsum(axis=1)
+    # A winner who wants none of the type ends where the one before them
+    # ends, within their own reach too: reach grows with the threshold.
+    if (end > sc.cumsup[types, sc.reach[winners, types]]).any():
+        return None
+    overlap = np.minimum(end[:, :, None], sc.cumsup[:, None, 1:]) - np.maximum(
+        (end - need)[:, :, None], sc.cumsup[:, None, :-1]
+    )
+    y[winners[:, :, None], types[:, :, None], sc.order[:, None, :]] = np.maximum(overlap, 0)
     return y
 
 
@@ -404,6 +402,8 @@ def validate_solution(instance: WdpInstance, allocation: Allocation) -> list[str
     An empty list means the allocation is feasible for this instance.  The
     two linkage inequalities are checked even though demand exactness
     implies them, so a diagnosed allocation reports every broken constraint.
+    Each family's violations are one boolean mask, built once; only an
+    allocation with a violation is walked cell by cell to word its messages.
     """
     N = instance.shape.num_consumers
     M = instance.shape.num_providers
@@ -415,56 +415,63 @@ def validate_solution(instance: WdpInstance, allocation: Allocation) -> list[str
             f"does not match the instance shape ({N}, {L}, {M})"
         )
     sc = instance._scaled
-    violations: list[str] = []
     x = np.array(allocation.winners, dtype=np.int64)
-    # Lower bound of the transfer domain (y >= 0) is enforced by the
-    # Allocation constructor; everything instance-dependent is checked here.
+    # The lower bound of the transfer domain (y >= 0) holds for every
+    # allocation: the Allocation constructor checks a caller's array, and a
+    # solver's is non-negative by construction.  Everything
+    # instance-dependent is checked here.
     caps = sc.provider_quantities.T
-
-    for n, l, m in np.argwhere(y > caps[None, :, :]):
-        violations.append(
-            f"y[{n},{l},{m}] = {y[n, l, m]} exceeds provider "
-            f"{instance.provider_bids[m].provider_id}'s offer of {caps[l, m]} "
-            f"units of type {l} (transfer domain)"
-        )
-
-    per_consumer_total = y.sum(axis=(1, 2))
     demand = sc.consumer_quantities
-    for (n,) in np.argwhere(x * demand.sum(axis=1) < per_consumer_total):
-        violations.append(
-            f"consumer {instance.consumer_bids[n].consumer_id}: receives "
-            f"{per_consumer_total[n]} units but is not marked a winner covering "
-            f"them (linkage lower bound)"
-        )
-    for (n,) in np.argwhere(x > per_consumer_total):
-        violations.append(
-            f"consumer {instance.consumer_bids[n].consumer_id}: marked winner but "
-            f"receives no units (linkage upper bound)"
-        )
-
-    sold = y.sum(axis=0)
-    for l, m in np.argwhere(sold > caps):
-        violations.append(
-            f"provider {instance.provider_bids[m].provider_id}: sells {sold[l, m]} "
-            f"units of type {l}, offered only {caps[l, m]} (supply)"
-        )
-
     received = y.sum(axis=2)
-    for n, l in np.argwhere(received != demand * x[:, None]):
-        expected = demand[n, l] if x[n] else 0
-        violations.append(
-            f"consumer {instance.consumer_bids[n].consumer_id}: receives "
-            f"{received[n, l]} units of type {l}, demand exactness requires {expected}"
-        )
-
-    underpriced = sc.consumer_prices[:, :, None] < sc.provider_prices.T[None, :, :]
-    for n, l, m in np.argwhere((y > 0) & underpriced):
-        violations.append(
-            f"consumer {instance.consumer_bids[n].consumer_id} pays "
-            f"{instance.consumer_bids[n].bid.unit_prices[l]} per unit of type {l} but "
-            f"provider {instance.provider_bids[m].provider_id} asks "
-            f"{instance.provider_bids[m].unit_prices[l]} (price compatibility)"
-        )
+    per_consumer_total = received.sum(axis=1)
+    sold = y.sum(axis=0)
+    masks = (
+        y > caps[None, :, :],
+        x * demand.sum(axis=1) < per_consumer_total,
+        x > per_consumer_total,
+        sold > caps,
+        received != demand * x[:, None],
+        (y > 0) & (sc.consumer_prices[:, :, None] < sc.provider_prices.T[None, :, :]),
+    )
+    if not any(mask.any() for mask in masks):
+        return []
+    over_offer, unlinked, unserved, oversold, inexact, underpriced = masks
+    consumers, providers = instance.consumer_bids, instance.provider_bids
+    violations = [
+        f"y[{n},{l},{m}] = {y[n, l, m]} exceeds provider "
+        f"{providers[m].provider_id}'s offer of {caps[l, m]} "
+        f"units of type {l} (transfer domain)"
+        for n, l, m in np.argwhere(over_offer)
+    ]
+    violations += [
+        f"consumer {consumers[n].consumer_id}: receives "
+        f"{per_consumer_total[n]} units but is not marked a winner covering "
+        f"them (linkage lower bound)"
+        for (n,) in np.argwhere(unlinked)
+    ]
+    violations += [
+        f"consumer {consumers[n].consumer_id}: marked winner but "
+        f"receives no units (linkage upper bound)"
+        for (n,) in np.argwhere(unserved)
+    ]
+    violations += [
+        f"provider {providers[m].provider_id}: sells {sold[l, m]} "
+        f"units of type {l}, offered only {caps[l, m]} (supply)"
+        for l, m in np.argwhere(oversold)
+    ]
+    violations += [
+        f"consumer {consumers[n].consumer_id}: receives "
+        f"{received[n, l]} units of type {l}, demand exactness requires "
+        f"{demand[n, l] if x[n] else 0}"
+        for n, l in np.argwhere(inexact)
+    ]
+    violations += [
+        f"consumer {consumers[n].consumer_id} pays "
+        f"{consumers[n].bid.unit_prices[l]} per unit of type {l} but "
+        f"provider {providers[m].provider_id} asks "
+        f"{providers[m].unit_prices[l]} (price compatibility)"
+        for n, l, m in np.argwhere(underpriced)
+    ]
     return violations
 
 
@@ -481,18 +488,23 @@ def _build_solution(
     their demand that the solver read at the price breakpoints, which is the
     routing's.  The routing is feasible by construction, so it is not
     validated here; the engine validates each round's allocation once, when
-    it settles it.  ``bound``, where the solver has one, returns an upper
-    bound on the optimum; it is called only when something reads the gap.
+    it settles it.  The allocation skips ``Allocation``'s constructor: its
+    copy and checks guard an array a caller still holds, and this one is
+    fresh from :func:`_route`, int64, non-negative and of the instance's
+    shape, so it is made read-only in place.  ``bound``, where the solver
+    has one, returns an upper bound on the optimum; it is called only when
+    something reads the gap.
     """
     y = _route(instance, positions)
     if y is None:
         raise RuntimeError("internal error: solver produced an infeasible winner set")
+    y.flags.writeable = False
     sc = instance._scaled
     chosen = set(positions)
     winners = tuple(n in chosen for n in range(instance.shape.num_consumers))
     value = sum(sc.budgets[n] for n in positions)
     return WdpSolution(
-        allocation=Allocation(winners=winners, transfers=y),
+        allocation=_unchecked(Allocation, winners=winners, transfers=y),
         total_utility=Fraction(value - cost, sc.denominator),
         total_satisfaction=exact_sum(sc.fairness[n] for n in positions if sc.fairness[n]),
         optimality=optimality,

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's solver machinery: routing cost is
 found by enumerating every integer transfer matrix, type by type, the
-optimum by enumerating every winner set, and the heuristic (as a
-candidate-by-candidate loop), the fairness factors and the bid generator's
-drift windows are written directly in ``Fraction`` arithmetic, read from
-the bids.  Keep them slow and obvious.
+routing itself by filling one unit at a time, the optimum by enumerating
+every winner set, and the heuristic (as a candidate-by-candidate loop),
+the fairness factors and the bid generator's drift windows are written
+directly in ``Fraction`` arithmetic, read from the bids.  Keep them slow
+and obvious.
 """
 
 import itertools
@@ -80,6 +81,29 @@ def _brute_force_type(inst, winner_positions, l):
 
     recurse(0, supply, Fraction(0))
     return best[0]
+
+
+def reference_route(inst: WdpInstance, winner_positions) -> np.ndarray | None:
+    """The cheapest-first fill, one unit at a time: per type, the winners
+    who demand it are served in (unit price, position) order, each taking
+    their units from the cheapest provider with supply left, by (ask,
+    position).  None when the supply runs out or the next unit would cost
+    more than the winner offers."""
+    N, M, L = (inst.shape.num_consumers, inst.shape.num_providers, inst.shape.num_resource_types)
+    y = np.zeros((N, L, M), dtype=np.int64)
+    for l in range(L):
+        asks = [pb.unit_prices[l] for pb in inst.provider_bids]
+        left = [pb.quantities[l] for pb in inst.provider_bids]
+        by_ask = sorted(range(M), key=lambda m: (asks[m], m))
+        bids = {n: inst.consumer_bids[n].bid for n in winner_positions}
+        for n in sorted(bids, key=lambda n: (bids[n].unit_prices[l], n)):
+            for _ in range(bids[n].quantities[l]):
+                m = next((m for m in by_ask if left[m]), None)
+                if m is None or asks[m] > bids[n].unit_prices[l]:
+                    return None
+                left[m] -= 1
+                y[n, l, m] += 1
+    return y
 
 
 def reference_margins(inst: WdpInstance) -> dict[int, Fraction]:

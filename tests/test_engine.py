@@ -343,6 +343,20 @@ class TestRunSimulation:
         run_simulation(scenario, EngineConfig(solver_mode=solver, rounds=4, master_seed=1))
         assert len(calls) == 2 * 4 == len({id(instance) for instance in calls})
 
+    def test_each_round_counts_its_utilization_once(self, monkeypatch):
+        """The constructor's check and the report row read one count."""
+        calls = []
+        real = metrics.utilization_from_units
+
+        def counting(units_sold, offered):
+            calls.append(units_sold)
+            return real(units_sold, offered)
+
+        monkeypatch.setattr(metrics, "utilization_from_units", counting)
+        scenario = ScenarioConfig(shape=MarketShape(12, 2, 2), runs=2)
+        report = run_simulation(scenario, EngineConfig(rounds=4, master_seed=1))
+        assert len(calls) == 2 * 4 == len(report.per_round)
+
     @pytest.mark.parametrize("solver", ["heuristic", "exact"])
     @pytest.mark.parametrize("fairness", [True, False])
     @pytest.mark.parametrize("collecting", [True, False])

@@ -2,7 +2,7 @@
 
 import copy
 import pickle
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +121,30 @@ class TestScenarioConfig:
         )
         assert len(generate_consumer_bids(config, rng())) == N
         assert len(generate_provider_bids(config, rng())) == M
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda c: pickle.loads(pickle.dumps(c)), lambda c: replace(c, runs=c.runs + 1)],
+        ids=["pickle", "replace"],
+    )
+    def test_a_copied_config_generates_the_same_bids(self, duplicate):
+        config = small_config(provider_price_range=("0.505", "2.001"))
+        copied = duplicate(config)
+        bids = []
+        for source in (config, copied):
+            generator = rng(7)
+            providers = generate_provider_bids(source, generator)
+            first = generate_consumer_bids(source, generator)
+            bids.append((providers, first, generate_consumer_bids(source, generator, first)))
+        for ours, theirs in zip(*bids):
+            assert ours == theirs
+            np.testing.assert_array_equal(ours.cents, theirs.cents)
+        assert repr(copied) == repr(config).replace("runs=1", f"runs={copied.runs}")
+
+    def test_a_replaced_range_draws_from_its_own_grid(self):
+        config = replace(small_config(), consumer_price_range=(1, 2))
+        cents = generate_consumer_bids(config, rng(3)).cents
+        assert cents.min() >= 100 and cents.max() <= 200
 
     def test_negative_drift_rejected(self):
         with pytest.raises(ValueError, match="price_drift"):

@@ -1,8 +1,9 @@
 """Winner determination: examples, invariants, and brute-force cross-checks.
 
-The inner routing is checked against an exhaustive enumeration of integer
-transfer matrices, and the branch-and-bound solver against an enumeration of
-every winner set (see ``oracles.py``, both read from the bids alone).
+The inner routing's cost is checked against an exhaustive enumeration of
+integer transfer matrices and its transfers, cell by cell, against a
+unit-by-unit fill, and the branch-and-bound solver against an enumeration
+of every winner set (see ``oracles.py``, all read from the bids alone).
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ from oracles import (
     reference_heuristic_winners,
     reference_margins,
     reference_optimum,
+    reference_route,
     reference_value,
     transfer_cost,
 )
@@ -526,8 +528,9 @@ FACTORS = [Fraction(f) for f in ("-3", "-1/3", "0", "0", "1", "5/2", "1/7", "-2/
 
 
 @st.composite
-def heuristic_instances(draw):
-    """Small markets with ties, zero-quantity types and consumers infeasible alone."""
+def heuristic_instances(draw, scale=Fraction(1)):
+    """Small markets with ties, zero-quantity types and consumers infeasible
+    alone, every price times ``scale``."""
     N = draw(st.integers(0, 12))
     M = draw(st.integers(1, 3))
     L = draw(st.integers(1, 3))
@@ -537,16 +540,64 @@ def heuristic_instances(draw):
         if not any(quantities):
             quantities[draw(st.integers(0, L - 1))] = 1
         prices = draw(st.lists(st.sampled_from(PRICES), min_size=L, max_size=L))
+        prices = [scale * p for p in prices]
         consumers.append(consumer(n, prices, quantities, draw(st.sampled_from(FACTORS))))
     providers = [
         provider(
             m,
-            draw(st.lists(st.sampled_from(PRICES), min_size=L, max_size=L)),
+            [scale * p for p in draw(st.lists(st.sampled_from(PRICES), min_size=L, max_size=L))],
             draw(st.lists(st.integers(0, 5), min_size=L, max_size=L)),
         )
         for m in range(M)
     ]
     return WdpInstance(consumer_bids=consumers, provider_bids=providers)
+
+
+# Every price at least this large is past the int64 guard: the instance's
+# integers are object arrays.
+BIG_SCALE = Fraction(10**19)
+
+
+@st.composite
+def routing_cases(draw):
+    """A small market, on some draws priced past int64, and a winner set,
+    feasible or not: ``(instance, positions, big)``."""
+    big = draw(st.booleans())
+    inst = draw(heuristic_instances(BIG_SCALE if big else Fraction(1)))
+    N = inst.shape.num_consumers
+    chosen = draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    return inst, [n for n, won in enumerate(chosen) if won], big
+
+
+class TestRouteAgainstTheUnitFill:
+    """No report digest catches a wrong split of a winner's units among
+    providers (the report holds only their total), so the routing itself is
+    checked against the unit-by-unit fill."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(routing_cases())
+    def test_route_is_the_unit_by_unit_fill(self, case):
+        inst, positions, big = case
+        assert (inst._scaled.cumsup.dtype == object) == big
+        y, expected = _route(inst, positions), reference_route(inst, positions)
+        if expected is None:
+            assert y is None
+        else:
+            assert y is not None and y.dtype == np.int64
+            np.testing.assert_array_equal(y, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(routing_cases())
+    def test_solver_allocations_are_read_only_and_as_constructed(self, case):
+        inst = case[0]
+        for solver in (solve_exact, solve_heuristic):
+            allocation = solver(inst).allocation
+            assert not allocation.transfers.flags.writeable
+            assert allocation.transfers.dtype == np.int64
+            assert all(type(won) is bool for won in allocation.winners)
+            assert allocation == Allocation(allocation.winners, allocation.transfers)
+            positions = [n for n, won in enumerate(allocation.winners) if won]
+            np.testing.assert_array_equal(allocation.transfers, reference_route(inst, positions))
 
 
 class TestSeededSearch:
@@ -928,6 +979,19 @@ class TestValidateSolution:
             for solver in (solve_exact, solve_heuristic):
                 assert validate_solution(inst, solver(inst).allocation) == []
 
+    def test_a_clean_allocation_is_not_walked(self, monkeypatch):
+        """Only an allocation with a violation is walked cell by cell."""
+        rng = np.random.default_rng(22)
+        instances = [random_micro_instance(rng) for _ in range(10)]
+        solved = [
+            (inst, solver(inst).allocation)
+            for inst in instances
+            for solver in (solve_exact, solve_heuristic)
+        ]
+        monkeypatch.setattr(np, "argwhere", None)
+        for inst, allocation in solved:
+            assert validate_solution(inst, allocation) == []
+
     def test_winner_without_units_reports_linkage_and_demand(self):
         inst = instance([consumer(0, [10], [1])], [provider(0, [5], [1])])
         bad = Allocation(winners=(True,), transfers=np.zeros((1, 1, 1), dtype=np.int64))
@@ -952,6 +1016,40 @@ class TestValidateSolution:
         bad = Allocation(winners=(True,), transfers=np.array([[[1]]]))
         messages = "\n".join(validate_solution(inst, bad))
         assert "price compatibility" in messages
+
+    def test_every_family_is_reported_in_order(self):
+        """One allocation breaking all six families, with fractional prices
+        and ids that are not positions: the full message list, in order."""
+        inst = instance(
+            [
+                consumer(3, [10, Fraction(21, 2)], [1, 1]),
+                consumer(5, [Fraction(7, 2), 10], [1, 0]),
+                consumer(8, [10, 10], [1, 1]),
+            ],
+            [provider(2, [5, 5], [1, 1]), provider(7, [Fraction(13, 2), 11], [1, 1])],
+        )
+        y = np.zeros((3, 2, 2), dtype=np.int64)
+        y[0, 0, 0], y[0, 1, 1], y[1, 0, 1] = 2, 3, 1
+        assert validate_solution(inst, Allocation((True, False, True), y)) == [
+            "y[0,0,0] = 2 exceeds provider 2's offer of 1 units of type 0 (transfer domain)",
+            "y[0,1,1] = 3 exceeds provider 7's offer of 1 units of type 1 (transfer domain)",
+            "consumer 3: receives 5 units but is not marked a winner covering them "
+            "(linkage lower bound)",
+            "consumer 5: receives 1 units but is not marked a winner covering them "
+            "(linkage lower bound)",
+            "consumer 8: marked winner but receives no units (linkage upper bound)",
+            "provider 2: sells 2 units of type 0, offered only 1 (supply)",
+            "provider 7: sells 3 units of type 1, offered only 1 (supply)",
+            "consumer 3: receives 2 units of type 0, demand exactness requires 1",
+            "consumer 3: receives 3 units of type 1, demand exactness requires 1",
+            "consumer 5: receives 1 units of type 0, demand exactness requires 0",
+            "consumer 8: receives 0 units of type 0, demand exactness requires 1",
+            "consumer 8: receives 0 units of type 1, demand exactness requires 1",
+            "consumer 3 pays 21/2 per unit of type 1 but provider 7 asks 11 "
+            "(price compatibility)",
+            "consumer 5 pays 7/2 per unit of type 0 but provider 7 asks 13/2 "
+            "(price compatibility)",
+        ]
 
     def test_shape_mismatch_is_an_error_not_a_violation(self):
         inst = instance([consumer(0, [10], [1])], [provider(0, [5], [1])])
